@@ -9,7 +9,7 @@ GO ?= go
 # path (preserialized byte cache). The committed BENCH_<date>.json floor
 # these; `make bench-gate` enforces it.
 BENCH_SET    := BenchmarkCoreRun(Cold|Warm|Many8)$$|BenchmarkServiceCacheHit$$
-BENCH_BASE   ?= BENCH_2026-08-08.json
+BENCH_BASE   ?= BENCH_2026-10-16.json
 MAX_REGRESS  ?= 35%
 
 all: build vet fmt-check test

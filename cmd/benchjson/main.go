@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,11 +54,14 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Baseline is the committed file shape.
+// Baseline is the committed file shape. Go, CPU and GOMAXPROCS say where
+// the numbers came from, so a snapshot from one machine is never mistaken
+// for one from another.
 type Baseline struct {
 	Date       string   `json:"date,omitempty"`
 	Go         string   `json:"go,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -82,6 +86,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
 	}
+	// benchjson runs under the same go command as the benchmarks it reads
+	// (make bench-json pipes one into the other), so its toolchain is
+	// theirs.
+	fresh.Go = runtime.Version()
 	if len(fresh.Benchmarks) == 0 {
 		// A broken -bench regexp or a compile failure upstream of the pipe
 		// must not convert to a plausible-looking empty baseline — and in
@@ -150,6 +158,9 @@ func parseBench(r io.Reader, date string) (Baseline, error) {
 			res, ok := parseLine(line)
 			if !ok {
 				continue
+			}
+			if base.GOMAXPROCS == 0 {
+				base.GOMAXPROCS = procs(line)
 			}
 			prev, seen := best[res.Name]
 			if !seen {
@@ -249,6 +260,18 @@ func parsePercent(s string) (float64, error) {
 		return 0, fmt.Errorf("invalid -max-regress %q (want e.g. 25%%)", s)
 	}
 	return v, nil
+}
+
+// procs returns the GOMAXPROCS a result line ran under: the name's "-N"
+// suffix, which go test omits when it is 1.
+func procs(line string) int {
+	name := strings.Fields(line)[0]
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			return n
+		}
+	}
+	return 1
 }
 
 // parseLine decodes one result line: a name, an iteration count, then

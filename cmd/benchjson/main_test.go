@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,32 @@ func TestConvertParsesBenchOutput(t *testing.T) {
 	}
 	if got.Benchmarks[0].Name != "CoreRunWarm" || got.Benchmarks[0].NsPerOp != 5773 || got.Benchmarks[0].AllocsPerOp != 45 {
 		t.Errorf("first result = %+v", got.Benchmarks[0])
+	}
+}
+
+// TestConvertRecordsEnvironment pins the provenance fields: the Go
+// version, and the GOMAXPROCS the benchmarks ran under (the name suffix,
+// absent when it is 1).
+func TestConvertRecordsEnvironment(t *testing.T) {
+	for _, tc := range []struct {
+		line  string
+		procs int
+	}{
+		{"BenchmarkCoreRunWarm-8  	  204933	      5773 ns/op", 8},
+		{"BenchmarkCoreRunWarm  	  204933	      5773 ns/op", 1},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(nil, strings.NewReader(benchOut(tc.line)), &out, &errb); code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, errb.String())
+		}
+		var got Baseline
+		if err := json.Unmarshal(out.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.GOMAXPROCS != tc.procs || got.Go != runtime.Version() || got.CPU == "" {
+			t.Errorf("%q: go=%q cpu=%q gomaxprocs=%d, want %q, a cpu, %d",
+				tc.line, got.Go, got.CPU, got.GOMAXPROCS, runtime.Version(), tc.procs)
+		}
 	}
 }
 

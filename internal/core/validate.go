@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/kvstore"
@@ -15,11 +16,14 @@ import (
 // configuration is rejected with the same error text at every entry
 // point. A zero Method is accepted (Run defaults it to NCCL).
 func (w Workload) Validate() error {
+	names := models.Names()
 	if w.Model == "" {
-		return fmt.Errorf("core: no model specified (available: %s)", strings.Join(models.Names(), ", "))
+		return fmt.Errorf("core: no model specified (available: %s)", strings.Join(names, ", "))
 	}
-	if _, err := models.ByName(w.Model); err != nil {
-		return fmt.Errorf("core: unknown model %q (available: %s)", w.Model, strings.Join(models.Names(), ", "))
+	// A name check, not models.ByName: building the network just to
+	// validate its name cost a whole zoo build on every cold request.
+	if !slices.Contains(names, w.Model) {
+		return fmt.Errorf("core: unknown model %q (available: %s)", w.Model, strings.Join(names, ", "))
 	}
 	m, err := train.MachineByName(w.Hardware)
 	if err != nil {

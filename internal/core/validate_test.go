@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/models"
 )
 
 func TestValidate(t *testing.T) {
@@ -73,5 +76,39 @@ func TestRunUsesValidate(t *testing.T) {
 	}
 	if runErr.Error() != valErr.Error() {
 		t.Errorf("Run error %q differs from Validate error %q", runErr, valErr)
+	}
+}
+
+// TestValidateModelNames checks model names against the zoo's name list
+// without building any network, keeping the error text every entry point
+// prints.
+func TestValidateModelNames(t *testing.T) {
+	for _, tc := range []struct {
+		model string
+		want  string // full error text; empty = valid
+	}{
+		{"resnet", ""},
+		{"inception-v3", ""},
+		{"vgg", `core: unknown model "vgg" (available: lenet, alexnet, resnet, googlenet, inception-v3)`},
+		{"ResNet", `core: unknown model "ResNet" (available: lenet, alexnet, resnet, googlenet, inception-v3)`},
+		{"", "core: no model specified (available: lenet, alexnet, resnet, googlenet, inception-v3)"},
+	} {
+		w := Workload{Model: tc.model, GPUs: 2, Batch: 16}
+		err := w.Validate()
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("model %q: Validate() = %v, want %q", tc.model, err, tc.want)
+		}
+	}
+	// Building ResNet-50 takes thousands of allocations; a name check a
+	// handful.
+	w := Workload{Model: "resnet", GPUs: 2, Batch: 16}
+	allocs := testing.AllocsPerRun(5, func() {
+		models.ResetCache()
+		if err := w.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 50 {
+		t.Errorf("Validate allocates %.0f times per call; it should not build the model", allocs)
 	}
 }

@@ -9,6 +9,7 @@ package cuda
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/gpu"
@@ -48,39 +49,67 @@ func DefaultCosts() Costs {
 	}
 }
 
-// deviceNames interns the per-device profile labels. Every kernel launch,
-// API call, and transfer records one of these strings; formatting them per
-// call used to dominate the simulation's allocation profile, so they are
-// built once per device at runtime construction.
-type deviceNames struct {
-	host, engine  string // host-thread tracks
-	compute, comm string // device-queue tracks
-	memcpyHtoD    string // "memcpyHtoD ->N"
-	xferHtoD      string // "xfer H->N"
-	memcpyDtoH    string // "memcpyDtoH N->"
-	xferDtoH      string // "xfer N->H"
+// Kernel is one launchable kernel lowered for a device spec: its profile
+// name, its execution time on that spec (gpu.Spec.KernelDuration,
+// computed once at lowering rather than on every launch), and its slot in
+// the runtime's profile.
+type Kernel struct {
+	Name string
+	Dur  time.Duration
+	Slot profiler.Slot
 }
 
-// peerNames interns the labels of one src->dst peer-copy direction,
-// created lazily on first use (runtimes are per-run and single-threaded).
-type peerNames struct {
-	memcpy string // "memcpyP2P S->D"
-	xfer   string // "xfer S->D"
+// label is an interned profile name.
+type label struct {
+	name string
+	slot profiler.Slot
+}
+
+// copyPath is one cached copy direction: its routed path (or the routing
+// error, which is just as deterministic) and its interned transfer labels.
+type copyPath struct {
+	path   topology.Path
+	err    error
+	memcpy label  // e.g. "memcpyP2P S->D"
+	xfer   string // the transfer's track, e.g. "xfer S->D"
+}
+
+// device is the runtime's state for one managed GPU: the device model,
+// its two host worker threads, its interned track labels, and its cached
+// PCIe copy paths. Every kernel launch, API call and transfer records one
+// of these labels; formatting them per call used to dominate the
+// simulation's allocation profile, so they are built once per device.
+type device struct {
+	dev           *gpu.Device
+	host, engine  *sim.Resource
+	hostTrack     string // host-thread tracks
+	engineTrack   string
+	compute, comm string // device-queue tracks
+	// h2d and d2h are the PCIe copy paths from and to the host CPU,
+	// resolved on first use.
+	h2d, d2h *copyPath
 }
 
 // Runtime binds devices, host threads, the fabric, and a profile.
 type Runtime struct {
-	eng     *sim.Engine
-	fabric  *interconnect.Fabric
-	devices map[topology.NodeID]*gpu.Device
-	hosts   map[topology.NodeID]*sim.Resource
-	engines map[topology.NodeID]*sim.Resource
-	prof    *profiler.Profile
-	costs   Costs
-	policy  topology.RoutePolicy
-	cpuRes  map[string]*sim.Resource
-	names   map[topology.NodeID]*deviceNames
-	peers   map[[2]topology.NodeID]*peerNames
+	eng    *sim.Engine
+	fabric *interconnect.Fabric
+	// devs is indexed by NodeID; entries for nodes the runtime does not
+	// manage are nil.
+	devs   []*device
+	ids    []topology.NodeID // managed GPUs, ascending
+	prof   *profiler.Profile
+	costs  Costs
+	policy topology.RoutePolicy
+	cpuRes map[string]*sim.Resource
+
+	launch, memcpy, sync label // the API entry points' profile labels
+
+	// peers caches routed peer copies per (policy, src, dst), indexed
+	// (policy*nodes+src)*nodes+dst and filled on first use; nodes spans
+	// the topology's node IDs.
+	peers []*copyPath
+	nodes int
 }
 
 // NewRuntime creates devices and host threads for the listed GPUs. prof may
@@ -94,88 +123,177 @@ func NewRuntime(fabric *interconnect.Fabric, spec gpu.Spec, gpus []topology.Node
 // use it to model straggler GPUs — a heterogeneous node where one device
 // runs every kernel slower than its peers.
 func NewRuntimeWithSpecs(fabric *interconnect.Fabric, def gpu.Spec, specs map[topology.NodeID]gpu.Spec, gpus []topology.NodeID, costs Costs, prof *profiler.Profile) (*Runtime, error) {
+	top := fabric.Topology()
 	rt := &Runtime{
-		eng:     fabric.Engine(),
-		fabric:  fabric,
-		devices: make(map[topology.NodeID]*gpu.Device),
-		hosts:   make(map[topology.NodeID]*sim.Resource),
-		engines: make(map[topology.NodeID]*sim.Resource),
-		prof:    prof,
-		costs:   costs,
-		policy:  topology.RouteStagedNVLink,
-		names:   make(map[topology.NodeID]*deviceNames),
+		eng:    fabric.Engine(),
+		fabric: fabric,
+		prof:   prof,
+		costs:  costs,
+		policy: topology.RouteStagedNVLink,
+		nodes:  top.NumNodes(),
 	}
+	rt.launch = rt.label(profiler.KindAPI, APILaunchKernel)
+	rt.memcpy = rt.label(profiler.KindAPI, APIMemcpyAsync)
+	rt.sync = rt.label(profiler.KindAPI, APIStreamSync)
 	for _, id := range gpus {
-		n, err := fabric.Topology().Node(id)
+		n, err := top.Node(id)
 		if err != nil {
 			return nil, err
 		}
 		if n.Kind != topology.GPU {
 			return nil, fmt.Errorf("cuda: node %d is a %s, not a GPU", id, n.Kind)
 		}
-		rt.names[id] = &deviceNames{
-			host:       fmt.Sprintf("GPU%d/host", id),
-			engine:     fmt.Sprintf("GPU%d/engine", id),
-			compute:    fmt.Sprintf("GPU%d/compute", id),
-			comm:       fmt.Sprintf("GPU%d/comm", id),
-			memcpyHtoD: fmt.Sprintf("memcpyHtoD ->%d", id),
-			xferHtoD:   fmt.Sprintf("xfer H->%d", id),
-			memcpyDtoH: fmt.Sprintf("memcpyDtoH %d->", id),
-			xferDtoH:   fmt.Sprintf("xfer %d->H", id),
-		}
 		spec := def
 		if s, ok := specs[id]; ok {
 			spec = s
 		}
-		rt.devices[id] = gpu.NewDevice(rt.eng, id, spec)
-		rt.hosts[id] = sim.NewResource(rt.eng, rt.names[id].host)
-		rt.engines[id] = sim.NewResource(rt.eng, rt.names[id].engine)
+		d := &device{
+			dev:         gpu.NewDevice(rt.eng, id, spec),
+			hostTrack:   fmt.Sprintf("GPU%d/host", id),
+			engineTrack: fmt.Sprintf("GPU%d/engine", id),
+		}
+		d.compute, d.comm = d.dev.QueueNames()
+		d.host = sim.NewResource(rt.eng, d.hostTrack)
+		d.engine = sim.NewResource(rt.eng, d.engineTrack)
+		if int(id) >= len(rt.devs) {
+			rt.devs = append(rt.devs, make([]*device, int(id)+1-len(rt.devs))...)
+		}
+		if rt.devs[id] == nil {
+			rt.ids = append(rt.ids, id)
+		}
+		rt.devs[id] = d
 	}
+	slices.Sort(rt.ids)
 	return rt, nil
 }
 
-// peerName returns the interned labels for one src->dst copy direction.
-func (rt *Runtime) peerName(src, dst topology.NodeID) *peerNames {
-	key := [2]topology.NodeID{src, dst}
-	if p := rt.peers[key]; p != nil {
-		return p
+// hostPath returns a GPU's cached PCIe copy path to (toGPU) or from its
+// host CPU, with the transfer's labels, resolving it on first use.
+func (rt *Runtime) hostPath(d *device, toGPU bool) *copyPath {
+	cached := &d.d2h
+	if toGPU {
+		cached = &d.h2d
 	}
-	if rt.peers == nil {
-		rt.peers = make(map[[2]topology.NodeID]*peerNames)
+	if *cached == nil {
+		*cached = rt.resolveHostPath(d.dev.ID, toGPU)
 	}
-	p := &peerNames{
-		memcpy: fmt.Sprintf("memcpyP2P %d->%d", src, dst),
-		xfer:   fmt.Sprintf("xfer %d->%d", src, dst),
-	}
-	rt.peers[key] = p
-	return p
+	return *cached
 }
 
-// TrackCompute returns the interned compute-queue track label of a device.
-func (rt *Runtime) TrackCompute(id topology.NodeID) string { return rt.names[id].compute }
+// resolveHostPath routes a GPU's PCIe copy to or from its host CPU.
+func (rt *Runtime) resolveHostPath(id topology.NodeID, toGPU bool) *copyPath {
+	c := &copyPath{}
+	if toGPU {
+		c.memcpy = rt.label(profiler.KindTransfer, fmt.Sprintf("memcpyHtoD ->%d", id))
+		c.xfer = fmt.Sprintf("xfer H->%d", id)
+	} else {
+		c.memcpy = rt.label(profiler.KindTransfer, fmt.Sprintf("memcpyDtoH %d->", id))
+		c.xfer = fmt.Sprintf("xfer %d->H", id)
+	}
+	top := rt.fabric.Topology()
+	host, err := top.HostCPU(id)
+	if err != nil {
+		c.err = err
+		return c
+	}
+	link := top.DirectLink(id, host, topology.PCIe)
+	if link == nil {
+		c.err = fmt.Errorf("cuda: GPU %d has no PCIe link", id)
+		return c
+	}
+	hop := topology.Hop{Link: link, From: id, To: host}
+	if toGPU {
+		hop = topology.Hop{Link: link, From: host, To: id}
+	}
+	c.path = topology.Path{Hops: []topology.Hop{hop}}
+	return c
+}
 
-// TrackComm returns the interned communication-queue track label of a device.
-func (rt *Runtime) TrackComm(id topology.NodeID) string { return rt.names[id].comm }
+// label interns a profile name (a nil profile records nothing, so any
+// slot will do).
+func (rt *Runtime) label(k profiler.Kind, name string) label {
+	l := label{name: name, slot: profiler.NoSlot}
+	if rt.prof != nil {
+		l.slot = rt.prof.Intern(k, name)
+	}
+	return l
+}
+
+// NewKernel interns a kernel name in the runtime's profile and pairs it
+// with its execution time.
+func (rt *Runtime) NewKernel(name string, dur time.Duration) Kernel {
+	l := rt.label(profiler.KindKernel, name)
+	return Kernel{Name: name, Dur: dur, Slot: l.slot}
+}
+
+// Lower appends a kernel plan, lowered for devices of one spec, to dst and
+// returns the extended launch table: each entry's duration is computed
+// once here instead of on every launch of every device in every
+// iteration.
+func (rt *Runtime) Lower(dst []Kernel, spec gpu.Spec, plan []gpu.KernelCost) []Kernel {
+	if dst == nil {
+		dst = make([]Kernel, 0, len(plan))
+	}
+	for _, c := range plan {
+		dst = append(dst, rt.NewKernel(c.Name, spec.KernelDuration(c)))
+	}
+	return dst
+}
+
+// state returns the runtime's state for a GPU, or nil if it does not
+// manage that node.
+func (rt *Runtime) state(id topology.NodeID) *device {
+	if id < 0 || int(id) >= len(rt.devs) {
+		return nil
+	}
+	return rt.devs[id]
+}
+
+// peer returns the cached route and labels of one src->dst copy under the
+// current policy. IDs outside [0, nodes) are routed afresh every time.
+func (rt *Runtime) peer(src, dst topology.NodeID) *copyPath {
+	i := -1
+	if src >= 0 && dst >= 0 && int(src) < rt.nodes && int(dst) < rt.nodes {
+		pol := 0
+		if rt.policy != topology.RouteStagedNVLink {
+			pol = 1
+		}
+		if rt.peers == nil {
+			rt.peers = make([]*copyPath, 2*rt.nodes*rt.nodes)
+		}
+		i = (pol*rt.nodes+int(src))*rt.nodes + int(dst)
+		if c := rt.peers[i]; c != nil {
+			return c
+		}
+	}
+	path, err := rt.fabric.Topology().Route(src, dst, rt.policy)
+	c := &copyPath{
+		path:   path,
+		err:    err,
+		memcpy: rt.label(profiler.KindTransfer, fmt.Sprintf("memcpyP2P %d->%d", src, dst)),
+		xfer:   fmt.Sprintf("xfer %d->%d", src, dst),
+	}
+	if i >= 0 {
+		rt.peers[i] = c
+	}
+	return c
+}
 
 // SetRoutePolicy selects how peer copies without a direct NVLink are routed
 // (staged NVLink by default; PCIe fallback reproduces naive behaviour).
 func (rt *Runtime) SetRoutePolicy(p topology.RoutePolicy) { rt.policy = p }
 
-// Device returns the device model for a GPU.
-func (rt *Runtime) Device(id topology.NodeID) *gpu.Device { return rt.devices[id] }
+// Device returns the device model for a GPU (nil if not managed).
+func (rt *Runtime) Device(id topology.NodeID) *gpu.Device {
+	if d := rt.state(id); d != nil {
+		return d.dev
+	}
+	return nil
+}
 
 // Devices returns the IDs of all GPUs managed by the runtime, ascending.
 func (rt *Runtime) Devices() []topology.NodeID {
-	var ids []topology.NodeID
-	for id := range rt.devices {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
+	return append([]topology.NodeID(nil), rt.ids...)
 }
 
 // Fabric returns the interconnect.
@@ -184,10 +302,11 @@ func (rt *Runtime) Fabric() *interconnect.Fabric { return rt.fabric }
 // Profile returns the profile (may be nil).
 func (rt *Runtime) Profile() *profiler.Profile { return rt.prof }
 
-// record adds an interval when profiling is enabled.
-func (rt *Runtime) record(iv profiler.Interval) {
+// record adds an interval under its interned slot when profiling is
+// enabled.
+func (rt *Runtime) record(slot profiler.Slot, iv profiler.Interval) {
 	if rt.prof != nil {
-		rt.prof.Record(iv)
+		rt.prof.RecordSlot(slot, iv)
 	}
 }
 
@@ -196,24 +315,43 @@ func (rt *Runtime) record(iv profiler.Interval) {
 // dependency-engine communication issue (MXNet's engine workers); engine
 // selects the latter, so communication issue does not serialize behind the
 // launch loop.
-func (rt *Runtime) hostCall(dev topology.NodeID, api string, stage profiler.Stage, ready time.Duration, dur time.Duration, engine bool) (start, end time.Duration) {
-	res, track := rt.hosts[dev], rt.names[dev].host
+func (rt *Runtime) hostCall(d *device, api label, stage profiler.Stage, ready time.Duration, dur time.Duration, engine bool) (start, end time.Duration) {
+	res, track := d.host, d.hostTrack
 	if engine {
-		res, track = rt.engines[dev], rt.names[dev].engine
+		res, track = d.engine, d.engineTrack
 	}
 	start, end = res.Book(ready, dur)
-	rt.record(profiler.Interval{
-		Kind: profiler.KindAPI, Name: api, Stage: stage,
+	rt.record(api.slot, profiler.Interval{
+		Kind: profiler.KindAPI, Name: api.name, Stage: stage,
 		Track: track, Start: start, End: end,
 	})
 	return start, end
 }
 
-// Stream is an in-order device work queue handle. Operations on a stream
-// begin in issue order and never before the previous operation completes.
+// BookKernel runs k on a device's compute queue (its communication queue
+// when comm is set) from ready, without a host launch: device work the
+// framework's engine enqueues on its own, such as the kvstore's weight
+// update.
+func (rt *Runtime) BookKernel(dev topology.NodeID, comm bool, stage profiler.Stage, k Kernel, ready time.Duration) (start, end time.Duration) {
+	d := rt.devs[dev]
+	track := d.compute
+	if comm {
+		start, end = d.dev.BookCommKernel(ready, k.Dur)
+		track = d.comm
+	} else {
+		start, end = d.dev.BookKernel(ready, k.Dur)
+	}
+	rt.record(k.Slot, profiler.Interval{
+		Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
+		Track: track, Start: start, End: end,
+	})
+	return start, end
+}
+
+// Stream is an in-order device work queue handle.
 type Stream struct {
 	rt   *Runtime
-	dev  *gpu.Device
+	d    *device
 	name string
 	tail time.Duration
 	comm bool
@@ -221,7 +359,7 @@ type Stream struct {
 
 // Stream creates a compute stream on the device.
 func (rt *Runtime) Stream(dev topology.NodeID, name string) *Stream {
-	return &Stream{rt: rt, dev: rt.devices[dev], name: name}
+	return &Stream{rt: rt, d: rt.devs[dev], name: name}
 }
 
 // CommStream creates a stream whose kernels run on the device's
@@ -233,7 +371,7 @@ func (rt *Runtime) CommStream(dev topology.NodeID, name string) *Stream {
 }
 
 // Device returns the stream's device.
-func (s *Stream) Device() *gpu.Device { return s.dev }
+func (s *Stream) Device() *gpu.Device { return s.d.dev }
 
 // Tail returns the completion time of the last operation issued.
 func (s *Stream) Tail() time.Duration { return s.tail }
@@ -248,54 +386,25 @@ func (s *Stream) WaitEvent(tm time.Duration) {
 }
 
 // Launch enqueues a kernel: the host pays the launch cost starting at
-// hostReady; the kernel executes after both the launch and the stream's
-// previous work complete. It returns when the host call finishes and when
-// the kernel finishes.
-func (s *Stream) Launch(stage profiler.Stage, c gpu.KernelCost, hostReady time.Duration) (hostDone, kernelEnd time.Duration) {
-	_, hostDone = s.rt.hostCall(s.dev.ID, APILaunchKernel, stage, hostReady, s.rt.costs.LaunchKernel, s.comm)
+// hostReady; the kernel executes for k.Dur after both the launch and the
+// stream's previous work complete. It returns when the host call finishes
+// and when the kernel finishes.
+func (s *Stream) Launch(stage profiler.Stage, k Kernel, hostReady time.Duration) (hostDone, kernelEnd time.Duration) {
+	_, hostDone = s.rt.hostCall(s.d, s.rt.launch, stage, hostReady, s.rt.costs.LaunchKernel, s.comm)
 	ready := hostDone
 	if s.tail > ready {
 		ready = s.tail
 	}
 	var start, end time.Duration
+	track := s.d.compute
 	if s.comm {
-		start, end = s.dev.BookCommKernel(ready, s.dev.Spec.KernelDuration(c))
+		start, end = s.d.dev.BookCommKernel(ready, k.Dur)
+		track = s.d.comm
 	} else {
-		start, end = s.dev.BookKernel(ready, c)
+		start, end = s.d.dev.BookKernel(ready, k.Dur)
 	}
-	track := s.rt.names[s.dev.ID].compute
-	if s.comm {
-		track = s.rt.names[s.dev.ID].comm
-	}
-	s.rt.record(profiler.Interval{
-		Kind: profiler.KindKernel, Name: c.Name, Stage: stage,
-		Track: track, Start: start, End: end,
-	})
-	s.tail = end
-	return hostDone, end
-}
-
-// LaunchTimed enqueues a kernel whose device duration is supplied directly
-// (used by the NCCL model, whose kernel time is wire-limited rather than
-// roofline-limited).
-func (s *Stream) LaunchTimed(stage profiler.Stage, name string, dur time.Duration, hostReady, dataReady time.Duration) (hostDone, kernelEnd time.Duration) {
-	_, hostDone = s.rt.hostCall(s.dev.ID, APILaunchKernel, stage, hostReady, s.rt.costs.LaunchKernel, s.comm)
-	ready := hostDone
-	if s.tail > ready {
-		ready = s.tail
-	}
-	if dataReady > ready {
-		ready = dataReady
-	}
-	var start, end time.Duration
-	if s.comm {
-		start, end = s.dev.BookCommKernel(ready, dur)
-	} else {
-		start, end = s.dev.BookDMA(ready, dur) // non-comm timed ops are copies
-	}
-	track := s.rt.names[s.dev.ID].comm
-	s.rt.record(profiler.Interval{
-		Kind: profiler.KindKernel, Name: name, Stage: stage,
+	s.rt.record(k.Slot, profiler.Interval{
+		Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
 		Track: track, Start: start, End: end,
 	})
 	s.tail = end
@@ -306,15 +415,15 @@ func (s *Stream) LaunchTimed(stage profiler.Stage, name string, dur time.Duratio
 // collective models that compute device occupancy themselves) and returns
 // when the host call completes.
 func (s *Stream) HostLaunch(stage profiler.Stage, hostReady time.Duration) time.Duration {
-	_, end := s.rt.hostCall(s.dev.ID, APILaunchKernel, stage, hostReady, s.rt.costs.LaunchKernel, s.comm)
+	_, end := s.rt.hostCall(s.d, s.rt.launch, stage, hostReady, s.rt.costs.LaunchKernel, s.comm)
 	return end
 }
 
 // Extend occupies the stream from max(its tail, ready) until at least
-// `until`, recording the window as a kernel. Collectives use it to make
-// every rank's queue busy until the global completion of the operation.
-// It returns the stream's new tail.
-func (s *Stream) Extend(stage profiler.Stage, name string, ready, until time.Duration) time.Duration {
+// `until`, recording the window as kernel k (whose Dur is ignored).
+// Collectives use it to make every rank's queue busy until the global
+// completion of the operation. It returns the stream's new tail.
+func (s *Stream) Extend(stage profiler.Stage, k Kernel, ready, until time.Duration) time.Duration {
 	start := s.tail
 	if ready > start {
 		start = ready
@@ -325,13 +434,13 @@ func (s *Stream) Extend(stage profiler.Stage, name string, ready, until time.Dur
 	}
 	var bs, be time.Duration
 	if s.comm {
-		bs, be = s.dev.BookCommKernel(start, dur)
+		bs, be = s.d.dev.BookCommKernel(start, dur)
 	} else {
-		bs, be = s.dev.BookDMA(start, dur)
+		bs, be = s.d.dev.BookDMA(start, dur)
 	}
-	s.rt.record(profiler.Interval{
-		Kind: profiler.KindKernel, Name: name, Stage: stage,
-		Track: s.rt.names[s.dev.ID].comm, Start: bs, End: be,
+	s.rt.record(k.Slot, profiler.Interval{
+		Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
+		Track: s.d.comm, Start: bs, End: be,
 	})
 	s.tail = be
 	return be
@@ -342,21 +451,7 @@ func (s *Stream) Extend(stage profiler.Stage, name string, ready, until time.Dur
 // cudaStreamSynchronize (as nvprof accounts it). It returns when the host
 // resumes.
 func (s *Stream) Synchronize(stage profiler.Stage, hostReady time.Duration) time.Duration {
-	wait := s.tail
-	if wait < hostReady {
-		wait = hostReady
-	}
-	dur := wait - hostReady + s.rt.costs.StreamSyncOverhead
-	res, track := s.rt.hosts[s.dev.ID], s.rt.names[s.dev.ID].host
-	if s.comm {
-		res, track = s.rt.engines[s.dev.ID], s.rt.names[s.dev.ID].engine
-	}
-	start, end := res.Book(hostReady, dur)
-	s.rt.record(profiler.Interval{
-		Kind: profiler.KindAPI, Name: APIStreamSync, Stage: stage,
-		Track: track, Start: start, End: end,
-	})
-	return end
+	return s.rt.block(s.d, s.comm, stage, hostReady, s.tail)
 }
 
 // HostWait blocks the device's launch thread from hostReady until target
@@ -364,16 +459,18 @@ func (s *Stream) Synchronize(stage profiler.Stage, hostReady time.Duration) time
 // blocked window as cudaStreamSynchronize — how nvprof accounts the
 // framework's WaitToRead. It returns when the host resumes.
 func (rt *Runtime) HostWait(dev topology.NodeID, stage profiler.Stage, hostReady, target time.Duration) time.Duration {
+	return rt.block(rt.devs[dev], false, stage, hostReady, target)
+}
+
+// block books a cudaStreamSynchronize on one of the device's threads (the
+// engine thread when engine is set) from hostReady until target plus the
+// fixed overhead, and returns when the host resumes.
+func (rt *Runtime) block(d *device, engine bool, stage profiler.Stage, hostReady, target time.Duration) time.Duration {
 	wait := target
 	if wait < hostReady {
 		wait = hostReady
 	}
-	dur := wait - hostReady + rt.costs.StreamSyncOverhead
-	start, end := rt.hosts[dev].Book(hostReady, dur)
-	rt.record(profiler.Interval{
-		Kind: profiler.KindAPI, Name: APIStreamSync, Stage: stage,
-		Track: rt.names[dev].host, Start: start, End: end,
-	})
+	_, end := rt.hostCall(d, rt.sync, stage, hostReady, wait-hostReady+rt.costs.StreamSyncOverhead, engine)
 	return end
 }
 
@@ -388,81 +485,67 @@ func (rt *Runtime) HostWait(dev topology.NodeID, stage profiler.Stage, hostReady
 // broadcasts updated weights. It returns the host-call end and the copy's
 // arrival time.
 func (rt *Runtime) MemcpyPeer(dst, src topology.NodeID, size units.Bytes, stage profiler.Stage, hostReady, dataReady time.Duration) (hostDone, end time.Duration, err error) {
-	path, err := rt.fabric.Topology().Route(src, dst, rt.policy)
-	if err != nil {
-		return 0, 0, err
+	pc := rt.peer(src, dst)
+	if pc.err != nil {
+		return 0, 0, pc.err
 	}
-	issuer := dst
-	if rt.devices[issuer] == nil {
-		issuer = src
+	issuer := rt.state(dst)
+	if issuer == nil {
+		issuer = rt.devs[src]
 	}
-	_, hostDone = rt.hostCall(issuer, APIMemcpyAsync, stage, hostReady, rt.costs.MemcpyAsync, true)
+	_, hostDone = rt.hostCall(issuer, rt.memcpy, stage, hostReady, rt.costs.MemcpyAsync, true)
 	ready := hostDone
 	if dataReady > ready {
 		ready = dataReady
 	}
-	start, end := rt.fabric.Book(path, size, ready)
-	if dev := rt.devices[src]; dev != nil {
-		if _, dmaEnd := dev.BookDMA(start, end-start); dmaEnd > end {
+	start, end := rt.fabric.Book(pc.path, size, ready)
+	if d := rt.state(src); d != nil {
+		if _, dmaEnd := d.dev.BookDMA(start, end-start); dmaEnd > end {
 			end = dmaEnd
 		}
 	}
-	pn := rt.peerName(src, dst)
-	rt.record(profiler.Interval{
-		Kind: profiler.KindTransfer, Name: pn.memcpy,
-		Stage: stage, Track: pn.xfer,
+	rt.recordCopy(pc, stage, start, end)
+	return hostDone, end, nil
+}
+
+// recordCopy records one transfer on its cached labels.
+func (rt *Runtime) recordCopy(c *copyPath, stage profiler.Stage, start, end time.Duration) {
+	rt.record(c.memcpy.slot, profiler.Interval{
+		Kind: profiler.KindTransfer, Name: c.memcpy.name,
+		Stage: stage, Track: c.xfer,
 		Start: start, End: end,
 	})
-	return hostDone, end, nil
 }
 
 // MemcpyHostToDevice enqueues a host-to-device copy over the GPU's PCIe
 // link (training-data staging).
 func (rt *Runtime) MemcpyHostToDevice(dst topology.NodeID, size units.Bytes, stage profiler.Stage, hostReady time.Duration) (hostDone, end time.Duration, err error) {
-	top := rt.fabric.Topology()
-	host, err := top.HostCPU(dst)
-	if err != nil {
-		return 0, 0, err
+	d := rt.devs[dst]
+	c := rt.hostPath(d, true)
+	if c.err != nil {
+		return 0, 0, c.err
 	}
-	link := top.DirectLink(dst, host, topology.PCIe)
-	if link == nil {
-		return 0, 0, fmt.Errorf("cuda: GPU %d has no PCIe link", dst)
-	}
-	path := topology.Path{Hops: []topology.Hop{{Link: link, From: host, To: dst}}}
-	_, hostDone = rt.hostCall(dst, APIMemcpyAsync, stage, hostReady, rt.costs.MemcpyAsync, true)
-	start, end := rt.fabric.Book(path, size, hostDone)
-	rt.record(profiler.Interval{
-		Kind: profiler.KindTransfer, Name: rt.names[dst].memcpyHtoD,
-		Stage: stage, Track: rt.names[dst].xferHtoD,
-		Start: start, End: end,
-	})
+	_, hostDone = rt.hostCall(d, rt.memcpy, stage, hostReady, rt.costs.MemcpyAsync, true)
+	start, end := rt.fabric.Book(c.path, size, hostDone)
+	rt.recordCopy(c, stage, start, end)
 	return hostDone, end, nil
 }
 
 // MemcpyDeviceToHost enqueues a device-to-host copy over the GPU's PCIe
 // link (gradient upload for a CPU parameter server).
 func (rt *Runtime) MemcpyDeviceToHost(src topology.NodeID, size units.Bytes, stage profiler.Stage, hostReady, dataReady time.Duration) (hostDone, end time.Duration, err error) {
-	top := rt.fabric.Topology()
-	host, err := top.HostCPU(src)
-	if err != nil {
-		return 0, 0, err
+	d := rt.devs[src]
+	c := rt.hostPath(d, false)
+	if c.err != nil {
+		return 0, 0, c.err
 	}
-	link := top.DirectLink(src, host, topology.PCIe)
-	if link == nil {
-		return 0, 0, fmt.Errorf("cuda: GPU %d has no PCIe link", src)
-	}
-	path := topology.Path{Hops: []topology.Hop{{Link: link, From: src, To: host}}}
-	_, hostDone = rt.hostCall(src, APIMemcpyAsync, stage, hostReady, rt.costs.MemcpyAsync, true)
+	_, hostDone = rt.hostCall(d, rt.memcpy, stage, hostReady, rt.costs.MemcpyAsync, true)
 	ready := hostDone
 	if dataReady > ready {
 		ready = dataReady
 	}
-	start, end := rt.fabric.Book(path, size, ready)
-	rt.record(profiler.Interval{
-		Kind: profiler.KindTransfer, Name: rt.names[src].memcpyDtoH,
-		Stage: stage, Track: rt.names[src].xferDtoH,
-		Start: start, End: end,
-	})
+	start, end := rt.fabric.Book(c.path, size, ready)
+	rt.recordCopy(c, stage, start, end)
 	return hostDone, end, nil
 }
 
@@ -479,7 +562,7 @@ func (rt *Runtime) CPUWork(name string, stage profiler.Stage, ready time.Duratio
 		rt.cpuRes[name] = res
 	}
 	start, end = res.Book(ready, dur)
-	rt.record(profiler.Interval{
+	rt.record(profiler.NoSlot, profiler.Interval{
 		Kind: profiler.KindMarker, Name: name, Stage: stage,
 		Track: name, Start: start, End: end,
 	})
@@ -489,7 +572,8 @@ func (rt *Runtime) CPUWork(name string, stage profiler.Stage, ready time.Duratio
 // Route exposes the runtime's routed path between two GPUs under its
 // current policy (used by the communication backends for cost planning).
 func (rt *Runtime) Route(src, dst topology.NodeID) (topology.Path, error) {
-	return rt.fabric.Topology().Route(src, dst, rt.policy)
+	pc := rt.peer(src, dst)
+	return pc.path, pc.err
 }
 
 // Costs returns the runtime's host API costs.

@@ -25,6 +25,11 @@ func newRuntime(t *testing.T, gpus []topology.NodeID) (*Runtime, *profiler.Profi
 	return rt, prof
 }
 
+// kernel lowers one kernel cost for the V100 the test runtimes use.
+func kernel(rt *Runtime, c gpu.KernelCost) Kernel {
+	return rt.Lower(nil, gpu.V100(), []gpu.KernelCost{c})[0]
+}
+
 func TestNewRuntimeRejectsCPUs(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := interconnect.New(eng, topology.DGX1())
@@ -49,7 +54,7 @@ func TestDevicesSorted(t *testing.T) {
 func TestStreamOrdering(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0})
 	s := rt.Stream(0, "compute")
-	c := gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA}
+	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA})
 	_, end1 := s.Launch(profiler.StageFP, c, 0)
 	_, end2 := s.Launch(profiler.StageFP, c, 0)
 	if end2 <= end1 {
@@ -63,7 +68,7 @@ func TestStreamOrdering(t *testing.T) {
 func TestLaunchPaysHostCost(t *testing.T) {
 	rt, prof := newRuntime(t, []topology.NodeID{0})
 	s := rt.Stream(0, "compute")
-	c := gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA}
+	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA})
 	hostDone, _ := s.Launch(profiler.StageFP, c, 0)
 	if hostDone != DefaultCosts().LaunchKernel {
 		t.Errorf("hostDone = %v, want %v", hostDone, DefaultCosts().LaunchKernel)
@@ -76,7 +81,7 @@ func TestLaunchPaysHostCost(t *testing.T) {
 func TestSynchronizeWaitsForTail(t *testing.T) {
 	rt, prof := newRuntime(t, []topology.NodeID{0})
 	s := rt.Stream(0, "compute")
-	c := gpu.KernelCost{Name: "k", FLOPs: 100 * units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA}
+	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: 100 * units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA})
 	_, kEnd := s.Launch(profiler.StageFP, c, 0)
 	resume := s.Synchronize(profiler.StageFP, DefaultCosts().LaunchKernel)
 	want := kEnd + DefaultCosts().StreamSyncOverhead
@@ -168,9 +173,9 @@ func TestCommStreamOverlapsCompute(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0})
 	cs := rt.Stream(0, "compute")
 	ns := rt.CommStream(0, "nccl")
-	big := gpu.KernelCost{Name: "conv", FLOPs: 500 * units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA}
+	big := kernel(rt, gpu.KernelCost{Name: "conv", FLOPs: 500 * units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA})
 	_, computeEnd := cs.Launch(profiler.StageFP, big, 0)
-	_, commEnd := ns.LaunchTimed(profiler.StageWU, "ncclAllReduce", 10*time.Microsecond, 0, 0)
+	_, commEnd := ns.Launch(profiler.StageWU, rt.NewKernel("ncclAllReduce", 10*time.Microsecond), 0)
 	if commEnd >= computeEnd {
 		t.Errorf("comm kernel (%v) should overlap, not queue behind, compute (%v)", commEnd, computeEnd)
 	}
@@ -185,7 +190,7 @@ func TestKernelRecordedWithStageAndTrack(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := rt.Stream(2, "compute")
-	c := gpu.KernelCost{Name: "conv2d_fprop", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassTensor}
+	c := kernel(rt, gpu.KernelCost{Name: "conv2d_fprop", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassTensor})
 	s.Launch(profiler.StageFP, c, 0)
 	var found bool
 	for _, iv := range prof.Intervals() {
@@ -212,7 +217,7 @@ func TestNilProfileIsSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := rt.Stream(0, "c")
-	s.Launch(profiler.StageFP, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 20, Class: gpu.ClassFMA}, 0)
+	s.Launch(profiler.StageFP, kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 20, Class: gpu.ClassFMA}), 0)
 	s.Synchronize(profiler.StageFP, 0)
 	if _, _, err := rt.MemcpyPeer(1, 0, units.MB, profiler.StageWU, 0, 0); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestWaitEventRaisesTail(t *testing.T) {
 		t.Errorf("tail lowered to %v", s.Tail())
 	}
 	// The next kernel starts no earlier than the event.
-	c := gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 20, Class: gpu.ClassFMA}
+	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 20, Class: gpu.ClassFMA})
 	_, end := s.Launch(profiler.StageFP, c, 0)
 	if end <= 5*time.Millisecond {
 		t.Errorf("kernel ended %v, before the awaited event", end)
@@ -35,7 +35,7 @@ func TestWaitEventRaisesTail(t *testing.T) {
 func TestExtendOccupiesUntil(t *testing.T) {
 	rt, prof := newRuntime(t, []topology.NodeID{0})
 	s := rt.CommStream(0, "nccl")
-	end := s.Extend(profiler.StageWU, "collective", time.Millisecond, 3*time.Millisecond)
+	end := s.Extend(profiler.StageWU, rt.NewKernel("collective", 0), time.Millisecond, 3*time.Millisecond)
 	if end != 3*time.Millisecond {
 		t.Errorf("end = %v", end)
 	}
@@ -46,7 +46,7 @@ func TestExtendOccupiesUntil(t *testing.T) {
 		t.Error("extend not recorded")
 	}
 	// Extending to a time already past is a zero-length occupation.
-	end2 := s.Extend(profiler.StageWU, "collective", 0, time.Millisecond)
+	end2 := s.Extend(profiler.StageWU, rt.NewKernel("collective", 0), 0, time.Millisecond)
 	if end2 != 3*time.Millisecond {
 		t.Errorf("backward extend end = %v, want tail %v", end2, 3*time.Millisecond)
 	}
@@ -73,7 +73,7 @@ func TestEngineThreadSeparateFromLaunchThread(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0, 1})
 	s := rt.Stream(0, "compute")
 	// Saturate the launch thread with many launches.
-	c := gpu.KernelCost{Name: "k", FLOPs: units.KFLOPs, Parallelism: 1 << 10, Class: gpu.ClassFMA}
+	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.KFLOPs, Parallelism: 1 << 10, Class: gpu.ClassFMA})
 	host := time.Duration(0)
 	for i := 0; i < 100; i++ {
 		host, _ = s.Launch(profiler.StageFP, c, host)

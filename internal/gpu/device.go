@@ -42,10 +42,11 @@ func NewDevice(eng *sim.Engine, id topology.NodeID, spec Spec) *Device {
 	return d
 }
 
-// BookKernel reserves the compute queue for the kernel, becoming eligible
-// at ready; it returns the kernel's execution window.
-func (d *Device) BookKernel(ready time.Duration, c KernelCost) (start, end time.Duration) {
-	return d.compute.Book(ready, d.Spec.KernelDuration(c))
+// BookKernel reserves the compute queue for a kernel of duration dur
+// (Spec.KernelDuration, computed once when the plan is lowered), becoming
+// eligible at ready; it returns the kernel's execution window.
+func (d *Device) BookKernel(ready time.Duration, dur time.Duration) (start, end time.Duration) {
+	return d.compute.Book(ready, dur)
 }
 
 // BookCommKernel reserves the communication-kernel queue for dur.
@@ -65,6 +66,10 @@ func (d *Device) BookDMA(ready time.Duration, dur time.Duration) (start, end tim
 	}
 	return best.Book(ready, dur)
 }
+
+// QueueNames returns the compute and communication queues' names
+// ("GPU<id>/compute", "GPU<id>/comm"), which double as profile tracks.
+func (d *Device) QueueNames() (compute, comm string) { return d.compute.Name(), d.comm.Name() }
 
 // ComputeBusy returns accumulated compute-queue busy time.
 func (d *Device) ComputeBusy() time.Duration { return d.compute.BusyTime() }

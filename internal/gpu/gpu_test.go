@@ -180,7 +180,7 @@ func TestAllocatorTagsSorted(t *testing.T) {
 func TestDeviceQueuesIndependent(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, 0, V100())
-	c := KernelCost{FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA}
+	c := d.Spec.KernelDuration(KernelCost{FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA})
 	_, endCompute := d.BookKernel(0, c)
 	_, endComm := d.BookCommKernel(0, 10*time.Microsecond)
 	if endComm >= endCompute {
@@ -197,7 +197,7 @@ func TestDeviceQueuesIndependent(t *testing.T) {
 func TestDeviceBusyAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, 3, V100())
-	c := KernelCost{FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA}
+	c := d.Spec.KernelDuration(KernelCost{FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA})
 	_, end := d.BookKernel(0, c)
 	if d.ComputeBusy() != end {
 		t.Errorf("busy = %v, want %v", d.ComputeBusy(), end)

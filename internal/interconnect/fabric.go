@@ -18,19 +18,18 @@ import (
 // Fabric binds a topology to a simulation engine and tracks the occupancy
 // of every link direction.
 type Fabric struct {
-	eng  *sim.Engine
-	top  *topology.Topology
-	dirs map[dirKey]*sim.Resource
-}
-
-type dirKey struct {
-	link *topology.Link
-	from topology.NodeID
+	eng *sim.Engine
+	top *topology.Topology
+	// dirs[l.Index()] holds link l's two directions: [0] leaves l.A, [1]
+	// leaves l.B. Entries are created on first use.
+	dirs  [][2]*sim.Resource
+	links []*topology.Link
 }
 
 // New creates a fabric over the topology.
 func New(eng *sim.Engine, top *topology.Topology) *Fabric {
-	return &Fabric{eng: eng, top: top, dirs: make(map[dirKey]*sim.Resource)}
+	n := top.NumLinks()
+	return &Fabric{eng: eng, top: top, dirs: make([][2]*sim.Resource, n), links: make([]*topology.Link, n)}
 }
 
 // Topology returns the underlying network.
@@ -43,11 +42,19 @@ func (f *Fabric) Engine() *sim.Engine { return f.eng }
 // direction. Links are full duplex: the two directions never contend with
 // each other.
 func (f *Fabric) direction(l *topology.Link, from topology.NodeID) *sim.Resource {
-	k := dirKey{link: l, from: from}
-	r, ok := f.dirs[k]
-	if !ok {
+	i, d := l.Index(), 0
+	if from != l.A {
+		d = 1
+	}
+	if i >= len(f.dirs) { // a link added after the fabric was built
+		f.dirs = append(f.dirs, make([][2]*sim.Resource, i+1-len(f.dirs))...)
+		f.links = append(f.links, make([]*topology.Link, i+1-len(f.links))...)
+	}
+	r := f.dirs[i][d]
+	if r == nil {
 		r = sim.NewResource(f.eng, fmt.Sprintf("%d->%d(%s)", from, l.Other(from), l.Type))
-		f.dirs[k] = r
+		f.dirs[i][d] = r
+		f.links[i] = l
 	}
 	return r
 }
@@ -166,17 +173,24 @@ type LinkStats struct {
 // in deterministic (from, to) order.
 func (f *Fabric) Stats() []LinkStats {
 	var out []LinkStats
-	for k, r := range f.dirs {
-		if r.Requests() == 0 {
-			continue
+	for i, pair := range f.dirs {
+		for d, r := range pair {
+			if r == nil || r.Requests() == 0 {
+				continue
+			}
+			l := f.links[i]
+			from, to := l.A, l.B
+			if d == 1 {
+				from, to = to, from
+			}
+			out = append(out, LinkStats{
+				From:     from,
+				To:       to,
+				Type:     l.Type,
+				Busy:     r.BusyTime(),
+				Requests: r.Requests(),
+			})
 		}
-		out = append(out, LinkStats{
-			From:     k.from,
-			To:       k.link.Other(k.from),
-			Type:     k.link.Type,
-			Busy:     r.BusyTime(),
-			Requests: r.Requests(),
-		})
 	}
 	sortStats(out)
 	return out
@@ -199,9 +213,11 @@ func sortStats(s []LinkStats) {
 // the given link type (a coarse utilization signal for reports).
 func (f *Fabric) BusyTime(typ topology.LinkType) time.Duration {
 	var d time.Duration
-	for k, r := range f.dirs {
-		if k.link.Type == typ {
-			d += r.BusyTime()
+	for i, pair := range f.dirs {
+		for _, r := range pair {
+			if r != nil && f.links[i].Type == typ {
+				d += r.BusyTime()
+			}
 		}
 	}
 	return d

@@ -19,6 +19,27 @@ const (
 	KernelAllGather     = "ncclAllGatherRingKernel"
 )
 
+// collective indexes a communicator's interned kernel labels.
+type collective int
+
+const (
+	collAllReduce collective = iota
+	collBroadcast
+	collReduce
+	collReduceScatter
+	collAllGather
+	numCollectives
+)
+
+// collectiveKernels names each collective's kernel.
+var collectiveKernels = [numCollectives]string{
+	collAllReduce:     KernelAllReduce,
+	collBroadcast:     KernelBroadcast,
+	collReduce:        KernelReduce,
+	collReduceScatter: KernelReduceScatter,
+	collAllGather:     KernelAllGather,
+}
+
 // Algorithm selects the collective schedule.
 type Algorithm int
 
@@ -107,11 +128,17 @@ func (cfg Config) withDefaults() Config {
 
 // Communicator is one NCCL communicator over a set of GPUs.
 type Communicator struct {
-	rt      *cuda.Runtime
-	devs    []topology.NodeID
-	rings   []Ring
-	streams map[topology.NodeID]*cuda.Stream
+	rt    *cuda.Runtime
+	devs  []topology.NodeID
+	rings []Ring
+	// streams[i] is rank i's communication stream.
+	streams []*cuda.Stream
+	// kernels holds each collective's kernel label, interned once.
+	kernels [numCollectives]cuda.Kernel
 	cfg     Config
+	// treeSteps is the double-binary tree's latency step count (reduce up
+	// plus broadcast down), fixed by the rank count.
+	treeSteps int
 	// hopLinks[r][i] is the link ring r uses from Order[i] to
 	// Order[i+1 mod N] (nil entries only for PCIe rings, whose occupancy
 	// is booked per routed hop in hopPaths).
@@ -136,14 +163,21 @@ func New(rt *cuda.Runtime, devs []topology.NodeID, cfg Config) (*Communicator, e
 	c := &Communicator{
 		rt:      rt,
 		devs:    append([]topology.NodeID(nil), devs...),
-		streams: make(map[topology.NodeID]*cuda.Stream, len(devs)),
+		streams: make([]*cuda.Stream, len(devs)),
 		cfg:     cfg,
 	}
-	for _, d := range c.devs {
+	for i, d := range c.devs {
 		if rt.Device(d) == nil {
 			return nil, fmt.Errorf("nccl: device %d not managed by runtime", d)
 		}
-		c.streams[d] = rt.CommStream(d, fmt.Sprintf("nccl%d", d))
+		c.streams[i] = rt.CommStream(d, fmt.Sprintf("nccl%d", d))
+	}
+	for k, name := range collectiveKernels {
+		c.kernels[k] = rt.NewKernel(name, 0)
+	}
+	// len(devs) > 0, so the tree always builds.
+	if t, err := BuildTree(len(c.devs)); err == nil {
+		c.treeSteps = 2 * (t.Depth + 1)
 	}
 	top := rt.Fabric().Topology()
 	if len(c.devs) > 1 {
@@ -239,11 +273,8 @@ func (c *Communicator) wireTime(size units.Bytes, dataFactor float64, steps int)
 	}
 	algo, proto := c.resolve(size)
 	if algo == AlgoTree {
-		if t, err := BuildTree(len(c.devs)); err == nil {
-			up := t.Depth + 1
-			// Reduce up + broadcast down, both trees concurrently.
-			steps = 2 * up
-		}
+		// Reduce up + broadcast down, both trees concurrently.
+		steps = c.treeSteps
 	}
 	bytes := units.Bytes(float64(size) * dataFactor)
 	bw := units.Bandwidth(float64(c.BusBW()) * proto.bwFraction())
@@ -275,9 +306,10 @@ func (c *Communicator) localPass(size units.Bytes) time.Duration {
 // run executes one collective: per-rank host launches, a globally
 // synchronized kernel window, and ring-link occupancy. It returns the
 // operation's completion time.
-func (c *Communicator) run(stage profiler.Stage, kernel string, ready time.Duration, wire time.Duration) time.Duration {
+func (c *Communicator) run(stage profiler.Stage, coll collective, ready time.Duration, wire time.Duration) time.Duration {
+	kernel := c.kernels[coll]
 	if len(c.devs) == 1 {
-		s := c.streams[c.devs[0]]
+		s := c.streams[0]
 		hostDone := s.HostLaunch(stage, ready)
 		start := hostDone
 		if ready > start {
@@ -290,8 +322,7 @@ func (c *Communicator) run(stage profiler.Stage, kernel string, ready time.Durat
 		c.avail = make([]time.Duration, len(c.devs))
 	}
 	avail := c.avail[:len(c.devs)]
-	for i, d := range c.devs {
-		s := c.streams[d]
+	for i, s := range c.streams {
 		hostDone := s.HostLaunch(stage, ready)
 		a := hostDone
 		if t := s.Tail(); t > a {
@@ -306,8 +337,8 @@ func (c *Communicator) run(stage profiler.Stage, kernel string, ready time.Durat
 		}
 	}
 	end := global + c.cfg.KernelOverhead + wire
-	for i, d := range c.devs {
-		c.streams[d].Extend(stage, kernel, avail[i], end)
+	for i, s := range c.streams {
+		s.Extend(stage, kernel, avail[i], end)
 	}
 	c.occupyRings(global+c.cfg.KernelOverhead, wire)
 	return end
@@ -340,10 +371,10 @@ func (c *Communicator) occupyRings(ready, wire time.Duration) {
 func (c *Communicator) AllReduce(stage profiler.Stage, size units.Bytes, ready time.Duration) time.Duration {
 	n := len(c.devs)
 	if n == 1 {
-		return c.run(stage, KernelAllReduce, ready, c.localPass(size))
+		return c.run(stage, collAllReduce, ready, c.localPass(size))
 	}
 	wire := c.wireTime(size, 2*float64(n-1)/float64(n), 2*(n-1))
-	return c.run(stage, KernelAllReduce, ready, wire)
+	return c.run(stage, collAllReduce, ready, wire)
 }
 
 // Broadcast sends size bytes from the root to all ranks (pipelined ring
@@ -351,38 +382,38 @@ func (c *Communicator) AllReduce(stage profiler.Stage, size units.Bytes, ready t
 func (c *Communicator) Broadcast(stage profiler.Stage, size units.Bytes, root topology.NodeID, ready time.Duration) time.Duration {
 	n := len(c.devs)
 	if n == 1 {
-		return c.run(stage, KernelBroadcast, ready, c.localPass(size)/2)
+		return c.run(stage, collBroadcast, ready, c.localPass(size)/2)
 	}
 	wire := c.wireTime(size, 1, n-1)
-	return c.run(stage, KernelBroadcast, ready, wire)
+	return c.run(stage, collBroadcast, ready, wire)
 }
 
 // Reduce reduces size bytes from all ranks onto the root.
 func (c *Communicator) Reduce(stage profiler.Stage, size units.Bytes, root topology.NodeID, ready time.Duration) time.Duration {
 	n := len(c.devs)
 	if n == 1 {
-		return c.run(stage, KernelReduce, ready, c.localPass(size)/2)
+		return c.run(stage, collReduce, ready, c.localPass(size)/2)
 	}
 	wire := c.wireTime(size, 1, n-1)
-	return c.run(stage, KernelReduce, ready, wire)
+	return c.run(stage, collReduce, ready, wire)
 }
 
 // ReduceScatter reduces and scatters 1/N of the buffer to each rank.
 func (c *Communicator) ReduceScatter(stage profiler.Stage, size units.Bytes, ready time.Duration) time.Duration {
 	n := len(c.devs)
 	if n == 1 {
-		return c.run(stage, KernelReduceScatter, ready, c.localPass(size)/2)
+		return c.run(stage, collReduceScatter, ready, c.localPass(size)/2)
 	}
 	wire := c.wireTime(size, float64(n-1)/float64(n), n-1)
-	return c.run(stage, KernelReduceScatter, ready, wire)
+	return c.run(stage, collReduceScatter, ready, wire)
 }
 
 // AllGather gathers 1/N contributions into the full buffer on every rank.
 func (c *Communicator) AllGather(stage profiler.Stage, size units.Bytes, ready time.Duration) time.Duration {
 	n := len(c.devs)
 	if n == 1 {
-		return c.run(stage, KernelAllGather, ready, c.localPass(size)/2)
+		return c.run(stage, collAllGather, ready, c.localPass(size)/2)
 	}
 	wire := c.wireTime(size, float64(n-1)/float64(n), n-1)
-	return c.run(stage, KernelAllGather, ready, wire)
+	return c.run(stage, collAllGather, ready, wire)
 }

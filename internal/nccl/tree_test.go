@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
@@ -146,5 +147,40 @@ func TestTreeAlgorithmLatencyAdvantage(t *testing.T) {
 func TestAlgorithmString(t *testing.T) {
 	if AlgoRing.String() != "ring" || AlgoTree.String() != "tree" {
 		t.Error("algorithm names wrong")
+	}
+}
+
+// TestTreeStepsBuiltOnce pins the tree latency term now that the
+// communicator builds its tree once: for every rank count and for both
+// tree-pinned and auto-selected collectives, wireTime matches the formula
+// evaluated with a freshly built tree, as it was when each collective
+// rebuilt the tree itself.
+func TestTreeStepsBuiltOnce(t *testing.T) {
+	sizes := []units.Bytes{4 * units.KB, 48 * units.KB, units.MB, 8 * units.MB, 64 * units.MB}
+	for n := 2; n <= 8; n++ {
+		devs := make([]topology.NodeID, n)
+		for i := range devs {
+			devs[i] = topology.NodeID(i)
+		}
+		tr, err := BuildTree(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{{Algorithm: AlgoTree}, {Protocol: ProtoAuto}} {
+			c := newCommOn(t, topology.DGX1(), devs, cfg)
+			for _, size := range sizes {
+				factor, steps := 2*float64(n-1)/float64(n), 2*(n-1)
+				algo, proto := c.resolve(size)
+				if algo == AlgoTree {
+					steps = 2 * (tr.Depth + 1)
+				}
+				bw := units.Bandwidth(float64(c.BusBW()) * proto.bwFraction())
+				want := units.TransferTime(units.Bytes(float64(size)*factor), bw) +
+					time.Duration(steps)*proto.stepLatency(c.cfg.StepLatency)
+				if got := c.wireTime(size, factor, 2*(n-1)); got != want {
+					t.Errorf("n=%d algo=%v proto=%v size=%v: wireTime %v, want %v", n, cfg.Algorithm, cfg.Protocol, size, got, want)
+				}
+			}
+		}
 	}
 }

@@ -22,6 +22,12 @@ import (
 type Engine struct {
 	rt   *cuda.Runtime
 	devs []topology.NodeID
+	// add is the accumulate kernel's interned label; its duration is set
+	// per reduction from the array size.
+	add cuda.Kernel
+	// avail is ReduceToRoot's per-call scratch (engines are single-threaded
+	// within their run).
+	avail []time.Duration
 }
 
 // New creates an engine over the devices.
@@ -34,7 +40,12 @@ func New(rt *cuda.Runtime, devs []topology.NodeID) (*Engine, error) {
 			return nil, fmt.Errorf("p2p: device %d not managed by runtime", d)
 		}
 	}
-	return &Engine{rt: rt, devs: append([]topology.NodeID(nil), devs...)}, nil
+	return &Engine{
+		rt:    rt,
+		devs:  append([]topology.NodeID(nil), devs...),
+		add:   rt.NewKernel("reduce_add", 0),
+		avail: make([]time.Duration, len(devs)),
+	}, nil
 }
 
 // Root returns the aggregation root.
@@ -65,7 +76,7 @@ func (e *Engine) ReduceToRoot(stage profiler.Stage, size units.Bytes, ready time
 	if n == 1 {
 		return ready, nil
 	}
-	avail := make([]time.Duration, n)
+	avail := e.avail
 	for i := range avail {
 		avail[i] = ready
 	}
@@ -87,14 +98,9 @@ func (e *Engine) ReduceToRoot(stage profiler.Stage, size units.Bytes, ready time
 			// stream, queueing behind whatever backpropagation work is
 			// already enqueued there — MXNet's CommDevice behaviour, and
 			// the reason P2P aggregation steals compute from GPU 0.
-			dev := e.rt.Device(dst)
-			ks, end := dev.BookKernel(dataReady, addKernel(size))
-			if p := e.rt.Profile(); p != nil {
-				p.Record(profiler.Interval{
-					Kind: profiler.KindKernel, Name: "reduce_add", Stage: stage,
-					Track: fmt.Sprintf("GPU%d/compute", dst), Start: ks, End: end,
-				})
-			}
+			k := e.add
+			k.Dur = e.rt.Device(dst).Spec.KernelDuration(addKernel(size))
+			_, end := e.rt.BookKernel(dst, false, stage, k, dataReady)
 			avail[i] = end
 		}
 	}

@@ -104,11 +104,115 @@ func (s Stat) Mean() time.Duration {
 // the simulation hot path.
 const numStages = int(StageDataLoad) + 1
 
+// numTables is the number of kinds that keep per-name aggregates (kernel,
+// API and transfer; markers only feed stage time and the timeline). A
+// kind's value is its table index.
+const numTables = int(KindTransfer) + 1
+
+// Slot is the dense ID of one interned name within one kind of a
+// profile. Slots are per profile: a runtime interns the names it records
+// once, then adds every activity by slot, so the hot path indexes a slice
+// instead of hashing a string.
+type Slot int32
+
+// NoSlot is the slot of a kind without aggregates (markers).
+const NoSlot Slot = -1
+
+// table interns one kind's names to slots and holds their aggregates,
+// indexed by slot. A slot without calls — a name interned but never
+// recorded — appears in no listing, summary or merge.
+//
+// names may share its backing array with the profile this one was cloned
+// from (or with its clones), always capped at the shared length: entries
+// are never rewritten and an append past the cap reallocates, so no two
+// profiles ever write the same memory. ids is this profile's own, built
+// on its first Intern; lookups without it scan names.
+type table struct {
+	names []string
+	ids   map[string]Slot
+	stats []Stat
+}
+
+// lookup returns the slot of an interned name.
+func (t *table) lookup(name string) (Slot, bool) {
+	if t.ids != nil {
+		s, ok := t.ids[name]
+		return s, ok
+	}
+	for i, n := range t.names {
+		if n == name {
+			return Slot(i), true
+		}
+	}
+	return NoSlot, false
+}
+
+// tableCap presizes a table on its first intern, sparing the first few
+// regrowths.
+const tableCap = 8
+
+// intern returns name's slot, adding an empty one on first sight.
+func (t *table) intern(name string) Slot {
+	if t.ids == nil {
+		t.ids = make(map[string]Slot, len(t.names)+tableCap)
+		for i, n := range t.names {
+			t.ids[n] = Slot(i)
+		}
+		if cap(t.names) == 0 {
+			t.names = make([]string, 0, tableCap)
+			t.stats = make([]Stat, 0, tableCap)
+		}
+	}
+	if s, ok := t.ids[name]; ok {
+		return s
+	}
+	s := Slot(len(t.names))
+	t.names = append(t.names, name)
+	t.stats = append(t.stats, Stat{})
+	t.ids[name] = s
+	return s
+}
+
+// stat returns the aggregate for one name (zero Stat if absent).
+func (t *table) stat(name string) Stat {
+	if s, ok := t.lookup(name); ok {
+		return t.stats[s]
+	}
+	return Stat{}
+}
+
+// ranked returns the slots with calls sorted by descending total time,
+// ties by name.
+func (t *table) ranked() []Slot {
+	out := make([]Slot, 0, len(t.stats))
+	for i := range t.stats {
+		if t.stats[i].Calls > 0 {
+			out = append(out, Slot(i))
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := t.stats[out[i]].Total, t.stats[out[j]].Total
+		if a != b {
+			return a > b
+		}
+		return t.names[out[i]] < t.names[out[j]]
+	})
+	return out
+}
+
+// rankedNames returns the names of ranked slots in order.
+func (t *table) rankedNames() []string {
+	slots := t.ranked()
+	names := make([]string, len(slots))
+	for i, s := range slots {
+		names[i] = t.names[s]
+	}
+	return names
+}
+
 // Profile accumulates statistics for one run.
 type Profile struct {
-	api       map[string]*Stat
-	kernels   map[string]*Stat
-	transfers map[string]*Stat
+	tables    [numTables]table
 	stageBusy [numStages]time.Duration // summed busy time attributed to each stage
 	stageWall [numStages]time.Duration // wall-clock windows set by the trainer
 
@@ -120,11 +224,7 @@ type Profile struct {
 
 // New returns an aggregate-only profile.
 func New() *Profile {
-	return &Profile{
-		api:       make(map[string]*Stat),
-		kernels:   make(map[string]*Stat),
-		transfers: make(map[string]*Stat),
-	}
+	return &Profile{}
 }
 
 // NewDetailed returns a profile that also retains up to maxIntervals
@@ -136,37 +236,46 @@ func NewDetailed(maxIntervals int) *Profile {
 	return p
 }
 
-// Record adds one activity.
+// Intern returns the slot of name in kind k's table, adding it on first
+// sight. Interning alone records nothing. Kinds without aggregates
+// (markers) return NoSlot.
+func (p *Profile) Intern(k Kind, name string) Slot {
+	if k < 0 || int(k) >= numTables {
+		return NoSlot
+	}
+	return p.tables[k].intern(name)
+}
+
+// Record adds one activity: it interns the interval's name and records by
+// slot.
 func (p *Profile) Record(iv Interval) {
-	var m map[string]*Stat
-	switch iv.Kind {
-	case KindKernel:
-		m = p.kernels
-	case KindAPI:
-		m = p.api
-	case KindTransfer:
-		m = p.transfers
-	default:
-		m = nil
-	}
-	if m != nil {
-		st := m[iv.Name]
-		if st == nil {
-			st = &Stat{}
-			m[iv.Name] = st
-		}
+	p.RecordSlot(p.Intern(iv.Kind, iv.Name), iv)
+}
+
+// RecordSlot adds one activity whose name was interned as s (from
+// Intern(iv.Kind, iv.Name) on this profile; NoSlot for markers). It is
+// small enough to inline into the runtime's launch path.
+func (p *Profile) RecordSlot(s Slot, iv Interval) {
+	d := iv.End - iv.Start
+	if s >= 0 {
+		st := &p.tables[iv.Kind].stats[s]
 		st.Calls++
-		st.Total += iv.Duration()
+		st.Total += d
 	}
-	if s := int(iv.Stage); s >= 0 && s < numStages {
-		p.stageBusy[s] += iv.Duration()
+	if st := uint(iv.Stage); st < uint(numStages) {
+		p.stageBusy[st] += d
 	}
 	if p.detail {
-		if len(p.intervals) < p.maxDetail {
-			p.intervals = append(p.intervals, iv)
-		} else {
-			p.dropped++
-		}
+		p.retain(iv)
+	}
+}
+
+// retain keeps one interval for the timeline, up to the detail cap.
+func (p *Profile) retain(iv Interval) {
+	if len(p.intervals) < p.maxDetail {
+		p.intervals = append(p.intervals, iv)
+	} else {
+		p.dropped++
 	}
 }
 
@@ -196,69 +305,28 @@ func (p *Profile) StageBusy(s Stage) time.Duration {
 }
 
 // API returns the aggregate for one API name (zero Stat if absent).
-func (p *Profile) API(name string) Stat {
-	if s := p.api[name]; s != nil {
-		return *s
-	}
-	return Stat{}
-}
+func (p *Profile) API(name string) Stat { return p.tables[KindAPI].stat(name) }
 
 // Kernel returns the aggregate for one kernel name (zero Stat if absent).
-func (p *Profile) Kernel(name string) Stat {
-	if s := p.kernels[name]; s != nil {
-		return *s
-	}
-	return Stat{}
-}
+func (p *Profile) Kernel(name string) Stat { return p.tables[KindKernel].stat(name) }
 
 // Transfer returns the aggregate for one transfer name (zero Stat if absent).
-func (p *Profile) Transfer(name string) Stat {
-	if s := p.transfers[name]; s != nil {
-		return *s
-	}
-	return Stat{}
-}
+func (p *Profile) Transfer(name string) Stat { return p.tables[KindTransfer].stat(name) }
 
 // APITotal returns the summed duration of all API calls.
 func (p *Profile) APITotal() time.Duration {
 	var d time.Duration
-	for _, s := range p.api {
-		d += s.Total
+	for _, st := range p.tables[KindAPI].stats {
+		d += st.Total
 	}
 	return d
 }
 
 // APINames returns recorded API names sorted by descending total time.
-func (p *Profile) APINames() []string {
-	names := make([]string, 0, len(p.api))
-	for n := range p.api {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, b := p.api[names[i]], p.api[names[j]]
-		if a.Total != b.Total {
-			return a.Total > b.Total
-		}
-		return names[i] < names[j]
-	})
-	return names
-}
+func (p *Profile) APINames() []string { return p.tables[KindAPI].rankedNames() }
 
 // KernelNames returns recorded kernel names sorted by descending total time.
-func (p *Profile) KernelNames() []string {
-	names := make([]string, 0, len(p.kernels))
-	for n := range p.kernels {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, b := p.kernels[names[i]], p.kernels[names[j]]
-		if a.Total != b.Total {
-			return a.Total > b.Total
-		}
-		return names[i] < names[j]
-	})
-	return names
-}
+func (p *Profile) KernelNames() []string { return p.tables[KindKernel].rankedNames() }
 
 // Intervals returns the retained detailed intervals (detail mode only).
 func (p *Profile) Intervals() []Interval {
@@ -276,15 +344,13 @@ func (p *Profile) Dropped() int64 { return p.dropped }
 // Detailed intervals are left untouched (they describe the simulated
 // window, not the extrapolation).
 func (p *Profile) Scale(f float64) {
-	scaleMap := func(m map[string]*Stat) {
-		for _, s := range m {
-			s.Calls = int64(float64(s.Calls)*f + 0.5)
-			s.Total = time.Duration(float64(s.Total) * f)
+	for k := range p.tables {
+		for i := range p.tables[k].stats {
+			st := &p.tables[k].stats[i]
+			st.Calls = int64(float64(st.Calls)*f + 0.5)
+			st.Total = time.Duration(float64(st.Total) * f)
 		}
 	}
-	scaleMap(p.api)
-	scaleMap(p.kernels)
-	scaleMap(p.transfers)
 	for i := range p.stageBusy {
 		p.stageBusy[i] = time.Duration(float64(p.stageBusy[i]) * f)
 	}
@@ -296,12 +362,17 @@ func (p *Profile) Scale(f float64) {
 // Clone returns a deep copy of the profile. The compiled-window cache in
 // the training layer keeps one immutable window profile per artifact and
 // clones it for every extrapolated result, so callers can Scale their
-// copy without touching the shared original. All cloned Stat values live
-// in one backing arena sized up front — the warm extrapolation path calls
-// Clone per request, and one allocation per map entry was most of its
-// per-call garbage.
+// copy without touching the shared original. Clone only reads p, so many
+// goroutines may clone one profile at once. The copy's aggregates live in
+// one arena; its name lists share p's, capped at their current length
+// (see table), so recording new names into either side never writes
+// memory the other reads.
 func (p *Profile) Clone() *Profile {
-	arena := make([]Stat, 0, len(p.api)+len(p.kernels)+len(p.transfers))
+	n := 0
+	for k := range p.tables {
+		n += len(p.tables[k].stats)
+	}
+	arena := make([]Stat, n)
 	q := &Profile{
 		stageBusy: p.stageBusy,
 		stageWall: p.stageWall,
@@ -309,44 +380,35 @@ func (p *Profile) Clone() *Profile {
 		maxDetail: p.maxDetail,
 		dropped:   p.dropped,
 	}
-	q.api, arena = cloneStats(p.api, arena)
-	q.kernels, arena = cloneStats(p.kernels, arena)
-	q.transfers, _ = cloneStats(p.transfers, arena)
+	for k := range p.tables {
+		src := &p.tables[k]
+		m := len(src.stats)
+		stats := arena[:m:m]
+		arena = arena[m:]
+		copy(stats, src.stats)
+		q.tables[k] = table{names: src.names[:m:m], stats: stats}
+	}
 	if p.intervals != nil {
 		q.intervals = append([]Interval(nil), p.intervals...)
 	}
 	return q
 }
 
-// cloneStats copies one stat map, placing the copied values in arena.
-// The arena's capacity covers every map of the profile, so the appends
-// never reallocate and the returned pointers stay valid.
-func cloneStats(m map[string]*Stat, arena []Stat) (map[string]*Stat, []Stat) {
-	out := make(map[string]*Stat, len(m))
-	for n, s := range m {
-		arena = append(arena, *s)
-		out[n] = &arena[len(arena)-1]
-	}
-	return out, arena
-}
-
 // Merge adds other's aggregates into p. Detailed intervals are appended up
 // to p's cap.
 func (p *Profile) Merge(other *Profile) {
-	mergeMap := func(dst, src map[string]*Stat) {
-		for n, s := range src {
-			d := dst[n]
-			if d == nil {
-				d = &Stat{}
-				dst[n] = d
+	for k := range other.tables {
+		src, dst := &other.tables[k], &p.tables[k]
+		for i := range src.stats {
+			st := src.stats[i]
+			if st.Calls == 0 {
+				continue
 			}
-			d.Calls += s.Calls
-			d.Total += s.Total
+			d := &dst.stats[dst.intern(src.names[i])]
+			d.Calls += st.Calls
+			d.Total += st.Total
 		}
 	}
-	mergeMap(p.api, other.api)
-	mergeMap(p.kernels, other.kernels)
-	mergeMap(p.transfers, other.transfers)
 	for i := range other.stageBusy {
 		p.stageBusy[i] += other.stageBusy[i]
 	}
@@ -355,11 +417,7 @@ func (p *Profile) Merge(other *Profile) {
 	}
 	if p.detail {
 		for _, iv := range other.intervals {
-			if len(p.intervals) < p.maxDetail {
-				p.intervals = append(p.intervals, iv)
-			} else {
-				p.dropped++
-			}
+			p.retain(iv)
 		}
 	}
 }
@@ -368,15 +426,15 @@ func (p *Profile) Merge(other *Profile) {
 // call counts and total times.
 func (p *Profile) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "API calls:\n")
-	for _, n := range p.APINames() {
-		s := p.api[n]
-		fmt.Fprintf(&b, "  %-28s calls=%-10d total=%-14v avg=%v\n", n, s.Calls, s.Total, s.Mean())
-	}
-	fmt.Fprintf(&b, "Kernels:\n")
-	for _, n := range p.KernelNames() {
-		s := p.kernels[n]
-		fmt.Fprintf(&b, "  %-28s calls=%-10d total=%-14v avg=%v\n", n, s.Calls, s.Total, s.Mean())
+	for _, sec := range []struct {
+		title string
+		t     *table
+	}{{"API calls", &p.tables[KindAPI]}, {"Kernels", &p.tables[KindKernel]}} {
+		fmt.Fprintf(&b, "%s:\n", sec.title)
+		for _, slot := range sec.t.ranked() {
+			s := sec.t.stats[slot]
+			fmt.Fprintf(&b, "  %-28s calls=%-10d total=%-14v avg=%v\n", sec.t.names[slot], s.Calls, s.Total, s.Mean())
+		}
 	}
 	fmt.Fprintf(&b, "Stage wall time: FP=%v BP=%v WU=%v\n",
 		p.stageWall[StageFP], p.stageWall[StageBP], p.stageWall[StageWU])

@@ -3,7 +3,9 @@ package profiler
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -197,5 +199,84 @@ func TestRenderASCIIEmpty(t *testing.T) {
 	}
 	if s := p.RenderASCII(time.Second, time.Second, 20); !strings.Contains(s, "empty window") {
 		t.Errorf("degenerate window = %q", s)
+	}
+}
+
+// TestInternedButUnrecordedIsInvisible pins that interning alone records
+// nothing: a slot without calls appears in no name list, summary, or merge.
+func TestInternedButUnrecordedIsInvisible(t *testing.T) {
+	p := New()
+	p.Intern(KindKernel, "ghost_kernel")
+	p.Intern(KindAPI, "cudaGhost")
+	p.Intern(KindTransfer, "ghost_xfer")
+	p.RecordSlot(p.Intern(KindKernel, "real"), iv(KindKernel, "real", StageFP, 0, time.Millisecond))
+	if got := p.KernelNames(); len(got) != 1 || got[0] != "real" {
+		t.Errorf("kernel names = %v, want [real]", got)
+	}
+	if got := p.APINames(); len(got) != 0 {
+		t.Errorf("API names = %v, want none", got)
+	}
+	if s := p.Summary(); strings.Contains(s, "ghost") || strings.Contains(s, "Ghost") {
+		t.Errorf("summary lists an unrecorded slot:\n%s", s)
+	}
+	q := New()
+	q.Merge(p)
+	if got := q.KernelNames(); len(got) != 1 || got[0] != "real" {
+		t.Errorf("merged kernel names = %v, want [real]", got)
+	}
+	if s := q.Summary(); strings.Contains(s, "ghost") || strings.Contains(s, "Ghost") {
+		t.Errorf("merged summary lists an unrecorded slot:\n%s", s)
+	}
+	if len(q.tables[KindKernel].names) != 1 {
+		t.Errorf("merge interned %v, want only the recorded name", q.tables[KindKernel].names)
+	}
+}
+
+// TestCloneSharesNoMutableState races the window-cache pattern: several
+// goroutines clone one shared window profile while another records new
+// names into a clone of its own (run under -race). Every clone must still
+// see the window's aggregates unchanged.
+func TestCloneSharesNoMutableState(t *testing.T) {
+	window := NewDetailed(64)
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("k%d", i)
+		window.Record(iv(KindKernel, name, StageFP, 0, time.Duration(i+1)*time.Microsecond))
+		window.Record(iv(KindTransfer, "x"+name, StageWU, 0, time.Microsecond))
+	}
+	window.Record(iv(KindAPI, "cudaLaunchKernel", StageFP, 0, time.Microsecond))
+	want := window.Summary()
+
+	writer := window.Clone()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			writer.Record(iv(KindKernel, fmt.Sprintf("new%d", i), StageBP, 0, time.Microsecond))
+			writer.Record(iv(KindAPI, fmt.Sprintf("cudaNew%d", i), StageBP, 0, time.Microsecond))
+			writer.Scale(1)
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c := window.Clone()
+				c.Record(iv(KindKernel, fmt.Sprintf("mine%d", i), StageBP, 0, time.Microsecond))
+				c.Scale(2)
+				if c.Kernel("k3").Calls != 2 || c.API("cudaLaunchKernel").Calls != 2 {
+					t.Errorf("clone aggregates wrong: k3=%+v", c.Kernel("k3"))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := window.Summary(); got != want {
+		t.Errorf("window changed under its clones:\n%s\nwant:\n%s", got, want)
+	}
+	if n := len(writer.KernelNames()); n != 520 {
+		t.Errorf("writer clone has %d kernel names, want 520", n)
 	}
 }

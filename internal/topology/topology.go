@@ -85,7 +85,14 @@ type Link struct {
 	Lanes   int
 	BW      units.Bandwidth
 	Latency time.Duration
+
+	// index is the link's position in its topology, set by AddLink.
+	index int
 }
+
+// Index returns the link's position in its topology's link list (the
+// order AddLink registered it), a dense ID per-link state is kept by.
+func (l *Link) Index() int { return l.index }
 
 // Other returns the endpoint of l that is not n. It panics if n is not an
 // endpoint, which would indicate a routing bug.
@@ -150,6 +157,7 @@ func (t *Topology) AddLink(l Link) error {
 	if l.Lanes <= 0 {
 		l.Lanes = 1
 	}
+	l.index = len(t.links)
 	lp := &l
 	t.links = append(t.links, lp)
 	t.adj[l.A] = append(t.adj[l.A], lp)
@@ -205,6 +213,14 @@ func (t *Topology) Links() []*Link {
 	copy(out, t.links)
 	return out
 }
+
+// NumNodes returns the number of nodes. Builders number nodes densely
+// from zero, so it bounds their IDs.
+func (t *Topology) NumNodes() int { return len(t.nodes) }
+
+// NumLinks returns the number of links; Link.Index ranges over
+// [0, NumLinks()).
+func (t *Topology) NumLinks() int { return len(t.links) }
 
 // LinksAt returns the links incident to the node.
 func (t *Topology) LinksAt(id NodeID) []*Link {

@@ -29,13 +29,13 @@ func (t *Trainer) runAsync() (*Result, error) {
 
 	now := t.sessionStartup() + t.backend.SetupCost()
 	setupEnd := now
-	clock := make(map[topology.NodeID]time.Duration, len(t.devs))
-	for _, d := range t.devs {
+	clock := make([]time.Duration, len(t.devs))
+	for i, d := range t.devs {
 		_, end, err := t.rt.MemcpyHostToDevice(d, modelBytes, profiler.StageOther, now)
 		if err != nil {
 			return nil, err
 		}
-		clock[d] = end
+		clock[i] = end
 		if end > setupEnd {
 			setupEnd = end
 		}
@@ -50,12 +50,12 @@ func (t *Trainer) runAsync() (*Result, error) {
 		if err := t.cancelled(); err != nil {
 			return nil, err
 		}
-		for _, d := range t.devs {
-			end, err := t.asyncWorkerIteration(d, root, clock[d])
+		for w := range t.devs {
+			end, err := t.asyncWorkerIteration(w, root, clock[w])
 			if err != nil {
 				return nil, err
 			}
-			clock[d] = end
+			clock[w] = end
 			if end > lastSimEnd {
 				lastSimEnd = end
 			}
@@ -66,8 +66,8 @@ func (t *Trainer) runAsync() (*Result, error) {
 	}
 	// Steady per-iteration time of the slowest worker.
 	var steady time.Duration
-	for _, d := range t.devs {
-		per := (clock[d] - setupEnd) / time.Duration(nsim)
+	for _, c := range clock {
+		per := (c - setupEnd) / time.Duration(nsim)
 		if per > steady {
 			steady = per
 		}
@@ -94,25 +94,28 @@ func (t *Trainer) runAsync() (*Result, error) {
 	return res, nil
 }
 
-// asyncWorkerIteration runs one worker's FP+BP and its independent
-// exchange with the server, returning when the worker may start its next
-// mini-batch.
-func (t *Trainer) asyncWorkerIteration(d, root topology.NodeID, start time.Duration) (time.Duration, error) {
-	s := t.compute[d]
+// asyncWorkerIteration runs worker w's (devs[w]'s) FP+BP and its
+// independent exchange with the server, returning when the worker may
+// start its next mini-batch.
+func (t *Trainer) asyncWorkerIteration(w int, root topology.NodeID, start time.Duration) (time.Duration, error) {
+	d, s, tab := t.devs[w], t.compute[w], t.tables[w]
 	host := start
 	var kEnd time.Duration
-	for _, k := range t.fwd {
+	for _, k := range tab.fwd {
 		host, kEnd = s.Launch(profiler.StageFP, k, host)
 	}
 	lastPull := kEnd
-	for _, step := range t.bwd {
+	gi := 0
+	for si, step := range t.bwd {
 		var stepEnd time.Duration
-		for _, k := range step.Kernels {
+		for _, k := range tab.bwd[si] {
 			host, stepEnd = s.Launch(profiler.StageBP, k, host)
 		}
 		if step.Layer == nil {
 			continue
 		}
+		upd := t.updates[gi]
+		gi++
 		size := units.BytesOf(step.Layer.Params, units.Float32Size)
 		ready := stepEnd
 		var pushEnd time.Duration
@@ -125,7 +128,7 @@ func (t *Trainer) asyncWorkerIteration(d, root topology.NodeID, start time.Durat
 				return 0, err
 			}
 		}
-		updEnd := t.bookUpdate(pushEnd, size)
+		updEnd := t.bookUpdate(pushEnd, upd)
 		pullEnd := updEnd
 		if d != root {
 			var err error

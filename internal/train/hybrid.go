@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cuda"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
 	"repro/internal/kvstore"
@@ -141,23 +142,63 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 		}
 	}
 
+	// Lower once per distinct device spec: the body's kernels, the head's
+	// slice kernels, and the head's local slice updates (in the backward
+	// order they are booked).
+	type headKernels struct{ fwd, dgrad, wgrad cuda.Kernel }
+	type hybridTable struct {
+		bodyFwd []cuda.Kernel   // every body plan's forward kernels, in order
+		bodyBwd [][]cuda.Kernel // bodyBwd[i] is body plan i's backward kernels
+		head    []headKernels
+		updates []time.Duration
+	}
+	tables := perSpec(t, func(spec gpu.Spec) *hybridTable {
+		tab := &hybridTable{bodyBwd: make([][]cuda.Kernel, len(bodyPlans)), head: make([]headKernels, len(head))}
+		for _, p := range bodyPlans {
+			tab.bodyFwd = t.rt.Lower(tab.bodyFwd, spec, p.Fwd)
+		}
+		for i, p := range bodyPlans {
+			tab.bodyBwd[i] = t.rt.Lower(nil, spec, p.Bwd)
+		}
+		lower := func(c gpu.KernelCost) cuda.Kernel { return t.rt.NewKernel(c.Name, spec.KernelDuration(c)) }
+		for i, hl := range head {
+			tab.head[i].fwd = lower(hl.fwd)
+			if !hl.memBound {
+				tab.head[i].dgrad, tab.head[i].wgrad = lower(hl.dgrad), lower(hl.wgrad)
+			}
+		}
+		for li := len(head) - 1; li >= 0; li-- {
+			if !head[li].memBound {
+				tab.updates = append(tab.updates, spec.KernelDuration(sgdUpdateCost(head[li].sliceParams)))
+			}
+		}
+		return tab
+	})
+	// The root's update kernel for each body layer with parameters, in
+	// backward order.
+	var bodyUpdates []cuda.Kernel
+	for bi := headStart - 1; bi >= 0; bi-- {
+		if l := bodyPlans[bi].Layer; l != nil {
+			bodyUpdates = append(bodyUpdates, t.updateKernel(units.BytesOf(l.Params, units.Float32Size)))
+		}
+	}
+
 	runIteration := func(start time.Duration) (fpEnd, bpEnd, barrier time.Duration, err error) {
 		type grad struct {
 			name  string
 			bytes units.Bytes
 			ready time.Duration
+			upd   cuda.Kernel
 		}
 		// 1. Body FP (data parallel).
-		host := map[int]time.Duration{}
+		host := make([]time.Duration, len(t.devs))
 		var bodyFPEnd time.Duration
-		for i, d := range t.devs {
-			s := t.compute[d]
+		for i := range t.devs {
+			s := t.compute[i]
 			h := start
 			var kEnd time.Duration
-			for _, p := range bodyPlans {
-				for _, k := range p.Fwd {
-					h, kEnd = s.Launch(profiler.StageFP, k, h)
-				}
+			for _, k := range tables[i].bodyFwd {
+				h, kEnd = s.Launch(profiler.StageFP, k, h)
 			}
 			host[i] = h
 			if kEnd > bodyFPEnd {
@@ -167,13 +208,13 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 		// 2. Assemble the global batch everywhere.
 		now := comm.AllGather(profiler.StageFP, boundaryBytes, bodyFPEnd)
 		// 3. Head FP: slice kernels + per-FC all-gather.
-		for _, hl := range head {
+		for li, hl := range head {
 			var kEnd time.Duration
-			for i, d := range t.devs {
-				s := t.compute[d]
+			for i := range t.devs {
+				s := t.compute[i]
 				s.WaitEvent(now)
 				var e time.Duration
-				host[i], e = s.Launch(profiler.StageFP, hl.fwd, host[i])
+				host[i], e = s.Launch(profiler.StageFP, tables[i].head[li].fwd, host[i])
 				if e > kEnd {
 					kEnd = e
 				}
@@ -186,19 +227,18 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 		fpEnd = now
 		// 4. Head BP (reverse): slice dgrad/wgrad + reduce-scatter of the
 		// input gradient; FC slice updates are local.
-		var localUpdates []units.Bytes
 		for li := len(head) - 1; li >= 0; li-- {
 			hl := head[li]
 			var kEnd time.Duration
-			for i, d := range t.devs {
-				s := t.compute[d]
+			for i := range t.devs {
+				s, hk := t.compute[i], tables[i].head[li]
 				s.WaitEvent(now)
 				var e time.Duration
 				if hl.memBound {
-					host[i], e = s.Launch(profiler.StageBP, hl.fwd, host[i])
+					host[i], e = s.Launch(profiler.StageBP, hk.fwd, host[i])
 				} else {
-					host[i], _ = s.Launch(profiler.StageBP, hl.dgrad, host[i])
-					host[i], e = s.Launch(profiler.StageBP, hl.wgrad, host[i])
+					host[i], _ = s.Launch(profiler.StageBP, hk.dgrad, host[i])
+					host[i], e = s.Launch(profiler.StageBP, hk.wgrad, host[i])
 				}
 				if e > kEnd {
 					kEnd = e
@@ -206,7 +246,6 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 			}
 			now = kEnd
 			if !hl.memBound {
-				localUpdates = append(localUpdates, hl.sliceParams)
 				if hl.inBytes > 0 {
 					now = comm.ReduceScatter(profiler.StageBP, hl.inBytes, now)
 				}
@@ -215,20 +254,20 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 		// 5. Body BP with conv gradients through the kvstore.
 		var grads []grad
 		var bodyBPEnd time.Duration
-		for i, d := range t.devs {
-			s := t.compute[d]
+		for i := range t.devs {
+			s := t.compute[i]
 			s.WaitEvent(now)
 			gi := 0
 			for bi := headStart - 1; bi >= 0; bi-- {
 				p := bodyPlans[bi]
 				var stepEnd time.Duration
-				for _, k := range p.Bwd {
+				for _, k := range tables[i].bodyBwd[bi] {
 					host[i], stepEnd = s.Launch(profiler.StageBP, k, host[i])
 				}
 				if p.Layer != nil {
-					size := units.BytesOf(p.Layer.Params, units.Float32Size)
 					if i == 0 {
-						grads = append(grads, grad{name: p.Layer.Name, bytes: size, ready: stepEnd})
+						size := units.BytesOf(p.Layer.Params, units.Float32Size)
+						grads = append(grads, grad{name: p.Layer.Name, bytes: size, ready: stepEnd, upd: bodyUpdates[len(grads)]})
 					} else {
 						if stepEnd > grads[gi].ready {
 							grads[gi].ready = stepEnd
@@ -249,7 +288,7 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			updEnd := t.bookUpdate(pushEnd, gr.bytes)
+			updEnd := t.bookUpdate(pushEnd, gr.upd)
 			pullEnd, err := t.backend.PullWeights(profiler.StageWU, gr.name, gr.bytes, updEnd)
 			if err != nil {
 				return 0, 0, 0, err
@@ -259,11 +298,11 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 			}
 		}
 		barrier = lastPull
-		for _, d := range t.devs {
+		for i, d := range t.devs {
 			dev := t.rt.Device(d)
 			end := bpEnd
-			for _, size := range localUpdates {
-				_, end = dev.BookCommKernel(end, dev.Spec.KernelDuration(sgdUpdateCost(size)))
+			for _, dur := range tables[i].updates {
+				_, end = dev.BookCommKernel(end, dur)
 			}
 			if end > barrier {
 				barrier = end

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cuda"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
 	"repro/internal/profiler"
@@ -159,21 +160,22 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 		return nil, err
 	}
 
-	// Per-stage lowering.
+	// Per-stage lowering: stage s runs on devs[s], so its kernels are
+	// lowered for that device's spec.
 	type stageWork struct {
 		dev      topology.NodeID
-		fwd      []gpu.KernelCost
-		bwd      []gpu.KernelCost
+		fwd      []cuda.Kernel
+		bwd      []cuda.Kernel
 		boundary units.Bytes
 		weights  units.Bytes
+		update   time.Duration // the stage's local weight-update kernel
 	}
 	work := make([]stageWork, stages)
-	for s := range work {
-		work[s].dev = t.devs[s]
-	}
+	fwd := make([][]gpu.KernelCost, stages)
+	bwd := make([][]gpu.KernelCost, stages)
 	for i, p := range plans {
 		s := part.stageOf(i)
-		work[s].fwd = append(work[s].fwd, p.Fwd...)
+		fwd[s] = append(fwd[s], p.Fwd...)
 		if p.Layer != nil {
 			work[s].weights += units.BytesOf(p.Layer.Params, units.Float32Size)
 		}
@@ -181,11 +183,20 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 	// Backward kernels belong to the same stage, reverse order.
 	for i := len(plans) - 1; i >= 0; i-- {
 		s := part.stageOf(i)
-		work[s].bwd = append(work[s].bwd, plans[i].Bwd...)
+		bwd[s] = append(bwd[s], plans[i].Bwd...)
 	}
-	for s := 0; s < stages-1; s++ {
-		out := nodes[part.bounds[s]].Out
-		work[s].boundary = units.BytesOf(out.Elems()*int64(microBatch), units.Float32Size)
+	for s := range work {
+		work[s].dev = t.devs[s]
+		spec := t.rt.Device(t.devs[s]).Spec
+		work[s].fwd = t.rt.Lower(nil, spec, fwd[s])
+		work[s].bwd = t.rt.Lower(nil, spec, bwd[s])
+		if work[s].weights > 0 {
+			work[s].update = spec.KernelDuration(sgdUpdateCost(work[s].weights))
+		}
+		if s < stages-1 {
+			out := nodes[part.bounds[s]].Out
+			work[s].boundary = units.BytesOf(out.Elems()*int64(microBatch), units.Float32Size)
+		}
 	}
 
 	// One mini-batch (= one iteration): GPipe fill/steady/drain of micro
@@ -207,7 +218,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 		}
 		for j := 0; j < micro; j++ {
 			for s := 0; s < stages; s++ {
-				stream := t.compute[work[s].dev]
+				stream := t.compute[s]
 				stream.WaitEvent(actReady[s][j])
 				var kEnd time.Duration
 				for _, k := range work[s].fwd {
@@ -237,7 +248,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 		var bpEnd time.Duration
 		for j := 0; j < micro; j++ {
 			for s := stages - 1; s >= 0; s-- {
-				stream := t.compute[work[s].dev]
+				stream := t.compute[s]
 				stream.WaitEvent(gradReady[s][j])
 				var kEnd time.Duration
 				for _, k := range work[s].bwd {
@@ -264,8 +275,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 			if work[s].weights == 0 {
 				continue
 			}
-			dev := t.rt.Device(work[s].dev)
-			_, end := dev.BookCommKernel(bpEnd, dev.Spec.KernelDuration(sgdUpdateCost(work[s].weights)))
+			_, end := t.rt.Device(work[s].dev).BookCommKernel(bpEnd, work[s].update)
 			if end > barrier {
 				barrier = end
 			}

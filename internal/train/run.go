@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/kvstore"
 	"repro/internal/profiler"
-	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -20,13 +20,6 @@ type iterTimes struct {
 }
 
 func (it iterTimes) total() time.Duration { return it.barrier - it.start }
-
-// recomputeKernel relabels a forward kernel re-executed during the
-// backward pass under gradient checkpointing.
-func recomputeKernel(k gpu.KernelCost) gpu.KernelCost {
-	k.Name = "recompute_" + k.Name
-	return k
-}
 
 // sgdUpdateCost is the root GPU's weight-update kernel for one parameter
 // array: w -= lr * (grad + momentum bookkeeping) — a bandwidth-bound axpy
@@ -42,34 +35,20 @@ func sgdUpdateCost(size units.Bytes) gpu.KernelCost {
 	}
 }
 
-// bookUpdate runs the optimizer kernel for one parameter array on the root
-// GPU. With the multi-GPU P2P (device) kvstore the update is an ordinary
-// kernel on the root's compute queue — it lands behind whatever
-// backpropagation work is already enqueued there, which is part of why
-// GPU 0 bottlenecks that method. The NCCL kvstore runs its updater on the
-// kvstore's dedicated stream, so there it goes to the communication queue
-// and pipelines with the collectives. On a single GPU there is no
-// aggregation role and both methods place the update identically (the
-// updater stream), leaving NCCL's collective kernels as the only
-// difference — the overhead the paper's Table II isolates.
-func (t *Trainer) bookUpdate(ready time.Duration, size units.Bytes) time.Duration {
-	root := t.backend.Root()
-	dev := t.rt.Device(root)
-	cost := sgdUpdateCost(size)
-	var ks, end time.Duration
-	track := t.rt.TrackCompute(root)
-	if t.backend.Name() == kvstore.MethodNCCL || t.cfg.GPUs == 1 {
-		ks, end = dev.BookCommKernel(ready, dev.Spec.KernelDuration(cost))
-		track = t.rt.TrackComm(root)
-	} else {
-		ks, end = dev.BookKernel(ready, cost)
-	}
-	if t.prof != nil {
-		t.prof.Record(profiler.Interval{
-			Kind: profiler.KindKernel, Name: "sgd_update", Stage: profiler.StageWU,
-			Track: track, Start: ks, End: end,
-		})
-	}
+// bookUpdate runs the optimizer kernel k (from updates or updateKernel)
+// for one parameter array on the root GPU. With the multi-GPU P2P (device)
+// kvstore the update is an ordinary kernel on the root's compute queue —
+// it lands behind whatever backpropagation work is already enqueued
+// there, which is part of why GPU 0 bottlenecks that method. The NCCL
+// kvstore runs its updater on the kvstore's dedicated stream, so there it
+// goes to the communication queue and pipelines with the collectives. On
+// a single GPU there is no aggregation role and both methods place the
+// update identically (the updater stream), leaving NCCL's collective
+// kernels as the only difference — the overhead the paper's Table II
+// isolates.
+func (t *Trainer) bookUpdate(ready time.Duration, k cuda.Kernel) time.Duration {
+	comm := t.backend.Name() == kvstore.MethodNCCL || t.cfg.GPUs == 1
+	_, end := t.rt.BookKernel(t.backend.Root(), comm, profiler.StageWU, k, ready)
 	return end
 }
 
@@ -123,20 +102,21 @@ func (t *Trainer) SetupTimeApprox() time.Duration {
 }
 
 // runIteration simulates one synchronous iteration beginning at iterStart
-// with each GPU's input batch staged at dataReady. It returns the
-// iteration landmarks and the next iteration's staging times.
-func (t *Trainer) runIteration(iterStart time.Duration, dataReady map[topology.NodeID]time.Duration) (iterTimes, map[topology.NodeID]time.Duration, error) {
+// with each GPU's input batch staged at staged[i] (indexed like t.devs).
+// It returns the iteration landmarks and overwrites staged with the next
+// iteration's staging times.
+func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) (iterTimes, error) {
 	it := iterTimes{start: iterStart}
 
 	// Per-layer gradient scratch, reused across iterations.
 	grads := t.grads[:0]
 
-	for _, d := range t.devs {
-		s := t.compute[d]
-		s.WaitEvent(dataReady[d])
+	for i := range t.devs {
+		s, tab := t.compute[i], t.tables[i]
+		s.WaitEvent(staged[i])
 		host := iterStart
 		var kEnd time.Duration
-		for _, k := range t.fwd {
+		for _, k := range tab.fwd {
 			host, kEnd = s.Launch(profiler.StageFP, k, host)
 		}
 		if kEnd > it.fpEnd {
@@ -145,20 +125,18 @@ func (t *Trainer) runIteration(iterStart time.Duration, dataReady map[topology.N
 		// Gradient checkpointing re-executes the forward kernels between
 		// checkpoints while backpropagating — approximately one extra
 		// forward pass folded into BP.
-		if t.cfg.Checkpointing {
-			for _, k := range t.fwd {
-				host, _ = s.Launch(profiler.StageBP, recomputeKernel(k), host)
-			}
+		for _, k := range tab.recompute {
+			host, _ = s.Launch(profiler.StageBP, k, host)
 		}
 		gi := 0
-		for _, step := range t.bwd {
+		for si, step := range t.bwd {
 			var stepEnd time.Duration
-			for _, k := range step.Kernels {
+			for _, k := range tab.bwd[si] {
 				host, stepEnd = s.Launch(profiler.StageBP, k, host)
 			}
 			if step.Layer != nil {
-				size := units.BytesOf(step.Layer.Params, units.Float32Size)
-				if d == t.devs[0] {
+				if i == 0 {
+					size := units.BytesOf(step.Layer.Params, units.Float32Size)
 					grads = append(grads, layerGrad{name: step.Layer.Name, bytes: size, ready: stepEnd})
 				} else {
 					// Synchronous SGD: a layer's exchange starts when the
@@ -174,8 +152,7 @@ func (t *Trainer) runIteration(iterStart time.Duration, dataReady map[topology.N
 			}
 		}
 		// Iteration-end sync on the compute stream.
-		syncEnd := s.Synchronize(profiler.StageBP, host)
-		_ = syncEnd
+		s.Synchronize(profiler.StageBP, host)
 	}
 
 	// Weight update: push -> root update -> pull, pipelined in
@@ -184,12 +161,12 @@ func (t *Trainer) runIteration(iterStart time.Duration, dataReady map[topology.N
 	// amortizing per-operation overheads at the cost of waiting for the
 	// bucket's slowest member.
 	lastPull := it.bpEnd
-	exchange := func(name string, bytes units.Bytes, ready time.Duration) error {
+	exchange := func(name string, bytes units.Bytes, ready time.Duration, upd cuda.Kernel) error {
 		pushEnd, err := t.backend.PushGradient(profiler.StageWU, name, bytes, ready)
 		if err != nil {
 			return err
 		}
-		updEnd := t.bookUpdate(pushEnd, bytes)
+		updEnd := t.bookUpdate(pushEnd, upd)
 		pullEnd, err := t.backend.PullWeights(profiler.StageWU, name, bytes, updEnd)
 		if err != nil {
 			return err
@@ -202,10 +179,10 @@ func (t *Trainer) runIteration(iterStart time.Duration, dataReady map[topology.N
 	var bucketBytes units.Bytes
 	var bucketReady time.Duration
 	bucketName := ""
-	for _, g := range grads {
+	for j, g := range grads {
 		if t.cfg.BucketBytes <= 0 {
-			if err := exchange(g.name, g.bytes, g.ready); err != nil {
-				return it, nil, err
+			if err := exchange(g.name, g.bytes, g.ready, t.updates[j]); err != nil {
+				return it, err
 			}
 			continue
 		}
@@ -217,26 +194,25 @@ func (t *Trainer) runIteration(iterStart time.Duration, dataReady map[topology.N
 			bucketName = "bucket:" + g.name
 		}
 		if bucketBytes >= t.cfg.BucketBytes {
-			if err := exchange(bucketName, bucketBytes, bucketReady); err != nil {
-				return it, nil, err
+			if err := exchange(bucketName, bucketBytes, bucketReady, t.updateKernel(bucketBytes)); err != nil {
+				return it, err
 			}
 			bucketBytes, bucketReady, bucketName = 0, 0, ""
 		}
 	}
 	if bucketBytes > 0 {
-		if err := exchange(bucketName, bucketBytes, bucketReady); err != nil {
-			return it, nil, err
+		if err := exchange(bucketName, bucketBytes, bucketReady, t.updateKernel(bucketBytes)); err != nil {
+			return it, err
 		}
 	}
 
 	// Prefetch next iteration's batches (overlapped with compute).
-	next := make(map[topology.NodeID]time.Duration, len(t.devs))
-	for _, d := range t.devs {
+	for i, d := range t.devs {
 		_, end, err := t.rt.MemcpyHostToDevice(d, t.schedule.BatchBytes(), profiler.StageDataLoad, iterStart)
 		if err != nil {
-			return it, nil, err
+			return it, err
 		}
-		next[d] = end
+		staged[i] = end
 	}
 
 	// Each GPU's host blocks until every weight array is pulled; the
@@ -251,9 +227,9 @@ func (t *Trainer) runIteration(iterStart time.Duration, dataReady map[topology.N
 	it.barrier = barrier
 	t.grads = grads
 	if it.fpEnd < iterStart || it.bpEnd < it.fpEnd || it.barrier < it.bpEnd {
-		return it, nil, fmt.Errorf("train: non-causal iteration landmarks %+v", it)
+		return it, fmt.Errorf("train: non-causal iteration landmarks %+v", it)
 	}
-	return it, next, nil
+	return it, nil
 }
 
 // layerGrad is one parameter array's gradient availability during an

@@ -279,10 +279,17 @@ type Trainer struct {
 	backend kvstore.Backend
 	devs    []topology.NodeID
 
-	compute map[topology.NodeID]*cuda.Stream
+	// compute[i] is devs[i]'s training stream.
+	compute []*cuda.Stream
 
-	fwd      []gpu.KernelCost
-	bwd      []dnn.BackwardStep
+	fwd []gpu.KernelCost
+	bwd []dnn.BackwardStep
+	// tables[i] is the plan lowered for devs[i]'s spec; devices sharing a
+	// spec share one table.
+	tables []*kernelTable
+	// updates[j] is the root's weight-update kernel for the j-th layer
+	// with parameters, in backward order.
+	updates  []cuda.Kernel
 	schedule data.Schedule
 	memory   memmodel.Estimate
 
@@ -401,15 +408,22 @@ func New(cfg Config) (*Trainer, error) {
 		prof:    prof,
 		backend: backend,
 		devs:    devs,
-		compute: make(map[topology.NodeID]*cuda.Stream, len(devs)),
+		compute: make([]*cuda.Stream, len(devs)),
 	}
-	for _, d := range devs {
-		t.compute[d] = rt.Stream(d, "train")
+	for i, d := range devs {
+		t.compute[i] = rt.Stream(d, "train")
 	}
 
 	opts := dnn.PlanOptions{TensorCores: cfg.TensorCores, Winograd: cfg.Winograd}
 	t.fwd = cfg.Model.Net.ForwardPlan(cfg.Batch, opts)
 	t.bwd = cfg.Model.Net.BackwardPlan(cfg.Batch, opts)
+	t.tables = perSpec(t, t.lower)
+	for _, step := range t.bwd {
+		if step.Layer != nil {
+			t.updates = append(t.updates, t.updateKernel(units.BytesOf(step.Layer.Params, units.Float32Size)))
+		}
+	}
+	t.grads = make([]layerGrad, 0, len(t.updates))
 
 	ds := data.ImageNetSubset(cfg.Images)
 	t.schedule, err = data.NewSchedule(ds, cfg.Model.InputShape, cfg.Batch, cfg.GPUs)
@@ -432,6 +446,69 @@ func New(cfg Config) (*Trainer, error) {
 		}
 	}
 	return t, nil
+}
+
+// kernelTable is the trainer's kernel plan lowered for one device spec:
+// every entry carries its duration on that spec and its profile slot, so
+// the schedules launch without recomputing either.
+type kernelTable struct {
+	fwd []cuda.Kernel
+	// recompute is fwd relabeled for gradient checkpointing's extra
+	// forward pass during BP (nil without checkpointing).
+	recompute []cuda.Kernel
+	// bwd[i] is backward step i's kernels.
+	bwd [][]cuda.Kernel
+}
+
+// lower builds the kernel table of the trainer's plan for one spec.
+func (t *Trainer) lower(spec gpu.Spec) *kernelTable {
+	tab := &kernelTable{fwd: t.rt.Lower(nil, spec, t.fwd), bwd: make([][]cuda.Kernel, len(t.bwd))}
+	if t.cfg.Checkpointing {
+		tab.recompute = make([]cuda.Kernel, len(tab.fwd))
+		for i, k := range tab.fwd {
+			tab.recompute[i] = t.rt.NewKernel("recompute_"+k.Name, k.Dur)
+		}
+	}
+	n := 0
+	for _, step := range t.bwd {
+		n += len(step.Kernels)
+	}
+	flat := make([]cuda.Kernel, 0, n)
+	for i, step := range t.bwd {
+		lo := len(flat)
+		flat = t.rt.Lower(flat, spec, step.Kernels)
+		tab.bwd[i] = flat[lo:len(flat):len(flat)]
+	}
+	return tab
+}
+
+// perSpec calls lower once per distinct device spec and returns each
+// device's result, indexed like t.devs: healthy devices share one, and
+// each straggler spec gets its own.
+func perSpec[T any](t *Trainer, lower func(gpu.Spec) T) []T {
+	out := make([]T, len(t.devs))
+	var specs []gpu.Spec
+	var lowered []T
+	for i, d := range t.devs {
+		spec := t.rt.Device(d).Spec
+		j := 0
+		for j < len(specs) && specs[j] != spec {
+			j++
+		}
+		if j == len(specs) {
+			specs = append(specs, spec)
+			lowered = append(lowered, lower(spec))
+		}
+		out[i] = lowered[j]
+	}
+	return out
+}
+
+// updateKernel lowers the root's weight-update kernel for one parameter
+// array of size bytes.
+func (t *Trainer) updateKernel(size units.Bytes) cuda.Kernel {
+	spec := t.rt.Device(t.backend.Root()).Spec
+	return t.rt.NewKernel("sgd_update", spec.KernelDuration(sgdUpdateCost(size)))
 }
 
 // allocateMemory reserves the estimated footprint on every device,

@@ -81,8 +81,8 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 	now := t.sessionStartup() + t.backend.SetupCost()
 	modelBytes := t.cfg.Model.Net.ModelBytes()
 	setupEnd := now
-	dataReady := make(map[topology.NodeID]time.Duration, len(t.devs))
-	for _, d := range t.devs {
+	staged := make([]time.Duration, len(t.devs))
+	for i, d := range t.devs {
 		_, end, err := t.rt.MemcpyHostToDevice(d, modelBytes, profiler.StageOther, now)
 		if err != nil {
 			return nil, err
@@ -95,7 +95,7 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		if err != nil {
 			return nil, err
 		}
-		dataReady[d] = bEnd
+		staged[i] = bEnd
 	}
 
 	nsim := t.cfg.SimIters
@@ -109,7 +109,7 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		if err := t.cancelled(); err != nil {
 			return nil, err
 		}
-		it, dataReady, err = t.runIteration(start, dataReady)
+		it, err = t.runIteration(start, staged)
 		if err != nil {
 			return nil, err
 		}
@@ -121,6 +121,9 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 	for _, d := range t.devs {
 		busy[d] = t.rt.Device(d).ComputeBusy()
 	}
+	// A cached window outlives its trainer; a clone keeps just the
+	// aggregates, without the trainer's intern index.
+	prof := t.prof.Clone()
 	return &Window{
 		cfg:         t.cfg,
 		memory:      t.memory,
@@ -128,7 +131,7 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		steady:      steady,
 		simTotal:    steady.barrier - setupEnd,
 		nsim:        nsim,
-		prof:        t.prof,
+		prof:        prof,
 		utilWeight:  t.planUtilWeight(),
 		setupApprox: t.SetupTimeApprox(),
 		devs:        t.devs,
@@ -153,15 +156,16 @@ func (t *Trainer) computeUtilization(epoch time.Duration) float64 {
 // kernels — the per-iteration numerator of ComputeUtilization.
 func (t *Trainer) planUtilWeight() float64 {
 	spec := t.rt.Device(t.devs[0]).Spec
+	tab := t.tables[0]
 	var weighted float64
-	add := func(ks []gpu.KernelCost) {
-		for _, k := range ks {
-			weighted += spec.KernelDuration(k).Seconds() * spec.Occupancy(k.Parallelism)
+	add := func(ks []gpu.KernelCost, lowered []cuda.Kernel) {
+		for i, k := range ks {
+			weighted += lowered[i].Dur.Seconds() * spec.Occupancy(k.Parallelism)
 		}
 	}
-	add(t.fwd)
-	for _, step := range t.bwd {
-		add(step.Kernels)
+	add(t.fwd, tab.fwd)
+	for i, step := range t.bwd {
+		add(step.Kernels, tab.bwd[i])
 	}
 	return weighted
 }
