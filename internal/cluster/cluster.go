@@ -99,7 +99,8 @@ type Job struct {
 }
 
 // workload lowers the job to the single-node core workload it would be
-// on a node of the given hardware carrying the given fault plan.
+// on a node of the given hardware carrying the given fault plan. Every
+// input it reads is also a field of priceKey.
 func (j Job) workload(plan *faults.Plan, hardware string) core.Workload {
 	return core.Workload{
 		Model:    j.Model,

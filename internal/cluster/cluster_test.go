@@ -225,3 +225,38 @@ func TestFragAwareBeatsFirstFitOnDegradedFleet(t *testing.T) {
 		t.Errorf("frag-aware p99 JCT %v not better than first-fit %v on degraded fleet", fa.JCT.P99, ff.JCT.P99)
 	}
 }
+
+// The pricer's raw-input key only skips work: equal plans behind distinct
+// pointers and the "" / "dgx1" spellings still land on one fingerprint,
+// one simulation and one price.
+func TestPricerCountsFingerprints(t *testing.T) {
+	p := newPricer()
+	job := Job{Model: "lenet", GPUs: 2, Batch: 16, Images: 4096}
+	a := &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Slowdown: 1.5}}}
+	b := &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Slowdown: 1.5}}}
+	var prices []time.Duration
+	for _, call := range []struct {
+		plan     *faults.Plan
+		hardware string
+	}{{a, ""}, {a, ""}, {b, ""}, {a, "dgx1"}, {nil, ""}} {
+		d, err := p.price(context.Background(), job, call.plan, call.hardware)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prices = append(prices, d)
+	}
+	if len(p.memo) != 2 {
+		t.Errorf("%d distinct services, want 2 (straggler, healthy)", len(p.memo))
+	}
+	if len(p.hits) != 4 {
+		t.Errorf("%d raw keys, want 4", len(p.hits))
+	}
+	for i := 1; i < 4; i++ {
+		if prices[i] != prices[0] {
+			t.Errorf("call %d priced %v, want %v", i, prices[i], prices[0])
+		}
+	}
+	if prices[4] == prices[0] {
+		t.Errorf("healthy and straggler priced alike (%v)", prices[0])
+	}
+}

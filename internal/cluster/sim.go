@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/kvstore"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -85,28 +86,56 @@ func (q *eventQueue) Pop() any {
 // already memoizes the expensive compile; this layer also skips the
 // per-call extrapolation and validation, so a 10k-job trace costs one
 // simulation per distinct configuration and map lookups for the rest.
+//
+// hits sits in front of the fingerprint memo, keyed by the raw inputs a
+// price depends on, so a repeat call skips the JSON encoding and SHA-256
+// of Fingerprint. Plans are compared by pointer: every node of a group
+// shares one plan, and two pointers to equal plans only cost one extra
+// fingerprint, after which the memo still dedupes them. memo alone counts
+// the distinct services.
 type pricer struct {
+	hits map[priceKey]time.Duration
 	memo map[string]time.Duration
 }
 
-func newPricer() *pricer { return &pricer{memo: make(map[string]time.Duration)} }
+// priceKey is every input of one price: the job's workload fields, the
+// node's plan (by pointer) and its hardware.
+type priceKey struct {
+	model    string
+	gpus     int
+	batch    int
+	method   kvstore.Method
+	images   int64
+	plan     *faults.Plan
+	hardware string
+}
+
+func newPricer() *pricer {
+	return &pricer{hits: make(map[priceKey]time.Duration), memo: make(map[string]time.Duration)}
+}
 
 // price returns the epoch time of one repetition of j on a node of the
 // given hardware carrying plan. Normalize folds "" and "dgx1" to the
 // same fingerprint, so an all-default fleet prices exactly as before the
 // hardware axis existed.
 func (p *pricer) price(ctx context.Context, j Job, plan *faults.Plan, hardware string) (time.Duration, error) {
-	w := j.workload(plan, hardware).Normalize()
-	key := w.Fingerprint()
-	if d, ok := p.memo[key]; ok {
+	hk := priceKey{j.Model, j.GPUs, j.Batch, j.Method, j.Images, plan, hardware}
+	if d, ok := p.hits[hk]; ok {
 		return d, nil
 	}
-	res, err := core.SimulateContext(ctx, w)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: pricing %s: %w", j.Name, err)
+	w := j.workload(plan, hardware).Normalize()
+	key := w.Fingerprint()
+	d, ok := p.memo[key]
+	if !ok {
+		res, err := core.SimulateContext(ctx, w)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: pricing %s: %w", j.Name, err)
+		}
+		d = res.EpochTime
+		p.memo[key] = d
 	}
-	p.memo[key] = res.EpochTime
-	return res.EpochTime, nil
+	p.hits[hk] = d
+	return d, nil
 }
 
 // epochSpanCap bounds how many scheduling epochs record an obs span: a

@@ -13,16 +13,22 @@ import (
 	"repro/internal/topology"
 )
 
-// resnetPlan returns ResNet-50's forward and backward kernels at batch 32.
-func resnetPlan(b *testing.B) []gpu.KernelCost {
+// resnetNet returns ResNet-50.
+func resnetNet(b *testing.B) *dnn.Network {
 	b.Helper()
 	d, err := models.ByName("resnet")
 	if err != nil {
 		b.Fatal(err)
 	}
+	return d.Net
+}
+
+// resnetPlan returns ResNet-50's forward and backward kernels at batch 32.
+func resnetPlan(b *testing.B) []gpu.KernelCost {
+	net := resnetNet(b)
 	opts := dnn.PlanOptions{TensorCores: true}
-	plan := append([]gpu.KernelCost(nil), d.Net.ForwardPlan(32, opts)...)
-	for _, st := range d.Net.BackwardPlan(32, opts) {
+	plan := append([]gpu.KernelCost(nil), net.ForwardPlan(32, opts)...)
+	for _, st := range net.BackwardPlan(32, opts) {
 		plan = append(plan, st.Kernels...)
 	}
 	return plan
@@ -67,4 +73,20 @@ func BenchmarkStreamLaunch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		host, _ = s.Launch(profiler.StageFP, tab[i%len(tab)], host)
 	}
+}
+
+// BenchmarkStreamLaunchRun measures launching ResNet-50's whole forward
+// pass at batch 32 as one lowered run: two closed-form bookings, the
+// launch API's aggregate and one slot update per kernel.
+func BenchmarkStreamLaunchRun(b *testing.B) {
+	rt := benchRuntime(b)
+	run := rt.NewRun(rt.Lower(nil, gpu.V100(), resnetNet(b).ForwardPlan(32, dnn.PlanOptions{TensorCores: true})))
+	s := rt.Stream(0, "train")
+	b.ReportAllocs()
+	b.ResetTimer()
+	var host time.Duration
+	for i := 0; i < b.N; i++ {
+		host, _ = s.LaunchRun(profiler.StageFP, run, host)
+	}
+	b.ReportMetric(float64(len(run.Kernels)), "kernels/op")
 }

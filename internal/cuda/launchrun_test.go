@@ -1,0 +1,212 @@
+package cuda
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/gpu"
+	"repro/internal/interconnect"
+	"repro/internal/profiler"
+	"repro/internal/sim"
+	"repro/internal/topology"
+)
+
+// runScenario is one pre-booked runtime state and one run of kernels to
+// launch from it.
+type runScenario struct {
+	comm     bool
+	detailed bool
+	launch   time.Duration // Costs.LaunchKernel
+	// now advances the engine clock before anything is booked.
+	now time.Duration
+	// Each positive entry books its resource from time zero before the
+	// run: the launch thread (a HostWait), the engine thread (a comm
+	// stream's Synchronize), and the compute and comm queues (a kernel
+	// of that length each).
+	hostBusy, engineBusy, computeBusy, commBusy time.Duration
+	// tail raises the stream's tail (WaitEvent) before the run.
+	tail      time.Duration
+	hostReady time.Duration
+	durs      []time.Duration
+	names     []int // index into runKernelNames, per kernel
+}
+
+var runKernelNames = []string{"conv", "relu", "pool", "fc"}
+
+// scenarioTopology is built once: every scenario runs on a fresh engine
+// and fabric over the same read-only DGX-1 graph.
+var scenarioTopology = topology.DGX1()
+
+// bookScenario builds a runtime in the scenario's pre-booked state and
+// returns it with the stream and kernels the run launches.
+func bookScenario(t *testing.T, sc runScenario) (*Runtime, *Stream, []Kernel) {
+	t.Helper()
+	eng := sim.NewEngine()
+	prof := profiler.New()
+	if sc.detailed {
+		prof = profiler.NewDetailed(1 << 12)
+	}
+	costs := DefaultCosts()
+	costs.LaunchKernel = sc.launch
+	rt, err := NewRuntime(interconnect.New(eng, scenarioTopology), gpu.V100(), []topology.NodeID{0}, costs, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernels := make([]Kernel, len(sc.durs))
+	for i, d := range sc.durs {
+		kernels[i] = rt.NewKernel(runKernelNames[sc.names[i]], d)
+	}
+	eng.RunUntil(sc.now)
+	if sc.hostBusy > 0 {
+		rt.HostWait(0, profiler.StageWU, 0, sc.hostBusy)
+	}
+	if sc.engineBusy > 0 {
+		rt.CommStream(0, "pre").Synchronize(profiler.StageWU, sc.engineBusy)
+	}
+	if sc.computeBusy > 0 {
+		rt.BookKernel(0, false, profiler.StageOther, rt.NewKernel("pre", sc.computeBusy), 0)
+	}
+	if sc.commBusy > 0 {
+		rt.BookKernel(0, true, profiler.StageOther, rt.NewKernel("pre", sc.commBusy), 0)
+	}
+	s := rt.Stream(0, "run")
+	if sc.comm {
+		s = rt.CommStream(0, "run")
+	}
+	s.WaitEvent(sc.tail)
+	return rt, s, kernels
+}
+
+// checkRunMatchesLoop launches the scenario's run once with LaunchRun and
+// once kernel by kernel with Launch, each on its own identically
+// pre-booked runtime, and requires every observable to agree.
+func checkRunMatchesLoop(t *testing.T, sc runScenario) {
+	t.Helper()
+	rtRun, sRun, ksRun := bookScenario(t, sc)
+	rtLoop, sLoop, ksLoop := bookScenario(t, sc)
+
+	hostRun, endRun := sRun.LaunchRun(profiler.StageBP, rtRun.NewRun(ksRun), sc.hostReady)
+	hostLoop, endLoop := sc.hostReady, time.Duration(0)
+	for _, k := range ksLoop {
+		hostLoop, endLoop = sLoop.Launch(profiler.StageBP, k, hostLoop)
+	}
+
+	if hostRun != hostLoop || endRun != endLoop {
+		t.Errorf("LaunchRun = (%v, %v), Launch loop = (%v, %v)", hostRun, endRun, hostLoop, endLoop)
+	}
+	if sRun.Tail() != sLoop.Tail() {
+		t.Errorf("tail %v, loop %v", sRun.Tail(), sLoop.Tail())
+	}
+	resources := func(rt *Runtime) map[string]*sim.Resource {
+		d := rt.devs[0]
+		return map[string]*sim.Resource{
+			"host": d.host, "engine": d.engine,
+			"compute": d.dev.Queue(false), "comm": d.dev.Queue(true),
+		}
+	}
+	loopRes := resources(rtLoop)
+	for name, r := range resources(rtRun) {
+		l := loopRes[name]
+		if r.FreeAt() != l.FreeAt() || r.BusyTime() != l.BusyTime() || r.Requests() != l.Requests() {
+			t.Errorf("%s: free %v busy %v requests %d; loop free %v busy %v requests %d",
+				name, r.FreeAt(), r.BusyTime(), r.Requests(), l.FreeAt(), l.BusyTime(), l.Requests())
+		}
+	}
+
+	pRun, pLoop := rtRun.Profile(), rtLoop.Profile()
+	for _, name := range append([]string{"pre"}, runKernelNames...) {
+		if a, b := pRun.Kernel(name), pLoop.Kernel(name); a != b {
+			t.Errorf("kernel %s: %+v, loop %+v", name, a, b)
+		}
+	}
+	for _, name := range []string{APILaunchKernel, APIMemcpyAsync, APIStreamSync} {
+		if a, b := pRun.API(name), pLoop.API(name); a != b {
+			t.Errorf("API %s: %+v, loop %+v", name, a, b)
+		}
+	}
+	for st := profiler.StageOther; st <= profiler.StageDataLoad; st++ {
+		if a, b := pRun.StageBusy(st), pLoop.StageBusy(st); a != b {
+			t.Errorf("stage %s busy %v, loop %v", st, a, b)
+		}
+	}
+	if !reflect.DeepEqual(pRun.KernelNames(), pLoop.KernelNames()) || !reflect.DeepEqual(pRun.APINames(), pLoop.APINames()) {
+		t.Errorf("name orders differ: %v %v, loop %v %v", pRun.KernelNames(), pRun.APINames(), pLoop.KernelNames(), pLoop.APINames())
+	}
+	if !reflect.DeepEqual(pRun.Intervals(), pLoop.Intervals()) {
+		t.Errorf("retained intervals differ")
+	}
+}
+
+// durations returns n kernel durations cycling through ds, with names
+// cycling through runKernelNames.
+func durations(n int, ds ...time.Duration) ([]time.Duration, []int) {
+	durs, names := make([]time.Duration, n), make([]int, n)
+	for i := range durs {
+		durs[i] = ds[i%len(ds)]
+		names[i] = i % len(runKernelNames)
+	}
+	return durs, names
+}
+
+func TestLaunchRunMatchesLaunchLoop(t *testing.T) {
+	us := time.Microsecond
+	mixed, mixedNames := durations(40, 2*us, 30*us, 0, us, 9*us)
+	hostBound, hostBoundNames := durations(25, us, 3*us)
+	deviceBound, deviceBoundNames := durations(12, 200*us, 50*us)
+	zeros, zeroNames := durations(7, 0)
+	one, oneNames := durations(1, 17*us)
+	for _, tc := range []struct {
+		name string
+		sc   runScenario
+	}{
+		{"empty", runScenario{launch: 4 * us, hostReady: 5 * us}},
+		{"empty/busy", runScenario{launch: 4 * us, hostBusy: 50 * us, computeBusy: 80 * us, tail: 10 * us, hostReady: 5 * us}},
+		{"single", runScenario{launch: 4 * us, hostReady: 3 * us, durs: one, names: oneNames}},
+		{"zero-duration", runScenario{launch: 4 * us, tail: 2 * us, durs: zeros, names: zeroNames}},
+		{"zero-launch-cost", runScenario{durs: mixed, names: mixedNames, hostBusy: 7 * us}},
+		{"host-bound", runScenario{launch: 4 * us, durs: hostBound, names: hostBoundNames}},
+		{"device-bound", runScenario{launch: 4 * us, durs: deviceBound, names: deviceBoundNames}},
+		{"mixed", runScenario{launch: 4 * us, hostReady: us, durs: mixed, names: mixedNames}},
+		{"host-thread-busy", runScenario{launch: 4 * us, hostBusy: 300 * us, durs: mixed, names: mixedNames}},
+		{"queue-busy", runScenario{launch: 4 * us, computeBusy: 500 * us, durs: mixed, names: mixedNames}},
+		{"tail-ahead", runScenario{launch: 4 * us, tail: time.Millisecond, durs: hostBound, names: hostBoundNames}},
+		{"clock-advanced", runScenario{launch: 4 * us, now: 2 * time.Millisecond, hostReady: us, durs: mixed, names: mixedNames}},
+		{"comm", runScenario{comm: true, launch: 4 * us, engineBusy: 60 * us, commBusy: 90 * us, durs: mixed, names: mixedNames}},
+		{"comm/launch-thread-busy", runScenario{comm: true, launch: 4 * us, hostBusy: time.Millisecond, durs: hostBound, names: hostBoundNames}},
+		{"detailed", runScenario{detailed: true, launch: 4 * us, computeBusy: 40 * us, durs: mixed, names: mixedNames}},
+		{"detailed/empty", runScenario{detailed: true, launch: 4 * us, hostReady: 9 * us}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkRunMatchesLoop(t, tc.sc) })
+	}
+}
+
+// FuzzLaunchRun checks LaunchRun against the per-kernel Launch loop from
+// arbitrary pre-booked host-thread, engine-thread, queue, tail and clock
+// states, on compute and comm streams. Each byte of kernels is one
+// kernel: its high six bits scale unit into a duration (zero included),
+// its low two bits pick the name.
+func FuzzLaunchRun(f *testing.F) {
+	f.Add(false, false, uint16(4000), uint16(1000), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), []byte{0x10, 0x21, 0xff, 0x00, 0x42})
+	f.Add(true, false, uint16(4000), uint16(1), uint32(5000), uint32(90000), uint32(30000), uint32(0), uint32(70000), uint32(1000), uint32(0), []byte{0x04, 0x04, 0x05, 0x06})
+	f.Add(false, true, uint16(0), uint16(500), uint32(0), uint32(0), uint32(0), uint32(20000), uint32(0), uint32(0), uint32(3000), []byte{0x80, 0x00, 0x00, 0x80})
+	f.Add(false, false, uint16(4000), uint16(0), uint32(100), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(50), []byte{})
+	f.Fuzz(func(t *testing.T, comm, detailed bool, launch, unit uint16, now, hostBusy, engineBusy, computeBusy, commBusy, tail, hostReady uint32, kernels []byte) {
+		if len(kernels) > 512 {
+			kernels = kernels[:512]
+		}
+		ns := func(v uint32) time.Duration { return time.Duration(v) }
+		sc := runScenario{
+			comm: comm, detailed: detailed, launch: time.Duration(launch),
+			now: ns(now), hostBusy: ns(hostBusy), engineBusy: ns(engineBusy),
+			computeBusy: ns(computeBusy), commBusy: ns(commBusy),
+			tail: ns(tail), hostReady: ns(hostReady),
+			durs: make([]time.Duration, len(kernels)), names: make([]int, len(kernels)),
+		}
+		for i, b := range kernels {
+			sc.durs[i] = time.Duration(b>>2) * time.Duration(unit)
+			sc.names[i] = int(b & 3)
+		}
+		checkRunMatchesLoop(t, sc)
+	})
+}

@@ -59,6 +59,34 @@ type Kernel struct {
 	Slot profiler.Slot
 }
 
+// Run is a lowered run of kernels that one stream launches back to back,
+// with nothing else booked on its host thread or device queue between
+// the launches, summarized so Stream.LaunchRun books it in O(1). With L
+// the launch cost of the runtime that made the run (NewRun) and kernels
+// numbered j = 1..n in launch order:
+//
+//	sum  = Σ_j Dur_j
+//	crit = max_j (j·L + Σ_{i≥j} Dur_i)
+//
+// crit is the longest launch-then-execute chain through the run: kernel
+// j cannot start before its own launch, j·L after the host thread
+// starts, and everything after it executes back to back.
+type Run struct {
+	Kernels   []Kernel
+	sum, crit time.Duration
+}
+
+// NewRun summarizes kernels as a run for this runtime's launch cost. The
+// run shares the kernels' backing array.
+func (rt *Runtime) NewRun(kernels []Kernel) Run {
+	r := Run{Kernels: kernels}
+	for j := len(kernels); j > 0; j-- {
+		r.sum += kernels[j-1].Dur
+		r.crit = max(r.crit, time.Duration(j)*rt.costs.LaunchKernel+r.sum)
+	}
+	return r
+}
+
 // label is an interned profile name.
 type label struct {
 	name string
@@ -409,6 +437,55 @@ func (s *Stream) Launch(stage profiler.Stage, k Kernel, hostReady time.Duration)
 	})
 	s.tail = end
 	return hostDone, end
+}
+
+// LaunchRun launches every kernel of r, in order, from hostReady: the same
+// bookings, return values and profile aggregates as calling Launch once
+// per kernel and threading hostDone through, but in O(1) bookings. The
+// launches form a max-plus chain on two FIFO resources, so with H0 the
+// host thread's first free time at or after hostReady and E0 the later
+// of the stream's tail and its device queue's free time, the run ends at
+//
+//	hostDone  = H0 + n·L
+//	kernelEnd = max(E0 + sum, H0 + crit)
+//
+// exactly, in integer nanoseconds (see Run). A Detailed profile still
+// launches kernel by kernel, so its timeline keeps every interval. An
+// empty run books nothing and returns (hostReady, 0), as the loop it
+// replaces does.
+func (s *Stream) LaunchRun(stage profiler.Stage, r Run, hostReady time.Duration) (hostDone, kernelEnd time.Duration) {
+	n := len(r.Kernels)
+	if n == 0 {
+		return hostReady, 0
+	}
+	prof := s.rt.prof
+	if prof != nil && prof.Detailed() {
+		for _, k := range r.Kernels {
+			hostReady, kernelEnd = s.Launch(stage, k, hostReady)
+		}
+		return hostReady, kernelEnd
+	}
+	thread := s.d.host
+	if s.comm {
+		thread = s.d.engine
+	}
+	queue := s.d.dev.Queue(s.comm)
+	h0 := max(hostReady, thread.FreeAt())
+	e0 := max(s.tail, queue.FreeAt())
+	launch := time.Duration(n) * s.rt.costs.LaunchKernel
+	hostDone = h0 + launch
+	kernelEnd = max(e0+r.sum, h0+r.crit)
+	thread.BookRun(int64(n), launch, hostDone)
+	queue.BookRun(int64(n), r.sum, kernelEnd)
+	s.tail = kernelEnd
+	if prof != nil {
+		prof.AddSlot(profiler.KindAPI, s.rt.launch.slot, int64(n), launch)
+		for _, k := range r.Kernels {
+			prof.AddSlot(profiler.KindKernel, k.Slot, 1, k.Dur)
+		}
+		prof.AddStageBusy(stage, launch+r.sum)
+	}
+	return hostDone, kernelEnd
 }
 
 // HostLaunch books only the host-side cudaLaunchKernel cost (used by

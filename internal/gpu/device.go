@@ -54,6 +54,16 @@ func (d *Device) BookCommKernel(ready time.Duration, dur time.Duration) (start, 
 	return d.comm.Book(ready, dur)
 }
 
+// Queue returns the compute queue, or the communication-kernel queue when
+// comm is set, for callers that book a whole run of kernels in closed
+// form (sim.Resource.BookRun).
+func (d *Device) Queue(comm bool) *sim.Resource {
+	if comm {
+		return d.comm
+	}
+	return d.compute
+}
+
 // BookDMA reserves the least-loaded copy engine for dur (the wire time is
 // booked on the fabric separately; this models engine occupancy for
 // back-to-back copies fanning out of one GPU).

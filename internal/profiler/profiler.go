@@ -270,6 +270,28 @@ func (p *Profile) RecordSlot(s Slot, iv Interval) {
 	}
 }
 
+// AddSlot adds calls activities of kind k totalling d to slot s (interned
+// on this profile), without touching stage time or retaining an interval:
+// the aggregate half of RecordSlot, for callers that book many activities
+// in closed form. Callers must fall back to RecordSlot on a Detailed
+// profile so the timeline keeps every interval.
+func (p *Profile) AddSlot(k Kind, s Slot, calls int64, d time.Duration) {
+	st := &p.tables[k].stats[s]
+	st.Calls += calls
+	st.Total += d
+}
+
+// AddStageBusy adds d to a stage's busy time: the stage half of
+// RecordSlot, summed over many activities.
+func (p *Profile) AddStageBusy(s Stage, d time.Duration) {
+	if st := uint(s); st < uint(numStages) {
+		p.stageBusy[st] += d
+	}
+}
+
+// Detailed reports whether the profile retains individual intervals.
+func (p *Profile) Detailed() bool { return p.detail }
+
 // retain keeps one interval for the timeline, up to the detail cap.
 func (p *Profile) retain(iv Interval) {
 	if len(p.intervals) < p.maxDetail {
@@ -327,6 +349,10 @@ func (p *Profile) APINames() []string { return p.tables[KindAPI].rankedNames() }
 
 // KernelNames returns recorded kernel names sorted by descending total time.
 func (p *Profile) KernelNames() []string { return p.tables[KindKernel].rankedNames() }
+
+// TransferNames returns recorded transfer names sorted by descending total
+// time.
+func (p *Profile) TransferNames() []string { return p.tables[KindTransfer].rankedNames() }
 
 // Intervals returns the retained detailed intervals (detail mode only).
 func (p *Profile) Intervals() []Interval {

@@ -96,3 +96,24 @@ func TestBookAccountsBusyTime(t *testing.T) {
 		t.Errorf("requests = %d", r.Requests())
 	}
 }
+
+// BookRun leaves a resource exactly as the back-to-back Book calls it
+// stands for would.
+func TestBookRunMatchesBook(t *testing.T) {
+	durs := []time.Duration{3 * time.Millisecond, 0, time.Millisecond}
+	e := NewEngine()
+	booked, batched := NewResource(e, "booked"), NewResource(e, "batched")
+	booked.Book(0, time.Millisecond)
+	batched.Book(0, time.Millisecond)
+
+	var end, busy time.Duration
+	for _, d := range durs {
+		_, end = booked.Book(end, d)
+		busy += d
+	}
+	batched.BookRun(int64(len(durs)), busy, end)
+	if booked.FreeAt() != batched.FreeAt() || booked.BusyTime() != batched.BusyTime() || booked.Requests() != batched.Requests() {
+		t.Errorf("BookRun: free %v busy %v requests %d; Book: free %v busy %v requests %d",
+			batched.FreeAt(), batched.BusyTime(), batched.Requests(), booked.FreeAt(), booked.BusyTime(), booked.Requests())
+	}
+}

@@ -86,6 +86,17 @@ func (r *Resource) Book(ready, dur time.Duration) (start, end time.Duration) {
 	return start, end
 }
 
+// BookRun accounts n reservations totalling busy that the caller
+// scheduled back to back in closed form, the last ending at end: the
+// batch form of n Book calls with no other booking between them. end
+// must be at least FreeAt, as it is for any run Book would serve, since
+// FIFO service never finishes before the work already queued.
+func (r *Resource) BookRun(n int64, busy, end time.Duration) {
+	r.busyUntil = end
+	r.busy += busy
+	r.requests += n
+}
+
 // FreeAt returns the time at which all currently queued service completes.
 func (r *Resource) FreeAt() time.Duration {
 	if now := r.eng.Now(); r.busyUntil < now {

@@ -99,25 +99,19 @@ func (t *Trainer) runAsync() (*Result, error) {
 // start its next mini-batch.
 func (t *Trainer) asyncWorkerIteration(w int, root topology.NodeID, start time.Duration) (time.Duration, error) {
 	d, s, tab := t.devs[w], t.compute[w], t.tables[w]
-	host := start
-	var kEnd time.Duration
-	for _, k := range tab.fwd {
-		host, kEnd = s.Launch(profiler.StageFP, k, host)
-	}
+	host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwd, start)
 	lastPull := kEnd
 	gi := 0
-	for si, step := range t.bwd {
-		var stepEnd time.Duration
-		for _, k := range tab.bwd[si] {
-			host, stepEnd = s.Launch(profiler.StageBP, k, host)
-		}
-		if step.Layer == nil {
+	for ri, cut := range t.cuts {
+		var runEnd time.Duration
+		host, runEnd = s.LaunchRun(profiler.StageBP, tab.bwdRuns[ri], host)
+		if cut.layer == nil {
 			continue
 		}
 		upd := t.updates[gi]
 		gi++
-		size := units.BytesOf(step.Layer.Params, units.Float32Size)
-		ready := stepEnd
+		size := units.BytesOf(cut.layer.Params, units.Float32Size)
+		ready := runEnd
 		var pushEnd time.Duration
 		if d == root {
 			pushEnd = ready

@@ -146,20 +146,27 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 	// slice kernels, and the head's local slice updates (in the backward
 	// order they are booked).
 	type headKernels struct{ fwd, dgrad, wgrad cuda.Kernel }
+	// The body's backward plans in launch order (last body node first),
+	// cut into runs at each layer with parameters.
+	bodyStep := func(i int) dnn.NodePlan { return bodyPlans[headStart-1-i] }
+	bodyCuts := cutRuns(headStart, func(i int) (int, *dnn.WeightedLayer) {
+		p := bodyStep(i)
+		return len(p.Bwd), p.Layer
+	})
 	type hybridTable struct {
-		bodyFwd []cuda.Kernel   // every body plan's forward kernels, in order
-		bodyBwd [][]cuda.Kernel // bodyBwd[i] is body plan i's backward kernels
+		bodyFwd cuda.Run   // every body plan's forward kernels, in order
+		bodyBwd []cuda.Run // the body's backward runs, cut at bodyCuts
 		head    []headKernels
 		updates []time.Duration
 	}
 	tables := perSpec(t, func(spec gpu.Spec) *hybridTable {
-		tab := &hybridTable{bodyBwd: make([][]cuda.Kernel, len(bodyPlans)), head: make([]headKernels, len(head))}
+		tab := &hybridTable{head: make([]headKernels, len(head))}
+		var fwd []cuda.Kernel
 		for _, p := range bodyPlans {
-			tab.bodyFwd = t.rt.Lower(tab.bodyFwd, spec, p.Fwd)
+			fwd = t.rt.Lower(fwd, spec, p.Fwd)
 		}
-		for i, p := range bodyPlans {
-			tab.bodyBwd[i] = t.rt.Lower(nil, spec, p.Bwd)
-		}
+		tab.bodyFwd = t.rt.NewRun(fwd)
+		_, tab.bodyBwd = t.lowerRuns(spec, bodyCuts, headStart, func(i int) []gpu.KernelCost { return bodyStep(i).Bwd })
 		lower := func(c gpu.KernelCost) cuda.Kernel { return t.rt.NewKernel(c.Name, spec.KernelDuration(c)) }
 		for i, hl := range head {
 			tab.head[i].fwd = lower(hl.fwd)
@@ -195,11 +202,7 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 		var bodyFPEnd time.Duration
 		for i := range t.devs {
 			s := t.compute[i]
-			h := start
-			var kEnd time.Duration
-			for _, k := range tables[i].bodyFwd {
-				h, kEnd = s.Launch(profiler.StageFP, k, h)
-			}
+			h, kEnd := s.LaunchRun(profiler.StageFP, tables[i].bodyFwd, start)
 			host[i] = h
 			if kEnd > bodyFPEnd {
 				bodyFPEnd = kEnd
@@ -258,25 +261,22 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 			s := t.compute[i]
 			s.WaitEvent(now)
 			gi := 0
-			for bi := headStart - 1; bi >= 0; bi-- {
-				p := bodyPlans[bi]
-				var stepEnd time.Duration
-				for _, k := range tables[i].bodyBwd[bi] {
-					host[i], stepEnd = s.Launch(profiler.StageBP, k, host[i])
-				}
-				if p.Layer != nil {
+			for ri, cut := range bodyCuts {
+				var runEnd time.Duration
+				host[i], runEnd = s.LaunchRun(profiler.StageBP, tables[i].bodyBwd[ri], host[i])
+				if cut.layer != nil {
 					if i == 0 {
-						size := units.BytesOf(p.Layer.Params, units.Float32Size)
-						grads = append(grads, grad{name: p.Layer.Name, bytes: size, ready: stepEnd, upd: bodyUpdates[len(grads)]})
+						size := units.BytesOf(cut.layer.Params, units.Float32Size)
+						grads = append(grads, grad{name: cut.layer.Name, bytes: size, ready: runEnd, upd: bodyUpdates[len(grads)]})
 					} else {
-						if stepEnd > grads[gi].ready {
-							grads[gi].ready = stepEnd
+						if runEnd > grads[gi].ready {
+							grads[gi].ready = runEnd
 						}
 						gi++
 					}
 				}
-				if stepEnd > bodyBPEnd {
-					bodyBPEnd = stepEnd
+				if runEnd > bodyBPEnd {
+					bodyBPEnd = runEnd
 				}
 			}
 		}

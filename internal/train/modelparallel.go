@@ -164,8 +164,8 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 	// lowered for that device's spec.
 	type stageWork struct {
 		dev      topology.NodeID
-		fwd      []cuda.Kernel
-		bwd      []cuda.Kernel
+		fwd      cuda.Run
+		bwd      cuda.Run
 		boundary units.Bytes
 		weights  units.Bytes
 		update   time.Duration // the stage's local weight-update kernel
@@ -188,8 +188,8 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 	for s := range work {
 		work[s].dev = t.devs[s]
 		spec := t.rt.Device(t.devs[s]).Spec
-		work[s].fwd = t.rt.Lower(nil, spec, fwd[s])
-		work[s].bwd = t.rt.Lower(nil, spec, bwd[s])
+		work[s].fwd = t.rt.NewRun(t.rt.Lower(nil, spec, fwd[s]))
+		work[s].bwd = t.rt.NewRun(t.rt.Lower(nil, spec, bwd[s]))
 		if work[s].weights > 0 {
 			work[s].update = spec.KernelDuration(sgdUpdateCost(work[s].weights))
 		}
@@ -221,9 +221,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 				stream := t.compute[s]
 				stream.WaitEvent(actReady[s][j])
 				var kEnd time.Duration
-				for _, k := range work[s].fwd {
-					host[s], kEnd = stream.Launch(profiler.StageFP, k, host[s])
-				}
+				host[s], kEnd = stream.LaunchRun(profiler.StageFP, work[s].fwd, host[s])
 				fwdOut[s][j] = kEnd
 				if s+1 < stages {
 					_, arrive, err := t.rt.MemcpyPeer(work[s+1].dev, work[s].dev,
@@ -251,9 +249,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 				stream := t.compute[s]
 				stream.WaitEvent(gradReady[s][j])
 				var kEnd time.Duration
-				for _, k := range work[s].bwd {
-					host[s], kEnd = stream.Launch(profiler.StageBP, k, host[s])
-				}
+				host[s], kEnd = stream.LaunchRun(profiler.StageBP, work[s].bwd, host[s])
 				if s > 0 {
 					_, arrive, err := t.rt.MemcpyPeer(work[s-1].dev, work[s].dev,
 						work[s].boundary, profiler.StageBP, kEnd, kEnd)

@@ -114,41 +114,33 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 	for i := range t.devs {
 		s, tab := t.compute[i], t.tables[i]
 		s.WaitEvent(staged[i])
-		host := iterStart
-		var kEnd time.Duration
-		for _, k := range tab.fwd {
-			host, kEnd = s.Launch(profiler.StageFP, k, host)
-		}
+		host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwd, iterStart)
 		if kEnd > it.fpEnd {
 			it.fpEnd = kEnd
 		}
 		// Gradient checkpointing re-executes the forward kernels between
 		// checkpoints while backpropagating — approximately one extra
 		// forward pass folded into BP.
-		for _, k := range tab.recompute {
-			host, _ = s.Launch(profiler.StageBP, k, host)
-		}
+		host, _ = s.LaunchRun(profiler.StageBP, tab.recompute, host)
 		gi := 0
-		for si, step := range t.bwd {
-			var stepEnd time.Duration
-			for _, k := range tab.bwd[si] {
-				host, stepEnd = s.Launch(profiler.StageBP, k, host)
-			}
-			if step.Layer != nil {
+		for ri, cut := range t.cuts {
+			var runEnd time.Duration
+			host, runEnd = s.LaunchRun(profiler.StageBP, tab.bwdRuns[ri], host)
+			if cut.layer != nil {
 				if i == 0 {
-					size := units.BytesOf(step.Layer.Params, units.Float32Size)
-					grads = append(grads, layerGrad{name: step.Layer.Name, bytes: size, ready: stepEnd})
+					size := units.BytesOf(cut.layer.Params, units.Float32Size)
+					grads = append(grads, layerGrad{name: cut.layer.Name, bytes: size, ready: runEnd})
 				} else {
 					// Synchronous SGD: a layer's exchange starts when the
 					// slowest GPU has its gradient.
-					if stepEnd > grads[gi].ready {
-						grads[gi].ready = stepEnd
+					if runEnd > grads[gi].ready {
+						grads[gi].ready = runEnd
 					}
 					gi++
 				}
 			}
-			if stepEnd > it.bpEnd {
-				it.bpEnd = stepEnd
+			if runEnd > it.bpEnd {
+				it.bpEnd = runEnd
 			}
 		}
 		// Iteration-end sync on the compute stream.

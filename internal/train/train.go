@@ -284,6 +284,8 @@ type Trainer struct {
 
 	fwd []gpu.KernelCost
 	bwd []dnn.BackwardStep
+	// cuts cuts bwd into runs (cutRuns).
+	cuts []runCut
 	// tables[i] is the plan lowered for devs[i]'s spec; devices sharing a
 	// spec share one table.
 	tables []*kernelTable
@@ -417,10 +419,12 @@ func New(cfg Config) (*Trainer, error) {
 	opts := dnn.PlanOptions{TensorCores: cfg.TensorCores, Winograd: cfg.Winograd}
 	t.fwd = cfg.Model.Net.ForwardPlan(cfg.Batch, opts)
 	t.bwd = cfg.Model.Net.BackwardPlan(cfg.Batch, opts)
+	t.cuts = cutRuns(len(t.bwd), func(i int) (int, *dnn.WeightedLayer) { return len(t.bwd[i].Kernels), t.bwd[i].Layer })
 	t.tables = perSpec(t, t.lower)
-	for _, step := range t.bwd {
-		if step.Layer != nil {
-			t.updates = append(t.updates, t.updateKernel(units.BytesOf(step.Layer.Params, units.Float32Size)))
+	t.updates = make([]cuda.Kernel, 0, len(t.cuts))
+	for _, c := range t.cuts {
+		if c.layer != nil {
+			t.updates = append(t.updates, t.updateKernel(units.BytesOf(c.layer.Params, units.Float32Size)))
 		}
 	}
 	t.grads = make([]layerGrad, 0, len(t.updates))
@@ -450,35 +454,95 @@ func New(cfg Config) (*Trainer, error) {
 
 // kernelTable is the trainer's kernel plan lowered for one device spec:
 // every entry carries its duration on that spec and its profile slot, so
-// the schedules launch without recomputing either.
+// the schedules launch without recomputing either. The kernels are cut
+// into runs (cuda.Run), each launched with one Stream.LaunchRun.
 type kernelTable struct {
-	fwd []cuda.Kernel
+	fwd cuda.Run
 	// recompute is fwd relabeled for gradient checkpointing's extra
-	// forward pass during BP (nil without checkpointing).
-	recompute []cuda.Kernel
-	// bwd[i] is backward step i's kernels.
-	bwd [][]cuda.Kernel
+	// forward pass during BP (empty without checkpointing).
+	recompute cuda.Run
+	// bwd is every backward step's kernels in order; bwdRuns cuts it as
+	// Trainer.cuts does.
+	bwd     []cuda.Kernel
+	bwdRuns []cuda.Run
+}
+
+// runCut is where one backward run ends: end is one past its last kernel
+// in the flat backward table, and layer is the weighted layer whose
+// gradient is ready when the run ends (nil when the run ends at a step
+// without parameters).
+type runCut struct {
+	end   int
+	layer *dnn.WeightedLayer
+}
+
+// cutRuns cuts n backward steps, in launch order, into runs: a run ends at
+// each parameter step, because that is where a gradient-ready time is
+// read, and parameterless steps join the run of the next parameter step.
+// A parameter step with no kernels gets an empty run of its own (its
+// gradient is "ready" at time zero, as in a per-kernel loop), and any
+// trailing parameterless steps form a final run. step(i) returns step i's
+// kernel count and layer. The cuts depend only on the plan's shape, so
+// every device spec shares them.
+func cutRuns(n int, step func(i int) (kernels int, layer *dnn.WeightedLayer)) []runCut {
+	params := 0
+	for i := 0; i < n; i++ {
+		if _, layer := step(i); layer != nil {
+			params++
+		}
+	}
+	cuts := make([]runCut, 0, params+1)
+	lo, end := 0, 0
+	for i := 0; i < n; i++ {
+		k, layer := step(i)
+		if layer != nil && k == 0 && end > lo {
+			cuts = append(cuts, runCut{end: end})
+			lo = end
+		}
+		end += k
+		if layer != nil {
+			cuts = append(cuts, runCut{end: end, layer: layer})
+			lo = end
+		}
+	}
+	if end > lo {
+		cuts = append(cuts, runCut{end: end})
+	}
+	return cuts
+}
+
+// lowerRuns lowers plans (in launch order) for one spec into one flat
+// table and cuts it into runs at cuts.
+func (t *Trainer) lowerRuns(spec gpu.Spec, cuts []runCut, n int, plan func(i int) []gpu.KernelCost) ([]cuda.Kernel, []cuda.Run) {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(plan(i))
+	}
+	flat := make([]cuda.Kernel, 0, total)
+	for i := 0; i < n; i++ {
+		flat = t.rt.Lower(flat, spec, plan(i))
+	}
+	runs := make([]cuda.Run, len(cuts))
+	lo := 0
+	for i, c := range cuts {
+		runs[i] = t.rt.NewRun(flat[lo:c.end:c.end])
+		lo = c.end
+	}
+	return flat, runs
 }
 
 // lower builds the kernel table of the trainer's plan for one spec.
 func (t *Trainer) lower(spec gpu.Spec) *kernelTable {
-	tab := &kernelTable{fwd: t.rt.Lower(nil, spec, t.fwd), bwd: make([][]cuda.Kernel, len(t.bwd))}
+	fwd := t.rt.Lower(nil, spec, t.fwd)
+	tab := &kernelTable{fwd: t.rt.NewRun(fwd)}
 	if t.cfg.Checkpointing {
-		tab.recompute = make([]cuda.Kernel, len(tab.fwd))
-		for i, k := range tab.fwd {
-			tab.recompute[i] = t.rt.NewKernel("recompute_"+k.Name, k.Dur)
+		recompute := make([]cuda.Kernel, len(fwd))
+		for i, k := range fwd {
+			recompute[i] = t.rt.NewKernel("recompute_"+k.Name, k.Dur)
 		}
+		tab.recompute = t.rt.NewRun(recompute)
 	}
-	n := 0
-	for _, step := range t.bwd {
-		n += len(step.Kernels)
-	}
-	flat := make([]cuda.Kernel, 0, n)
-	for i, step := range t.bwd {
-		lo := len(flat)
-		flat = t.rt.Lower(flat, spec, step.Kernels)
-		tab.bwd[i] = flat[lo:len(flat):len(flat)]
-	}
+	tab.bwd, tab.bwdRuns = t.lowerRuns(spec, t.cuts, len(t.bwd), func(i int) []gpu.KernelCost { return t.bwd[i].Kernels })
 	return tab
 }
 

@@ -163,9 +163,11 @@ func (t *Trainer) planUtilWeight() float64 {
 			weighted += lowered[i].Dur.Seconds() * spec.Occupancy(k.Parallelism)
 		}
 	}
-	add(t.fwd, tab.fwd)
-	for i, step := range t.bwd {
-		add(step.Kernels, tab.bwd[i])
+	add(t.fwd, tab.fwd.Kernels)
+	lowered := tab.bwd
+	for _, step := range t.bwd {
+		add(step.Kernels, lowered)
+		lowered = lowered[len(step.Kernels):]
 	}
 	return weighted
 }
