@@ -16,107 +16,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dnn"
+	"repro/internal/memo"
 	"repro/internal/models"
 	"repro/internal/train"
 	"repro/internal/units"
 )
-
-// errCompileAborted marks a compile cancelled because every caller
-// interested in its artifact went away. It is never cached and never
-// escapes the artifact layer: live callers that race an abort retry with
-// a fresh entry.
-var errCompileAborted = errors.New("core: compile aborted: no interested callers remain")
-
-// compiledEntry is one artifact slot: a singleflight with interest
-// tracking, so concurrent requests for the same key simulate it exactly
-// once (the losers wait for the winner, then share the window). The
-// first arriver starts the compile on a dedicated goroutine; callers
-// whose context ends stop waiting immediately while the compile keeps
-// running for the rest. When the last interested caller cancels, the
-// compile itself is aborted at its next iteration boundary — an
-// abandoned request stops burning CPU — and the slot is dropped so a
-// future request compiles afresh. Deterministic failures (an OOM batch
-// size, say) stay cached; cancellation never does.
-type compiledEntry struct {
-	mu       sync.Mutex
-	started  bool
-	finished bool
-	aborted  bool
-	refs     int           // callers currently awaiting the artifact
-	abort    chan struct{} // closed when refs drops to 0 before finish
-	done     chan struct{} // closed when the compile goroutine finishes
-	win      *train.Window
-	err      error
-}
-
-func newCompiledEntry() *compiledEntry {
-	return &compiledEntry{abort: make(chan struct{}), done: make(chan struct{})}
-}
-
-// await joins the entry's flight: it starts the compile if this caller
-// is first, then waits for the artifact or the caller's context, whichever
-// ends first. A caller that stops waiting drops its interest; the last
-// one out aborts the compile.
-func (e *compiledEntry) await(ctx context.Context, w Workload, key string) (*train.Window, error) {
-	e.mu.Lock()
-	e.refs++
-	if !e.started {
-		e.started = true
-		go e.compile(w, key)
-	}
-	e.mu.Unlock()
-	select {
-	case <-e.done:
-		e.leave()
-		return e.win, e.err
-	case <-ctx.Done():
-		e.leave()
-		return nil, ctx.Err()
-	}
-}
-
-// leave drops one caller's interest; the last leaver of an unfinished
-// compile aborts it.
-func (e *compiledEntry) leave() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.refs--
-	if e.refs == 0 && !e.finished && !e.aborted {
-		e.aborted = true
-		close(e.abort)
-	}
-}
-
-// cancelled is the trainer-facing probe: it fires once the flight has
-// been abandoned by every caller.
-func (e *compiledEntry) cancelled() error {
-	select {
-	case <-e.abort:
-		return errCompileAborted
-	default:
-		return nil
-	}
-}
-
-// compile builds the window on its own goroutine and publishes the
-// outcome. An aborted compile removes its slot from the cache — the
-// abort is a property of the departed callers, not of the workload, so
-// the next request must get a fresh flight.
-func (e *compiledEntry) compile(w Workload, key string) {
-	win, err := buildWindow(w, e.cancelled)
-	e.mu.Lock()
-	e.win, e.err = win, err
-	e.finished = true
-	e.mu.Unlock()
-	if err != nil && (errors.Is(err, errCompileAborted) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		windows.drop(key, e)
-	}
-	close(e.done)
-}
 
 // compiles counts compile phases actually executed (buildWindow calls)
 // across the process's lifetime. With the artifact cache doing its job,
@@ -146,85 +53,38 @@ func buildWindow(w Workload, check func() error) (*train.Window, error) {
 	return tr.SimulateWindow()
 }
 
-// artifactCache memoizes compiled windows with FIFO eviction. Errors are
-// cached too: the simulator is deterministic, so a configuration that
-// fails to compile (an OOM batch size, say) fails identically every time.
-type artifactCache struct {
-	mu      sync.Mutex
-	entries map[string]*compiledEntry
-	order   []string
-	limit   int
-}
-
-func newArtifactCache(limit int) *artifactCache {
-	return &artifactCache{entries: make(map[string]*compiledEntry), limit: limit}
-}
-
-// entry returns the slot for a key, creating (and bounding) as needed.
-func (c *artifactCache) entry(key string) *compiledEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e
-	}
-	e := newCompiledEntry()
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	for len(c.order) > c.limit {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-	return e
-}
-
-// drop removes a specific entry from the cache — only if the slot still
-// holds that entry, so an aborted flight never evicts its replacement.
-func (c *artifactCache) drop(key string, e *compiledEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.entries[key]; !ok || cur != e {
-		return
-	}
-	delete(c.entries, key)
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-func (c *artifactCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*compiledEntry)
-	c.order = nil
+// compiled is one compiled-window cache value: the window, or the
+// deterministic failure compiling it produced (an OOM batch size, say).
+// The simulator is deterministic, so such a failure is a property of
+// the workload and stays cached like a window; cancellation is a
+// property of the departed callers, so it stays a flight error, which
+// the memo never stores.
+type compiled struct {
+	win *train.Window
+	err error
 }
 
 // windows is the process-wide compiled-window cache. 512 distinct
 // configurations comfortably covers the full paper sweep grid many times
 // over while bounding a long-lived daemon's footprint.
-var windows = newArtifactCache(512)
+var windows = memo.New[string, compiled](512)
 
-// layerStatCache memoizes LayerProfile's per-layer characterizations.
+// layerStatKey identifies one memoized LayerProfile characterization.
 type layerStatKey struct {
 	model string
 	batch int
 }
 
-var layerStats = struct {
-	mu sync.Mutex
-	m  map[layerStatKey][]dnn.LayerStat
-}{m: make(map[layerStatKey][]dnn.LayerStat)}
+// layerStats memoizes LayerProfile. The batch is client-chosen, so the
+// memo is bounded like every other.
+var layerStats = memo.New[layerStatKey, []dnn.LayerStat](256)
 
 // ResetCaches drops every memoized artifact: compiled windows, layer
 // profiles, and the built model zoo. Only benchmarks and tests that
 // measure or exercise the cold path need it; servers never call it.
 func ResetCaches() {
-	windows.reset()
-	layerStats.mu.Lock()
-	layerStats.m = make(map[layerStatKey][]dnn.LayerStat)
-	layerStats.mu.Unlock()
+	windows.Reset()
+	layerStats.Reset()
 	models.ResetCache()
 }
 
@@ -285,24 +145,28 @@ func artifactKey(w Workload) string {
 
 // compiledWindow returns the (possibly cached) compiled window for a
 // normalized, window-cacheable workload, waiting no longer than the
-// context allows. A caller that arrives after a flight was aborted (its
-// callers all cancelled) retries on a fresh entry — cancellation is a
-// property of requests, never of the workload, so it must not stick to
-// the cache.
+// context allows. The compile runs on its own goroutine, shared by every
+// concurrent caller of the key, and is aborted at its next iteration
+// boundary once all of them have left.
 func compiledWindow(ctx context.Context, w Workload) (*train.Window, error) {
 	key := artifactKey(w)
-	for {
-		e := windows.entry(key)
-		win, err := e.await(ctx, w, key)
-		if err == nil || !errors.Is(err, errCompileAborted) {
-			return win, err
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// The flight this caller joined was abandoned and dropped; loop
-		// to join (or start) a fresh one.
+	if c, ok := windows.Get(key); ok {
+		return c.win, c.err
 	}
+	cw := w // captured below; a copy keeps the hit path allocation-free
+	c, _, err := windows.Do(ctx, key,
+		func(run func()) error { go run(); return nil },
+		func(ctx context.Context) (compiled, error) {
+			win, err := buildWindow(cw, ctx.Err)
+			if errors.Is(err, context.Canceled) {
+				return compiled{}, err
+			}
+			return compiled{win, err}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return c.win, c.err
 }
 
 // trainConfig lowers a normalized workload to the train layer's Config.

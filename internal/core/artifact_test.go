@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/gpu"
 )
 
 // reportJSON marshals a report the way every consumer sees it.
@@ -316,17 +318,19 @@ func TestRunEachStreams(t *testing.T) {
 	}
 }
 
-// TestCacheEviction bounds the FIFO cache: old entries leave, and an
-// evicted configuration recompiles correctly.
-func TestCacheEviction(t *testing.T) {
-	c := newArtifactCache(2)
-	a := c.entry("a")
-	c.entry("b")
-	c.entry("c") // evicts a
-	if got := c.entry("a"); got == a {
-		t.Error("evicted entry was resurrected instead of recreated")
+// TestCompileFailureCompilesOnce: a workload that fails to compile fails
+// identically every time, so repeating it serves the cached failure
+// instead of compiling again.
+func TestCompileFailureCompilesOnce(t *testing.T) {
+	ResetCaches()
+	w := Workload{Model: "resnet", GPUs: 2, Batch: 256}
+	before := CompileCount()
+	for i := 0; i < 3; i++ {
+		if _, err := Run(w); !errors.Is(err, gpu.ErrOutOfMemory) {
+			t.Fatalf("run %d: err = %v, want OOM", i, err)
+		}
 	}
-	if len(c.entries) > 2 {
-		t.Errorf("cache holds %d entries, limit 2", len(c.entries))
+	if got := CompileCount() - before; got != 1 {
+		t.Errorf("3 runs of a failing workload compiled %d times, want 1", got)
 	}
 }

@@ -279,18 +279,14 @@ func Describe(model string) (models.Description, error) {
 // or modify.
 func LayerProfile(model string, batch int) ([]dnn.LayerStat, error) {
 	key := layerStatKey{model: model, batch: batch}
-	layerStats.mu.Lock()
-	cached, ok := layerStats.m[key]
-	layerStats.mu.Unlock()
+	cached, ok := layerStats.Get(key)
 	if !ok {
 		d, err := models.ByName(model)
 		if err != nil {
 			return nil, err
 		}
 		cached = dnn.ProfileLayers(d.Net, batch, gpu.V100(), dnn.PlanOptions{TensorCores: true})
-		layerStats.mu.Lock()
-		layerStats.m[key] = cached
-		layerStats.mu.Unlock()
+		layerStats.Add(key, cached)
 	}
 	return append([]dnn.LayerStat(nil), cached...), nil
 }

@@ -3,8 +3,8 @@ package dnn
 import (
 	"fmt"
 	"strings"
-	"sync"
 
+	"repro/internal/memo"
 	"repro/internal/units"
 )
 
@@ -38,15 +38,13 @@ func (n *Node) InputBytesPerImage() units.Bytes {
 
 // Network is a built, shape-checked DAG in topological order. The node
 // graph is immutable after Finish; lowered kernel plans are memoized per
-// (batch, options) under planMu, so a network shared across goroutines
-// (the model zoo hands out one instance per model) compiles each plan
-// once.
+// (batch, options), so a network shared across goroutines (the model zoo
+// hands out one instance per model) lowers each plan once. The batch is
+// client-chosen, so the memo is bounded.
 type Network struct {
 	Name  string
 	nodes []*Node
-
-	planMu sync.Mutex
-	plans  map[planKey]*compiledPlans
+	plans *memo.Group[planKey, *compiledPlans]
 }
 
 // Builder constructs networks. All add methods panic on structural errors
@@ -101,7 +99,7 @@ func (b *Builder) Finish() *Network {
 	if len(b.nodes) == 0 {
 		panic("dnn: empty network " + b.name)
 	}
-	return &Network{Name: b.name, nodes: b.nodes}
+	return &Network{Name: b.name, nodes: b.nodes, plans: memo.New[planKey, *compiledPlans](128)}
 }
 
 // Nodes returns the nodes in topological (construction) order.

@@ -1,9 +1,11 @@
 package dnn
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gpu"
+	"repro/internal/memo"
 	"repro/internal/units"
 )
 
@@ -103,19 +105,15 @@ func (n *Network) compiled(batch int, opt PlanOptions) *compiledPlans {
 		panic(fmt.Sprintf("dnn: bad batch size %d", batch))
 	}
 	key := planKey{batch: batch, opt: opt}
-	n.planMu.Lock()
-	defer n.planMu.Unlock()
-	if p, ok := n.plans[key]; ok {
+	if p, ok := n.plans.Get(key); ok {
 		return p
 	}
-	p := &compiledPlans{
-		fwd: n.lowerForward(batch, opt),
-		bwd: n.lowerBackward(batch, opt),
-	}
-	if n.plans == nil {
-		n.plans = make(map[planKey]*compiledPlans)
-	}
-	n.plans[key] = p
+	p, _, _ := n.plans.Do(context.Background(), key, memo.Inline, func(context.Context) (*compiledPlans, error) {
+		return &compiledPlans{
+			fwd: n.lowerForward(batch, opt),
+			bwd: n.lowerBackward(batch, opt),
+		}, nil
+	})
 	return p
 }
 

@@ -6,11 +6,12 @@
 package models
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/dnn"
+	"repro/internal/memo"
 )
 
 // ImageNet classification uses 1000 classes; LeNet keeps its classic
@@ -54,19 +55,15 @@ func Names() []string {
 // inference, and derived counts are identical on every build, so each zoo
 // entry is compiled once per process and shared. Descriptions (and the
 // *dnn.Network they carry) are immutable after construction — callers
-// treat them as read-only.
-var (
-	builtMu sync.Mutex
-	built   = map[string]Description{}
-)
+// treat them as read-only. Unknown names are never stored, so the zoo
+// bounds the memo.
+var built = memo.New[string, Description](len(zoo))
 
 // ByName returns the named model, building it on first use and serving
 // the memoized Description afterwards. Valid names are those returned by
 // Names.
 func ByName(name string) (Description, error) {
-	builtMu.Lock()
-	defer builtMu.Unlock()
-	if d, ok := built[name]; ok {
+	if d, ok := built.Get(name); ok {
 		return d, nil
 	}
 	b, ok := zoo[name]
@@ -78,18 +75,14 @@ func ByName(name string) (Description, error) {
 		sort.Strings(known)
 		return Description{}, fmt.Errorf("models: unknown model %q (have %v)", name, known)
 	}
-	d := b()
-	built[name] = d
-	return d, nil
+	d, _, err := built.Do(context.Background(), name, memo.Inline,
+		func(context.Context) (Description, error) { return b(), nil })
+	return d, err
 }
 
 // ResetCache drops the memoized zoo so the next ByName rebuilds from
 // scratch. Only benchmarks and tests measuring the cold path need it.
-func ResetCache() {
-	builtMu.Lock()
-	defer builtMu.Unlock()
-	built = map[string]Description{}
-}
+func ResetCache() { built.Reset() }
 
 // All builds every model in presentation order.
 func All() []Description {

@@ -1,7 +1,7 @@
 // POST /v1/optimize: search a configuration space for the Pareto
 // frontier of an objective against GPU cost. The handler expands the
 // space (internal/optimize), runs every candidate through the same
-// runGrid path as /v1/simulate and /v1/sweep — so candidates hit the
+// per-cell path as /v1/simulate and /v1/sweep — so candidates hit the
 // result cache, coalesce onto in-flight runs, and inherit the overload
 // taxonomy (429 queue-full, 503 deadline-queued) — then judges
 // dominance. The simulator is deterministic and the frontier is
@@ -86,11 +86,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	labels := make([]string, len(cands))
-	for i := range cands {
-		labels[i] = fmt.Sprintf("cand[%d] ", i)
-	}
-	vals, disps, err := s.runGrid(ctx, labels, cands)
+	vals, hits, err := s.runGrid(ctx, len(cands), func(i int) (string, core.Workload) {
+		return fmt.Sprintf("cand[%d] ", i), cands[i]
+	})
 	if err != nil {
 		httpError(w, err)
 		return
@@ -110,12 +108,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, err)
 		return
-	}
-	hits := 0
-	for _, d := range disps {
-		if d == dispHit {
-			hits++
-		}
 	}
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()

@@ -58,8 +58,7 @@
 // value is rejected with 400 so old clients fail loudly when the wire
 // format moves, instead of silently misparsing.
 //
-// Everything is stdlib-only: net/http, encoding/json, container/list,
-// log/slog, sync.
+// Everything is stdlib-only: net/http, encoding/json, log/slog, sync.
 package service
 
 import (
@@ -72,9 +71,11 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -122,8 +123,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	pool    *Pool
-	cache   *Cache
-	flights *flightGroup
+	cache   *memo.Group[string, *cached]
 	metrics *metrics
 	traces  *obs.Store
 	logger  *slog.Logger
@@ -141,8 +141,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		pool:    NewPoolQueue(cfg.Workers, cfg.QueueDepth),
-		cache:   NewCache(cfg.CacheSize),
-		flights: newFlightGroup(),
+		cache:   memo.New[string, *cached](cfg.CacheSize),
 		metrics: newMetrics(),
 		traces:  obs.NewStore(cfg.TraceStore),
 		mux:     http.NewServeMux(),
@@ -158,7 +157,7 @@ func NewServer(cfg Config) *Server {
 		// boot cold rather than not at all); corrupt entries are skipped
 		// and counted inside the store.
 		_ = cfg.Persist.Load(func(key string, body []byte) {
-			s.cache.Put(key, &cached{body: body})
+			s.cache.Add(key, &cached{body: body})
 		})
 	}
 	// The mux is registered from the apiEndpoints table (index.go) — the
@@ -179,6 +178,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Close drains the worker pool. The server must not serve requests
 // afterwards.
 func (s *Server) Close() { s.pool.Close() }
+
+// CacheStats is a snapshot of the result cache's size and hit, miss and
+// eviction counters.
+type CacheStats = memo.Stats
 
 // CacheStats exposes the result-cache counters (also on /metrics).
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
@@ -259,11 +262,11 @@ func disposition(shed bool, cacheHdr string) string {
 	case shed:
 		return "shed"
 	case cacheHdr == "HIT":
-		return dispHit
+		return "hit"
 	case cacheHdr == "COALESCED":
-		return dispCoalesced
+		return "coalesced"
 	case cacheHdr == "MISS":
-		return dispMiss
+		return "miss"
 	}
 	return ""
 }
@@ -384,8 +387,19 @@ func marshalReport(r *core.Report) ([]byte, error) {
 	return json.Marshal(reportBody{SchemaVersion: SchemaVersion, Report: r})
 }
 
+// cached is one result-cache value: the preserialized response envelope
+// (the exact bytes marshalReport produced, schemaVersion included) plus,
+// for traced runs only, the simulator profile whose retained intervals
+// back /v1/trace. Body is immutable by contract — every holder shares
+// the one slice and only ever writes it to a ResponseWriter — which is
+// what makes cache hits byte-identical by construction.
+type cached struct {
+	body    []byte
+	profile *profiler.Profile
+}
+
 // newCached serializes a freshly simulated report into the immutable
-// value the cache, the flight group, and every handler share. This is
+// value the cache, its flights, and every handler share. This is
 // the only place a report is marshaled on the miss path; hits reuse the
 // bytes verbatim. The profile rides along only when the run retained
 // intervals (a traced workload — which fingerprints separately), so
@@ -445,14 +459,6 @@ func writeJSONBytes(w http.ResponseWriter, b []byte) {
 	io.WriteString(w, "\n")
 }
 
-// Cell dispositions: how each grid cell obtained its report. They feed
-// the X-Cache header, the access log, and dgxsimd_coalesced_total.
-const (
-	dispHit       = "hit"       // served from the result cache
-	dispMiss      = "miss"      // this request simulated it
-	dispCoalesced = "coalesced" // joined another request's in-flight run
-)
-
 // admissionError marks a context failure that struck while the request
 // was still waiting for admission (a pool queue slot). httpError maps a
 // deadline spent queueing to 503 + Retry-After — the server was too
@@ -468,178 +474,163 @@ func isAdmission(err error) bool {
 	return errors.As(err, &ae)
 }
 
-// gridCell tracks one cell's coalescing state through runGrid.
-type gridCell struct {
-	i      int
-	key    string
-	flight *flight
+// admitter is one request's admission policy, shared by all its cells.
+// The first cell that actually needs a pool slot decides via TrySubmit: a
+// full queue sheds the whole request (429) instead of parking it, and
+// every later cell of the request then fails the same way at once. Once
+// admitted, later cells queue with SubmitContext under the request's
+// deadline, and a deadline that expires while one waits is an
+// admissionError (503). Cache hits and coalesced cells never submit.
+type admitter struct {
+	pool  *Pool
+	ctx   context.Context
+	first sync.Once
+	shed  error // TrySubmit's verdict, set once by the first cell
 }
 
-// runGrid executes validated workloads through the cache, the
-// per-fingerprint flight group, and the worker pool, returning the
-// preserialized response for each cell and per-cell dispositions aligned
-// with cells. It is the one execution path behind /v1/simulate (one
-// cell), /v1/compare (two), and /v1/sweep (the grid). labels[i] prefixes
-// cell i's span names ("cell[3] " for a sweep cell, "p2p " for a compare
-// arm) so fanned-out work attributes back to the one originating trace.
-//
-// Overload behaviour: cache hits are served unconditionally (no pool
-// slot needed). The first cell that actually needs a simulation is the
-// admission check — TrySubmit, so a full queue sheds the request with
-// ErrQueueFull (429) instead of parking it. Once admitted, remaining
-// cells queue with SubmitContext and a deadline that expires while one
-// waits surfaces as admissionError (503). Cells whose fingerprint is
-// already being simulated — by this request or any other — never submit
-// at all: they coalesce onto the in-flight run and wait on the handler
-// goroutine (never on a pool worker, which could deadlock a full pool).
-func (s *Server) runGrid(ctx context.Context, labels []string, cells []core.Workload) ([]*cached, []string, error) {
+func (a *admitter) admit(task func()) error {
+	// TrySubmit never blocks, and Once holds later cells until it returns:
+	// no later cell submits before the decision is known.
+	tried := false
+	a.first.Do(func() { tried, a.shed = true, a.pool.TrySubmit(task) })
+	if tried || a.shed != nil {
+		return a.shed
+	}
+	err := a.pool.SubmitContext(a.ctx, task)
+	if err != nil && !errors.Is(err, context.Canceled) {
+		err = admissionError{err}
+	}
+	return err
+}
+
+// resolveCell obtains one cell's preserialized response — the one
+// per-cell path behind every endpoint that simulates: a result-cache
+// hit, or a memo flight shared with every concurrent request for the
+// same fingerprint. The workload must be normalized, so spelled-out and
+// omitted defaults share a slot and the cached report echoes one
+// spelling. The caller that starts the flight launches it through its
+// request's admitter, so the simulation runs on a pool worker while
+// every caller waits on its own goroutine — never on a worker, which
+// could deadlock a full pool. The flight runs detached from any one
+// request: it is cancelled only when every request waiting for it has
+// gone.
+func (s *Server) resolveCell(ctx context.Context, label string, wl core.Workload, adm *admitter) (*cached, memo.Outcome, error) {
 	tr := obs.FromContext(ctx)
-	n := len(cells)
-	vals := make([]*cached, n)
-	disps := make([]string, n)
-	norm := make([]core.Workload, n)
-	var leaders, waiters []gridCell
-
-	// Phase 1: cache lookups and flight subscription, cheap and local.
-	// Normalizing before fingerprinting makes spelled-out defaults and
-	// omitted ones share a cache slot (Fingerprint normalizes internally
-	// too; doing it here keeps the cached report's echoed workload
-	// identical for both spellings).
-	for i, w := range cells {
-		norm[i] = w.Normalize()
-		key := norm[i].Fingerprint()
-		endLookup := tr.StartSpan(labels[i] + "cache-lookup")
-		v, ok := s.cache.Get(key)
-		endLookup()
-		if ok {
-			s.attachProfile(tr, labels[i], v.profile)
-			vals[i], disps[i] = v, dispHit
-			continue
-		}
-		f, leader := s.flights.join(key)
-		cell := gridCell{i: i, key: key, flight: f}
-		if leader {
-			leaders = append(leaders, cell)
-			disps[i] = dispMiss
-		} else {
-			waiters = append(waiters, cell)
-			disps[i] = dispCoalesced
-		}
+	key := wl.Fingerprint()
+	endLookup := tr.StartSpan(label + "cache-lookup")
+	val, ok := s.cache.Get(key)
+	endLookup()
+	if ok {
+		s.attachProfile(tr, label, val.profile)
+		return val, memo.Hit, nil
 	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		firstIdx = n
-		shedErr  error
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err == nil {
-			return
-		}
-		// An overload signal (queue full, deadline burnt queueing) is the
-		// request's outcome no matter which cell raised it: the sibling
-		// cells' context errors are fallout of the same shed, and a 429
-		// or 503 tells the client strictly more than a 504 would.
-		if shedErr == nil && (errors.Is(err, ErrQueueFull) || isAdmission(err)) {
-			shedErr = err
-		}
-		if i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-	}
-
-	// Phase 2: leader fan-out on the pool. A submission failure must
-	// still complete the cell's flight — other requests may already be
-	// waiting on it — and abandons the cells not yet submitted.
-	var wg sync.WaitGroup
-	abandon := func(from int, err error) {
-		for _, c := range leaders[from:] {
-			s.flights.complete(c.key, c.flight, nil, err)
-			record(c.i, err)
-		}
-	}
-	if len(leaders) > 0 {
-		if err := ctx.Err(); err != nil {
-			// Dead before any admission attempt: the deadline/cancel is
-			// the request's own, not an overload signal.
-			abandon(0, err)
-			return nil, nil, err
-		}
-		submitted := time.Now()
-		for li, c := range leaders {
-			c := c
-			label := labels[c.i]
-			task := func() {
-				defer wg.Done()
+	waited := time.Now()
+	cellWl := wl // captured below; a copy keeps the hit path allocation-free
+	val, how, err := s.cache.Do(ctx, key,
+		func(run func()) error {
+			submitted := time.Now()
+			return adm.admit(func() {
 				tr.AddSpan(label+"queue-wait", submitted, time.Now())
-				val, err := s.simulateCell(ctx, label, c.key, norm[c.i])
-				s.flights.complete(c.key, c.flight, val, err)
-				vals[c.i] = val
-				record(c.i, err)
-			}
-			wg.Add(1)
-			var err error
-			if li == 0 {
-				// The admission decision for the whole request: a full
-				// queue sheds it now rather than parking it.
-				err = s.pool.TrySubmit(task)
-			} else {
-				err = s.pool.SubmitContext(ctx, task)
-				if err != nil && !errors.Is(err, context.Canceled) {
-					err = admissionError{err}
+				run()
+			})
+		},
+		func(fctx context.Context) (*cached, error) {
+			return s.simulateCell(obs.WithTrace(fctx, tr), label, key, cellWl)
+		})
+	if err != nil {
+		return nil, how, err
+	}
+	// A caller that waited on another caller's flight spans the wait,
+	// even if that flight never launched and this caller relaunched it.
+	switch how {
+	case memo.Coalesced:
+		s.metrics.addCoalesced()
+		s.attachProfile(tr, label, val.profile)
+		fallthrough
+	case memo.Relaunched:
+		tr.AddSpan(label+"coalesce-wait", waited, time.Now())
+	}
+	return val, how, nil
+}
+
+// cellResult is one resolved grid cell.
+type cellResult struct {
+	val *cached
+	how memo.Outcome
+	err error
+}
+
+// overloaded reports an overload signal: a full queue (429) or a
+// deadline burnt waiting for admission (503).
+func overloaded(err error) bool { return errors.Is(err, ErrQueueFull) || isAdmission(err) }
+
+// runGrid resolves a whole grid through resolveCell and collects it: the
+// preserialized response of every cell, aligned with the grid, and how
+// many were cache hits. It backs /v1/compare, /v1/optimize and the
+// buffered /v1/sweep. A collector holds every result anyway, so it needs
+// no reorder window: a fixed set of resolvers, one per worker and queue
+// slot — enough to keep the pool full — claims cells in grid order, and
+// a slow cell ties up only its own resolver, never the cells behind it.
+// All cells share one admitter. An overload signal is the request's
+// outcome no matter which cell raised it: it stops the grid at once,
+// and a 429 or 503 tells the client strictly more than the sibling
+// cells' fallout would. Otherwise the lowest-index failure is the
+// request's error.
+func (s *Server) runGrid(ctx context.Context, n int, cell func(i int) (string, core.Workload)) ([]*cached, int, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	adm := &admitter{pool: s.pool, ctx: ctx}
+	res := make([]cellResult, n)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	st := s.pool.Stats()
+	for k := min(n, st.Workers+st.QueueDepth); k > 0; k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+				label, wl := cell(i)
+				c := &res[i]
+				c.val, c.how, c.err = s.resolveCell(ctx, label, wl.Normalize(), adm)
+				if overloaded(c.err) {
+					cancel()
 				}
 			}
-			if err != nil {
-				wg.Done()
-				abandon(li, err)
-				break
-			}
-		}
+		}()
 	}
 	wg.Wait()
-
-	// Phase 3: waiter resolution, on the handler goroutine — a waiter
-	// must never occupy a pool worker while the leader it waits for sits
-	// in the queue behind it.
-	for _, c := range waiters {
-		val, disp, err := s.awaitFlight(ctx, labels[c.i], c.key, c.flight, norm[c.i])
-		if err != nil {
-			record(c.i, err)
-			continue
+	vals := make([]*cached, n)
+	hits := 0
+	var err error
+	for i, c := range res {
+		switch {
+		case overloaded(c.err):
+			return nil, 0, c.err
+		case c.err != nil && err == nil && n > 1:
+			err = fmt.Errorf("task %d: %w", i, c.err)
+		case c.err != nil && err == nil:
+			err = c.err
+		case c.how == memo.Hit:
+			hits++
 		}
-		vals[c.i] = val
-		disps[c.i] = disp
-		if disp == dispCoalesced {
-			s.metrics.addCoalesced()
-		}
-	}
-
-	mu.Lock()
-	err, idx, shed := firstErr, firstIdx, shedErr
-	mu.Unlock()
-	if shed != nil {
-		return nil, nil, shed
+		vals[i] = c.val
 	}
 	if err != nil {
-		if n > 1 {
-			return nil, nil, fmt.Errorf("task %d: %w", idx, err)
-		}
-		return nil, nil, err
+		return nil, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	return vals, disps, nil
+	return vals, hits, nil
 }
 
-// simulateCell runs one workload on the current (pool-worker) goroutine,
-// serializes it once, and stores the bytes. The recover mirrors
-// Pool.call: a leader's panic must fail its flight — waiters across
-// requests are subscribed — not strand them, and certainly not kill the
-// daemon.
+// simulateCell is a flight's work: it runs one workload on the current
+// (pool-worker) goroutine and serializes it once; the memo stores the
+// bytes. The recover mirrors Pool.call: a panic must fail the flight —
+// callers across requests are waiting on it — not strand them, and
+// certainly not kill the daemon.
 func (s *Server) simulateCell(ctx context.Context, label, key string, w core.Workload) (val *cached, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -647,18 +638,7 @@ func (s *Server) simulateCell(ctx context.Context, label, key string, w core.Wor
 			val, err = nil, fmt.Errorf("panic: %v", r)
 		}
 	}()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	tr := obs.FromContext(ctx)
-	// Double-check the cache (Peek: not a client lookup): between this
-	// cell's lookup and its flight win, an earlier flight for the key may
-	// have completed and stored — serving the stored bytes keeps "N
-	// identical misses, one simulation" true across that window too.
-	if val, ok := s.cache.Peek(key); ok {
-		s.attachProfile(tr, label, val.profile)
-		return val, nil
-	}
 	endSim := tr.StartSpan(label + "simulate")
 	rep, err := core.RunContext(ctx, w)
 	endSim()
@@ -671,7 +651,6 @@ func (s *Server) simulateCell(ctx context.Context, label, key string, w core.Wor
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(key, val)
 	// Write-through to the snapshot store: asynchronous and bounded, so
 	// the miss path never waits on disk. Traced entries stay memory-only
 	// (their profile cannot ride a snapshot).
@@ -680,87 +659,6 @@ func (s *Server) simulateCell(ctx context.Context, label, key string, w core.Wor
 	}
 	s.attachProfile(tr, label, val.profile)
 	return val, nil
-}
-
-// awaitFlight blocks (on the handler goroutine) until the subscribed
-// flight completes, the context ends, or — when the leader failed for
-// reasons of its own (its client hung up, its deadline passed, it was
-// shed) while this request is still live — takes over: re-check the
-// cache, rejoin the flight, and lead the simulation itself if it wins
-// the new flight. The returned disposition records how the response was
-// finally obtained.
-func (s *Server) awaitFlight(ctx context.Context, label, key string, f *flight, w core.Workload) (*cached, string, error) {
-	tr := obs.FromContext(ctx)
-	endWait := tr.StartSpan(label + "coalesce-wait")
-	defer endWait()
-	for {
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
-		}
-		if f.err == nil {
-			s.attachProfile(tr, label, f.val.profile)
-			return f.val, dispCoalesced, nil
-		}
-		if !retryableFlightErr(f.err) || ctx.Err() != nil {
-			return nil, "", f.err
-		}
-		// The leader's failure was about the leader, not the workload.
-		// Another request may have completed it meanwhile; otherwise
-		// race for the next flight.
-		if val, ok := s.cache.Get(key); ok {
-			s.attachProfile(tr, label, val.profile)
-			return val, dispHit, nil
-		}
-		var leader bool
-		f, leader = s.flights.join(key)
-		if leader {
-			val, err := s.leadOne(ctx, label, key, f, w)
-			if err != nil {
-				return nil, "", err
-			}
-			return val, dispMiss, nil
-		}
-	}
-}
-
-// leadOne runs one simulation for a waiter promoted to leader after the
-// original leader failed. It queues with SubmitContext — the request
-// was already willing to wait for this work — and publishes the outcome
-// (including a submission failure) to the flight it now owns.
-func (s *Server) leadOne(ctx context.Context, label, key string, f *flight, w core.Workload) (*cached, error) {
-	tr := obs.FromContext(ctx)
-	var (
-		val  *cached
-		err  error
-		done = make(chan struct{})
-	)
-	submitted := time.Now()
-	serr := s.pool.SubmitContext(ctx, func() {
-		defer close(done)
-		tr.AddSpan(label+"queue-wait", submitted, time.Now())
-		val, err = s.simulateCell(ctx, label, key, w)
-	})
-	if serr != nil {
-		if !errors.Is(serr, context.Canceled) {
-			serr = admissionError{serr}
-		}
-		s.flights.complete(key, f, nil, serr)
-		return nil, serr
-	}
-	<-done
-	s.flights.complete(key, f, val, err)
-	return val, err
-}
-
-// retryableFlightErr reports whether a leader's failure reflects the
-// leader's circumstances (cancelled, timed out, shed) rather than the
-// workload itself — the one case a still-live waiter should retry.
-func retryableFlightErr(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrQueueFull)
 }
 
 // attachProfile hangs a retained simulator timeline on the request trace
@@ -792,7 +690,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	vals, disps, err := s.runGrid(ctx, []string{""}, []core.Workload{wl})
+	val, how, err := s.resolveCell(ctx, "", wl.Normalize(), &admitter{pool: s.pool, ctx: ctx})
 	if err != nil {
 		httpError(w, err)
 		return
@@ -802,17 +700,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// — zero marshaling, byte-identical by construction.
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
-	w.Header().Set("X-Cache", cacheHeader(disps[0]))
+	w.Header().Set("X-Cache", cacheHeader(how))
 	w.Header().Set("X-Sim-Duration", tr.Dur("simulate").String())
-	writeJSONBytes(w, vals[0].body)
+	writeJSONBytes(w, val.body)
 }
 
-// cacheHeader renders a cell disposition as the X-Cache header value.
-func cacheHeader(disp string) string {
-	switch disp {
-	case dispHit:
+// cacheHeader renders a cell's memo outcome as the X-Cache header value.
+func cacheHeader(how memo.Outcome) string {
+	switch how {
+	case memo.Hit:
 		return "HIT"
-	case dispCoalesced:
+	case memo.Coalesced:
 		return "COALESCED"
 	default:
 		return "MISS"
@@ -838,19 +736,19 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	methods := []core.Method{core.P2P, core.NCCL}
 	cells := make([]core.Workload, len(methods))
-	labels := make([]string, len(methods))
 	for i, m := range methods {
-		wm := wl
-		wm.Method = m
-		if err := wm.Validate(); err != nil {
+		cells[i] = wl
+		cells[i].Method = m
+		if err := cells[i].Validate(); err != nil {
 			httpError(w, badRequestError{err})
 			return
 		}
-		cells[i], labels[i] = wm, string(m)+" "
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	vals, _, err := s.runGrid(ctx, labels, cells)
+	vals, _, err := s.runGrid(ctx, len(cells), func(i int) (string, core.Workload) {
+		return string(methods[i]) + " ", cells[i]
+	})
 	if err != nil {
 		httpError(w, err)
 		return
@@ -968,9 +866,20 @@ func (sr SweepRequest) Size() int {
 	return len(ms) * len(hws) * len(gs) * len(bs) * len(mets) * len(protos) * len(imgs)
 }
 
+// cell is grid cell i as the sweep resolves it: its span label, carrying
+// the grid index so the fan-out attributes back to the one request's
+// trace cell by cell, and its workload, traced if the request opted in.
+func (sr SweepRequest) cell(i int) (string, core.Workload) {
+	wl := sr.Cell(i)
+	if sr.Trace {
+		wl = withTracing(wl)
+	}
+	return fmt.Sprintf("cell[%d] ", i), wl
+}
+
 // Cell materializes grid cell i (0 <= i < Size()) without materializing
-// the rest of the grid — the streaming path walks cells one at a time so
-// a 10k-cell sweep never holds 10k workloads. Index arithmetic unwinds
+// the rest of the grid — both sweep modes walk cells one at a time, so a
+// 10k-cell sweep never holds 10k workloads. Index arithmetic unwinds
 // the nesting from the innermost axis (images) outward.
 func (sr SweepRequest) Cell(i int) core.Workload {
 	ms, hws, gs, bs, mets, protos, imgs := sr.axes()
@@ -989,17 +898,6 @@ func (sr SweepRequest) Cell(i int) core.Workload {
 	i /= len(hws)
 	w.Model = ms[i%len(ms)]
 	return w
-}
-
-// Expand materializes the whole grid as concrete workloads (the
-// buffered path; streaming uses Cell directly).
-func (sr SweepRequest) Expand() []core.Workload {
-	n := sr.Size()
-	out := make([]core.Workload, n)
-	for i := range out {
-		out[i] = sr.Cell(i)
-	}
-	return out
 }
 
 // SweepResponse carries the grid results in grid order. Results are the
@@ -1081,39 +979,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	endValidate()
-	if wantsNDJSON(r) {
-		s.streamSweep(w, r, req, size)
-		return
-	}
-	grid := req.Expand()
-	if req.Trace {
-		for i := range grid {
-			grid[i] = withTracing(grid[i])
-		}
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	// Per-cell spans carry the grid index, so the sweep's fan-out
-	// attributes back to this one request's trace cell by cell.
-	labels := make([]string, len(grid))
-	for i := range grid {
-		labels[i] = fmt.Sprintf("cell[%d] ", i)
-	}
-	vals, disps, err := s.runGrid(ctx, labels, grid)
-	if err != nil {
-		httpError(w, err)
+	if wantsNDJSON(r) {
+		s.streamSweep(ctx, w, req, size)
 		return
 	}
-	// Hits are counted from this request's own cell dispositions. (An
+	// Hits are counted from this request's own cell outcomes. (An
 	// earlier version diffed the global cache-hit counter around the
 	// fan-out, which attributed every concurrent request's hits — and
 	// this request's own duplicate-cell coalescing — to whoever read the
 	// counter last.)
-	hits := 0
-	for _, d := range disps {
-		if d == dispHit {
-			hits++
-		}
+	vals, hits, err := s.runGrid(ctx, size, req.cell)
+	if err != nil {
+		httpError(w, err)
+		return
 	}
 	// Each cell's record is its cached bytes verbatim — no per-cell
 	// re-marshal; a fully warm sweep serializes nothing per cell.

@@ -46,6 +46,15 @@ func post(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, data
 }
 
+// expand materializes a sweep's whole grid, cell by cell.
+func expand(sr SweepRequest) []core.Workload {
+	grid := make([]core.Workload, sr.Size())
+	for i := range grid {
+		grid[i] = sr.Cell(i)
+	}
+	return grid
+}
+
 // sweep16 is the acceptance grid: 16 configurations of the fastest
 // model (1x2x4x8 GPUs x batches 16/32 x both methods), small epochs so
 // the test stays quick.
@@ -62,7 +71,7 @@ var sweep16 = SweepRequest{
 // the same reports as 16 sequential /v1/simulate calls, and a second
 // identical sweep must be served entirely from cache.
 func TestSweepMatchesSequentialSimulate(t *testing.T) {
-	grid := sweep16.Expand()
+	grid := expand(sweep16)
 	if len(grid) != 16 {
 		t.Fatalf("grid has %d configs, want 16", len(grid))
 	}
@@ -412,7 +421,7 @@ func TestSweepExpandGridOrder(t *testing.T) {
 		GPUs:    []int{1, 2},
 		Methods: []core.Method{"p2p"},
 	}
-	grid := req.Expand()
+	grid := expand(req)
 	want := []string{"a/1", "a/2", "b/1", "b/2"}
 	if len(grid) != len(want) {
 		t.Fatalf("grid len %d, want %d", len(grid), len(want))

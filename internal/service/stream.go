@@ -19,17 +19,15 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/obs"
 )
 
@@ -95,15 +93,6 @@ func streamWindowSize(workers int) int {
 	return w
 }
 
-// streamedCell is one resolved cell ready for emission: its record bytes
-// (the immutable cached response — never written through) and cache
-// disposition, or the error that ended it.
-type streamedCell struct {
-	bytes []byte
-	disp  string
-	err   error
-}
-
 // SweepSummaryBody is the payload of the stream's trailing summary
 // record: how many cells were emitted, how many came from the result
 // cache, and the stream's wall time. It replaces the buffered response's
@@ -123,197 +112,89 @@ type SweepSummary struct {
 	Summary       SweepSummaryBody `json:"summary"`
 }
 
-// streamAdmitter serializes the request's admission decision: the first
-// cell that actually needs a pool slot decides via TrySubmit (a full
-// queue sheds the whole request), every later submission queues with
-// SubmitContext under the request's deadline — the same policy the
-// buffered path applies in runGrid.
-type streamAdmitter struct {
-	pool *Pool
-	ctx  context.Context
-
-	mu       sync.Mutex
-	admitted bool
-}
-
-func (a *streamAdmitter) admit(task func()) error {
-	a.mu.Lock()
-	first := !a.admitted
-	a.admitted = true
-	a.mu.Unlock()
-	if first {
-		return a.pool.TrySubmit(task)
-	}
-	err := a.pool.SubmitContext(a.ctx, task)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		err = admissionError{err}
-	}
-	return err
-}
-
-// resolveCell obtains one normalized cell's preserialized response
-// through the result cache, the per-fingerprint flight group, and the
-// worker pool — the per-cell core of runGrid, reshaped for callers that
-// handle one cell at a time. It runs on a dedicated (non-pool)
-// goroutine, so waiter cells may park on in-flight leaders without
-// risking pool deadlock, exactly like runGrid's handler-goroutine
-// phase 3.
-func (s *Server) resolveCell(ctx context.Context, label string, wl core.Workload, admit func(func()) error) (*cached, string, error) {
-	tr := obs.FromContext(ctx)
-	key := wl.Fingerprint()
-	endLookup := tr.StartSpan(label + "cache-lookup")
-	val, ok := s.cache.Get(key)
-	endLookup()
-	if ok {
-		s.attachProfile(tr, label, val.profile)
-		return val, dispHit, nil
-	}
-	f, leader := s.flights.join(key)
-	if !leader {
-		val, disp, err := s.awaitFlight(ctx, label, key, f, wl)
-		if err != nil {
-			return nil, "", err
-		}
-		if disp == dispCoalesced {
-			s.metrics.addCoalesced()
-		}
-		return val, disp, nil
-	}
-	var (
-		lval *cached
-		lerr error
-		done = make(chan struct{})
-	)
-	submitted := time.Now()
-	err := admit(func() {
-		defer close(done)
-		tr.AddSpan(label+"queue-wait", submitted, time.Now())
-		lval, lerr = s.simulateCell(ctx, label, key, wl)
-		s.flights.complete(key, f, lval, lerr)
-	})
-	if err != nil {
-		// The submission never happened; the flight must still complete —
-		// other requests may be subscribed to it.
-		s.flights.complete(key, f, nil, err)
-		return nil, "", err
-	}
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// The enqueued task still runs and completes the flight; it will
-		// observe the cancelled context immediately.
-		return nil, "", ctx.Err()
-	}
-	if lerr != nil {
-		return nil, "", lerr
-	}
-	return lval, dispMiss, nil
-}
-
 // streamSweep executes the validated sweep in streaming mode. The
 // dispatcher walks the grid in order, claiming a reorder-window slot per
-// cell and resolving it on its own goroutine; the handler goroutine
-// drains slots in grid order, flushing each record as its cell
-// completes. A failure before the first record surfaces as a normal HTTP
-// error status (the overload taxonomy included); after that, the status
-// is committed, so the stream ends with an in-band error record instead.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, size int) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
+// cell and resolving it through resolveCell on its own goroutine (all
+// cells share one admitter); the handler goroutine drains slots in grid
+// order, flushing each record as its cell completes. A failure before
+// the first record surfaces as a normal HTTP error status (the overload
+// taxonomy included); after that, the status is committed, so the stream
+// ends with an in-band error record instead.
+func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req SweepRequest, size int) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // stops the dispatcher and the in-flight cells
 	tr := obs.FromContext(ctx)
+	adm := &admitter{pool: s.pool, ctx: ctx}
 	// Spans past the cap record into a nil trace (every obs method is
 	// nil-safe): the per-request trace must not grow O(grid).
-	uncapped := obs.WithTrace(ctx, nil)
-
-	admitter := &streamAdmitter{pool: s.pool, ctx: ctx}
-	order := make(chan chan streamedCell, streamWindowSize(s.pool.Stats().Workers))
-
+	untraced := obs.WithTrace(ctx, nil)
+	order := make(chan chan cellResult, streamWindowSize(s.pool.Stats().Workers))
 	go func() {
 		defer close(order)
 		for i := 0; i < size; i++ {
-			slot := make(chan streamedCell, 1)
+			slot := make(chan cellResult, 1)
 			select {
 			case order <- slot:
 			case <-ctx.Done():
-				// The emitter stopped (client gone, deadline); undispatched
-				// cells are simply never started.
+				// The emitter stopped (client gone, deadline, failure);
+				// undispatched cells are simply never started.
 				return
 			}
-			wl := req.Cell(i)
-			if req.Trace {
-				wl = withTracing(wl)
+			cctx := ctx
+			if i >= streamSpanCells {
+				cctx = untraced
 			}
-			cctx, label := uncapped, ""
-			if i < streamSpanCells {
-				cctx, label = ctx, fmt.Sprintf("cell[%d] ", i)
-			}
-			go func(slot chan streamedCell, cctx context.Context, label string, wl core.Workload) {
-				val, disp, err := s.resolveCell(cctx, label, wl.Normalize(), admitter.admit)
-				if err != nil {
-					slot <- streamedCell{err: err}
-					return
-				}
-				slot <- streamedCell{bytes: val.body, disp: disp}
-			}(slot, cctx, label, wl)
+			go func(i int) {
+				label, wl := req.cell(i)
+				val, how, err := s.resolveCell(cctx, label, wl.Normalize(), adm)
+				slot <- cellResult{val, how, err}
+			}(i)
 		}
 	}()
 
+	// An error before the first record replaces this with its own.
+	w.Header().Set("Content-Type", contentNDJSON)
 	var (
 		start      = time.Now()
 		flusher, _ = w.(http.Flusher)
-		wrote      bool
 		count      int
 		hits       int
+		failed     error
 	)
-	fail := func(err error) {
-		cancel() // stop the dispatcher and the in-flight cells
-		if !wrote {
-			// Nothing committed yet: a full HTTP error (429/503 sheds keep
-			// their Retry-After) serves the client better than a 200 stream
-			// holding only an error record.
-			httpError(w, err)
-			return
-		}
-		status, d := classify(err)
-		_ = status // in-band: the 200 is already on the wire
-		writeNDJSON(w, flusher, ErrorEnvelope{Error: d})
-	}
 	for slot := range order {
-		var c streamedCell
-		select {
-		case c = <-slot:
-		case <-ctx.Done():
-			c = streamedCell{err: ctx.Err()}
-		}
+		c := <-slot
 		if c.err != nil {
-			fail(c.err)
-			s.metrics.addStream(count)
-			return
+			failed = c.err
+			break
 		}
-		if !wrote {
-			w.Header().Set("Content-Type", contentNDJSON)
-			wrote = true
-		}
-		// Two Writes, not append(c.bytes, '\n'): the record is the shared
-		// cached response, and appending would write into its backing
-		// array — racing other requests serving the same entry.
-		w.Write(c.bytes)
+		// Two Writes, not append(c.val.body, '\n'): the record is the
+		// shared cached response, and appending would write into its
+		// backing array — racing other requests serving the same entry.
+		w.Write(c.val.body)
 		io.WriteString(w, "\n")
 		if flusher != nil {
 			flusher.Flush()
 		}
 		count++
-		if c.disp == dispHit {
+		if c.how == memo.Hit {
 			hits++
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		fail(err)
-		s.metrics.addStream(count)
-		return
+	if failed == nil {
+		failed = ctx.Err()
 	}
-	if !wrote {
-		w.Header().Set("Content-Type", contentNDJSON)
+	defer s.metrics.addStream(count)
+	if failed != nil {
+		if count == 0 {
+			// Nothing committed yet: a full HTTP error (429/503 sheds keep
+			// their Retry-After) serves the client better than a 200 stream
+			// holding only an error record.
+			httpError(w, failed)
+			return
+		}
+		_, d := classify(failed) // in-band: the 200 is already on the wire
+		writeNDJSON(w, flusher, ErrorEnvelope{Error: d})
+		return
 	}
 	endEncode := tr.StartSpan("encode")
 	writeNDJSON(w, flusher, SweepSummary{
@@ -325,7 +206,6 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 		},
 	})
 	endEncode()
-	s.metrics.addStream(count)
 }
 
 // writeNDJSON emits one NDJSON record and flushes it. A record that

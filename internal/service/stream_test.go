@@ -214,7 +214,7 @@ func TestSweepImagesAxis(t *testing.T) {
 	if req.Size() != 4 {
 		t.Fatalf("Size = %d, want 4", req.Size())
 	}
-	grid := req.Expand()
+	grid := expand(req)
 	want := []struct {
 		gpus   int
 		images int64
@@ -223,9 +223,6 @@ func TestSweepImagesAxis(t *testing.T) {
 		if grid[i].GPUs != w.gpus || grid[i].Images != w.images {
 			t.Fatalf("cell %d = gpus %d images %d, want %d/%d",
 				i, grid[i].GPUs, grid[i].Images, w.gpus, w.images)
-		}
-		if !bytes.Equal(mustJSON(t, grid[i]), mustJSON(t, req.Cell(i))) {
-			t.Fatalf("Expand and Cell disagree at %d", i)
 		}
 	}
 }
@@ -319,15 +316,6 @@ func TestStreamClientDisconnect(t *testing.T) {
 	if got := svc.CacheStats().Size; got >= size/2 {
 		t.Fatalf("cache holds %d reports, want far fewer than %d (remaining cells should never run)", got, size)
 	}
-}
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // TestWriteNDJSONMarshalFailure: a record that cannot marshal must not

@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cuda"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/gpu"
 	"repro/internal/memmodel"
+	"repro/internal/memo"
 	"repro/internal/profiler"
 	"repro/internal/topology"
 )
@@ -185,21 +185,22 @@ type scheduleKey struct {
 // re-plans the same (images, shape, batch, gpus) tuple on every request
 // of a cache-hit-dominated workload; the plan is a pure function of the
 // key, so memoizing it is exact. Values are data.Schedule by value —
-// nothing shared, nothing to invalidate.
-var scheduleMemo sync.Map // scheduleKey -> data.Schedule
+// nothing shared, nothing to invalidate. Images comes from the client, so
+// the memo is bounded.
+var scheduleMemo = memo.New[scheduleKey, data.Schedule](1024)
 
-// memoSchedule returns the epoch plan for the tuple, planning it at most
-// once per process.
+// memoSchedule returns the epoch plan for the tuple, planning it on a
+// memo miss.
 func memoSchedule(images int64, shape dnn.Shape, batch, gpus int) (data.Schedule, error) {
 	key := scheduleKey{images: images, shape: shape, batch: batch, gpus: gpus}
-	if v, ok := scheduleMemo.Load(key); ok {
-		return v.(data.Schedule), nil
+	if sched, ok := scheduleMemo.Get(key); ok {
+		return sched, nil
 	}
 	sched, err := data.NewSchedule(data.ImageNetSubset(images), shape, batch, gpus)
 	if err != nil {
 		return data.Schedule{}, err
 	}
-	scheduleMemo.Store(key, sched)
+	scheduleMemo.Add(key, sched)
 	return sched, nil
 }
 

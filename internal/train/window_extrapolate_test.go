@@ -112,3 +112,26 @@ func TestMemoSchedule(t *testing.T) {
 		t.Error("empty dataset should fail to plan")
 	}
 }
+
+// TestScheduleMemoBounded: Images arrives from clients, and every
+// distinct value is its own epoch plan, so the memo must stay within
+// its capacity however many distinct values one window extrapolates to.
+func TestScheduleMemoBounded(t *testing.T) {
+	tr, err := New(quickCfg(t, "lenet", 1, 16, kvstore.MethodNCCL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := tr.SimulateWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	max := scheduleMemo.Stats().Max
+	for i := 0; i < 10_000; i++ {
+		if _, err := win.Extrapolate(4096 + int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if n := scheduleMemo.Stats().Size; n > max {
+			t.Fatalf("after %d distinct epochs the schedule memo holds %d plans, cap %d", i+1, n, max)
+		}
+	}
+}
