@@ -88,14 +88,6 @@ func ResetCaches() {
 	models.ResetCache()
 }
 
-// windowCacheable reports whether the workload's schedule compiles to a
-// train.Window. Asynchronous, model-parallel, and hybrid schedules have
-// different extrapolation structures and always simulate in full (they
-// still share the memoized model zoo and kernel plans).
-func (w Workload) windowCacheable() bool {
-	return !w.Async && !w.ModelParallel && !w.HybridOWT
-}
-
 // epochImages resolves the epoch's dataset size for a normalized workload.
 func epochImages(w Workload) int64 {
 	images := w.Images
@@ -103,20 +95,6 @@ func epochImages(w Workload) int64 {
 		images *= int64(w.GPUs)
 	}
 	return images
-}
-
-// windowIters is the number of iterations the workload's window simulates
-// exactly: SimIters capped by the epoch's iteration count (core always
-// runs the default). It is the only epoch-size dependence the window
-// retains, so it joins the artifact key.
-func windowIters(w Workload) int64 {
-	images := epochImages(w)
-	per := int64(w.Batch) * int64(w.GPUs)
-	iters := (images + per - 1) / per
-	if n := int64(train.DefaultSimIters); iters > n {
-		return n
-	}
-	return iters
 }
 
 // CompileFingerprint is the compile-phase half of the artifact key: the
@@ -135,19 +113,32 @@ func (w Workload) CompileFingerprint() string {
 }
 
 // artifactKey identifies the compiled window a normalized workload maps
-// to: the compile-phase fingerprint plus the effective simulated-
-// iteration count (the one epoch-size dependence the window retains —
-// see windowIters). Two workloads with the same key share one simulated
-// window and differ only in finalization arithmetic.
+// to: the compile-phase fingerprint plus the number of iterations the
+// window simulates exactly (the one epoch-size dependence the window
+// retains — see train.Iterations; core always runs the default
+// SimIters). Two workloads with the same key share one simulated window
+// and differ only in finalization arithmetic.
 func artifactKey(w Workload) string {
-	return fmt.Sprintf("%s/n%d", w.CompileFingerprint(), windowIters(w))
+	_, n := train.Iterations(w.parallelism(), epochImages(w), w.Batch, w.GPUs, train.DefaultSimIters)
+	return fmt.Sprintf("%s/n%d", w.CompileFingerprint(), n)
+}
+
+// parallelism is the train-layer strategy the workload selects.
+func (w Workload) parallelism() train.Parallelism {
+	switch {
+	case w.ModelParallel:
+		return train.ModelParallel
+	case w.HybridOWT:
+		return train.HybridOWT
+	}
+	return train.DataParallel
 }
 
 // compiledWindow returns the (possibly cached) compiled window for a
-// normalized, window-cacheable workload, waiting no longer than the
-// context allows. The compile runs on its own goroutine, shared by every
-// concurrent caller of the key, and is aborted at its next iteration
-// boundary once all of them have left.
+// normalized workload, waiting no longer than the context allows. The
+// compile runs on its own goroutine, shared by every concurrent caller of
+// the key, and is aborted at its next iteration boundary once all of
+// them have left.
 func compiledWindow(ctx context.Context, w Workload) (*train.Window, error) {
 	key := artifactKey(w)
 	if c, ok := windows.Get(key); ok {
@@ -178,13 +169,8 @@ func trainConfig(w Workload) (train.Config, error) {
 	cfg.Images = epochImages(w)
 	cfg.TensorCores = !w.DisableTensorCores
 	cfg.Async = w.Async
-	if w.ModelParallel {
-		cfg.Parallelism = train.ModelParallel
-		cfg.MicroBatches = w.MicroBatches
-	}
-	if w.HybridOWT {
-		cfg.Parallelism = train.HybridOWT
-	}
+	cfg.Parallelism = w.parallelism()
+	cfg.MicroBatches = w.MicroBatches
 	cfg.NCCLTree = w.NCCLTree
 	if w.BucketKB > 0 {
 		cfg.BucketBytes = units.Bytes(w.BucketKB) * units.KB
@@ -231,42 +217,22 @@ func simulate(w Workload) (*train.Result, error) {
 	return simulateCtx(context.Background(), w)
 }
 
-// simulateCtx dispatches a normalized workload: window-cacheable
-// schedules extrapolate a (possibly shared) compiled window; the rest
-// run in full on the caller's goroutine. Cancellation is honoured at
-// every stage boundary — before compiling, while waiting on a shared
-// compile flight, between simulated iterations (via the trainer's
-// probe), and before extrapolating — so an abandoned request stops
-// consuming CPU promptly instead of simulating its whole epoch first.
+// simulateCtx extrapolates a normalized workload from its (possibly
+// shared) compiled window. Cancellation is honoured at every stage
+// boundary — before compiling, while waiting on a shared compile flight,
+// between simulated iterations (via the trainer's probe), and before
+// extrapolating — so an abandoned request stops consuming CPU promptly
+// instead of simulating its whole epoch first.
 func simulateCtx(ctx context.Context, w Workload) (*train.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if w.windowCacheable() {
-		win, err := compiledWindow(ctx, w)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := win.Extrapolate(epochImages(w))
-		if err == nil {
-			return res, nil
-		}
-		// The key construction makes a window/epoch mismatch unreachable,
-		// but if it ever happens a full simulation is always correct.
-	}
-	cfg, err := trainConfig(w)
+	win, err := compiledWindow(ctx, w)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := train.New(cfg)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if ctx.Done() != nil {
-		tr.SetCheck(ctx.Err)
-	}
-	return tr.Run()
+	return win.Extrapolate(epochImages(w))
 }

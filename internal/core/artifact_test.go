@@ -43,6 +43,42 @@ func TestColdWarmByteIdentical(t *testing.T) {
 			}
 		})
 	}
+
+	// Model parallelism consumes one mini-batch per iteration, not one
+	// per GPU: on 8 GPUs at batch 16 these epochs simulate 1, 2, 4 and 4
+	// window iterations. Each warm run follows the others' compiles, so
+	// a key that counted iterations the data-parallel way would hand it
+	// a window simulated for another epoch size.
+	t.Run("model-parallel-images", func(t *testing.T) {
+		sizes := []int64{16, 32, 64, 128}
+		mp := func(images int64) Workload {
+			return Workload{Model: "alexnet", GPUs: 8, Batch: 16, ModelParallel: true, Images: images}
+		}
+		cold := make([][]byte, len(sizes))
+		for i, images := range sizes {
+			ResetCaches()
+			r, err := Run(mp(images))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold[i] = reportJSON(t, r)
+		}
+		ResetCaches()
+		for _, images := range sizes {
+			if _, err := Run(mp(images)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, images := range sizes {
+			warm, err := Run(mp(images))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wj := reportJSON(t, warm); string(wj) != string(cold[i]) {
+				t.Errorf("images=%d: warm report differs from cold:\ncold: %s\nwarm: %s", images, cold[i], wj)
+			}
+		}
+	})
 }
 
 // TestWindowSharedAcrossImages pins the subtler half of the guarantee:
@@ -219,20 +255,30 @@ func TestRunManyErrors(t *testing.T) {
 // ride on it.
 func TestCompileCountEqualsDistinctPlans(t *testing.T) {
 	var grid []Workload
-	// 2 distinct compile plans (lenet, alexnet) x 8 Images variations:
-	// 16 cells, every epoch large enough to simulate the full default
-	// window, so all Images variants share their model's window.
-	for _, model := range []string{"lenet", "alexnet"} {
+	// 5 distinct compile plans (lenet, alexnet, and alexnet under each
+	// non-sync schedule) x 8 Images variations: 40 cells, every epoch
+	// large enough to simulate the full default window, so all Images
+	// variants share their plan's window.
+	plans := []Workload{
+		{Model: "lenet", GPUs: 2, Batch: 16},
+		{Model: "alexnet", GPUs: 2, Batch: 16},
+		{Model: "alexnet", GPUs: 2, Batch: 16, Method: P2P, Async: true},
+		{Model: "alexnet", GPUs: 2, Batch: 16, ModelParallel: true},
+		{Model: "alexnet", GPUs: 2, Batch: 16, Method: NCCL, HybridOWT: true},
+	}
+	for _, plan := range plans {
 		for i := 0; i < 8; i++ {
-			grid = append(grid, Workload{Model: model, GPUs: 2, Batch: 16, Images: int64(8192 * (i + 1))})
+			w := plan
+			w.Images = int64(8192 * (i + 1))
+			grid = append(grid, w)
 		}
 	}
 	distinct := make(map[string]bool)
 	for _, w := range grid {
 		distinct[w.Normalize().CompileFingerprint()] = true
 	}
-	if len(distinct) != 2 {
-		t.Fatalf("grid has %d distinct compile fingerprints, want 2", len(distinct))
+	if len(distinct) != len(plans) {
+		t.Fatalf("grid has %d distinct compile fingerprints, want %d", len(distinct), len(plans))
 	}
 
 	ResetCaches()

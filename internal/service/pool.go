@@ -79,11 +79,7 @@ func NewPoolQueue(workers, queueDepth int) *Pool {
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for fn := range p.tasks {
-		p.queued.Add(-1)
-		p.active.Add(1)
-		p.run(fn)
-		p.active.Add(-1)
-		p.completed.Add(1)
+		fn()
 	}
 }
 
@@ -101,14 +97,23 @@ func (p *Pool) run(fn func()) {
 	fn()
 }
 
-// wrap stamps a task with queue-wait accounting. Queue wait is measured
-// from the submit attempt, so time spent blocked on backpressure counts
-// as waiting too.
-func (p *Pool) wrap(fn func()) func() {
+// wrap stamps a task with queue-wait and occupancy accounting. Queue
+// wait is measured from the submit attempt, so time spent blocked on
+// backpressure counts as waiting too. done, when set, runs after the
+// task is counted complete: a caller that waits on it (Map) then finds
+// Stats already agreeing.
+func (p *Pool) wrap(fn, done func()) func() {
 	enqueued := time.Now()
 	return func() {
 		p.queueWaitNs.Add(time.Since(enqueued).Nanoseconds())
-		fn()
+		p.queued.Add(-1)
+		p.active.Add(1)
+		p.run(fn)
+		p.active.Add(-1)
+		p.completed.Add(1)
+		if done != nil {
+			done()
+		}
 	}
 }
 
@@ -120,7 +125,7 @@ func (p *Pool) wrap(fn func()) func() {
 // enqueue and run to completion.
 func (p *Pool) Submit(fn func()) {
 	p.queued.Add(1)
-	p.tasks <- p.wrap(fn)
+	p.tasks <- p.wrap(fn, nil)
 }
 
 // SubmitContext enqueues a task, waiting on backpressure only as long as
@@ -128,12 +133,17 @@ func (p *Pool) Submit(fn func()) {
 // up (deadline passed, client disconnected) before a queue slot opens —
 // in which case fn will never run.
 func (p *Pool) SubmitContext(ctx context.Context, fn func()) error {
+	return p.submitContext(ctx, fn, nil)
+}
+
+// submitContext is SubmitContext with a completion hook (see wrap).
+func (p *Pool) submitContext(ctx context.Context, fn, done func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	p.queued.Add(1)
 	select {
-	case p.tasks <- p.wrap(fn):
+	case p.tasks <- p.wrap(fn, done):
 		return nil
 	case <-ctx.Done():
 		p.queued.Add(-1)
@@ -149,7 +159,7 @@ func (p *Pool) SubmitContext(ctx context.Context, fn func()) error {
 func (p *Pool) TrySubmit(fn func()) error {
 	p.queued.Add(1)
 	select {
-	case p.tasks <- p.wrap(fn):
+	case p.tasks <- p.wrap(fn, nil):
 		return nil
 	default:
 		p.queued.Add(-1)
@@ -223,15 +233,16 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i in
 			wg.Done()
 			continue
 		}
-		err := p.SubmitContext(ctx, func() {
-			defer wg.Done()
+		// wg.Done is the task's completion hook, so it runs after the
+		// pool has counted the task complete.
+		err := p.submitContext(ctx, func() {
 			if ctx.Err() != nil {
 				return
 			}
 			if err := p.call(ctx, i, fn); err != nil {
 				record(i, err)
 			}
-		})
+		}, wg.Done)
 		if err != nil {
 			// The context ended while this submission waited for a queue
 			// slot; the remaining indices are skipped by the check above.

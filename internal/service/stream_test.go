@@ -246,6 +246,8 @@ func TestStreamCompileEconomy(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{Timeout: 120 * time.Second})
 
+	// A repeated run (-count>1) would otherwise find the window cached.
+	core.ResetCaches()
 	before := core.CompileCount()
 	resp := streamSweepRequest(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {

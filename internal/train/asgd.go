@@ -1,16 +1,14 @@
 package train
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/kvstore"
 	"repro/internal/profiler"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
-// runAsync simulates the asynchronous-SGD variant the paper discusses in
+// beginAsync builds the asynchronous-SGD schedule the paper discusses in
 // §II-B: no inter-GPU barrier — each GPU pushes its gradients to the
 // parameter-server GPU, the server updates immediately, and the worker
 // pulls the fresh weights and continues with its next mini-batch. Workers
@@ -18,80 +16,38 @@ import (
 // problem); the simulation reports timing, with staleness visible as the
 // spread between workers' iteration clocks.
 //
-// ASGD exchanges are point-to-point by construction, so it requires the
-// P2P method.
-func (t *Trainer) runAsync() (*Result, error) {
-	if t.cfg.Method != kvstore.MethodP2P {
-		return nil, fmt.Errorf("train: async SGD requires the p2p method, got %q", t.cfg.Method)
+// Setup broadcasts the model (mini-batches are not staged), and each
+// worker's clock starts when its copy lands. One iteration advances every
+// worker by one mini-batch from its own clock, ignoring start. With no
+// barrier there is no FP/BP/WU split: the landmarks all sit at the latest
+// worker clock, and the steady iteration is the slowest worker's mean.
+func (t *Trainer) beginAsync() (time.Duration, iteration, error) {
+	setupEnd, clock, err := t.broadcast(false)
+	if err != nil {
+		return 0, nil, err
 	}
 	root := t.backend.Root()
-	modelBytes := t.cfg.Model.Net.ModelBytes()
-
-	now := t.sessionStartup() + t.backend.SetupCost()
-	setupEnd := now
-	clock := make([]time.Duration, len(t.devs))
-	for i, d := range t.devs {
-		_, end, err := t.rt.MemcpyHostToDevice(d, modelBytes, profiler.StageOther, now)
-		if err != nil {
-			return nil, err
-		}
-		clock[i] = end
-		if end > setupEnd {
-			setupEnd = end
-		}
-	}
-
-	nsim := t.cfg.SimIters
-	if int64(nsim) > t.schedule.Iterations {
-		nsim = int(t.schedule.Iterations)
-	}
-	var firstIterEnd, lastSimEnd time.Duration
-	for i := 0; i < nsim; i++ {
-		if err := t.cancelled(); err != nil {
-			return nil, err
-		}
+	var n, last time.Duration
+	return setupEnd, func(time.Duration) (iterTimes, error) {
+		n++
 		for w := range t.devs {
 			end, err := t.asyncWorkerIteration(w, root, clock[w])
 			if err != nil {
-				return nil, err
+				return iterTimes{}, err
 			}
 			clock[w] = end
-			if end > lastSimEnd {
-				lastSimEnd = end
-			}
-			if i == 0 && end > firstIterEnd {
-				firstIterEnd = end
+			if end > last {
+				last = end
 			}
 		}
-	}
-	// Steady per-iteration time of the slowest worker.
-	var steady time.Duration
-	for _, c := range clock {
-		per := (c - setupEnd) / time.Duration(nsim)
-		if per > steady {
-			steady = per
+		it := iterTimes{start: last, fpEnd: last, bpEnd: last, barrier: last}
+		for _, c := range clock {
+			if per := (c - setupEnd) / n; per > it.steady {
+				it.steady = per
+			}
 		}
-	}
-	remaining := t.schedule.Iterations - int64(nsim)
-	epoch := lastSimEnd + time.Duration(remaining)*steady
-
-	res := &Result{
-		Config:     t.cfg,
-		Iterations: t.schedule.Iterations,
-		EpochTime:  epoch,
-		SetupTime:  setupEnd,
-		SteadyIter: steady,
-		Profile:    t.prof,
-		Memory:     t.memory,
-	}
-	if t.schedule.Iterations > int64(nsim) {
-		t.prof.Scale(float64(t.schedule.Iterations) / float64(nsim))
-	}
-	res.Throughput = float64(t.schedule.Images) / epoch.Seconds()
-	res.ComputeUtilization = t.computeUtilization(epoch)
-	res.SyncPercent = 100 * float64(t.prof.API("cudaStreamSynchronize").Total) /
-		(float64(epoch) * float64(t.cfg.GPUs))
-	return res, nil
+		return it, nil
+	}, nil
 }
 
 // asyncWorkerIteration runs worker w's (devs[w]'s) FP+BP and its

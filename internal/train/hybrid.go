@@ -7,7 +7,6 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/nccl"
 	"repro/internal/profiler"
 	"repro/internal/units"
@@ -62,15 +61,14 @@ func splitHead(net *dnn.Network) (int, error) {
 	return first, nil
 }
 
-// runHybridOWT simulates one epoch of the hybrid scheme.
-func (t *Trainer) runHybridOWT() (*Result, error) {
-	if t.cfg.Method != kvstore.MethodNCCL {
-		return nil, fmt.Errorf("train: hybrid parallelism needs the nccl method for its activation collectives")
-	}
+// beginHybridOWT builds the hybrid schedule. Its setup adds the backend's
+// communicator construction to framework startup; the model is not
+// broadcast.
+func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 	net := t.cfg.Model.Net
 	headStart, err := splitHead(net)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	g := t.cfg.GPUs
 	globalBatch := t.cfg.Batch * g
@@ -80,7 +78,7 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 	// The activation collectives run on their own communicator.
 	comm, err := nccl.New(t.rt, t.devs, nccl.DefaultConfig())
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 
 	// Body plans at the local batch.
@@ -190,13 +188,7 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 		}
 	}
 
-	runIteration := func(start time.Duration) (fpEnd, bpEnd, barrier time.Duration, err error) {
-		type grad struct {
-			name  string
-			bytes units.Bytes
-			ready time.Duration
-			upd   cuda.Kernel
-		}
+	iterate := func(start time.Duration) (iterTimes, error) {
 		// 1. Body FP (data parallel).
 		host := make([]time.Duration, len(t.devs))
 		var bodyFPEnd time.Duration
@@ -227,7 +219,7 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 				now = comm.AllGather(profiler.StageFP, hl.actBytes, now)
 			}
 		}
-		fpEnd = now
+		fpEnd := now
 		// 4. Head BP (reverse): slice dgrad/wgrad + reduce-scatter of the
 		// input gradient; FC slice updates are local.
 		for li := len(head) - 1; li >= 0; li-- {
@@ -255,49 +247,25 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 			}
 		}
 		// 5. Body BP with conv gradients through the kvstore.
-		var grads []grad
-		var bodyBPEnd time.Duration
+		var grads []layerGrad
+		var bpEnd time.Duration
 		for i := range t.devs {
 			s := t.compute[i]
 			s.WaitEvent(now)
-			gi := 0
-			for ri, cut := range bodyCuts {
-				var runEnd time.Duration
-				host[i], runEnd = s.LaunchRun(profiler.StageBP, tables[i].bodyBwd[ri], host[i])
-				if cut.layer != nil {
-					if i == 0 {
-						size := units.BytesOf(cut.layer.Params, units.Float32Size)
-						grads = append(grads, grad{name: cut.layer.Name, bytes: size, ready: runEnd, upd: bodyUpdates[len(grads)]})
-					} else {
-						if runEnd > grads[gi].ready {
-							grads[gi].ready = runEnd
-						}
-						gi++
-					}
-				}
-				if runEnd > bodyBPEnd {
-					bodyBPEnd = runEnd
-				}
-			}
+			host[i], grads, bpEnd = launchBackward(s, tables[i].bodyBwd, bodyCuts, host[i], i == 0, grads, bpEnd)
 		}
-		bpEnd = bodyBPEnd
 		// 6. Weight updates: conv via kvstore, FC slices locally.
 		lastPull := bpEnd
-		for _, gr := range grads {
-			pushEnd, err := t.backend.PushGradient(profiler.StageWU, gr.name, gr.bytes, gr.ready)
+		for j, gr := range grads {
+			pullEnd, err := t.exchange(gr, bodyUpdates[j])
 			if err != nil {
-				return 0, 0, 0, err
-			}
-			updEnd := t.bookUpdate(pushEnd, gr.upd)
-			pullEnd, err := t.backend.PullWeights(profiler.StageWU, gr.name, gr.bytes, updEnd)
-			if err != nil {
-				return 0, 0, 0, err
+				return iterTimes{}, err
 			}
 			if pullEnd > lastPull {
 				lastPull = pullEnd
 			}
 		}
-		barrier = lastPull
+		barrier := lastPull
 		for i, d := range t.devs {
 			dev := t.rt.Device(d)
 			end := bpEnd
@@ -314,50 +282,7 @@ func (t *Trainer) runHybridOWT() (*Result, error) {
 				barrier = w
 			}
 		}
-		return fpEnd, bpEnd, barrier, nil
+		return iterTimes{start: start, fpEnd: fpEnd, bpEnd: bpEnd, barrier: barrier, steady: barrier - start}, nil
 	}
-
-	now := t.sessionStartup() + t.backend.SetupCost()
-	nsim := t.cfg.SimIters
-	if int64(nsim) > t.schedule.Iterations {
-		nsim = int(t.schedule.Iterations)
-	}
-	var fpW, bpW, wuW, iterDur time.Duration
-	start := now
-	for i := 0; i < nsim; i++ {
-		if err := t.cancelled(); err != nil {
-			return nil, err
-		}
-		fpEnd, bpEnd, barrier, err := runIteration(start)
-		if err != nil {
-			return nil, err
-		}
-		fpW = fpEnd - start
-		bpW = bpEnd - fpEnd
-		wuW = barrier - bpEnd
-		iterDur = barrier - start
-		start = barrier
-	}
-	iters := t.schedule.Iterations
-	epoch := start + time.Duration(iters-int64(nsim))*iterDur
-	if int64(nsim) < iters {
-		t.prof.Scale(float64(iters) / float64(nsim))
-	}
-	res := &Result{
-		Config:     t.cfg,
-		Iterations: iters,
-		EpochTime:  epoch,
-		SetupTime:  now,
-		SteadyIter: iterDur,
-		FPWall:     time.Duration(iters) * fpW,
-		BPWall:     time.Duration(iters) * bpW,
-		WUWall:     time.Duration(iters) * wuW,
-		Profile:    t.prof,
-		Memory:     t.memory,
-	}
-	res.Throughput = float64(t.schedule.Images) / epoch.Seconds()
-	res.ComputeUtilization = t.computeUtilization(epoch)
-	res.SyncPercent = 100 * float64(t.prof.API("cudaStreamSynchronize").Total) /
-		(float64(epoch) * float64(t.cfg.GPUs))
-	return res, nil
+	return t.SetupTimeApprox(), iterate, nil
 }

@@ -21,37 +21,6 @@ func runHybrid(t *testing.T, model string, gpus, batch int) *Result {
 	return res
 }
 
-func TestHybridValidation(t *testing.T) {
-	cfg := quickCfg(t, "alexnet", 4, 16, kvstore.MethodP2P)
-	cfg.Parallelism = HybridOWT
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err == nil {
-		t.Error("hybrid with p2p should error (needs collectives)")
-	}
-	cfg = quickCfg(t, "alexnet", 1, 16, kvstore.MethodNCCL)
-	cfg.Parallelism = HybridOWT
-	tr, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err == nil {
-		t.Error("hybrid on 1 GPU should error")
-	}
-	cfg = quickCfg(t, "alexnet", 2, 16, kvstore.MethodNCCL)
-	cfg.Parallelism = HybridOWT
-	cfg.Async = true
-	tr, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err == nil {
-		t.Error("async hybrid should error")
-	}
-}
-
 func TestHybridRuns(t *testing.T) {
 	res := runHybrid(t, "alexnet", 4, 16)
 	if res.EpochTime <= 0 {

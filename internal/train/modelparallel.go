@@ -112,9 +112,10 @@ func partitionStages(net *dnn.Network, stages int, cost []float64) (stagePartiti
 	return stagePartition{bounds: bounds}, nil
 }
 
-// runModelParallel simulates one epoch of pipelined model-parallel
-// training and returns the standard measurements.
-func (t *Trainer) runModelParallel() (*Result, error) {
+// beginModelParallel builds the pipelined model-parallel schedule. Its
+// setup is framework startup alone (no backend communicator, no model
+// broadcast), and an iteration consumes one mini-batch, not one per GPU.
+func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 	stages := t.cfg.GPUs
 	micro := t.cfg.MicroBatches
 	if micro <= 0 {
@@ -157,7 +158,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 	}
 	part, err := partitionStages(t.cfg.Model.Net, stages, cost)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 
 	// Per-stage lowering: stage s runs on devs[s], so its kernels are
@@ -201,7 +202,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 
 	// One mini-batch (= one iteration): GPipe fill/steady/drain of micro
 	// forward passes, then the reverse for backward, then local updates.
-	runIteration := func(start time.Duration) (time.Duration, time.Duration, time.Duration, error) {
+	iterate := func(start time.Duration) (iterTimes, error) {
 		host := make([]time.Duration, stages)
 		actReady := make([][]time.Duration, stages) // [stage][micro] input ready
 		for s := range actReady {
@@ -227,7 +228,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 					_, arrive, err := t.rt.MemcpyPeer(work[s+1].dev, work[s].dev,
 						work[s].boundary, profiler.StageFP, kEnd, kEnd)
 					if err != nil {
-						return 0, 0, 0, err
+						return iterTimes{}, err
 					}
 					actReady[s+1][j] = arrive
 				} else if kEnd > fpEnd {
@@ -254,7 +255,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 					_, arrive, err := t.rt.MemcpyPeer(work[s-1].dev, work[s].dev,
 						work[s].boundary, profiler.StageBP, kEnd, kEnd)
 					if err != nil {
-						return 0, 0, 0, err
+						return iterTimes{}, err
 					}
 					if arrive > gradReady[s-1][j] {
 						gradReady[s-1][j] = arrive
@@ -282,52 +283,7 @@ func (t *Trainer) runModelParallel() (*Result, error) {
 				barrier = w
 			}
 		}
-		return fpEnd, bpEnd, barrier, nil
+		return iterTimes{start: start, fpEnd: fpEnd, bpEnd: bpEnd, barrier: barrier, steady: barrier - start}, nil
 	}
-
-	// Model-parallel iterations consume ONE mini-batch per iteration (the
-	// batch is not replicated per GPU).
-	iters := (t.schedule.Images + int64(t.cfg.Batch) - 1) / int64(t.cfg.Batch)
-	now := t.sessionStartup()
-	nsim := t.cfg.SimIters
-	if int64(nsim) > iters {
-		nsim = int(iters)
-	}
-	var fpW, bpW, wuW, iterDur time.Duration
-	start := now
-	for i := 0; i < nsim; i++ {
-		if err := t.cancelled(); err != nil {
-			return nil, err
-		}
-		fpEnd, bpEnd, barrier, err := runIteration(start)
-		if err != nil {
-			return nil, err
-		}
-		fpW = fpEnd - start
-		bpW = bpEnd - fpEnd
-		wuW = barrier - bpEnd
-		iterDur = barrier - start
-		start = barrier
-	}
-	epoch := start + time.Duration(iters-int64(nsim))*iterDur
-	if int64(nsim) < iters {
-		t.prof.Scale(float64(iters) / float64(nsim))
-	}
-	res := &Result{
-		Config:     t.cfg,
-		Iterations: iters,
-		EpochTime:  epoch,
-		SetupTime:  now,
-		SteadyIter: iterDur,
-		FPWall:     time.Duration(iters) * fpW,
-		BPWall:     time.Duration(iters) * bpW,
-		WUWall:     time.Duration(iters) * wuW,
-		Profile:    t.prof,
-		Memory:     t.memory,
-	}
-	res.Throughput = float64(t.schedule.Images) / epoch.Seconds()
-	res.ComputeUtilization = t.computeUtilization(epoch) / float64(t.cfg.GPUs)
-	res.SyncPercent = 100 * float64(t.prof.API("cudaStreamSynchronize").Total) /
-		(float64(epoch) * float64(t.cfg.GPUs))
-	return res, nil
+	return t.sessionStartup(), iterate, nil
 }

@@ -180,19 +180,6 @@ func TestModelParallelMemoryPerStage(t *testing.T) {
 	}
 }
 
-func TestModelParallelRejectsAsync(t *testing.T) {
-	cfg := quickCfg(t, "alexnet", 2, 32, kvstore.MethodP2P)
-	cfg.Parallelism = ModelParallel
-	cfg.Async = true
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err == nil {
-		t.Error("async + model parallel should error")
-	}
-}
-
 func TestParallelismString(t *testing.T) {
 	if DataParallel.String() != "data-parallel" || ModelParallel.String() != "model-parallel" {
 		t.Error("parallelism names wrong")

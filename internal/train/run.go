@@ -17,9 +17,11 @@ type iterTimes struct {
 	fpEnd   time.Duration
 	bpEnd   time.Duration
 	barrier time.Duration
+	// steady is the iteration time the rest of the epoch repeats: the
+	// iteration's span when a barrier ends it, or, under ASGD, the
+	// slowest worker's mean over the iterations so far.
+	steady time.Duration
 }
-
-func (it iterTimes) total() time.Duration { return it.barrier - it.start }
 
 // sgdUpdateCost is the root GPU's weight-update kernel for one parameter
 // array: w -= lr * (grad + momentum bookkeeping) — a bandwidth-bound axpy
@@ -65,30 +67,12 @@ func (t *Trainer) sessionStartup() time.Duration {
 	return base + time.Duration(t.cfg.Model.ConvLayers)*perConv
 }
 
-// Run simulates one training epoch and returns its measurements.
+// Run simulates one training epoch and returns its measurements: the
+// window SimulateWindow compiles, extrapolated to the configured epoch —
+// the same path a warm artifact-cache hit takes, so cold and cached runs
+// share one finalization code path (and therefore produce byte-identical
+// results).
 func (t *Trainer) Run() (*Result, error) {
-	if t.cfg.Parallelism == ModelParallel {
-		if t.cfg.Async {
-			return nil, fmt.Errorf("train: async model parallelism is not supported")
-		}
-		return t.runModelParallel()
-	}
-	if t.cfg.Parallelism == HybridOWT {
-		if t.cfg.Async {
-			return nil, fmt.Errorf("train: async hybrid parallelism is not supported")
-		}
-		if t.cfg.GPUs == 1 {
-			return nil, fmt.Errorf("train: hybrid parallelism needs multiple GPUs")
-		}
-		return t.runHybridOWT()
-	}
-	if t.cfg.Async {
-		return t.runAsync()
-	}
-	// Synchronous data parallelism compiles to a Window and extrapolates
-	// it — the same path a warm artifact-cache hit takes, so cold and
-	// cached runs share one finalization code path (and therefore produce
-	// byte-identical results).
 	win, err := t.SimulateWindow()
 	if err != nil {
 		return nil, err
@@ -99,6 +83,17 @@ func (t *Trainer) Run() (*Result, error) {
 // SetupTimeApprox exposes the setup window used by busy-fraction scaling.
 func (t *Trainer) SetupTimeApprox() time.Duration {
 	return t.sessionStartup() + t.backend.SetupCost()
+}
+
+// beginSync builds the synchronous data-parallel schedule: its setup
+// stages the model and each GPU's first mini-batch, and its iterations
+// are runIteration.
+func (t *Trainer) beginSync() (time.Duration, iteration, error) {
+	end, staged, err := t.broadcast(true)
+	if err != nil {
+		return 0, nil, err
+	}
+	return end, func(start time.Duration) (iterTimes, error) { return t.runIteration(start, staged) }, nil
 }
 
 // runIteration simulates one synchronous iteration beginning at iterStart
@@ -122,27 +117,7 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 		// checkpoints while backpropagating — approximately one extra
 		// forward pass folded into BP.
 		host, _ = s.LaunchRun(profiler.StageBP, tab.recompute, host)
-		gi := 0
-		for ri, cut := range t.cuts {
-			var runEnd time.Duration
-			host, runEnd = s.LaunchRun(profiler.StageBP, tab.bwdRuns[ri], host)
-			if cut.layer != nil {
-				if i == 0 {
-					size := units.BytesOf(cut.layer.Params, units.Float32Size)
-					grads = append(grads, layerGrad{name: cut.layer.Name, bytes: size, ready: runEnd})
-				} else {
-					// Synchronous SGD: a layer's exchange starts when the
-					// slowest GPU has its gradient.
-					if runEnd > grads[gi].ready {
-						grads[gi].ready = runEnd
-					}
-					gi++
-				}
-			}
-			if runEnd > it.bpEnd {
-				it.bpEnd = runEnd
-			}
-		}
+		host, grads, it.bpEnd = launchBackward(s, tab.bwdRuns, t.cuts, host, i == 0, grads, it.bpEnd)
 		// Iteration-end sync on the compute stream.
 		s.Synchronize(profiler.StageBP, host)
 	}
@@ -153,47 +128,37 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 	// amortizing per-operation overheads at the cost of waiting for the
 	// bucket's slowest member.
 	lastPull := it.bpEnd
-	exchange := func(name string, bytes units.Bytes, ready time.Duration, upd cuda.Kernel) error {
-		pushEnd, err := t.backend.PushGradient(profiler.StageWU, name, bytes, ready)
-		if err != nil {
-			return err
-		}
-		updEnd := t.bookUpdate(pushEnd, upd)
-		pullEnd, err := t.backend.PullWeights(profiler.StageWU, name, bytes, updEnd)
-		if err != nil {
-			return err
-		}
+	exchange := func(g layerGrad, upd cuda.Kernel) error {
+		pullEnd, err := t.exchange(g, upd)
 		if pullEnd > lastPull {
 			lastPull = pullEnd
 		}
-		return nil
+		return err
 	}
-	var bucketBytes units.Bytes
-	var bucketReady time.Duration
-	bucketName := ""
+	var bucket layerGrad
 	for j, g := range grads {
 		if t.cfg.BucketBytes <= 0 {
-			if err := exchange(g.name, g.bytes, g.ready, t.updates[j]); err != nil {
+			if err := exchange(g, t.updates[j]); err != nil {
 				return it, err
 			}
 			continue
 		}
-		bucketBytes += g.bytes
-		if g.ready > bucketReady {
-			bucketReady = g.ready
+		bucket.bytes += g.bytes
+		if g.ready > bucket.ready {
+			bucket.ready = g.ready
 		}
-		if bucketName == "" {
-			bucketName = "bucket:" + g.name
+		if bucket.name == "" {
+			bucket.name = "bucket:" + g.name
 		}
-		if bucketBytes >= t.cfg.BucketBytes {
-			if err := exchange(bucketName, bucketBytes, bucketReady, t.updateKernel(bucketBytes)); err != nil {
+		if bucket.bytes >= t.cfg.BucketBytes {
+			if err := exchange(bucket, t.updateKernel(bucket.bytes)); err != nil {
 				return it, err
 			}
-			bucketBytes, bucketReady, bucketName = 0, 0, ""
+			bucket = layerGrad{}
 		}
 	}
-	if bucketBytes > 0 {
-		if err := exchange(bucketName, bucketBytes, bucketReady, t.updateKernel(bucketBytes)); err != nil {
+	if bucket.bytes > 0 {
+		if err := exchange(bucket, t.updateKernel(bucket.bytes)); err != nil {
 			return it, err
 		}
 	}
@@ -217,6 +182,7 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 		}
 	}
 	it.barrier = barrier
+	it.steady = barrier - iterStart
 	t.grads = grads
 	if it.fpEnd < iterStart || it.bpEnd < it.fpEnd || it.barrier < it.bpEnd {
 		return it, fmt.Errorf("train: non-causal iteration landmarks %+v", it)
@@ -230,4 +196,41 @@ type layerGrad struct {
 	name  string
 	bytes units.Bytes
 	ready time.Duration
+}
+
+// launchBackward launches one GPU's backward runs, cut at cuts, on stream
+// s from host, and records each weighted layer's gradient-ready time in
+// grads (in launch order): the first GPU appends an entry per layer and
+// every later one raises it to its own time — synchronous SGD starts a
+// layer's exchange when the slowest GPU has its gradient. It returns the
+// host clock, grads, and bpEnd raised to the runs' latest end.
+func launchBackward(s *cuda.Stream, runs []cuda.Run, cuts []runCut, host time.Duration, first bool, grads []layerGrad, bpEnd time.Duration) (time.Duration, []layerGrad, time.Duration) {
+	gi := 0
+	for ri, cut := range cuts {
+		var runEnd time.Duration
+		host, runEnd = s.LaunchRun(profiler.StageBP, runs[ri], host)
+		if cut.layer != nil {
+			if first {
+				size := units.BytesOf(cut.layer.Params, units.Float32Size)
+				grads = append(grads, layerGrad{name: cut.layer.Name, bytes: size, ready: runEnd})
+			} else if runEnd > grads[gi].ready {
+				grads[gi].ready = runEnd
+			}
+			gi++
+		}
+		if runEnd > bpEnd {
+			bpEnd = runEnd
+		}
+	}
+	return host, grads, bpEnd
+}
+
+// exchange pushes gradient g to the root, applies the update kernel upd
+// there, and pulls the fresh weights back, returning when the pull ends.
+func (t *Trainer) exchange(g layerGrad, upd cuda.Kernel) (time.Duration, error) {
+	pushEnd, err := t.backend.PushGradient(profiler.StageWU, g.name, g.bytes, g.ready)
+	if err != nil {
+		return 0, err
+	}
+	return t.backend.PullWeights(profiler.StageWU, g.name, g.bytes, t.bookUpdate(pushEnd, upd))
 }

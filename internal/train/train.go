@@ -187,6 +187,21 @@ func (c *Config) normalize() error {
 	if c.Method == "" {
 		c.Method = kvstore.MethodNCCL
 	}
+	// Each schedule's legality, checked before New lowers plans or
+	// reserves device memory.
+	if c.Async && c.Parallelism != DataParallel {
+		return fmt.Errorf("train: async %s is not supported", c.Parallelism)
+	}
+	// ASGD exchanges are point-to-point by construction.
+	if c.Async && c.Method != kvstore.MethodP2P {
+		return fmt.Errorf("train: async SGD requires the p2p method, got %q", c.Method)
+	}
+	if c.Parallelism == HybridOWT && c.GPUs == 1 {
+		return fmt.Errorf("train: hybrid parallelism needs multiple GPUs")
+	}
+	if c.Parallelism == HybridOWT && c.Method != kvstore.MethodNCCL {
+		return fmt.Errorf("train: hybrid parallelism needs the nccl method for its activation collectives")
+	}
 	if c.Images <= 0 {
 		c.Images = data.PaperDatasetImages
 	}

@@ -2,6 +2,7 @@ package train
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -289,15 +290,35 @@ func TestAsyncSGD(t *testing.T) {
 	}
 }
 
-func TestAsyncRequiresP2P(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 2, 16, kvstore.MethodNCCL)
-	cfg.Async = true
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Run(); err == nil {
-		t.Error("async with NCCL should error")
+// TestNewRejectsIllegalSchedules: every schedule's legality is checked
+// by Config.normalize, so New rejects the configuration before lowering
+// plans or reserving device memory.
+func TestNewRejectsIllegalSchedules(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		gpus   int
+		method kvstore.Method
+		apply  func(*Config)
+		want   string
+	}{
+		{"async model-parallel", 2, kvstore.MethodP2P, func(c *Config) { c.Async, c.Parallelism = true, ModelParallel }, "async model-parallel"},
+		{"async hybrid", 2, kvstore.MethodNCCL, func(c *Config) { c.Async, c.Parallelism = true, HybridOWT }, "async hybrid-owt"},
+		{"hybrid on one GPU", 1, kvstore.MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }, "needs multiple GPUs"},
+		{"async without p2p", 2, kvstore.MethodNCCL, func(c *Config) { c.Async = true }, "async SGD requires the p2p method"},
+		{"async default method", 2, "", func(c *Config) { c.Async = true }, "async SGD requires the p2p method"},
+		{"hybrid without nccl", 4, kvstore.MethodP2P, func(c *Config) { c.Parallelism = HybridOWT }, "needs the nccl method"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg(t, "alexnet", tc.gpus, 16, tc.method)
+			tc.apply(&cfg)
+			tr, err := New(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New = %v, want an error containing %q", err, tc.want)
+			}
+			if tr != nil {
+				t.Error("a rejected config still built a trainer")
+			}
+		})
 	}
 }
 

@@ -18,19 +18,19 @@ import (
 // before extrapolating the steady state (Config.SimIters defaults to it).
 const DefaultSimIters = 4
 
-// Window is the compiled simulation artifact of one synchronous
-// data-parallel configuration: everything the steady-state extrapolation
-// needs, captured once after the exactly-simulated iterations. Iterations
-// are identical in the steady state, so an epoch of any dataset size that
-// simulates the same number of window iterations is a pure function of
-// the window — Extrapolate reconstructs it without re-running the
-// discrete-event simulation, byte-identical to a cold run (both paths
-// share the same finalization arithmetic below).
+// Window is the compiled simulation artifact of one training
+// configuration, under any schedule: everything the steady-state
+// extrapolation needs, captured once after the exactly-simulated
+// iterations. Iterations are identical in the steady state, so an epoch
+// of any dataset size that simulates the same number of window iterations
+// is a pure function of the window — Extrapolate reconstructs it without
+// re-running the discrete-event simulation, byte-identical to a cold run
+// (both paths share the same finalization arithmetic below).
 //
 // The window depends on the epoch's image count only through nsim (setup
-// stages the model and one mini-batch per GPU; iterations move mini-batch
-// bytes), which is what makes sharing one window across Images variations
-// exact rather than approximate.
+// stages the model and at most one mini-batch per GPU; iterations move
+// mini-batch bytes), which is what makes sharing one window across Images
+// variations exact rather than approximate.
 //
 // A Window is immutable after SimulateWindow returns; Extrapolate only
 // reads it (cloning the profile before scaling), so one Window may serve
@@ -40,7 +40,9 @@ type Window struct {
 	cfg      Config
 	memory   memmodel.Estimate
 	setupEnd time.Duration
-	steady   iterTimes
+	// last is the last simulated iteration; the rest of the epoch repeats
+	// its landmarks and its steady iteration time.
+	last     iterTimes
 	simTotal time.Duration
 	nsim     int
 	// prof is the unscaled profile of the simulated window.
@@ -59,63 +61,59 @@ func (w *Window) NSim() int { return w.nsim }
 // Config returns the configuration the window was compiled from.
 func (w *Window) Config() Config { return w.cfg }
 
-// SimulateWindow runs the simulated portion of a synchronous
-// data-parallel epoch — session setup, the initial model broadcast, and
-// the exactly-simulated iterations — and captures the result as a
-// reusable Window. A trainer is single-shot: the engine and resource
-// state are consumed, so SimulateWindow (or Run) may be called once.
-// Asynchronous, model-parallel, and hybrid schedules have different
-// extrapolation structures and do not compile to a Window.
-func (t *Trainer) SimulateWindow() (*Window, error) {
-	if t.cfg.Parallelism != DataParallel || t.cfg.Async {
-		return nil, fmt.Errorf("train: only synchronous data-parallel runs compile to a window")
+// Iterations returns how many iterations an epoch of images takes under
+// parallelism p, and how many of them a window simulates exactly: simIters
+// (a normalized Config.SimIters) capped by the epoch. An iteration
+// consumes one mini-batch of batch images per GPU, except under model
+// parallelism, whose pipeline stages share one. The window count is the
+// only epoch-size dependence a Window retains, so it joins core's
+// artifact key.
+func Iterations(p Parallelism, images int64, batch, gpus, simIters int) (epoch int64, window int) {
+	per := int64(batch)
+	if p != ModelParallel {
+		per *= int64(gpus)
 	}
+	epoch = (images + per - 1) / per
+	window = simIters
+	if int64(window) > epoch {
+		window = int(epoch)
+	}
+	return epoch, window
+}
+
+// iteration simulates one iteration of a schedule beginning at start
+// and returns its landmarks.
+type iteration func(start time.Duration) (iterTimes, error)
+
+// SimulateWindow runs the simulated portion of an epoch — the schedule's
+// session setup and the exactly-simulated iterations, with the
+// cancellation probe consulted before each — and captures the result as
+// a reusable Window. Every schedule runs through this one loop; each
+// supplies only its setup and its one-iteration body (begin). A trainer
+// is single-shot: the engine and resource state are consumed, so
+// SimulateWindow (or Run) may be called once.
+func (t *Trainer) SimulateWindow() (*Window, error) {
 	if t.ran {
 		return nil, fmt.Errorf("train: trainer already ran; build a new one")
 	}
 	t.ran = true
 
-	// Session setup: framework startup, communicator construction, and the
-	// initial model broadcast from the CPU to every GPU over PCIe
-	// (Figure 1's leftmost phase).
-	now := t.sessionStartup() + t.backend.SetupCost()
-	modelBytes := t.cfg.Model.Net.ModelBytes()
-	setupEnd := now
-	staged := make([]time.Duration, len(t.devs))
-	for i, d := range t.devs {
-		_, end, err := t.rt.MemcpyHostToDevice(d, modelBytes, profiler.StageOther, now)
-		if err != nil {
-			return nil, err
-		}
-		if end > setupEnd {
-			setupEnd = end
-		}
-		// First mini-batch staging overlaps model distribution.
-		_, bEnd, err := t.rt.MemcpyHostToDevice(d, t.schedule.BatchBytes(), profiler.StageDataLoad, now)
-		if err != nil {
-			return nil, err
-		}
-		staged[i] = bEnd
+	setupEnd, iterate, err := t.begin()
+	if err != nil {
+		return nil, err
 	}
-
-	nsim := t.cfg.SimIters
-	if int64(nsim) > t.schedule.Iterations {
-		nsim = int(t.schedule.Iterations)
-	}
+	_, nsim := Iterations(t.cfg.Parallelism, t.cfg.Images, t.cfg.Batch, t.cfg.GPUs, t.cfg.SimIters)
 	start := setupEnd
-	var err error
 	var it iterTimes
 	for i := 0; i < nsim; i++ {
 		if err := t.cancelled(); err != nil {
 			return nil, err
 		}
-		it, err = t.runIteration(start, staged)
-		if err != nil {
+		if it, err = iterate(start); err != nil {
 			return nil, err
 		}
 		start = it.barrier
 	}
-	steady := it
 
 	busy := make(map[topology.NodeID]time.Duration, len(t.devs))
 	for _, d := range t.devs {
@@ -128,8 +126,8 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		cfg:         t.cfg,
 		memory:      t.memory,
 		setupEnd:    setupEnd,
-		steady:      steady,
-		simTotal:    steady.barrier - setupEnd,
+		last:        it,
+		simTotal:    it.barrier - setupEnd,
 		nsim:        nsim,
 		prof:        prof,
 		utilWeight:  t.planUtilWeight(),
@@ -139,17 +137,50 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 	}, nil
 }
 
-// computeUtilization is the occupancy-weighted share of the epoch the SM
-// array spends doing useful work (the metric behind the paper's "LeNet has
-// a compute utilization of only 18.3%"): each kernel contributes its
-// duration weighted by its achieved occupancy, normalized by the epoch.
-// The async/model-parallel/hybrid paths call it directly; the synchronous
-// data-parallel path folds the same arithmetic into Window.Extrapolate.
-func (t *Trainer) computeUtilization(epoch time.Duration) float64 {
-	if epoch <= 0 {
-		return 0
+// begin builds the configured schedule: it books the schedule's session
+// setup and returns when that setup ends, along with the schedule's
+// iteration body.
+func (t *Trainer) begin() (time.Duration, iteration, error) {
+	switch {
+	case t.cfg.Parallelism == ModelParallel:
+		return t.beginModelParallel()
+	case t.cfg.Parallelism == HybridOWT:
+		return t.beginHybridOWT()
+	case t.cfg.Async:
+		return t.beginAsync()
 	}
-	return t.planUtilWeight() * float64(t.schedule.Iterations) / epoch.Seconds()
+	return t.beginSync()
+}
+
+// broadcast books the session setup of the schedules that replicate the
+// model: framework startup and the backend's communicator construction,
+// then the model's copy from the CPU to every GPU over PCIe (Figure 1's
+// leftmost phase), with each GPU's first mini-batch staged alongside it
+// when stage is set. It returns when the last model copy lands and,
+// indexed like t.devs, when each GPU's first mini-batch arrived, or its
+// model when mini-batches are not staged.
+func (t *Trainer) broadcast(stage bool) (time.Duration, []time.Duration, error) {
+	now := t.SetupTimeApprox()
+	end := now
+	ready := make([]time.Duration, len(t.devs))
+	modelBytes := t.cfg.Model.Net.ModelBytes()
+	for i, d := range t.devs {
+		_, arrived, err := t.rt.MemcpyHostToDevice(d, modelBytes, profiler.StageOther, now)
+		if err != nil {
+			return 0, nil, err
+		}
+		if arrived > end {
+			end = arrived
+		}
+		ready[i] = arrived
+		if !stage {
+			continue
+		}
+		if _, ready[i], err = t.rt.MemcpyHostToDevice(d, t.schedule.BatchBytes(), profiler.StageDataLoad, now); err != nil {
+			return 0, nil, err
+		}
+	}
+	return end, ready, nil
 }
 
 // planUtilWeight sums the occupancy-weighted duration of one iteration's
@@ -220,44 +251,48 @@ func (w *Window) Extrapolate(images int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nsim := w.cfg.SimIters
-	if int64(nsim) > sched.Iterations {
-		nsim = int(sched.Iterations)
-	}
+	iters, nsim := Iterations(w.cfg.Parallelism, images, w.cfg.Batch, w.cfg.GPUs, w.cfg.SimIters)
 	if nsim != w.nsim {
 		return nil, fmt.Errorf("train: window simulated %d iterations, an epoch of %d images simulates %d",
 			w.nsim, images, nsim)
 	}
-	remaining := sched.Iterations - int64(nsim)
-	epoch := w.setupEnd + w.simTotal + time.Duration(remaining)*w.steady.total()
+	remaining := iters - int64(nsim)
+	epoch := w.setupEnd + w.simTotal + time.Duration(remaining)*w.last.steady
 
 	cfg := w.cfg
 	cfg.Images = images
 	// Clone only when the epoch actually scales the window's aggregates;
 	// otherwise the unscaled shared profile is already the answer.
 	prof := w.prof
-	if nsim > 0 && sched.Iterations > int64(nsim) {
+	if nsim > 0 && iters > int64(nsim) {
 		prof = w.prof.Clone()
 	}
 	res := &Result{
 		Config:     cfg,
-		Iterations: sched.Iterations,
+		Iterations: iters,
 		EpochTime:  epoch,
 		SetupTime:  w.setupEnd,
-		SteadyIter: w.steady.total(),
-		FPWall:     time.Duration(sched.Iterations) * (w.steady.fpEnd - w.steady.start),
-		BPWall:     time.Duration(sched.Iterations) * (w.steady.bpEnd - w.steady.fpEnd),
-		WUWall:     time.Duration(sched.Iterations) * (w.steady.barrier - w.steady.bpEnd),
+		SteadyIter: w.last.steady,
+		FPWall:     time.Duration(iters) * (w.last.fpEnd - w.last.start),
+		BPWall:     time.Duration(iters) * (w.last.bpEnd - w.last.fpEnd),
+		WUWall:     time.Duration(iters) * (w.last.barrier - w.last.bpEnd),
 		Profile:    prof,
 		Memory:     w.memory,
 	}
 	// Scale profile aggregates from the simulated window to the epoch.
-	if nsim > 0 && sched.Iterations > int64(nsim) {
-		prof.Scale(float64(sched.Iterations) / float64(nsim))
+	if nsim > 0 && iters > int64(nsim) {
+		prof.Scale(float64(iters) / float64(nsim))
 	}
 	if epoch > 0 {
 		res.Throughput = float64(sched.Images) / epoch.Seconds()
+		// The numerator counts data-parallel iterations (one mini-batch
+		// per GPU) under every schedule.
 		res.ComputeUtilization = w.utilWeight * float64(sched.Iterations) / epoch.Seconds()
+		if w.cfg.Parallelism == ModelParallel {
+			// A known defect, kept so outputs stay put: that numerator is
+			// already per GPU, and this divides by the GPU count again.
+			res.ComputeUtilization /= float64(w.cfg.GPUs)
+		}
 		// Guarded like ComputeUtilization above: a zero-duration epoch
 		// would otherwise divide to NaN, which poisons every JSON encoding
 		// of the result (encoding/json rejects NaN).
