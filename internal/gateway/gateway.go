@@ -48,13 +48,14 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -89,9 +90,9 @@ type replica struct {
 	up atomic.Bool
 
 	// Routing counters, reported on the gateway's /metrics.
-	requests  atomic.Uint64 // forwards attempted (including failed ones)
-	sheds     atomic.Uint64 // shed responses (429/503 + Retry-After) observed
-	transport atomic.Uint64 // transport-level forward failures
+	requests  *obs.Counter // forwards attempted (including failed ones)
+	sheds     *obs.Counter // shed responses (429/503 + Retry-After) observed
+	transport *obs.Counter // transport-level forward failures
 }
 
 // Gateway proxies one replica set. Create with New, serve Handler, stop
@@ -103,8 +104,9 @@ type Gateway struct {
 	client   *http.Client
 	health   *http.Client
 
-	failovers atomic.Uint64 // requests retried on the next ring member
-	noReplica atomic.Uint64 // requests refused: no replica reachable
+	metrics   *obs.Registry
+	failovers *obs.Counter // requests retried on the next ring member
+	noReplica *obs.Counter // requests refused: no replica reachable
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -128,11 +130,12 @@ func New(cfg Config) (*Gateway, error) {
 		}
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		client: cfg.Client,
-		health: &http.Client{Timeout: cfg.HealthTimeout},
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:     cfg,
+		client:  cfg.Client,
+		health:  &http.Client{Timeout: cfg.HealthTimeout},
+		metrics: obs.NewRegistry(),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	if g.client == nil {
 		g.client = &http.Client{}
@@ -144,9 +147,24 @@ func New(cfg Config) (*Gateway, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("gateway: replica %q is not an absolute URL", raw)
 		}
-		g.replicas = append(g.replicas, &replica{name: raw, base: u})
+		if slices.Contains(names, raw) {
+			return nil, fmt.Errorf("gateway: replica %q listed twice", raw)
+		}
+		rep := &replica{name: raw, base: u}
+		g.metrics.Func("dgxsimgw_replica_up", func() float64 {
+			if rep.up.Load() {
+				return 1
+			}
+			return 0
+		}, "replica", raw)
+		rep.requests = g.metrics.Counter("dgxsimgw_replica_requests_total", "replica", raw)
+		rep.sheds = g.metrics.Counter("dgxsimgw_replica_sheds_total", "replica", raw)
+		rep.transport = g.metrics.Counter("dgxsimgw_replica_transport_errors_total", "replica", raw)
+		g.replicas = append(g.replicas, rep)
 		names = append(names, raw)
 	}
+	g.failovers = g.metrics.Counter("dgxsimgw_failovers_total")
+	g.noReplica = g.metrics.Counter("dgxsimgw_no_replica_total")
 	g.ring = newRing(names, cfg.VNodes)
 	g.checkAll()
 	go g.healthLoop()
@@ -195,13 +213,26 @@ func (g *Gateway) checkAll() {
 }
 
 // Handler returns the gateway's HTTP handler: its own /healthz and
-// /metrics, everything else proxied to the replica set.
+// /metrics (per-replica health and routing, failovers and refusals),
+// everything else proxied to the replica set.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", g.handleHealthz)
-	mux.HandleFunc("/metrics", g.handleMetrics)
+	mux.HandleFunc("/healthz", getOnly(g.handleHealthz))
+	mux.HandleFunc("/metrics", getOnly(g.metrics.ServeHTTP))
 	mux.HandleFunc("/", g.proxy)
 	return mux
+}
+
+// getOnly answers any method but GET the way a replica does: 405 with
+// Allow and the error envelope.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			service.MethodNotAllowed(w, http.MethodGet)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // handleHealthz reports the gateway healthy while at least one replica
@@ -429,26 +460,4 @@ func writeEnvelope(w http.ResponseWriter, status int, d service.ErrorDetail) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(service.ErrorEnvelope{Error: d})
-}
-
-// handleMetrics renders the gateway's own counters: per-replica health
-// and routing, failovers, and refusals.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	var b strings.Builder
-	reps := append([]*replica(nil), g.replicas...)
-	sort.Slice(reps, func(i, j int) bool { return reps[i].name < reps[j].name })
-	for _, rep := range reps {
-		up := 0
-		if rep.up.Load() {
-			up = 1
-		}
-		fmt.Fprintf(&b, "dgxsimgw_replica_up{replica=%q} %d\n", rep.name, up)
-		fmt.Fprintf(&b, "dgxsimgw_replica_requests_total{replica=%q} %d\n", rep.name, rep.requests.Load())
-		fmt.Fprintf(&b, "dgxsimgw_replica_sheds_total{replica=%q} %d\n", rep.name, rep.sheds.Load())
-		fmt.Fprintf(&b, "dgxsimgw_replica_transport_errors_total{replica=%q} %d\n", rep.name, rep.transport.Load())
-	}
-	fmt.Fprintf(&b, "dgxsimgw_failovers_total %d\n", g.failovers.Load())
-	fmt.Fprintf(&b, "dgxsimgw_no_replica_total %d\n", g.noReplica.Load())
-	io.WriteString(w, b.String())
 }

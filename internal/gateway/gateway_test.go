@@ -384,7 +384,8 @@ func get(t *testing.T, url string) (*http.Response, string) {
 }
 
 // TestGatewayHealthzAndMetrics: the gateway's own endpoints are served
-// locally, not proxied, and /metrics carries the per-replica counters.
+// locally, not proxied, answer anything but GET with the replica's 405
+// envelope, and /metrics carries the per-replica counters.
 func TestGatewayHealthzAndMetrics(t *testing.T) {
 	b1, b2 := newBackend(t), newBackend(t)
 	_, ts := newGateway(t, b1, b2)
@@ -412,9 +413,27 @@ func TestGatewayHealthzAndMetrics(t *testing.T) {
 	if !strings.Contains(mbody, "requests_total") {
 		t.Fatalf("metrics missing request counters:\n%s", mbody)
 	}
+	for _, path := range []string{"/healthz", "/metrics"} {
+		resp, body := post(t, ts.URL+path, "")
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet {
+			t.Fatalf("POST %s = %d Allow=%q, want 405 Allow=GET", path, resp.StatusCode, resp.Header.Get("Allow"))
+		}
+		var env service.ErrorEnvelope
+		if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error.Code != service.CodeMethodNotAllowed {
+			t.Fatalf("POST %s body = %q, want a %s envelope", path, body, service.CodeMethodNotAllowed)
+		}
+	}
 	// One replica served the request; total requests across both = 1.
 	if b1.hits.Load()+b2.hits.Load() != 1 {
 		t.Fatalf("proxied hits = %d, want 1 (gateway endpoints must not proxy)", b1.hits.Load()+b2.hits.Load())
+	}
+}
+
+// TestNewRejectsDuplicateReplicas: a replica listed twice (trailing
+// slash aside) is a configuration error, not a second ring member.
+func TestNewRejectsDuplicateReplicas(t *testing.T) {
+	if _, err := New(Config{Replicas: []string{"http://a:1", "http://a:1/"}}); err == nil {
+		t.Fatal("New accepted a duplicate replica")
 	}
 }
 

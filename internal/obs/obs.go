@@ -1,6 +1,7 @@
-// Package obs is the service's request-scoped observability kit: request
-// ids, a span recorder carried through context, and a bounded store of
-// recent request traces.
+// Package obs is the daemons' observability kit: request ids, a span
+// recorder carried through context, a bounded store of recent request
+// traces, and the metrics registry both dgxsimd and dgxsimgw render
+// /metrics from.
 //
 // The recorder mirrors, at the service layer, what internal/profiler does
 // for the simulated hardware: where the profiler answers "where did the

@@ -41,7 +41,7 @@ type ClusterResponse struct {
 
 func (s *Server) handleClusterSimulate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
+		MethodNotAllowed(w, http.MethodPost)
 		return
 	}
 	tr := obs.FromContext(r.Context())
@@ -91,7 +91,8 @@ func (s *Server) handleClusterSimulate(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		res, simErr = cluster.Simulate(ctx, req.Spec)
 		if simErr == nil {
-			s.metrics.addCluster(res.Jobs, time.Since(start))
+			s.clusterJobs.Add(uint64(res.Jobs))
+			s.clusterSim.Observe(time.Since(start))
 		}
 	}
 	if err := s.pool.TrySubmit(task); err != nil {

@@ -151,12 +151,13 @@ func notFound(w http.ResponseWriter, message string) {
 	writeEnvelope(w, http.StatusNotFound, ErrorDetail{Code: CodeNotFound, Message: message})
 }
 
-// methodNotAllowed writes the 405 response HTTP semantics require for a
+// MethodNotAllowed writes the 405 response HTTP semantics require for a
 // wrong-method request: the Allow header naming what the resource
-// accepts, plus the envelope every endpoint shares. (An earlier version
-// returned 400 "use POST", which blamed the client's syntax rather than
-// the method and omitted Allow.)
-func methodNotAllowed(w http.ResponseWriter, allow string) {
+// accepts, plus the envelope every endpoint shares. The gateway answers
+// its own endpoints with it too. (An earlier version returned 400 "use
+// POST", which blamed the client's syntax rather than the method and
+// omitted Allow.)
+func MethodNotAllowed(w http.ResponseWriter, allow string) {
 	w.Header().Set("Allow", allow)
 	writeEnvelope(w, http.StatusMethodNotAllowed, ErrorDetail{
 		Code:    CodeMethodNotAllowed,

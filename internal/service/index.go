@@ -106,7 +106,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
+		MethodNotAllowed(w, http.MethodGet)
 		return
 	}
 	b, err := json.Marshal(apiIndex())

@@ -1,52 +1,10 @@
 package service
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-// quantile must use the nearest-rank definition. The flooring bug this
-// pins against: over a 2-sample window, int(0.99*(2-1)) = 0, so p99
-// reported the *minimum* latency.
-func TestQuantileNearestRank(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	cases := []struct {
-		name   string
-		sorted []time.Duration
-		q      float64
-		want   time.Duration
-	}{
-		{"empty", nil, 0.99, 0},
-		{"single sample", []time.Duration{ms(7)}, 0.5, ms(7)},
-		{"p99 of two samples is the max", []time.Duration{ms(1), ms(100)}, 0.99, ms(100)},
-		{"p90 of two samples is the max", []time.Duration{ms(1), ms(100)}, 0.9, ms(100)},
-		{"p50 of two samples is the lower", []time.Duration{ms(1), ms(100)}, 0.5, ms(1)},
-		{"p50 of four samples", []time.Duration{ms(1), ms(2), ms(3), ms(4)}, 0.5, ms(2)},
-		{"p99 of 100 samples", mkRange(100), 0.99, ms(99)},
-		{"p90 of 10 samples", mkRange(10), 0.9, ms(9)},
-		{"q=0 clamps to the minimum", []time.Duration{ms(1), ms(2)}, 0, ms(1)},
-		{"q=1 is the maximum", []time.Duration{ms(1), ms(2), ms(3)}, 1, ms(3)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := quantile(c.sorted, c.q); got != c.want {
-				t.Errorf("quantile(%v, %v) = %v, want %v", c.sorted, c.q, got, c.want)
-			}
-		})
-	}
-}
-
-// mkRange returns n sorted samples 1ms..n ms.
-func mkRange(n int) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = time.Duration(i+1) * time.Millisecond
-	}
-	return out
-}
 
 // metricLine extracts the value of the first exposition line with the
 // given prefix.
@@ -61,96 +19,32 @@ func metricLine(t *testing.T, text, prefix string) string {
 	return ""
 }
 
-// Once the ring buffer has wrapped (>= latencyWindow observations), the
-// percentiles must describe the *recent* window only: a latency regime
-// change fully replaces the old samples after one window's worth of
-// requests.
-func TestLatencyWindowWrapAroundKeepsRecentOnly(t *testing.T) {
-	m := newMetrics()
-	// Old regime: a full window of 1ms requests.
-	for i := 0; i < latencyWindow; i++ {
-		m.observe("/x", time.Millisecond, false)
-	}
-	// New regime: a full window of 100ms requests wraps the ring.
-	for i := 0; i < latencyWindow; i++ {
-		m.observe("/x", 100*time.Millisecond, false)
-	}
-	out := m.render(CacheStats{}, PoolStats{}, nil)
-	for _, q := range []string{"0.5", "0.9", "0.99"} {
-		got := metricLine(t, out, `dgxsimd_latency_seconds{path="/x",quantile="`+q+`"} `)
-		if got != "0.100000" {
-			t.Errorf("p%s after wrap = %s, want 0.100000 (old samples must be gone)", q, got)
-		}
-	}
-	// A half-window of the old regime must still show at p50 before the
-	// wrap completes.
-	m2 := newMetrics()
-	for i := 0; i < latencyWindow; i++ {
-		m2.observe("/y", time.Millisecond, false)
-	}
-	for i := 0; i < latencyWindow/2; i++ {
-		m2.observe("/y", 100*time.Millisecond, false)
-	}
-	out2 := m2.render(CacheStats{}, PoolStats{}, nil)
-	if got := metricLine(t, out2, `dgxsimd_latency_seconds{path="/y",quantile="0.5"} `); got != "0.001000" {
-		t.Errorf("p50 mid-wrap = %s, want 0.001000 (half the window is still old)", got)
-	}
-	if got := metricLine(t, out2, `dgxsimd_latency_seconds{path="/y",quantile="0.99"} `); got != "0.100000" {
-		t.Errorf("p99 mid-wrap = %s, want 0.100000", got)
-	}
-}
-
-// observe and render race-free under concurrent use (run with -race).
-func TestMetricsObserveRenderConcurrent(t *testing.T) {
-	m := newMetrics()
-	var observers sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		observers.Add(1)
-		go func(g int) {
-			defer observers.Done()
-			path := fmt.Sprintf("/p%d", g%2)
-			for i := 0; i < 2*latencyWindow; i++ {
-				m.startRequest(path)
-				m.observe(path, time.Duration(i)*time.Microsecond, i%7 == 0)
-			}
-		}(g)
-	}
-	stop := make(chan struct{})
-	var renderer sync.WaitGroup
-	renderer.Add(1)
-	go func() {
-		defer renderer.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = m.render(CacheStats{}, PoolStats{}, nil)
-			}
-		}
-	}()
-	observers.Wait()
-	close(stop)
-	renderer.Wait()
-	out := m.render(CacheStats{}, PoolStats{}, nil)
-	if got := metricLine(t, out, `dgxsimd_requests_total{path="/p0"} `); got != fmt.Sprint(4*latencyWindow) {
-		t.Errorf("requests_total = %s, want %d", got, 4*latencyWindow)
-	}
+// renderMetrics returns the server's /metrics exposition.
+func renderMetrics(s *Server) string {
+	var b strings.Builder
+	s.metrics.WriteTo(&b)
+	return b.String()
 }
 
 // The cumulative histogram renders monotone buckets with exact sum and
 // count, and the in-flight gauge returns to zero after observe.
 func TestMetricsHistogramAndInflight(t *testing.T) {
-	m := newMetrics()
-	m.startRequest("/x")
-	out := m.render(CacheStats{}, PoolStats{}, nil)
+	svc := NewServer(Config{Workers: 1})
+	defer svc.Close()
+	m := svc.requestMetrics("/x")
+	m.inflight.Add(1)
+	out := renderMetrics(svc)
 	if got := metricLine(t, out, `dgxsimd_inflight{path="/x"} `); got != "1" {
 		t.Errorf("inflight during request = %s, want 1", got)
 	}
-	m.observe("/x", 3*time.Millisecond, false)
-	m.startRequest("/x")
-	m.observe("/x", 700*time.Millisecond, false)
-	out = m.render(CacheStats{}, PoolStats{Panics: 2, QueueWait: 1500 * time.Millisecond}, nil)
+	m.inflight.Add(-1)
+	m.duration.Observe(3 * time.Millisecond)
+	m.inflight.Add(1)
+	m.inflight.Add(-1)
+	m.duration.Observe(700 * time.Millisecond)
+	svc.pool.panics.Add(2)
+	svc.pool.queueWaitNs.Add(int64(1500 * time.Millisecond))
+	out = renderMetrics(svc)
 
 	cases := []struct{ prefix, want string }{
 		{`dgxsimd_inflight{path="/x"} `, "0"},
@@ -161,6 +55,7 @@ func TestMetricsHistogramAndInflight(t *testing.T) {
 		{`dgxsimd_request_duration_seconds_bucket{path="/x",le="+Inf"} `, "2"},
 		{`dgxsimd_request_duration_seconds_sum{path="/x"} `, "0.703000"},
 		{`dgxsimd_request_duration_seconds_count{path="/x"} `, "2"},
+		{`dgxsimd_requests_total{path="/x"} `, "2"},
 		{`dgxsimd_pool_panics_total `, "2"},
 		{`dgxsimd_pool_queue_wait_seconds_total `, "1.500000"},
 	}

@@ -48,7 +48,7 @@ type OptimizeResponse struct {
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
+		MethodNotAllowed(w, http.MethodPost)
 		return
 	}
 	tr := obs.FromContext(r.Context())

@@ -197,18 +197,13 @@ func TestIdenticalConcurrentMissesCoalesce(t *testing.T) {
 	// the flight group, then let the leader run.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var inflight int64
-		svc.metrics.mu.Lock()
-		if e := svc.metrics.endpoints["/v1/simulate"]; e != nil {
-			inflight = e.inflight
-		}
-		svc.metrics.mu.Unlock()
-		if inflight == k {
+		inflight := metricLine(t, renderMetrics(svc), `dgxsimd_inflight{path="/v1/simulate"} `)
+		if inflight == fmt.Sprint(k) {
 			break
 		}
 		if time.Now().After(deadline) {
 			close(blocker) // unwedge cleanup before failing
-			t.Fatalf("only %d/%d requests in flight", inflight, k)
+			t.Fatalf("only %s/%d requests in flight", inflight, k)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -241,10 +236,7 @@ func TestIdenticalConcurrentMissesCoalesce(t *testing.T) {
 	if got := svc.PoolStats().Completed; got != 2 {
 		t.Errorf("pool completed %d tasks, want 2 (blocker + one simulation)", got)
 	}
-	svc.metrics.mu.Lock()
-	gotCoalesced := svc.metrics.coalesced
-	svc.metrics.mu.Unlock()
-	if gotCoalesced != uint64(k-1) {
+	if gotCoalesced := svc.coalesced.Load(); gotCoalesced != uint64(k-1) {
 		t.Errorf("dgxsimd_coalesced_total = %d, want %d", gotCoalesced, k-1)
 	}
 }

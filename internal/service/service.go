@@ -36,8 +36,8 @@
 //	                   Chrome trace (service spans; plus the inner FP/BP/WU
 //	                   simulator stages when the request set "trace": true)
 //	GET  /healthz      liveness probe
-//	GET  /metrics      plain-text counters: requests, latency percentiles
-//	                   and histograms, in-flight gauges, cache
+//	GET  /metrics      Prometheus text exposition: requests, latency
+//	                   histograms, in-flight gauges, cache
 //	                   hits/misses/evictions, pool depth/queue-wait/panics
 //
 // Every failure, on every endpoint, is one JSON envelope —
@@ -124,11 +124,25 @@ type Server struct {
 	cfg     Config
 	pool    *Pool
 	cache   *memo.Group[string, *cached]
-	metrics *metrics
+	metrics *obs.Registry
 	traces  *obs.Store
 	logger  *slog.Logger
 	mux     *http.ServeMux
+
+	// Counters the handlers bump; the per-endpoint request series are
+	// bound by instrument.
+	shed          *obs.Counter // requests refused under overload (429, 503)
+	coalesced     *obs.Counter // cells served by another request's flight
+	streams       *obs.Counter // NDJSON sweep responses, completed or not
+	streamedCells *obs.Counter // cell records flushed across all streams
+	clusterJobs   *obs.Counter // jobs scheduled across fleet simulations
+	clusterSim    *obs.Histogram
 }
+
+// latencyBuckets are the histogram upper bounds (seconds) of the request
+// and fleet-simulation durations: cache hits land in the low-millisecond
+// buckets, cold inception-class simulations in the seconds.
+var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 
 // NewServer builds a ready-to-serve instance.
 func NewServer(cfg Config) *Server {
@@ -142,7 +156,7 @@ func NewServer(cfg Config) *Server {
 		cfg:     cfg,
 		pool:    NewPoolQueue(cfg.Workers, cfg.QueueDepth),
 		cache:   memo.New[string, *cached](cfg.CacheSize),
-		metrics: newMetrics(),
+		metrics: obs.NewRegistry(),
 		traces:  obs.NewStore(cfg.TraceStore),
 		mux:     http.NewServeMux(),
 	}
@@ -160,6 +174,7 @@ func NewServer(cfg Config) *Server {
 			s.cache.Add(key, &cached{body: body})
 		})
 	}
+	s.registerMetrics()
 	// The mux is registered from the apiEndpoints table (index.go) — the
 	// same table GET /v1/ advertises, so routing and discovery cannot
 	// drift apart.
@@ -170,6 +185,71 @@ func NewServer(cfg Config) *Server {
 		}))
 	}
 	return s
+}
+
+// registerMetrics registers the process-wide series: uptime, the
+// counters the handlers bump, and func-backed views of the result cache,
+// the snapshot store, the compile counter and the pool. The persist
+// series exist only when a store is configured: their absence
+// distinguishes "no -cache-dir" from "nothing persisted yet".
+func (s *Server) registerMetrics() {
+	m := s.metrics
+	start := time.Now()
+	m.Func("dgxsimd_uptime_seconds", func() float64 { return time.Since(start).Seconds() })
+	m.Func("dgxsimd_cache_size", func() float64 { return float64(s.cache.Stats().Size) })
+	m.Func("dgxsimd_cache_max", func() float64 { return float64(s.cache.Stats().Max) })
+	m.Func("dgxsimd_cache_hits_total", func() float64 { return float64(s.cache.Stats().Hits) })
+	m.Func("dgxsimd_cache_misses_total", func() float64 { return float64(s.cache.Stats().Misses) })
+	m.Func("dgxsimd_cache_evictions_total", func() float64 { return float64(s.cache.Stats().Evictions) })
+	if st := s.cfg.Persist; st != nil {
+		m.Func("dgxsimd_persist_loaded_total", func() float64 { return float64(st.Stats().Loaded) })
+		m.Func("dgxsimd_persist_skipped_total", func() float64 { return float64(st.Stats().Skipped) })
+		m.Func("dgxsimd_persist_writes_total", func() float64 { return float64(st.Stats().Writes) })
+		m.Func("dgxsimd_persist_write_errors_total", func() float64 { return float64(st.Stats().WriteErrors) })
+		m.Func("dgxsimd_persist_dropped_total", func() float64 { return float64(st.Stats().Dropped) })
+	}
+	s.shed = m.Counter("dgxsimd_shed_total")
+	s.coalesced = m.Counter("dgxsimd_coalesced_total")
+	s.streams = m.Counter("dgxsimd_sweep_streams_total")
+	s.streamedCells = m.Counter("dgxsimd_sweep_streamed_cells_total")
+	// How many train.Windows this process actually compiled — the compile
+	// economy of the split artifact key (cells differing only in
+	// extrapolation parameters share one compiled window).
+	m.Func("dgxsimd_compile_windows_total", func() float64 { return float64(core.CompileCount()) })
+	s.clusterJobs = m.Counter("dgxsimd_cluster_jobs_total")
+	// One observation per fleet simulation (a whole trace), so its
+	// distribution is kept apart from the per-request latencies.
+	s.clusterSim = m.Histogram("dgxsimd_cluster_sim_seconds", latencyBuckets)
+	// Admission-queue occupancy: depth is the tasks currently waiting (or
+	// blocked submitting), capacity the -queue-depth bound sheds kick in
+	// past.
+	m.Func("dgxsimd_admission_queue_depth", func() float64 { return float64(s.pool.Stats().Queued) })
+	m.Func("dgxsimd_admission_queue_capacity", func() float64 { return float64(s.pool.Stats().QueueDepth) })
+	m.Func("dgxsimd_pool_workers", func() float64 { return float64(s.pool.Stats().Workers) })
+	m.Func("dgxsimd_pool_queued", func() float64 { return float64(s.pool.Stats().Queued) })
+	m.Func("dgxsimd_pool_active", func() float64 { return float64(s.pool.Stats().Active) })
+	m.Func("dgxsimd_pool_completed_total", func() float64 { return float64(s.pool.Stats().Completed) })
+	m.Func("dgxsimd_pool_panics_total", func() float64 { return float64(s.pool.Stats().Panics) })
+	m.Func("dgxsimd_pool_queue_wait_seconds_total", func() float64 { return s.pool.Stats().QueueWait.Seconds() })
+}
+
+// requestMetrics are one endpoint's request series, registered once when
+// the endpoint is wired so the request path only touches atomics. The
+// request count is the duration histogram's count, read at render time.
+type requestMetrics struct {
+	errors   *obs.Counter
+	inflight *obs.Gauge
+	duration *obs.Histogram
+}
+
+func (s *Server) requestMetrics(path string) requestMetrics {
+	dur := s.metrics.Histogram("dgxsimd_request_duration_seconds", latencyBuckets, "path", path)
+	s.metrics.Func("dgxsimd_requests_total", func() float64 { return float64(dur.Count()) }, "path", path)
+	return requestMetrics{
+		errors:   s.metrics.Counter("dgxsimd_request_errors_total", "path", path),
+		inflight: s.metrics.Gauge("dgxsimd_inflight", "path", path),
+		duration: dur,
+	}
 }
 
 // Handler returns the service's HTTP handler.
@@ -215,6 +295,7 @@ func (r *statusRecorder) Flush() {
 // trace carried through context and retained for /v1/trace/{id}, request
 // counting and latency capture, and one structured access-log line.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
+	m := s.requestMetrics(path)
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
@@ -223,16 +304,23 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		tr := obs.NewTrace(id)
 		r = r.WithContext(obs.WithTrace(r.Context(), tr))
 		w.Header().Set("X-Request-ID", id)
-		queueDepth := s.pool.Stats().Queued
+		var queueDepth int64 // at arrival, for the access log only
+		if s.logger != nil {
+			queueDepth = s.pool.queued.Load()
+		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		s.metrics.startRequest(path)
+		m.inflight.Add(1)
 		start := time.Now()
 		h(rec, r)
 		d := time.Since(start)
-		s.metrics.observe(path, d, rec.status >= 400)
+		m.inflight.Add(-1)
+		m.duration.Observe(d)
+		if rec.status >= 400 {
+			m.errors.Add(1)
+		}
 		shed := rec.status == http.StatusTooManyRequests || rec.status == http.StatusServiceUnavailable
 		if shed {
-			s.metrics.addShed()
+			s.shed.Add(1)
 			// A zero-length marker span, so a shed request's trace says
 			// why it carries no simulate span.
 			now := time.Now()
@@ -544,7 +632,7 @@ func (s *Server) resolveCell(ctx context.Context, label string, wl core.Workload
 	// even if that flight never launched and this caller relaunched it.
 	switch how {
 	case memo.Coalesced:
-		s.metrics.addCoalesced()
+		s.coalesced.Add(1)
 		s.attachProfile(tr, label, val.profile)
 		fallthrough
 	case memo.Relaunched:
@@ -673,7 +761,7 @@ func (s *Server) attachProfile(tr *obs.Trace, label string, p *profiler.Profile)
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
+		MethodNotAllowed(w, http.MethodPost)
 		return
 	}
 	tr := obs.FromContext(r.Context())
@@ -719,7 +807,7 @@ func cacheHeader(how memo.Outcome) string {
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
+		MethodNotAllowed(w, http.MethodPost)
 		return
 	}
 	tr := obs.FromContext(r.Context())
@@ -943,7 +1031,7 @@ func (sr *SweepResponse) UnmarshalJSON(b []byte) error {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
+		MethodNotAllowed(w, http.MethodPost)
 		return
 	}
 	tr := obs.FromContext(r.Context())
@@ -1032,7 +1120,7 @@ type ValidateResponse struct {
 // a workload this endpoint accepts never fails validation later.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
+		MethodNotAllowed(w, http.MethodPost)
 		return
 	}
 	limitBody(w, r)
@@ -1071,7 +1159,7 @@ type ModelInfo struct {
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
+		MethodNotAllowed(w, http.MethodGet)
 		return
 	}
 	names := core.Models()
@@ -1108,7 +1196,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // discover the axis the same way they discover models.
 func (s *Server) handleHardware(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
+		MethodNotAllowed(w, http.MethodGet)
 		return
 	}
 	b, err := json.Marshal(struct {
@@ -1125,7 +1213,7 @@ func (s *Server) handleHardware(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
+		MethodNotAllowed(w, http.MethodGet)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -1134,14 +1222,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
+		MethodNotAllowed(w, http.MethodGet)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	var pst *persist.Stats
-	if s.cfg.Persist != nil {
-		st := s.cfg.Persist.Stats()
-		pst = &st
-	}
-	fmt.Fprint(w, s.metrics.render(s.cache.Stats(), s.pool.Stats(), pst))
+	s.metrics.ServeHTTP(w, r)
 }

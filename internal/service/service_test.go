@@ -271,7 +271,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"dgxsimd_cache_misses_total 1",
 		"dgxsimd_cache_size 1",
 		"dgxsimd_pool_workers",
-		`dgxsimd_latency_seconds{path="/v1/simulate",quantile="0.99"}`,
+		`dgxsimd_request_duration_seconds_count{path="/v1/simulate"} 1`,
 		"dgxsimd_uptime_seconds",
 	} {
 		if !strings.Contains(string(b), want) {

@@ -183,7 +183,8 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req Swe
 	if failed == nil {
 		failed = ctx.Err()
 	}
-	defer s.metrics.addStream(count)
+	s.streams.Add(1)
+	s.streamedCells.Add(uint64(count))
 	if failed != nil {
 		if count == 0 {
 			// Nothing committed yet: a full HTTP error (429/503 sheds keep

@@ -21,7 +21,7 @@ import (
 // one simulated epoch.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
+		MethodNotAllowed(w, http.MethodGet)
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")

@@ -64,8 +64,8 @@ func Repetitions(exact time.Duration, j *sim.Jitter, n int) []time.Duration {
 // Quantile returns the q-th (0..1) value of a sorted sample using the
 // nearest-rank definition: the ⌈q·n⌉-th smallest. Nearest-rank keeps
 // high quantiles honest over small samples (p99 of 2 samples is the
-// larger one, not the minimum) — the same definition the service's
-// /metrics percentiles use.
+// larger one, not the minimum). It backs the cluster simulator's
+// P50/P90/P99.
 func Quantile(sorted []time.Duration, q float64) time.Duration {
 	n := len(sorted)
 	if n == 0 {

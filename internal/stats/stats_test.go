@@ -75,3 +75,43 @@ func TestSampleString(t *testing.T) {
 		t.Errorf("string = %q", got)
 	}
 }
+
+// Quantile must use the nearest-rank definition. The flooring bug this
+// pins against: over a 2-sample window, int(0.99*(2-1)) = 0, so p99
+// reported the *minimum* latency.
+func TestQuantileNearestRank(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	cases := []struct {
+		name   string
+		sorted []time.Duration
+		q      float64
+		want   time.Duration
+	}{
+		{"empty", nil, 0.99, 0},
+		{"single sample", []time.Duration{ms(7)}, 0.5, ms(7)},
+		{"p99 of two samples is the max", []time.Duration{ms(1), ms(100)}, 0.99, ms(100)},
+		{"p90 of two samples is the max", []time.Duration{ms(1), ms(100)}, 0.9, ms(100)},
+		{"p50 of two samples is the lower", []time.Duration{ms(1), ms(100)}, 0.5, ms(1)},
+		{"p50 of four samples", []time.Duration{ms(1), ms(2), ms(3), ms(4)}, 0.5, ms(2)},
+		{"p99 of 100 samples", mkRange(100), 0.99, ms(99)},
+		{"p90 of 10 samples", mkRange(10), 0.9, ms(9)},
+		{"q=0 clamps to the minimum", []time.Duration{ms(1), ms(2)}, 0, ms(1)},
+		{"q=1 is the maximum", []time.Duration{ms(1), ms(2), ms(3)}, 1, ms(3)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := Quantile(c.sorted, c.q); got != c.want {
+				t.Errorf("Quantile(%v, %v) = %v, want %v", c.sorted, c.q, got, c.want)
+			}
+		})
+	}
+}
+
+// mkRange returns n sorted samples 1ms..n ms.
+func mkRange(n int) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = time.Duration(i+1) * time.Millisecond
+	}
+	return out
+}

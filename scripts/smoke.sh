@@ -25,6 +25,22 @@ fail() {
     exit 1
 }
 
+# check_exposition WHO TEXT: every non-comment line of a /metrics body is
+# "series value" with a numeric value, and no series key appears twice.
+# Both daemons render /metrics the same way, so one check reads both.
+check_exposition() {
+    awk -v who="$1" '
+        /^#/ { next }
+        NF != 2 || $2 !~ /^[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?$|^[-+]?Inf$|^NaN$/ {
+            print "smoke: " who " /metrics: malformed line: " $0 > "/dev/stderr"; bad = 1
+        }
+        seen[$1]++ {
+            print "smoke: " who " /metrics: duplicate series " $1 > "/dev/stderr"; bad = 1
+        }
+        END { exit bad }
+    ' <<<"$2"
+}
+
 echo "smoke: building dgxsimd"
 go build -o "$BIN" ./cmd/dgxsimd
 
@@ -73,6 +89,7 @@ for series in \
     dgxsimd_inflight; do
     grep -q "$series" <<<"$METRICS" || fail "/metrics missing $series"
 done
+check_exposition replica "$METRICS" || fail "replica /metrics is not a well-formed exposition"
 
 echo "smoke: API index"
 INDEX="$(curl -fsS "$BASE/v1/")" || fail "GET /v1/ failed"
@@ -276,6 +293,7 @@ rm -f "$GW_HDRS"
 # (marked by the transport failure, not a probe), the survivor up, and
 # the failover counted.
 GW_METRICS="$(curl -fsS "$GW_BASE/metrics")" || gw_fail "gateway /metrics failed"
+check_exposition gateway "$GW_METRICS" || gw_fail "gateway /metrics is not a well-formed exposition"
 grep -q "dgxsimgw_replica_up{replica=\"$OWNER\"} 0" <<<"$GW_METRICS" \
     || gw_fail "dead owner still up in gateway metrics"
 grep -q "dgxsimgw_replica_up{replica=\"$SURVIVOR\"} 1" <<<"$GW_METRICS" \
