@@ -171,7 +171,6 @@ func trainConfig(w Workload) (train.Config, error) {
 	cfg.Async = w.Async
 	cfg.Parallelism = w.parallelism()
 	cfg.MicroBatches = w.MicroBatches
-	cfg.NCCLTree = w.NCCLTree
 	if w.BucketKB > 0 {
 		cfg.BucketBytes = units.Bytes(w.BucketKB) * units.KB
 	}
@@ -180,7 +179,9 @@ func trainConfig(w Workload) (train.Config, error) {
 	cfg.DetailIntervals = w.TraceIntervals
 	cfg.Faults = w.Faults
 	cfg.Hardware = w.Hardware
-	cfg.Protocol = w.Protocol
+	if cfg.NCCL, err = w.nccl(); err != nil {
+		return train.Config{}, err
+	}
 	return cfg, nil
 }
 

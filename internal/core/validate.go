@@ -70,11 +70,8 @@ func (w Workload) Validate() error {
 	if w.TraceIntervals < 0 {
 		return fmt.Errorf("core: trace interval count %d must not be negative", w.TraceIntervals)
 	}
-	if _, err := nccl.ParseProtocol(w.Protocol); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if w.NCCLTree && w.Protocol == "auto" {
-		return fmt.Errorf("core: protocol \"auto\" picks the algorithm per collective; clear ncclTree")
+	if _, err := w.nccl(); err != nil {
+		return err
 	}
 	if err := w.Faults.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -83,6 +80,24 @@ func (w Workload) Validate() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
+}
+
+// nccl parses the workload's collective selection: the one place the
+// protocol spelling is read, and the one check that a pinned tree does
+// not contradict "auto", which picks the algorithm per collective.
+func (w Workload) nccl() (nccl.Selection, error) {
+	p, err := nccl.ParseProtocol(w.Protocol)
+	if err != nil {
+		return nccl.Selection{}, fmt.Errorf("core: %w", err)
+	}
+	sel := nccl.Selection{Protocol: p}
+	if w.NCCLTree {
+		if p == nccl.ProtoAuto {
+			return nccl.Selection{}, fmt.Errorf("core: protocol \"auto\" picks the algorithm per collective; clear ncclTree")
+		}
+		sel.Algorithm = nccl.AlgoTree
+	}
+	return sel, nil
 }
 
 // methodOrDefault resolves the zero Method the way Run does.

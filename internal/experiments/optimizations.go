@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kvstore"
 	"repro/internal/models"
+	"repro/internal/nccl"
 	"repro/internal/report"
 	"repro/internal/train"
 	"repro/internal/units"
@@ -28,7 +29,9 @@ func Optimizations(opt Options) ([]*report.Table, error) {
 		}
 		cfg.Images = opt.Images
 		cfg.BucketBytes = bucket
-		cfg.NCCLTree = tree
+		if tree {
+			cfg.NCCL.Algorithm = nccl.AlgoTree
+		}
 		tr, err := train.New(cfg)
 		if err != nil {
 			return 0, err

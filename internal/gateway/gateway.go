@@ -2,13 +2,14 @@
 // dgxsimd fleet (cmd/dgxsimgw wraps it in a daemon). One process = one
 // result cache, so horizontal scale needs routing that keeps a repeated
 // workload landing on the replica that has already simulated it: the
-// gateway decodes each posted workload, normalizes it and computes its
-// fingerprint through the exact internal/core path the replicas key
-// their caches with, and consistent-hashes that fingerprint across the
-// replica set. The what-if traffic production fleets see is dominated by
-// repeats (the Alibaba-PAI characterization), which is why affinity —
-// not round-robin — is the scaling move: N replicas give N distinct warm
-// caches instead of N copies of the same cold one.
+// gateway reads each body through the replicas' own request contract
+// (service.Contract — the same endpoint table, body caps and strict
+// decoders a replica serves with), fingerprints the workload it finds,
+// and consistent-hashes that fingerprint across the replica set. The
+// what-if traffic production fleets see is dominated by repeats (the
+// Alibaba-PAI characterization), which is why affinity — not round-robin
+// — is the scaling move: N replicas give N distinct warm caches instead
+// of N copies of the same cold one.
 //
 // Semantics:
 //
@@ -16,9 +17,13 @@
 //     /v1/compare, /v1/validate) route by the workload's normalized
 //     fingerprint; /v1/sweep and /v1/optimize by their base workload's
 //     fingerprint (one sweep = one replica = one shared compile);
-//     everything else (cluster specs, GETs) by a hash of the body or
-//     path. Spelled-out defaults and omitted ones route identically,
-//     exactly as they share a cache slot in the replica.
+//     everything else (cluster specs, GETs, bodies the replica would
+//     reject) by a hash of the body or path. Spelled-out defaults and
+//     omitted ones route identically, exactly as they share a cache slot
+//     in the replica.
+//   - Body caps: each path's body is buffered (to resend on failover)
+//     under the cap the replica enforces on it, so an oversized body is
+//     refused at the edge with the replica's 413 envelope.
 //   - Health: every replica's /healthz is probed on an interval; dead
 //     replicas drop out of candidate selection and their keys fall to
 //     the next ring member. When a replica returns, it gets exactly its
@@ -40,8 +45,6 @@ package gateway
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,15 +57,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
-
-// maxBodyBytes mirrors the service's request-body cap: the gateway must
-// buffer bodies to retry them, and anything the replica would 413 can be
-// refused at the edge without burning a forward.
-const maxBodyBytes = 1 << 20
 
 // Config tunes a Gateway.
 type Config struct {
@@ -217,22 +214,10 @@ func (g *Gateway) checkAll() {
 // everything else proxied to the replica set.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", getOnly(g.handleHealthz))
-	mux.HandleFunc("/metrics", getOnly(g.metrics.ServeHTTP))
+	mux.HandleFunc("/healthz", service.Allow(g.handleHealthz, http.MethodGet))
+	mux.HandleFunc("/metrics", service.Allow(g.metrics.ServeHTTP, http.MethodGet))
 	mux.HandleFunc("/", g.proxy)
 	return mux
-}
-
-// getOnly answers any method but GET the way a replica does: 405 with
-// Allow and the error envelope.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			service.MethodNotAllowed(w, http.MethodGet)
-			return
-		}
-		h(w, r)
-	}
 }
 
 // handleHealthz reports the gateway healthy while at least one replica
@@ -248,39 +233,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeEnvelope(w, http.StatusServiceUnavailable, service.ErrorDetail{
 		Code: CodeNoReplica, Message: "no healthy replica", Retryable: true,
 	})
-}
-
-// affinityKey computes the routing key for one request: the normalized
-// workload fingerprint where the body carries one (the same core path
-// the replicas key their caches with), the base workload's fingerprint
-// for grid-shaped bodies, and a content hash otherwise. Decoding is
-// deliberately lenient — a malformed body still routes (deterministically,
-// by content) and the replica owns the 400.
-func affinityKey(path string, body []byte) string {
-	switch path {
-	case "/v1/simulate", "/v1/compare", "/v1/validate":
-		var wl core.Workload
-		if err := json.Unmarshal(body, &wl); err == nil {
-			return wl.Fingerprint()
-		}
-	case "/v1/sweep":
-		var req struct{ Base core.Workload }
-		if err := json.Unmarshal(body, &req); err == nil {
-			return req.Base.Fingerprint()
-		}
-	case "/v1/optimize":
-		var req struct {
-			Base core.Workload `json:"base"`
-		}
-		if err := json.Unmarshal(body, &req); err == nil {
-			return req.Base.Fingerprint()
-		}
-	}
-	if len(body) > 0 {
-		sum := sha256.Sum256(body)
-		return hex.EncodeToString(sum[:])
-	}
-	return path
 }
 
 // candidates orders the replicas to try for a key: the ring sequence
@@ -321,12 +273,15 @@ func isShed(resp *http.Response) bool {
 // the right answer.
 const maxAttempts = 2
 
-// proxy forwards one request along the key's ring sequence.
+// proxy forwards one request along the key's ring sequence. The body is
+// buffered so a failover can resend it, under the cap the replica would
+// enforce on the same path: anything the replica would 413 is refused at
+// the edge without burning a forward.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	maxBody, affinityKey := service.Contract(r.URL.Path)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
+		if errors.As(err, new(*http.MaxBytesError)) {
 			writeEnvelope(w, http.StatusRequestEntityTooLarge, service.ErrorDetail{
 				Code: service.CodeBodyTooLarge, Message: err.Error(),
 			})
@@ -338,7 +293,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cands := g.candidates(affinityKey(r.URL.Path, body))
+	cands := g.candidates(affinityKey(body))
 	attempts := len(cands)
 	if attempts > maxAttempts {
 		attempts = maxAttempts

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/service"
 )
 
@@ -330,7 +331,8 @@ func TestBodyTooLargeRefusedAtEdge(t *testing.T) {
 	b1 := newBackend(t)
 	_, ts := newGateway(t, b1)
 
-	resp, body := post(t, ts.URL+"/v1/simulate", strings.Repeat("x", maxBodyBytes+1))
+	maxBody, _ := service.Contract("/v1/simulate")
+	resp, body := post(t, ts.URL+"/v1/simulate", strings.Repeat("x", int(maxBody)+1))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)
 	}
@@ -340,6 +342,34 @@ func TestBodyTooLargeRefusedAtEdge(t *testing.T) {
 	}
 	if b1.hits.Load() != 0 {
 		t.Fatal("oversized body was forwarded to a replica")
+	}
+}
+
+// TestLargeClusterSpecForwarded: each path gets its replica's own body
+// cap. An explicit fleet trace past the workload endpoints' 1 MiB is a
+// legitimate /v1/cluster/simulate body, so the gateway forwards it
+// rather than refusing at the edge what the replica would serve.
+func TestLargeClusterSpecForwarded(t *testing.T) {
+	b1 := newBackend(t)
+	_, ts := newGateway(t, b1)
+
+	job := `{"model":"lenet","gpus":1,"batch":16,"images":4096,"arrivalNs":0}`
+	jobs := strings.Repeat(job+",", (2<<20)/len(job))
+	body := `{"nodes":[{"count":2}],"jobs":[` + jobs + job + `]}`
+	var spec cluster.Spec
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("test spec invalid: %v", err)
+	}
+
+	resp, _ := post(t, ts.URL+"/v1/cluster/simulate", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d for a %d-byte cluster spec, want it forwarded", resp.StatusCode, len(body))
+	}
+	if b1.hits.Load() != 1 {
+		t.Fatalf("replica saw %d requests, want 1", b1.hits.Load())
 	}
 }
 

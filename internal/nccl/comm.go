@@ -54,6 +54,15 @@ const (
 	AlgoTree
 )
 
+// Selection is one collective choice: the schedule and the transfer
+// protocol. The zero value is the paper's rings over Simple. Under
+// ProtoAuto the algorithm is picked per collective, so Algorithm only
+// matters with a fixed protocol.
+type Selection struct {
+	Algorithm Algorithm
+	Protocol  Protocol
+}
+
 // String names the algorithm.
 func (a Algorithm) String() string {
 	if a == AlgoTree {

@@ -11,20 +11,14 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
-
-// maxClusterBodyBytes caps /v1/cluster/simulate request bodies. Explicit
-// traces are the one legitimately large request this service accepts (a
-// MaxJobs trace at ~100 bytes per job approaches 10 MiB), so the cap is
-// its own, larger than the workload endpoints' maxBodyBytes.
-const maxClusterBodyBytes = 16 << 20
 
 // ClusterRequest is the versioned /v1/cluster/simulate body: a
 // cluster.Spec plus schemaVersion.
@@ -39,27 +33,14 @@ type ClusterResponse struct {
 	Result        *cluster.Result `json:"result"`
 }
 
-func (s *Server) handleClusterSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
+func (r ClusterRequest) version() int { return r.SchemaVersion }
+
+// routed is nil: a fleet spec is a whole trace, not a cached cell, so it
+// routes by content.
+func (ClusterRequest) routed() *core.Workload { return nil }
+
+func (s *Server) handleClusterSimulate(w http.ResponseWriter, r *http.Request, req ClusterRequest) {
 	tr := obs.FromContext(r.Context())
-	r.Body = http.MaxBytesReader(w, r.Body, maxClusterBodyBytes)
-	endDecode := tr.StartSpan("decode")
-	var req ClusterRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	endDecode()
-	if err != nil {
-		httpError(w, badRequestError{fmt.Errorf("decode cluster spec: %w", err)})
-		return
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		httpError(w, err)
-		return
-	}
 	if err := req.Spec.Validate(); err != nil {
 		httpError(w, badRequestError{err})
 		return
@@ -106,15 +87,10 @@ func (s *Server) handleClusterSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
-	b, err := json.Marshal(ClusterResponse{SchemaVersion: SchemaVersion, Result: res})
-	if err != nil {
-		httpError(w, err)
-		return
-	}
 	// Fleet results are not result-cached (a spec is a whole trace, not a
 	// cell); MISS records "this request computed it" for the access log's
 	// disposition field and the X-Cache surface clients already read.
 	w.Header().Set("X-Cache", "MISS")
 	w.Header().Set("X-Sim-Duration", tr.Dur("cluster.simulate").String())
-	writeJSONBytes(w, b)
+	writeJSON(w, ClusterResponse{SchemaVersion: SchemaVersion, Result: res})
 }

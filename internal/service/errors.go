@@ -17,6 +17,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
+	"strings"
 
 	"repro/internal/faults"
 )
@@ -82,11 +84,6 @@ type schemaVersionError struct{ err error }
 func (e schemaVersionError) Error() string { return e.err.Error() }
 func (e schemaVersionError) Unwrap() error { return e.err }
 
-func isSchemaVersion(err error) bool {
-	var sve schemaVersionError
-	return errors.As(err, &sve)
-}
-
 // classify maps an error to its HTTP status and envelope payload — the
 // one taxonomy behind every endpoint. Overload outcomes are distinguished
 // from request outcomes: a full admission queue is 429 and a deadline
@@ -95,9 +92,8 @@ func isSchemaVersion(err error) bool {
 // went away is 499 (the request's condition; the deterministic simulator
 // would just hit the same wall again, so neither is retryable).
 func classify(err error) (int, ErrorDetail) {
-	var mbe *http.MaxBytesError
 	switch {
-	case errors.As(err, &mbe):
+	case errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge,
 			ErrorDetail{Code: CodeBodyTooLarge, Message: err.Error()}
 	case errors.Is(err, ErrQueueFull):
@@ -112,7 +108,7 @@ func classify(err error) (int, ErrorDetail) {
 	case errors.Is(err, context.Canceled):
 		// 499: client closed request (nginx convention).
 		return 499, ErrorDetail{Code: CodeClientGone, Message: err.Error()}
-	case isSchemaVersion(err):
+	case errors.As(err, new(schemaVersionError)):
 		return http.StatusBadRequest,
 			ErrorDetail{Code: CodeSchemaVersion, Message: err.Error()}
 	case errors.Is(err, faults.ErrHardwareMismatch):
@@ -121,7 +117,7 @@ func classify(err error) (int, ErrorDetail) {
 		// specific code must win.
 		return http.StatusBadRequest,
 			ErrorDetail{Code: CodeInvalidArgument, Message: err.Error()}
-	case isBadRequest(err):
+	case errors.As(err, new(badRequestError)):
 		return http.StatusBadRequest,
 			ErrorDetail{Code: CodeBadRequest, Message: err.Error()}
 	}
@@ -151,16 +147,23 @@ func notFound(w http.ResponseWriter, message string) {
 	writeEnvelope(w, http.StatusNotFound, ErrorDetail{Code: CodeNotFound, Message: message})
 }
 
-// MethodNotAllowed writes the 405 response HTTP semantics require for a
-// wrong-method request: the Allow header naming what the resource
-// accepts, plus the envelope every endpoint shares. The gateway answers
+// Allow wraps h so that a request with any other method gets the 405
+// response HTTP semantics require: the Allow header naming the accepted
+// methods, plus the envelope every endpoint shares. The gateway guards
 // its own endpoints with it too. (An earlier version returned 400 "use
 // POST", which blamed the client's syntax rather than the method and
 // omitted Allow.)
-func MethodNotAllowed(w http.ResponseWriter, allow string) {
-	w.Header().Set("Allow", allow)
-	writeEnvelope(w, http.StatusMethodNotAllowed, ErrorDetail{
-		Code:    CodeMethodNotAllowed,
-		Message: "method not allowed; use " + allow,
-	})
+func Allow(h http.HandlerFunc, methods ...string) http.HandlerFunc {
+	allow := strings.Join(methods, ", ")
+	return func(w http.ResponseWriter, r *http.Request) {
+		if slices.Contains(methods, r.Method) {
+			h(w, r)
+			return
+		}
+		w.Header().Set("Allow", allow)
+		writeEnvelope(w, http.StatusMethodNotAllowed, ErrorDetail{
+			Code:    CodeMethodNotAllowed,
+			Message: "method not allowed; use " + allow,
+		})
+	}
 }

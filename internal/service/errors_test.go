@@ -125,6 +125,9 @@ func TestEnvelopeOnEveryStatusPath(t *testing.T) {
 		{"optimize bad objective", "POST", "/v1/optimize", `{"base":{"Model":"lenet","GPUs":1,"Batch":16},"objective":"fastest"}`, http.StatusBadRequest, CodeBadRequest},
 		{"wrong method", "GET", "/v1/simulate", "", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"unknown v1 path", "GET", "/v1/bogus", "", http.StatusNotFound, CodeNotFound},
+		// The path is checked before the method: an unrouted path is 404
+		// whatever the method, never the index's 405.
+		{"unknown v1 path, wrong method", "POST", "/v1/nope", "{}", http.StatusNotFound, CodeNotFound},
 		{"missing trace", "GET", "/v1/trace/deadbeef00000000", "", http.StatusNotFound, CodeNotFound},
 		{"oversized body", "POST", "/v1/simulate", `{"Model":"` + strings.Repeat("x", maxBodyBytes+1) + `"}`, http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
 	}

@@ -1,17 +1,31 @@
-// The machine-readable API index: GET /v1/ lists every endpoint, its
-// methods, and the content types it can produce, so clients discover
-// capabilities (the sweep NDJSON mode, the optimizer) instead of
-// hard-coding them. The endpoint table below is the single source of
-// truth: NewServer registers the mux from it, handleIndex serves it, and
-// an equivalence test holds the two views together — an endpoint cannot
-// be routed without being advertised, or advertised without being routed.
+// The machine-readable API index and the request contract: GET /v1/
+// lists every endpoint, its methods, and the content types it can
+// produce, so clients discover capabilities (the sweep NDJSON mode, the
+// optimizer) instead of hard-coding them. The endpoint table below is
+// the single source of truth for both. NewServer registers the mux from
+// it and enforces each row's method, body cap and strict decoding before
+// the handler runs; handleIndex serves it; Contract hands the same body
+// cap and decoder to the gateway, so a proxy routes a body exactly as the
+// replica will read it. An equivalence test holds the index and the mux
+// together — an endpoint cannot be routed without being advertised, or
+// advertised without being routed.
 package service
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strings"
+
+	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Content types the API produces.
@@ -21,7 +35,19 @@ const (
 	contentText   = "text/plain; charset=utf-8"
 )
 
-// endpointDef binds one mux registration to its advertised description.
+// Body caps. Workload, sweep and optimize descriptions are a few hundred
+// bytes; 1 MiB leaves generous headroom while keeping a hostile client
+// from streaming an unbounded body into the decoder. Explicit fleet
+// traces are the one legitimately large request (a MaxJobs trace at ~100
+// bytes per job approaches 10 MiB), so /v1/cluster/simulate has its own.
+const (
+	maxBodyBytes        = 1 << 20
+	maxClusterBodyBytes = 16 << 20
+)
+
+// endpointDef is one endpoint's whole contract: its mux registration,
+// its advertised description, and what a request must satisfy before the
+// handler runs.
 type endpointDef struct {
 	// pattern is the mux registration pattern (a trailing slash makes it
 	// a subtree, e.g. "/v1/trace/").
@@ -33,8 +59,38 @@ type endpointDef struct {
 	// contentTypes the endpoint can respond with. A client that wants a
 	// non-default type (NDJSON sweeps) negotiates via Accept.
 	contentTypes []string
-	// handler is the method implementing the endpoint.
-	handler func(*Server, http.ResponseWriter, *http.Request)
+	// maxBody caps the request body; reading past it is a 413.
+	maxBody int64
+	// decode strictly parses a body as the endpoint's request type (nil:
+	// the endpoint reads no body).
+	decode func(ctx context.Context, body io.Reader) (request, error)
+	// serve implements the endpoint once the method is accepted and the
+	// body capped (and, for POST endpoints, decoded).
+	serve func(*Server, http.ResponseWriter, *http.Request)
+}
+
+// getEndpoint is a bodiless endpoint. Its cap is the default one, which
+// only a proxy buffering the request ever reads against.
+func getEndpoint(pattern, path string, contentTypes []string, h func(*Server, http.ResponseWriter, *http.Request)) endpointDef {
+	return endpointDef{pattern, path, []string{http.MethodGet}, contentTypes, maxBodyBytes, nil, h}
+}
+
+// postEndpoint is an endpoint whose body decodes as T: the row owns the
+// decoding, and the handler receives the decoded request. noun names the
+// body in decode errors ("decode <noun>: ...").
+func postEndpoint[T request](pattern, noun string, maxBody int64, contentTypes []string, h func(*Server, http.ResponseWriter, *http.Request, T)) endpointDef {
+	return endpointDef{pattern, pattern, []string{http.MethodPost}, contentTypes, maxBody,
+		func(ctx context.Context, body io.Reader) (request, error) {
+			return decodeRequest[T](ctx, body, noun)
+		},
+		func(s *Server, w http.ResponseWriter, r *http.Request) {
+			req, err := decodeRequest[T](r.Context(), r.Body, noun)
+			if err != nil {
+				httpError(w, err)
+				return
+			}
+			h(s, w, r, req)
+		}}
 }
 
 // apiEndpoints is the routing table. Order is the order GET /v1/ lists.
@@ -43,19 +99,105 @@ type endpointDef struct {
 var apiEndpoints []endpointDef
 
 func init() {
+	jsonOnly, textOnly := []string{contentJSON}, []string{contentText}
+	jsonOrNDJSON := []string{contentJSON, contentNDJSON}
 	apiEndpoints = []endpointDef{
-		{"/v1/", "/v1/", []string{http.MethodGet}, []string{contentJSON}, (*Server).handleIndex},
-		{"/v1/simulate", "/v1/simulate", []string{http.MethodPost}, []string{contentJSON}, (*Server).handleSimulate},
-		{"/v1/compare", "/v1/compare", []string{http.MethodPost}, []string{contentJSON}, (*Server).handleCompare},
-		{"/v1/sweep", "/v1/sweep", []string{http.MethodPost}, []string{contentJSON, contentNDJSON}, (*Server).handleSweep},
-		{"/v1/optimize", "/v1/optimize", []string{http.MethodPost}, []string{contentJSON}, (*Server).handleOptimize},
-		{"/v1/validate", "/v1/validate", []string{http.MethodPost}, []string{contentJSON}, (*Server).handleValidate},
-		{"/v1/cluster/simulate", "/v1/cluster/simulate", []string{http.MethodPost}, []string{contentJSON}, (*Server).handleClusterSimulate},
-		{"/v1/models", "/v1/models", []string{http.MethodGet}, []string{contentJSON}, (*Server).handleModels},
-		{"/v1/hardware", "/v1/hardware", []string{http.MethodGet}, []string{contentJSON}, (*Server).handleHardware},
-		{"/v1/trace/", "/v1/trace/{id}", []string{http.MethodGet}, []string{contentJSON}, (*Server).handleTrace},
-		{"/healthz", "/healthz", []string{http.MethodGet}, []string{contentText}, (*Server).handleHealthz},
-		{"/metrics", "/metrics", []string{http.MethodGet}, []string{contentText}, (*Server).handleMetrics},
+		getEndpoint("/v1/", "/v1/", jsonOnly, (*Server).handleIndex),
+		postEndpoint("/v1/simulate", "workload", maxBodyBytes, jsonOnly, (*Server).handleSimulate),
+		postEndpoint("/v1/compare", "workload", maxBodyBytes, jsonOnly, (*Server).handleCompare),
+		postEndpoint("/v1/sweep", "sweep", maxBodyBytes, jsonOrNDJSON, (*Server).handleSweep),
+		postEndpoint("/v1/optimize", "optimize", maxBodyBytes, jsonOnly, (*Server).handleOptimize),
+		postEndpoint("/v1/validate", "workload", maxBodyBytes, jsonOnly, (*Server).handleValidate),
+		postEndpoint("/v1/cluster/simulate", "cluster spec", maxClusterBodyBytes, jsonOnly, (*Server).handleClusterSimulate),
+		getEndpoint("/v1/models", "/v1/models", jsonOnly, (*Server).handleModels),
+		getEndpoint("/v1/hardware", "/v1/hardware", jsonOnly, (*Server).handleHardware),
+		getEndpoint("/v1/trace/", "/v1/trace/{id}", jsonOnly, (*Server).handleTrace),
+		getEndpoint("/healthz", "/healthz", textOnly, (*Server).handleHealthz),
+		getEndpoint("/metrics", "/metrics", textOnly, (*Server).handleMetrics),
+	}
+}
+
+// handler enforces the contract every endpoint shares, then serves. A
+// subtree registered under its own advertised path ("/v1/") answers only
+// that path: every other path below it is unrouted and gets a not_found
+// envelope pointing back at the index, rather than the stdlib's bare
+// text 404. The path is checked before the method, so POST /v1/nope is a
+// 404, not the index's 405.
+func (e endpointDef) handler(s *Server) http.HandlerFunc {
+	serve := Allow(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, e.maxBody)
+		e.serve(s, w, r)
+	}, e.methods...)
+	return func(w http.ResponseWriter, r *http.Request) {
+		if e.path == e.pattern && r.URL.Path != e.path {
+			notFound(w, fmt.Sprintf("no endpoint %q (GET /v1/ lists the API)", r.URL.Path))
+			return
+		}
+		serve(w, r)
+	}
+}
+
+// request is the wire type of a POST body.
+type request interface {
+	// version is the schemaVersion the body declared (0: current).
+	version() int
+	// routed is the workload a proxy routes the body by — the request's
+	// own, or its grid's base — or nil when the body carries none.
+	routed() *core.Workload
+}
+
+// decodeRequest is the one strict body decoder: a single JSON value of
+// type T with no unknown fields and nothing after it but whitespace, in
+// a wire format this server speaks. Every failure is a 400 (bad_request,
+// or schema_version for a foreign version), except a body past its
+// endpoint's cap, which is a 413.
+func decodeRequest[T request](ctx context.Context, body io.Reader, noun string) (T, error) {
+	defer obs.FromContext(ctx).StartSpan("decode")()
+	var req T
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil || errors.As(err, new(*json.SyntaxError)) {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if err != nil {
+		return req, badRequestError{fmt.Errorf("decode %s: %w", noun, err)}
+	}
+	if v := req.version(); v != 0 && v != SchemaVersion {
+		return req, schemaVersionError{fmt.Errorf("unsupported schemaVersion %d (this server speaks %d)", v, SchemaVersion)}
+	}
+	return req, nil
+}
+
+// Contract is the request contract of path as a proxy in front of the
+// replicas sees it, read from the endpoint table: the body cap the
+// replica enforces there, and the affinity key of a body posted there.
+// The key is the fingerprint of the workload the replica's own strict
+// decoder finds in the body (the request's workload, or a grid's base),
+// so a repeated question lands on the replica whose cache holds it and
+// spelled-out defaults route like omitted ones. A body that does not
+// decode, or carries no workload, routes by a hash of its bytes — the
+// replica owns its 400 — and an empty one by its path.
+func Contract(path string) (maxBody int64, key func(body []byte) string) {
+	e := endpointDef{maxBody: maxBodyBytes}
+	if i := slices.IndexFunc(apiEndpoints, func(e endpointDef) bool { return e.pattern == path }); i >= 0 {
+		e = apiEndpoints[i]
+	}
+	return e.maxBody, func(body []byte) string {
+		if e.decode != nil {
+			if req, err := e.decode(context.Background(), bytes.NewReader(body)); err == nil && req.routed() != nil {
+				return req.routed().Fingerprint()
+			}
+		}
+		if len(body) == 0 {
+			return path
+		}
+		sum := sha256.Sum256(body)
+		return hex.EncodeToString(sum[:])
 	}
 }
 
@@ -96,23 +238,7 @@ func apiIndex() IndexResponse {
 	return out
 }
 
-// handleIndex serves the API index. Its "/v1/" pattern is a subtree
-// root, so it also answers every unrouted /v1/* path — with a not_found
-// envelope pointing back at the index, rather than the stdlib's bare
-// text 404.
+// handleIndex serves the API index.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/v1/" {
-		notFound(w, fmt.Sprintf("no endpoint %q (GET /v1/ lists the API)", r.URL.Path))
-		return
-	}
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	b, err := json.Marshal(apiIndex())
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSONBytes(w, b)
+	writeJSON(w, apiIndex())
 }

@@ -11,7 +11,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -46,27 +45,11 @@ type OptimizeResponse struct {
 	optimize.Result
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
+func (r OptimizeRequest) version() int           { return r.SchemaVersion }
+func (r OptimizeRequest) routed() *core.Workload { return &r.Base }
+
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, req OptimizeRequest) {
 	tr := obs.FromContext(r.Context())
-	limitBody(w, r)
-	endDecode := tr.StartSpan("decode")
-	var req OptimizeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	endDecode()
-	if err != nil {
-		httpError(w, badRequestError{fmt.Errorf("decode optimize: %w", err)})
-		return
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		httpError(w, err)
-		return
-	}
 	obj, err := optimize.ParseObjective(req.Objective)
 	if err != nil {
 		httpError(w, badRequestError{err})
@@ -111,12 +94,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
-	b, err := json.Marshal(OptimizeResponse{SchemaVersion: SchemaVersion, Result: res})
-	if err != nil {
-		httpError(w, err)
-		return
-	}
 	w.Header().Set("X-Cache-Hits", fmt.Sprintf("%d", hits))
 	w.Header().Set("X-Sim-Duration", tr.Dur("simulate").String())
-	writeJSONBytes(w, b)
+	writeJSON(w, OptimizeResponse{SchemaVersion: SchemaVersion, Result: res})
 }

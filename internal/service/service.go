@@ -56,7 +56,9 @@
 // Every JSON body — request and response — carries a schemaVersion field
 // (currently 1). Requests may omit it (treated as current); any other
 // value is rejected with 400 so old clients fail loudly when the wire
-// format moves, instead of silently misparsing.
+// format moves, instead of silently misparsing. Each endpoint's method,
+// body cap and strict request decoding are one row of the endpoint table
+// in index.go, which the gateway routes through as well.
 //
 // Everything is stdlib-only: net/http, encoding/json, log/slog, sync.
 package service
@@ -179,10 +181,7 @@ func NewServer(cfg Config) *Server {
 	// same table GET /v1/ advertises, so routing and discovery cannot
 	// drift apart.
 	for _, e := range apiEndpoints {
-		e := e
-		s.mux.HandleFunc(e.pattern, s.instrument(metricsLabel(e.pattern), func(w http.ResponseWriter, r *http.Request) {
-			e.handler(s, w, r)
-		}))
+		s.mux.HandleFunc(e.pattern, s.instrument(metricsLabel(e.pattern), e.handler(s)))
 	}
 	return s
 }
@@ -359,12 +358,6 @@ func disposition(shed bool, cacheHdr string) string {
 	return ""
 }
 
-// maxBodyBytes bounds every JSON request body. Workload and sweep
-// descriptions are a few hundred bytes; 1 MiB leaves generous headroom
-// while keeping a hostile client from streaming an unbounded body into
-// the decoder.
-const maxBodyBytes = 1 << 20
-
 // retryAfterSeconds is the Retry-After hint on shed responses. Sheds
 // mean the admission queue is full of work bounded by Timeout, so "soon"
 // is honest; a fixed small value also keeps retry storms spread by the
@@ -377,11 +370,6 @@ type badRequestError struct{ err error }
 
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
-
-func isBadRequest(err error) bool {
-	var bre badRequestError
-	return errors.As(err, &bre)
-}
 
 // SchemaVersion is the wire-format version of every request and response
 // body. Requests may omit it (zero means "current"); any other mismatch
@@ -401,48 +389,18 @@ type workloadRequest struct {
 	core.Workload
 }
 
-// checkSchemaVersion rejects bodies from a different wire format. The
-// failure carries its own error code (schema_version, not bad_request):
-// it is the one 400 a correct client hits when the wire format moves.
-func checkSchemaVersion(v int) error {
-	if v != 0 && v != SchemaVersion {
-		return schemaVersionError{fmt.Errorf("unsupported schemaVersion %d (this server speaks %d)", v, SchemaVersion)}
-	}
-	return nil
-}
+func (r workloadRequest) version() int           { return r.SchemaVersion }
+func (r workloadRequest) routed() *core.Workload { return &r.Workload }
 
-// limitBody caps the request body at maxBodyBytes; decoding a larger
-// body surfaces *http.MaxBytesError, which httpError maps to 413.
-func limitBody(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-}
-
-// decodeBody parses a request body without semantic validation (the
-// /v1/validate endpoint reports semantic errors in a 200 body). The
-// second result reports the "trace": true opt-in.
-func decodeBody(r *http.Request) (core.Workload, bool, error) {
-	var req workloadRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return core.Workload{}, false, badRequestError{fmt.Errorf("decode workload: %w", err)}
+// workload is the request's validated workload, traced if it opted in.
+func (r workloadRequest) workload() (core.Workload, error) {
+	if err := r.Validate(); err != nil {
+		return core.Workload{}, badRequestError{err}
 	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		return core.Workload{}, false, err
+	if r.Trace {
+		return withTracing(r.Workload), nil
 	}
-	return req.Workload, req.Trace, nil
-}
-
-// decodeWorkload parses and validates a request body.
-func decodeWorkload(r *http.Request) (core.Workload, bool, error) {
-	w, traced, err := decodeBody(r)
-	if err != nil {
-		return core.Workload{}, false, err
-	}
-	if err := w.Validate(); err != nil {
-		return core.Workload{}, false, badRequestError{err}
-	}
-	return w, traced, nil
+	return r.Workload, nil
 }
 
 // defaultTraceIntervals is the interval-retention cap applied when a
@@ -534,6 +492,17 @@ func decodeCachedReport(body []byte) (*core.Report, error) {
 		return nil, fmt.Errorf("decode cached report: %w", err)
 	}
 	return rb.Report, nil
+}
+
+// writeJSON marshals v as the response body; a value that fails to
+// marshal is a 500 envelope instead.
+func writeJSON(w http.ResponseWriter, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	writeJSONBytes(w, b)
 }
 
 // writeJSONBytes writes a JSON body and its trailing newline. The two
@@ -759,22 +728,12 @@ func (s *Server) attachProfile(tr *obs.Trace, label string, p *profiler.Profile)
 	}
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, req workloadRequest) {
 	tr := obs.FromContext(r.Context())
-	limitBody(w, r)
-	endDecode := tr.StartSpan("decode")
-	wl, traced, err := decodeWorkload(r)
-	endDecode()
+	wl, err := req.workload()
 	if err != nil {
 		httpError(w, err)
 		return
-	}
-	if traced {
-		wl = withTracing(wl)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -805,22 +764,12 @@ func cacheHeader(how memo.Outcome) string {
 	}
 }
 
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
+func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, req workloadRequest) {
 	tr := obs.FromContext(r.Context())
-	limitBody(w, r)
-	endDecode := tr.StartSpan("decode")
-	wl, traced, err := decodeWorkload(r)
-	endDecode()
+	wl, err := req.workload()
 	if err != nil {
 		httpError(w, err)
 		return
-	}
-	if traced {
-		wl = withTracing(wl)
 	}
 	methods := []core.Method{core.P2P, core.NCCL}
 	cells := make([]core.Workload, len(methods))
@@ -857,13 +806,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
-	b, err := json.Marshal(compareWire{SchemaVersion: SchemaVersion, Results: results})
-	if err != nil {
-		httpError(w, err)
-		return
-	}
 	w.Header().Set("X-Sim-Duration", tr.Dur("simulate").String())
-	writeJSONBytes(w, b)
+	writeJSON(w, compareWire{SchemaVersion: SchemaVersion, Results: results})
 }
 
 // CompareResponse is the /v1/compare body: both methods' reports in
@@ -913,6 +857,9 @@ type SweepRequest struct {
 	Protocols []string
 	Images    []int64
 }
+
+func (sr SweepRequest) version() int           { return sr.SchemaVersion }
+func (sr SweepRequest) routed() *core.Workload { return &sr.Base }
 
 // axes returns the effective per-axis values, axes left empty collapsed
 // to the base workload's value.
@@ -1029,27 +976,8 @@ func (sr *SweepResponse) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, req SweepRequest) {
 	tr := obs.FromContext(r.Context())
-	limitBody(w, r)
-	endDecode := tr.StartSpan("decode")
-	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	endDecode()
-	if err != nil {
-		httpError(w, badRequestError{fmt.Errorf("decode sweep: %w", err)})
-		return
-	}
-	if err := checkSchemaVersion(req.SchemaVersion); err != nil {
-		httpError(w, err)
-		return
-	}
 	size := req.Size()
 	if size == 0 {
 		httpError(w, badRequestError{fmt.Errorf("empty sweep grid")})
@@ -1091,14 +1019,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
-	b, err := json.Marshal(SweepResponse{SchemaVersion: SchemaVersion, Results: results})
-	if err != nil {
-		httpError(w, err)
-		return
-	}
 	w.Header().Set("X-Cache-Hits", fmt.Sprintf("%d", hits))
 	w.Header().Set("X-Sim-Duration", tr.Dur("simulate").String())
-	writeJSONBytes(w, b)
+	writeJSON(w, SweepResponse{SchemaVersion: SchemaVersion, Results: results})
 }
 
 // ValidateResponse is the /v1/validate body. A semantically invalid
@@ -1118,32 +1041,17 @@ type ValidateResponse struct {
 // handleValidate checks a workload without simulating it, reusing the
 // exact core.Workload.Validate the simulate/compare/sweep paths run, so
 // a workload this endpoint accepts never fails validation later.
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	limitBody(w, r)
-	wl, _, err := decodeBody(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
+func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, req workloadRequest) {
 	resp := ValidateResponse{SchemaVersion: SchemaVersion}
-	if err := wl.Validate(); err != nil {
+	if err := req.Validate(); err != nil {
 		resp.Error = err.Error()
 	} else {
-		n := wl.Normalize()
+		n := req.Normalize()
 		resp.Valid = true
 		resp.Fingerprint = n.Fingerprint()
 		resp.Workload = &n
 	}
-	b, err := json.Marshal(resp)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSONBytes(w, b)
+	writeJSON(w, resp)
 }
 
 // ModelInfo is one zoo entry of the /v1/models listing.
@@ -1158,10 +1066,6 @@ type ModelInfo struct {
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
 	names := core.Models()
 	infos := make([]ModelInfo, 0, len(names))
 	for _, n := range names {
@@ -1180,50 +1084,28 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Residual:         d.Residual,
 		})
 	}
-	b, err := json.Marshal(struct {
+	writeJSON(w, struct {
 		SchemaVersion int         `json:"schemaVersion"`
 		Models        []ModelInfo `json:"models"`
 	}{SchemaVersion: SchemaVersion, Models: infos})
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSONBytes(w, b)
 }
 
 // handleHardware lists the simulatable machines and NCCL protocols — the
 // values a workload's hardware and protocol fields accept — so clients
 // discover the axis the same way they discover models.
 func (s *Server) handleHardware(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	b, err := json.Marshal(struct {
+	writeJSON(w, struct {
 		SchemaVersion int                   `json:"schemaVersion"`
 		Hardware      []core.HardwareOption `json:"hardware"`
 		Protocols     []string              `json:"protocols"`
 	}{SchemaVersion: SchemaVersion, Hardware: core.Hardware(), Protocols: core.Protocols()})
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSONBytes(w, b)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
 	s.metrics.ServeHTTP(w, r)
 }

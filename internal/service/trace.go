@@ -20,10 +20,6 @@ import (
 // (profiler.ExportChromeTrace), pointed at one served request instead of
 // one simulated epoch.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	if id == "" || strings.Contains(id, "/") {
 		httpError(w, badRequestError{fmt.Errorf("trace id missing (GET /v1/trace/{id})")})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/kvstore"
+	"repro/internal/nccl"
 	"repro/internal/units"
 )
 
@@ -75,7 +76,7 @@ func TestBucketingWorksWithP2P(t *testing.T) {
 func TestNCCLTreeHelpsLatencyBoundTraining(t *testing.T) {
 	ring := runQuick(t, "lenet", 8, 16, kvstore.MethodNCCL)
 	cfg := quickCfg(t, "lenet", 8, 16, kvstore.MethodNCCL)
-	cfg.NCCLTree = true
+	cfg.NCCL.Algorithm = nccl.AlgoTree
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestNCCLTreeHelpsLatencyBoundTraining(t *testing.T) {
 	// Bandwidth-bound AlexNet should be nearly indifferent.
 	ringA := runQuick(t, "alexnet", 8, 64, kvstore.MethodNCCL)
 	cfgA := quickCfg(t, "alexnet", 8, 64, kvstore.MethodNCCL)
-	cfgA.NCCLTree = true
+	cfgA.NCCL.Algorithm = nccl.AlgoTree
 	trA, err := New(cfgA)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/kvstore"
+	"repro/internal/nccl"
 	"repro/internal/topology"
 )
 
@@ -111,32 +112,13 @@ func TestFaultsRequireDGX1Hardware(t *testing.T) {
 	}
 }
 
-// "auto" picks ring-vs-tree per collective, so pinning the tree
-// algorithm alongside it is contradictory.
-func TestProtocolAutoConflictsWithNCCLTree(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 4, 16, kvstore.MethodNCCL)
-	cfg.Protocol = "auto"
-	cfg.NCCLTree = true
-	if _, err := New(cfg); err == nil {
-		t.Error("auto protocol + pinned tree algorithm accepted")
-	}
-	cfg.NCCLTree = false
-	if _, err := New(cfg); err != nil {
-		t.Errorf("auto protocol alone: %v", err)
-	}
-	cfg.Protocol = "ll256"
-	if _, err := New(cfg); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-}
-
 // The protocol axis changes simulated time: LL's halved bandwidth makes
 // the comm-bound AlexNet epoch slower than Simple's.
 func TestProtocolChangesEpochTime(t *testing.T) {
-	run := func(protocol string) *Result {
+	run := func(protocol nccl.Protocol) *Result {
 		t.Helper()
 		cfg := quickCfg(t, "alexnet", 8, 16, kvstore.MethodNCCL)
-		cfg.Protocol = protocol
+		cfg.NCCL.Protocol = protocol
 		tr, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -147,8 +129,8 @@ func TestProtocolChangesEpochTime(t *testing.T) {
 		}
 		return res
 	}
-	simple := run("simple")
-	ll := run("ll")
+	simple := run(nccl.ProtoSimple)
+	ll := run(nccl.ProtoLL)
 	if ll.EpochTime <= simple.EpochTime {
 		t.Errorf("LL epoch (%v) should exceed Simple's (%v) for bulk gradients", ll.EpochTime, simple.EpochTime)
 	}

@@ -64,11 +64,6 @@ type Config struct {
 	// "dgx2", "dgx-a100", "dgx-h100") resolving to a (topology, GPU spec)
 	// pair. Mutually exclusive with a non-default name and Topology.
 	Hardware string
-	// Protocol selects the NCCL transfer protocol ("simple" default,
-	// "ll", "ll128", "auto"). "auto" picks protocol and ring-vs-tree
-	// algorithm per collective by message size and fabric; it therefore
-	// conflicts with NCCLTree, which pins the algorithm.
-	Protocol string
 	// Topology overrides the machine (default: the DGX-1). Ablations use
 	// topology.DGX1Scaled / DGX1PCIeOnly to explore interconnect variants.
 	Topology *topology.Topology
@@ -94,10 +89,12 @@ type Config struct {
 	// assignment). On the DGX-1's asymmetric topology, placement changes
 	// communication cost; Devices must have exactly GPUs entries.
 	Devices []topology.NodeID
-	// NCCLTree selects NCCL's double-binary-tree algorithm instead of the
-	// rings the paper measured — the later NCCL release's answer to the
-	// small-message latency the paper identified.
-	NCCLTree bool
+	// NCCL selects the collective algorithm and transfer protocol. The
+	// zero value is the rings over Simple the paper measured; the tree
+	// algorithm is the later NCCL release's answer to the small-message
+	// latency the paper identified, and nccl.ProtoAuto picks protocol and
+	// algorithm per collective by message size and fabric.
+	NCCL nccl.Selection
 	// Checkpointing enables sqrt-N gradient checkpointing: feature-map
 	// memory collapses to ~2*sqrt(n) resident activations at the cost of
 	// one extra forward pass during BP — the algorithm-level memory remedy
@@ -174,12 +171,6 @@ func (c *Config) normalize() error {
 		if c.GPUs > m.GPUs {
 			return fmt.Errorf("train: %s has %d GPUs, requested %d", m.Title, m.GPUs, c.GPUs)
 		}
-	}
-	if _, err := nccl.ParseProtocol(c.Protocol); err != nil {
-		return fmt.Errorf("train: %w", err)
-	}
-	if c.NCCLTree && c.Protocol == "auto" {
-		return fmt.Errorf("train: protocol \"auto\" picks the algorithm per collective; clear NCCLTree")
 	}
 	if c.Batch <= 0 {
 		return fmt.Errorf("train: bad batch size %d", c.Batch)
@@ -407,11 +398,7 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	rt.SetRoutePolicy(cfg.RoutePolicy)
 	ncfg := nccl.DefaultConfig()
-	if cfg.NCCLTree {
-		ncfg.Algorithm = nccl.AlgoTree
-	}
-	// normalize already vetted the spelling; the parse cannot fail here.
-	ncfg.Protocol, _ = nccl.ParseProtocol(cfg.Protocol)
+	ncfg.Algorithm, ncfg.Protocol = cfg.NCCL.Algorithm, cfg.NCCL.Protocol
 	backend, err := kvstore.NewWithNCCL(cfg.Method, rt, devs, ncfg)
 	if err != nil {
 		return nil, err
