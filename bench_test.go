@@ -479,3 +479,59 @@ func BenchmarkCoreRunMany8(b *testing.B) {
 		}
 	}
 }
+
+// missWorkloads is the server-shaped cold benchmark's input cycle: model
+// × GPUs × batch × communication × hardware, 2,000 distinct compile
+// fingerprints, four times the 512-entry compiled-window memo, so
+// cycling through them in order misses the memo on every op.
+var missWorkloads = func() []core.Workload {
+	comms := []struct {
+		method   core.Method
+		protocol string
+	}{{core.P2P, ""}, {core.NCCL, "simple"}, {core.NCCL, "ll"}, {core.NCCL, "ll128"}, {core.NCCL, "auto"}}
+	var ws []core.Workload
+	for _, model := range []string{"lenet", "alexnet", "resnet", "googlenet", "inception-v3"} {
+		for gpus := 1; gpus <= 8; gpus++ {
+			for _, batch := range []int{24, 40} {
+				for _, c := range comms {
+					for _, hw := range []string{"dgx1", "dgx1-pascal", "dgx2", "dgx-a100", "dgx-h100"} {
+						ws = append(ws, core.Workload{Model: model, GPUs: gpus, Batch: batch,
+							Method: c.method, Protocol: c.protocol, Hardware: hw})
+					}
+				}
+			}
+		}
+	}
+	return ws
+}()
+
+// missNext is the next position in missWorkloads. It persists across the
+// benchmark's rounds, so a round never starts on a window the previous
+// round left in the memo.
+var missNext int
+
+// BenchmarkCoreRunMiss measures what a long-running server pays for a
+// never-seen workload: every op compiles a window (it misses the
+// compiled-window memo), while the model zoo, the dnn plans and the
+// machine topologies stay warm from the first pass through the cycle,
+// which runs untimed. BenchmarkCoreRunCold, by contrast, measures the
+// process-start cost, rebuilding all of those on every op.
+func BenchmarkCoreRunMiss(b *testing.B) {
+	run := func(i int) {
+		w := missWorkloads[i%len(missWorkloads)]
+		if _, err := core.Run(w); err != nil {
+			b.Fatalf("%+v: %v", w, err)
+		}
+	}
+	if missNext == 0 {
+		for ; missNext < len(missWorkloads); missNext++ {
+			run(missNext)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(missNext)
+		missNext++
+	}
+}

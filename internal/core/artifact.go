@@ -80,12 +80,14 @@ type layerStatKey struct {
 var layerStats = memo.New[layerStatKey, []dnn.LayerStat](256)
 
 // ResetCaches drops every memoized artifact: compiled windows, layer
-// profiles, and the built model zoo. Only benchmarks and tests that
-// measure or exercise the cold path need it; servers never call it.
+// profiles, the built model zoo and the machine topologies. Only
+// benchmarks and tests that measure or exercise the cold path need it;
+// servers never call it.
 func ResetCaches() {
 	windows.Reset()
 	layerStats.Reset()
 	models.ResetCache()
+	train.ResetCache()
 }
 
 // epochImages resolves the epoch's dataset size for a normalized workload.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/train"
 )
 
 // reportJSON marshals a report the way every consumer sees it.
@@ -146,15 +147,24 @@ func TestTinyEpochGetsOwnWindow(t *testing.T) {
 }
 
 // TestCacheConcurrency hammers the artifact cache from NumCPU goroutines
-// starting cold, so the compile-once gate, the plan cache, and the model
-// zoo memo all race on first touch. Run with -race; every result must
-// match the sequential reference bytes.
+// starting cold, so the compile-once gate, the plan cache, the model zoo
+// memo and the machine-topology memo all race on first touch, and
+// distinct workloads compile on every registered machine's one shared
+// topology at once. Run with -race; every result must match the bytes of
+// a sequential run on a freshly built topology.
 func TestCacheConcurrency(t *testing.T) {
 	workloads := []Workload{
 		{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192},
 		{Model: "alexnet", GPUs: 4, Batch: 32, Images: 8192},
 		{Model: "resnet", GPUs: 2, Batch: 16, Images: 8192},
 		{Model: "resnet", GPUs: 2, Batch: 16, Images: 16384}, // shares resnet's window
+	}
+	for _, hw := range HardwareNames() {
+		for _, gpus := range []int{1, 2, 8} {
+			for _, m := range []Method{NCCL, P2P} {
+				workloads = append(workloads, Workload{Model: "lenet", GPUs: gpus, Batch: 24, Images: 8192, Method: m, Hardware: hw})
+			}
+		}
 	}
 	refs := make([]string, len(workloads))
 	for i, w := range workloads {
@@ -378,5 +388,28 @@ func TestCompileFailureCompilesOnce(t *testing.T) {
 	}
 	if got := CompileCount() - before; got != 1 {
 		t.Errorf("3 runs of a failing workload compiled %d times, want 1", got)
+	}
+}
+
+// ResetCaches drops the machine-topology memo, so the next compile
+// builds the graph afresh (BenchmarkCoreRunCold measures that cost).
+func TestResetCachesDropsMachineTopology(t *testing.T) {
+	w := Workload{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192, Hardware: "dgx2"}
+	if _, err := Run(w); err != nil {
+		t.Fatal(err)
+	}
+	before, err := train.MachineTopology("dgx2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := train.MachineTopology("dgx2"); again != before {
+		t.Fatal("the machine topology is not memoized")
+	}
+	ResetCaches()
+	if _, err := Run(w); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := train.MachineTopology("dgx2"); after == before {
+		t.Error("ResetCaches kept the memoized machine topology")
 	}
 }

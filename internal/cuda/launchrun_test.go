@@ -98,42 +98,52 @@ func checkRunMatchesLoop(t *testing.T, sc runScenario) {
 	if sRun.Tail() != sLoop.Tail() {
 		t.Errorf("tail %v, loop %v", sRun.Tail(), sLoop.Tail())
 	}
-	resources := func(rt *Runtime) map[string]*sim.Resource {
-		d := rt.devs[0]
-		return map[string]*sim.Resource{
-			"host": d.host, "engine": d.engine,
-			"compute": d.dev.Queue(false), "comm": d.dev.Queue(true),
-		}
-	}
-	loopRes := resources(rtLoop)
-	for name, r := range resources(rtRun) {
-		l := loopRes[name]
-		if r.FreeAt() != l.FreeAt() || r.BusyTime() != l.BusyTime() || r.Requests() != l.Requests() {
-			t.Errorf("%s: free %v busy %v requests %d; loop free %v busy %v requests %d",
-				name, r.FreeAt(), r.BusyTime(), r.Requests(), l.FreeAt(), l.BusyTime(), l.Requests())
+	checkSameState(t, rtRun, rtLoop, append([]string{"pre"}, runKernelNames...))
+}
+
+// checkSameState requires two runtimes to agree on every observable: each
+// managed device's host and engine threads and compute and comm queues,
+// the profile aggregates of the listed kernels and of every API, the
+// stage busy times, the ranked name orders and the retained intervals.
+func checkSameState(t *testing.T, got, want *Runtime, kernels []string) {
+	t.Helper()
+	for _, id := range want.ids {
+		g, w := got.devs[id], want.devs[id]
+		for _, r := range []struct {
+			name string
+			g, w *sim.Resource
+		}{
+			{"host", g.host, w.host}, {"engine", g.engine, w.engine},
+			{"compute", g.dev.Queue(false), w.dev.Queue(false)},
+			{"comm", g.dev.Queue(true), w.dev.Queue(true)},
+		} {
+			if r.g.FreeAt() != r.w.FreeAt() || r.g.BusyTime() != r.w.BusyTime() || r.g.Requests() != r.w.Requests() {
+				t.Errorf("GPU%d %s: free %v busy %v requests %d; want free %v busy %v requests %d",
+					id, r.name, r.g.FreeAt(), r.g.BusyTime(), r.g.Requests(), r.w.FreeAt(), r.w.BusyTime(), r.w.Requests())
+			}
 		}
 	}
 
-	pRun, pLoop := rtRun.Profile(), rtLoop.Profile()
-	for _, name := range append([]string{"pre"}, runKernelNames...) {
-		if a, b := pRun.Kernel(name), pLoop.Kernel(name); a != b {
-			t.Errorf("kernel %s: %+v, loop %+v", name, a, b)
+	pg, pw := got.Profile(), want.Profile()
+	for _, name := range kernels {
+		if a, b := pg.Kernel(name), pw.Kernel(name); a != b {
+			t.Errorf("kernel %s: %+v, want %+v", name, a, b)
 		}
 	}
 	for _, name := range []string{APILaunchKernel, APIMemcpyAsync, APIStreamSync} {
-		if a, b := pRun.API(name), pLoop.API(name); a != b {
-			t.Errorf("API %s: %+v, loop %+v", name, a, b)
+		if a, b := pg.API(name), pw.API(name); a != b {
+			t.Errorf("API %s: %+v, want %+v", name, a, b)
 		}
 	}
 	for st := profiler.StageOther; st <= profiler.StageDataLoad; st++ {
-		if a, b := pRun.StageBusy(st), pLoop.StageBusy(st); a != b {
-			t.Errorf("stage %s busy %v, loop %v", st, a, b)
+		if a, b := pg.StageBusy(st), pw.StageBusy(st); a != b {
+			t.Errorf("stage %s busy %v, want %v", st, a, b)
 		}
 	}
-	if !reflect.DeepEqual(pRun.KernelNames(), pLoop.KernelNames()) || !reflect.DeepEqual(pRun.APINames(), pLoop.APINames()) {
-		t.Errorf("name orders differ: %v %v, loop %v %v", pRun.KernelNames(), pRun.APINames(), pLoop.KernelNames(), pLoop.APINames())
+	if !reflect.DeepEqual(pg.KernelNames(), pw.KernelNames()) || !reflect.DeepEqual(pg.APINames(), pw.APINames()) {
+		t.Errorf("name orders differ: %v %v, want %v %v", pg.KernelNames(), pg.APINames(), pw.KernelNames(), pw.APINames())
 	}
-	if !reflect.DeepEqual(pRun.Intervals(), pLoop.Intervals()) {
+	if !reflect.DeepEqual(pg.Intervals(), pw.Intervals()) {
 		t.Errorf("retained intervals differ")
 	}
 }

@@ -523,6 +523,90 @@ func (s *Stream) Extend(stage profiler.Stage, k Kernel, ready, until time.Durati
 	return be
 }
 
+// Gang is one communication stream per rank that launches collectives as
+// a single synchronized group: every rank's engine thread pays a launch,
+// then every rank's stream stays busy until one global completion. It
+// owns the per-launch scratch, so it is single-threaded like the runtime.
+type Gang struct {
+	rt      *Runtime
+	streams []*Stream
+	avail   []time.Duration
+}
+
+// CommGang creates a communication stream (CommStream) on each device,
+// in rank order, and groups them into a gang.
+func (rt *Runtime) CommGang(devs []topology.NodeID, name string) *Gang {
+	g := &Gang{rt: rt, streams: make([]*Stream, len(devs)), avail: make([]time.Duration, len(devs))}
+	for i, d := range devs {
+		g.streams[i] = rt.CommStream(d, fmt.Sprintf("%s%d", name, d))
+	}
+	return g
+}
+
+// Stream returns rank i's stream.
+func (g *Gang) Stream(i int) *Stream { return g.streams[i] }
+
+// Launch books one collective kernel k on every rank from ready: each
+// rank's engine thread pays a cudaLaunchKernel, rank i becomes available
+// at avail_i = max(its launch's end, its stream's tail, ready), and the
+// collective runs from global = max(ready, max_i avail_i) until
+// end = global + dur, each rank's stream busy from avail_i until end (as
+// Extend books it). It returns global and end.
+//
+// The result, every booking and every profile aggregate equal those of
+// HostLaunch on each rank followed by Extend on each rank; the launches
+// and the windows are accounted in one batch per gang instead. A
+// Detailed profile still books rank by rank, so its timeline keeps every
+// interval.
+func (g *Gang) Launch(stage profiler.Stage, k Kernel, ready, dur time.Duration) (global, end time.Duration) {
+	prof := g.rt.prof
+	if prof != nil && prof.Detailed() {
+		return g.launchEach(stage, k, ready, dur)
+	}
+	launch := g.rt.costs.LaunchKernel
+	global = ready
+	for i, s := range g.streams {
+		thread := s.d.engine
+		hostDone := max(ready, thread.FreeAt()) + launch
+		thread.BookRun(1, launch, hostDone)
+		a := max(hostDone, s.tail)
+		g.avail[i] = a
+		global = max(global, a)
+	}
+	end = global + dur
+	var busy time.Duration
+	for i, s := range g.streams {
+		start := max(s.tail, g.avail[i])
+		d := max(end-start, 0)
+		queue := s.d.dev.Queue(true)
+		s.tail = max(start, queue.FreeAt()) + d
+		queue.BookRun(1, d, s.tail)
+		busy += d
+	}
+	if prof != nil {
+		n := int64(len(g.streams))
+		prof.AddSlot(profiler.KindAPI, g.rt.launch.slot, n, time.Duration(n)*launch)
+		prof.AddSlot(profiler.KindKernel, k.Slot, n, busy)
+		prof.AddStageBusy(stage, time.Duration(n)*launch+busy)
+	}
+	return global, end
+}
+
+// launchEach is Launch rank by rank: a HostLaunch on every rank, then an
+// Extend on every rank.
+func (g *Gang) launchEach(stage profiler.Stage, k Kernel, ready, dur time.Duration) (global, end time.Duration) {
+	global = ready
+	for i, s := range g.streams {
+		g.avail[i] = max(s.HostLaunch(stage, ready), s.tail, ready)
+		global = max(global, g.avail[i])
+	}
+	end = global + dur
+	for i, s := range g.streams {
+		s.Extend(stage, k, g.avail[i], end)
+	}
+	return global, end
+}
+
 // Synchronize blocks the host thread from hostReady until the stream
 // drains, plus a fixed overhead; the blocked window is recorded as
 // cudaStreamSynchronize (as nvprof accounts it). It returns when the host

@@ -38,10 +38,11 @@ func (f *Fabric) Topology() *topology.Topology { return f.top }
 // Engine returns the simulation engine the fabric schedules on.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
-// direction returns (creating on demand) the resource for one link
+// Direction returns (creating on demand) the resource for one link
 // direction. Links are full duplex: the two directions never contend with
-// each other.
-func (f *Fabric) direction(l *topology.Link, from topology.NodeID) *sim.Resource {
+// each other. Booking it directly is Occupy without the lookup, for
+// callers that book the same directions many times.
+func (f *Fabric) Direction(l *topology.Link, from topology.NodeID) *sim.Resource {
 	i, d := l.Index(), 0
 	if from != l.A {
 		d = 1
@@ -81,7 +82,7 @@ func (f *Fabric) TransferAfter(ready time.Duration, path topology.Path, size uni
 
 func (f *Fabric) runHop(path topology.Path, i int, size units.Bytes, ready time.Duration, firstStart time.Duration, done func(start, end time.Duration)) {
 	hop := path.Hops[i]
-	res := f.direction(hop.Link, hop.From)
+	res := f.Direction(hop.Link, hop.From)
 	dur := hop.Link.Latency + units.TransferTime(size, hop.Link.BW)
 	res.ServeAfter(ready, dur, func(start, end time.Duration) {
 		fs := firstStart
@@ -119,7 +120,7 @@ func (f *Fabric) Book(path topology.Path, size units.Bytes, ready time.Duration)
 		}
 		dur := lat + units.TransferTime(size, bw)
 		for i, hop := range path.Hops {
-			s, e := f.direction(hop.Link, hop.From).Book(ready, dur)
+			s, e := f.Direction(hop.Link, hop.From).Book(ready, dur)
 			if i == 0 {
 				start = s
 			}
@@ -130,7 +131,7 @@ func (f *Fabric) Book(path topology.Path, size units.Bytes, ready time.Duration)
 		return start, end
 	}
 	for i, hop := range path.Hops {
-		res := f.direction(hop.Link, hop.From)
+		res := f.Direction(hop.Link, hop.From)
 		dur := hop.Link.Latency + units.TransferTime(size, hop.Link.BW)
 		s, e := res.Book(ready, dur)
 		if i == 0 {
@@ -147,7 +148,7 @@ func (f *Fabric) Book(path topology.Path, size units.Bytes, ready time.Duration)
 // whose wire time is computed analytically use this to make the links they
 // stream over visible to contention accounting.
 func (f *Fabric) Occupy(l *topology.Link, from topology.NodeID, ready, dur time.Duration) (start, end time.Duration) {
-	return f.direction(l, from).Book(ready, dur)
+	return f.Direction(l, from).Book(ready, dur)
 }
 
 // OneWayTime returns the unloaded (contention-free) duration of moving size

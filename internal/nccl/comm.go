@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/profiler"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -140,8 +141,8 @@ type Communicator struct {
 	rt    *cuda.Runtime
 	devs  []topology.NodeID
 	rings []Ring
-	// streams[i] is rank i's communication stream.
-	streams []*cuda.Stream
+	// gang holds one communication stream per rank, in rank order.
+	gang *cuda.Gang
 	// kernels holds each collective's kernel label, interned once.
 	kernels [numCollectives]cuda.Kernel
 	cfg     Config
@@ -153,13 +154,12 @@ type Communicator struct {
 	// is booked per routed hop in hopPaths).
 	hopLinks [][]*topology.Link
 	hopPaths [][]topology.Path
+	// hopRes is every link direction a collective's wire phase occupies,
+	// ring by ring and hop by hop, in booking order.
+	hopRes []*sim.Resource
 	// nvlink records whether the rings run over NVLink — the fabric
 	// property protocol auto-selection (and LL128 eligibility) keys on.
 	nvlink bool
-	// avail is per-collective scratch (rank availability times), reused
-	// across calls — a communicator issues thousands of collectives per
-	// simulated epoch and is single-threaded within its run.
-	avail []time.Duration
 }
 
 // New builds a communicator over the devices, constructing NVLink rings
@@ -170,17 +170,16 @@ func New(rt *cuda.Runtime, devs []topology.NodeID, cfg Config) (*Communicator, e
 	}
 	cfg = cfg.withDefaults()
 	c := &Communicator{
-		rt:      rt,
-		devs:    append([]topology.NodeID(nil), devs...),
-		streams: make([]*cuda.Stream, len(devs)),
-		cfg:     cfg,
+		rt:   rt,
+		devs: append([]topology.NodeID(nil), devs...),
+		cfg:  cfg,
 	}
-	for i, d := range c.devs {
+	for _, d := range c.devs {
 		if rt.Device(d) == nil {
 			return nil, fmt.Errorf("nccl: device %d not managed by runtime", d)
 		}
-		c.streams[i] = rt.CommStream(d, fmt.Sprintf("nccl%d", d))
 	}
+	c.gang = rt.CommGang(c.devs, "nccl")
 	for k, name := range collectiveKernels {
 		c.kernels[k] = rt.NewKernel(name, 0)
 	}
@@ -210,7 +209,8 @@ func New(rt *cuda.Runtime, devs []topology.NodeID, cfg Config) (*Communicator, e
 	return c, nil
 }
 
-// resolveHops caches the link (or routed path) of every ring hop.
+// resolveHops caches the link (or routed path) of every ring hop, and
+// the fabric resource of every link direction the hops occupy.
 func (c *Communicator) resolveHops(top *topology.Topology) error {
 	c.hopLinks = make([][]*topology.Link, len(c.rings))
 	c.hopPaths = make([][]topology.Path, len(c.rings))
@@ -241,6 +241,18 @@ func (c *Communicator) resolveHops(top *topology.Topology) error {
 				return err
 			}
 			c.hopPaths[ri][i] = p
+		}
+	}
+	fab := c.rt.Fabric()
+	for ri, r := range c.rings {
+		for i, from := range r.Order {
+			if l := c.hopLinks[ri][i]; l != nil {
+				c.hopRes = append(c.hopRes, fab.Direction(l, from))
+				continue
+			}
+			for _, hop := range c.hopPaths[ri][i].Hops {
+				c.hopRes = append(c.hopRes, fab.Direction(hop.Link, hop.From))
+			}
 		}
 	}
 	return nil
@@ -313,12 +325,12 @@ func (c *Communicator) localPass(size units.Bytes) time.Duration {
 }
 
 // run executes one collective: per-rank host launches, a globally
-// synchronized kernel window, and ring-link occupancy. It returns the
-// operation's completion time.
+// synchronized kernel window (one cuda.Gang launch), and ring-link
+// occupancy. It returns the operation's completion time.
 func (c *Communicator) run(stage profiler.Stage, coll collective, ready time.Duration, wire time.Duration) time.Duration {
 	kernel := c.kernels[coll]
 	if len(c.devs) == 1 {
-		s := c.streams[0]
+		s := c.gang.Stream(0)
 		hostDone := s.HostLaunch(stage, ready)
 		start := hostDone
 		if ready > start {
@@ -326,29 +338,7 @@ func (c *Communicator) run(stage profiler.Stage, coll collective, ready time.Dur
 		}
 		return s.Extend(stage, kernel, start, start+c.cfg.KernelOverhead+wire)
 	}
-	global := ready
-	if cap(c.avail) < len(c.devs) {
-		c.avail = make([]time.Duration, len(c.devs))
-	}
-	avail := c.avail[:len(c.devs)]
-	for i, s := range c.streams {
-		hostDone := s.HostLaunch(stage, ready)
-		a := hostDone
-		if t := s.Tail(); t > a {
-			a = t
-		}
-		if ready > a {
-			a = ready
-		}
-		avail[i] = a
-		if a > global {
-			global = a
-		}
-	}
-	end := global + c.cfg.KernelOverhead + wire
-	for i, s := range c.streams {
-		s.Extend(stage, kernel, avail[i], end)
-	}
+	global, end := c.gang.Launch(stage, kernel, ready, c.cfg.KernelOverhead+wire)
 	c.occupyRings(global+c.cfg.KernelOverhead, wire)
 	return end
 }
@@ -358,19 +348,8 @@ func (c *Communicator) occupyRings(ready, wire time.Duration) {
 	if wire <= 0 {
 		return
 	}
-	fab := c.rt.Fabric()
-	for ri, r := range c.rings {
-		n := len(r.Order)
-		for i := 0; i < n; i++ {
-			from := r.Order[i]
-			if l := c.hopLinks[ri][i]; l != nil {
-				fab.Occupy(l, from, ready, wire)
-				continue
-			}
-			for _, hop := range c.hopPaths[ri][i].Hops {
-				fab.Occupy(hop.Link, hop.From, ready, wire)
-			}
-		}
+	for _, r := range c.hopRes {
+		r.Book(ready, wire)
 	}
 }
 

@@ -13,38 +13,59 @@ import (
 )
 
 // TestProfileDetailDoesNotChangeSimulation runs every schedule × model ×
-// machine × {healthy, straggler} × {checkpointing off, on} twice: once
-// with a detailed profile, which launches kernel by kernel to keep every
-// interval, and once with an aggregate profile, which books each kernel
-// run in closed form (cuda.Stream.LaunchRun). The results and every
-// profile aggregate must be identical. A configuration that is rejected
-// must be rejected with the same error both ways (fault plans describe
-// the DGX-1, so dgx2 × straggler always is).
+// machine × GPU count × fault plan × {checkpointing off, on} twice: once
+// with a detailed profile, which launches kernel by kernel and books
+// every collective rank by rank to keep every interval, and once with an
+// aggregate profile, which books each kernel run in closed form
+// (cuda.Stream.LaunchRun) and each collective as one gang
+// (cuda.Gang.Launch). The results and every profile aggregate must be
+// identical. A configuration that is rejected must be rejected with the
+// same error both ways (fault plans describe the DGX-1, so any other
+// machine × a plan always is).
+//
+// The collective schedules (sync NCCL and hybrid) run on every
+// registered machine at 2, 4 and 8 GPUs, and the failed-link plan makes
+// the DGX-1 fall back to degraded rings, so the gang is checked on every
+// fabric it books: NVLink rings, switch-relayed hops and PCIe rings.
 func TestProfileDetailDoesNotChangeSimulation(t *testing.T) {
 	schedules := []struct {
-		name   string
-		method kvstore.Method
-		apply  func(*Config)
+		name        string
+		method      kvstore.Method
+		apply       func(*Config)
+		collectives bool
 	}{
-		{"sync", kvstore.MethodNCCL, func(*Config) {}},
-		{"sync-p2p", kvstore.MethodP2P, func(*Config) {}},
-		{"async", kvstore.MethodP2P, func(c *Config) { c.Async = true }},
-		{"model-parallel", kvstore.MethodNCCL, func(c *Config) { c.Parallelism = ModelParallel }},
-		{"hybrid", kvstore.MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }},
+		{"sync", kvstore.MethodNCCL, func(*Config) {}, true},
+		{"sync-p2p", kvstore.MethodP2P, func(*Config) {}, false},
+		{"async", kvstore.MethodP2P, func(c *Config) { c.Async = true }, false},
+		{"model-parallel", kvstore.MethodNCCL, func(c *Config) { c.Parallelism = ModelParallel }, false},
+		{"hybrid", kvstore.MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }, true},
 	}
-	straggler := &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Slowdown: 1.7}}}
+	plans := []struct {
+		name string
+		plan *faults.Plan
+	}{
+		{"healthy", nil},
+		{"straggler", &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Slowdown: 1.7}}}},
+		{"link-0-1-down", &faults.Plan{FailedLinks: []faults.Link{{A: 0, B: 1}}}},
+	}
 	for _, sch := range schedules {
+		machines, gpuCounts := []string{"dgx1", "dgx2"}, []int{4}
+		if sch.collectives {
+			machines, gpuCounts = MachineNames(), []int{2, 4, 8}
+		}
 		for _, model := range models.Names() {
-			for _, hw := range []string{"dgx1", "dgx2"} {
-				for _, plan := range []*faults.Plan{nil, straggler} {
-					for _, ckpt := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%s/%s/straggler=%t/ckpt=%t", sch.name, model, hw, plan != nil, ckpt)
-						cfg := quickCfg(t, model, 4, 16, sch.method)
-						cfg.Hardware = hw
-						cfg.Faults = plan
-						cfg.Checkpointing = ckpt
-						sch.apply(&cfg)
-						t.Run(name, func(t *testing.T) { checkDetailInvariant(t, cfg) })
+			for _, hw := range machines {
+				for _, gpus := range gpuCounts {
+					for _, p := range plans {
+						for _, ckpt := range []bool{false, true} {
+							name := fmt.Sprintf("%s/%s/%s/gpus=%d/%s/ckpt=%t", sch.name, model, hw, gpus, p.name, ckpt)
+							cfg := quickCfg(t, model, gpus, 16, sch.method)
+							cfg.Hardware = hw
+							cfg.Faults = p.plan
+							cfg.Checkpointing = ckpt
+							sch.apply(&cfg)
+							t.Run(name, func(t *testing.T) { checkDetailInvariant(t, cfg) })
+						}
 					}
 				}
 			}

@@ -1,9 +1,11 @@
 package train
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gpu"
+	"repro/internal/memo"
 	"repro/internal/topology"
 )
 
@@ -108,6 +110,43 @@ func MachineNames() []string {
 	}
 	return names
 }
+
+// topologies holds each registered machine's healthy topology, built and
+// validated once per process. A graph is read-only once built: every
+// trainer books link occupancy on its own interconnect.Fabric, so one
+// graph serves every concurrent compile. Only registered names are
+// stored, so the registry bounds the memo.
+var topologies = memo.New[string, *topology.Topology](len(machines))
+
+// MachineTopology returns the named machine's healthy topology (the empty
+// name means DefaultHardware), built and validated on first use and
+// shared read-only afterwards. Callers must not modify it.
+func MachineTopology(name string) (*topology.Topology, error) {
+	if name == "" {
+		name = DefaultHardware
+	}
+	if top, ok := topologies.Get(name); ok {
+		return top, nil
+	}
+	m, err := MachineByName(name)
+	if err != nil {
+		return nil, err
+	}
+	top, _, err := topologies.Do(context.Background(), name, memo.Inline,
+		func(context.Context) (*topology.Topology, error) {
+			top := m.Build()
+			if err := top.Validate(); err != nil {
+				return nil, err
+			}
+			return top, nil
+		})
+	return top, err
+}
+
+// ResetCache drops the memoized machine topologies so the next compile
+// rebuilds them. Only benchmarks and tests measuring the cold path need
+// it.
+func ResetCache() { topologies.Reset() }
 
 // isDefaultHardware reports whether the name (possibly empty) spells the
 // stock DGX-1 — the machine fault plans and legacy behavior assume.

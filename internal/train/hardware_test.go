@@ -38,6 +38,58 @@ func TestMachineRegistry(t *testing.T) {
 	}
 }
 
+// Trainers on a registered machine share its memoized topology, each
+// with its own fabric; fault plans and explicit topologies get their own
+// graphs; ResetCache makes the next trainer rebuild the graph.
+func TestMachineTopologyShared(t *testing.T) {
+	trainer := func(hw string, plan *faults.Plan, top *topology.Topology) *Trainer {
+		t.Helper()
+		cfg := quickCfg(t, "lenet", 2, 16, kvstore.MethodNCCL)
+		cfg.Hardware, cfg.Faults, cfg.Topology = hw, plan, top
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	for _, name := range MachineNames() {
+		shared, err := MachineTopology(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := trainer(name, nil, nil), trainer(name, nil, nil)
+		if a.fab.Topology() != shared || b.fab.Topology() != shared {
+			t.Errorf("%s: trainers do not share the memoized topology", name)
+		}
+		if a.fab == b.fab {
+			t.Errorf("%s: trainers share a fabric", name)
+		}
+	}
+	if def, _ := MachineTopology(""); trainer("", nil, nil).fab.Topology() != def {
+		t.Error("the default hardware does not use the memoized DGX-1")
+	}
+	dgx1, _ := MachineTopology(DefaultHardware)
+	failed := &faults.Plan{FailedLinks: []faults.Link{{A: 0, B: 1}}}
+	if trainer("", failed, nil).fab.Topology() == dgx1 {
+		t.Error("a fault plan reused the healthy DGX-1 graph")
+	}
+	own := topology.DGX1()
+	if trainer("", nil, own).fab.Topology() != own {
+		t.Error("an explicit topology was replaced")
+	}
+	if _, err := MachineTopology("dgx-3000"); err == nil {
+		t.Error("unknown machine accepted")
+	}
+
+	ResetCache()
+	if trainer("", nil, nil).fab.Topology() == dgx1 {
+		t.Error("ResetCache kept the memoized topology")
+	}
+	if again, _ := MachineTopology(""); again == dgx1 {
+		t.Error("ResetCache kept the memoized topology")
+	}
+}
+
 // The hardware axis admits the DGX-2's 16 GPUs and rejects 17 with an
 // error naming the machine — the capacity check must consult the
 // resolved machine, not the DGX-1 constant.

@@ -336,26 +336,29 @@ func New(cfg Config) (*Trainer, error) {
 	eng := sim.NewEngine()
 	top := cfg.Topology
 	machineSpec := gpu.V100()
-	if top == nil {
-		if isDefaultHardware(cfg.Hardware) {
+	if top == nil && cfg.Faults.IsZero() {
+		// A registered machine's healthy graph is built and validated
+		// once per process and shared read-only.
+		m, err := MachineByName(cfg.Hardware)
+		if err != nil {
+			return nil, err
+		}
+		if top, err = MachineTopology(m.Name); err != nil {
+			return nil, err
+		}
+		machineSpec = m.Spec()
+	} else {
+		if top == nil {
 			// The fault plan owns the fabric: failed bricks vanish from
 			// the link graph (ring search and routing see the degraded
 			// machine), degraded links lose bandwidth, PCIe contention
-			// shrinks the host links. A nil plan builds the healthy DGX-1.
-			top = cfg.Faults.Topology()
-		} else {
-			// normalize already resolved the name and rejected fault
+			// shrinks the host links. normalize already rejected fault
 			// plans on non-DGX-1 hardware.
-			m, err := MachineByName(cfg.Hardware)
-			if err != nil {
-				return nil, err
-			}
-			top = m.Build()
-			machineSpec = m.Spec()
+			top = cfg.Faults.Topology()
 		}
-	}
-	if err := top.Validate(); err != nil {
-		return nil, err
+		if err := top.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if n := len(top.GPUs()); cfg.GPUs > n {
 		return nil, fmt.Errorf("train: topology has %d GPUs, requested %d", n, cfg.GPUs)
