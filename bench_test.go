@@ -461,6 +461,26 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 	b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "cache-hit-ratio")
 }
 
+// BenchmarkContractKey measures the gateway proxy layer: the routing key
+// of a repeated /v1/simulate body, as the gateway computes it for every
+// request it forwards (service.Contract, then the key). A repeated body
+// is a hit in the body memo, so no op decodes or fingerprints.
+func BenchmarkContractKey(b *testing.B) {
+	body, err := json.Marshal(benchWorkload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, key := service.Contract("/v1/simulate"); key(body) != benchWorkload.Fingerprint() {
+		b.Fatal("routing key is not the workload's fingerprint")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, key := service.Contract("/v1/simulate")
+		key(body)
+	}
+}
+
 // BenchmarkCoreRunMany8 measures the batch entry point on an 8-way
 // dataset-size sweep sharing one compiled window (the compile-once,
 // simulate-many shape sweeps hit).

@@ -3,6 +3,7 @@ package dnn
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/memo"
 	"repro/internal/units"
@@ -45,6 +46,9 @@ type Network struct {
 	Name  string
 	nodes []*Node
 	plans *memo.Group[planKey, *compiledPlans]
+
+	footprintOnce sync.Once
+	footprint     Footprint
 }
 
 // Builder constructs networks. All add methods panic on structural errors
@@ -107,6 +111,48 @@ func (n *Network) Nodes() []*Node {
 	out := make([]*Node, len(n.nodes))
 	copy(out, n.nodes)
 	return out
+}
+
+// Footprint is the per-image shape of a network's training memory: the
+// graph-wide sums and maxima the memory model reads on every compile.
+type Footprint struct {
+	// Nodes is the node count.
+	Nodes int
+	// InputElems is the input node's output elements per image.
+	InputElems int64
+	// ActivationElems is ActivationElemsPerImage.
+	ActivationElems int64
+	// MaxIm2colElems is the largest convolution lowering buffer any layer
+	// needs for one image: K*K*(Cin/groups)*Hout*Wout elements.
+	MaxIm2colElems int64
+	// MaxConsumers is the most input edges any one node's output feeds
+	// (0 for a single-node network).
+	MaxConsumers int
+}
+
+// Footprint returns the network's memory footprint. It depends only on
+// the immutable graph, so it is computed on first use and kept with the
+// network, and dropped with it.
+func (n *Network) Footprint() Footprint {
+	n.footprintOnce.Do(func() {
+		f := Footprint{Nodes: len(n.nodes), InputElems: n.nodes[0].Out.Elems(), ActivationElems: n.ActivationElemsPerImage()}
+		consumers := make(map[*Node]int, len(n.nodes))
+		for _, nd := range n.nodes {
+			for _, in := range nd.Inputs {
+				consumers[in]++
+				f.MaxConsumers = max(f.MaxConsumers, consumers[in])
+			}
+			c, ok := nd.Op.(Conv)
+			if !ok {
+				continue
+			}
+			g := int64(max(c.Groups, 1))
+			in := nd.Inputs[0].Out
+			f.MaxIm2colElems = max(f.MaxIm2colElems, int64(c.KH)*int64(c.KW)*(int64(in.C)/g)*int64(nd.Out.H)*int64(nd.Out.W))
+		}
+		n.footprint = f
+	})
+	return n.footprint
 }
 
 // ParamCount returns total trainable parameters.

@@ -162,6 +162,10 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.failovers = g.metrics.Counter("dgxsimgw_failovers_total")
 	g.noReplica = g.metrics.Counter("dgxsimgw_no_replica_total")
+	// Routing keys come through the service's body memo (service.Contract).
+	g.metrics.Func("dgxsimgw_decode_memo_hits_total", func() float64 { return float64(service.DecodeMemoStats().Hits) })
+	g.metrics.Func("dgxsimgw_decode_memo_misses_total", func() float64 { return float64(service.DecodeMemoStats().Misses) })
+	g.metrics.Func("dgxsimgw_decode_memo_evictions_total", func() float64 { return float64(service.DecodeMemoStats().Evictions) })
 	g.ring = newRing(names, cfg.VNodes)
 	g.checkAll()
 	go g.healthLoop()

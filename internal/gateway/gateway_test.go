@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -415,7 +416,8 @@ func get(t *testing.T, url string) (*http.Response, string) {
 
 // TestGatewayHealthzAndMetrics: the gateway's own endpoints are served
 // locally, not proxied, answer anything but GET with the replica's 405
-// envelope, and /metrics carries the per-replica counters.
+// envelope, and /metrics carries the per-replica counters and the body
+// memo's: the repeated body is routed by a memo hit.
 func TestGatewayHealthzAndMetrics(t *testing.T) {
 	b1, b2 := newBackend(t), newBackend(t)
 	_, ts := newGateway(t, b1, b2)
@@ -425,7 +427,9 @@ func TestGatewayHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("/healthz = %d %q", hresp.StatusCode, hbody)
 	}
 
-	post(t, ts.URL+"/v1/simulate", `{"Model":"resnet","GPUs":4,"Batch":32}`)
+	for i := 0; i < 2; i++ {
+		post(t, ts.URL+"/v1/simulate", `{"Model":"resnet","GPUs":4,"Batch":32}`)
+	}
 	_, mbody := get(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		fmt.Sprintf("dgxsimgw_replica_up{replica=%q} 1", b1.ts.URL),
@@ -435,6 +439,8 @@ func TestGatewayHealthzAndMetrics(t *testing.T) {
 		"dgxsimgw_replica_transport_errors_total",
 		"dgxsimgw_failovers_total 0",
 		"dgxsimgw_no_replica_total 0",
+		"dgxsimgw_decode_memo_misses_total",
+		"dgxsimgw_decode_memo_evictions_total",
 	} {
 		if !strings.Contains(mbody, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, mbody)
@@ -442,6 +448,9 @@ func TestGatewayHealthzAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(mbody, "requests_total") {
 		t.Fatalf("metrics missing request counters:\n%s", mbody)
+	}
+	if !regexp.MustCompile(`(?m)^dgxsimgw_decode_memo_hits_total [1-9]`).MatchString(mbody) {
+		t.Fatalf("the repeated body was not a body-memo hit:\n%s", mbody)
 	}
 	for _, path := range []string{"/healthz", "/metrics"} {
 		resp, body := post(t, ts.URL+path, "")
@@ -453,9 +462,9 @@ func TestGatewayHealthzAndMetrics(t *testing.T) {
 			t.Fatalf("POST %s body = %q, want a %s envelope", path, body, service.CodeMethodNotAllowed)
 		}
 	}
-	// One replica served the request; total requests across both = 1.
-	if b1.hits.Load()+b2.hits.Load() != 1 {
-		t.Fatalf("proxied hits = %d, want 1 (gateway endpoints must not proxy)", b1.hits.Load()+b2.hits.Load())
+	// The replicas served the two requests and nothing else.
+	if b1.hits.Load()+b2.hits.Load() != 2 {
+		t.Fatalf("proxied hits = %d, want 2 (gateway endpoints must not proxy)", b1.hits.Load()+b2.hits.Load())
 	}
 }
 

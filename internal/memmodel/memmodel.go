@@ -77,48 +77,11 @@ func (e Estimate) RootPremiumPercent() float64 {
 	return 100 * float64(e.RootExtra) / float64(w)
 }
 
-// maxIm2colPerImage returns the largest convolution lowering buffer
-// (K*K*Cin*Hout*Wout floats) any layer needs for one image.
-func maxIm2colPerImage(net *dnn.Network) units.Bytes {
-	var best int64
-	for _, n := range net.Nodes() {
-		c, ok := n.Op.(dnn.Conv)
-		if !ok {
-			continue
-		}
-		g := int64(1)
-		if c.Groups > 1 {
-			g = int64(c.Groups)
-		}
-		in := n.Inputs[0].Out
-		elems := int64(c.KH) * int64(c.KW) * (int64(in.C) / g) * int64(n.Out.H) * int64(n.Out.W)
-		if elems > best {
-			best = elems
-		}
-	}
-	return units.BytesOf(best, units.Float32Size)
-}
-
 // branchFactor approximates how many convolution workspaces are live
 // concurrently: branchy graphs (inception modules, residual blocks) run
 // parallel branches under the dependency engine.
-func branchFactor(net *dnn.Network) int {
-	consumers := map[*dnn.Node]int{}
-	for _, n := range net.Nodes() {
-		for _, in := range n.Inputs {
-			consumers[in]++
-		}
-	}
-	best := 1
-	for _, c := range consumers {
-		if c > best {
-			best = c
-		}
-	}
-	if best > 2 {
-		best = 2
-	}
-	return best
+func branchFactor(f dnn.Footprint) int {
+	return min(max(f.MaxConsumers, 1), 2)
 }
 
 // Compute estimates memory for training net at the given per-GPU batch
@@ -127,11 +90,12 @@ func branchFactor(net *dnn.Network) int {
 // exists).
 func Compute(net *dnn.Network, batch int, multiGPU bool) Estimate {
 	w := net.ModelBytes()
-	rawActs := units.BytesOf(net.ActivationElemsPerImage(), units.Float32Size)
+	f := net.Footprint()
+	rawActs := units.BytesOf(f.ActivationElems, units.Float32Size)
 	feature := units.Bytes(float64(rawActs) * ActivationRetention * float64(batch))
-	workspace := maxIm2colPerImage(net) * units.Bytes(batch*branchFactor(net))
-	input := 2 * units.BytesOf(net.Nodes()[0].Out.Elems(), units.Float32Size) * units.Bytes(batch)
-	arena := PerNodeReserve * units.Bytes(len(net.Nodes()))
+	workspace := units.BytesOf(f.MaxIm2colElems, units.Float32Size) * units.Bytes(batch*branchFactor(f))
+	input := 2 * units.BytesOf(f.InputElems, units.Float32Size) * units.Bytes(batch)
+	arena := PerNodeReserve * units.Bytes(f.Nodes)
 
 	e := Estimate{
 		Weights:     w,
@@ -185,7 +149,7 @@ func sqrtF(x float64) float64 {
 // applied to the feature-map term.
 func ComputeCheckpointed(net *dnn.Network, batch int, multiGPU bool) Estimate {
 	e := Compute(net, batch, multiGPU)
-	f := CheckpointRetention(len(net.Nodes()))
+	f := CheckpointRetention(net.Footprint().Nodes)
 	e.FeatureMaps = units.Bytes(float64(e.FeatureMaps) * f)
 	dynamic := e.FeatureMaps + e.Workspace + e.InputQueue
 	e.PoolSlack = units.Bytes(float64(dynamic) * PoolOverhead)

@@ -32,7 +32,7 @@ const (
 )
 
 // Stats is a snapshot of a Group's size and counters. Hits and Misses
-// count client lookups (Get and Do); Add counts nothing.
+// count client lookups (Get, Lookup and Do); Add counts nothing.
 type Stats struct {
 	Size, Max               int
 	Hits, Misses, Evictions uint64
@@ -94,10 +94,23 @@ func (g *Group[K, V]) Reset() {
 // return it. A miss is not counted; the caller follows it with Do, which
 // counts it, so each client lookup counts once.
 func (g *Group[K, V]) Get(key K) (V, bool) {
+	return g.get(key, false)
+}
+
+// Lookup is Get for a caller that fills a miss itself, with Add, rather
+// than through Do: it counts the miss too.
+func (g *Group[K, V]) Lookup(key K) (V, bool) {
+	return g.get(key, true)
+}
+
+func (g *Group[K, V]) get(key K, countMiss bool) (V, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e, ok := g.items[key]
 	if !ok {
+		if countMiss {
+			g.misses++
+		}
 		var zero V
 		return zero, false
 	}

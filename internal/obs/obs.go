@@ -31,7 +31,8 @@ import (
 // cannot on any platform we run, but an id generator must not).
 var idFallback atomic.Uint64
 
-// NewID returns a fresh 16-hex-character request id.
+// NewID returns a fresh 16-hex-character request id. Both buffers live
+// on the stack: the returned string is the id's only allocation.
 func NewID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -40,7 +41,9 @@ func NewID() string {
 			b[i] = byte(n >> (8 * i))
 		}
 	}
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // Span is one timed step of a request, offset from the trace's start.
@@ -67,11 +70,21 @@ type Trace struct {
 	mu          sync.Mutex
 	spans       []Span
 	attachments []Attachment
+	// first backs spans until a request records more than a cache hit's
+	// handful, so a hit's trace grows no slice.
+	first [spansPresized]Span
 }
+
+// spansPresized is how many spans a trace holds before its span slice
+// first grows: a simulate hit records decode, cache-lookup and encode; a
+// miss adds queue-wait, simulate and serialize.
+const spansPresized = 6
 
 // NewTrace starts an empty trace anchored at now.
 func NewTrace(id string) *Trace {
-	return &Trace{ID: id, Began: time.Now()}
+	t := &Trace{ID: id, Began: time.Now()}
+	t.spans = t.first[:0]
+	return t
 }
 
 // StartSpan begins a named span and returns the function that ends it:

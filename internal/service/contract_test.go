@@ -2,18 +2,18 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memo"
 )
 
 // validBodies holds one accepted body per POST endpoint.
@@ -73,7 +73,7 @@ func TestTrailingDataRejected(t *testing.T) {
 func TestTrailingWhitespaceAccepted(t *testing.T) {
 	for _, e := range postEndpoints(t) {
 		for _, tail := range []string{"\n", " \t\r\n"} {
-			if _, err := e.decode(context.Background(), strings.NewReader(validBodies[e.path]+tail)); err != nil {
+			if _, err := e.decode([]byte(validBodies[e.path] + tail)); err != nil {
 				t.Errorf("%s + %q: %v", e.path, tail, err)
 			}
 		}
@@ -143,11 +143,15 @@ func lenientAffinityKey(path string, body []byte) string {
 }
 
 // FuzzDecodeRequest drives arbitrary bytes through an endpoint's request
-// contract — its body cap and strict decoder, then the validation its
-// handler runs on the routed workload. The outcome is a 4xx class or a
-// request, never a panic; an accepted workload fingerprints like its
-// normalized form; and the routing key a proxy computes agrees with the
-// lenient key for every body the strict decoder accepts.
+// contract — its strict decoder, then the validation its handler runs on
+// the routed workload. The outcome is a 4xx class or a request, never a
+// panic; an accepted workload fingerprints like its normalized form; the
+// routing key a proxy computes agrees with the lenient key for every body
+// the strict decoder accepts; and resolving the body twice through a
+// fresh body memo (store, then hit) gives exactly what a fresh decode
+// gives: the same request, fingerprint and routing key, or the same error
+// envelope. (A body past the cap never reaches the decoder: readBody
+// refuses it first, which TestContractBodyCaps covers.)
 func FuzzDecodeRequest(f *testing.F) {
 	for i, e := range apiEndpoints {
 		body, ok := validBodies[e.path]
@@ -163,10 +167,13 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"Model":"lenet","GPUs":4,"Batch":16,"Hardware":"dgx2","faults":{"stragglers":[{"gpu":1,"slowdown":2}]}}`,
 		`{"Model":"resnet","GPUs":8,"Batch":16,"NCCLTree":true,"Protocol":"auto"}`,
 		`{"Base":{"Model":"alexnet","GPUs":2,"Batch":32,"Method":"p2p"},"Protocols":["ll"]}`,
+		`{"trace":true,"TraceIntervals":7,"Model":"alexnet","GPUs":2,"Batch":8,"Method":"p2p"}`,
 	} {
 		f.Add(uint8(1), []byte(body))
 		f.Add(uint8(3), []byte(body))
 	}
+	// Past the size the memo stores: decoded every time.
+	f.Add(uint8(1), []byte(validBodies["/v1/simulate"]+strings.Repeat(" ", bodyMemoMaxBody)))
 	fourXX := []string{CodeBadRequest, CodeSchemaVersion, CodeInvalidArgument, CodeBodyTooLarge}
 	f.Fuzz(func(t *testing.T, idx uint8, body []byte) {
 		e := apiEndpoints[int(idx)%len(apiEndpoints)]
@@ -177,7 +184,11 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			return
 		}
-		req, err := e.decode(context.Background(), http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), maxBody))
+		if int64(len(body)) > maxBody {
+			return
+		}
+		checkMemoAgrees(t, e, body)
+		req, err := e.decode(body)
 		if err != nil {
 			if _, d := classify(err); !slices.Contains(fourXX, d.Code) {
 				t.Fatalf("%s: decode error classed %q: %v", e.path, d.Code, err)
@@ -201,4 +212,48 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("%s %+v: fingerprint %s, normalized %s", e.path, *wl, a, b)
 		}
 	})
+}
+
+// checkMemoAgrees resolves body twice through a fresh body memo and
+// checks both results against a decode that bypasses it. A body that
+// passed the whole contract must be stored by the first pass and served
+// by the second; any other body must be decoded both times.
+func checkMemoAgrees(t *testing.T, e endpointDef, body []byte) {
+	t.Helper()
+	want, wantErr := decodeBody(e, body)
+	m := newBodyMemo()
+	for pass := 1; pass <= 2; pass++ {
+		got, err := m.resolve(e, body)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%s %q pass %d: memo error %v, fresh decode error %v", e.path, body, pass, err, wantErr)
+		}
+		if err != nil {
+			gs, gd := classify(err)
+			ws, wd := classify(wantErr)
+			if gs != ws || gd != wd {
+				t.Fatalf("%s %q pass %d: memo envelope %d %+v, fresh %d %+v", e.path, body, pass, gs, gd, ws, wd)
+			}
+			continue
+		}
+		if got.key != want.key || got.fp != want.fp || !reflect.DeepEqual(got.req, want.req) || !reflect.DeepEqual(got.wl, want.wl) {
+			t.Fatalf("%s %q pass %d: memo %+v, fresh %+v", e.path, body, pass, got, want)
+		}
+		if (got.invalid == nil) != (want.invalid == nil) || got.invalid != nil && got.invalid.Error() != want.invalid.Error() {
+			t.Fatalf("%s %q pass %d: memo invalid %v, fresh %v", e.path, body, pass, got.invalid, want.invalid)
+		}
+		if stored := got.invalid == nil && len(body) <= bodyMemoMaxBody; stored && !bytes.Equal(got.body, body) {
+			t.Fatalf("%s %q pass %d: memo holds body %q", e.path, body, pass, got.body)
+		}
+	}
+	wantStats := memo.Stats{Max: bodyMemoMax}
+	switch {
+	case len(body) > bodyMemoMaxBody:
+	case wantErr == nil && want.invalid == nil:
+		wantStats.Size, wantStats.Hits, wantStats.Misses = 1, 1, 1
+	default:
+		wantStats.Misses = 2
+	}
+	if st := m.g.Stats(); st != wantStats {
+		t.Fatalf("%s %q: memo stats %+v, want %+v", e.path, body, st, wantStats)
+	}
 }

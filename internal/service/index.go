@@ -13,7 +13,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -63,7 +62,7 @@ type endpointDef struct {
 	maxBody int64
 	// decode strictly parses a body as the endpoint's request type (nil:
 	// the endpoint reads no body).
-	decode func(ctx context.Context, body io.Reader) (request, error)
+	decode func(body []byte) (request, error)
 	// serve implements the endpoint once the method is accepted and the
 	// body capped (and, for POST endpoints, decoded).
 	serve func(*Server, http.ResponseWriter, *http.Request)
@@ -75,22 +74,40 @@ func getEndpoint(pattern, path string, contentTypes []string, h func(*Server, ht
 	return endpointDef{pattern, path, []string{http.MethodGet}, contentTypes, maxBodyBytes, nil, h}
 }
 
-// postEndpoint is an endpoint whose body decodes as T: the row owns the
-// decoding, and the handler receives the decoded request. noun names the
-// body in decode errors ("decode <noun>: ...").
+// postEndpoint is an endpoint whose body decodes as T on every request:
+// the row owns the decoding, and the handler receives the decoded
+// request. noun names the body in decode errors ("decode <noun>: ...").
+// Its requests carry slices (grids, search spaces, fleets), so only
+// their routing key is memoized (see Contract), never the request.
 func postEndpoint[T request](pattern, noun string, maxBody int64, contentTypes []string, h func(*Server, http.ResponseWriter, *http.Request, T)) endpointDef {
 	return endpointDef{pattern, pattern, []string{http.MethodPost}, contentTypes, maxBody,
-		func(ctx context.Context, body io.Reader) (request, error) {
-			return decodeRequest[T](ctx, body, noun)
-		},
+		func(body []byte) (request, error) { return decodeRequest[T](body, noun) },
 		func(s *Server, w http.ResponseWriter, r *http.Request) {
-			req, err := decodeRequest[T](r.Context(), r.Body, noun)
+			req, err := readBody(r, noun, func(body []byte) (T, error) { return decodeRequest[T](body, noun) })
 			if err != nil {
 				httpError(w, err)
 				return
 			}
 			h(s, w, r, req)
 		}}
+}
+
+// workloadEndpoint is an endpoint whose body is one workloadRequest,
+// resolved through the body memo: a body seen before skips the decoder,
+// Validate, Normalize and Fingerprint, and the handler receives the
+// shared, immutable result.
+func workloadEndpoint(pattern string, h func(*Server, http.ResponseWriter, *http.Request, *decoded)) endpointDef {
+	e := endpointDef{pattern, pattern, []string{http.MethodPost}, []string{contentJSON}, maxBodyBytes,
+		func(body []byte) (request, error) { return decodeRequest[workloadRequest](body, "workload") }, nil}
+	e.serve = func(s *Server, w http.ResponseWriter, r *http.Request) {
+		d, err := readBody(r, "workload", func(body []byte) (*decoded, error) { return bodies.resolve(e, body) })
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		h(s, w, r, d)
+	}
+	return e
 }
 
 // apiEndpoints is the routing table. Order is the order GET /v1/ lists.
@@ -103,11 +120,11 @@ func init() {
 	jsonOrNDJSON := []string{contentJSON, contentNDJSON}
 	apiEndpoints = []endpointDef{
 		getEndpoint("/v1/", "/v1/", jsonOnly, (*Server).handleIndex),
-		postEndpoint("/v1/simulate", "workload", maxBodyBytes, jsonOnly, (*Server).handleSimulate),
-		postEndpoint("/v1/compare", "workload", maxBodyBytes, jsonOnly, (*Server).handleCompare),
+		workloadEndpoint("/v1/simulate", (*Server).handleSimulate),
+		workloadEndpoint("/v1/compare", (*Server).handleCompare),
 		postEndpoint("/v1/sweep", "sweep", maxBodyBytes, jsonOrNDJSON, (*Server).handleSweep),
 		postEndpoint("/v1/optimize", "optimize", maxBodyBytes, jsonOnly, (*Server).handleOptimize),
-		postEndpoint("/v1/validate", "workload", maxBodyBytes, jsonOnly, (*Server).handleValidate),
+		workloadEndpoint("/v1/validate", (*Server).handleValidate),
 		postEndpoint("/v1/cluster/simulate", "cluster spec", maxClusterBodyBytes, jsonOnly, (*Server).handleClusterSimulate),
 		getEndpoint("/v1/models", "/v1/models", jsonOnly, (*Server).handleModels),
 		getEndpoint("/v1/hardware", "/v1/hardware", jsonOnly, (*Server).handleHardware),
@@ -146,15 +163,26 @@ type request interface {
 	routed() *core.Workload
 }
 
+// readBody reads a whole request body under the cap handler installed
+// and parses it, spanned as the request's decode. A body past the cap
+// fails here, as a 413, before parse — and so before any memo lookup.
+func readBody[V any](r *http.Request, noun string, parse func(body []byte) (V, error)) (V, error) {
+	defer obs.FromContext(r.Context()).StartSpan("decode")()
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		var zero V
+		return zero, badRequestError{fmt.Errorf("decode %s: %w", noun, err)}
+	}
+	return parse(body)
+}
+
 // decodeRequest is the one strict body decoder: a single JSON value of
 // type T with no unknown fields and nothing after it but whitespace, in
 // a wire format this server speaks. Every failure is a 400 (bad_request,
-// or schema_version for a foreign version), except a body past its
-// endpoint's cap, which is a 413.
-func decodeRequest[T request](ctx context.Context, body io.Reader, noun string) (T, error) {
-	defer obs.FromContext(ctx).StartSpan("decode")()
+// or schema_version for a foreign version).
+func decodeRequest[T request](body []byte, noun string) (T, error) {
 	var req T
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&req)
 	if err == nil {
@@ -181,7 +209,8 @@ func decodeRequest[T request](ctx context.Context, body io.Reader, noun string) 
 // so a repeated question lands on the replica whose cache holds it and
 // spelled-out defaults route like omitted ones. A body that does not
 // decode, or carries no workload, routes by a hash of its bytes — the
-// replica owns its 400 — and an empty one by its path.
+// replica owns its 400 — and an empty one by its path. Keys come
+// through the body memo, so a repeated body is routed without decoding.
 func Contract(path string) (maxBody int64, key func(body []byte) string) {
 	e := endpointDef{maxBody: maxBodyBytes}
 	if i := slices.IndexFunc(apiEndpoints, func(e endpointDef) bool { return e.pattern == path }); i >= 0 {
@@ -189,16 +218,21 @@ func Contract(path string) (maxBody int64, key func(body []byte) string) {
 	}
 	return e.maxBody, func(body []byte) string {
 		if e.decode != nil {
-			if req, err := e.decode(context.Background(), bytes.NewReader(body)); err == nil && req.routed() != nil {
-				return req.routed().Fingerprint()
+			if d, err := bodies.resolve(e, body); err == nil {
+				return d.key
 			}
 		}
 		if len(body) == 0 {
 			return path
 		}
-		sum := sha256.Sum256(body)
-		return hex.EncodeToString(sum[:])
+		return bytesKey(body)
 	}
+}
+
+// bytesKey routes a body by a hash of its bytes.
+func bytesKey(body []byte) string {
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
 }
 
 // metricsLabel is the per-endpoint label the metrics and access logs key

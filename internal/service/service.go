@@ -188,9 +188,9 @@ func NewServer(cfg Config) *Server {
 
 // registerMetrics registers the process-wide series: uptime, the
 // counters the handlers bump, and func-backed views of the result cache,
-// the snapshot store, the compile counter and the pool. The persist
-// series exist only when a store is configured: their absence
-// distinguishes "no -cache-dir" from "nothing persisted yet".
+// the body memo, the snapshot store, the compile counter and the pool.
+// The persist series exist only when a store is configured: their
+// absence distinguishes "no -cache-dir" from "nothing persisted yet".
 func (s *Server) registerMetrics() {
 	m := s.metrics
 	start := time.Now()
@@ -200,6 +200,10 @@ func (s *Server) registerMetrics() {
 	m.Func("dgxsimd_cache_hits_total", func() float64 { return float64(s.cache.Stats().Hits) })
 	m.Func("dgxsimd_cache_misses_total", func() float64 { return float64(s.cache.Stats().Misses) })
 	m.Func("dgxsimd_cache_evictions_total", func() float64 { return float64(s.cache.Stats().Evictions) })
+	// The body memo is process-wide (see bodymemo.go).
+	m.Func("dgxsimd_decode_memo_hits_total", func() float64 { return float64(DecodeMemoStats().Hits) })
+	m.Func("dgxsimd_decode_memo_misses_total", func() float64 { return float64(DecodeMemoStats().Misses) })
+	m.Func("dgxsimd_decode_memo_evictions_total", func() float64 { return float64(DecodeMemoStats().Evictions) })
 	if st := s.cfg.Persist; st != nil {
 		m.Func("dgxsimd_persist_loaded_total", func() float64 { return float64(st.Stats().Loaded) })
 		m.Func("dgxsimd_persist_skipped_total", func() float64 { return float64(st.Stats().Skipped) })
@@ -302,7 +306,9 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		tr := obs.NewTrace(id)
 		r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		w.Header().Set("X-Request-ID", id)
+		// Assigned under its canonical key: Header.Set would canonicalize
+		// "X-Request-ID" again on every response.
+		w.Header()["X-Request-Id"] = []string{id}
 		var queueDepth int64 // at arrival, for the access log only
 		if s.logger != nil {
 			queueDepth = s.pool.queued.Load()
@@ -392,15 +398,12 @@ type workloadRequest struct {
 func (r workloadRequest) version() int           { return r.SchemaVersion }
 func (r workloadRequest) routed() *core.Workload { return &r.Workload }
 
-// workload is the request's validated workload, traced if it opted in.
-func (r workloadRequest) workload() (core.Workload, error) {
-	if err := r.Validate(); err != nil {
-		return core.Workload{}, badRequestError{err}
-	}
+// workload is the request's workload, traced if it opted in.
+func (r workloadRequest) workload() core.Workload {
 	if r.Trace {
-		return withTracing(r.Workload), nil
+		return withTracing(r.Workload)
 	}
-	return r.Workload, nil
+	return r.Workload
 }
 
 // defaultTraceIntervals is the interval-retention cap applied when a
@@ -511,7 +514,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // hits on the same entry, and a mutation of bytes that must stay
 // immutable.
 func writeJSONBytes(w http.ResponseWriter, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = headerJSONResult
 	w.Write(b)
 	io.WriteString(w, "\n")
 }
@@ -572,15 +575,30 @@ func (a *admitter) admit(task func()) error {
 // request: it is cancelled only when every request waiting for it has
 // gone.
 func (s *Server) resolveCell(ctx context.Context, label string, wl core.Workload, adm *admitter) (*cached, memo.Outcome, error) {
-	tr := obs.FromContext(ctx)
 	key := wl.Fingerprint()
+	if val, ok := s.lookup(obs.FromContext(ctx), label, key); ok {
+		return val, memo.Hit, nil
+	}
+	return s.resolveMiss(ctx, label, wl, key, adm)
+}
+
+// lookup is resolveCell's hit path: the result-cache lookup by
+// fingerprint, spanned as the cell's cache-lookup. It needs no deadline,
+// admitter or flight, so a caller builds those only after it misses.
+func (s *Server) lookup(tr *obs.Trace, label, key string) (*cached, bool) {
 	endLookup := tr.StartSpan(label + "cache-lookup")
 	val, ok := s.cache.Get(key)
 	endLookup()
 	if ok {
 		s.attachProfile(tr, label, val.profile)
-		return val, memo.Hit, nil
 	}
+	return val, ok
+}
+
+// resolveMiss is resolveCell's miss path: the memo flight for key, which
+// is wl's fingerprint.
+func (s *Server) resolveMiss(ctx context.Context, label string, wl core.Workload, key string, adm *admitter) (*cached, memo.Outcome, error) {
+	tr := obs.FromContext(ctx)
 	waited := time.Now()
 	cellWl := wl // captured below; a copy keeps the hit path allocation-free
 	val, how, err := s.cache.Do(ctx, key,
@@ -728,49 +746,73 @@ func (s *Server) attachProfile(tr *obs.Trace, label string, p *profiler.Profile)
 	}
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, req workloadRequest) {
-	tr := obs.FromContext(r.Context())
-	wl, err := req.workload()
-	if err != nil {
-		httpError(w, err)
+// handleSimulate serves one workload. The body memo hands it the
+// validated, normalized workload and its fingerprint; a result-cache hit
+// then needs no deadline, admitter or flight.
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, d *decoded) {
+	if d.invalid != nil {
+		httpError(w, badRequestError{d.invalid})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	val, how, err := s.resolveCell(ctx, "", wl.Normalize(), &admitter{pool: s.pool, ctx: ctx})
-	if err != nil {
-		httpError(w, err)
-		return
+	tr := obs.FromContext(r.Context())
+	val, ok := s.lookup(tr, "", d.fp)
+	how := memo.Hit
+	if !ok {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		var err error
+		val, how, err = s.resolveMiss(ctx, "", d.wl, d.fp, &admitter{pool: s.pool, ctx: ctx})
+		if err != nil {
+			httpError(w, err)
+			return
+		}
 	}
 	// The response was serialized exactly once, when the workload was
 	// first simulated; a cache hit is one Write of those immutable bytes
 	// — zero marshaling, byte-identical by construction.
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
-	w.Header().Set("X-Cache", cacheHeader(how))
-	w.Header().Set("X-Sim-Duration", tr.Dur("simulate").String())
+	h := w.Header()
+	h["X-Cache"] = cacheHeader(how)
+	if sim := tr.Dur("simulate"); sim == 0 {
+		h["X-Sim-Duration"] = headerNoSim
+	} else {
+		h["X-Sim-Duration"] = []string{sim.String()}
+	}
 	writeJSONBytes(w, val.body)
 }
 
+// Header values shared by every response that sends them. A handler
+// assigns them to canonical keys directly, skipping Header.Set's key
+// canonicalization and value allocation; nothing downstream writes into
+// a header's value slice, so sharing one is safe.
+var (
+	headerHit        = []string{"HIT"}
+	headerCoalesced  = []string{"COALESCED"}
+	headerMiss       = []string{"MISS"}
+	headerNoSim      = []string{time.Duration(0).String()}
+	headerJSONResult = []string{contentJSON}
+)
+
 // cacheHeader renders a cell's memo outcome as the X-Cache header value.
-func cacheHeader(how memo.Outcome) string {
+func cacheHeader(how memo.Outcome) []string {
 	switch how {
 	case memo.Hit:
-		return "HIT"
+		return headerHit
 	case memo.Coalesced:
-		return "COALESCED"
+		return headerCoalesced
 	default:
-		return "MISS"
+		return headerMiss
 	}
 }
 
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, req workloadRequest) {
-	tr := obs.FromContext(r.Context())
-	wl, err := req.workload()
-	if err != nil {
-		httpError(w, err)
+func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, d *decoded) {
+	if d.invalid != nil {
+		httpError(w, badRequestError{d.invalid})
 		return
 	}
+	tr := obs.FromContext(r.Context())
+	wl := d.req.workload()
 	methods := []core.Method{core.P2P, core.NCCL}
 	cells := make([]core.Workload, len(methods))
 	for i, m := range methods {
@@ -1041,14 +1083,15 @@ type ValidateResponse struct {
 // handleValidate checks a workload without simulating it, reusing the
 // exact core.Workload.Validate the simulate/compare/sweep paths run, so
 // a workload this endpoint accepts never fails validation later.
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, req workloadRequest) {
+// The fingerprint is the body's routing key: the untraced workload's.
+func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, d *decoded) {
 	resp := ValidateResponse{SchemaVersion: SchemaVersion}
-	if err := req.Validate(); err != nil {
-		resp.Error = err.Error()
+	if d.invalid != nil {
+		resp.Error = d.invalid.Error()
 	} else {
-		n := req.Normalize()
+		n := d.req.Normalize()
 		resp.Valid = true
-		resp.Fingerprint = n.Fingerprint()
+		resp.Fingerprint = d.key
 		resp.Workload = &n
 	}
 	writeJSON(w, resp)

@@ -86,6 +86,9 @@ for series in \
     dgxsimd_sweep_streams_total \
     dgxsimd_sweep_streamed_cells_total \
     dgxsimd_compile_windows_total \
+    dgxsimd_decode_memo_hits_total \
+    dgxsimd_decode_memo_misses_total \
+    dgxsimd_decode_memo_evictions_total \
     dgxsimd_inflight; do
     grep -q "$series" <<<"$METRICS" || fail "/metrics missing $series"
 done
@@ -276,6 +279,27 @@ for i in $(seq 1 8); do
 done
 echo "smoke: affinity OK ($OWNER owns the fingerprint)"
 
+# Both daemons memoize decoded bodies by their exact bytes. A
+# whitespace-reformatted copy (different bytes, same workload) must route
+# to the owner and come back byte-identical as a cache hit; the same copy
+# with garbage appended, sent after its valid twin is memoized, must still
+# be refused as bad_request.
+GW_SPACED='{ "Model": "resnet", "GPUs": 4, "Batch": 32, "Images": 4096 }'
+GW_REF="$(mktemp)"; GW_GOT="$(mktemp)"; GW_HDRS="$(mktemp)"
+gw_memo_fail() { rm -f "$GW_REF" "$GW_GOT" "$GW_HDRS"; gw_fail "$@"; }
+curl -fsS -o "$GW_REF" -X POST "$GW_BASE/v1/simulate" -d "$GW_WORKLOAD" \
+    || gw_memo_fail "reference simulate failed"
+curl -fsS -D "$GW_HDRS" -o "$GW_GOT" -X POST "$GW_BASE/v1/simulate" -d "$GW_SPACED" \
+    || gw_memo_fail "reformatted simulate failed"
+CACHE="$(awk 'tolower($1) == "x-cache:" {print $2}' "$GW_HDRS" | tr -d '\r')"
+[[ "$CACHE" == "HIT" ]] || gw_memo_fail "reformatted body X-Cache=$CACHE, want HIT"
+cmp -s "$GW_REF" "$GW_GOT" || gw_memo_fail "reformatted body's response differs from the original's"
+STATUS="$(curl -sS -o "$GW_GOT" -w '%{http_code}' -X POST "$GW_BASE/v1/simulate" -d "$GW_SPACED garbage")"
+[[ "$STATUS" == 400 ]] || gw_memo_fail "body with trailing garbage: status $STATUS, want 400"
+grep -q '"code":"bad_request"' "$GW_GOT" || gw_memo_fail "body with trailing garbage: $(cat "$GW_GOT")"
+rm -f "$GW_REF" "$GW_GOT" "$GW_HDRS"
+echo "smoke: body memo OK (reformatted body hits, trailing garbage refused)"
+
 # Kill the owner; the same fingerprint must fail over to the survivor.
 case "$OWNER" in
 "http://$R1_ADDR") kill "$R1_PID"; wait "$R1_PID" 2>/dev/null || true; SURVIVOR="http://$R2_ADDR" ;;
@@ -302,6 +326,8 @@ grep -q "dgxsimgw_replica_requests_total{replica=\"$OWNER\"} [1-9]" <<<"$GW_METR
     || gw_fail "owner request counter did not count the flood"
 grep -q 'dgxsimgw_failovers_total [1-9]' <<<"$GW_METRICS" \
     || gw_fail "failover was not counted"
+grep -q 'dgxsimgw_decode_memo_hits_total [1-9]' <<<"$GW_METRICS" \
+    || gw_fail "the gateway routed no repeated body through its body memo"
 gw_cleanup
 echo "smoke: gateway probe OK"
 
