@@ -385,7 +385,7 @@ func BenchmarkServiceSweep(b *testing.B) {
 // The three benchmarks below are the tracked baseline `make bench-json`
 // snapshots into BENCH_<date>.json: the compile-once/simulate-many split
 // lives or dies by the cold/warm gap (warm runs skip graph building, plan
-// lowering, and the discrete-event window and only redo extrapolation
+// lowering, and the simulated window and only redo extrapolation
 // arithmetic), so ns/op and allocs/op for these three are the numbers to
 // watch across commits.
 

@@ -82,8 +82,7 @@ func main() {
 		queue     = flag.Int("queue-depth", 0, "admission-queue depth before requests are shed with 429 (0 = one slot per worker)")
 		cache     = flag.Int("cache", 0, "result-cache capacity in reports (0 = default 1024)")
 		cacheDir  = flag.String("cache-dir", "", "persist cached responses to this directory: load on boot, write-through on miss (empty = memory only)")
-		timeout   = flag.Duration("timeout", 60*time.Second, "per-request simulation timeout")
-		reqTO     = flag.Duration("request-timeout", 0, "total per-request deadline incl. queueing; expiry while queued sheds with 503 (0 = -timeout)")
+		timeout   = flag.Duration("timeout", 60*time.Second, "total per-request deadline incl. queueing; expiry while queued sheds with 503")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 		traces    = flag.Int("trace-store", 0, "recent request traces retained for /v1/trace (0 = default 256)")
 		accessLog = flag.Bool("access-log", true, "emit one JSON access-log line per request on stderr")
@@ -108,14 +107,13 @@ func main() {
 		defer store.Close()
 	}
 	svc := service.NewServer(service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheSize:      *cache,
-		Timeout:        *timeout,
-		RequestTimeout: *reqTO,
-		TraceStore:     *traces,
-		AccessLog:      logSink,
-		Persist:        store,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		CacheSize:  *cache,
+		Timeout:    *timeout,
+		TraceStore: *traces,
+		AccessLog:  logSink,
+		Persist:    store,
 	})
 	defer svc.Close()
 	if store != nil {

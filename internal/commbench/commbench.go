@@ -16,7 +16,6 @@ import (
 	"repro/internal/nccl"
 	"repro/internal/p2p"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -74,8 +73,7 @@ func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, coun
 	if count < 1 {
 		return Point{}, fmt.Errorf("commbench: burst count %d out of range", count)
 	}
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	devs := make([]topology.NodeID, gpus)
 	for i := range devs {
 		devs[i] = topology.NodeID(i)

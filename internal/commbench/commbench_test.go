@@ -132,3 +132,48 @@ func TestDefaultSizesAscending(t *testing.T) {
 		}
 	}
 }
+
+// Each measurement books on a fabric of its own, so repeating one gives
+// the same point: no traffic carries over between calls.
+func TestMeasureBurstRepeatable(t *testing.T) {
+	for _, m := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL} {
+		first, err := MeasureBurst(AllReduce, m, 4, 16*units.MB, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := MeasureBurst(AllReduce, m, 4, 16*units.MB, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != again {
+			t.Errorf("%s: repeated burst %+v, first %+v", m, again, first)
+		}
+		if first.Size != 48*units.MB {
+			t.Errorf("%s: burst size = %v, want 48MB (3 x 16MB)", m, first.Size)
+		}
+	}
+}
+
+// NCCL collectives serialize on the communicator's stream, so a burst of
+// three takes about three single collectives; P2P chains overlap across
+// links and copy engines, so three of them take far less than three
+// times one.
+func TestBurstPipelining(t *testing.T) {
+	ratio := func(m kvstore.Method) float64 {
+		one, err := MeasureBurst(AllReduce, m, 4, 16*units.MB, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		three, err := MeasureBurst(AllReduce, m, 4, 16*units.MB, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return three.Time.Seconds() / one.Time.Seconds()
+	}
+	if r := ratio(kvstore.MethodNCCL); r < 2.9 || r > 3 {
+		t.Errorf("NCCL burst of 3 = %.3f x one collective, want serialized (2.9-3)", r)
+	}
+	if r := ratio(kvstore.MethodP2P); r > 2.5 {
+		t.Errorf("P2P burst of 3 = %.3f x one chain, want overlapped (< 2.5)", r)
+	}
+}

@@ -1,7 +1,7 @@
 // Compile-once, simulate-many: this file is the compiled-workload
 // artifact layer. Simulating a workload splits into a compile phase
 // (build the model graph, lower the FP/BP kernel plans, run the
-// discrete-event simulation of the setup window and the handful of
+// list-scheduled simulation of the setup window and the handful of
 // exactly-simulated iterations — all captured as a train.Window) and an
 // extrapolation phase (pure arithmetic projecting the window onto the
 // epoch). The compile phase is memoized here, keyed off the Fingerprint

@@ -9,7 +9,6 @@ import (
 	"repro/internal/interconnect"
 	"repro/internal/models"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -37,7 +36,7 @@ func resnetPlan(b *testing.B) []gpu.KernelCost {
 // benchRuntime is a profiled runtime over the DGX-1's eight GPUs.
 func benchRuntime(b *testing.B) *Runtime {
 	b.Helper()
-	fab := interconnect.New(sim.NewEngine(), topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	rt, err := NewRuntime(fab, gpu.V100(), []topology.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, DefaultCosts(), profiler.New())
 	if err != nil {
 		b.Fatal(err)

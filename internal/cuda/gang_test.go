@@ -7,7 +7,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -22,10 +21,8 @@ type gangRank struct {
 // gangScenario is one pre-booked runtime state and one collective to
 // launch from it on the gang of ranks 0..len(ranks)-1.
 type gangScenario struct {
-	detailed bool
-	launch   time.Duration // Costs.LaunchKernel
-	// now advances the engine clock before anything is booked.
-	now        time.Duration
+	detailed   bool
+	launch     time.Duration // Costs.LaunchKernel
 	ranks      []gangRank
 	ready, dur time.Duration
 	kernel     int // index into gangKernelNames
@@ -37,7 +34,6 @@ var gangKernelNames = []string{"ncclAllReduceRingKernel", "ncclBroadcastRingKern
 // returns it with its gang and the kernel the gang launches.
 func bookGang(t *testing.T, sc gangScenario) (*Runtime, *Gang, Kernel) {
 	t.Helper()
-	eng := sim.NewEngine()
 	prof := profiler.New()
 	if sc.detailed {
 		prof = profiler.NewDetailed(1 << 10)
@@ -48,13 +44,12 @@ func bookGang(t *testing.T, sc gangScenario) (*Runtime, *Gang, Kernel) {
 	for i := range devs {
 		devs[i] = topology.NodeID(i)
 	}
-	rt, err := NewRuntime(interconnect.New(eng, scenarioTopology), gpu.V100(), devs, costs, prof)
+	rt, err := NewRuntime(interconnect.New(scenarioTopology), gpu.V100(), devs, costs, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pre := rt.NewKernel("pre", 0)
 	k := rt.NewKernel(gangKernelNames[sc.kernel], 0)
-	eng.RunUntil(sc.now)
 	for i, r := range sc.ranks {
 		if r.engineBusy > 0 {
 			rt.CommStream(devs[i], "pre").Synchronize(profiler.StageWU, r.engineBusy)
@@ -105,11 +100,12 @@ func TestGangMatchesLaunchLoop(t *testing.T) {
 		{"zero-duration", gangScenario{launch: 4 * us, ranks: idle(3), dur: 0}},
 		{"zero-launch-cost", gangScenario{ranks: idle(4), ready: 5 * us, dur: 10 * us}},
 		{"tail-ahead", gangScenario{launch: 4 * us, ranks: []gangRank{{}, {tail: 300 * us}, {tail: 20 * us}}, dur: 50 * us}},
+		// Rank 0's stream runs far past the collective's readiness.
+		{"root-tail-ahead", gangScenario{launch: 4 * us, ranks: []gangRank{{tail: 3 * time.Millisecond}, {}}, ready: us, dur: 40 * us}},
 		{"engine-busy", gangScenario{launch: 4 * us, ranks: []gangRank{{engineBusy: 200 * us}, {}}, ready: us, dur: 50 * us}},
 		// A queue busy past global starts that rank's window late, so its
 		// tail ends after the collective's end.
 		{"queue-busy", gangScenario{launch: 4 * us, ranks: []gangRank{{commBusy: time.Millisecond}, {}, {tail: 10 * us}}, dur: 70 * us, kernel: 1}},
-		{"clock-advanced", gangScenario{launch: 4 * us, now: 2 * time.Millisecond, ranks: []gangRank{{tail: 3 * time.Millisecond}, {}}, ready: us, dur: 40 * us}},
 		{"ready-ahead", gangScenario{launch: 4 * us, ranks: []gangRank{{engineBusy: 5 * us, commBusy: 8 * us}, {tail: 9 * us}}, ready: time.Millisecond, dur: 40 * us}},
 		{"recorded-slot", gangScenario{launch: 4 * us, ranks: []gangRank{{commBusy: 30 * us}, {commBusy: 60 * us}}, dur: 25 * us, kernel: 2}},
 		{"detailed", gangScenario{detailed: true, launch: 4 * us, ranks: []gangRank{{commBusy: 40 * us}, {tail: 70 * us}, {}}, dur: 20 * us}},
@@ -119,20 +115,20 @@ func TestGangMatchesLaunchLoop(t *testing.T) {
 }
 
 // FuzzLaunchGang checks Gang.Launch against the rank-by-rank HostLaunch
-// and Extend loop from arbitrary pre-booked engine-thread, comm-queue,
-// tail and clock states. ranks holds three bytes per rank (engine busy,
+// and Extend loop from arbitrary pre-booked engine-thread, comm-queue
+// and tail states. ranks holds three bytes per rank (engine busy,
 // comm busy, tail), each scaled by unit; there are 1 to 8 ranks.
 func FuzzLaunchGang(f *testing.F) {
-	f.Add(false, uint16(4000), uint16(1000), uint32(0), uint32(0), uint32(50000), uint8(0), []byte{0, 0, 0, 0, 0, 0})
-	f.Add(false, uint16(4000), uint16(1000), uint32(2000), uint32(100), uint32(0), uint8(1), []byte{10, 0, 0, 0, 200, 0, 0, 0, 90})
-	f.Add(true, uint16(4000), uint16(500), uint32(0), uint32(7000), uint32(30000), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add(false, uint16(0), uint16(1), uint32(100), uint32(0), uint32(1), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, detailed bool, launch, unit uint16, now, ready, dur uint32, kernel uint8, ranks []byte) {
+	f.Add(false, uint16(4000), uint16(1000), uint32(0), uint32(50000), uint8(0), []byte{0, 0, 0, 0, 0, 0})
+	f.Add(false, uint16(4000), uint16(1000), uint32(100), uint32(0), uint8(1), []byte{10, 0, 0, 0, 200, 0, 0, 0, 90})
+	f.Add(true, uint16(4000), uint16(500), uint32(7000), uint32(30000), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add(false, uint16(0), uint16(1), uint32(0), uint32(1), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, detailed bool, launch, unit uint16, ready, dur uint32, kernel uint8, ranks []byte) {
 		n := min(max(len(ranks)/3, 1), 8)
 		ranks = append(ranks, make([]byte, 3*n)...)
 		sc := gangScenario{
 			detailed: detailed, launch: time.Duration(launch),
-			now: time.Duration(now), ready: time.Duration(ready), dur: time.Duration(dur),
+			ready: time.Duration(ready), dur: time.Duration(dur),
 			ranks:  make([]gangRank, n),
 			kernel: int(kernel) % len(gangKernelNames),
 		}

@@ -18,8 +18,6 @@ type runScenario struct {
 	comm     bool
 	detailed bool
 	launch   time.Duration // Costs.LaunchKernel
-	// now advances the engine clock before anything is booked.
-	now time.Duration
 	// Each positive entry books its resource from time zero before the
 	// run: the launch thread (a HostWait), the engine thread (a comm
 	// stream's Synchronize), and the compute and comm queues (a kernel
@@ -34,22 +32,20 @@ type runScenario struct {
 
 var runKernelNames = []string{"conv", "relu", "pool", "fc"}
 
-// scenarioTopology is built once: every scenario runs on a fresh engine
-// and fabric over the same read-only DGX-1 graph.
+// scenarioTopology is built once: every scenario runs on a fresh fabric over the same read-only DGX-1 graph.
 var scenarioTopology = topology.DGX1()
 
 // bookScenario builds a runtime in the scenario's pre-booked state and
 // returns it with the stream and kernels the run launches.
 func bookScenario(t *testing.T, sc runScenario) (*Runtime, *Stream, []Kernel) {
 	t.Helper()
-	eng := sim.NewEngine()
 	prof := profiler.New()
 	if sc.detailed {
 		prof = profiler.NewDetailed(1 << 12)
 	}
 	costs := DefaultCosts()
 	costs.LaunchKernel = sc.launch
-	rt, err := NewRuntime(interconnect.New(eng, scenarioTopology), gpu.V100(), []topology.NodeID{0}, costs, prof)
+	rt, err := NewRuntime(interconnect.New(scenarioTopology), gpu.V100(), []topology.NodeID{0}, costs, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +53,6 @@ func bookScenario(t *testing.T, sc runScenario) (*Runtime, *Stream, []Kernel) {
 	for i, d := range sc.durs {
 		kernels[i] = rt.NewKernel(runKernelNames[sc.names[i]], d)
 	}
-	eng.RunUntil(sc.now)
 	if sc.hostBusy > 0 {
 		rt.HostWait(0, profiler.StageWU, 0, sc.hostBusy)
 	}
@@ -181,7 +176,6 @@ func TestLaunchRunMatchesLaunchLoop(t *testing.T) {
 		{"host-thread-busy", runScenario{launch: 4 * us, hostBusy: 300 * us, durs: mixed, names: mixedNames}},
 		{"queue-busy", runScenario{launch: 4 * us, computeBusy: 500 * us, durs: mixed, names: mixedNames}},
 		{"tail-ahead", runScenario{launch: 4 * us, tail: time.Millisecond, durs: hostBound, names: hostBoundNames}},
-		{"clock-advanced", runScenario{launch: 4 * us, now: 2 * time.Millisecond, hostReady: us, durs: mixed, names: mixedNames}},
 		{"comm", runScenario{comm: true, launch: 4 * us, engineBusy: 60 * us, commBusy: 90 * us, durs: mixed, names: mixedNames}},
 		{"comm/launch-thread-busy", runScenario{comm: true, launch: 4 * us, hostBusy: time.Millisecond, durs: hostBound, names: hostBoundNames}},
 		{"detailed", runScenario{detailed: true, launch: 4 * us, computeBusy: 40 * us, durs: mixed, names: mixedNames}},
@@ -192,23 +186,23 @@ func TestLaunchRunMatchesLaunchLoop(t *testing.T) {
 }
 
 // FuzzLaunchRun checks LaunchRun against the per-kernel Launch loop from
-// arbitrary pre-booked host-thread, engine-thread, queue, tail and clock
+// arbitrary pre-booked host-thread, engine-thread, queue and tail
 // states, on compute and comm streams. Each byte of kernels is one
 // kernel: its high six bits scale unit into a duration (zero included),
 // its low two bits pick the name.
 func FuzzLaunchRun(f *testing.F) {
-	f.Add(false, false, uint16(4000), uint16(1000), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), []byte{0x10, 0x21, 0xff, 0x00, 0x42})
-	f.Add(true, false, uint16(4000), uint16(1), uint32(5000), uint32(90000), uint32(30000), uint32(0), uint32(70000), uint32(1000), uint32(0), []byte{0x04, 0x04, 0x05, 0x06})
-	f.Add(false, true, uint16(0), uint16(500), uint32(0), uint32(0), uint32(0), uint32(20000), uint32(0), uint32(0), uint32(3000), []byte{0x80, 0x00, 0x00, 0x80})
-	f.Add(false, false, uint16(4000), uint16(0), uint32(100), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(50), []byte{})
-	f.Fuzz(func(t *testing.T, comm, detailed bool, launch, unit uint16, now, hostBusy, engineBusy, computeBusy, commBusy, tail, hostReady uint32, kernels []byte) {
+	f.Add(false, false, uint16(4000), uint16(1000), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), []byte{0x10, 0x21, 0xff, 0x00, 0x42})
+	f.Add(true, false, uint16(4000), uint16(1), uint32(90000), uint32(30000), uint32(0), uint32(70000), uint32(1000), uint32(0), []byte{0x04, 0x04, 0x05, 0x06})
+	f.Add(false, true, uint16(0), uint16(500), uint32(0), uint32(0), uint32(20000), uint32(0), uint32(0), uint32(3000), []byte{0x80, 0x00, 0x00, 0x80})
+	f.Add(false, false, uint16(4000), uint16(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(0), uint32(50), []byte{})
+	f.Fuzz(func(t *testing.T, comm, detailed bool, launch, unit uint16, hostBusy, engineBusy, computeBusy, commBusy, tail, hostReady uint32, kernels []byte) {
 		if len(kernels) > 512 {
 			kernels = kernels[:512]
 		}
 		ns := func(v uint32) time.Duration { return time.Duration(v) }
 		sc := runScenario{
 			comm: comm, detailed: detailed, launch: time.Duration(launch),
-			now: ns(now), hostBusy: ns(hostBusy), engineBusy: ns(engineBusy),
+			hostBusy: ns(hostBusy), engineBusy: ns(engineBusy),
 			computeBusy: ns(computeBusy), commBusy: ns(commBusy),
 			tail: ns(tail), hostReady: ns(hostReady),
 			durs: make([]time.Duration, len(kernels)), names: make([]int, len(kernels)),

@@ -120,7 +120,6 @@ type device struct {
 
 // Runtime binds devices, host threads, the fabric, and a profile.
 type Runtime struct {
-	eng    *sim.Engine
 	fabric *interconnect.Fabric
 	// devs is indexed by NodeID; entries for nodes the runtime does not
 	// manage are nil.
@@ -153,7 +152,6 @@ func NewRuntime(fabric *interconnect.Fabric, spec gpu.Spec, gpus []topology.Node
 func NewRuntimeWithSpecs(fabric *interconnect.Fabric, def gpu.Spec, specs map[topology.NodeID]gpu.Spec, gpus []topology.NodeID, costs Costs, prof *profiler.Profile) (*Runtime, error) {
 	top := fabric.Topology()
 	rt := &Runtime{
-		eng:    fabric.Engine(),
 		fabric: fabric,
 		prof:   prof,
 		costs:  costs,
@@ -176,13 +174,13 @@ func NewRuntimeWithSpecs(fabric *interconnect.Fabric, def gpu.Spec, specs map[to
 			spec = s
 		}
 		d := &device{
-			dev:         gpu.NewDevice(rt.eng, id, spec),
+			dev:         gpu.NewDevice(id, spec),
 			hostTrack:   fmt.Sprintf("GPU%d/host", id),
 			engineTrack: fmt.Sprintf("GPU%d/engine", id),
 		}
 		d.compute, d.comm = d.dev.QueueNames()
-		d.host = sim.NewResource(rt.eng, d.hostTrack)
-		d.engine = sim.NewResource(rt.eng, d.engineTrack)
+		d.host = sim.NewResource(d.hostTrack)
+		d.engine = sim.NewResource(d.engineTrack)
 		if int(id) >= len(rt.devs) {
 			rt.devs = append(rt.devs, make([]*device, int(id)+1-len(rt.devs))...)
 		}
@@ -719,7 +717,7 @@ func (rt *Runtime) CPUWork(name string, stage profiler.Stage, ready time.Duratio
 		if rt.cpuRes == nil {
 			rt.cpuRes = map[string]*sim.Resource{}
 		}
-		res = sim.NewResource(rt.eng, name)
+		res = sim.NewResource(name)
 		rt.cpuRes[name] = res
 	}
 	start, end = res.Book(ready, dur)

@@ -8,15 +8,13 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
 func newRuntime(t *testing.T, gpus []topology.NodeID) (*Runtime, *profiler.Profile) {
 	t.Helper()
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	prof := profiler.New()
 	rt, err := NewRuntime(fab, gpu.V100(), gpus, DefaultCosts(), prof)
 	if err != nil {
@@ -31,8 +29,7 @@ func kernel(rt *Runtime, c gpu.KernelCost) Kernel {
 }
 
 func TestNewRuntimeRejectsCPUs(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	if _, err := NewRuntime(fab, gpu.V100(), []topology.NodeID{8}, DefaultCosts(), nil); err == nil {
 		t.Error("CPU node should be rejected")
 	}
@@ -182,8 +179,7 @@ func TestCommStreamOverlapsCompute(t *testing.T) {
 }
 
 func TestKernelRecordedWithStageAndTrack(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	prof := profiler.NewDetailed(16)
 	rt, err := NewRuntime(fab, gpu.V100(), []topology.NodeID{2}, DefaultCosts(), prof)
 	if err != nil {
@@ -210,8 +206,7 @@ func TestKernelRecordedWithStageAndTrack(t *testing.T) {
 }
 
 func TestNilProfileIsSafe(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	rt, err := NewRuntime(fab, gpu.V100(), []topology.NodeID{0, 1}, DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)

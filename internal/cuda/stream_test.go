@@ -7,7 +7,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -119,8 +118,7 @@ func TestDMASerializesFanOut(t *testing.T) {
 }
 
 func TestRuntimeAccessors(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	rt, err := NewRuntime(fab, gpu.V100(), []topology.NodeID{0}, DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -27,17 +27,17 @@ type Device struct {
 // (the V100 exposes several; two captures the paper-era concurrency).
 const dmaEngines = 2
 
-// NewDevice creates a device bound to the engine.
-func NewDevice(eng *sim.Engine, id topology.NodeID, spec Spec) *Device {
+// NewDevice creates an idle device.
+func NewDevice(id topology.NodeID, spec Spec) *Device {
 	d := &Device{
 		ID:      id,
 		Spec:    spec,
-		compute: sim.NewResource(eng, fmt.Sprintf("GPU%d/compute", id)),
-		comm:    sim.NewResource(eng, fmt.Sprintf("GPU%d/comm", id)),
+		compute: sim.NewResource(fmt.Sprintf("GPU%d/compute", id)),
+		comm:    sim.NewResource(fmt.Sprintf("GPU%d/comm", id)),
 		Memory:  NewAllocator(spec.MemCapacity),
 	}
 	for i := 0; i < dmaEngines; i++ {
-		d.dma = append(d.dma, sim.NewResource(eng, fmt.Sprintf("GPU%d/dma%d", id, i)))
+		d.dma = append(d.dma, sim.NewResource(fmt.Sprintf("GPU%d/dma%d", id, i)))
 	}
 	return d
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -178,8 +177,7 @@ func TestAllocatorTagsSorted(t *testing.T) {
 }
 
 func TestDeviceQueuesIndependent(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, 0, V100())
+	d := NewDevice(0, V100())
 	c := d.Spec.KernelDuration(KernelCost{FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA})
 	_, endCompute := d.BookKernel(0, c)
 	_, endComm := d.BookCommKernel(0, 10*time.Microsecond)
@@ -194,9 +192,41 @@ func TestDeviceQueuesIndependent(t *testing.T) {
 	}
 }
 
+func TestNewDeviceStartsIdle(t *testing.T) {
+	d := NewDevice(5, V100())
+	compute, comm := d.QueueNames()
+	if compute != "GPU5/compute" || comm != "GPU5/comm" {
+		t.Errorf("queue names = %q, %q", compute, comm)
+	}
+	if d.Queue(false).Name() != compute || d.Queue(true).Name() != comm {
+		t.Errorf("Queue(false) = %q, Queue(true) = %q", d.Queue(false).Name(), d.Queue(true).Name())
+	}
+	if d.ComputeBusy() != 0 || d.ComputeFreeAt() != 0 || d.CommFreeAt() != 0 {
+		t.Errorf("fresh device: busy %v, compute free %v, comm free %v", d.ComputeBusy(), d.ComputeFreeAt(), d.CommFreeAt())
+	}
+}
+
+// Copies fan out over the copy engines: the first two run side by side,
+// and the third takes whichever engine drains first.
+func TestBookDMAUsesLeastLoadedEngine(t *testing.T) {
+	d := NewDevice(0, V100())
+	ms := time.Millisecond
+	s1, e1 := d.BookDMA(0, 10*ms)
+	s2, e2 := d.BookDMA(0, 4*ms)
+	if s1 != 0 || e1 != 10*ms || s2 != 0 || e2 != 4*ms {
+		t.Errorf("first two copies [%v,%v] [%v,%v], want [0,10ms] [0,4ms] (two engines)", s1, e1, s2, e2)
+	}
+	if s3, e3 := d.BookDMA(0, 3*ms); s3 != 4*ms || e3 != 7*ms {
+		t.Errorf("third copy [%v,%v], want [4ms,7ms] (behind the shorter copy)", s3, e3)
+	}
+	// Copies never occupy the kernel queues.
+	if d.ComputeFreeAt() != 0 || d.CommFreeAt() != 0 {
+		t.Errorf("DMA booked a kernel queue: compute free %v, comm free %v", d.ComputeFreeAt(), d.CommFreeAt())
+	}
+}
+
 func TestDeviceBusyAccounting(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, 3, V100())
+	d := NewDevice(3, V100())
 	c := d.Spec.KernelDuration(KernelCost{FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA})
 	_, end := d.BookKernel(0, c)
 	if d.ComputeBusy() != end {

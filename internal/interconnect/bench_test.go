@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -15,7 +14,7 @@ var endSink time.Duration
 // does for every ring hop of every collective.
 func BenchmarkOccupy(b *testing.B) {
 	top := topology.DGX1()
-	f := New(sim.NewEngine(), top)
+	f := New(top)
 	links := top.Links()
 	b.ReportAllocs()
 	b.ResetTimer()

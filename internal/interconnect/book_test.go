@@ -5,42 +5,85 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
-func TestBookMatchesTransfer(t *testing.T) {
-	// The synchronous Book must produce the same completion time as the
-	// event-driven Transfer for the same request sequence.
-	top := topology.DGX1()
-	path, err := top.Route(0, 7, topology.RouteStagedNVLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := []units.Bytes{10 * units.MB, 25 * units.MB, 5 * units.MB}
+// dirKey names one link direction in the reference model below.
+type dirKey struct {
+	link *topology.Link
+	from topology.NodeID
+}
 
-	e1 := sim.NewEngine()
-	f1 := New(e1, top)
-	var transferred []time.Duration
-	for _, s := range sizes {
-		f1.Transfer(path, s, func(_, end time.Duration) { transferred = append(transferred, end) })
+// refBook is the closed-form reference for Fabric.Book: a store-and-forward
+// path books hop by hop with start = max(ready, free) and the next hop
+// ready at this hop's end; a cut-through path books one bottleneck-rate
+// window, all hops' latency included, on every hop.
+func refBook(free map[dirKey]time.Duration, p topology.Path, size units.Bytes, ready time.Duration) (start, end time.Duration) {
+	if p.CutThrough {
+		bw := p.Hops[0].Link.BW
+		var lat time.Duration
+		for _, h := range p.Hops {
+			bw = min(bw, h.Link.BW)
+			lat += h.Link.Latency
+		}
+		dur := lat + units.TransferTime(size, bw)
+		for i, h := range p.Hops {
+			k := dirKey{h.Link, h.From}
+			s := max(ready, free[k])
+			free[k] = s + dur
+			if i == 0 {
+				start = s
+			}
+			end = max(end, s+dur)
+		}
+		return start, end
 	}
-	e1.Run()
+	for i, h := range p.Hops {
+		k := dirKey{h.Link, h.From}
+		s := max(ready, free[k])
+		free[k] = s + h.Link.Latency + units.TransferTime(size, h.Link.BW)
+		if i == 0 {
+			start = s
+		}
+		ready, end = free[k], free[k]
+	}
+	return start, end
+}
 
-	e2 := sim.NewEngine()
-	f2 := New(e2, top)
-	var booked []time.Duration
-	for _, s := range sizes {
-		_, end := f2.Book(path, s, 0)
-		booked = append(booked, end)
-	}
-	if len(transferred) != len(booked) {
-		t.Fatal("length mismatch")
-	}
-	for i := range booked {
-		if booked[i] != transferred[i] {
-			t.Errorf("request %d: booked %v != transferred %v", i, booked[i], transferred[i])
+// Book matches the reference on any request sequence over DGX-1's
+// store-and-forward routes and DGX-2's cut-through ones.
+func TestBookMatchesReference(t *testing.T) {
+	for _, top := range []*topology.Topology{topology.DGX1(), topology.DGX2()} {
+		gpus := top.GPUs()
+		f := func(reqs []struct {
+			Src, Dst uint8
+			KB       uint16
+			ReadyUs  uint16
+		}) bool {
+			fab := New(top)
+			free := map[dirKey]time.Duration{}
+			for _, q := range reqs {
+				src, dst := gpus[int(q.Src)%len(gpus)], gpus[int(q.Dst)%len(gpus)]
+				if src == dst {
+					continue
+				}
+				p, err := top.Route(src, dst, topology.RouteStagedNVLink)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size := units.Bytes(q.KB) * units.KB
+				ready := time.Duration(q.ReadyUs) * time.Microsecond
+				s, e := fab.Book(p, size, ready)
+				ws, we := refBook(free, p, size, ready)
+				if s != ws || e != we {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -55,8 +98,7 @@ func TestBookConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(sizesKB []uint16) bool {
-		eng := sim.NewEngine()
-		fab := New(eng, top)
+		fab := New(top)
 		var prev time.Duration
 		var wantBusy time.Duration
 		for _, kb := range sizesKB {
@@ -79,9 +121,8 @@ func TestBookConservation(t *testing.T) {
 }
 
 func TestOccupy(t *testing.T) {
-	eng := sim.NewEngine()
 	top := topology.DGX1()
-	fab := New(eng, top)
+	fab := New(top)
 	l := top.DirectLink(0, 1, topology.NVLink)
 	s1, e1 := fab.Occupy(l, 0, 0, 5*time.Millisecond)
 	if s1 != 0 || e1 != 5*time.Millisecond {
@@ -103,8 +144,7 @@ func TestOccupy(t *testing.T) {
 
 func TestCutThroughBooking(t *testing.T) {
 	top := topology.DGX2()
-	eng := sim.NewEngine()
-	fab := New(eng, top)
+	fab := New(top)
 	p, err := top.Route(0, 9, topology.RouteStagedNVLink)
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +177,7 @@ func TestCutThroughBooking(t *testing.T) {
 
 func TestStatsSortedAcrossDirections(t *testing.T) {
 	top := topology.DGX1()
-	eng := sim.NewEngine()
-	fab := New(eng, top)
+	fab := New(top)
 	for _, pairs := range [][2]topology.NodeID{{3, 0}, {0, 1}, {1, 7}, {0, 2}} {
 		p, err := top.Route(pairs[0], pairs[1], topology.RouteStagedNVLink)
 		if err != nil {
@@ -155,8 +194,5 @@ func TestStatsSortedAcrossDirections(t *testing.T) {
 		if a.From > b.From || (a.From == b.From && a.To > b.To) {
 			t.Fatalf("stats unsorted at %d: %+v then %+v", i, a, b)
 		}
-	}
-	if fab.Engine() != eng {
-		t.Error("engine accessor wrong")
 	}
 }

@@ -3,7 +3,8 @@
 // (contention) and per-hop latency, and multi-hop paths are store-and-
 // forward — matching the DGX-1, whose GPU-resident NVLink routers cannot
 // forward packets, so staged transfers are full copies through the
-// intermediate node's memory.
+// intermediate node's memory. Switch-relayed paths (DGX-2's NVSwitch) are
+// cut-through instead.
 package interconnect
 
 import (
@@ -15,10 +16,8 @@ import (
 	"repro/internal/units"
 )
 
-// Fabric binds a topology to a simulation engine and tracks the occupancy
-// of every link direction.
+// Fabric binds a topology to the occupancy of every link direction.
 type Fabric struct {
-	eng *sim.Engine
 	top *topology.Topology
 	// dirs[l.Index()] holds link l's two directions: [0] leaves l.A, [1]
 	// leaves l.B. Entries are created on first use.
@@ -27,16 +26,13 @@ type Fabric struct {
 }
 
 // New creates a fabric over the topology.
-func New(eng *sim.Engine, top *topology.Topology) *Fabric {
+func New(top *topology.Topology) *Fabric {
 	n := top.NumLinks()
-	return &Fabric{eng: eng, top: top, dirs: make([][2]*sim.Resource, n), links: make([]*topology.Link, n)}
+	return &Fabric{top: top, dirs: make([][2]*sim.Resource, n), links: make([]*topology.Link, n)}
 }
 
 // Topology returns the underlying network.
 func (f *Fabric) Topology() *topology.Topology { return f.top }
-
-// Engine returns the simulation engine the fabric schedules on.
-func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
 // Direction returns (creating on demand) the resource for one link
 // direction. Links are full duplex: the two directions never contend with
@@ -53,56 +49,19 @@ func (f *Fabric) Direction(l *topology.Link, from topology.NodeID) *sim.Resource
 	}
 	r := f.dirs[i][d]
 	if r == nil {
-		r = sim.NewResource(f.eng, fmt.Sprintf("%d->%d(%s)", from, l.Other(from), l.Type))
+		r = sim.NewResource(fmt.Sprintf("%d->%d(%s)", from, l.Other(from), l.Type))
 		f.dirs[i][d] = r
 		f.links[i] = l
 	}
 	return r
 }
 
-// Transfer moves size bytes along the path, invoking done with the
-// transfer's start and end times. Multi-hop paths are store-and-forward:
-// each hop begins only after the previous hop has fully landed. Zero-size
-// transfers still pay per-hop latency (they model control messages).
-func (f *Fabric) Transfer(path topology.Path, size units.Bytes, done func(start, end time.Duration)) {
-	if len(path.Hops) == 0 {
-		panic("interconnect: transfer over empty path")
-	}
-	f.runHop(path, 0, size, f.eng.Now(), time.Duration(-1), done)
-}
-
-// TransferAfter is Transfer, but the first hop only becomes eligible at
-// absolute time ready (e.g. when the producing kernel finishes).
-func (f *Fabric) TransferAfter(ready time.Duration, path topology.Path, size units.Bytes, done func(start, end time.Duration)) {
-	if len(path.Hops) == 0 {
-		panic("interconnect: transfer over empty path")
-	}
-	f.runHop(path, 0, size, ready, time.Duration(-1), done)
-}
-
-func (f *Fabric) runHop(path topology.Path, i int, size units.Bytes, ready time.Duration, firstStart time.Duration, done func(start, end time.Duration)) {
-	hop := path.Hops[i]
-	res := f.Direction(hop.Link, hop.From)
-	dur := hop.Link.Latency + units.TransferTime(size, hop.Link.BW)
-	res.ServeAfter(ready, dur, func(start, end time.Duration) {
-		fs := firstStart
-		if fs < 0 {
-			fs = start
-		}
-		if i+1 < len(path.Hops) {
-			f.runHop(path, i+1, size, end, fs, done)
-			return
-		}
-		if done != nil {
-			done(fs, end)
-		}
-	})
-}
-
 // Book reserves the path for a transfer of size bytes becoming eligible at
-// ready, and returns the transfer's start and end times synchronously (see
+// ready, and returns the transfer's start and end times (see
 // sim.Resource.Book). Multi-hop bookings are store-and-forward: hop i+1 is
-// booked with readiness equal to hop i's end.
+// booked with readiness equal to hop i's end. A cut-through path books
+// one bottleneck-rate window on every hop instead. Zero-size transfers
+// still pay per-hop latency (they model control messages).
 func (f *Fabric) Book(path topology.Path, size units.Bytes, ready time.Duration) (start, end time.Duration) {
 	if len(path.Hops) == 0 {
 		panic("interconnect: booking over empty path")

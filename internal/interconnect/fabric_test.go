@@ -4,19 +4,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
-func dgx1Fabric(t *testing.T) (*sim.Engine, *Fabric) {
+func dgx1Fabric(t *testing.T) *Fabric {
 	t.Helper()
-	eng := sim.NewEngine()
 	top := topology.DGX1()
 	if err := top.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return eng, New(eng, top)
+	return New(top)
 }
 
 func route(t *testing.T, f *Fabric, a, b topology.NodeID) topology.Path {
@@ -29,11 +27,9 @@ func route(t *testing.T, f *Fabric, a, b topology.NodeID) topology.Path {
 }
 
 func TestSingleHopTransferTime(t *testing.T) {
-	eng, f := dgx1Fabric(t)
+	f := dgx1Fabric(t)
 	p := route(t, f, 0, 1) // dual NVLink, 50 GB/s
-	var start, end time.Duration
-	f.Transfer(p, 50*units.MB, func(s, e time.Duration) { start, end = s, e })
-	eng.Run()
+	start, end := f.Book(p, 50*units.MB, 0)
 	if start != 0 {
 		t.Errorf("start = %v, want 0", start)
 	}
@@ -44,14 +40,12 @@ func TestSingleHopTransferTime(t *testing.T) {
 }
 
 func TestTwoHopStoreAndForwardDoublesTime(t *testing.T) {
-	eng, f := dgx1Fabric(t)
+	f := dgx1Fabric(t)
 	p := route(t, f, 0, 7) // 0 -> 1 -> 7, both dual links
 	if len(p.Hops) != 2 {
 		t.Fatalf("expected 2 hops, got %v", p)
 	}
-	var end time.Duration
-	f.Transfer(p, 100*units.MB, func(_, e time.Duration) { end = e })
-	eng.Run()
+	_, end := f.Book(p, 100*units.MB, 0)
 	oneHop := topology.NVLinkLatency + units.TransferTime(100*units.MB, 50*units.GBPerSec)
 	if end != 2*oneHop {
 		t.Errorf("2-hop end = %v, want %v (store-and-forward)", end, 2*oneHop)
@@ -59,69 +53,53 @@ func TestTwoHopStoreAndForwardDoublesTime(t *testing.T) {
 }
 
 func TestContentionSerializesSameDirection(t *testing.T) {
-	eng, f := dgx1Fabric(t)
+	f := dgx1Fabric(t)
 	p := route(t, f, 0, 3) // single NVLink, 25 GB/s
 	var ends []time.Duration
 	for i := 0; i < 2; i++ {
-		f.Transfer(p, 25*units.MB, func(_, e time.Duration) { ends = append(ends, e) })
+		_, e := f.Book(p, 25*units.MB, 0)
+		ends = append(ends, e)
 	}
-	eng.Run()
 	one := topology.NVLinkLatency + units.TransferTime(25*units.MB, 25*units.GBPerSec)
-	if len(ends) != 2 {
-		t.Fatal("missing completions")
-	}
 	if ends[0] != one || ends[1] != 2*one {
 		t.Errorf("ends = %v, want [%v %v]", ends, one, 2*one)
 	}
 }
 
 func TestOppositeDirectionsDoNotContend(t *testing.T) {
-	eng, f := dgx1Fabric(t)
-	fwd := route(t, f, 0, 3)
-	rev := route(t, f, 3, 0)
-	var endFwd, endRev time.Duration
-	f.Transfer(fwd, 25*units.MB, func(_, e time.Duration) { endFwd = e })
-	f.Transfer(rev, 25*units.MB, func(_, e time.Duration) { endRev = e })
-	eng.Run()
+	f := dgx1Fabric(t)
+	_, endFwd := f.Book(route(t, f, 0, 3), 25*units.MB, 0)
+	_, endRev := f.Book(route(t, f, 3, 0), 25*units.MB, 0)
 	one := topology.NVLinkLatency + units.TransferTime(25*units.MB, 25*units.GBPerSec)
 	if endFwd != one || endRev != one {
 		t.Errorf("full-duplex violated: fwd=%v rev=%v want both %v", endFwd, endRev, one)
 	}
 }
 
-func TestTransferAfterDelaysEligibility(t *testing.T) {
-	eng, f := dgx1Fabric(t)
+func TestBookDelaysEligibility(t *testing.T) {
+	f := dgx1Fabric(t)
 	p := route(t, f, 0, 1)
-	var start time.Duration
-	f.TransferAfter(10*time.Millisecond, p, units.MB, func(s, _ time.Duration) { start = s })
-	eng.Run()
-	if start != 10*time.Millisecond {
+	if start, _ := f.Book(p, units.MB, 10*time.Millisecond); start != 10*time.Millisecond {
 		t.Errorf("start = %v, want 10ms", start)
 	}
 }
 
 func TestZeroSizeTransferPaysLatency(t *testing.T) {
-	eng, f := dgx1Fabric(t)
+	f := dgx1Fabric(t)
 	p := route(t, f, 0, 1)
-	var end time.Duration
-	f.Transfer(p, 0, func(_, e time.Duration) { end = e })
-	eng.Run()
-	if end != topology.NVLinkLatency {
+	if _, end := f.Book(p, 0, 0); end != topology.NVLinkLatency {
 		t.Errorf("zero-size end = %v, want link latency %v", end, topology.NVLinkLatency)
 	}
 }
 
 func TestPCIePathCrossSocket(t *testing.T) {
-	eng := sim.NewEngine()
 	top := topology.DGX1()
-	f := New(eng, top)
+	f := New(top)
 	p, err := top.Route(0, 4, topology.RoutePCIeFallback)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var end time.Duration
-	f.Transfer(p, 160*units.MB, func(_, e time.Duration) { end = e })
-	eng.Run()
+	_, end := f.Book(p, 160*units.MB, 0)
 	want := OneWayTime(p, 160*units.MB)
 	if end != want {
 		t.Errorf("PCIe path end = %v, want %v", end, want)
@@ -136,26 +114,22 @@ func TestPCIePathCrossSocket(t *testing.T) {
 	}
 }
 
-func TestOneWayTimeMatchesSimulatedUnloaded(t *testing.T) {
-	eng, f := dgx1Fabric(t)
+func TestOneWayTimeMatchesBookedUnloaded(t *testing.T) {
+	f := dgx1Fabric(t)
 	p := route(t, f, 3, 4) // no direct link: staged via an intermediate
 	if len(p.Hops) != 2 {
 		t.Fatalf("3->4 should be staged, got %v", p)
 	}
-	var end time.Duration
-	f.Transfer(p, 64*units.MB, func(_, e time.Duration) { end = e })
-	eng.Run()
-	if want := OneWayTime(p, 64*units.MB); end != want {
-		t.Errorf("simulated %v != analytic %v", end, want)
+	if _, end := f.Book(p, 64*units.MB, 0); end != OneWayTime(p, 64*units.MB) {
+		t.Errorf("booked %v != analytic %v", end, OneWayTime(p, 64*units.MB))
 	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	eng, f := dgx1Fabric(t)
+	f := dgx1Fabric(t)
 	p := route(t, f, 0, 1)
-	f.Transfer(p, units.MB, nil)
-	f.Transfer(p, units.MB, nil)
-	eng.Run()
+	f.Book(p, units.MB, 0)
+	f.Book(p, units.MB, 0)
 	st := f.Stats()
 	if len(st) != 1 {
 		t.Fatalf("stats entries = %d, want 1", len(st))
@@ -174,13 +148,59 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// Fabrics built over one shared topology book independently: traffic on
+// one leaves the other's link directions idle.
+func TestFabricsShareNoBookingState(t *testing.T) {
+	top := topology.DGX1()
+	busy, idle := New(top), New(top)
+	p, err := top.Route(0, 1, topology.RouteStagedNVLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, end := busy.Book(p, 50*units.MB, 0)
+	if st := idle.Stats(); len(st) != 0 {
+		t.Errorf("untouched fabric reports traffic: %+v", st)
+	}
+	if idle.BusyTime(topology.NVLink) != 0 {
+		t.Errorf("untouched fabric NVLink busy = %v, want 0", idle.BusyTime(topology.NVLink))
+	}
+	if start, e := idle.Book(p, 50*units.MB, 0); start != 0 || e != end {
+		t.Errorf("same transfer on the other fabric [%v,%v], want [0,%v]", start, e, end)
+	}
+}
+
+// Direction hands out the very resource Book and Occupy queue on, one
+// per link direction, created once.
+func TestDirectionIsTheBookedResource(t *testing.T) {
+	top := topology.DGX1()
+	f := New(top)
+	l := top.DirectLink(0, 3, topology.NVLink)
+	fwd := f.Direction(l, 0)
+	if f.Direction(l, 0) != fwd {
+		t.Fatal("Direction built a second resource for the same direction")
+	}
+	if fwd.Name() != "0->3(NVLink)" {
+		t.Errorf("name = %q, want 0->3(NVLink)", fwd.Name())
+	}
+	rev := f.Direction(l, 3)
+	if rev == fwd || rev.Name() != "3->0(NVLink)" {
+		t.Errorf("reverse direction = %q, want its own 3->0(NVLink)", rev.Name())
+	}
+	_, end := f.Book(route(t, f, 0, 3), 25*units.MB, 0)
+	if fwd.Requests() != 1 || fwd.FreeAt() != end {
+		t.Errorf("forward direction: %d requests, free at %v; want 1, %v", fwd.Requests(), fwd.FreeAt(), end)
+	}
+	if rev.Requests() != 0 || rev.FreeAt() != 0 {
+		t.Errorf("reverse direction booked: %d requests, free at %v", rev.Requests(), rev.FreeAt())
+	}
+}
+
 func TestEmptyPathPanics(t *testing.T) {
-	eng, f := dgx1Fabric(t)
+	f := dgx1Fabric(t)
 	defer func() {
 		if recover() == nil {
 			t.Error("empty path should panic")
 		}
 	}()
-	f.Transfer(topology.Path{}, units.MB, nil)
-	eng.Run()
+	f.Book(topology.Path{}, units.MB, 0)
 }

@@ -9,15 +9,13 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
 func newBackend(t *testing.T, method Method, n int) Backend {
 	t.Helper()
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	devs := make([]topology.NodeID, n)
 	for i := range devs {
 		devs[i] = topology.NodeID(i)
@@ -54,8 +52,7 @@ func TestBothMethodsWork(t *testing.T) {
 }
 
 func TestUnknownMethod(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	rt, err := cuda.NewRuntime(fab, gpu.V100(), []topology.NodeID{0}, cuda.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +188,7 @@ func TestLocalKVStoreBasics(t *testing.T) {
 // slice with the typed error, up front — the nccl path used to index
 // devs[0] for its root before any engine could object.
 func TestEmptyDevicesRejected(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	rt, err := cuda.NewRuntime(fab, gpu.V100(), []topology.NodeID{0}, cuda.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -20,7 +19,7 @@ var endSink time.Duration
 // DGX-1's eight GPUs: per-rank host launches, the kernel windows, and the
 // ring-link occupancy.
 func BenchmarkAllReduce8(b *testing.B) {
-	fab := interconnect.New(sim.NewEngine(), topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	devs := []topology.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
 	rt, err := cuda.NewRuntime(fab, gpu.V100(), devs, cuda.DefaultCosts(), profiler.New())
 	if err != nil {

@@ -8,16 +8,14 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
 func newComm(t *testing.T, devs []topology.NodeID) (*Communicator, *profiler.Profile) {
 	t.Helper()
-	eng := sim.NewEngine()
 	top := topology.DGX1()
-	fab := interconnect.New(eng, top)
+	fab := interconnect.New(top)
 	prof := profiler.New()
 	rt, err := cuda.NewRuntime(fab, gpu.V100(), devs, cuda.DefaultCosts(), prof)
 	if err != nil {
@@ -212,8 +210,7 @@ func TestReduceScatterAllGatherCheaperThanAllReduce(t *testing.T) {
 }
 
 func TestNewRejectsEmptyAndUnmanaged(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	rt, err := cuda.NewRuntime(fab, gpu.V100(), gpus(2), cuda.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -15,8 +14,7 @@ import (
 // newCommOn builds a communicator on an explicit topology and config.
 func newCommOn(t *testing.T, top *topology.Topology, devs []topology.NodeID, cfg Config) *Communicator {
 	t.Helper()
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, top)
+	fab := interconnect.New(top)
 	rt, err := cuda.NewRuntime(fab, gpu.V100(), devs, cuda.DefaultCosts(), profiler.New())
 	if err != nil {
 		t.Fatal(err)

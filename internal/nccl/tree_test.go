@@ -10,7 +10,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -114,8 +113,7 @@ func TestTreeAllReduceErrors(t *testing.T) {
 // small messages (latency) and roughly tie for large ones (bandwidth).
 func TestTreeAlgorithmLatencyAdvantage(t *testing.T) {
 	timed := func(algo Algorithm, size units.Bytes) (endNS int64) {
-		eng := sim.NewEngine()
-		fab := interconnect.New(eng, topology.DGX1())
+		fab := interconnect.New(topology.DGX1())
 		devs := make([]topology.NodeID, 8)
 		for i := range devs {
 			devs[i] = topology.NodeID(i)

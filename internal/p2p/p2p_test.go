@@ -8,15 +8,13 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
 func newEngine(t *testing.T, n int) (*Engine, *profiler.Profile) {
 	t.Helper()
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	prof := profiler.New()
 	devs := make([]topology.NodeID, n)
 	for i := range devs {
@@ -150,8 +148,7 @@ func TestReduceRespectsReadyTime(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	eng := sim.NewEngine()
-	fab := interconnect.New(eng, topology.DGX1())
+	fab := interconnect.New(topology.DGX1())
 	rt, err := cuda.NewRuntime(fab, gpu.V100(), []topology.NodeID{0}, cuda.DefaultCosts(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -214,7 +214,6 @@ func (t *table) rankedNames() []string {
 type Profile struct {
 	tables    [numTables]table
 	stageBusy [numStages]time.Duration // summed busy time attributed to each stage
-	stageWall [numStages]time.Duration // wall-clock windows set by the trainer
 
 	detail    bool
 	maxDetail int
@@ -301,22 +300,6 @@ func (p *Profile) retain(iv Interval) {
 	}
 }
 
-// AddStageWall accumulates wall-clock time attributed to a stage window.
-// The trainer calls this with per-iteration stage spans.
-func (p *Profile) AddStageWall(s Stage, d time.Duration) {
-	if i := int(s); i >= 0 && i < numStages {
-		p.stageWall[i] += d
-	}
-}
-
-// StageWall returns the accumulated wall time of a stage.
-func (p *Profile) StageWall(s Stage) time.Duration {
-	if i := int(s); i >= 0 && i < numStages {
-		return p.stageWall[i]
-	}
-	return 0
-}
-
 // StageBusy returns the summed busy time attributed to a stage across all
 // recorded activities.
 func (p *Profile) StageBusy(s Stage) time.Duration {
@@ -380,9 +363,6 @@ func (p *Profile) Scale(f float64) {
 	for i := range p.stageBusy {
 		p.stageBusy[i] = time.Duration(float64(p.stageBusy[i]) * f)
 	}
-	for i := range p.stageWall {
-		p.stageWall[i] = time.Duration(float64(p.stageWall[i]) * f)
-	}
 }
 
 // Clone returns a deep copy of the profile. The compiled-window cache in
@@ -401,7 +381,6 @@ func (p *Profile) Clone() *Profile {
 	arena := make([]Stat, n)
 	q := &Profile{
 		stageBusy: p.stageBusy,
-		stageWall: p.stageWall,
 		detail:    p.detail,
 		maxDetail: p.maxDetail,
 		dropped:   p.dropped,
@@ -438,9 +417,6 @@ func (p *Profile) Merge(other *Profile) {
 	for i := range other.stageBusy {
 		p.stageBusy[i] += other.stageBusy[i]
 	}
-	for i := range other.stageWall {
-		p.stageWall[i] += other.stageWall[i]
-	}
 	if p.detail {
 		for _, iv := range other.intervals {
 			p.retain(iv)
@@ -462,7 +438,5 @@ func (p *Profile) Summary() string {
 			fmt.Fprintf(&b, "  %-28s calls=%-10d total=%-14v avg=%v\n", sec.t.names[slot], s.Calls, s.Total, s.Mean())
 		}
 	}
-	fmt.Fprintf(&b, "Stage wall time: FP=%v BP=%v WU=%v\n",
-		p.stageWall[StageFP], p.stageWall[StageBP], p.stageWall[StageWU])
 	return b.String()
 }

@@ -37,29 +37,15 @@ func TestRecordAggregates(t *testing.T) {
 	}
 }
 
-func TestStageWall(t *testing.T) {
-	p := New()
-	p.AddStageWall(StageFP, time.Second)
-	p.AddStageWall(StageFP, time.Second)
-	p.AddStageWall(StageWU, 300*time.Millisecond)
-	if p.StageWall(StageFP) != 2*time.Second {
-		t.Errorf("FP wall = %v", p.StageWall(StageFP))
-	}
-	if p.StageWall(StageWU) != 300*time.Millisecond {
-		t.Errorf("WU wall = %v", p.StageWall(StageWU))
-	}
-}
-
 func TestScale(t *testing.T) {
 	p := New()
 	p.Record(iv(KindAPI, "x", StageFP, 0, time.Millisecond))
-	p.AddStageWall(StageFP, time.Second)
 	p.Scale(10)
 	if got := p.API("x"); got.Calls != 10 || got.Total != 10*time.Millisecond {
 		t.Errorf("scaled stat = %+v", got)
 	}
-	if p.StageWall(StageFP) != 10*time.Second {
-		t.Errorf("scaled wall = %v", p.StageWall(StageFP))
+	if p.StageBusy(StageFP) != 10*time.Millisecond {
+		t.Errorf("scaled busy = %v", p.StageBusy(StageFP))
 	}
 }
 
@@ -67,13 +53,12 @@ func TestMerge(t *testing.T) {
 	a, b := New(), New()
 	a.Record(iv(KindKernel, "k", StageBP, 0, time.Millisecond))
 	b.Record(iv(KindKernel, "k", StageBP, 0, 2*time.Millisecond))
-	b.AddStageWall(StageBP, time.Second)
 	a.Merge(b)
 	if got := a.Kernel("k"); got.Calls != 2 || got.Total != 3*time.Millisecond {
 		t.Errorf("merged stat = %+v", got)
 	}
-	if a.StageWall(StageBP) != time.Second {
-		t.Error("merged wall missing")
+	if a.StageBusy(StageBP) != 3*time.Millisecond {
+		t.Errorf("merged busy = %v", a.StageBusy(StageBP))
 	}
 }
 
@@ -111,11 +96,29 @@ func TestSummaryMentionsEverything(t *testing.T) {
 	p := New()
 	p.Record(iv(KindAPI, "cudaStreamSynchronize", StageFP, 0, time.Millisecond))
 	p.Record(iv(KindKernel, "volta_sgemm", StageBP, 0, time.Millisecond))
-	p.AddStageWall(StageWU, time.Second)
 	s := p.Summary()
-	for _, want := range []string{"cudaStreamSynchronize", "volta_sgemm", "WU=1s"} {
+	for _, want := range []string{"cudaStreamSynchronize", "volta_sgemm"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// Summary is the API and kernel tables and nothing else: one line per
+// recorded name under each heading, whatever stages the work ran in.
+func TestSummaryLayout(t *testing.T) {
+	p := New()
+	p.Record(iv(KindAPI, "cudaLaunchKernel", StageFP, 0, 4*time.Microsecond))
+	p.Record(iv(KindKernel, "conv", StageBP, 0, time.Millisecond))
+	p.Record(iv(KindKernel, "sgd_update", StageWU, 0, 2*time.Millisecond))
+	lines := strings.Split(strings.TrimSuffix(p.Summary(), "\n"), "\n")
+	want := []string{"API calls:", "  cudaLaunchKernel", "Kernels:", "  sgd_update", "  conv"}
+	if len(lines) != len(want) {
+		t.Fatalf("summary has %d lines, want %d:\n%s", len(lines), len(want), p.Summary())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
 		}
 	}
 }

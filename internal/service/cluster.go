@@ -45,7 +45,7 @@ func (s *Server) handleClusterSimulate(w http.ResponseWriter, r *http.Request, r
 		httpError(w, badRequestError{err})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 
 	// One pool task for the whole fleet simulation: TrySubmit is the

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -118,9 +119,9 @@ func TestClusterSimulateShedsWhenQueueFull(t *testing.T) {
 	// Occupy the one worker and the one queue slot with blocking tasks.
 	block := make(chan struct{})
 	started := make(chan struct{})
-	s.pool.Submit(func() { close(started); <-block })
+	s.pool.SubmitContext(context.Background(), func() { close(started); <-block })
 	<-started
-	s.pool.Submit(func() { <-block })
+	s.pool.SubmitContext(context.Background(), func() { <-block })
 
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/cluster/simulate", strings.NewReader(tinyClusterBody)))

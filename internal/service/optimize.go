@@ -67,7 +67,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, req Opti
 			cands[i] = withTracing(cands[i])
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	vals, hits, err := s.runGrid(ctx, len(cands), func(i int) (string, core.Workload) {
 		return fmt.Sprintf("cand[%d] ", i), cands[i]

@@ -27,7 +27,7 @@ func occupyPool(t *testing.T, p *Pool) (release func()) {
 	var parked sync.WaitGroup
 	parked.Add(total)
 	for i := 0; i < total; i++ {
-		go p.Submit(func() { parked.Done(); <-blocker })
+		go p.SubmitContext(context.Background(), func() { parked.Done(); <-blocker })
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -116,17 +116,33 @@ func TestFullQueueShedsWith429(t *testing.T) {
 	}
 }
 
+// Timeout is the one per-request deadline knob; unset or negative, it
+// is 60 s.
+func TestTimeoutDefault(t *testing.T) {
+	for _, tc := range []struct{ set, want time.Duration }{
+		{0, 60 * time.Second},
+		{-time.Second, 60 * time.Second},
+		{5 * time.Second, 5 * time.Second},
+	} {
+		svc := NewServer(Config{Workers: 1, Timeout: tc.set})
+		if svc.cfg.Timeout != tc.want {
+			t.Errorf("Timeout %v: server deadline = %v, want %v", tc.set, svc.cfg.Timeout, tc.want)
+		}
+		svc.Close()
+	}
+}
+
 // A deadline that expires while a cell is still waiting for admission is
 // the server's overload, not the workload's slowness: 503 + Retry-After,
 // and it outranks the sibling cells' context errors.
 func TestDeadlineWhileQueuedShedsWith503(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RequestTimeout: 50 * time.Millisecond})
+	svc, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Timeout: 50 * time.Millisecond})
 	// Occupy the lone worker but leave the queue slot free: a compare's
 	// first cell admits (TrySubmit), its second blocks in SubmitContext
 	// until the deadline burns down.
 	blocker := make(chan struct{})
 	started := make(chan struct{})
-	svc.pool.Submit(func() { close(started); <-blocker })
+	svc.pool.SubmitContext(context.Background(), func() { close(started); <-blocker })
 	<-started
 
 	done := make(chan struct{})
@@ -173,7 +189,7 @@ func TestIdenticalConcurrentMissesCoalesce(t *testing.T) {
 	// the other k-1 requests arrive and subscribe to its flight.
 	blocker := make(chan struct{})
 	started := make(chan struct{})
-	svc.pool.Submit(func() { close(started); <-blocker })
+	svc.pool.SubmitContext(context.Background(), func() { close(started); <-blocker })
 	<-started
 
 	wl := core.Workload{Model: "lenet", GPUs: 2, Batch: 16, Images: 4096}

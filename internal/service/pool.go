@@ -16,7 +16,7 @@ import (
 var ErrQueueFull = errors.New("pool: admission queue full")
 
 // Pool is a bounded worker pool for running independent simulations on
-// parallel goroutines. Every simulation builds its own sim.Engine, so
+// parallel goroutines. Every simulation builds its own resources, so
 // concurrent runs never share mutable state; the pool only bounds how
 // many are in flight at once. It backs the service's request fan-out and
 // the experiment sweeps, turning an N-way configuration grid into a
@@ -25,10 +25,10 @@ var ErrQueueFull = errors.New("pool: admission queue full")
 // Admission is bounded separately from execution: the task queue holds
 // at most queueDepth entries beyond the running workers. Callers choose
 // their overload behaviour per submission — TrySubmit sheds immediately
-// when the queue is full, SubmitContext waits but abandons the attempt
-// when the caller's context ends, and Submit blocks unconditionally
-// (batch callers like the experiment sweeps, which have no client to
-// shed for).
+// when the queue is full, and SubmitContext waits but abandons the
+// attempt when the caller's context ends. Batch callers like the
+// experiment sweeps, which have no client to shed for, go through Map
+// (MapIndexed), which waits on backpressure under the caller's context.
 type Pool struct {
 	tasks chan func()
 	wg    sync.WaitGroup // worker goroutines
@@ -87,7 +87,8 @@ func (p *Pool) worker() {
 // per-request recovery only covers handler goroutines; without this, a
 // panic inside a task submitted to a worker goroutine would kill the
 // whole daemon. Map wraps its tasks to convert panics into errors before
-// they reach here, so this catch only fires for raw Submit callers.
+// they reach here, so this catch only fires for tasks handed straight to
+// SubmitContext or TrySubmit.
 func (p *Pool) run(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -115,17 +116,6 @@ func (p *Pool) wrap(fn, done func()) func() {
 			done()
 		}
 	}
-}
-
-// Submit enqueues a task, blocking while all workers are busy and the
-// queue is full (backpressure, not unbounded buffering). Submitting to a
-// closed pool panics, like sending on a closed channel. Request paths
-// must use SubmitContext or TrySubmit instead: Submit cannot observe a
-// caller that has gone away, so a disconnected client's work would still
-// enqueue and run to completion.
-func (p *Pool) Submit(fn func()) {
-	p.queued.Add(1)
-	p.tasks <- p.wrap(fn, nil)
 }
 
 // SubmitContext enqueues a task, waiting on backpressure only as long as

@@ -160,19 +160,19 @@ func TestPoolMapPanicBecomesError(t *testing.T) {
 	}
 }
 
-// Raw Submit tasks have no error channel, so the worker's own recover is
-// the last line of defense: the panic is counted and the worker survives
+// Tasks handed straight to SubmitContext have no error channel, so the
+// worker's own recover is the last line of defense: the panic is counted and the worker survives
 // to run the next task.
 func TestPoolWorkerRecoversRawSubmitPanic(t *testing.T) {
 	p := NewPool(1) // one worker: the survivor must be the same goroutine
 	defer p.Close()
-	p.Submit(func() { panic("boom") })
+	p.SubmitContext(context.Background(), func() { panic("boom") })
 	done := make(chan struct{})
-	p.Submit(func() { close(done) })
+	p.SubmitContext(context.Background(), func() { close(done) })
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("worker died after a panicking Submit task")
+		t.Fatal("worker died after a panicking task")
 	}
 	if got := p.Stats().Panics; got != 1 {
 		t.Errorf("Panics = %d, want 1", got)

@@ -94,13 +94,11 @@ type Config struct {
 	QueueDepth int
 	// CacheSize bounds the result cache (<= 0: the default 1024).
 	CacheSize int
-	// Timeout bounds each request's simulation work (<= 0: 60s).
+	// Timeout bounds a request's total time in the service, admission
+	// queueing included (<= 0: 60s). A deadline that expires while the
+	// request is still waiting for a queue slot sheds it with 503 +
+	// Retry-After — the server could not have met it.
 	Timeout time.Duration
-	// RequestTimeout bounds a request's total time in the service,
-	// admission queueing included (<= 0: Timeout). A deadline that
-	// expires while the request is still waiting for a queue slot sheds
-	// it with 503 + Retry-After — the server could not have met it.
-	RequestTimeout time.Duration
 	// TraceStore bounds how many recent request traces /v1/trace can
 	// serve (<= 0: the default 256).
 	TraceStore int
@@ -150,9 +148,6 @@ var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 func NewServer(cfg Config) *Server {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = cfg.Timeout
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -758,7 +753,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, d *decod
 	val, ok := s.lookup(tr, "", d.fp)
 	how := memo.Hit
 	if !ok {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
 		var err error
 		val, how, err = s.resolveMiss(ctx, "", d.wl, d.fp, &admitter{pool: s.pool, ctx: ctx})
@@ -823,7 +818,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, d *decode
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	vals, _, err := s.runGrid(ctx, len(cells), func(i int) (string, core.Workload) {
 		return string(methods[i]) + " ", cells[i]
@@ -1037,7 +1032,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 		}
 	}
 	endValidate()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	if wantsNDJSON(r) {
 		s.streamSweep(ctx, w, req, size)

@@ -7,8 +7,7 @@ import (
 )
 
 func TestBookSynchronousFIFO(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x")
+	r := NewResource("x")
 	s1, e1 := r.Book(0, 10*time.Millisecond)
 	if s1 != 0 || e1 != 10*time.Millisecond {
 		t.Errorf("first booking [%v,%v]", s1, e1)
@@ -25,33 +24,31 @@ func TestBookSynchronousFIFO(t *testing.T) {
 	}
 }
 
-func TestBookMatchesServe(t *testing.T) {
-	// Book and Serve must produce identical schedules for the same
-	// request sequence.
-	e1 := NewEngine()
-	ra := NewResource(e1, "a")
-	var served []time.Duration
-	for i := 0; i < 5; i++ {
-		ra.Serve(time.Duration(i+1)*time.Millisecond, func(_, end time.Duration) {
-			served = append(served, end)
-		})
-	}
-	e1.Run()
-
-	e2 := NewEngine()
-	rb := NewResource(e2, "b")
-	var booked []time.Duration
-	for i := 0; i < 5; i++ {
-		_, end := rb.Book(0, time.Duration(i+1)*time.Millisecond)
-		booked = append(booked, end)
-	}
-	if len(served) != len(booked) {
-		t.Fatal("length mismatch")
-	}
-	for i := range served {
-		if served[i] != booked[i] {
-			t.Errorf("request %d: served %v != booked %v", i, served[i], booked[i])
+// Book matches a closed-form FIFO reference for any request sequence:
+// each request starts at the later of its readiness and the previous
+// request's end, and busy time and request count are the sums.
+func TestBookMatchesReference(t *testing.T) {
+	f := func(reqs []struct {
+		Ready uint16
+		Dur   uint16
+	}) bool {
+		r := NewResource("p")
+		var free, busy time.Duration
+		for _, q := range reqs {
+			ready := time.Duration(q.Ready) * time.Microsecond
+			dur := time.Duration(q.Dur) * time.Microsecond
+			wantStart := max(ready, free)
+			start, end := r.Book(ready, dur)
+			if start != wantStart || end != wantStart+dur {
+				return false
+			}
+			free = end
+			busy += dur
 		}
+		return r.FreeAt() == free && r.BusyTime() == busy && r.Requests() == int64(len(reqs))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -62,8 +59,7 @@ func TestBookProperties(t *testing.T) {
 		Ready uint16
 		Dur   uint16
 	}) bool {
-		e := NewEngine()
-		r := NewResource(e, "p")
+		r := NewResource("p")
 		var prevEnd time.Duration
 		for _, q := range reqs {
 			ready := time.Duration(q.Ready) * time.Microsecond
@@ -85,8 +81,7 @@ func TestBookProperties(t *testing.T) {
 }
 
 func TestBookAccountsBusyTime(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x")
+	r := NewResource("x")
 	r.Book(0, 3*time.Millisecond)
 	r.Book(0, 4*time.Millisecond)
 	if r.BusyTime() != 7*time.Millisecond {
@@ -101,8 +96,7 @@ func TestBookAccountsBusyTime(t *testing.T) {
 // stands for would.
 func TestBookRunMatchesBook(t *testing.T) {
 	durs := []time.Duration{3 * time.Millisecond, 0, time.Millisecond}
-	e := NewEngine()
-	booked, batched := NewResource(e, "booked"), NewResource(e, "batched")
+	booked, batched := NewResource("booked"), NewResource("batched")
 	booked.Book(0, time.Millisecond)
 	batched.Book(0, time.Millisecond)
 

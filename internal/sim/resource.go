@@ -1,3 +1,15 @@
+// Package sim is the timing kernel the whole system model runs on: list
+// scheduling on FIFO resources plus seeded jitter.
+//
+// Every contended facility (a NVLink direction, a DMA copy engine, a GPU
+// compute pipe, a host API thread) is a Resource. A caller that knows when
+// its work becomes ready and how long it takes books it, and gets the
+// reservation's start and end back at once; dependencies are carried by
+// passing one booking's end as the next one's readiness. No clock or event
+// calendar is needed, so a run is deterministic by construction. All
+// stochastic behaviour (run-to-run jitter used to reproduce the paper's
+// error bars) comes from an explicitly seeded Jitter source, so any
+// experiment can be replayed exactly.
 package sim
 
 import "time"
@@ -7,7 +19,6 @@ import "time"
 // time is known at submission are scheduled back-to-back; this is exact for
 // FIFO queues and avoids simulating the queue explicitly.
 type Resource struct {
-	eng       *Engine
 	name      string
 	busyUntil time.Duration
 
@@ -16,65 +27,21 @@ type Resource struct {
 	requests int64
 }
 
-// NewResource creates a resource bound to the engine. The name is used only
-// for diagnostics and profiling.
-func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name}
+// NewResource creates an idle resource. The name is used only for
+// diagnostics and profiling.
+func NewResource(name string) *Resource {
+	return &Resource{name: name}
 }
 
 // Name returns the diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Serve enqueues a request taking dur of service time and calls done with
-// the request's actual start and end times once service completes. Requests
-// are served in submission order.
-func (r *Resource) Serve(dur time.Duration, done func(start, end time.Duration)) {
-	start := r.busyUntil
-	if now := r.eng.Now(); start < now {
-		start = now
-	}
-	end := start + dur
-	r.busyUntil = end
-	r.busy += dur
-	r.requests++
-	if done != nil {
-		r.eng.At(end, func() { done(start, end) })
-	}
-}
-
-// ServeAfter is like Serve but the request only joins the queue at absolute
-// time ready (it models work that becomes eligible in the future, e.g. a
-// transfer whose source data is still being produced).
-func (r *Resource) ServeAfter(ready time.Duration, dur time.Duration, done func(start, end time.Duration)) {
-	if now := r.eng.Now(); ready < now {
-		ready = now
-	}
-	// The queue-head position is claimed now (FIFO by submission), but
-	// service cannot begin before the request is ready.
-	start := r.busyUntil
-	if start < ready {
-		start = ready
-	}
-	end := start + dur
-	r.busyUntil = end
-	r.busy += dur
-	r.requests++
-	if done != nil {
-		r.eng.At(end, func() { done(start, end) })
-	}
-}
-
 // Book reserves dur of service starting no earlier than ready and returns
-// the reservation's start and end synchronously, without scheduling any
-// event. Because service is FIFO and service times are known at submission,
-// the end time is fully determined at booking time; models that track their
-// own dependencies can therefore schedule analytically and skip the event
-// calendar entirely. Bookings still occupy the resource: later Serve/Book
-// calls queue behind them.
+// the reservation's start and end. Because service is FIFO and service
+// times are known at submission, the end time is fully determined at
+// booking time: the reservation joins the queue behind every earlier
+// booking, whatever their ready times.
 func (r *Resource) Book(ready, dur time.Duration) (start, end time.Duration) {
-	if now := r.eng.Now(); ready < now {
-		ready = now
-	}
 	start = r.busyUntil
 	if start < ready {
 		start = ready
@@ -98,17 +65,12 @@ func (r *Resource) BookRun(n int64, busy, end time.Duration) {
 }
 
 // FreeAt returns the time at which all currently queued service completes.
-func (r *Resource) FreeAt() time.Duration {
-	if now := r.eng.Now(); r.busyUntil < now {
-		return now
-	}
-	return r.busyUntil
-}
+func (r *Resource) FreeAt() time.Duration { return r.busyUntil }
 
 // BusyTime returns the total service time accumulated so far.
 func (r *Resource) BusyTime() time.Duration { return r.busy }
 
-// Requests returns the number of requests served (or queued) so far.
+// Requests returns the number of requests booked so far.
 func (r *Resource) Requests() int64 { return r.requests }
 
 // Utilization returns busy time divided by horizon. Horizons <= 0 yield 0.
@@ -117,36 +79,4 @@ func (r *Resource) Utilization(horizon time.Duration) float64 {
 		return 0
 	}
 	return float64(r.busy) / float64(horizon)
-}
-
-// Barrier invokes its callback once Arrive has been called n times. It
-// mirrors the synchronous-SGD semantics where GPU 0 must see every worker's
-// gradients before updating weights.
-type Barrier struct {
-	remaining int
-	fn        func()
-}
-
-// NewBarrier creates a barrier expecting n arrivals. A barrier with n <= 0
-// fires immediately upon the first (spurious) Arrive and never again.
-func NewBarrier(n int, fn func()) *Barrier {
-	return &Barrier{remaining: n, fn: fn}
-}
-
-// Arrive records one arrival, firing the callback on the last one.
-func (b *Barrier) Arrive() {
-	b.remaining--
-	if b.remaining <= 0 && b.fn != nil {
-		fn := b.fn
-		b.fn = nil
-		fn()
-	}
-}
-
-// Remaining returns how many arrivals are still outstanding.
-func (b *Barrier) Remaining() int {
-	if b.remaining < 0 {
-		return 0
-	}
-	return b.remaining
 }

@@ -6,57 +6,107 @@ import (
 )
 
 func TestResourceSerializesFIFO(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link")
-	type span struct{ start, end time.Duration }
-	var spans []span
+	r := NewResource("link")
 	for i := 0; i < 3; i++ {
-		r.Serve(10*time.Millisecond, func(s, d time.Duration) {
-			spans = append(spans, span{s, d})
-		})
-	}
-	e.Run()
-	if len(spans) != 3 {
-		t.Fatalf("served %d requests, want 3", len(spans))
-	}
-	for i, sp := range spans {
+		start, end := r.Book(0, 10*time.Millisecond)
 		wantStart := time.Duration(i) * 10 * time.Millisecond
-		if sp.start != wantStart || sp.end != wantStart+10*time.Millisecond {
+		if start != wantStart || end != wantStart+10*time.Millisecond {
 			t.Errorf("request %d span = [%v,%v], want [%v,%v]",
-				i, sp.start, sp.end, wantStart, wantStart+10*time.Millisecond)
+				i, start, end, wantStart, wantStart+10*time.Millisecond)
 		}
 	}
 }
 
-func TestResourceServeAfterWaitsForReadiness(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link")
-	var start time.Duration
-	r.ServeAfter(50*time.Millisecond, 10*time.Millisecond, func(s, _ time.Duration) { start = s })
-	e.Run()
-	if start != 50*time.Millisecond {
+func TestResourceBookWaitsForReadiness(t *testing.T) {
+	r := NewResource("link")
+	if start, _ := r.Book(50*time.Millisecond, 10*time.Millisecond); start != 50*time.Millisecond {
 		t.Errorf("start = %v, want 50ms (waited for readiness)", start)
 	}
 }
 
-func TestResourceServeAfterQueuesBehindEarlierWork(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "link")
-	r.Serve(100*time.Millisecond, nil)
-	var start time.Duration
-	r.ServeAfter(50*time.Millisecond, 10*time.Millisecond, func(s, _ time.Duration) { start = s })
-	e.Run()
-	if start != 100*time.Millisecond {
+func TestResourceBookQueuesBehindEarlierWork(t *testing.T) {
+	r := NewResource("link")
+	r.Book(0, 100*time.Millisecond)
+	if start, _ := r.Book(50*time.Millisecond, 10*time.Millisecond); start != 100*time.Millisecond {
 		t.Errorf("start = %v, want 100ms (queued behind busy resource)", start)
 	}
 }
 
+func TestNewResourceStartsIdle(t *testing.T) {
+	r := NewResource("GPU0/compute")
+	if r.Name() != "GPU0/compute" {
+		t.Errorf("Name = %q", r.Name())
+	}
+	if r.FreeAt() != 0 || r.BusyTime() != 0 || r.Requests() != 0 || r.Utilization(time.Second) != 0 {
+		t.Errorf("fresh resource: free %v busy %v requests %d utilization %v, want all zero",
+			r.FreeAt(), r.BusyTime(), r.Requests(), r.Utilization(time.Second))
+	}
+}
+
+// Requests ready at the same instant are served in booking order: the
+// list schedule's tie-break is the order of the calls.
+func TestResourceBookTieBreaksByCallOrder(t *testing.T) {
+	r := NewResource("link")
+	var got []time.Duration
+	for _, dur := range []time.Duration{30, 10, 20} {
+		start, _ := r.Book(5*time.Millisecond, dur*time.Millisecond)
+		got = append(got, start)
+	}
+	want := []time.Duration{5 * time.Millisecond, 35 * time.Millisecond, 45 * time.Millisecond}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("request %d start = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// A dependency is one booking's end passed as the next one's readiness:
+// a copy, then a kernel that consumes it, then a copy of the kernel's
+// result back over the same link, each waiting on the one before.
+func TestResourceBookChainsAcrossResources(t *testing.T) {
+	link, pipe := NewResource("link"), NewResource("pipe")
+	_, copied := link.Book(0, 10*time.Millisecond)
+	kStart, kEnd := pipe.Book(copied, 25*time.Millisecond)
+	if kStart != 10*time.Millisecond || kEnd != 35*time.Millisecond {
+		t.Errorf("kernel [%v,%v], want [10ms,35ms]", kStart, kEnd)
+	}
+	// Unrelated traffic books the link meanwhile; the copy back still
+	// waits for the kernel, not for the link alone.
+	link.Book(0, 5*time.Millisecond)
+	bStart, bEnd := link.Book(kEnd, 10*time.Millisecond)
+	if bStart != 35*time.Millisecond || bEnd != 45*time.Millisecond {
+		t.Errorf("copy back [%v,%v], want [35ms,45ms]", bStart, bEnd)
+	}
+}
+
+// A zero-length request still queues and counts as a request, but adds
+// no busy time and does not move FreeAt past its start.
+func TestResourceBookZeroDuration(t *testing.T) {
+	r := NewResource("pipe")
+	r.Book(0, 20*time.Millisecond)
+	start, end := r.Book(5*time.Millisecond, 0)
+	if start != 20*time.Millisecond || end != 20*time.Millisecond {
+		t.Errorf("zero-length booking [%v,%v], want [20ms,20ms]", start, end)
+	}
+	if r.Requests() != 2 || r.BusyTime() != 20*time.Millisecond || r.FreeAt() != 20*time.Millisecond {
+		t.Errorf("requests %d busy %v free %v, want 2, 20ms, 20ms", r.Requests(), r.BusyTime(), r.FreeAt())
+	}
+}
+
+// Time starts at zero: a request whose readiness is negative starts at
+// zero on an idle resource, never before.
+func TestResourceBookNegativeReadyStartsAtZero(t *testing.T) {
+	r := NewResource("pipe")
+	start, end := r.Book(-10*time.Millisecond, 5*time.Millisecond)
+	if start != 0 || end != 5*time.Millisecond {
+		t.Errorf("booking [%v,%v], want [0,5ms]", start, end)
+	}
+}
+
 func TestResourceAccounting(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "pipe")
-	r.Serve(10*time.Millisecond, nil)
-	r.Serve(30*time.Millisecond, nil)
-	e.Run()
+	r := NewResource("pipe")
+	r.Book(0, 10*time.Millisecond)
+	r.Book(0, 30*time.Millisecond)
 	if got := r.BusyTime(); got != 40*time.Millisecond {
 		t.Errorf("BusyTime = %v, want 40ms", got)
 	}
@@ -72,42 +122,13 @@ func TestResourceAccounting(t *testing.T) {
 }
 
 func TestResourceFreeAt(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "pipe")
+	r := NewResource("pipe")
 	if r.FreeAt() != 0 {
 		t.Errorf("idle FreeAt = %v, want 0", r.FreeAt())
 	}
-	r.Serve(25*time.Millisecond, nil)
+	r.Book(0, 25*time.Millisecond)
 	if r.FreeAt() != 25*time.Millisecond {
 		t.Errorf("FreeAt = %v, want 25ms", r.FreeAt())
-	}
-	e.Run()
-	if r.FreeAt() != 25*time.Millisecond {
-		t.Errorf("FreeAt after run = %v, want 25ms (== now)", r.FreeAt())
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	fired := 0
-	b := NewBarrier(3, func() { fired++ })
-	b.Arrive()
-	b.Arrive()
-	if fired != 0 {
-		t.Fatal("barrier fired early")
-	}
-	if b.Remaining() != 1 {
-		t.Errorf("Remaining = %d, want 1", b.Remaining())
-	}
-	b.Arrive()
-	if fired != 1 {
-		t.Fatal("barrier did not fire on last arrival")
-	}
-	b.Arrive() // extra arrivals are harmless
-	if fired != 1 {
-		t.Fatal("barrier fired more than once")
-	}
-	if b.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", b.Remaining())
 	}
 }
 

@@ -135,9 +135,6 @@ func checkDetailInvariant(t *testing.T, cfg Config) {
 		if ba, bd := pa.StageBusy(st), pd.StageBusy(st); ba != bd {
 			t.Errorf("stage %s busy: aggregate %v, detailed %v", st, ba, bd)
 		}
-		if wa, wd := pa.StageWall(st), pd.StageWall(st); wa != wd {
-			t.Errorf("stage %s wall: aggregate %v, detailed %v", st, wa, wd)
-		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/nccl"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -278,7 +277,6 @@ func (r *Result) FPBPWall() time.Duration { return r.FPWall + r.BPWall }
 // Trainer holds one run's simulation state.
 type Trainer struct {
 	cfg     Config
-	eng     *sim.Engine
 	fab     *interconnect.Fabric
 	rt      *cuda.Runtime
 	prof    *profiler.Profile
@@ -303,7 +301,7 @@ type Trainer struct {
 
 	// grads is runIteration's per-layer scratch, reused across iterations.
 	grads []layerGrad
-	// ran guards the single-shot simulation (the engine is consumed).
+	// ran guards the single-shot simulation (its resources stay booked).
 	ran bool
 	// check, when set, is consulted between simulated iterations; a
 	// non-nil return aborts the run with that error. It is the
@@ -333,7 +331,6 @@ func New(cfg Config) (*Trainer, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
 	top := cfg.Topology
 	machineSpec := gpu.V100()
 	if top == nil && cfg.Faults.IsZero() {
@@ -363,7 +360,7 @@ func New(cfg Config) (*Trainer, error) {
 	if n := len(top.GPUs()); cfg.GPUs > n {
 		return nil, fmt.Errorf("train: topology has %d GPUs, requested %d", n, cfg.GPUs)
 	}
-	fab := interconnect.New(eng, top)
+	fab := interconnect.New(top)
 	var prof *profiler.Profile
 	if cfg.DetailIntervals > 0 {
 		prof = profiler.NewDetailed(cfg.DetailIntervals)
@@ -409,7 +406,6 @@ func New(cfg Config) (*Trainer, error) {
 
 	t := &Trainer{
 		cfg:     cfg,
-		eng:     eng,
 		fab:     fab,
 		rt:      rt,
 		prof:    prof,
