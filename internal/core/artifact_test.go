@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -332,45 +333,24 @@ func TestCompileFingerprintSplit(t *testing.T) {
 	}
 }
 
-// TestRunEachStreams pins the streaming batch entry point: reports
-// arrive in input order, match Run byte for byte, and a callback error
-// stops the run where it stands.
-func TestRunEachStreams(t *testing.T) {
-	ws := []Workload{
+// TestRunManyNamesFailingWorkload: a failure stops RunMany at the
+// failing workload, and its error names that workload's index while
+// keeping the cause in the chain.
+func TestRunManyNamesFailingWorkload(t *testing.T) {
+	_, err := RunMany(context.Background(), []Workload{
 		{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192},
-		{Model: "alexnet", GPUs: 2, Batch: 16, Images: 8192},
-		{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192},
-	}
-	var seen []int
-	err := RunEach(context.Background(), ws, func(i int, r *Report) error {
-		seen = append(seen, i)
-		single, err := Run(ws[i])
-		if err != nil {
-			return err
-		}
-		if got, want := string(reportJSON(t, r)), string(reportJSON(t, single)); got != want {
-			t.Errorf("workload %d: RunEach report differs from Run", i)
-		}
-		return nil
+		{Model: "lenet", GPUs: 9, Batch: 16, Images: 8192},
+		{Model: "bogus", GPUs: 2, Batch: 16, Images: 8192},
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("expected an error for the 9-GPU workload")
 	}
-	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
-		t.Fatalf("RunEach delivered %v, want [0 1 2]", seen)
+	if !strings.HasPrefix(err.Error(), "core: workload 1: ") {
+		t.Fatalf("RunMany error = %q, want it to name workload 1", err)
 	}
-
-	sentinel := errors.New("stop here")
-	calls := 0
-	err = RunEach(context.Background(), ws, func(int, *Report) error {
-		calls++
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("RunEach error = %v, want the callback's sentinel", err)
-	}
-	if calls != 1 {
-		t.Fatalf("callback ran %d times after returning an error, want 1", calls)
+	want := (Workload{Model: "lenet", GPUs: 9, Batch: 16, Images: 8192}).Validate()
+	if want == nil || !strings.HasSuffix(err.Error(), want.Error()) {
+		t.Fatalf("RunMany error = %q, want the cause %v", err, want)
 	}
 }
 

@@ -166,45 +166,23 @@ func newReport(w Workload, res *train.Result) *Report {
 	}
 }
 
-// RunEach is the streaming variant of RunMany: it simulates the
-// workloads in order and hands each report to fn as soon as it is
-// finalized, retaining nothing — the caller owns whatever buffering it
-// wants, so a 10k-cell sweep can flush results as it goes instead of
-// holding an O(n) slice. Compiled artifacts are shared across the run
-// exactly as in RunMany. It stops at the first simulation error
-// (annotated with the workload's index), the first error fn returns
-// (returned verbatim), or when the context is done.
-func RunEach(ctx context.Context, ws []Workload, fn func(i int, r *Report) error) error {
-	for i, w := range ws {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r, err := RunContext(ctx, w)
-		if err != nil {
-			return fmt.Errorf("core: workload %d: %w", i, err)
-		}
-		if err := fn(i, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunMany simulates the workloads in order, sharing compiled artifacts
 // across them — a sweep over Images, or repeated configurations, compiles
 // each distinct window once. It stops at the first error (annotated with
 // the workload's index) or when the context is done. Reports align with
-// ws. Callers wanting bounded parallel fan-out use the service pool; the
-// artifact cache is concurrency-safe either way. Callers that do not need
-// the whole slice at once use RunEach.
+// ws. Callers wanting bounded parallel fan-out use service.Each; the
+// artifact cache is concurrency-safe either way.
 func RunMany(ctx context.Context, ws []Workload) ([]*Report, error) {
 	out := make([]*Report, len(ws))
-	err := RunEach(ctx, ws, func(i int, r *Report) error {
+	for i, w := range ws {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := RunContext(ctx, w)
+		if err != nil {
+			return nil, fmt.Errorf("core: workload %d: %w", i, err)
+		}
 		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -33,9 +34,9 @@ type Options struct {
 	// Images overrides the strong-scaling dataset size (0 = the paper's
 	// 256K). Benchmarks use a smaller value where only shape matters.
 	Images int64
-	// Workers bounds the worker pool the sweeps fan out on (0 = NumCPU,
-	// 1 = sequential). Results are collected by configuration index, so
-	// every worker count renders byte-identical tables.
+	// Workers bounds how many configurations a sweep runs at once (0 =
+	// NumCPU, 1 = sequential). Results are collected by configuration
+	// index, so every worker count renders byte-identical tables.
 	Workers int
 }
 
@@ -146,15 +147,31 @@ var (
 	Methods = []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL}
 )
 
-// parMap fans an n-configuration sweep out on a bounded worker pool
-// (the same pool implementation that backs cmd/dgxsimd) and returns the
+// parMap fans an n-configuration sweep out on opt.Workers goroutines
+// through the ordered fan-out behind cmd/dgxsimd's grids and returns the
 // results in index order. Completion order never leaks into the output,
 // so the parallel sweep renders byte-identically to a sequential one —
 // determinism_test.go and parallel_test.go hold it to that.
 func parMap[T any](opt Options, n int, fn func(i int) (T, error)) ([]T, error) {
-	p := service.NewPool(opt.Workers)
-	defer p.Close()
-	return service.MapIndexed(context.Background(), p, n, fn)
+	k := opt.Workers
+	if k <= 0 {
+		k = runtime.NumCPU()
+	}
+	out := make([]T, n)
+	err := service.Each(context.Background(), n, k, 0, func(_ context.Context, i int) (T, error) {
+		v, err := fn(i)
+		if err != nil {
+			err = fmt.Errorf("task %d: %w", i, err)
+		}
+		return v, err
+	}, func(i int, v T) error {
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // runOne simulates a single configuration through the core artifact

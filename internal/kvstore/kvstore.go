@@ -34,13 +34,13 @@ type Backend interface {
 	// Root returns the GPU that aggregates gradients and holds the
 	// authoritative weights (GPU 0 in the paper's MXNet).
 	Root() topology.NodeID
-	// PushGradient aggregates one key's gradient (size bytes per device)
+	// PushGradient aggregates one gradient array (size bytes per device)
 	// across all devices, returning when the aggregate is available on the
 	// root (and, for all-reduce backends, everywhere).
-	PushGradient(stage profiler.Stage, key string, size units.Bytes, ready time.Duration) (time.Duration, error)
-	// PullWeights distributes one key's updated weights from the root to
+	PushGradient(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error)
+	// PullWeights distributes one updated weight array from the root to
 	// every device, returning when the last device has them.
-	PullWeights(stage profiler.Stage, key string, size units.Bytes, ready time.Duration) (time.Duration, error)
+	PullWeights(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error)
 	// SetupCost is the one-time initialization charge (NCCL communicator
 	// construction; effectively zero for P2P).
 	SetupCost() time.Duration
@@ -92,11 +92,11 @@ func (b *deviceBackend) Name() Method             { return MethodP2P }
 func (b *deviceBackend) Root() topology.NodeID    { return b.eng.Root() }
 func (b *deviceBackend) SetupCost() time.Duration { return 0 }
 
-func (b *deviceBackend) PushGradient(stage profiler.Stage, key string, size units.Bytes, ready time.Duration) (time.Duration, error) {
+func (b *deviceBackend) PushGradient(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
 	return b.eng.ReduceToRoot(stage, size, ready)
 }
 
-func (b *deviceBackend) PullWeights(stage profiler.Stage, key string, size units.Bytes, ready time.Duration) (time.Duration, error) {
+func (b *deviceBackend) PullWeights(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
 	return b.eng.BroadcastFromRoot(stage, size, ready)
 }
 
@@ -111,11 +111,11 @@ func (b *ncclBackend) Name() Method             { return MethodNCCL }
 func (b *ncclBackend) Root() topology.NodeID    { return b.root }
 func (b *ncclBackend) SetupCost() time.Duration { return b.comm.SetupCost() }
 
-func (b *ncclBackend) PushGradient(stage profiler.Stage, key string, size units.Bytes, ready time.Duration) (time.Duration, error) {
+func (b *ncclBackend) PushGradient(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
 	return b.comm.AllReduce(stage, size, ready), nil
 }
 
-func (b *ncclBackend) PullWeights(stage profiler.Stage, key string, size units.Bytes, ready time.Duration) (time.Duration, error) {
+func (b *ncclBackend) PullWeights(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
 	return b.comm.Broadcast(stage, size, b.root, ready), nil
 }
 

@@ -40,11 +40,11 @@ func TestBothMethodsWork(t *testing.T) {
 		if b.Root() != 0 {
 			t.Errorf("%v root = %d, want 0", m, b.Root())
 		}
-		push, err := b.PushGradient(profiler.StageWU, "conv1", 10*units.MB, 0)
+		push, err := b.PushGradient(profiler.StageWU, 10*units.MB, 0)
 		if err != nil || push <= 0 {
 			t.Errorf("%v push = %v, %v", m, push, err)
 		}
-		pull, err := b.PullWeights(profiler.StageWU, "conv1", 10*units.MB, push)
+		pull, err := b.PullWeights(profiler.StageWU, 10*units.MB, push)
 		if err != nil || pull <= push {
 			t.Errorf("%v pull = %v, %v", m, pull, err)
 		}
@@ -77,12 +77,12 @@ func TestSetupCosts(t *testing.T) {
 // the mechanism behind the paper's Table II.
 func TestSingleGPUNCCLOverheadExists(t *testing.T) {
 	p := newBackend(t, MethodP2P, 1)
-	endP, err := p.PushGradient(profiler.StageWU, "w", 100*units.MB, time.Millisecond)
+	endP, err := p.PushGradient(profiler.StageWU, 100*units.MB, time.Millisecond)
 	if err != nil || endP != time.Millisecond {
 		t.Errorf("1-GPU P2P push = %v, %v; want free", endP, err)
 	}
 	n := newBackend(t, MethodNCCL, 1)
-	endN, err := n.PushGradient(profiler.StageWU, "w", 100*units.MB, time.Millisecond)
+	endN, err := n.PushGradient(profiler.StageWU, 100*units.MB, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,19 +108,19 @@ func TestNCCLBeatsP2PForLargeTransfersAt8GPUs(t *testing.T) {
 	p := newBackend(t, MethodP2P, 8)
 	n := newBackend(t, MethodNCCL, 8)
 	size := 100 * units.MB // AlexNet-scale model
-	pushP, err := p.PushGradient(profiler.StageWU, "w", size, 0)
+	pushP, err := p.PushGradient(profiler.StageWU, size, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pullP, err := p.PullWeights(profiler.StageWU, "w", size, pushP)
+	pullP, err := p.PullWeights(profiler.StageWU, size, pushP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushN, err := n.PushGradient(profiler.StageWU, "w", size, 0)
+	pushN, err := n.PushGradient(profiler.StageWU, size, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pullN, err := n.PullWeights(profiler.StageWU, "w", size, pushN)
+	pullN, err := n.PullWeights(profiler.StageWU, size, pushN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestP2PBeatsNCCLForTinyTransfers(t *testing.T) {
 	p := newBackend(t, MethodP2P, 2)
 	n := newBackend(t, MethodNCCL, 2)
 	size := 16 * units.KB // LeNet-scale arrays
-	pushP, _ := p.PushGradient(profiler.StageWU, "w", size, 0)
-	pullP, _ := p.PullWeights(profiler.StageWU, "w", size, pushP)
-	pushN, _ := n.PushGradient(profiler.StageWU, "w", size, 0)
-	pullN, _ := n.PullWeights(profiler.StageWU, "w", size, pushN)
+	pushP, _ := p.PushGradient(profiler.StageWU, size, 0)
+	pullP, _ := p.PullWeights(profiler.StageWU, size, pushP)
+	pushN, _ := n.PushGradient(profiler.StageWU, size, 0)
+	pullN, _ := n.PullWeights(profiler.StageWU, size, pushN)
 	if pullP >= pullN {
 		t.Errorf("P2P round (%v) should beat NCCL round (%v) for tiny arrays", pullP, pullN)
 	}
@@ -151,11 +151,11 @@ func TestLocalKVStoreIsTheBaselineToBeat(t *testing.T) {
 	size := 100 * units.MB
 	round := func(m Method) time.Duration {
 		b := newBackend(t, m, 4)
-		push, err := b.PushGradient(profiler.StageWU, "w", size, 0)
+		push, err := b.PushGradient(profiler.StageWU, size, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pull, err := b.PullWeights(profiler.StageWU, "w", size, push)
+		pull, err := b.PullWeights(profiler.StageWU, size, push)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +174,11 @@ func TestLocalKVStoreBasics(t *testing.T) {
 	if b.Name() != MethodLocal || b.Root() != 0 || b.SetupCost() != 0 {
 		t.Error("local backend metadata wrong")
 	}
-	push, err := b.PushGradient(profiler.StageWU, "w", units.MB, 0)
+	push, err := b.PushGradient(profiler.StageWU, units.MB, 0)
 	if err != nil || push <= 0 {
 		t.Fatalf("push: %v, %v", push, err)
 	}
-	pull, err := b.PullWeights(profiler.StageWU, "w", units.MB, push)
+	pull, err := b.PullWeights(profiler.StageWU, units.MB, push)
 	if err != nil || pull <= push {
 		t.Fatalf("pull: %v, %v", pull, err)
 	}

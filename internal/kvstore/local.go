@@ -36,7 +36,7 @@ func (b *localBackend) SetupCost() time.Duration { return 0 }
 // it (the subsequent update also runs on the CPU, so the trainer's
 // GPU-side update kernel is effectively the copy-in; its cost is small
 // next to the PCIe crossings either way).
-func (b *localBackend) PushGradient(stage profiler.Stage, key string, size units.Bytes, ready time.Duration) (time.Duration, error) {
+func (b *localBackend) PushGradient(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
 	var uploaded time.Duration
 	for _, d := range b.devs {
 		_, end, err := b.rt.MemcpyDeviceToHost(d, size, stage, ready, ready)
@@ -54,7 +54,7 @@ func (b *localBackend) PushGradient(stage profiler.Stage, key string, size units
 }
 
 // PullWeights downloads the updated weights to every device over PCIe.
-func (b *localBackend) PullWeights(stage profiler.Stage, key string, size units.Bytes, ready time.Duration) (time.Duration, error) {
+func (b *localBackend) PullWeights(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
 	var end time.Duration
 	for _, d := range b.devs {
 		_, e, err := b.rt.MemcpyHostToDevice(d, size, stage, ready)

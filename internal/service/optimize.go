@@ -69,23 +69,20 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, req Opti
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	vals, hits, err := s.runGrid(ctx, len(cands), func(i int) (string, core.Workload) {
+	// The grid hands over preserialized responses; the optimizer judges
+	// dominance on the numbers, so rebuild the report structs from the
+	// cached bytes (a decode per candidate — the search itself simulated
+	// or cache-served every cell, so this is noise by comparison).
+	reps := make([]*core.Report, len(cands))
+	hits, err := s.runGrid(ctx, len(cands), func(i int) (string, core.Workload) {
 		return fmt.Sprintf("cand[%d] ", i), cands[i]
+	}, func(i int, c *cached) (err error) {
+		reps[i], err = decodeCachedReport(c.body)
+		return err
 	})
 	if err != nil {
 		httpError(w, err)
 		return
-	}
-	// The grid returns preserialized responses; the optimizer judges
-	// dominance on the numbers, so rebuild the report structs from the
-	// cached bytes (a decode per candidate — the search itself simulated
-	// or cache-served every cell, so this is noise by comparison).
-	reps := make([]*core.Report, len(vals))
-	for i, v := range vals {
-		if reps[i], err = decodeCachedReport(v.body); err != nil {
-			httpError(w, err)
-			return
-		}
 	}
 	res, err := optimize.Frontier(cands, reps, obj, req.MemoryCapGiB)
 	if err != nil {

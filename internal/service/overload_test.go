@@ -305,36 +305,6 @@ func TestTrySubmitShedsWhenSaturated(t *testing.T) {
 	}
 }
 
-// Satellite regression: cancelling a Map must abort cells that are
-// already running — the context reaches each cell, not just the
-// submission loop.
-func TestMapCancellationReachesRunningCells(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	running := make(chan struct{}, 16)
-	start := time.Now()
-	go func() {
-		<-running // first cell is on a worker
-		cancel()
-	}()
-	err := p.Map(ctx, 16, func(ctx context.Context, i int) error {
-		running <- struct{}{}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(30 * time.Second):
-			return nil // would blow the test deadline if ctx never arrived
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Map = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("Map took %v to honour cancellation", elapsed)
-	}
-}
-
 // waitIdle polls until the pool has no queued or active tasks.
 func waitIdle(t *testing.T, p *Pool) {
 	t.Helper()

@@ -3,7 +3,7 @@
 // (parallel fan-out of independent simulations) and a deterministic LRU
 // result cache (the simulator is seeded, so whole-workload memoization
 // is exact). cmd/dgxsimd wraps it in a daemon; internal/experiments
-// reuses the pool to parallelize the paper sweeps.
+// reuses its ordered fan-out, Each, to parallelize the paper sweeps.
 //
 // Endpoints:
 //
@@ -73,7 +73,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -533,17 +532,16 @@ func isAdmission(err error) bool {
 // The first cell that actually needs a pool slot decides via TrySubmit: a
 // full queue sheds the whole request (429) instead of parking it, and
 // every later cell of the request then fails the same way at once. Once
-// admitted, later cells queue with SubmitContext under the request's
-// deadline, and a deadline that expires while one waits is an
+// admitted, later cells queue with SubmitContext under their context (the
+// request's deadline), and a deadline that expires while one waits is an
 // admissionError (503). Cache hits and coalesced cells never submit.
 type admitter struct {
 	pool  *Pool
-	ctx   context.Context
 	first sync.Once
 	shed  error // TrySubmit's verdict, set once by the first cell
 }
 
-func (a *admitter) admit(task func()) error {
+func (a *admitter) admit(ctx context.Context, task func()) error {
 	// TrySubmit never blocks, and Once holds later cells until it returns:
 	// no later cell submits before the decision is known.
 	tried := false
@@ -551,7 +549,7 @@ func (a *admitter) admit(task func()) error {
 	if tried || a.shed != nil {
 		return a.shed
 	}
-	err := a.pool.SubmitContext(a.ctx, task)
+	err := a.pool.SubmitContext(ctx, task)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		err = admissionError{err}
 	}
@@ -599,7 +597,7 @@ func (s *Server) resolveMiss(ctx context.Context, label string, wl core.Workload
 	val, how, err := s.cache.Do(ctx, key,
 		func(run func()) error {
 			submitted := time.Now()
-			return adm.admit(func() {
+			return adm.admit(ctx, func() {
 				tr.AddSpan(label+"queue-wait", submitted, time.Now())
 				run()
 			})
@@ -627,78 +625,42 @@ func (s *Server) resolveMiss(ctx context.Context, label string, wl core.Workload
 type cellResult struct {
 	val *cached
 	how memo.Outcome
-	err error
 }
 
 // overloaded reports an overload signal: a full queue (429) or a
 // deadline burnt waiting for admission (503).
-func overloaded(err error) bool { return errors.Is(err, ErrQueueFull) || isAdmission(err) }
+func overloaded(err error) bool {
+	return err != nil && (errors.Is(err, ErrQueueFull) || isAdmission(err))
+}
 
-// runGrid resolves a whole grid through resolveCell and collects it: the
-// preserialized response of every cell, aligned with the grid, and how
-// many were cache hits. It backs /v1/compare, /v1/optimize and the
-// buffered /v1/sweep. A collector holds every result anyway, so it needs
-// no reorder window: a fixed set of resolvers, one per worker and queue
-// slot — enough to keep the pool full — claims cells in grid order, and
-// a slow cell ties up only its own resolver, never the cells behind it.
-// All cells share one admitter. An overload signal is the request's
-// outcome no matter which cell raised it: it stops the grid at once,
-// and a 429 or 503 tells the client strictly more than the sibling
-// cells' fallout would. Otherwise the lowest-index failure is the
-// request's error.
-func (s *Server) runGrid(ctx context.Context, n int, cell func(i int) (string, core.Workload)) ([]*cached, int, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	adm := &admitter{pool: s.pool, ctx: ctx}
-	res := make([]cellResult, n)
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
+// runGrid resolves a whole grid through resolveCell, hands each cell's
+// preserialized response to emit in grid order, and counts the cache
+// hits. It backs /v1/compare, /v1/optimize and the buffered /v1/sweep.
+// Their emits collect every cell anyway, so the fan-out needs no window;
+// one goroutine per worker and queue slot is enough to keep the pool
+// full. All cells share one admitter.
+func (s *Server) runGrid(ctx context.Context, n int, cell func(i int) (string, core.Workload), emit func(i int, c *cached) error) (hits int, err error) {
+	adm := &admitter{pool: s.pool}
 	st := s.pool.Stats()
-	for k := min(n, st.Workers+st.QueueDepth); k > 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n && ctx.Err() == nil; i = int(next.Add(1) - 1) {
-				label, wl := cell(i)
-				c := &res[i]
-				c.val, c.how, c.err = s.resolveCell(ctx, label, wl.Normalize(), adm)
-				if overloaded(c.err) {
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	vals := make([]*cached, n)
-	hits := 0
-	var err error
-	for i, c := range res {
-		switch {
-		case overloaded(c.err):
-			return nil, 0, c.err
-		case c.err != nil && err == nil && n > 1:
-			err = fmt.Errorf("task %d: %w", i, c.err)
-		case c.err != nil && err == nil:
-			err = c.err
-		case c.how == memo.Hit:
+	err = Each(ctx, n, st.Workers+st.QueueDepth, 0, func(ctx context.Context, i int) (cellResult, error) {
+		label, wl := cell(i)
+		val, how, err := s.resolveCell(ctx, label, wl.Normalize(), adm)
+		if err != nil && n > 1 && !overloaded(err) {
+			err = fmt.Errorf("task %d: %w", i, err)
+		}
+		return cellResult{val, how}, err
+	}, func(i int, c cellResult) error {
+		if c.how == memo.Hit {
 			hits++
 		}
-		vals[i] = c.val
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return vals, hits, nil
+		return emit(i, c.val)
+	})
+	return hits, err
 }
 
 // simulateCell is a flight's work: it runs one workload on the current
 // (pool-worker) goroutine and serializes it once; the memo stores the
-// bytes. The recover mirrors Pool.call: a panic must fail the flight —
+// bytes. The recover mirrors Each's: a panic must fail the flight —
 // callers across requests are waiting on it — not strand them, and
 // certainly not kill the daemon.
 func (s *Server) simulateCell(ctx context.Context, label, key string, w core.Workload) (val *cached, err error) {
@@ -756,7 +718,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, d *decod
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 		defer cancel()
 		var err error
-		val, how, err = s.resolveMiss(ctx, "", d.wl, d.fp, &admitter{pool: s.pool, ctx: ctx})
+		val, how, err = s.resolveMiss(ctx, "", d.wl, d.fp, &admitter{pool: s.pool})
 		if err != nil {
 			httpError(w, err)
 			return
@@ -820,26 +782,22 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, d *decode
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	vals, _, err := s.runGrid(ctx, len(cells), func(i int) (string, core.Workload) {
-		return string(methods[i]) + " ", cells[i]
-	})
-	if err != nil {
-		httpError(w, err)
-		return
-	}
 	// Results are ordered (p2p first, then nccl), mirroring core.Compare;
 	// the old map-keyed body left the order to encoding/json. Each arm's
 	// report JSON is spliced out of its cached envelope rather than
 	// re-marshaled — json.RawMessage keeps the bytes verbatim, so the
 	// nested reports stay identical to what /v1/simulate serves.
 	results := make([]methodReportWire, len(methods))
-	for i, m := range methods {
-		raw, err := reportRaw(vals[i].body)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		results[i] = methodReportWire{Method: m, Report: raw}
+	_, err := s.runGrid(ctx, len(cells), func(i int) (string, core.Workload) {
+		return string(methods[i]) + " ", cells[i]
+	}, func(i int, c *cached) (err error) {
+		results[i].Method = methods[i]
+		results[i].Report, err = reportRaw(c.body)
+		return err
+	})
+	if err != nil {
+		httpError(w, err)
+		return
 	}
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
@@ -1043,16 +1001,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 	// fan-out, which attributed every concurrent request's hits — and
 	// this request's own duplicate-cell coalescing — to whoever read the
 	// counter last.)
-	vals, hits, err := s.runGrid(ctx, size, req.cell)
+	// Each cell's record is its cached bytes verbatim — no per-cell
+	// re-marshal; a fully warm sweep serializes nothing per cell.
+	results := make([]json.RawMessage, size)
+	hits, err := s.runGrid(ctx, size, req.cell, func(i int, c *cached) error {
+		results[i] = c.body
+		return nil
+	})
 	if err != nil {
 		httpError(w, err)
 		return
-	}
-	// Each cell's record is its cached bytes verbatim — no per-cell
-	// re-marshal; a fully warm sweep serializes nothing per cell.
-	results := make([]json.RawMessage, len(vals))
-	for i, v := range vals {
-		results[i] = json.RawMessage(v.body)
 	}
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()

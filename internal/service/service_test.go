@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -346,15 +345,21 @@ func TestStatusRecorderPreservesFlusher(t *testing.T) {
 	}
 }
 
-// A panic inside a pool task must surface as that request's 500 while
+// A panic inside a grid cell must surface as that request's 500 while
 // the daemon keeps serving — net/http's per-request recovery does not
-// cover worker goroutines, so this is the pool's own job.
-func TestPanickingPoolTaskYields500NotDeadProcess(t *testing.T) {
+// cover the fan-out's goroutines, so Each turns the panic into the
+// cell's error.
+func TestPanickingGridCellYields500NotDeadProcess(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 2})
-	// A handler that fans a poisoned task out on the server's pool,
-	// exactly like the simulate/sweep handlers fan out their cells.
+	// A handler that runs a poisoned grid through runGrid, the fan-out
+	// the sweep, compare and optimize handlers share.
 	panicky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		err := svc.pool.Map(r.Context(), 1, func(context.Context, int) error { panic("poisoned cell") })
+		_, err := svc.runGrid(r.Context(), 4, func(i int) (string, core.Workload) {
+			if i == 2 {
+				panic("poisoned cell")
+			}
+			return "", core.Workload{Model: "lenet", GPUs: 1, Batch: 16, Images: 4096}
+		}, func(int, *cached) error { return nil })
 		if err != nil {
 			httpError(w, err)
 			return
@@ -370,19 +375,27 @@ func TestPanickingPoolTaskYields500NotDeadProcess(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking task returned %d (%s), want 500", resp.StatusCode, body)
+		t.Fatalf("panicking cell returned %d (%s), want 500", resp.StatusCode, body)
 	}
-	if !strings.Contains(string(body), "poisoned cell") {
-		t.Errorf("error body should carry the panic value: %s", body)
+	var env ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("500 body is not an error envelope: %s", body)
 	}
-	if got := svc.PoolStats().Panics; got != 1 {
-		t.Errorf("pool Panics = %d, want 1", got)
+	if env.Error.Code != CodeInternal || !strings.Contains(env.Error.Message, "task 2: panic: poisoned cell") {
+		t.Errorf("envelope = %+v, want an internal error carrying cell 2's panic value", env.Error)
 	}
 
-	// The daemon must still be fully alive: same pool, real simulation.
-	resp2, body2 := post(t, ts.URL+"/v1/simulate", core.Workload{Model: "lenet", GPUs: 1, Batch: 16, Images: 4096})
+	// The daemon must still be fully alive: a real grid and a real
+	// simulation on the same server.
+	resp2, body2 := post(t, ts.URL+"/v1/sweep", SweepRequest{
+		Base: core.Workload{Model: "lenet", Batch: 16, Images: 4096}, GPUs: []int{1, 2},
+	})
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("simulate after a pool panic = %d (%s); the pool must survive", resp2.StatusCode, body2)
+		t.Fatalf("sweep after a panicking cell = %d (%s); the server must survive", resp2.StatusCode, body2)
+	}
+	resp3, body3 := post(t, ts.URL+"/v1/simulate", core.Workload{Model: "lenet", GPUs: 1, Batch: 16, Images: 4096})
+	if resp3.StatusCode != http.StatusOK {
+		t.Fatalf("simulate after a panicking cell = %d (%s); the server must survive", resp3.StatusCode, body3)
 	}
 }
 

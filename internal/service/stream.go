@@ -2,9 +2,8 @@
 // Accept: application/x-ndjson gets one newline-delimited JSON record
 // per grid cell, flushed in grid order as cells complete, followed by a
 // trailing summary record — instead of one buffered JSON blob at the
-// end. Memory stays bounded no matter the grid size: cells are
-// dispatched through a small reorder window (a channel of per-cell
-// slots), so at most windowSize cells are ever in flight or completed-
+// end. Memory stays bounded no matter the grid size: the fan-out's
+// window keeps at most streamWindowSize cells in flight or completed-
 // but-unemitted, and a cell's marshaled bytes are released as soon as
 // they are flushed. Combined with the artifact cache's compile-phase
 // keying (cells differing only in extrapolation parameters share one
@@ -112,46 +111,18 @@ type SweepSummary struct {
 	Summary       SweepSummaryBody `json:"summary"`
 }
 
-// streamSweep executes the validated sweep in streaming mode. The
-// dispatcher walks the grid in order, claiming a reorder-window slot per
-// cell and resolving it through resolveCell on its own goroutine (all
-// cells share one admitter); the handler goroutine drains slots in grid
-// order, flushing each record as its cell completes. A failure before
-// the first record surfaces as a normal HTTP error status (the overload
-// taxonomy included); after that, the status is committed, so the stream
-// ends with an in-band error record instead.
+// streamSweep executes the validated sweep in streaming mode: the grid
+// runs on the shared ordered fan-out (Each) with a window of
+// streamWindowSize cells, all sharing one admitter, and each record is
+// flushed in grid order as soon as its cell and every cell before it
+// have completed. A failure before the first record
+// surfaces as a normal HTTP error status (the overload taxonomy
+// included); after that, the status is committed, so the stream ends
+// with an in-band error record instead.
 func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req SweepRequest, size int) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // stops the dispatcher and the in-flight cells
 	tr := obs.FromContext(ctx)
-	adm := &admitter{pool: s.pool, ctx: ctx}
-	// Spans past the cap record into a nil trace (every obs method is
-	// nil-safe): the per-request trace must not grow O(grid).
-	untraced := obs.WithTrace(ctx, nil)
-	order := make(chan chan cellResult, streamWindowSize(s.pool.Stats().Workers))
-	go func() {
-		defer close(order)
-		for i := 0; i < size; i++ {
-			slot := make(chan cellResult, 1)
-			select {
-			case order <- slot:
-			case <-ctx.Done():
-				// The emitter stopped (client gone, deadline, failure);
-				// undispatched cells are simply never started.
-				return
-			}
-			cctx := ctx
-			if i >= streamSpanCells {
-				cctx = untraced
-			}
-			go func(i int) {
-				label, wl := req.cell(i)
-				val, how, err := s.resolveCell(cctx, label, wl.Normalize(), adm)
-				slot <- cellResult{val, how, err}
-			}(i)
-		}
-	}()
-
+	adm := &admitter{pool: s.pool}
+	window := streamWindowSize(s.pool.Stats().Workers)
 	// An error before the first record replaces this with its own.
 	w.Header().Set("Content-Type", contentNDJSON)
 	var (
@@ -159,14 +130,17 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req Swe
 		flusher, _ = w.(http.Flusher)
 		count      int
 		hits       int
-		failed     error
 	)
-	for slot := range order {
-		c := <-slot
-		if c.err != nil {
-			failed = c.err
-			break
+	failed := Each(ctx, size, window, window, func(ctx context.Context, i int) (cellResult, error) {
+		if i >= streamSpanCells {
+			// Spans past the cap record into a nil trace (every obs
+			// method is nil-safe): the request trace must not grow O(grid).
+			ctx = obs.WithTrace(ctx, nil)
 		}
+		label, wl := req.cell(i)
+		val, how, err := s.resolveCell(ctx, label, wl.Normalize(), adm)
+		return cellResult{val, how}, err
+	}, func(_ int, c cellResult) error {
 		// Two Writes, not append(c.val.body, '\n'): the record is the
 		// shared cached response, and appending would write into its
 		// backing array — racing other requests serving the same entry.
@@ -179,10 +153,8 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req Swe
 		if c.how == memo.Hit {
 			hits++
 		}
-	}
-	if failed == nil {
-		failed = ctx.Err()
-	}
+		return nil
+	})
 	s.streams.Add(1)
 	s.streamedCells.Add(uint64(count))
 	if failed != nil {

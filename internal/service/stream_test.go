@@ -7,7 +7,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,6 +271,80 @@ func TestStreamCompileEconomy(t *testing.T) {
 	// produce different cells.
 	if bytes.Equal(got[0], got[cells-1]) {
 		t.Fatal("first and last cells identical; Images axis not applied")
+	}
+}
+
+// TestSweepGoroutinesBoundedByK pins the fan-out's goroutine bound in
+// both sweep modes: a 10,000-cell grid, buffered and streamed, never
+// runs more than the fan-out's k goroutines (workers plus queue slots
+// buffered, the window streamed) plus a constant for the HTTP plumbing,
+// however large the grid.
+func TestSweepGoroutinesBoundedByK(t *testing.T) {
+	const (
+		cells   = 10_000
+		workers = 2
+		slack   = 16 // server and client connection goroutines, the sampler
+	)
+	req := SweepRequest{
+		Base:   core.Workload{Model: "lenet", GPUs: 1, Batch: 23},
+		Images: make([]int64, cells),
+	}
+	for i := range req.Images {
+		req.Images[i] = 4096 + int64(i)*23
+	}
+	for _, mode := range []struct {
+		name string
+		k    int
+		run  func(url string) int
+	}{
+		{"buffered", workers + workers, func(url string) int {
+			resp, body := post(t, url+"/v1/sweep", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("buffered sweep = %d: %.200s", resp.StatusCode, body)
+			}
+			var sr SweepResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			return sr.Count
+		}},
+		{"ndjson", streamWindowSize(workers), func(url string) int {
+			got, _ := readStream(t, streamSweepRequest(t, url, req))
+			return len(got)
+		}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			// A fresh server per mode: every cell misses its result cache.
+			_, ts := newTestServer(t, Config{Workers: workers, Timeout: 120 * time.Second})
+			base := runtime.NumGoroutine()
+			var peak atomic.Int64
+			stop := make(chan struct{})
+			sampled := make(chan struct{})
+			go func() {
+				defer close(sampled)
+				for {
+					if g := int64(runtime.NumGoroutine()); g > peak.Load() {
+						peak.Store(g)
+					}
+					select {
+					case <-stop:
+						return
+					case <-time.After(100 * time.Microsecond):
+					}
+				}
+			}()
+			n := mode.run(ts.URL)
+			close(stop)
+			<-sampled
+			if n != cells {
+				t.Fatalf("%d records, want %d", n, cells)
+			}
+			if extra := int(peak.Load()) - base; extra > mode.k+slack {
+				t.Errorf("peak %d goroutines over the %d at rest; want at most k=%d plus %d", extra, base, mode.k, slack)
+			} else {
+				t.Logf("peak %d goroutines over the %d at rest (k=%d)", extra, base, mode.k)
+			}
+		})
 	}
 }
 

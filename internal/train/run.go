@@ -147,9 +147,6 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 		if g.ready > bucket.ready {
 			bucket.ready = g.ready
 		}
-		if bucket.name == "" {
-			bucket.name = "bucket:" + g.name
-		}
 		if bucket.bytes >= t.cfg.BucketBytes {
 			if err := exchange(bucket, t.updateKernel(bucket.bytes)); err != nil {
 				return it, err
@@ -193,7 +190,6 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 // layerGrad is one parameter array's gradient availability during an
 // iteration's exchange phase.
 type layerGrad struct {
-	name  string
 	bytes units.Bytes
 	ready time.Duration
 }
@@ -212,7 +208,7 @@ func launchBackward(s *cuda.Stream, runs []cuda.Run, cuts []runCut, host time.Du
 		if cut.layer != nil {
 			if first {
 				size := units.BytesOf(cut.layer.Params, units.Float32Size)
-				grads = append(grads, layerGrad{name: cut.layer.Name, bytes: size, ready: runEnd})
+				grads = append(grads, layerGrad{bytes: size, ready: runEnd})
 			} else if runEnd > grads[gi].ready {
 				grads[gi].ready = runEnd
 			}
@@ -228,9 +224,9 @@ func launchBackward(s *cuda.Stream, runs []cuda.Run, cuts []runCut, host time.Du
 // exchange pushes gradient g to the root, applies the update kernel upd
 // there, and pulls the fresh weights back, returning when the pull ends.
 func (t *Trainer) exchange(g layerGrad, upd cuda.Kernel) (time.Duration, error) {
-	pushEnd, err := t.backend.PushGradient(profiler.StageWU, g.name, g.bytes, g.ready)
+	pushEnd, err := t.backend.PushGradient(profiler.StageWU, g.bytes, g.ready)
 	if err != nil {
 		return 0, err
 	}
-	return t.backend.PullWeights(profiler.StageWU, g.name, g.bytes, t.bookUpdate(pushEnd, upd))
+	return t.backend.PullWeights(profiler.StageWU, g.bytes, t.bookUpdate(pushEnd, upd))
 }
