@@ -20,8 +20,11 @@ build:
 vet:
 	$(GO) vet ./...
 
+# bench/ is its own module (CI's "Bench harness" step); it imports the
+# simulator's packages, so an API change can break only it.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 # The worker pool and result cache are concurrent code; the race
 # detector gates them (CI runs this).

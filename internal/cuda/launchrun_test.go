@@ -99,7 +99,7 @@ func checkRunMatchesLoop(t *testing.T, sc runScenario) {
 // checkSameState requires two runtimes to agree on every observable: each
 // managed device's host and engine threads and compute and comm queues,
 // the profile aggregates of the listed kernels and of every API, the
-// stage busy times, the ranked name orders and the retained intervals.
+// ranked name orders and the retained intervals.
 func checkSameState(t *testing.T, got, want *Runtime, kernels []string) {
 	t.Helper()
 	for _, id := range want.ids {
@@ -128,11 +128,6 @@ func checkSameState(t *testing.T, got, want *Runtime, kernels []string) {
 	for _, name := range []string{APILaunchKernel, APIMemcpyAsync, APIStreamSync} {
 		if a, b := pg.API(name), pw.API(name); a != b {
 			t.Errorf("API %s: %+v, want %+v", name, a, b)
-		}
-	}
-	for st := profiler.StageOther; st <= profiler.StageDataLoad; st++ {
-		if a, b := pg.StageBusy(st), pw.StageBusy(st); a != b {
-			t.Errorf("stage %s busy %v, want %v", st, a, b)
 		}
 	}
 	if !reflect.DeepEqual(pg.KernelNames(), pw.KernelNames()) || !reflect.DeepEqual(pg.APINames(), pw.APINames()) {

@@ -481,7 +481,6 @@ func (s *Stream) LaunchRun(stage profiler.Stage, r Run, hostReady time.Duration)
 		for _, k := range r.Kernels {
 			prof.AddSlot(profiler.KindKernel, k.Slot, 1, k.Dur)
 		}
-		prof.AddStageBusy(stage, launch+r.sum)
 	}
 	return hostDone, kernelEnd
 }
@@ -585,7 +584,6 @@ func (g *Gang) Launch(stage profiler.Stage, k Kernel, ready, dur time.Duration) 
 		n := int64(len(g.streams))
 		prof.AddSlot(profiler.KindAPI, g.rt.launch.slot, n, time.Duration(n)*launch)
 		prof.AddSlot(profiler.KindKernel, k.Slot, n, busy)
-		prof.AddStageBusy(stage, time.Duration(n)*launch+busy)
 	}
 	return global, end
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -8,10 +9,16 @@ import (
 	"repro/internal/topology"
 )
 
-// Device is one simulated GPU: a spec, execution queues, and a memory
-// allocator. Compute kernels share one SM-array queue; communication
-// kernels (NCCL's Reduce/Broadcast kernels, which use a handful of SMs and
-// are bandwidth-bound) run on a separate queue so they overlap compute, as
+// ErrOutOfMemory is returned when a configuration's footprint exceeds
+// device capacity. The paper hits this wall at batch 128 for Inception-v3
+// and ResNet and at batch 256 for GoogLeNet; the trainer surfaces the
+// same failures.
+var ErrOutOfMemory = errors.New("gpu: out of memory")
+
+// Device is one simulated GPU: a spec and its execution queues. Compute
+// kernels share one SM-array queue; communication kernels (NCCL's
+// Reduce/Broadcast kernels, which use a handful of SMs and are
+// bandwidth-bound) run on a separate queue so they overlap compute, as
 // they do on real hardware; DMA copies have their own copy-engine queue.
 type Device struct {
 	ID   topology.NodeID
@@ -20,7 +27,6 @@ type Device struct {
 	compute *sim.Resource
 	comm    *sim.Resource
 	dma     []*sim.Resource
-	Memory  *Allocator
 }
 
 // dmaEngines is the number of usable copy engines per transfer direction
@@ -34,7 +40,6 @@ func NewDevice(id topology.NodeID, spec Spec) *Device {
 		Spec:    spec,
 		compute: sim.NewResource(fmt.Sprintf("GPU%d/compute", id)),
 		comm:    sim.NewResource(fmt.Sprintf("GPU%d/comm", id)),
-		Memory:  NewAllocator(spec.MemCapacity),
 	}
 	for i := 0; i < dmaEngines; i++ {
 		d.dma = append(d.dma, sim.NewResource(fmt.Sprintf("GPU%d/dma%d", id, i)))

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -114,65 +113,6 @@ func TestAchievedRateBelowPeak(t *testing.T) {
 	c := KernelCost{FLOPs: 10 * units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA}
 	if r := s.AchievedRate(c); r <= 0 || r >= s.PeakFP32 {
 		t.Errorf("achieved rate %v out of (0, peak)", r)
-	}
-}
-
-func TestAllocatorBasics(t *testing.T) {
-	a := NewAllocator(units.GB)
-	if err := a.Alloc("weights", 600*units.MB); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Alloc("features", 600*units.MB); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("expected OOM, got %v", err)
-	}
-	if err := a.Alloc("features", 400*units.MB); err != nil {
-		t.Fatal(err)
-	}
-	if a.Used() != 1000*units.MB {
-		t.Errorf("used = %v, want 1000MB", a.Used())
-	}
-	a.Free("weights", 600*units.MB)
-	if a.Used() != 400*units.MB {
-		t.Errorf("used = %v, want 400MB", a.Used())
-	}
-	if a.Peak() != 1000*units.MB {
-		t.Errorf("peak = %v, want 1000MB", a.Peak())
-	}
-	if a.Tag("features") != 400*units.MB {
-		t.Errorf("tag = %v, want 400MB", a.Tag("features"))
-	}
-}
-
-func TestAllocatorOverFreePanics(t *testing.T) {
-	a := NewAllocator(units.GB)
-	if err := a.Alloc("x", units.MB); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("over-free should panic")
-		}
-	}()
-	a.Free("x", 2*units.MB)
-}
-
-func TestAllocatorNegative(t *testing.T) {
-	a := NewAllocator(units.GB)
-	if err := a.Alloc("x", -1); err == nil {
-		t.Error("negative alloc should error")
-	}
-}
-
-func TestAllocatorTagsSorted(t *testing.T) {
-	a := NewAllocator(units.GB)
-	for _, tag := range []string{"z", "a", "m"} {
-		if err := a.Alloc(tag, units.MB); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tags := a.Tags()
-	if len(tags) != 3 || tags[0].Tag != "a" || tags[1].Tag != "m" || tags[2].Tag != "z" {
-		t.Errorf("tags not sorted: %v", tags)
 	}
 }
 

@@ -67,6 +67,11 @@ func (e Estimate) Worker() units.Bytes {
 // Root returns total training usage on the root GPU.
 func (e Estimate) Root() units.Bytes { return e.Worker() + e.RootExtra }
 
+// Fits reports whether training fits on every GPU of the given capacity:
+// the root's usage plus DriverReserve must not exceed it (the root is the
+// high-water mark, since RootExtra is never negative).
+func (e Estimate) Fits(capacity units.Bytes) bool { return e.Root()+DriverReserve <= capacity }
+
 // RootPremiumPercent returns the paper's "additional memory usage in GPU0
 // w.r.t. GPUx" percentage.
 func (e Estimate) RootPremiumPercent() float64 {
@@ -178,9 +183,9 @@ func ScaleStages(e Estimate, stages int) Estimate {
 }
 
 // FitsDevice reports whether the configuration trains within the given
-// capacity on every GPU (the root is the high-water mark).
+// capacity on every GPU (Estimate.Fits).
 func FitsDevice(net *dnn.Network, batch int, multiGPU bool, capacity units.Bytes) bool {
-	return Compute(net, batch, multiGPU).Root() <= capacity-DriverReserve
+	return Compute(net, batch, multiGPU).Fits(capacity)
 }
 
 // MaxBatch returns the largest power-of-two-ish batch (from the candidate

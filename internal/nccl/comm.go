@@ -15,7 +15,6 @@ import (
 const (
 	KernelAllReduce     = "ncclAllReduceRingKernel"
 	KernelBroadcast     = "ncclBroadcastRingKernel"
-	KernelReduce        = "ncclReduceRingKernel"
 	KernelReduceScatter = "ncclReduceScatterRingKernel"
 	KernelAllGather     = "ncclAllGatherRingKernel"
 )
@@ -26,7 +25,6 @@ type collective int
 const (
 	collAllReduce collective = iota
 	collBroadcast
-	collReduce
 	collReduceScatter
 	collAllGather
 	numCollectives
@@ -36,7 +34,6 @@ const (
 var collectiveKernels = [numCollectives]string{
 	collAllReduce:     KernelAllReduce,
 	collBroadcast:     KernelBroadcast,
-	collReduce:        KernelReduce,
 	collReduceScatter: KernelReduceScatter,
 	collAllGather:     KernelAllGather,
 }
@@ -374,16 +371,6 @@ func (c *Communicator) Broadcast(stage profiler.Stage, size units.Bytes, root to
 	}
 	wire := c.wireTime(size, 1, n-1)
 	return c.run(stage, collBroadcast, ready, wire)
-}
-
-// Reduce reduces size bytes from all ranks onto the root.
-func (c *Communicator) Reduce(stage profiler.Stage, size units.Bytes, root topology.NodeID, ready time.Duration) time.Duration {
-	n := len(c.devs)
-	if n == 1 {
-		return c.run(stage, collReduce, ready, c.localPass(size)/2)
-	}
-	wire := c.wireTime(size, 1, n-1)
-	return c.run(stage, collReduce, ready, wire)
 }
 
 // ReduceScatter reduces and scatters 1/N of the buffer to each rank.

@@ -1,6 +1,7 @@
 // Package profiler is the simulator's nvprof analog: it accumulates kernel,
-// CUDA-API, and transfer statistics, per-training-stage wall time, and
-// (optionally) detailed intervals that can be exported as a Chrome trace.
+// CUDA-API, and transfer statistics and (optionally) detailed intervals,
+// each labelled with its training stage, that can be exported as a Chrome
+// trace.
 //
 // Two granularities are supported. Aggregate mode (the default) keeps only
 // counters — cheap enough to profile hundreds of simulated epochs. Detail
@@ -99,14 +100,9 @@ func (s Stat) Mean() time.Duration {
 	return s.Total / time.Duration(s.Calls)
 }
 
-// numStages is the number of defined Stage values; stage accounting uses
-// fixed arrays indexed by Stage, keeping Record free of map overhead on
-// the simulation hot path.
-const numStages = int(StageDataLoad) + 1
-
 // numTables is the number of kinds that keep per-name aggregates (kernel,
-// API and transfer; markers only feed stage time and the timeline). A
-// kind's value is its table index.
+// API and transfer; markers only feed the timeline). A kind's value is
+// its table index.
 const numTables = int(KindTransfer) + 1
 
 // Slot is the dense ID of one interned name within one kind of a
@@ -212,8 +208,7 @@ func (t *table) rankedNames() []string {
 
 // Profile accumulates statistics for one run.
 type Profile struct {
-	tables    [numTables]table
-	stageBusy [numStages]time.Duration // summed busy time attributed to each stage
+	tables [numTables]table
 
 	detail    bool
 	maxDetail int
@@ -261,31 +256,20 @@ func (p *Profile) RecordSlot(s Slot, iv Interval) {
 		st.Calls++
 		st.Total += d
 	}
-	if st := uint(iv.Stage); st < uint(numStages) {
-		p.stageBusy[st] += d
-	}
 	if p.detail {
 		p.retain(iv)
 	}
 }
 
 // AddSlot adds calls activities of kind k totalling d to slot s (interned
-// on this profile), without touching stage time or retaining an interval:
-// the aggregate half of RecordSlot, for callers that book many activities
-// in closed form. Callers must fall back to RecordSlot on a Detailed
-// profile so the timeline keeps every interval.
+// on this profile), without retaining an interval: the aggregate half of
+// RecordSlot, for callers that book many activities in closed form.
+// Callers must fall back to RecordSlot on a Detailed profile so the
+// timeline keeps every interval.
 func (p *Profile) AddSlot(k Kind, s Slot, calls int64, d time.Duration) {
 	st := &p.tables[k].stats[s]
 	st.Calls += calls
 	st.Total += d
-}
-
-// AddStageBusy adds d to a stage's busy time: the stage half of
-// RecordSlot, summed over many activities.
-func (p *Profile) AddStageBusy(s Stage, d time.Duration) {
-	if st := uint(s); st < uint(numStages) {
-		p.stageBusy[st] += d
-	}
 }
 
 // Detailed reports whether the profile retains individual intervals.
@@ -300,15 +284,6 @@ func (p *Profile) retain(iv Interval) {
 	}
 }
 
-// StageBusy returns the summed busy time attributed to a stage across all
-// recorded activities.
-func (p *Profile) StageBusy(s Stage) time.Duration {
-	if i := int(s); i >= 0 && i < numStages {
-		return p.stageBusy[i]
-	}
-	return 0
-}
-
 // API returns the aggregate for one API name (zero Stat if absent).
 func (p *Profile) API(name string) Stat { return p.tables[KindAPI].stat(name) }
 
@@ -317,15 +292,6 @@ func (p *Profile) Kernel(name string) Stat { return p.tables[KindKernel].stat(na
 
 // Transfer returns the aggregate for one transfer name (zero Stat if absent).
 func (p *Profile) Transfer(name string) Stat { return p.tables[KindTransfer].stat(name) }
-
-// APITotal returns the summed duration of all API calls.
-func (p *Profile) APITotal() time.Duration {
-	var d time.Duration
-	for _, st := range p.tables[KindAPI].stats {
-		d += st.Total
-	}
-	return d
-}
 
 // APINames returns recorded API names sorted by descending total time.
 func (p *Profile) APINames() []string { return p.tables[KindAPI].rankedNames() }
@@ -360,9 +326,6 @@ func (p *Profile) Scale(f float64) {
 			st.Total = time.Duration(float64(st.Total) * f)
 		}
 	}
-	for i := range p.stageBusy {
-		p.stageBusy[i] = time.Duration(float64(p.stageBusy[i]) * f)
-	}
 }
 
 // Clone returns a deep copy of the profile. The compiled-window cache in
@@ -380,7 +343,6 @@ func (p *Profile) Clone() *Profile {
 	}
 	arena := make([]Stat, n)
 	q := &Profile{
-		stageBusy: p.stageBusy,
 		detail:    p.detail,
 		maxDetail: p.maxDetail,
 		dropped:   p.dropped,
@@ -413,9 +375,6 @@ func (p *Profile) Merge(other *Profile) {
 			d.Calls += st.Calls
 			d.Total += st.Total
 		}
-	}
-	for i := range other.stageBusy {
-		p.stageBusy[i] += other.stageBusy[i]
 	}
 	if p.detail {
 		for _, iv := range other.intervals {

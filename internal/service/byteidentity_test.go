@@ -118,18 +118,24 @@ func TestCompareNestedReportMatchesSimulate(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("simulate %s: status %d: %s", m, resp.StatusCode, body)
 		}
-		raw, err := reportRaw(bytes.TrimSuffix(body, []byte("\n")))
-		if err != nil {
-			t.Fatalf("simulate %s: %v", m, err)
+		tail, ok := bytes.CutPrefix(bytes.TrimSuffix(body, []byte("\n")), envelopePrefix)
+		if !ok {
+			t.Fatalf("simulate %s: body lacks envelope prefix %q", m, envelopePrefix)
 		}
-		sim[i] = raw
+		sim[i] = append([]byte{'{'}, tail...)
 	}
 
 	resp, body := post(t, ts.URL+"/v1/compare", workloadRequest{Workload: wl})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compare: status %d: %s", resp.StatusCode, body)
 	}
-	var cw compareWire
+	// CompareResponse would re-marshal the reports; keep their bytes.
+	var cw struct {
+		Results []struct {
+			Method core.Method     `json:"method"`
+			Report json.RawMessage `json:"report"`
+		} `json:"results"`
+	}
 	if err := json.Unmarshal(body, &cw); err != nil {
 		t.Fatal(err)
 	}

@@ -460,23 +460,13 @@ func newCached(r *core.Report) (*cached, error) {
 }
 
 // envelopePrefix is the leading bytes of every marshaled reportBody:
-// the opening brace and the schemaVersion field reportRaw strips when an
-// endpoint needs the bare report JSON nested inside its own envelope.
+// the opening brace and the schemaVersion field. What follows it is the
+// report's own fields and closing brace — '{' plus that tail is exactly
+// json.Marshal(*core.Report), since reportBody only prepends the
+// schemaVersion field to the report's promoted fields. /v1/compare
+// splices that tail into per-method records, which carry the
+// schemaVersion at their outer level instead.
 var envelopePrefix = []byte(fmt.Sprintf(`{"schemaVersion":%d,`, SchemaVersion))
-
-// reportRaw converts a cached response envelope into the bare report
-// JSON — exactly json.Marshal(*core.Report) for the same report, since
-// reportBody only prepends the schemaVersion field to the report's own
-// promoted fields. /v1/compare nests reports inside per-method records,
-// which carry the schemaVersion at their outer level instead.
-func reportRaw(body []byte) (json.RawMessage, error) {
-	if !bytes.HasPrefix(body, envelopePrefix) {
-		return nil, fmt.Errorf("cached response missing envelope prefix %q", envelopePrefix)
-	}
-	raw := make(json.RawMessage, 0, len(body)-len(envelopePrefix)+1)
-	raw = append(raw, '{')
-	return append(raw, body[len(envelopePrefix):]...), nil
-}
 
 // decodeCachedReport rebuilds the report struct from a cached envelope
 // for the few consumers that need the numbers rather than the bytes
@@ -782,18 +772,25 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, d *decode
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	// Results are ordered (p2p first, then nccl), mirroring core.Compare;
-	// the old map-keyed body left the order to encoding/json. Each arm's
-	// report JSON is spliced out of its cached envelope rather than
-	// re-marshaled — json.RawMessage keeps the bytes verbatim, so the
-	// nested reports stay identical to what /v1/simulate serves.
-	results := make([]methodReportWire, len(methods))
+	// Results are ordered (p2p first, then nccl), mirroring core.Compare.
+	// Each arm's report is spliced verbatim out of its cached envelope
+	// rather than re-marshaled, so the nested reports stay identical to
+	// what /v1/simulate serves.
+	body := fmt.Appendf(nil, `{"schemaVersion":%d,"results":[`, SchemaVersion)
 	_, err := s.runGrid(ctx, len(cells), func(i int) (string, core.Workload) {
 		return string(methods[i]) + " ", cells[i]
-	}, func(i int, c *cached) (err error) {
-		results[i].Method = methods[i]
-		results[i].Report, err = reportRaw(c.body)
-		return err
+	}, func(i int, c *cached) error {
+		report, ok := bytes.CutPrefix(c.body, envelopePrefix)
+		if !ok {
+			return fmt.Errorf("cached response missing envelope prefix %q", envelopePrefix)
+		}
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = fmt.Appendf(body, `{"method":"%s","report":{`, methods[i])
+		body = append(body, report...)
+		body = append(body, '}')
+		return nil
 	})
 	if err != nil {
 		httpError(w, err)
@@ -802,7 +799,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, d *decode
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
 	w.Header().Set("X-Sim-Duration", tr.Dur("simulate").String())
-	writeJSON(w, compareWire{SchemaVersion: SchemaVersion, Results: results})
+	writeJSONBytes(w, append(body, "]}"...))
 }
 
 // CompareResponse is the /v1/compare body: both methods' reports in
@@ -810,21 +807,6 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request, d *decode
 type CompareResponse struct {
 	SchemaVersion int                 `json:"schemaVersion"`
 	Results       []core.MethodReport `json:"results"`
-}
-
-// compareWire is the encode-side shape of CompareResponse: the nested
-// report travels as raw cached bytes instead of a re-marshaled struct.
-// Field names and order match CompareResponse exactly, so clients
-// decoding into CompareResponse see an unchanged wire format.
-type compareWire struct {
-	SchemaVersion int                `json:"schemaVersion"`
-	Results       []methodReportWire `json:"results"`
-}
-
-// methodReportWire mirrors core.MethodReport with the report as raw JSON.
-type methodReportWire struct {
-	Method core.Method     `json:"method"`
-	Report json.RawMessage `json:"report"`
 }
 
 // SweepRequest describes a configuration grid. Axes left empty inherit
@@ -930,45 +912,15 @@ func (sr SweepRequest) Cell(i int) core.Workload {
 	return w
 }
 
-// SweepResponse carries the grid results in grid order. Results are the
-// exact bytes /v1/simulate would return for each configuration, so the
-// body is deterministic across repeats; cache metadata travels in the
-// X-Cache-Hits header and /metrics, not the body.
-//
-// The wire body carries a count field for clients, but it is derived
-// from the results slice at marshal time — an earlier version stored
-// both, and nothing stopped them drifting apart.
+// SweepResponse is the buffered /v1/sweep body: the grid results in grid
+// order, Count of them. Results are the exact bytes /v1/simulate would
+// return for each configuration, so the body is deterministic across
+// repeats; cache metadata travels in the X-Cache-Hits header and
+// /metrics, not the body.
 type SweepResponse struct {
-	SchemaVersion int               `json:"schemaVersion"`
-	Results       []json.RawMessage `json:"results"`
-
-	// Count mirrors len(Results); populated on decode, derived on encode.
-	Count int `json:"-"`
-}
-
-// sweepWire is the JSON shape of SweepResponse; count is always
-// len(results).
-type sweepWire struct {
 	SchemaVersion int               `json:"schemaVersion"`
 	Count         int               `json:"count"`
 	Results       []json.RawMessage `json:"results"`
-}
-
-func (sr SweepResponse) MarshalJSON() ([]byte, error) {
-	return json.Marshal(sweepWire{
-		SchemaVersion: sr.SchemaVersion,
-		Count:         len(sr.Results),
-		Results:       sr.Results,
-	})
-}
-
-func (sr *SweepResponse) UnmarshalJSON(b []byte) error {
-	var w sweepWire
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	sr.SchemaVersion, sr.Results, sr.Count = w.SchemaVersion, w.Results, len(w.Results)
-	return nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, req SweepRequest) {
@@ -1001,11 +953,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 	// fan-out, which attributed every concurrent request's hits — and
 	// this request's own duplicate-cell coalescing — to whoever read the
 	// counter last.)
-	// Each cell's record is its cached bytes verbatim — no per-cell
-	// re-marshal; a fully warm sweep serializes nothing per cell.
-	results := make([]json.RawMessage, size)
+	// Each cell's record is its cached bytes verbatim, appended in grid
+	// order; a fully warm sweep serializes nothing. Count is the grid
+	// size, since a sweep either answers every cell or fails.
+	body := fmt.Appendf(nil, `{"schemaVersion":%d,"count":%d,"results":[`, SchemaVersion, size)
 	hits, err := s.runGrid(ctx, size, req.cell, func(i int, c *cached) error {
-		results[i] = c.body
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, c.body...)
 		return nil
 	})
 	if err != nil {
@@ -1016,7 +972,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 	defer endEncode()
 	w.Header().Set("X-Cache-Hits", fmt.Sprintf("%d", hits))
 	w.Header().Set("X-Sim-Duration", tr.Dur("simulate").String())
-	writeJSON(w, SweepResponse{SchemaVersion: SchemaVersion, Results: results})
+	writeJSONBytes(w, append(body, "]}"...))
 }
 
 // ValidateResponse is the /v1/validate body. A semantically invalid

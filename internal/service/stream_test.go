@@ -178,30 +178,20 @@ func TestSweepStreamMatchesBuffered(t *testing.T) {
 	}
 }
 
-// Buffered responses derive count from the results slice: a response
-// marshaled with any Count value still wires len(results).
-func TestSweepResponseCountDerived(t *testing.T) {
-	raw := []json.RawMessage{json.RawMessage(`{"a":1}`), json.RawMessage(`{"b":2}`)}
-	b, err := json.Marshal(SweepResponse{SchemaVersion: SchemaVersion, Results: raw, Count: 99})
-	if err != nil {
+// A buffered sweep's count is its grid size and the number of results
+// it carries.
+func TestSweepResponseCountMatchesGrid(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := post(t, ts.URL+"/v1/sweep", sweep16)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var sr SweepResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	var wire struct {
-		Count   int               `json:"count"`
-		Results []json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(b, &wire); err != nil {
-		t.Fatal(err)
-	}
-	if wire.Count != 2 {
-		t.Fatalf("wire count = %d, want len(results) = 2", wire.Count)
-	}
-	var back SweepResponse
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Count != 2 || len(back.Results) != 2 {
-		t.Fatalf("decoded Count = %d, Results = %d; want 2/2", back.Count, len(back.Results))
+	if size := sweep16.Size(); sr.Count != size || len(sr.Results) != size {
+		t.Fatalf("count = %d, results = %d, want grid size %d", sr.Count, len(sr.Results), size)
 	}
 }
 

@@ -72,11 +72,3 @@ func (r *Resource) BusyTime() time.Duration { return r.busy }
 
 // Requests returns the number of requests booked so far.
 func (r *Resource) Requests() int64 { return r.requests }
-
-// Utilization returns busy time divided by horizon. Horizons <= 0 yield 0.
-func (r *Resource) Utilization(horizon time.Duration) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(horizon)
-}

@@ -37,9 +37,9 @@ func TestNewResourceStartsIdle(t *testing.T) {
 	if r.Name() != "GPU0/compute" {
 		t.Errorf("Name = %q", r.Name())
 	}
-	if r.FreeAt() != 0 || r.BusyTime() != 0 || r.Requests() != 0 || r.Utilization(time.Second) != 0 {
-		t.Errorf("fresh resource: free %v busy %v requests %d utilization %v, want all zero",
-			r.FreeAt(), r.BusyTime(), r.Requests(), r.Utilization(time.Second))
+	if r.FreeAt() != 0 || r.BusyTime() != 0 || r.Requests() != 0 {
+		t.Errorf("fresh resource: free %v busy %v requests %d, want all zero",
+			r.FreeAt(), r.BusyTime(), r.Requests())
 	}
 }
 
@@ -112,12 +112,6 @@ func TestResourceAccounting(t *testing.T) {
 	}
 	if got := r.Requests(); got != 2 {
 		t.Errorf("Requests = %d, want 2", got)
-	}
-	if got := r.Utilization(80 * time.Millisecond); got != 0.5 {
-		t.Errorf("Utilization = %v, want 0.5", got)
-	}
-	if got := r.Utilization(0); got != 0 {
-		t.Errorf("Utilization(0) = %v, want 0", got)
 	}
 }
 

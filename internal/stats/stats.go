@@ -1,6 +1,6 @@
 // Package stats provides the measurement arithmetic the paper's figures
 // use: repeated-run summaries (mean ± standard deviation over 5
-// repetitions) and speedup ratios.
+// repetitions) and nearest-rank quantiles.
 package stats
 
 import (
@@ -79,20 +79,4 @@ func Quantile(sorted []time.Duration, q float64) time.Duration {
 		rank = n
 	}
 	return sorted[rank-1]
-}
-
-// Speedup returns base/x (how many times faster x is than base).
-func Speedup(base, x time.Duration) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return float64(base) / float64(x)
-}
-
-// Percent returns 100*part/whole.
-func Percent(part, whole time.Duration) float64 {
-	if whole <= 0 {
-		return 0
-	}
-	return 100 * float64(part) / float64(whole)
 }

@@ -54,21 +54,6 @@ func TestRepetitionsAnchoredAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestSpeedupAndPercent(t *testing.T) {
-	if got := Speedup(4*time.Second, 2*time.Second); got != 2 {
-		t.Errorf("speedup = %v", got)
-	}
-	if got := Speedup(time.Second, 0); got != 0 {
-		t.Errorf("zero divisor speedup = %v", got)
-	}
-	if got := Percent(time.Second, 4*time.Second); got != 25 {
-		t.Errorf("percent = %v", got)
-	}
-	if got := Percent(time.Second, 0); got != 0 {
-		t.Errorf("zero whole percent = %v", got)
-	}
-}
-
 func TestSampleString(t *testing.T) {
 	s := Sample{Mean: 1234 * time.Millisecond, Std: 12 * time.Millisecond, N: 5}
 	if got := s.String(); got != "1.234s ±12ms" {

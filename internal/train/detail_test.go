@@ -131,11 +131,6 @@ func checkDetailInvariant(t *testing.T, cfg Config) {
 			}
 		}
 	}
-	for st := profiler.StageOther; st <= profiler.StageDataLoad; st++ {
-		if ba, bd := pa.StageBusy(st), pd.StageBusy(st); ba != bd {
-			t.Errorf("stage %s busy: aggregate %v, detailed %v", st, ba, bd)
-		}
-	}
 }
 
 // cutRuns ends a run at every parameter step, folds parameterless steps

@@ -70,26 +70,14 @@ func TestPlacementQuadRingMatters(t *testing.T) {
 
 // The paper: "some of the GPUs become idle during DNN training" under
 // P2P because of the GPU0 role and asymmetric links. GPU0 runs the
-// aggregation kernels, so it is busier than the workers; the spread must
-// be zero on one GPU and positive on many.
-func TestGPUIdleSpread(t *testing.T) {
-	one := runQuick(t, "resnet", 1, 16, kvstore.MethodP2P)
-	if got := one.IdleSpread(); got != 0 {
-		t.Errorf("1-GPU idle spread = %v, want 0", got)
-	}
+// aggregation kernels, so it is strictly busier than every worker: the
+// spread between the busiest and least busy GPU is positive.
+func TestGPU0BusiestUnderP2P(t *testing.T) {
 	four := runQuick(t, "resnet", 4, 16, kvstore.MethodP2P)
-	if got := four.IdleSpread(); got <= 0 {
-		t.Errorf("4-GPU idle spread = %v, want positive", got)
-	}
-	// GPU0 (aggregation + updates) is the busiest device under P2P.
-	busiest, best := four.GPUComputeBusy[0], true
 	for d, f := range four.GPUComputeBusy {
-		if f > busiest && d != 0 {
-			best = false
+		if d != 0 && f >= four.GPUComputeBusy[0] {
+			t.Errorf("GPU0 should be the busiest: %v", four.GPUComputeBusy)
 		}
-	}
-	if !best {
-		t.Errorf("GPU0 should be the busiest: %v", four.GPUComputeBusy)
 	}
 	if len(four.GPUComputeBusy) != 4 {
 		t.Errorf("busy map size = %d", len(four.GPUComputeBusy))

@@ -51,9 +51,6 @@ type Config struct {
 	// DetailIntervals retains that many profiler intervals for timeline
 	// export (0 = aggregates only).
 	DetailIntervals int
-	// SkipMemoryCheck disables the OOM gate (used to probe hypothetical
-	// configurations).
-	SkipMemoryCheck bool
 	// RoutePolicy overrides peer-copy routing (default staged NVLink).
 	RoutePolicy topology.RoutePolicy
 	// Async enables the asynchronous-SGD extension: no inter-GPU barrier;
@@ -249,28 +246,6 @@ type Result struct {
 	GPUComputeBusy map[topology.NodeID]float64
 }
 
-// IdleSpread returns the difference between the busiest and least busy
-// GPU's compute fraction — zero on a single GPU, growing with the
-// synchronization and aggregation imbalance.
-func (r *Result) IdleSpread() float64 {
-	var min, max float64
-	first := true
-	for _, f := range r.GPUComputeBusy {
-		if first {
-			min, max = f, f
-			first = false
-			continue
-		}
-		if f < min {
-			min = f
-		}
-		if f > max {
-			max = f
-		}
-	}
-	return max - min
-}
-
 // FPBPWall returns the combined computation wall time (as Figure 4 plots).
 func (r *Result) FPBPWall() time.Duration { return r.FPWall + r.BPWall }
 
@@ -445,10 +420,12 @@ func New(cfg Config) (*Trainer, error) {
 		// premium.
 		t.memory = memmodel.ScaleStages(memmodel.Compute(cfg.Model.Net, cfg.Batch, false), cfg.GPUs)
 	}
-	if !cfg.SkipMemoryCheck {
-		if err := t.allocateMemory(); err != nil {
-			return nil, err
-		}
+	// The root holds the high-water mark and every device has its
+	// capacity (Spec.Slowed keeps MemCapacity), so one check decides every
+	// device. The message keeps its established wording.
+	if capacity := rt.Device(backend.Root()).Spec.MemCapacity; !t.memory.Fits(capacity) {
+		return nil, fmt.Errorf("train: %s batch %d on %d GPUs: gpu: alloc %v under \"training\": used 0B of %v: %w",
+			cfg.Model.Name, cfg.Batch, cfg.GPUs, t.memory.Root()+memmodel.DriverReserve, capacity, gpu.ErrOutOfMemory)
 	}
 	return t, nil
 }
@@ -574,51 +551,6 @@ func perSpec[T any](t *Trainer, lower func(gpu.Spec) T) []T {
 func (t *Trainer) updateKernel(size units.Bytes) cuda.Kernel {
 	spec := t.rt.Device(t.backend.Root()).Spec
 	return t.rt.NewKernel("sgd_update", spec.KernelDuration(sgdUpdateCost(size)))
-}
-
-// allocateMemory reserves the estimated footprint on every device,
-// surfacing OOM exactly where nvidia-smi would show it.
-func (t *Trainer) allocateMemory() error {
-	for _, d := range t.devs {
-		dev := t.rt.Device(d)
-		est := t.memory
-		use := est.Worker()
-		if d == t.backend.Root() {
-			use = est.Root()
-		}
-		if err := dev.Memory.Alloc("training", use+memmodel.DriverReserve); err != nil {
-			return fmt.Errorf("train: %s batch %d on %d GPUs: %w",
-				t.cfg.Model.Name, t.cfg.Batch, t.cfg.GPUs, err)
-		}
-	}
-	return nil
-}
-
-// RunEpochs simulates a training session of n epochs. Setup (framework
-// startup, communicator construction, initial model broadcast) is paid
-// once; each subsequent epoch repeats the steady schedule — the paper's
-// observation that per-epoch stage times are constant, made explicit. The
-// returned Result covers the whole session, with Iterations summed.
-func (t *Trainer) RunEpochs(n int) (*Result, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("train: epoch count %d out of range", n)
-	}
-	first, err := t.Run()
-	if err != nil {
-		return nil, err
-	}
-	if n == 1 {
-		return first, nil
-	}
-	perEpoch := first.EpochTime - first.SetupTime
-	out := *first
-	out.EpochTime = first.SetupTime + time.Duration(n)*perEpoch
-	out.Iterations = first.Iterations * int64(n)
-	out.FPWall *= time.Duration(n)
-	out.BPWall *= time.Duration(n)
-	out.WUWall *= time.Duration(n)
-	out.Throughput = float64(int64(n)*t.schedule.Images) / out.EpochTime.Seconds()
-	return &out, nil
 }
 
 // Memory returns the per-GPU memory estimate.

@@ -2,13 +2,16 @@ package train
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/kvstore"
+	"repro/internal/memmodel"
 	"repro/internal/models"
+	"repro/internal/units"
 )
 
 // quickCfg returns a config with a small dataset so tests run fast; the
@@ -85,15 +88,82 @@ func TestResultBasics(t *testing.T) {
 	}
 }
 
+// The memory gate is Table IV's trainability wall. Under data
+// parallelism New refuses exactly the configurations memmodel.FitsDevice
+// rejects (56 of this 240-config grid); model-parallel and checkpointed
+// configurations that still overflow wrap the same sentinel.
 func TestOOMConfigurationsRejected(t *testing.T) {
-	cfg := quickCfg(t, "inception-v3", 4, 128, kvstore.MethodNCCL)
-	_, err := New(cfg)
-	if !errors.Is(err, gpu.ErrOutOfMemory) {
-		t.Fatalf("Inception-v3 b128 should OOM, got %v", err)
+	type gateCase struct {
+		name string
+		cfg  Config
+		fits bool
 	}
-	cfg.SkipMemoryCheck = true
-	if _, err := New(cfg); err != nil {
-		t.Fatalf("SkipMemoryCheck should allow it: %v", err)
+	capacity := gpu.V100().MemCapacity
+	var grid []gateCase
+	oom := 0
+	for _, name := range models.Names() {
+		for _, gpus := range []int{1, 2, 4, 8} {
+			for _, batch := range []int{16, 32, 64, 128, 256, 512} {
+				for _, method := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL} {
+					cfg := quickCfg(t, name, gpus, batch, method)
+					fits := memmodel.FitsDevice(cfg.Model.Net, batch, gpus > 1, capacity)
+					if !fits {
+						oom++
+					}
+					grid = append(grid, gateCase{fmt.Sprintf("%s/%dgpu_b%d_%s", name, gpus, batch, method), cfg, fits})
+				}
+			}
+		}
+	}
+	if oom != 56 {
+		t.Errorf("%d configurations out of memory, want 56", oom)
+	}
+	for _, c := range grid {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := New(c.cfg)
+			if c.fits && err != nil || !c.fits && !errors.Is(err, gpu.ErrOutOfMemory) {
+				t.Errorf("FitsDevice %v, New error %v", c.fits, err)
+			}
+		})
+	}
+
+	t.Run("error_text", func(t *testing.T) {
+		_, err := New(quickCfg(t, "googlenet", 1, 512, kvstore.MethodP2P))
+		const want = `train: GoogLeNet batch 512 on 1 GPUs: gpu: alloc 25.71GB under "training": used 0B of 16.00GB: gpu: out of memory`
+		if err == nil || err.Error() != want {
+			t.Errorf("OOM error = %v, want %s", err, want)
+		}
+	})
+
+	// At the boundary the root's footprint plus the driver reserve must
+	// fit; the workers' smaller footprint does not decide it.
+	t.Run("root_boundary", func(t *testing.T) {
+		edge := quickCfg(t, "alexnet", 4, 64, kvstore.MethodP2P)
+		need := memmodel.Compute(edge.Model.Net, 64, true).Root() + memmodel.DriverReserve
+		for _, capacity := range []units.Bytes{need, need - 1} {
+			spec := gpu.V100()
+			spec.MemCapacity = capacity
+			edge.GPUSpec = &spec
+			if _, err := New(edge); (capacity == need) != (err == nil) || err != nil && !errors.Is(err, gpu.ErrOutOfMemory) {
+				t.Errorf("capacity %v for a %v footprint: New error %v", capacity, need, err)
+			}
+		}
+	})
+
+	mp := quickCfg(t, "resnet", 2, 256, kvstore.MethodP2P)
+	mp.Parallelism = ModelParallel
+	ckpt := quickCfg(t, "resnet", 2, 512, kvstore.MethodNCCL)
+	ckpt.Checkpointing = true
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"model_parallel", mp}, {"checkpointed", ckpt}} {
+		cfg := c.cfg
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := New(cfg); !errors.Is(err, gpu.ErrOutOfMemory) {
+				t.Errorf("%v checkpointing=%v: New error %v, want out of memory", cfg.Parallelism, cfg.Checkpointing, err)
+			}
+		})
 	}
 }
 
@@ -428,43 +498,5 @@ func TestAllModelsRunAllMethods(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestRunEpochs(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 2, 16, kvstore.MethodNCCL)
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := tr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := tr2.RunEpochs(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if three.Iterations != 3*one.Iterations {
-		t.Errorf("iterations = %d, want 3x%d", three.Iterations, one.Iterations)
-	}
-	// Setup amortizes: 3 epochs take less than 3x one epoch.
-	if float64(three.EpochTime) >= 3*float64(one.EpochTime) {
-		t.Errorf("3 epochs (%v) should beat 3x one epoch (%v)", three.EpochTime, 3*one.EpochTime)
-	}
-	// Throughput improves accordingly.
-	if three.Throughput <= one.Throughput {
-		t.Error("multi-epoch throughput should exceed single-epoch")
-	}
-	tr3, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr3.RunEpochs(0); err == nil {
-		t.Error("0 epochs should error")
 	}
 }

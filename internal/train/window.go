@@ -55,9 +55,6 @@ type Window struct {
 	busy        map[topology.NodeID]time.Duration
 }
 
-// NSim returns how many iterations the window simulated exactly.
-func (w *Window) NSim() int { return w.nsim }
-
 // Config returns the configuration the window was compiled from.
 func (w *Window) Config() Config { return w.cfg }
 
