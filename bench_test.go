@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/kvstore"
+	"repro/internal/nccl"
 	"repro/internal/service"
 	"repro/internal/topology"
 	"repro/internal/train"
@@ -553,5 +554,44 @@ func BenchmarkCoreRunMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run(missNext)
 		missNext++
+	}
+}
+
+// missConfigs is missWorkloads lowered to trainer configurations the way
+// core lowers a normalized workload (paper epoch, tensor cores, the
+// workload's machine and collective protocol).
+var missConfigs = func() []train.Config {
+	cfgs := make([]train.Config, len(missWorkloads))
+	for i, w := range missWorkloads {
+		cfg, err := train.NewConfig(w.Model, w.GPUs, w.Batch, w.Method)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Hardware = w.Hardware
+		if cfg.NCCL.Protocol, err = nccl.ParseProtocol(w.Protocol); err != nil {
+			panic(err)
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs
+}()
+
+// BenchmarkTrainNew measures trainer construction alone (train.New, the
+// train.new_ms layer) over the missWorkloads cycle: what a never-seen
+// workload pays before its first simulated iteration. The machine
+// templates, kernel tables, plans and zoo are warm from an untimed first
+// pass, as they are in a long-running server.
+func BenchmarkTrainNew(b *testing.B) {
+	for _, cfg := range missConfigs {
+		if _, err := train.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := train.New(missConfigs[i%len(missConfigs)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

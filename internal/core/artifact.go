@@ -80,9 +80,11 @@ type layerStatKey struct {
 var layerStats = memo.New[layerStatKey, []dnn.LayerStat](256)
 
 // ResetCaches drops every memoized artifact: compiled windows, layer
-// profiles, the built model zoo and the machine topologies. Only
-// benchmarks and tests that measure or exercise the cold path need it;
-// servers never call it.
+// profiles, the built model zoo (and with its networks their dnn plans
+// and the trainers' kernel tables kept beside them), the machine
+// topologies, the trainers' machine templates and their plan tables.
+// Only benchmarks and tests that measure or exercise the cold path need
+// it; servers never call it.
 func ResetCaches() {
 	windows.Reset()
 	layerStats.Reset()

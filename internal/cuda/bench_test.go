@@ -44,11 +44,11 @@ func benchRuntime(b *testing.B) *Runtime {
 	return rt
 }
 
-// tableSink keeps the lowered tables from being optimized away.
-var tableSink []Kernel
+// runSink keeps the lowered runs from being optimized away.
+var runSink Run
 
 // BenchmarkLowerResNet measures lowering one ResNet-50 iteration's plan
-// into a launch table: a kernel duration and a profile slot per kernel.
+// into a run: a kernel duration and a profile slot per kernel.
 func BenchmarkLowerResNet(b *testing.B) {
 	plan := resnetPlan(b)
 	rt := benchRuntime(b)
@@ -56,7 +56,7 @@ func BenchmarkLowerResNet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tableSink = rt.Lower(nil, spec, plan)
+		runSink = rt.LowerRun(spec, plan)
 	}
 }
 
@@ -64,8 +64,12 @@ func BenchmarkLowerResNet(b *testing.B) {
 // the host API call, the device booking and both profile records.
 func BenchmarkStreamLaunch(b *testing.B) {
 	rt := benchRuntime(b)
-	tab := rt.Lower(nil, gpu.V100(), resnetPlan(b))
-	s := rt.Stream(0, "train")
+	run := rt.LowerRun(gpu.V100(), resnetPlan(b))
+	tab := make([]Kernel, len(run.Durs))
+	for i := range tab {
+		tab[i] = Kernel{Dur: run.Durs[i], Slot: run.Slots[i]}
+	}
+	s := rt.Stream(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var host time.Duration
@@ -79,13 +83,13 @@ func BenchmarkStreamLaunch(b *testing.B) {
 // launch API's aggregate and one slot update per kernel.
 func BenchmarkStreamLaunchRun(b *testing.B) {
 	rt := benchRuntime(b)
-	run := rt.NewRun(rt.Lower(nil, gpu.V100(), resnetNet(b).ForwardPlan(32, dnn.PlanOptions{TensorCores: true})))
-	s := rt.Stream(0, "train")
+	run := rt.LowerRun(gpu.V100(), resnetNet(b).ForwardPlan(32, dnn.PlanOptions{TensorCores: true}))
+	s := rt.Stream(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var host time.Duration
 	for i := 0; i < b.N; i++ {
 		host, _ = s.LaunchRun(profiler.StageFP, run, host)
 	}
-	b.ReportMetric(float64(len(run.Kernels)), "kernels/op")
+	b.ReportMetric(float64(len(run.Durs)), "kernels/op")
 }

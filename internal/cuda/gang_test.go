@@ -52,14 +52,14 @@ func bookGang(t *testing.T, sc gangScenario) (*Runtime, *Gang, Kernel) {
 	k := rt.NewKernel(gangKernelNames[sc.kernel], 0)
 	for i, r := range sc.ranks {
 		if r.engineBusy > 0 {
-			rt.CommStream(devs[i], "pre").Synchronize(profiler.StageWU, r.engineBusy)
+			rt.CommStream(devs[i]).Synchronize(profiler.StageWU, r.engineBusy)
 		}
 		if r.commBusy > 0 {
 			pre.Dur = r.commBusy
 			rt.BookKernel(devs[i], true, profiler.StageOther, pre, 0)
 		}
 	}
-	g := rt.CommGang(devs, "nccl")
+	g := rt.CommGang(devs)
 	for i, r := range sc.ranks {
 		g.Stream(i).WaitEvent(r.tail)
 	}

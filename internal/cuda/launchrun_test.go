@@ -57,7 +57,7 @@ func bookScenario(t *testing.T, sc runScenario) (*Runtime, *Stream, []Kernel) {
 		rt.HostWait(0, profiler.StageWU, 0, sc.hostBusy)
 	}
 	if sc.engineBusy > 0 {
-		rt.CommStream(0, "pre").Synchronize(profiler.StageWU, sc.engineBusy)
+		rt.CommStream(0).Synchronize(profiler.StageWU, sc.engineBusy)
 	}
 	if sc.computeBusy > 0 {
 		rt.BookKernel(0, false, profiler.StageOther, rt.NewKernel("pre", sc.computeBusy), 0)
@@ -65,9 +65,9 @@ func bookScenario(t *testing.T, sc runScenario) (*Runtime, *Stream, []Kernel) {
 	if sc.commBusy > 0 {
 		rt.BookKernel(0, true, profiler.StageOther, rt.NewKernel("pre", sc.commBusy), 0)
 	}
-	s := rt.Stream(0, "run")
+	s := rt.Stream(0)
 	if sc.comm {
-		s = rt.CommStream(0, "run")
+		s = rt.CommStream(0)
 	}
 	s.WaitEvent(sc.tail)
 	return rt, s, kernels
@@ -81,7 +81,12 @@ func checkRunMatchesLoop(t *testing.T, sc runScenario) {
 	rtRun, sRun, ksRun := bookScenario(t, sc)
 	rtLoop, sLoop, ksLoop := bookScenario(t, sc)
 
-	hostRun, endRun := sRun.LaunchRun(profiler.StageBP, rtRun.NewRun(ksRun), sc.hostReady)
+	run := Run{Slots: make([]profiler.Slot, len(ksRun)), Durs: make([]time.Duration, len(ksRun))}
+	for i, k := range ksRun {
+		run.Slots[i], run.Durs[i] = k.Slot, k.Dur
+	}
+	run.RunSum = Summarize(run.Durs, rtRun.costs.LaunchKernel)
+	hostRun, endRun := sRun.LaunchRun(profiler.StageBP, run, sc.hostReady)
 	hostLoop, endLoop := sc.hostReady, time.Duration(0)
 	for _, k := range ksLoop {
 		hostLoop, endLoop = sLoop.Launch(profiler.StageBP, k, hostLoop)
@@ -102,13 +107,13 @@ func checkRunMatchesLoop(t *testing.T, sc runScenario) {
 // ranked name orders and the retained intervals.
 func checkSameState(t *testing.T, got, want *Runtime, kernels []string) {
 	t.Helper()
-	for _, id := range want.ids {
-		g, w := got.devs[id], want.devs[id]
+	for _, id := range want.lay.ids {
+		g, w := got.state(id), want.state(id)
 		for _, r := range []struct {
 			name string
 			g, w *sim.Resource
 		}{
-			{"host", g.host, w.host}, {"engine", g.engine, w.engine},
+			{"host", &g.host, &w.host}, {"engine", &g.engine, &w.engine},
 			{"compute", g.dev.Queue(false), w.dev.Queue(false)},
 			{"comm", g.dev.Queue(true), w.dev.Queue(true)},
 		} {

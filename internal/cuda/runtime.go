@@ -10,6 +10,8 @@ package cuda
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/gpu"
@@ -61,9 +63,20 @@ type Kernel struct {
 
 // Run is a lowered run of kernels that one stream launches back to back,
 // with nothing else booked on its host thread or device queue between
-// the launches, summarized so Stream.LaunchRun books it in O(1). With L
-// the launch cost of the runtime that made the run (NewRun) and kernels
-// numbered j = 1..n in launch order:
+// the launches, summarized so Stream.LaunchRun books it in O(1): kernel j
+// records under profile slot Slots[j] and executes for Durs[j]. The two
+// halves are separate so that a kernel plan's slots, which depend only on
+// the plan, and its durations, which depend on the device spec, can each
+// be stored once and shared.
+type Run struct {
+	Slots []profiler.Slot
+	Durs  []time.Duration
+	RunSum
+}
+
+// RunSum is a run's closed form for one launch cost L, the launch cost of
+// the runtime that launches the run. With kernels numbered j = 1..n in
+// launch order:
 //
 //	sum  = Σ_j Dur_j
 //	crit = max_j (j·L + Σ_{i≥j} Dur_i)
@@ -71,18 +84,17 @@ type Kernel struct {
 // crit is the longest launch-then-execute chain through the run: kernel
 // j cannot start before its own launch, j·L after the host thread
 // starts, and everything after it executes back to back.
-type Run struct {
-	Kernels   []Kernel
+type RunSum struct {
 	sum, crit time.Duration
 }
 
-// NewRun summarizes kernels as a run for this runtime's launch cost. The
-// run shares the kernels' backing array.
-func (rt *Runtime) NewRun(kernels []Kernel) Run {
-	r := Run{Kernels: kernels}
-	for j := len(kernels); j > 0; j-- {
-		r.sum += kernels[j-1].Dur
-		r.crit = max(r.crit, time.Duration(j)*rt.costs.LaunchKernel+r.sum)
+// Summarize returns the closed form of kernels executing for durs, in
+// order, when each launch costs launch.
+func Summarize(durs []time.Duration, launch time.Duration) RunSum {
+	var r RunSum
+	for j := len(durs); j > 0; j-- {
+		r.sum += durs[j-1]
+		r.crit = max(r.crit, time.Duration(j)*launch+r.sum)
 	}
 	return r
 }
@@ -93,50 +105,221 @@ type label struct {
 	slot profiler.Slot
 }
 
-// copyPath is one cached copy direction: its routed path (or the routing
-// error, which is just as deterministic) and its interned transfer labels.
+// copyPath is one copy direction: its routed path (or the routing error,
+// which is just as deterministic) and its transfer labels.
 type copyPath struct {
-	path   topology.Path
-	err    error
-	memcpy label  // e.g. "memcpyP2P S->D"
+	route
+	memcpy label  // e.g. "memcpyP2P S->D"; its slot is in the layout's transfer names
 	xfer   string // the transfer's track, e.g. "xfer S->D"
 }
 
-// device is the runtime's state for one managed GPU: the device model,
-// its two host worker threads, its interned track labels, and its cached
-// PCIe copy paths. Every kernel launch, API call and transfer records one
-// of these labels; formatting them per call used to dominate the
-// simulation's allocation profile, so they are built once per device.
+// route is a routed copy path or the routing error.
+type route struct {
+	path topology.Path
+	err  error
+}
+
+// peerPath is one peer copy direction between managed GPUs: its labels,
+// and its route under each policy, routed on first use. Routing is a pure
+// function of the topology, so whichever concurrent first use stores its
+// route, every runtime reads the same one.
+type peerPath struct {
+	memcpy label
+	xfer   string
+	routes [2]atomic.Pointer[route] // [0] staged NVLink, [1] PCIe fallback
+}
+
+// deviceLayout names one managed GPU's tracks and holds its PCIe copy
+// paths to (h2d) and from (d2h) its host CPU.
+type deviceLayout struct {
+	id                      topology.NodeID
+	hostTrack, engineTrack  string // host-thread tracks
+	computeTrack, commTrack string // device-queue tracks
+	h2d, d2h                copyPath
+}
+
+// Layout is the immutable half of a runtime: everything about a machine
+// and a set of managed GPUs that no booking changes. It holds every
+// device's host-thread and queue track names, the PCIe copy paths between
+// each GPU and its host, the peer copy paths between managed GPUs, and the
+// transfer names all those copies record under. One Layout serves any
+// number of runtimes, on any goroutines: each Runtime made from it
+// (Layout.NewRuntime) books on its own zeroed slab of devices and host
+// threads. Every kernel launch, API call and transfer records one of the
+// layout's labels, so no name is formatted per call or per runtime.
+type Layout struct {
+	top *topology.Topology
+	// devs is indexed like the GPUs the layout was made for (slab
+	// order); index maps a NodeID to its position, -1 for nodes the
+	// layout does not manage, and spans the topology's node IDs.
+	devs  []deviceLayout
+	index []int
+	ids   []topology.NodeID // managed GPUs, ascending
+	// peers[i*len(devs)+j] is the copy from devs[i] to devs[j].
+	peers     []peerPath
+	transfers *profiler.Names
+}
+
+// APINames are the API entry points' profile names, at fixed slots: seed
+// a profile's API table with them (profiler.Seeds.APIs).
+var APINames = profiler.NewNames([]string{APILaunchKernel, APIMemcpyAsync, APIStreamSync})
+
+// NewLayout lays out the listed GPUs of a topology (a repeated ID counts
+// once).
+func NewLayout(top *topology.Topology, gpus []topology.NodeID) (*Layout, error) {
+	lay := &Layout{top: top, index: make([]int, top.NumNodes())}
+	for i := range lay.index {
+		lay.index[i] = -1
+	}
+	var managed []topology.NodeID
+	for _, id := range gpus {
+		n, err := top.Node(id)
+		if err != nil {
+			return nil, err
+		}
+		if n.Kind != topology.GPU {
+			return nil, fmt.Errorf("cuda: node %d is a %s, not a GPU", id, n.Kind)
+		}
+		for int(id) >= len(lay.index) {
+			lay.index = append(lay.index, -1)
+		}
+		if lay.index[id] < 0 {
+			lay.index[id] = len(managed)
+			managed = append(managed, id)
+		}
+	}
+	lay.ids = slices.Clone(managed)
+	slices.Sort(lay.ids)
+
+	// Every name, cut from one buffer.
+	var nb nameBuf
+	n := len(managed)
+	for _, id := range managed {
+		nb.add("GPU", int(id), "/host", -1)
+		nb.add("GPU", int(id), "/engine", -1)
+		nb.add("GPU", int(id), "/compute", -1)
+		nb.add("GPU", int(id), "/comm", -1)
+		nb.add("memcpyHtoD ->", int(id), "", -1)
+		nb.add("xfer H->", int(id), "", -1)
+		nb.add("memcpyDtoH ", int(id), "->", -1)
+		nb.add("xfer ", int(id), "->H", -1)
+	}
+	for _, src := range managed {
+		for _, dst := range managed {
+			if src != dst {
+				nb.add("memcpyP2P ", int(src), "->", int(dst))
+				nb.add("xfer ", int(src), "->", int(dst))
+			}
+		}
+	}
+	names := nb.strings()
+	transfers := make([]string, 0, n*(n+1))
+	lay.devs = make([]deviceLayout, n)
+	hops := make([]topology.Hop, 2*n)
+	for i, id := range managed {
+		d := &lay.devs[i]
+		at := names[8*i:]
+		d.id = id
+		d.hostTrack, d.engineTrack, d.computeTrack, d.commTrack = at[0], at[1], at[2], at[3]
+		d.h2d.memcpy.name, d.h2d.xfer, d.d2h.memcpy.name, d.d2h.xfer = at[4], at[5], at[6], at[7]
+		d.h2d.route, d.d2h.route = hostRoutes(top, id, hops[2*i:2*i+2:2*i+2])
+		d.h2d.memcpy.slot = profiler.Slot(len(transfers))
+		d.d2h.memcpy.slot = profiler.Slot(len(transfers) + 1)
+		transfers = append(transfers, d.h2d.memcpy.name, d.d2h.memcpy.name)
+	}
+	// A copy from a GPU to itself does not route, so it has no names.
+	lay.peers = make([]peerPath, n*n)
+	at := names[8*n:]
+	for i := range lay.peers {
+		p := &lay.peers[i]
+		if i/n == i%n {
+			p.memcpy.slot = profiler.NoSlot
+			continue
+		}
+		p.memcpy.name, p.xfer, at = at[0], at[1], at[2:]
+		p.memcpy.slot = profiler.Slot(len(transfers))
+		transfers = append(transfers, p.memcpy.name)
+	}
+	lay.transfers = profiler.NewNames(transfers)
+	return lay, nil
+}
+
+// hostRoutes routes a GPU's PCIe copies to (h2d) and from (d2h) its host
+// CPU, over the two hops given.
+func hostRoutes(top *topology.Topology, id topology.NodeID, hops []topology.Hop) (h2d, d2h route) {
+	host, err := top.HostCPU(id)
+	if err != nil {
+		return route{err: err}, route{err: err}
+	}
+	link := top.DirectLink(id, host, topology.PCIe)
+	if link == nil {
+		err := fmt.Errorf("cuda: GPU %d has no PCIe link", id)
+		return route{err: err}, route{err: err}
+	}
+	hops[0] = topology.Hop{Link: link, From: host, To: id}
+	hops[1] = topology.Hop{Link: link, From: id, To: host}
+	return route{path: topology.Path{Hops: hops[0:1:1]}}, route{path: topology.Path{Hops: hops[1:2:2]}}
+}
+
+// nameBuf cuts many short names from one string, so a layout's names
+// cost one allocation. Each name is a prefix, a decimal number, a middle
+// and an optional second number (omitted when negative).
+type nameBuf struct {
+	buf  []byte
+	ends []int
+}
+
+func (b *nameBuf) add(prefix string, a int, middle string, c int) {
+	b.buf = append(b.buf, prefix...)
+	b.buf = strconv.AppendInt(b.buf, int64(a), 10)
+	b.buf = append(b.buf, middle...)
+	if c >= 0 {
+		b.buf = strconv.AppendInt(b.buf, int64(c), 10)
+	}
+	b.ends = append(b.ends, len(b.buf))
+}
+
+// strings returns the names in the order added.
+func (b *nameBuf) strings() []string {
+	all := string(b.buf)
+	out := make([]string, len(b.ends))
+	lo := 0
+	for i, hi := range b.ends {
+		out[i] = all[lo:hi]
+		lo = hi
+	}
+	return out
+}
+
+// Transfers returns the transfer names the layout's copies record under,
+// at their slots: seed a runtime's profile with them
+// (profiler.Seeds.Transfers).
+func (lay *Layout) Transfers() *profiler.Names { return lay.transfers }
+
+// device is a runtime's state for one managed GPU: the device model with
+// its queues, and its two host worker threads.
 type device struct {
-	dev           *gpu.Device
-	host, engine  *sim.Resource
-	hostTrack     string // host-thread tracks
-	engineTrack   string
-	compute, comm string // device-queue tracks
-	// h2d and d2h are the PCIe copy paths from and to the host CPU,
-	// resolved on first use.
-	h2d, d2h *copyPath
+	lay          *deviceLayout
+	dev          gpu.Device
+	host, engine sim.Resource
 }
 
 // Runtime binds devices, host threads, the fabric, and a profile.
 type Runtime struct {
+	lay    *Layout
 	fabric *interconnect.Fabric
-	// devs is indexed by NodeID; entries for nodes the runtime does not
-	// manage are nil.
-	devs   []*device
-	ids    []topology.NodeID // managed GPUs, ascending
+	// devs is the runtime's slab, indexed like lay.devs.
+	devs   []device
 	prof   *profiler.Profile
 	costs  Costs
 	policy topology.RoutePolicy
 	cpuRes map[string]*sim.Resource
 
 	launch, memcpy, sync label // the API entry points' profile labels
-
-	// peers caches routed peer copies per (policy, src, dst), indexed
-	// (policy*nodes+src)*nodes+dst and filled on first use; nodes spans
-	// the topology's node IDs.
-	peers []*copyPath
-	nodes int
+	// seeded reports that the profile's transfer table was seeded with
+	// the layout's transfer names, so the layout's slots are the
+	// profile's.
+	seeded bool
 }
 
 // NewRuntime creates devices and host threads for the listed GPUs. prof may
@@ -150,89 +333,40 @@ func NewRuntime(fabric *interconnect.Fabric, spec gpu.Spec, gpus []topology.Node
 // use it to model straggler GPUs — a heterogeneous node where one device
 // runs every kernel slower than its peers.
 func NewRuntimeWithSpecs(fabric *interconnect.Fabric, def gpu.Spec, specs map[topology.NodeID]gpu.Spec, gpus []topology.NodeID, costs Costs, prof *profiler.Profile) (*Runtime, error) {
-	top := fabric.Topology()
+	lay, err := NewLayout(fabric.Topology(), gpus)
+	if err != nil {
+		return nil, err
+	}
+	return lay.NewRuntime(fabric, def, specs, costs, prof), nil
+}
+
+// NewRuntime creates a runtime over the layout's GPUs, booking on fabric
+// (a fabric over the layout's topology): its devices and host threads are
+// one zeroed slab. Devices listed in specs use their entry, the rest use
+// def. prof may be nil to disable accounting; a profile seeded with
+// APINames and the layout's Transfers records without interning a name.
+func (lay *Layout) NewRuntime(fabric *interconnect.Fabric, def gpu.Spec, specs map[topology.NodeID]gpu.Spec, costs Costs, prof *profiler.Profile) *Runtime {
 	rt := &Runtime{
+		lay:    lay,
 		fabric: fabric,
+		devs:   make([]device, len(lay.devs)),
 		prof:   prof,
 		costs:  costs,
 		policy: topology.RouteStagedNVLink,
-		nodes:  top.NumNodes(),
+		seeded: prof != nil && prof.Seeded(profiler.KindTransfer) == lay.transfers,
 	}
 	rt.launch = rt.label(profiler.KindAPI, APILaunchKernel)
 	rt.memcpy = rt.label(profiler.KindAPI, APIMemcpyAsync)
 	rt.sync = rt.label(profiler.KindAPI, APIStreamSync)
-	for _, id := range gpus {
-		n, err := top.Node(id)
-		if err != nil {
-			return nil, err
+	for i := range rt.devs {
+		d := &rt.devs[i]
+		d.lay = &lay.devs[i]
+		d.dev.ID, d.dev.Spec = d.lay.id, def
+		if s, ok := specs[d.lay.id]; ok {
+			d.dev.Spec = s
 		}
-		if n.Kind != topology.GPU {
-			return nil, fmt.Errorf("cuda: node %d is a %s, not a GPU", id, n.Kind)
-		}
-		spec := def
-		if s, ok := specs[id]; ok {
-			spec = s
-		}
-		d := &device{
-			dev:         gpu.NewDevice(id, spec),
-			hostTrack:   fmt.Sprintf("GPU%d/host", id),
-			engineTrack: fmt.Sprintf("GPU%d/engine", id),
-		}
-		d.compute, d.comm = d.dev.QueueNames()
-		d.host = sim.NewResource(d.hostTrack)
-		d.engine = sim.NewResource(d.engineTrack)
-		if int(id) >= len(rt.devs) {
-			rt.devs = append(rt.devs, make([]*device, int(id)+1-len(rt.devs))...)
-		}
-		if rt.devs[id] == nil {
-			rt.ids = append(rt.ids, id)
-		}
-		rt.devs[id] = d
 	}
-	slices.Sort(rt.ids)
-	return rt, nil
-}
-
-// hostPath returns a GPU's cached PCIe copy path to (toGPU) or from its
-// host CPU, with the transfer's labels, resolving it on first use.
-func (rt *Runtime) hostPath(d *device, toGPU bool) *copyPath {
-	cached := &d.d2h
-	if toGPU {
-		cached = &d.h2d
-	}
-	if *cached == nil {
-		*cached = rt.resolveHostPath(d.dev.ID, toGPU)
-	}
-	return *cached
-}
-
-// resolveHostPath routes a GPU's PCIe copy to or from its host CPU.
-func (rt *Runtime) resolveHostPath(id topology.NodeID, toGPU bool) *copyPath {
-	c := &copyPath{}
-	if toGPU {
-		c.memcpy = rt.label(profiler.KindTransfer, fmt.Sprintf("memcpyHtoD ->%d", id))
-		c.xfer = fmt.Sprintf("xfer H->%d", id)
-	} else {
-		c.memcpy = rt.label(profiler.KindTransfer, fmt.Sprintf("memcpyDtoH %d->", id))
-		c.xfer = fmt.Sprintf("xfer %d->H", id)
-	}
-	top := rt.fabric.Topology()
-	host, err := top.HostCPU(id)
-	if err != nil {
-		c.err = err
-		return c
-	}
-	link := top.DirectLink(id, host, topology.PCIe)
-	if link == nil {
-		c.err = fmt.Errorf("cuda: GPU %d has no PCIe link", id)
-		return c
-	}
-	hop := topology.Hop{Link: link, From: id, To: host}
-	if toGPU {
-		hop = topology.Hop{Link: link, From: host, To: id}
-	}
-	c.path = topology.Path{Hops: []topology.Hop{hop}}
-	return c
+	return rt
 }
 
 // label interns a profile name (a nil profile records nothing, so any
@@ -252,57 +386,53 @@ func (rt *Runtime) NewKernel(name string, dur time.Duration) Kernel {
 	return Kernel{Name: name, Dur: dur, Slot: l.slot}
 }
 
-// Lower appends a kernel plan, lowered for devices of one spec, to dst and
-// returns the extended launch table: each entry's duration is computed
-// once here instead of on every launch of every device in every
-// iteration.
-func (rt *Runtime) Lower(dst []Kernel, spec gpu.Spec, plan []gpu.KernelCost) []Kernel {
-	if dst == nil {
-		dst = make([]Kernel, 0, len(plan))
+// LowerRun lowers a kernel plan for devices of one spec as one run.
+func (rt *Runtime) LowerRun(spec gpu.Spec, plan []gpu.KernelCost) Run {
+	r := Run{Slots: make([]profiler.Slot, len(plan)), Durs: make([]time.Duration, len(plan))}
+	for i, c := range plan {
+		r.Slots[i] = rt.label(profiler.KindKernel, c.Name).slot
+		r.Durs[i] = spec.KernelDuration(c)
 	}
-	for _, c := range plan {
-		dst = append(dst, rt.NewKernel(c.Name, spec.KernelDuration(c)))
-	}
-	return dst
+	r.RunSum = Summarize(r.Durs, rt.costs.LaunchKernel)
+	return r
 }
 
 // state returns the runtime's state for a GPU, or nil if it does not
 // manage that node.
 func (rt *Runtime) state(id topology.NodeID) *device {
-	if id < 0 || int(id) >= len(rt.devs) {
+	if id < 0 || int(id) >= len(rt.lay.index) || rt.lay.index[id] < 0 {
 		return nil
 	}
-	return rt.devs[id]
+	return &rt.devs[rt.lay.index[id]]
 }
 
-// peer returns the cached route and labels of one src->dst copy under the
-// current policy. IDs outside [0, nodes) are routed afresh every time.
-func (rt *Runtime) peer(src, dst topology.NodeID) *copyPath {
-	i := -1
-	if src >= 0 && dst >= 0 && int(src) < rt.nodes && int(dst) < rt.nodes {
-		pol := 0
-		if rt.policy != topology.RouteStagedNVLink {
-			pol = 1
-		}
-		if rt.peers == nil {
-			rt.peers = make([]*copyPath, 2*rt.nodes*rt.nodes)
-		}
-		i = (pol*rt.nodes+int(src))*rt.nodes + int(dst)
-		if c := rt.peers[i]; c != nil {
-			return c
+// peer returns the route and labels of one src->dst copy under the
+// current policy. A copy between managed GPUs takes the layout's labels
+// and its route, routed once per layout; any other is routed and named
+// afresh every time.
+func (rt *Runtime) peer(src, dst topology.NodeID) copyPath {
+	s, d := rt.state(src), rt.state(dst)
+	if s == nil || d == nil {
+		path, err := rt.lay.top.Route(src, dst, rt.policy)
+		return copyPath{
+			route:  route{path: path, err: err},
+			memcpy: label{name: fmt.Sprintf("memcpyP2P %d->%d", src, dst), slot: profiler.NoSlot},
+			xfer:   fmt.Sprintf("xfer %d->%d", src, dst),
 		}
 	}
-	path, err := rt.fabric.Topology().Route(src, dst, rt.policy)
-	c := &copyPath{
-		path:   path,
-		err:    err,
-		memcpy: rt.label(profiler.KindTransfer, fmt.Sprintf("memcpyP2P %d->%d", src, dst)),
-		xfer:   fmt.Sprintf("xfer %d->%d", src, dst),
+	p := &rt.lay.peers[rt.lay.index[src]*len(rt.devs)+rt.lay.index[dst]]
+	pol := 0
+	if rt.policy != topology.RouteStagedNVLink {
+		pol = 1
 	}
-	if i >= 0 {
-		rt.peers[i] = c
+	r := p.routes[pol].Load()
+	if r == nil {
+		path, err := rt.lay.top.Route(src, dst, rt.policy)
+		// A runtime that routed it first stored the same route.
+		p.routes[pol].CompareAndSwap(nil, &route{path: path, err: err})
+		r = p.routes[pol].Load()
 	}
-	return c
+	return copyPath{route: *r, memcpy: p.memcpy, xfer: p.xfer}
 }
 
 // SetRoutePolicy selects how peer copies without a direct NVLink are routed
@@ -312,14 +442,14 @@ func (rt *Runtime) SetRoutePolicy(p topology.RoutePolicy) { rt.policy = p }
 // Device returns the device model for a GPU (nil if not managed).
 func (rt *Runtime) Device(id topology.NodeID) *gpu.Device {
 	if d := rt.state(id); d != nil {
-		return d.dev
+		return &d.dev
 	}
 	return nil
 }
 
 // Devices returns the IDs of all GPUs managed by the runtime, ascending.
 func (rt *Runtime) Devices() []topology.NodeID {
-	return append([]topology.NodeID(nil), rt.ids...)
+	return append([]topology.NodeID(nil), rt.lay.ids...)
 }
 
 // Fabric returns the interconnect.
@@ -342,9 +472,9 @@ func (rt *Runtime) record(slot profiler.Slot, iv profiler.Interval) {
 // selects the latter, so communication issue does not serialize behind the
 // launch loop.
 func (rt *Runtime) hostCall(d *device, api label, stage profiler.Stage, ready time.Duration, dur time.Duration, engine bool) (start, end time.Duration) {
-	res, track := d.host, d.hostTrack
+	res, track := &d.host, d.lay.hostTrack
 	if engine {
-		res, track = d.engine, d.engineTrack
+		res, track = &d.engine, d.lay.engineTrack
 	}
 	start, end = res.Book(ready, dur)
 	rt.record(api.slot, profiler.Interval{
@@ -359,11 +489,11 @@ func (rt *Runtime) hostCall(d *device, api label, stage profiler.Stage, ready ti
 // framework's engine enqueues on its own, such as the kvstore's weight
 // update.
 func (rt *Runtime) BookKernel(dev topology.NodeID, comm bool, stage profiler.Stage, k Kernel, ready time.Duration) (start, end time.Duration) {
-	d := rt.devs[dev]
-	track := d.compute
+	d := rt.state(dev)
+	track := d.lay.computeTrack
 	if comm {
 		start, end = d.dev.BookCommKernel(ready, k.Dur)
-		track = d.comm
+		track = d.lay.commTrack
 	} else {
 		start, end = d.dev.BookKernel(ready, k.Dur)
 	}
@@ -378,26 +508,35 @@ func (rt *Runtime) BookKernel(dev topology.NodeID, comm bool, stage profiler.Sta
 type Stream struct {
 	rt   *Runtime
 	d    *device
-	name string
 	tail time.Duration
 	comm bool
 }
 
 // Stream creates a compute stream on the device.
-func (rt *Runtime) Stream(dev topology.NodeID, name string) *Stream {
-	return &Stream{rt: rt, d: rt.devs[dev], name: name}
+func (rt *Runtime) Stream(dev topology.NodeID) *Stream {
+	return &Stream{rt: rt, d: rt.state(dev)}
 }
 
 // CommStream creates a stream whose kernels run on the device's
 // communication queue, overlapping compute (as NCCL's do).
-func (rt *Runtime) CommStream(dev topology.NodeID, name string) *Stream {
-	s := rt.Stream(dev, name)
+func (rt *Runtime) CommStream(dev topology.NodeID) *Stream {
+	s := rt.Stream(dev)
 	s.comm = true
 	return s
 }
 
+// Streams creates one stream per device, in order, in one slice: compute
+// streams, or communication streams when comm is set.
+func (rt *Runtime) Streams(devs []topology.NodeID, comm bool) []Stream {
+	out := make([]Stream, len(devs))
+	for i, d := range devs {
+		out[i] = Stream{rt: rt, d: rt.state(d), comm: comm}
+	}
+	return out
+}
+
 // Device returns the stream's device.
-func (s *Stream) Device() *gpu.Device { return s.d.dev }
+func (s *Stream) Device() *gpu.Device { return &s.d.dev }
 
 // Tail returns the completion time of the last operation issued.
 func (s *Stream) Tail() time.Duration { return s.tail }
@@ -422,10 +561,10 @@ func (s *Stream) Launch(stage profiler.Stage, k Kernel, hostReady time.Duration)
 		ready = s.tail
 	}
 	var start, end time.Duration
-	track := s.d.compute
+	track := s.d.lay.computeTrack
 	if s.comm {
 		start, end = s.d.dev.BookCommKernel(ready, k.Dur)
-		track = s.d.comm
+		track = s.d.lay.commTrack
 	} else {
 		start, end = s.d.dev.BookKernel(ready, k.Dur)
 	}
@@ -447,25 +586,26 @@ func (s *Stream) Launch(stage profiler.Stage, k Kernel, hostReady time.Duration)
 //	hostDone  = H0 + n·L
 //	kernelEnd = max(E0 + sum, H0 + crit)
 //
-// exactly, in integer nanoseconds (see Run). A Detailed profile still
+// exactly, in integer nanoseconds (see RunSum). A Detailed profile still
 // launches kernel by kernel, so its timeline keeps every interval. An
 // empty run books nothing and returns (hostReady, 0), as the loop it
 // replaces does.
 func (s *Stream) LaunchRun(stage profiler.Stage, r Run, hostReady time.Duration) (hostDone, kernelEnd time.Duration) {
-	n := len(r.Kernels)
+	n := len(r.Durs)
 	if n == 0 {
 		return hostReady, 0
 	}
 	prof := s.rt.prof
 	if prof != nil && prof.Detailed() {
-		for _, k := range r.Kernels {
+		for i, dur := range r.Durs {
+			k := Kernel{Name: prof.Name(profiler.KindKernel, r.Slots[i]), Dur: dur, Slot: r.Slots[i]}
 			hostReady, kernelEnd = s.Launch(stage, k, hostReady)
 		}
 		return hostReady, kernelEnd
 	}
-	thread := s.d.host
+	thread := &s.d.host
 	if s.comm {
-		thread = s.d.engine
+		thread = &s.d.engine
 	}
 	queue := s.d.dev.Queue(s.comm)
 	h0 := max(hostReady, thread.FreeAt())
@@ -478,8 +618,8 @@ func (s *Stream) LaunchRun(stage profiler.Stage, r Run, hostReady time.Duration)
 	s.tail = kernelEnd
 	if prof != nil {
 		prof.AddSlot(profiler.KindAPI, s.rt.launch.slot, int64(n), launch)
-		for _, k := range r.Kernels {
-			prof.AddSlot(profiler.KindKernel, k.Slot, 1, k.Dur)
+		for i, slot := range r.Slots {
+			prof.AddSlot(profiler.KindKernel, slot, 1, r.Durs[i])
 		}
 	}
 	return hostDone, kernelEnd
@@ -514,7 +654,7 @@ func (s *Stream) Extend(stage profiler.Stage, k Kernel, ready, until time.Durati
 	}
 	s.rt.record(k.Slot, profiler.Interval{
 		Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
-		Track: s.d.comm, Start: bs, End: be,
+		Track: s.d.lay.commTrack, Start: bs, End: be,
 	})
 	s.tail = be
 	return be
@@ -526,22 +666,18 @@ func (s *Stream) Extend(stage profiler.Stage, k Kernel, ready, until time.Durati
 // owns the per-launch scratch, so it is single-threaded like the runtime.
 type Gang struct {
 	rt      *Runtime
-	streams []*Stream
+	streams []Stream
 	avail   []time.Duration
 }
 
-// CommGang creates a communication stream (CommStream) on each device,
-// in rank order, and groups them into a gang.
-func (rt *Runtime) CommGang(devs []topology.NodeID, name string) *Gang {
-	g := &Gang{rt: rt, streams: make([]*Stream, len(devs)), avail: make([]time.Duration, len(devs))}
-	for i, d := range devs {
-		g.streams[i] = rt.CommStream(d, fmt.Sprintf("%s%d", name, d))
-	}
-	return g
+// CommGang creates a communication stream on each device, in rank order,
+// and groups them into a gang.
+func (rt *Runtime) CommGang(devs []topology.NodeID) *Gang {
+	return &Gang{rt: rt, streams: rt.Streams(devs, true), avail: make([]time.Duration, len(devs))}
 }
 
 // Stream returns rank i's stream.
-func (g *Gang) Stream(i int) *Stream { return g.streams[i] }
+func (g *Gang) Stream(i int) *Stream { return &g.streams[i] }
 
 // Launch books one collective kernel k on every rank from ready: each
 // rank's engine thread pays a cudaLaunchKernel, rank i becomes available
@@ -562,8 +698,9 @@ func (g *Gang) Launch(stage profiler.Stage, k Kernel, ready, dur time.Duration) 
 	}
 	launch := g.rt.costs.LaunchKernel
 	global = ready
-	for i, s := range g.streams {
-		thread := s.d.engine
+	for i := range g.streams {
+		s := &g.streams[i]
+		thread := &s.d.engine
 		hostDone := max(ready, thread.FreeAt()) + launch
 		thread.BookRun(1, launch, hostDone)
 		a := max(hostDone, s.tail)
@@ -572,7 +709,8 @@ func (g *Gang) Launch(stage profiler.Stage, k Kernel, ready, dur time.Duration) 
 	}
 	end = global + dur
 	var busy time.Duration
-	for i, s := range g.streams {
+	for i := range g.streams {
+		s := &g.streams[i]
 		start := max(s.tail, g.avail[i])
 		d := max(end-start, 0)
 		queue := s.d.dev.Queue(true)
@@ -592,13 +730,14 @@ func (g *Gang) Launch(stage profiler.Stage, k Kernel, ready, dur time.Duration) 
 // Extend on every rank.
 func (g *Gang) launchEach(stage profiler.Stage, k Kernel, ready, dur time.Duration) (global, end time.Duration) {
 	global = ready
-	for i, s := range g.streams {
+	for i := range g.streams {
+		s := &g.streams[i]
 		g.avail[i] = max(s.HostLaunch(stage, ready), s.tail, ready)
 		global = max(global, g.avail[i])
 	}
 	end = global + dur
-	for i, s := range g.streams {
-		s.Extend(stage, k, g.avail[i], end)
+	for i := range g.streams {
+		g.streams[i].Extend(stage, k, g.avail[i], end)
 	}
 	return global, end
 }
@@ -616,7 +755,7 @@ func (s *Stream) Synchronize(stage profiler.Stage, hostReady time.Duration) time
 // blocked window as cudaStreamSynchronize — how nvprof accounts the
 // framework's WaitToRead. It returns when the host resumes.
 func (rt *Runtime) HostWait(dev topology.NodeID, stage profiler.Stage, hostReady, target time.Duration) time.Duration {
-	return rt.block(rt.devs[dev], false, stage, hostReady, target)
+	return rt.block(rt.state(dev), false, stage, hostReady, target)
 }
 
 // block books a cudaStreamSynchronize on one of the device's threads (the
@@ -648,7 +787,7 @@ func (rt *Runtime) MemcpyPeer(dst, src topology.NodeID, size units.Bytes, stage 
 	}
 	issuer := rt.state(dst)
 	if issuer == nil {
-		issuer = rt.devs[src]
+		issuer = rt.state(src)
 	}
 	_, hostDone = rt.hostCall(issuer, rt.memcpy, stage, hostReady, rt.costs.MemcpyAsync, true)
 	ready := hostDone
@@ -661,13 +800,19 @@ func (rt *Runtime) MemcpyPeer(dst, src topology.NodeID, size units.Bytes, stage 
 			end = dmaEnd
 		}
 	}
-	rt.recordCopy(pc, stage, start, end)
+	rt.recordCopy(&pc, stage, start, end)
 	return hostDone, end, nil
 }
 
-// recordCopy records one transfer on its cached labels.
+// recordCopy records one transfer on its labels. The layout's slot is the
+// profile's when the profile was seeded with the layout's transfer names;
+// otherwise the name is interned.
 func (rt *Runtime) recordCopy(c *copyPath, stage profiler.Stage, start, end time.Duration) {
-	rt.record(c.memcpy.slot, profiler.Interval{
+	slot := c.memcpy.slot
+	if rt.prof != nil && (slot < 0 || !rt.seeded) {
+		slot = rt.prof.Intern(profiler.KindTransfer, c.memcpy.name)
+	}
+	rt.record(slot, profiler.Interval{
 		Kind: profiler.KindTransfer, Name: c.memcpy.name,
 		Stage: stage, Track: c.xfer,
 		Start: start, End: end,
@@ -677,8 +822,8 @@ func (rt *Runtime) recordCopy(c *copyPath, stage profiler.Stage, start, end time
 // MemcpyHostToDevice enqueues a host-to-device copy over the GPU's PCIe
 // link (training-data staging).
 func (rt *Runtime) MemcpyHostToDevice(dst topology.NodeID, size units.Bytes, stage profiler.Stage, hostReady time.Duration) (hostDone, end time.Duration, err error) {
-	d := rt.devs[dst]
-	c := rt.hostPath(d, true)
+	d := rt.state(dst)
+	c := &d.lay.h2d
 	if c.err != nil {
 		return 0, 0, c.err
 	}
@@ -691,8 +836,8 @@ func (rt *Runtime) MemcpyHostToDevice(dst topology.NodeID, size units.Bytes, sta
 // MemcpyDeviceToHost enqueues a device-to-host copy over the GPU's PCIe
 // link (gradient upload for a CPU parameter server).
 func (rt *Runtime) MemcpyDeviceToHost(src topology.NodeID, size units.Bytes, stage profiler.Stage, hostReady, dataReady time.Duration) (hostDone, end time.Duration, err error) {
-	d := rt.devs[src]
-	c := rt.hostPath(d, false)
+	d := rt.state(src)
+	c := &d.lay.d2h
 	if c.err != nil {
 		return 0, 0, c.err
 	}
@@ -715,7 +860,7 @@ func (rt *Runtime) CPUWork(name string, stage profiler.Stage, ready time.Duratio
 		if rt.cpuRes == nil {
 			rt.cpuRes = map[string]*sim.Resource{}
 		}
-		res = sim.NewResource(name)
+		res = new(sim.Resource)
 		rt.cpuRes[name] = res
 	}
 	start, end = res.Book(ready, dur)

@@ -25,7 +25,7 @@ func newRuntime(t *testing.T, gpus []topology.NodeID) (*Runtime, *profiler.Profi
 
 // kernel lowers one kernel cost for the V100 the test runtimes use.
 func kernel(rt *Runtime, c gpu.KernelCost) Kernel {
-	return rt.Lower(nil, gpu.V100(), []gpu.KernelCost{c})[0]
+	return rt.NewKernel(c.Name, gpu.V100().KernelDuration(c))
 }
 
 func TestNewRuntimeRejectsCPUs(t *testing.T) {
@@ -50,7 +50,7 @@ func TestDevicesSorted(t *testing.T) {
 
 func TestStreamOrdering(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0})
-	s := rt.Stream(0, "compute")
+	s := rt.Stream(0)
 	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA})
 	_, end1 := s.Launch(profiler.StageFP, c, 0)
 	_, end2 := s.Launch(profiler.StageFP, c, 0)
@@ -64,7 +64,7 @@ func TestStreamOrdering(t *testing.T) {
 
 func TestLaunchPaysHostCost(t *testing.T) {
 	rt, prof := newRuntime(t, []topology.NodeID{0})
-	s := rt.Stream(0, "compute")
+	s := rt.Stream(0)
 	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA})
 	hostDone, _ := s.Launch(profiler.StageFP, c, 0)
 	if hostDone != DefaultCosts().LaunchKernel {
@@ -77,7 +77,7 @@ func TestLaunchPaysHostCost(t *testing.T) {
 
 func TestSynchronizeWaitsForTail(t *testing.T) {
 	rt, prof := newRuntime(t, []topology.NodeID{0})
-	s := rt.Stream(0, "compute")
+	s := rt.Stream(0)
 	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: 100 * units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA})
 	_, kEnd := s.Launch(profiler.StageFP, c, 0)
 	resume := s.Synchronize(profiler.StageFP, DefaultCosts().LaunchKernel)
@@ -96,7 +96,7 @@ func TestSynchronizeWaitsForTail(t *testing.T) {
 
 func TestSynchronizeIdleStreamIsCheap(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0})
-	s := rt.Stream(0, "compute")
+	s := rt.Stream(0)
 	resume := s.Synchronize(profiler.StageOther, time.Millisecond)
 	if want := time.Millisecond + DefaultCosts().StreamSyncOverhead; resume != want {
 		t.Errorf("resume = %v, want %v", resume, want)
@@ -168,8 +168,8 @@ func TestMemcpyHostToDevice(t *testing.T) {
 
 func TestCommStreamOverlapsCompute(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0})
-	cs := rt.Stream(0, "compute")
-	ns := rt.CommStream(0, "nccl")
+	cs := rt.Stream(0)
+	ns := rt.CommStream(0)
 	big := kernel(rt, gpu.KernelCost{Name: "conv", FLOPs: 500 * units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassFMA})
 	_, computeEnd := cs.Launch(profiler.StageFP, big, 0)
 	_, commEnd := ns.Launch(profiler.StageWU, rt.NewKernel("ncclAllReduce", 10*time.Microsecond), 0)
@@ -185,7 +185,7 @@ func TestKernelRecordedWithStageAndTrack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rt.Stream(2, "compute")
+	s := rt.Stream(2)
 	c := kernel(rt, gpu.KernelCost{Name: "conv2d_fprop", FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: gpu.ClassTensor})
 	s.Launch(profiler.StageFP, c, 0)
 	var found bool
@@ -211,7 +211,7 @@ func TestNilProfileIsSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rt.Stream(0, "c")
+	s := rt.Stream(0)
 	s.Launch(profiler.StageFP, kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 20, Class: gpu.ClassFMA}), 0)
 	s.Synchronize(profiler.StageFP, 0)
 	if _, _, err := rt.MemcpyPeer(1, 0, units.MB, profiler.StageWU, 0, 0); err != nil {

@@ -13,7 +13,7 @@ import (
 
 func TestWaitEventRaisesTail(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0})
-	s := rt.Stream(0, "c")
+	s := rt.Stream(0)
 	s.WaitEvent(5 * time.Millisecond)
 	if s.Tail() != 5*time.Millisecond {
 		t.Errorf("tail = %v", s.Tail())
@@ -33,7 +33,7 @@ func TestWaitEventRaisesTail(t *testing.T) {
 
 func TestExtendOccupiesUntil(t *testing.T) {
 	rt, prof := newRuntime(t, []topology.NodeID{0})
-	s := rt.CommStream(0, "nccl")
+	s := rt.CommStream(0)
 	end := s.Extend(profiler.StageWU, rt.NewKernel("collective", 0), time.Millisecond, 3*time.Millisecond)
 	if end != 3*time.Millisecond {
 		t.Errorf("end = %v", end)
@@ -70,7 +70,7 @@ func TestHostWaitRecordsBlockedTime(t *testing.T) {
 
 func TestEngineThreadSeparateFromLaunchThread(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0, 1})
-	s := rt.Stream(0, "compute")
+	s := rt.Stream(0)
 	// Saturate the launch thread with many launches.
 	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.KFLOPs, Parallelism: 1 << 10, Class: gpu.ClassFMA})
 	host := time.Duration(0)
@@ -135,7 +135,7 @@ func TestRuntimeAccessors(t *testing.T) {
 	if _, err := rt.Route(0, 1); err != nil {
 		t.Error("route failed")
 	}
-	s := rt.Stream(0, "x")
+	s := rt.Stream(0)
 	if s.Device().ID != 0 {
 		t.Error("stream device wrong")
 	}

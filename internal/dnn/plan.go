@@ -56,13 +56,57 @@ func gemmCost(opt PlanOptions, effFMA float64, effTensor float64) (gpu.KernelCla
 	return gpu.ClassFMA, effFMA
 }
 
+// Kernel passes, each naming its kernels with a suffix.
+const (
+	passFprop = iota
+	passDgrad
+	passWgrad
+	passBgrad
+	numPasses
+)
+
+var passSuffix = [numPasses]string{"_fprop", "_dgrad", "_wgrad", "_bgrad"}
+
+// kernelNames[k][p] is op kind k's kernel name in pass p ("conv_fprop"),
+// built once, so the plans of every batch share their name strings.
+var kernelNames = func() (t [OpSoftmax + 1][numPasses]string) {
+	for k := range t {
+		for p := range t[k] {
+			t[k][p] = OpKind(k).String() + passSuffix[p]
+		}
+	}
+	return t
+}()
+
+// kernelName names kind k's kernel in pass p.
+func kernelName(k OpKind, p int) string {
+	if k >= 0 && int(k) < len(kernelNames) {
+		return kernelNames[k][p]
+	}
+	return k.String() + passSuffix[p]
+}
+
+// lowered counts the nodes that lower to kernels (all but input and
+// flatten nodes), which is the length of both plans.
+func (n *Network) lowered() int {
+	c := 0
+	for _, nd := range n.nodes {
+		switch nd.Op.Kind() {
+		case OpInput, OpFlatten:
+		default:
+			c++
+		}
+	}
+	return c
+}
+
 // forwardKernel lowers one node's forward pass.
 func forwardKernel(n *Node, batch int, opt PlanOptions) gpu.KernelCost {
 	b := int64(batch)
 	mem := (n.InputBytesPerImage()+n.ActivationBytesPerImage())*units.Bytes(b) +
 		units.BytesOf(n.ParamsN, units.Float32Size)
 	c := gpu.KernelCost{
-		Name:        n.Op.Kind().String() + "_fprop",
+		Name:        kernelName(n.Op.Kind(), passFprop),
 		FLOPs:       n.FwdFLOPs * units.FLOPs(b),
 		MemBytes:    mem,
 		Parallelism: n.Out.Elems() * b,
@@ -90,10 +134,36 @@ type planKey struct {
 }
 
 // compiledPlans is one memoized lowering: the forward kernel sequence and
-// the backward steps for a (batch, options) pair.
+// the backward steps for a (batch, options) pair, and what callers derive
+// from them (Derived).
 type compiledPlans struct {
-	fwd []gpu.KernelCost
-	bwd []BackwardStep
+	fwd     []gpu.KernelCost
+	bwd     []BackwardStep
+	derived *memo.Group[any, any]
+}
+
+// derivedMax bounds the values one plan keeps beside it: a few per device
+// spec, over the handful of GPU generations the machines carry.
+const derivedMax = 16
+
+// Derived returns derive's result for the (batch, opt) plan of n and key,
+// computed once and kept beside the memoized plan: the plan memo bounds
+// it, and it goes with the plan (models.ResetCache drops the zoo's
+// networks, and with them every plan). derive receives the plan's
+// forward kernels and backward steps, read-only, and must be a pure
+// function of them and key; its result is shared, so callers treat it as
+// read-only. Keys of distinct types never collide, so each caller keys by
+// a type of its own, and that type fixes V.
+func Derived[K comparable, V any](n *Network, batch int, opt PlanOptions, key K, derive func(fwd []gpu.KernelCost, bwd []BackwardStep) V) V {
+	p := n.compiled(batch, opt)
+	if v, ok := p.derived.Lookup(key); ok {
+		return v.(V)
+	}
+	// Deriving is cheap next to a flight, so concurrent first callers
+	// each derive, and the last one's equal value stays.
+	v := derive(p.fwd, p.bwd)
+	p.derived.Add(key, v)
+	return v
 }
 
 // compiled returns the memoized plans for a batch size and option set,
@@ -110,8 +180,9 @@ func (n *Network) compiled(batch int, opt PlanOptions) *compiledPlans {
 	}
 	p, _, _ := n.plans.Do(context.Background(), key, memo.Inline, func(context.Context) (*compiledPlans, error) {
 		return &compiledPlans{
-			fwd: n.lowerForward(batch, opt),
-			bwd: n.lowerBackward(batch, opt),
+			fwd:     n.lowerForward(batch, opt),
+			bwd:     n.lowerBackward(batch, opt),
+			derived: memo.New[any, any](derivedMax),
 		}, nil
 	})
 	return p
@@ -125,7 +196,7 @@ func (n *Network) ForwardPlan(batch int, opt PlanOptions) []gpu.KernelCost {
 }
 
 func (n *Network) lowerForward(batch int, opt PlanOptions) []gpu.KernelCost {
-	var plan []gpu.KernelCost
+	plan := make([]gpu.KernelCost, 0, n.lowered())
 	for _, nd := range n.nodes {
 		switch nd.Op.Kind() {
 		case OpInput, OpFlatten:
@@ -155,14 +226,14 @@ func (n *Network) BackwardPlan(batch int, opt PlanOptions) []BackwardStep {
 
 func (n *Network) lowerBackward(batch int, opt PlanOptions) []BackwardStep {
 	b := int64(batch)
-	var steps []BackwardStep
+	steps := make([]BackwardStep, 0, n.lowered())
 	for i := len(n.nodes) - 1; i >= 0; i-- {
 		nd := n.nodes[i]
 		switch nd.Op.Kind() {
 		case OpInput, OpFlatten:
 			continue
 		}
-		kind := nd.Op.Kind().String()
+		kind := nd.Op.Kind()
 		inB := nd.InputBytesPerImage() * units.Bytes(b)
 		outB := nd.ActivationBytesPerImage() * units.Bytes(b)
 		paramB := units.BytesOf(nd.ParamsN, units.Float32Size)
@@ -177,36 +248,38 @@ func (n *Network) lowerBackward(batch int, opt PlanOptions) []BackwardStep {
 				flopScale = 1 / winogradSavings
 				eff *= winogradEff
 			}
-			// Data gradient: same arithmetic as forward.
-			step.Kernels = append(step.Kernels, gpu.KernelCost{
-				Name:        kind + "_dgrad",
-				FLOPs:       units.FLOPs(float64(nd.FwdFLOPs*units.FLOPs(b)) * flopScale),
-				MemBytes:    inB + outB + paramB,
-				Parallelism: nd.Inputs[0].Out.Elems() * b,
-				Class:       class,
-				Eff:         eff,
-			})
-			// Weight gradient: same arithmetic, writes the gradient array.
-			step.Kernels = append(step.Kernels, gpu.KernelCost{
-				Name:        kind + "_wgrad",
-				FLOPs:       units.FLOPs(float64(nd.FwdFLOPs*units.FLOPs(b)) * flopScale),
-				MemBytes:    inB + outB + 2*paramB,
-				Parallelism: maxI64(nd.ParamsN, nd.Out.Elems()*b/4),
-				Class:       class,
-				Eff:         eff,
-			})
+			step.Kernels = []gpu.KernelCost{
+				// Data gradient: same arithmetic as forward.
+				{
+					Name:        kernelName(kind, passDgrad),
+					FLOPs:       units.FLOPs(float64(nd.FwdFLOPs*units.FLOPs(b)) * flopScale),
+					MemBytes:    inB + outB + paramB,
+					Parallelism: nd.Inputs[0].Out.Elems() * b,
+					Class:       class,
+					Eff:         eff,
+				},
+				// Weight gradient: same arithmetic, writes the gradient array.
+				{
+					Name:        kernelName(kind, passWgrad),
+					FLOPs:       units.FLOPs(float64(nd.FwdFLOPs*units.FLOPs(b)) * flopScale),
+					MemBytes:    inB + outB + 2*paramB,
+					Parallelism: maxI64(nd.ParamsN, nd.Out.Elems()*b/4),
+					Class:       class,
+					Eff:         eff,
+				},
+			}
 		default:
 			flops := nd.FwdFLOPs * units.FLOPs(b)
 			if nd.Op.Kind() == OpBatchNorm {
 				flops *= 2 // reductions over the batch in both directions
 			}
-			step.Kernels = append(step.Kernels, gpu.KernelCost{
-				Name:        kind + "_bgrad",
+			step.Kernels = []gpu.KernelCost{{
+				Name:        kernelName(kind, passBgrad),
 				FLOPs:       flops,
 				MemBytes:    2 * (inB + outB),
 				Parallelism: nd.Out.Elems() * b,
 				Class:       gpu.ClassMemory,
-			})
+			}}
 		}
 		if nd.Op.Weighted() && nd.ParamsN > 0 {
 			step.Layer = &WeightedLayer{Name: nd.Name, Params: nd.ParamsN}

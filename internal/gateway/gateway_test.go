@@ -251,6 +251,34 @@ func TestErrorEnvelopePassThrough(t *testing.T) {
 	}
 }
 
+// TestOutOfMemoryPassesThrough: a replica's 422 out_of_memory (a workload
+// past the memory wall) is the client's answer, not a shed, so the
+// gateway relays it unchanged without trying another replica.
+func TestOutOfMemoryPassesThrough(t *testing.T) {
+	b1, b2 := newBackend(t), newBackend(t)
+	for _, b := range []*backend{b1, b2} {
+		svc := service.NewServer(service.Config{Workers: 1})
+		t.Cleanup(svc.Close)
+		b.set(svc.Handler().ServeHTTP)
+	}
+	g, ts := newGateway(t, b1, b2)
+
+	resp, body := post(t, ts.URL+"/v1/simulate", `{"Model":"googlenet","GPUs":1,"Batch":512}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422 (%s)", resp.StatusCode, body)
+	}
+	var env service.ErrorEnvelope
+	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error.Code != service.CodeOutOfMemory || env.Error.Retryable {
+		t.Fatalf("envelope = %s, want out_of_memory, not retryable", body)
+	}
+	if total := b1.hits.Load() + b2.hits.Load(); total != 1 {
+		t.Fatalf("attempts = %d, want 1 (no failover on a 422)", total)
+	}
+	if g.failovers.Load() != 0 {
+		t.Fatalf("failovers = %d, want 0", g.failovers.Load())
+	}
+}
+
 // TestTransportFailover: a dead owner fails over to the next ring
 // member, and the gateway marks it down immediately rather than waiting
 // for the next probe.

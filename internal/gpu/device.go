@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -20,13 +19,17 @@ var ErrOutOfMemory = errors.New("gpu: out of memory")
 // Reduce/Broadcast kernels, which use a handful of SMs and are
 // bandwidth-bound) run on a separate queue so they overlap compute, as
 // they do on real hardware; DMA copies have their own copy-engine queue.
+//
+// The queues are held by value and start idle, so a Device{ID, Spec} is
+// ready to book and a runtime keeps its devices in one slab. The queues
+// carry no names: the CUDA runtime names its tracks once per machine.
 type Device struct {
 	ID   topology.NodeID
 	Spec Spec
 
-	compute *sim.Resource
-	comm    *sim.Resource
-	dma     []*sim.Resource
+	compute sim.Resource
+	comm    sim.Resource
+	dma     [dmaEngines]sim.Resource
 }
 
 // dmaEngines is the number of usable copy engines per transfer direction
@@ -35,16 +38,7 @@ const dmaEngines = 2
 
 // NewDevice creates an idle device.
 func NewDevice(id topology.NodeID, spec Spec) *Device {
-	d := &Device{
-		ID:      id,
-		Spec:    spec,
-		compute: sim.NewResource(fmt.Sprintf("GPU%d/compute", id)),
-		comm:    sim.NewResource(fmt.Sprintf("GPU%d/comm", id)),
-	}
-	for i := 0; i < dmaEngines; i++ {
-		d.dma = append(d.dma, sim.NewResource(fmt.Sprintf("GPU%d/dma%d", id, i)))
-	}
-	return d
+	return &Device{ID: id, Spec: spec}
 }
 
 // BookKernel reserves the compute queue for a kernel of duration dur
@@ -64,27 +58,23 @@ func (d *Device) BookCommKernel(ready time.Duration, dur time.Duration) (start, 
 // form (sim.Resource.BookRun).
 func (d *Device) Queue(comm bool) *sim.Resource {
 	if comm {
-		return d.comm
+		return &d.comm
 	}
-	return d.compute
+	return &d.compute
 }
 
 // BookDMA reserves the least-loaded copy engine for dur (the wire time is
 // booked on the fabric separately; this models engine occupancy for
 // back-to-back copies fanning out of one GPU).
 func (d *Device) BookDMA(ready time.Duration, dur time.Duration) (start, end time.Duration) {
-	best := d.dma[0]
-	for _, r := range d.dma[1:] {
-		if r.FreeAt() < best.FreeAt() {
+	best := &d.dma[0]
+	for i := 1; i < len(d.dma); i++ {
+		if r := &d.dma[i]; r.FreeAt() < best.FreeAt() {
 			best = r
 		}
 	}
 	return best.Book(ready, dur)
 }
-
-// QueueNames returns the compute and communication queues' names
-// ("GPU<id>/compute", "GPU<id>/comm"), which double as profile tracks.
-func (d *Device) QueueNames() (compute, comm string) { return d.compute.Name(), d.comm.Name() }
 
 // ComputeBusy returns accumulated compute-queue busy time.
 func (d *Device) ComputeBusy() time.Duration { return d.compute.BusyTime() }

@@ -134,12 +134,8 @@ func TestDeviceQueuesIndependent(t *testing.T) {
 
 func TestNewDeviceStartsIdle(t *testing.T) {
 	d := NewDevice(5, V100())
-	compute, comm := d.QueueNames()
-	if compute != "GPU5/compute" || comm != "GPU5/comm" {
-		t.Errorf("queue names = %q, %q", compute, comm)
-	}
-	if d.Queue(false).Name() != compute || d.Queue(true).Name() != comm {
-		t.Errorf("Queue(false) = %q, Queue(true) = %q", d.Queue(false).Name(), d.Queue(true).Name())
+	if d.Queue(false) == d.Queue(true) {
+		t.Error("Queue(false) and Queue(true) are the same queue")
 	}
 	if d.ComputeBusy() != 0 || d.ComputeFreeAt() != 0 || d.CommFreeAt() != 0 {
 		t.Errorf("fresh device: busy %v, compute free %v, comm free %v", d.ComputeBusy(), d.ComputeFreeAt(), d.CommFreeAt())

@@ -8,7 +8,6 @@
 package interconnect
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/sim"
@@ -16,44 +15,37 @@ import (
 	"repro/internal/units"
 )
 
-// Fabric binds a topology to the occupancy of every link direction.
+// Fabric binds a topology to the occupancy of every link direction. All
+// of them live by value in one slab, allocated with the fabric and idle
+// until booked.
 type Fabric struct {
 	top *topology.Topology
-	// dirs[l.Index()] holds link l's two directions: [0] leaves l.A, [1]
-	// leaves l.B. Entries are created on first use.
-	dirs  [][2]*sim.Resource
-	links []*topology.Link
+	// dirs[2*l.Index()] is link l's direction leaving l.A and
+	// dirs[2*l.Index()+1] the one leaving l.B.
+	dirs []sim.Resource
 }
 
 // New creates a fabric over the topology.
 func New(top *topology.Topology) *Fabric {
-	n := top.NumLinks()
-	return &Fabric{top: top, dirs: make([][2]*sim.Resource, n), links: make([]*topology.Link, n)}
+	return &Fabric{top: top, dirs: make([]sim.Resource, 2*top.NumLinks())}
 }
 
 // Topology returns the underlying network.
 func (f *Fabric) Topology() *topology.Topology { return f.top }
 
-// Direction returns (creating on demand) the resource for one link
-// direction. Links are full duplex: the two directions never contend with
-// each other. Booking it directly is Occupy without the lookup, for
-// callers that book the same directions many times.
+// Direction returns the resource for one link direction. Links are full
+// duplex: the two directions never contend with each other. Booking it
+// directly is Occupy without the lookup, for callers that book the same
+// directions many times.
 func (f *Fabric) Direction(l *topology.Link, from topology.NodeID) *sim.Resource {
-	i, d := l.Index(), 0
+	i := 2 * l.Index()
 	if from != l.A {
-		d = 1
+		i++
 	}
 	if i >= len(f.dirs) { // a link added after the fabric was built
-		f.dirs = append(f.dirs, make([][2]*sim.Resource, i+1-len(f.dirs))...)
-		f.links = append(f.links, make([]*topology.Link, i+1-len(f.links))...)
+		f.dirs = append(f.dirs, make([]sim.Resource, 2*f.top.NumLinks()-len(f.dirs))...)
 	}
-	r := f.dirs[i][d]
-	if r == nil {
-		r = sim.NewResource(fmt.Sprintf("%d->%d(%s)", from, l.Other(from), l.Type))
-		f.dirs[i][d] = r
-		f.links[i] = l
-	}
-	return r
+	return &f.dirs[i]
 }
 
 // Book reserves the path for a transfer of size bytes becoming eligible at
@@ -133,24 +125,23 @@ type LinkStats struct {
 // in deterministic (from, to) order.
 func (f *Fabric) Stats() []LinkStats {
 	var out []LinkStats
-	for i, pair := range f.dirs {
-		for d, r := range pair {
-			if r == nil || r.Requests() == 0 {
-				continue
-			}
-			l := f.links[i]
-			from, to := l.A, l.B
-			if d == 1 {
-				from, to = to, from
-			}
-			out = append(out, LinkStats{
-				From:     from,
-				To:       to,
-				Type:     l.Type,
-				Busy:     r.BusyTime(),
-				Requests: r.Requests(),
-			})
+	for i := range f.dirs {
+		r := &f.dirs[i]
+		if r.Requests() == 0 {
+			continue
 		}
+		l := f.top.Link(i / 2)
+		from, to := l.A, l.B
+		if i%2 == 1 {
+			from, to = to, from
+		}
+		out = append(out, LinkStats{
+			From:     from,
+			To:       to,
+			Type:     l.Type,
+			Busy:     r.BusyTime(),
+			Requests: r.Requests(),
+		})
 	}
 	sortStats(out)
 	return out
@@ -173,11 +164,9 @@ func sortStats(s []LinkStats) {
 // the given link type (a coarse utilization signal for reports).
 func (f *Fabric) BusyTime(typ topology.LinkType) time.Duration {
 	var d time.Duration
-	for i, pair := range f.dirs {
-		for _, r := range pair {
-			if r != nil && f.links[i].Type == typ {
-				d += r.BusyTime()
-			}
+	for i := range f.dirs {
+		if r := &f.dirs[i]; r.Requests() > 0 && f.top.Link(i/2).Type == typ {
+			d += r.BusyTime()
 		}
 	}
 	return d

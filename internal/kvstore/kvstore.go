@@ -49,7 +49,7 @@ type Backend interface {
 // New creates a backend of the given method over the devices with default
 // NCCL settings (ring algorithm, as the paper measured).
 func New(method Method, rt *cuda.Runtime, devs []topology.NodeID) (Backend, error) {
-	return NewWithNCCL(method, rt, devs, nccl.DefaultConfig())
+	return NewWithNCCL(method, rt, devs, nccl.DefaultConfig(), nil)
 }
 
 // ErrNoDevices is returned when a backend is requested over an empty
@@ -59,8 +59,10 @@ func New(method Method, rt *cuda.Runtime, devs []topology.NodeID) (Backend, erro
 var ErrNoDevices = errors.New("kvstore: at least one device is required")
 
 // NewWithNCCL is New with an explicit NCCL configuration (algorithm
-// selection, overheads) for the nccl method; the p2p method ignores it.
-func NewWithNCCL(method Method, rt *cuda.Runtime, devs []topology.NodeID, ncfg nccl.Config) (Backend, error) {
+// selection, overheads) for the nccl method, and optionally the
+// communicator's prebuilt rings over devs (nil builds them); the other
+// methods ignore both.
+func NewWithNCCL(method Method, rt *cuda.Runtime, devs []topology.NodeID, ncfg nccl.Config, rings *nccl.Layout) (Backend, error) {
 	if len(devs) == 0 {
 		return nil, ErrNoDevices
 	}
@@ -72,7 +74,13 @@ func NewWithNCCL(method Method, rt *cuda.Runtime, devs []topology.NodeID, ncfg n
 		}
 		return &deviceBackend{eng: eng}, nil
 	case MethodNCCL:
-		comm, err := nccl.New(rt, devs, ncfg)
+		if rings == nil {
+			var err error
+			if rings, err = nccl.NewLayout(rt.Fabric().Topology(), devs, ncfg.MaxRings); err != nil {
+				return nil, err
+			}
+		}
+		comm, err := nccl.NewOn(rt, rings, ncfg)
 		if err != nil {
 			return nil, err
 		}

@@ -133,16 +133,16 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Communicator is one NCCL communicator over a set of GPUs.
-type Communicator struct {
-	rt    *cuda.Runtime
+// Layout is a communicator's immutable half over one device set of one
+// topology: its rings, the link (or routed path) of every ring hop, every
+// link direction the wire phase occupies, and the tree's latency steps.
+// Ring search and hop routing depend on nothing a collective books, so a
+// layout is built once per (machine, device set) and shared read-only:
+// every Communicator made from it (NewOn) books on its own runtime's
+// fabric.
+type Layout struct {
 	devs  []topology.NodeID
 	rings []Ring
-	// gang holds one communication stream per rank, in rank order.
-	gang *cuda.Gang
-	// kernels holds each collective's kernel label, interned once.
-	kernels [numCollectives]cuda.Kernel
-	cfg     Config
 	// treeSteps is the double-binary tree's latency step count (reduce up
 	// plus broadcast down), fixed by the rank count.
 	treeSteps int
@@ -151,70 +151,107 @@ type Communicator struct {
 	// is booked per routed hop in hopPaths).
 	hopLinks [][]*topology.Link
 	hopPaths [][]topology.Path
-	// hopRes is every link direction a collective's wire phase occupies,
+	// hops is every link direction a collective's wire phase occupies,
 	// ring by ring and hop by hop, in booking order.
-	hopRes []*sim.Resource
+	hops []topology.Hop
 	// nvlink records whether the rings run over NVLink — the fabric
 	// property protocol auto-selection (and LL128 eligibility) keys on.
 	nvlink bool
 }
 
-// New builds a communicator over the devices, constructing NVLink rings
-// (or a PCIe fallback ring) from the runtime's topology.
-func New(rt *cuda.Runtime, devs []topology.NodeID, cfg Config) (*Communicator, error) {
+// NewLayout builds the rings of a communicator over the devices of top:
+// up to maxRings NVLink rings (DefaultConfig's when maxRings <= 0), or
+// else a switch ring, or else a PCIe fallback ring.
+func NewLayout(top *topology.Topology, devs []topology.NodeID, maxRings int) (*Layout, error) {
 	if len(devs) == 0 {
 		return nil, fmt.Errorf("nccl: communicator needs at least one device")
 	}
-	cfg = cfg.withDefaults()
-	c := &Communicator{
-		rt:   rt,
-		devs: append([]topology.NodeID(nil), devs...),
-		cfg:  cfg,
+	if maxRings <= 0 {
+		maxRings = DefaultConfig().MaxRings
 	}
-	for _, d := range c.devs {
+	lay := &Layout{devs: append([]topology.NodeID(nil), devs...)}
+	// len(devs) > 0, so the tree always builds.
+	if t, err := BuildTree(len(lay.devs)); err == nil {
+		lay.treeSteps = 2 * (t.Depth + 1)
+	}
+	if len(lay.devs) > 1 {
+		lay.rings = BuildRings(top, lay.devs, maxRings)
+		if len(lay.rings) == 0 {
+			if r, ok := SwitchRing(top, lay.devs); ok {
+				lay.rings = []Ring{r}
+			} else {
+				r, err := PCIeRing(top, lay.devs)
+				if err != nil {
+					return nil, err
+				}
+				lay.rings = []Ring{r}
+			}
+		}
+		if err := lay.resolveHops(top); err != nil {
+			return nil, err
+		}
+		lay.nvlink = !lay.rings[0].PCIe
+	}
+	return lay, nil
+}
+
+// Communicator is one NCCL communicator over a set of GPUs: a shared
+// Layout, and the runtime state its collectives book.
+type Communicator struct {
+	*Layout
+	rt *cuda.Runtime
+	// gang holds one communication stream per rank, in rank order.
+	gang *cuda.Gang
+	// kernels holds each collective's kernel label, interned once.
+	kernels [numCollectives]cuda.Kernel
+	cfg     Config
+	// hopRes is the runtime's resource for each of the layout's hops.
+	hopRes []*sim.Resource
+}
+
+// New builds a communicator over the devices, constructing NVLink rings
+// (or a PCIe fallback ring) from the runtime's topology.
+func New(rt *cuda.Runtime, devs []topology.NodeID, cfg Config) (*Communicator, error) {
+	cfg = cfg.withDefaults()
+	lay, err := NewLayout(rt.Fabric().Topology(), devs, cfg.MaxRings)
+	if err != nil {
+		return nil, err
+	}
+	return NewOn(rt, lay, cfg)
+}
+
+// NewOn builds a communicator on a layout over the runtime's topology
+// (built with cfg's MaxRings; NewOn reads only cfg's cost model and
+// collective selection).
+func NewOn(rt *cuda.Runtime, lay *Layout, cfg Config) (*Communicator, error) {
+	for _, d := range lay.devs {
 		if rt.Device(d) == nil {
 			return nil, fmt.Errorf("nccl: device %d not managed by runtime", d)
 		}
 	}
-	c.gang = rt.CommGang(c.devs, "nccl")
+	c := &Communicator{Layout: lay, rt: rt, cfg: cfg.withDefaults(), gang: rt.CommGang(lay.devs)}
 	for k, name := range collectiveKernels {
 		c.kernels[k] = rt.NewKernel(name, 0)
 	}
-	// len(devs) > 0, so the tree always builds.
-	if t, err := BuildTree(len(c.devs)); err == nil {
-		c.treeSteps = 2 * (t.Depth + 1)
-	}
-	top := rt.Fabric().Topology()
-	if len(c.devs) > 1 {
-		c.rings = BuildRings(top, c.devs, cfg.MaxRings)
-		if len(c.rings) == 0 {
-			if r, ok := SwitchRing(top, c.devs); ok {
-				c.rings = []Ring{r}
-			} else {
-				r, err := PCIeRing(top, c.devs)
-				if err != nil {
-					return nil, err
-				}
-				c.rings = []Ring{r}
-			}
+	if len(lay.hops) > 0 {
+		fab := rt.Fabric()
+		c.hopRes = make([]*sim.Resource, len(lay.hops))
+		for i, h := range lay.hops {
+			c.hopRes[i] = fab.Direction(h.Link, h.From)
 		}
-		if err := c.resolveHops(top); err != nil {
-			return nil, err
-		}
-		c.nvlink = !c.rings[0].PCIe
 	}
 	return c, nil
 }
 
 // resolveHops caches the link (or routed path) of every ring hop, and
-// the fabric resource of every link direction the hops occupy.
-func (c *Communicator) resolveHops(top *topology.Topology) error {
-	c.hopLinks = make([][]*topology.Link, len(c.rings))
-	c.hopPaths = make([][]topology.Path, len(c.rings))
-	for ri, r := range c.rings {
+// every link direction the hops occupy.
+func (lay *Layout) resolveHops(top *topology.Topology) error {
+	lay.hopLinks = make([][]*topology.Link, len(lay.rings))
+	lay.hopPaths = make([][]topology.Path, len(lay.rings))
+	for ri, r := range lay.rings {
 		n := len(r.Order)
-		c.hopLinks[ri] = make([]*topology.Link, n)
-		c.hopPaths[ri] = make([]topology.Path, n)
+		lay.hopLinks[ri] = make([]*topology.Link, n)
+		lay.hopPaths[ri] = make([]topology.Path, n)
 		for i := 0; i < n; i++ {
 			from, to := r.Order[i], r.Order[(i+1)%n]
 			if from == to { // 2-rank ring lists the pair once
@@ -222,7 +259,7 @@ func (c *Communicator) resolveHops(top *topology.Topology) error {
 			}
 			if !r.PCIe {
 				if l := top.DirectLink(from, to, topology.NVLink); l != nil {
-					c.hopLinks[ri][i] = l
+					lay.hopLinks[ri][i] = l
 					continue
 				}
 				// Switch-relayed hop: keep the routed cut-through path.
@@ -230,26 +267,23 @@ func (c *Communicator) resolveHops(top *topology.Topology) error {
 				if err != nil {
 					return fmt.Errorf("nccl: ring hop %d->%d unroutable: %w", from, to, err)
 				}
-				c.hopPaths[ri][i] = p
+				lay.hopPaths[ri][i] = p
 				continue
 			}
 			p, err := top.Route(from, to, topology.RoutePCIeFallback)
 			if err != nil {
 				return err
 			}
-			c.hopPaths[ri][i] = p
+			lay.hopPaths[ri][i] = p
 		}
 	}
-	fab := c.rt.Fabric()
-	for ri, r := range c.rings {
+	for ri, r := range lay.rings {
 		for i, from := range r.Order {
-			if l := c.hopLinks[ri][i]; l != nil {
-				c.hopRes = append(c.hopRes, fab.Direction(l, from))
+			if l := lay.hopLinks[ri][i]; l != nil {
+				lay.hops = append(lay.hops, topology.Hop{Link: l, From: from, To: l.Other(from)})
 				continue
 			}
-			for _, hop := range c.hopPaths[ri][i].Hops {
-				c.hopRes = append(c.hopRes, fab.Direction(hop.Link, hop.From))
-			}
+			lay.hops = append(lay.hops, lay.hopPaths[ri][i].Hops...)
 		}
 	}
 	return nil

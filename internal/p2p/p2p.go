@@ -17,6 +17,9 @@ import (
 	"repro/internal/units"
 )
 
+// KernelAdd names the gradient-accumulate kernel in profiles.
+const KernelAdd = "reduce_add"
+
 // Engine performs tree reductions and broadcasts over a fixed device set.
 // devs[0] is the aggregation root (GPU 0 in the paper's MXNet).
 type Engine struct {
@@ -43,7 +46,7 @@ func New(rt *cuda.Runtime, devs []topology.NodeID) (*Engine, error) {
 	return &Engine{
 		rt:    rt,
 		devs:  append([]topology.NodeID(nil), devs...),
-		add:   rt.NewKernel("reduce_add", 0),
+		add:   rt.NewKernel(KernelAdd, 0),
 		avail: make([]time.Duration, len(devs)),
 	}, nil
 }
@@ -59,7 +62,7 @@ func (e *Engine) Size() int { return len(e.devs) }
 func addKernel(size units.Bytes) gpu.KernelCost {
 	elems := int64(size / units.Float32Size)
 	return gpu.KernelCost{
-		Name:        "reduce_add",
+		Name:        KernelAdd,
 		FLOPs:       units.FLOPs(elems),
 		MemBytes:    3 * size, // read two operands, write one
 		Parallelism: elems,

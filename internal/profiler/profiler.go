@@ -114,29 +114,84 @@ type Slot int32
 // NoSlot is the slot of a kind without aggregates (markers).
 const NoSlot Slot = -1
 
+// Names is an immutable list of distinct names, each at its slot (its
+// index). Profiles seeded with it (Profile.Seed) start a table with these
+// names at these slots and share the list and its index read-only, so
+// many profiles, on any goroutines, seed from one Names without copying
+// it, and a caller that knows a name's slot in the Names knows it in
+// every profile seeded with it.
+type Names struct {
+	names []string
+	ids   map[string]Slot
+}
+
+// NewNames returns the names in order, each repeat dropped (a name keeps
+// its first slot).
+func NewNames(names []string) *Names {
+	n := &Names{names: make([]string, 0, len(names)), ids: make(map[string]Slot, len(names))}
+	for _, name := range names {
+		if _, ok := n.ids[name]; !ok {
+			n.ids[name] = Slot(len(n.names))
+			n.names = append(n.names, name)
+		}
+	}
+	return n
+}
+
+// Len returns the number of names.
+func (n *Names) Len() int { return len(n.names) }
+
+// Name returns the name at slot s.
+func (n *Names) Name(s Slot) string { return n.names[s] }
+
+// Seeds names the slots a profile's kernel, API and transfer tables start
+// with (see Names). A nil entry seeds nothing.
+type Seeds struct {
+	Kernels, APIs, Transfers *Names
+}
+
 // table interns one kind's names to slots and holds their aggregates,
 // indexed by slot. A slot without calls — a name interned but never
-// recorded — appears in no listing, summary or merge.
+// recorded — appears in no listing, summary or merge, so a seeded slot
+// that never records is invisible, and no output depends on which slot a
+// name has: every listing ranks by total time, then by name.
 //
-// names may share its backing array with the profile this one was cloned
-// from (or with its clones), always capped at the shared length: entries
-// are never rewritten and an append past the cap reallocates, so no two
-// profiles ever write the same memory. ids is this profile's own, built
-// on its first Intern; lookups without it scan names.
+// names starts with the seed's names (slots 0..seed.Len()-1, found
+// through the seed's shared index) and continues with this profile's
+// own. names may share its backing array with the seed, the profile this
+// one was cloned from or its clones, always capped at the shared length:
+// entries are never rewritten and an append past the cap reallocates, so
+// no two profiles ever write the same memory. ids indexes only the
+// profile's own names, built on its first Intern of a new name; lookups
+// without it scan them.
 type table struct {
+	seed  *Names
 	names []string
 	ids   map[string]Slot
 	stats []Stat
 }
 
+// seeded returns how many of the table's names come from its seed.
+func (t *table) seeded() int {
+	if t.seed == nil {
+		return 0
+	}
+	return len(t.seed.names)
+}
+
 // lookup returns the slot of an interned name.
 func (t *table) lookup(name string) (Slot, bool) {
+	if t.seed != nil {
+		if s, ok := t.seed.ids[name]; ok {
+			return s, true
+		}
+	}
 	if t.ids != nil {
 		s, ok := t.ids[name]
 		return s, ok
 	}
-	for i, n := range t.names {
-		if n == name {
+	for i := t.seeded(); i < len(t.names); i++ {
+		if t.names[i] == name {
 			return Slot(i), true
 		}
 	}
@@ -149,10 +204,16 @@ const tableCap = 8
 
 // intern returns name's slot, adding an empty one on first sight.
 func (t *table) intern(name string) Slot {
+	if t.seed != nil {
+		if s, ok := t.seed.ids[name]; ok {
+			return s
+		}
+	}
 	if t.ids == nil {
-		t.ids = make(map[string]Slot, len(t.names)+tableCap)
-		for i, n := range t.names {
-			t.ids[n] = Slot(i)
+		own := t.names[t.seeded():]
+		t.ids = make(map[string]Slot, len(own)+tableCap)
+		for i, n := range own {
+			t.ids[n] = Slot(t.seeded() + i)
 		}
 		if cap(t.names) == 0 {
 			t.names = make([]string, 0, tableCap)
@@ -229,6 +290,46 @@ func NewDetailed(maxIntervals int) *Profile {
 	p.maxDetail = maxIntervals
 	return p
 }
+
+// Seed starts each table of a fresh profile with its seed's names, at the
+// seed's slots, and returns p. The names and their index stay shared with
+// the seed; the profile's own aggregates for all of them live in one
+// arena. Seeding a table that already holds a name panics.
+func (p *Profile) Seed(s Seeds) *Profile {
+	seeds := [numTables]*Names{KindKernel: s.Kernels, KindAPI: s.APIs, KindTransfer: s.Transfers}
+	n := 0
+	for k, seed := range seeds {
+		if seed == nil {
+			continue
+		}
+		if len(p.tables[k].names) > 0 {
+			panic(fmt.Sprintf("profiler: seeding a %s table that already holds names", Kind(k)))
+		}
+		n += len(seed.names)
+	}
+	arena := make([]Stat, n)
+	for k, seed := range seeds {
+		if seed == nil {
+			continue
+		}
+		m := len(seed.names)
+		p.tables[k] = table{seed: seed, names: seed.names[:m:m], stats: arena[:m:m]}
+		arena = arena[m:]
+	}
+	return p
+}
+
+// Seeded returns the Names kind k's table was seeded with, or nil: its
+// slots are that table's slots.
+func (p *Profile) Seeded(k Kind) *Names {
+	if k < 0 || int(k) >= numTables {
+		return nil
+	}
+	return p.tables[k].seed
+}
+
+// Name returns the name interned as slot s of kind k.
+func (p *Profile) Name(k Kind, s Slot) string { return p.tables[k].names[s] }
 
 // Intern returns the slot of name in kind k's table, adding it on first
 // sight. Interning alone records nothing. Kinds without aggregates
@@ -353,7 +454,43 @@ func (p *Profile) Clone() *Profile {
 		stats := arena[:m:m]
 		arena = arena[m:]
 		copy(stats, src.stats)
-		q.tables[k] = table{names: src.names[:m:m], stats: stats}
+		q.tables[k] = table{seed: src.seed, names: src.names[:m:m], stats: stats}
+	}
+	if p.intervals != nil {
+		q.intervals = append([]Interval(nil), p.intervals...)
+	}
+	return q
+}
+
+// Compact returns a copy of the profile that keeps only the names with
+// calls: what a finished run's listings, summaries and merges read,
+// without the slots its seeds reserved for activities that never
+// happened. The names are renumbered, so the copy is read by name (and
+// cloned, scaled and merged), never recorded into by one of p's slots.
+// Its names and aggregates live in one arena each.
+func (p *Profile) Compact() *Profile {
+	n := 0
+	for k := range p.tables {
+		for _, st := range p.tables[k].stats {
+			if st.Calls > 0 {
+				n++
+			}
+		}
+	}
+	names := make([]string, n)
+	stats := make([]Stat, n)
+	q := &Profile{detail: p.detail, maxDetail: p.maxDetail, dropped: p.dropped}
+	i := 0
+	for k := range p.tables {
+		src := &p.tables[k]
+		lo := i
+		for s, st := range src.stats {
+			if st.Calls > 0 {
+				names[i], stats[i] = src.names[s], st
+				i++
+			}
+		}
+		q.tables[k] = table{names: names[lo:i:i], stats: stats[lo:i:i]}
 	}
 	if p.intervals != nil {
 		q.intervals = append([]Interval(nil), p.intervals...)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -269,5 +270,104 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	}
 	if n := len(writer.KernelNames()); n != 520 {
 		t.Errorf("writer clone has %d kernel names, want 520", n)
+	}
+}
+
+// Profiles seeded from one shared Names record under the seed's slots
+// without interning, intern names outside the seed into their own
+// continuation, list and summarize exactly as an unseeded profile that
+// recorded the same activities, and never write the shared seed, however
+// many goroutines seed, record and clone at once (run under -race).
+func TestSeededProfilesShareTheirSeed(t *testing.T) {
+	seed := NewNames([]string{"conv", "relu", "conv", "fc"})
+	if seed.Len() != 3 || seed.Name(2) != "fc" {
+		t.Fatalf("NewNames kept %d names, slot 2 = %q; want 3 distinct, fc at 2", seed.Len(), seed.Name(2))
+	}
+	record := func(p *Profile) {
+		p.Record(iv(KindKernel, "fc", StageFP, 0, 3*time.Microsecond))
+		p.Record(iv(KindKernel, "conv", StageFP, 0, 2*time.Microsecond))
+		p.Record(iv(KindKernel, "softmax", StageFP, 0, time.Microsecond))
+		p.Record(iv(KindAPI, "cudaLaunchKernel", StageFP, 0, time.Microsecond))
+	}
+	plain := New()
+	record(plain)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := New().Seed(Seeds{Kernels: seed})
+				if p.Seeded(KindKernel) != seed || p.Seeded(KindAPI) != nil {
+					t.Error("Seeded does not report the seed")
+					return
+				}
+				if s := p.Intern(KindKernel, "fc"); s != 2 || p.tables[KindKernel].ids != nil {
+					t.Errorf("a seeded name interned as %d, building an index %v", s, p.tables[KindKernel].ids)
+					return
+				}
+				record(p)
+				if s := p.Intern(KindKernel, "softmax"); s != 3 || p.Name(KindKernel, s) != "softmax" {
+					t.Errorf("a name outside the seed took slot %d", s)
+					return
+				}
+				c := p.Clone()
+				c.Record(iv(KindKernel, "mine", StageBP, 0, time.Microsecond))
+				if p.Summary() != plain.Summary() || !reflect.DeepEqual(p.KernelNames(), plain.KernelNames()) {
+					t.Errorf("seeded profile lists\n%s\nunseeded\n%s", p.Summary(), plain.Summary())
+					return
+				}
+				if c.Kernel("relu").Calls != 0 || c.Kernel("softmax").Calls != 1 || len(c.KernelNames()) != 4 {
+					t.Errorf("clone of a seeded profile: %v", c.KernelNames())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if seed.Len() != 3 || len(seed.ids) != 3 {
+		t.Errorf("the shared seed grew to %d names", seed.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("seeding a table that already holds names did not panic")
+		}
+	}()
+	plain.Seed(Seeds{Kernels: seed})
+}
+
+// Compact keeps exactly what a finished run reports: the same listings,
+// summary, lookups, intervals and merges as the profile it compacts, with
+// no slot for a name that never recorded.
+func TestCompactKeepsWhatRecorded(t *testing.T) {
+	p := NewDetailed(8).Seed(Seeds{Kernels: NewNames([]string{"ghost", "conv", "fc"}), APIs: NewNames([]string{"cudaGhost", "cudaLaunchKernel"})})
+	p.Record(iv(KindKernel, "fc", StageFP, 0, 3*time.Microsecond))
+	p.Record(iv(KindKernel, "conv", StageFP, 0, 2*time.Microsecond))
+	p.Record(iv(KindKernel, "softmax", StageFP, 0, time.Microsecond))
+	p.Record(iv(KindAPI, "cudaLaunchKernel", StageFP, 0, time.Microsecond))
+	p.Record(iv(KindTransfer, "memcpyHtoD ->0", StageDataLoad, 0, time.Microsecond))
+	c := p.Compact()
+	if c.Summary() != p.Summary() || !reflect.DeepEqual(c.KernelNames(), p.KernelNames()) ||
+		!reflect.DeepEqual(c.TransferNames(), p.TransferNames()) || !reflect.DeepEqual(c.Intervals(), p.Intervals()) {
+		t.Errorf("compact profile lists\n%s\noriginal\n%s", c.Summary(), p.Summary())
+	}
+	if c.Kernel("fc") != p.Kernel("fc") || c.API("cudaLaunchKernel") != p.API("cudaLaunchKernel") || c.Kernel("ghost") != (Stat{}) {
+		t.Error("compact lookups differ")
+	}
+	for k := range c.tables {
+		for s, st := range c.tables[k].stats {
+			if st.Calls == 0 {
+				t.Errorf("%s slot %d (%s) kept without calls", Kind(k), s, c.tables[k].names[s])
+			}
+		}
+	}
+	scaled, want := c.Clone(), p.Clone()
+	scaled.Scale(3)
+	want.Scale(3)
+	merged, wantMerged := New(), New()
+	merged.Merge(scaled)
+	wantMerged.Merge(want)
+	if merged.Summary() != wantMerged.Summary() {
+		t.Errorf("a scaled compact profile merges as\n%s\nwant\n%s", merged.Summary(), wantMerged.Summary())
 	}
 }

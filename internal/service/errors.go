@@ -9,7 +9,8 @@
 // client whether the same request can reasonably be sent again: true for
 // the overload sheds (the server's condition — try later, Retry-After
 // hints when), false for outcomes the deterministic simulator would
-// reproduce (a bad workload, a deadline the work itself exceeded).
+// reproduce (a bad workload, a workload that does not fit in device
+// memory, a deadline the work itself exceeded).
 package service
 
 import (
@@ -21,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/faults"
+	"repro/internal/gpu"
 )
 
 // Stable error codes. These are API surface: a client that switches on
@@ -56,6 +58,10 @@ const (
 	// CodeNotFound: no such resource — an unknown /v1/ path or an expired
 	// trace id (404).
 	CodeNotFound = "not_found"
+	// CodeOutOfMemory: the workload does not fit in device memory — the
+	// paper's Table IV memory wall, a deterministic property of the
+	// request, so resending it cannot succeed (422).
+	CodeOutOfMemory = "out_of_memory"
 	// CodeInternal: an unexpected server-side failure (500).
 	CodeInternal = "internal"
 )
@@ -120,6 +126,9 @@ func classify(err error) (int, ErrorDetail) {
 	case errors.As(err, new(badRequestError)):
 		return http.StatusBadRequest,
 			ErrorDetail{Code: CodeBadRequest, Message: err.Error()}
+	case errors.Is(err, gpu.ErrOutOfMemory):
+		return http.StatusUnprocessableEntity,
+			ErrorDetail{Code: CodeOutOfMemory, Message: err.Error()}
 	}
 	return http.StatusInternalServerError,
 		ErrorDetail{Code: CodeInternal, Message: err.Error()}

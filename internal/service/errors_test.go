@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gpu"
 )
 
 // decodeEnvelope parses a response body as the shared error envelope.
@@ -48,6 +49,7 @@ func TestClassifyTaxonomy(t *testing.T) {
 		{"bad request", badRequestError{errors.New("no such model")}, http.StatusBadRequest, CodeBadRequest, false},
 		{"schema version", schemaVersionError{errors.New("speaks 2")}, http.StatusBadRequest, CodeSchemaVersion, false},
 		{"body too large", &http.MaxBytesError{Limit: maxBodyBytes}, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, false},
+		{"out of memory", fmt.Errorf("train: googlenet batch 512 on 1 GPUs: %w", gpu.ErrOutOfMemory), http.StatusUnprocessableEntity, CodeOutOfMemory, false},
 		{"internal", errors.New("boom"), http.StatusInternalServerError, CodeInternal, false},
 	}
 	for _, tc := range cases {
@@ -146,6 +148,56 @@ func TestEnvelopeOnEveryStatusPath(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oomWorkload does not fit in device memory (GoogLeNet's wall is below
+// batch 256; the paper's Table IV).
+const oomWorkload = `{"Model":"googlenet","GPUs":1,"Batch":512}`
+
+// A workload that does not fit in device memory is the client's input,
+// not a server fault: every endpoint that runs it answers 422
+// out_of_memory, not retryable — the buffered sweep and compare as a
+// whole, and a streamed sweep in-band once a cell is on the wire.
+func TestOutOfMemoryIs422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ name, path, body string }{
+		{"simulate", "/v1/simulate", oomWorkload},
+		{"compare", "/v1/compare", oomWorkload},
+		{"sweep", "/v1/sweep", `{"Base":` + oomWorkload + `,"Batches":[16,512]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("status = %d, want 422 (%s)", resp.StatusCode, body)
+			}
+			if d := decodeEnvelope(t, body); d.Code != CodeOutOfMemory || d.Retryable {
+				t.Errorf("envelope = %+v, want out_of_memory, not retryable", d)
+			}
+		})
+	}
+	t.Run("sweep in-band", func(t *testing.T) {
+		var base core.Workload
+		if err := json.Unmarshal([]byte(oomWorkload), &base); err != nil {
+			t.Fatal(err)
+		}
+		resp := streamSweepRequest(t, ts.URL, SweepRequest{Base: base, Batches: []int{16, 512}})
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, want 200 (the first cell fits)", resp.StatusCode)
+		}
+		lines := strings.Split(strings.TrimSpace(string(readAll(t, resp))), "\n")
+		if len(lines) != 2 {
+			t.Fatalf("%d records, want the fitting cell and an error record: %q", len(lines), lines)
+		}
+		if d := decodeEnvelope(t, []byte(lines[1])); d.Code != CodeOutOfMemory || d.Retryable {
+			t.Errorf("in-band record = %+v, want out_of_memory, not retryable", d)
+		}
+	})
 }
 
 // A shed response must carry the envelope (code queue_full, retryable)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBookSynchronousFIFO(t *testing.T) {
-	r := NewResource("x")
+	r := new(Resource)
 	s1, e1 := r.Book(0, 10*time.Millisecond)
 	if s1 != 0 || e1 != 10*time.Millisecond {
 		t.Errorf("first booking [%v,%v]", s1, e1)
@@ -32,7 +32,7 @@ func TestBookMatchesReference(t *testing.T) {
 		Ready uint16
 		Dur   uint16
 	}) bool {
-		r := NewResource("p")
+		r := new(Resource)
 		var free, busy time.Duration
 		for _, q := range reqs {
 			ready := time.Duration(q.Ready) * time.Microsecond
@@ -59,7 +59,7 @@ func TestBookProperties(t *testing.T) {
 		Ready uint16
 		Dur   uint16
 	}) bool {
-		r := NewResource("p")
+		r := new(Resource)
 		var prevEnd time.Duration
 		for _, q := range reqs {
 			ready := time.Duration(q.Ready) * time.Microsecond
@@ -81,7 +81,7 @@ func TestBookProperties(t *testing.T) {
 }
 
 func TestBookAccountsBusyTime(t *testing.T) {
-	r := NewResource("x")
+	r := new(Resource)
 	r.Book(0, 3*time.Millisecond)
 	r.Book(0, 4*time.Millisecond)
 	if r.BusyTime() != 7*time.Millisecond {
@@ -96,7 +96,7 @@ func TestBookAccountsBusyTime(t *testing.T) {
 // stands for would.
 func TestBookRunMatchesBook(t *testing.T) {
 	durs := []time.Duration{3 * time.Millisecond, 0, time.Millisecond}
-	booked, batched := NewResource("booked"), NewResource("batched")
+	booked, batched := new(Resource), new(Resource)
 	booked.Book(0, time.Millisecond)
 	batched.Book(0, time.Millisecond)
 

@@ -18,23 +18,17 @@ import "time"
 // direction, a DMA copy engine, a GPU compute pipe. Requests whose service
 // time is known at submission are scheduled back-to-back; this is exact for
 // FIFO queues and avoids simulating the queue explicitly.
+//
+// The zero Resource is idle and ready to book, so a run's resources can
+// live by value in one slab. A resource carries no name: whoever owns it
+// names it (the profile's tracks come from the machine's name tables).
 type Resource struct {
-	name      string
 	busyUntil time.Duration
 
 	// Accounting.
 	busy     time.Duration
 	requests int64
 }
-
-// NewResource creates an idle resource. The name is used only for
-// diagnostics and profiling.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
-}
-
-// Name returns the diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Book reserves dur of service starting no earlier than ready and returns
 // the reservation's start and end. Because service is FIFO and service

@@ -6,7 +6,7 @@ import (
 )
 
 func TestResourceSerializesFIFO(t *testing.T) {
-	r := NewResource("link")
+	r := new(Resource)
 	for i := 0; i < 3; i++ {
 		start, end := r.Book(0, 10*time.Millisecond)
 		wantStart := time.Duration(i) * 10 * time.Millisecond
@@ -18,25 +18,24 @@ func TestResourceSerializesFIFO(t *testing.T) {
 }
 
 func TestResourceBookWaitsForReadiness(t *testing.T) {
-	r := NewResource("link")
+	r := new(Resource)
 	if start, _ := r.Book(50*time.Millisecond, 10*time.Millisecond); start != 50*time.Millisecond {
 		t.Errorf("start = %v, want 50ms (waited for readiness)", start)
 	}
 }
 
 func TestResourceBookQueuesBehindEarlierWork(t *testing.T) {
-	r := NewResource("link")
+	r := new(Resource)
 	r.Book(0, 100*time.Millisecond)
 	if start, _ := r.Book(50*time.Millisecond, 10*time.Millisecond); start != 100*time.Millisecond {
 		t.Errorf("start = %v, want 100ms (queued behind busy resource)", start)
 	}
 }
 
-func TestNewResourceStartsIdle(t *testing.T) {
-	r := NewResource("GPU0/compute")
-	if r.Name() != "GPU0/compute" {
-		t.Errorf("Name = %q", r.Name())
-	}
+// The zero Resource is idle, which is what lets a run keep its resources
+// by value in one zeroed slab.
+func TestZeroResourceStartsIdle(t *testing.T) {
+	var r Resource
 	if r.FreeAt() != 0 || r.BusyTime() != 0 || r.Requests() != 0 {
 		t.Errorf("fresh resource: free %v busy %v requests %d, want all zero",
 			r.FreeAt(), r.BusyTime(), r.Requests())
@@ -46,7 +45,7 @@ func TestNewResourceStartsIdle(t *testing.T) {
 // Requests ready at the same instant are served in booking order: the
 // list schedule's tie-break is the order of the calls.
 func TestResourceBookTieBreaksByCallOrder(t *testing.T) {
-	r := NewResource("link")
+	r := new(Resource)
 	var got []time.Duration
 	for _, dur := range []time.Duration{30, 10, 20} {
 		start, _ := r.Book(5*time.Millisecond, dur*time.Millisecond)
@@ -64,7 +63,7 @@ func TestResourceBookTieBreaksByCallOrder(t *testing.T) {
 // a copy, then a kernel that consumes it, then a copy of the kernel's
 // result back over the same link, each waiting on the one before.
 func TestResourceBookChainsAcrossResources(t *testing.T) {
-	link, pipe := NewResource("link"), NewResource("pipe")
+	link, pipe := new(Resource), new(Resource)
 	_, copied := link.Book(0, 10*time.Millisecond)
 	kStart, kEnd := pipe.Book(copied, 25*time.Millisecond)
 	if kStart != 10*time.Millisecond || kEnd != 35*time.Millisecond {
@@ -82,7 +81,7 @@ func TestResourceBookChainsAcrossResources(t *testing.T) {
 // A zero-length request still queues and counts as a request, but adds
 // no busy time and does not move FreeAt past its start.
 func TestResourceBookZeroDuration(t *testing.T) {
-	r := NewResource("pipe")
+	r := new(Resource)
 	r.Book(0, 20*time.Millisecond)
 	start, end := r.Book(5*time.Millisecond, 0)
 	if start != 20*time.Millisecond || end != 20*time.Millisecond {
@@ -96,7 +95,7 @@ func TestResourceBookZeroDuration(t *testing.T) {
 // Time starts at zero: a request whose readiness is negative starts at
 // zero on an idle resource, never before.
 func TestResourceBookNegativeReadyStartsAtZero(t *testing.T) {
-	r := NewResource("pipe")
+	r := new(Resource)
 	start, end := r.Book(-10*time.Millisecond, 5*time.Millisecond)
 	if start != 0 || end != 5*time.Millisecond {
 		t.Errorf("booking [%v,%v], want [0,5ms]", start, end)
@@ -104,7 +103,7 @@ func TestResourceBookNegativeReadyStartsAtZero(t *testing.T) {
 }
 
 func TestResourceAccounting(t *testing.T) {
-	r := NewResource("pipe")
+	r := new(Resource)
 	r.Book(0, 10*time.Millisecond)
 	r.Book(0, 30*time.Millisecond)
 	if got := r.BusyTime(); got != 40*time.Millisecond {
@@ -116,7 +115,7 @@ func TestResourceAccounting(t *testing.T) {
 }
 
 func TestResourceFreeAt(t *testing.T) {
-	r := NewResource("pipe")
+	r := new(Resource)
 	if r.FreeAt() != 0 {
 		t.Errorf("idle FreeAt = %v, want 0", r.FreeAt())
 	}

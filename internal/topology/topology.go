@@ -214,6 +214,9 @@ func (t *Topology) Links() []*Link {
 	return out
 }
 
+// Link returns the link with Index i, for i in [0, NumLinks()).
+func (t *Topology) Link(i int) *Link { return t.links[i] }
+
 // NumNodes returns the number of nodes. Builders number nodes densely
 // from zero, so it bounds their IDs.
 func (t *Topology) NumNodes() int { return len(t.nodes) }

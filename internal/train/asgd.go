@@ -54,17 +54,19 @@ func (t *Trainer) beginAsync() (time.Duration, iteration, error) {
 // independent exchange with the server, returning when the worker may
 // start its next mini-batch.
 func (t *Trainer) asyncWorkerIteration(w int, root topology.NodeID, start time.Duration) (time.Duration, error) {
-	d, s, tab := t.devs[w], t.compute[w], t.tables[w]
-	host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwd, start)
+	d, s, tab := t.devs[w], &t.compute[w], t.tables[w]
+	host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwdRun(), start)
 	lastPull := kEnd
-	gi := 0
-	for ri, cut := range t.cuts {
+	gi, lo := 0, 0
+	runs := tab.bwdRuns()
+	for ri, cut := range runs.cuts {
 		var runEnd time.Duration
-		host, runEnd = s.LaunchRun(profiler.StageBP, tab.bwdRuns[ri], host)
+		host, runEnd = s.LaunchRun(profiler.StageBP, runs.run(ri, lo), host)
+		lo = cut.end
 		if cut.layer == nil {
 			continue
 		}
-		upd := t.updates[gi]
+		upd := t.update(gi)
 		gi++
 		size := units.BytesOf(cut.layer.Params, units.Float32Size)
 		ready := runEnd

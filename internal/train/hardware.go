@@ -143,10 +143,15 @@ func MachineTopology(name string) (*topology.Topology, error) {
 	return top, err
 }
 
-// ResetCache drops the memoized machine topologies so the next compile
-// rebuilds them. Only benchmarks and tests measuring the cold path need
-// it.
-func ResetCache() { topologies.Reset() }
+// ResetCache drops the memoized machine topologies, machine templates and
+// plan tables so the next compile rebuilds them. Only benchmarks and
+// tests measuring the cold path need it. (Kernel tables live beside the
+// dnn plans, so models.ResetCache drops those.)
+func ResetCache() {
+	topologies.Reset()
+	templates.Reset()
+	planTables.Reset()
+}
 
 // isDefaultHardware reports whether the name (possibly empty) spells the
 // stock DGX-1 — the machine fault plans and legacy behavior assume.

@@ -75,8 +75,9 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 	opts := dnn.PlanOptions{TensorCores: t.cfg.TensorCores}
 	nodes := net.Nodes()
 
-	// The activation collectives run on their own communicator.
-	comm, err := nccl.New(t.rt, t.devs, nccl.DefaultConfig())
+	// The activation collectives run on their own communicator, over the
+	// machine template's rings (hybrid training requires the nccl method).
+	comm, err := nccl.NewOn(t.rt, t.rings, nccl.DefaultConfig())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -152,19 +153,19 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		return len(p.Bwd), p.Layer
 	})
 	type hybridTable struct {
-		bodyFwd cuda.Run   // every body plan's forward kernels, in order
-		bodyBwd []cuda.Run // the body's backward runs, cut at bodyCuts
+		bodyFwd cuda.Run // every body plan's forward kernels, in order
+		bodyBwd runTable // the body's backward runs, cut at bodyCuts
 		head    []headKernels
 		updates []time.Duration
 	}
 	tables := perSpec(t, func(spec gpu.Spec) *hybridTable {
 		tab := &hybridTable{head: make([]headKernels, len(head))}
-		var fwd []cuda.Kernel
+		var fwd []gpu.KernelCost
 		for _, p := range bodyPlans {
-			fwd = t.rt.Lower(fwd, spec, p.Fwd)
+			fwd = append(fwd, p.Fwd...)
 		}
-		tab.bodyFwd = t.rt.NewRun(fwd)
-		_, tab.bodyBwd = t.lowerRuns(spec, bodyCuts, headStart, func(i int) []gpu.KernelCost { return bodyStep(i).Bwd })
+		tab.bodyFwd = t.rt.LowerRun(spec, fwd)
+		tab.bodyBwd = t.lowerRuns(spec, bodyCuts, headStart, func(i int) []gpu.KernelCost { return bodyStep(i).Bwd })
 		lower := func(c gpu.KernelCost) cuda.Kernel { return t.rt.NewKernel(c.Name, spec.KernelDuration(c)) }
 		for i, hl := range head {
 			tab.head[i].fwd = lower(hl.fwd)
@@ -193,7 +194,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		host := make([]time.Duration, len(t.devs))
 		var bodyFPEnd time.Duration
 		for i := range t.devs {
-			s := t.compute[i]
+			s := &t.compute[i]
 			h, kEnd := s.LaunchRun(profiler.StageFP, tables[i].bodyFwd, start)
 			host[i] = h
 			if kEnd > bodyFPEnd {
@@ -206,7 +207,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		for li, hl := range head {
 			var kEnd time.Duration
 			for i := range t.devs {
-				s := t.compute[i]
+				s := &t.compute[i]
 				s.WaitEvent(now)
 				var e time.Duration
 				host[i], e = s.Launch(profiler.StageFP, tables[i].head[li].fwd, host[i])
@@ -226,7 +227,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 			hl := head[li]
 			var kEnd time.Duration
 			for i := range t.devs {
-				s, hk := t.compute[i], tables[i].head[li]
+				s, hk := &t.compute[i], tables[i].head[li]
 				s.WaitEvent(now)
 				var e time.Duration
 				if hl.memBound {
@@ -250,9 +251,9 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		var grads []layerGrad
 		var bpEnd time.Duration
 		for i := range t.devs {
-			s := t.compute[i]
+			s := &t.compute[i]
 			s.WaitEvent(now)
-			host[i], grads, bpEnd = launchBackward(s, tables[i].bodyBwd, bodyCuts, host[i], i == 0, grads, bpEnd)
+			host[i], grads, bpEnd = launchBackward(s, tables[i].bodyBwd, host[i], i == 0, grads, bpEnd)
 		}
 		// 6. Weight updates: conv via kvstore, FC slices locally.
 		lastPull := bpEnd

@@ -189,8 +189,8 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 	for s := range work {
 		work[s].dev = t.devs[s]
 		spec := t.rt.Device(t.devs[s]).Spec
-		work[s].fwd = t.rt.NewRun(t.rt.Lower(nil, spec, fwd[s]))
-		work[s].bwd = t.rt.NewRun(t.rt.Lower(nil, spec, bwd[s]))
+		work[s].fwd = t.rt.LowerRun(spec, fwd[s])
+		work[s].bwd = t.rt.LowerRun(spec, bwd[s])
 		if work[s].weights > 0 {
 			work[s].update = spec.KernelDuration(sgdUpdateCost(work[s].weights))
 		}
@@ -219,7 +219,7 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 		}
 		for j := 0; j < micro; j++ {
 			for s := 0; s < stages; s++ {
-				stream := t.compute[s]
+				stream := &t.compute[s]
 				stream.WaitEvent(actReady[s][j])
 				var kEnd time.Duration
 				host[s], kEnd = stream.LaunchRun(profiler.StageFP, work[s].fwd, host[s])
@@ -247,7 +247,7 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 		var bpEnd time.Duration
 		for j := 0; j < micro; j++ {
 			for s := stages - 1; s >= 0; s-- {
-				stream := t.compute[s]
+				stream := &t.compute[s]
 				stream.WaitEvent(gradReady[s][j])
 				var kEnd time.Duration
 				host[s], kEnd = stream.LaunchRun(profiler.StageBP, work[s].bwd, host[s])

@@ -29,7 +29,7 @@ type iterTimes struct {
 func sgdUpdateCost(size units.Bytes) gpu.KernelCost {
 	elems := int64(size / units.Float32Size)
 	return gpu.KernelCost{
-		Name:        "sgd_update",
+		Name:        sgdUpdate,
 		FLOPs:       units.FLOPs(4 * elems),
 		MemBytes:    5 * size,
 		Parallelism: elems,
@@ -107,17 +107,19 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 	grads := t.grads[:0]
 
 	for i := range t.devs {
-		s, tab := t.compute[i], t.tables[i]
+		s, tab := &t.compute[i], t.tables[i]
 		s.WaitEvent(staged[i])
-		host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwd, iterStart)
+		host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwdRun(), iterStart)
 		if kEnd > it.fpEnd {
 			it.fpEnd = kEnd
 		}
 		// Gradient checkpointing re-executes the forward kernels between
 		// checkpoints while backpropagating — approximately one extra
 		// forward pass folded into BP.
-		host, _ = s.LaunchRun(profiler.StageBP, tab.recompute, host)
-		host, grads, it.bpEnd = launchBackward(s, tab.bwdRuns, t.cuts, host, i == 0, grads, it.bpEnd)
+		if t.cfg.Checkpointing {
+			host, _ = s.LaunchRun(profiler.StageBP, tab.recomputeRun(), host)
+		}
+		host, grads, it.bpEnd = launchBackward(s, tab.bwdRuns(), host, i == 0, grads, it.bpEnd)
 		// Iteration-end sync on the compute stream.
 		s.Synchronize(profiler.StageBP, host)
 	}
@@ -138,7 +140,7 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 	var bucket layerGrad
 	for j, g := range grads {
 		if t.cfg.BucketBytes <= 0 {
-			if err := exchange(g, t.updates[j]); err != nil {
+			if err := exchange(g, t.update(j)); err != nil {
 				return it, err
 			}
 			continue
@@ -194,17 +196,18 @@ type layerGrad struct {
 	ready time.Duration
 }
 
-// launchBackward launches one GPU's backward runs, cut at cuts, on stream
-// s from host, and records each weighted layer's gradient-ready time in
-// grads (in launch order): the first GPU appends an entry per layer and
-// every later one raises it to its own time — synchronous SGD starts a
-// layer's exchange when the slowest GPU has its gradient. It returns the
-// host clock, grads, and bpEnd raised to the runs' latest end.
-func launchBackward(s *cuda.Stream, runs []cuda.Run, cuts []runCut, host time.Duration, first bool, grads []layerGrad, bpEnd time.Duration) (time.Duration, []layerGrad, time.Duration) {
-	gi := 0
-	for ri, cut := range cuts {
+// launchBackward launches one GPU's backward runs on stream s from host,
+// and records each weighted layer's gradient-ready time in grads (in
+// launch order): the first GPU appends an entry per layer and every later
+// one raises it to its own time — synchronous SGD starts a layer's
+// exchange when the slowest GPU has its gradient. It returns the host
+// clock, grads, and bpEnd raised to the runs' latest end.
+func launchBackward(s *cuda.Stream, runs runTable, host time.Duration, first bool, grads []layerGrad, bpEnd time.Duration) (time.Duration, []layerGrad, time.Duration) {
+	gi, lo := 0, 0
+	for ri, cut := range runs.cuts {
 		var runEnd time.Duration
-		host, runEnd = s.LaunchRun(profiler.StageBP, runs[ri], host)
+		host, runEnd = s.LaunchRun(profiler.StageBP, runs.run(ri, lo), host)
+		lo = cut.end
 		if cut.layer != nil {
 			if first {
 				size := units.BytesOf(cut.layer.Params, units.Float32Size)

@@ -1,0 +1,93 @@
+package train
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/dnn"
+	"repro/internal/kvstore"
+	"repro/internal/models"
+	"repro/internal/profiler"
+)
+
+// Every batch of a network shares one plan table, which is sound only if
+// the table does not depend on the batch: the same names at the same
+// slots, and the same cuts.
+func TestPlanTableBatchIndependent(t *testing.T) {
+	type cut struct {
+		end    int
+		params int64
+	}
+	names := func(p *planTable) []string {
+		out := make([]string, p.names.Len())
+		for i := range out {
+			out[i] = p.names.Name(profiler.Slot(i))
+		}
+		return out
+	}
+	shape := func(p *planTable) []cut {
+		out := make([]cut, len(p.cuts))
+		for i, c := range p.cuts {
+			out[i].end = c.end
+			if c.layer != nil {
+				out[i].params = c.layer.Params
+			}
+		}
+		return out
+	}
+	for _, m := range models.All() {
+		for _, opts := range []dnn.PlanOptions{{}, {TensorCores: true}, {TensorCores: true, Winograd: true}} {
+			a := buildPlanTable(m.Net.ForwardPlan(16, opts), m.Net.BackwardPlan(16, opts))
+			b := buildPlanTable(m.Net.ForwardPlan(61, opts), m.Net.BackwardPlan(61, opts))
+			if !reflect.DeepEqual(names(a), names(b)) ||
+				!reflect.DeepEqual(a.fwd, b.fwd) || !reflect.DeepEqual(a.recompute, b.recompute) ||
+				!reflect.DeepEqual(a.bwd, b.bwd) || !reflect.DeepEqual(shape(a), shape(b)) {
+				t.Errorf("%s %+v: the plan table differs between batches 16 and 61", m.Name, opts)
+			}
+		}
+	}
+}
+
+// Trainers of one machine, device set and method share one machine
+// template, and trainers of one plan and spec share one kernel table and
+// one plan table, until ResetCache (the templates and plan tables) and
+// models.ResetCache (the kernel tables, which live beside the zoo's
+// plans) drop them; the trainer after that builds its own afresh.
+func TestResetCacheRebuildsTemplates(t *testing.T) {
+	build := func() *Trainer {
+		t.Helper()
+		cfg, err := NewConfig("alexnet", 4, 32, kvstore.MethodNCCL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Hardware = "dgx1-pascal"
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	ResetCache()
+	models.ResetCache()
+	a, b := build(), build()
+	// A runtime's layout is observable as its profile's transfer names.
+	layout := func(t *Trainer) *profiler.Names { return t.prof.Seeded(profiler.KindTransfer) }
+	if layout(a) != layout(b) || a.tables[0] != b.tables[0] || a.tables[0].plan != b.tables[0].plan {
+		t.Fatal("two trainers of one configuration do not share their templates")
+	}
+	if a.fab == b.fab || a.prof == b.prof {
+		t.Fatal("two trainers share per-compile state")
+	}
+	ResetCache()
+	models.ResetCache()
+	c := build()
+	if layout(c) == layout(a) {
+		t.Error("ResetCache kept the machine template")
+	}
+	if c.tables[0] == a.tables[0] {
+		t.Error("models.ResetCache kept the kernel table")
+	}
+	if c.tables[0].plan == a.tables[0].plan {
+		t.Error("ResetCache kept the plan table")
+	}
+}

@@ -256,21 +256,17 @@ type Trainer struct {
 	rt      *cuda.Runtime
 	prof    *profiler.Profile
 	backend kvstore.Backend
-	devs    []topology.NodeID
+	// devs and rings are the machine template's, shared read-only (rings
+	// is nil unless the method is nccl).
+	devs  []topology.NodeID
+	rings *nccl.Layout
 
 	// compute[i] is devs[i]'s training stream.
-	compute []*cuda.Stream
+	compute []cuda.Stream
 
-	fwd []gpu.KernelCost
-	bwd []dnn.BackwardStep
-	// cuts cuts bwd into runs (cutRuns).
-	cuts []runCut
 	// tables[i] is the plan lowered for devs[i]'s spec; devices sharing a
-	// spec share one table.
-	tables []*kernelTable
-	// updates[j] is the root's weight-update kernel for the j-th layer
-	// with parameters, in backward order.
-	updates  []cuda.Kernel
+	// spec share one table, and tables[0] is the root's.
+	tables   []*kernelTable
 	schedule data.Schedule
 	memory   memmodel.Estimate
 
@@ -302,24 +298,34 @@ func (t *Trainer) cancelled() error {
 // New builds a trainer, enforcing the device-memory gate (it returns an
 // error wrapping gpu.ErrOutOfMemory for untrainable configurations, as the
 // paper hit for Inception-v3/ResNet beyond batch 64).
+//
+// The trainer is built from shared templates (see template.go): a
+// registered machine's healthy template is memoized, while a faulted or
+// overridden topology builds its template the same way for this trainer
+// alone.
 func New(cfg Config) (*Trainer, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	top := cfg.Topology
-	machineSpec := gpu.V100()
-	if top == nil && cfg.Faults.IsZero() {
-		// A registered machine's healthy graph is built and validated
-		// once per process and shared read-only.
+	devs, err := deviceSet(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var tmpl *machineTemplate
+	spec := gpu.V100()
+	if cfg.Topology == nil && cfg.Faults.IsZero() {
+		// normalize bounded the GPU count by the registry's, which is
+		// the topology's.
 		m, err := MachineByName(cfg.Hardware)
 		if err != nil {
 			return nil, err
 		}
-		if top, err = MachineTopology(m.Name); err != nil {
+		if tmpl, err = machineTemplateFor(m, devs, cfg.Method); err != nil {
 			return nil, err
 		}
-		machineSpec = m.Spec()
+		spec = m.Spec()
 	} else {
+		top := cfg.Topology
 		if top == nil {
 			// The fault plan owns the fabric: failed bricks vanish from
 			// the link graph (ring search and routing see the degraded
@@ -331,50 +337,37 @@ func New(cfg Config) (*Trainer, error) {
 		if err := top.Validate(); err != nil {
 			return nil, err
 		}
+		if n := len(top.GPUs()); cfg.GPUs > n {
+			return nil, fmt.Errorf("train: topology has %d GPUs, requested %d", n, cfg.GPUs)
+		}
+		if tmpl, err = buildTemplate(top, devs, cfg.Method); err != nil {
+			return nil, err
+		}
 	}
-	if n := len(top.GPUs()); cfg.GPUs > n {
-		return nil, fmt.Errorf("train: topology has %d GPUs, requested %d", n, cfg.GPUs)
+	if cfg.GPUSpec != nil {
+		spec = *cfg.GPUSpec
 	}
-	fab := interconnect.New(top)
+
+	opts := dnn.PlanOptions{TensorCores: cfg.TensorCores, Winograd: cfg.Winograd}
+	plan := planTableFor(cfg.Model.Net, cfg.Batch, opts)
 	var prof *profiler.Profile
 	if cfg.DetailIntervals > 0 {
 		prof = profiler.NewDetailed(cfg.DetailIntervals)
 	} else {
 		prof = profiler.New()
 	}
-	devs := cfg.Devices
-	if devs == nil {
-		devs = make([]topology.NodeID, cfg.GPUs)
-		for i := range devs {
-			devs[i] = topology.NodeID(i)
-		}
-	} else {
-		if len(devs) != cfg.GPUs {
-			return nil, fmt.Errorf("train: %d devices pinned for %d GPUs", len(devs), cfg.GPUs)
-		}
-		seen := map[topology.NodeID]bool{}
-		for _, d := range devs {
-			if seen[d] {
-				return nil, fmt.Errorf("train: duplicate device %d", d)
-			}
-			seen[d] = true
-		}
-		devs = append([]topology.NodeID(nil), devs...)
-	}
-	spec := machineSpec
-	if cfg.GPUSpec != nil {
-		spec = *cfg.GPUSpec
-	}
+	prof.Seed(profiler.Seeds{Kernels: plan.names, APIs: cuda.APINames, Transfers: tmpl.layout.Transfers()})
+
+	fab := interconnect.New(tmpl.top)
+	costs := cuda.DefaultCosts()
 	// Straggler GPUs run a uniformly slowed spec; healthy devices keep the
 	// base spec.
-	rt, err := cuda.NewRuntimeWithSpecs(fab, spec, cfg.Faults.Specs(spec), devs, cuda.DefaultCosts(), prof)
-	if err != nil {
-		return nil, err
-	}
+	specs := cfg.Faults.Specs(spec)
+	rt := tmpl.layout.NewRuntime(fab, spec, specs, costs, prof)
 	rt.SetRoutePolicy(cfg.RoutePolicy)
 	ncfg := nccl.DefaultConfig()
 	ncfg.Algorithm, ncfg.Protocol = cfg.NCCL.Algorithm, cfg.NCCL.Protocol
-	backend, err := kvstore.NewWithNCCL(cfg.Method, rt, devs, ncfg)
+	backend, err := kvstore.NewWithNCCL(cfg.Method, rt, tmpl.devs, ncfg, tmpl.rings)
 	if err != nil {
 		return nil, err
 	}
@@ -385,28 +378,14 @@ func New(cfg Config) (*Trainer, error) {
 		rt:      rt,
 		prof:    prof,
 		backend: backend,
-		devs:    devs,
-		compute: make([]*cuda.Stream, len(devs)),
+		devs:    tmpl.devs,
+		rings:   tmpl.rings,
+		compute: rt.Streams(tmpl.devs, false),
+		tables:  tablesFor(cfg, plan, tmpl.devs, spec, specs, costs.LaunchKernel),
 	}
-	for i, d := range devs {
-		t.compute[i] = rt.Stream(d, "train")
-	}
+	t.grads = make([]layerGrad, 0, len(t.tables[0].updates))
 
-	opts := dnn.PlanOptions{TensorCores: cfg.TensorCores, Winograd: cfg.Winograd}
-	t.fwd = cfg.Model.Net.ForwardPlan(cfg.Batch, opts)
-	t.bwd = cfg.Model.Net.BackwardPlan(cfg.Batch, opts)
-	t.cuts = cutRuns(len(t.bwd), func(i int) (int, *dnn.WeightedLayer) { return len(t.bwd[i].Kernels), t.bwd[i].Layer })
-	t.tables = perSpec(t, t.lower)
-	t.updates = make([]cuda.Kernel, 0, len(t.cuts))
-	for _, c := range t.cuts {
-		if c.layer != nil {
-			t.updates = append(t.updates, t.updateKernel(units.BytesOf(c.layer.Params, units.Float32Size)))
-		}
-	}
-	t.grads = make([]layerGrad, 0, len(t.updates))
-
-	ds := data.ImageNetSubset(cfg.Images)
-	t.schedule, err = data.NewSchedule(ds, cfg.Model.InputShape, cfg.Batch, cfg.GPUs)
+	t.schedule, err = memoSchedule(cfg.Images, cfg.Model.InputShape, cfg.Batch, cfg.GPUs)
 	if err != nil {
 		return nil, err
 	}
@@ -430,19 +409,40 @@ func New(cfg Config) (*Trainer, error) {
 	return t, nil
 }
 
-// kernelTable is the trainer's kernel plan lowered for one device spec:
-// every entry carries its duration on that spec and its profile slot, so
-// the schedules launch without recomputing either. The kernels are cut
-// into runs (cuda.Run), each launched with one Stream.LaunchRun.
-type kernelTable struct {
-	fwd cuda.Run
-	// recompute is fwd relabeled for gradient checkpointing's extra
-	// forward pass during BP (empty without checkpointing).
-	recompute cuda.Run
-	// bwd is every backward step's kernels in order; bwdRuns cuts it as
-	// Trainer.cuts does.
-	bwd     []cuda.Kernel
-	bwdRuns []cuda.Run
+// firstDevs is 0..maxTemplateDevs-1: every default device set is a
+// prefix of it, shared read-only.
+var firstDevs = func() []topology.NodeID {
+	devs := make([]topology.NodeID, maxTemplateDevs)
+	for i := range devs {
+		devs[i] = topology.NodeID(i)
+	}
+	return devs
+}()
+
+// deviceSet returns the GPUs a configuration trains on: Config.Devices
+// when pinned, else 0..GPUs-1. The result is read-only.
+func deviceSet(cfg Config) ([]topology.NodeID, error) {
+	if cfg.Devices == nil {
+		if cfg.GPUs <= len(firstDevs) {
+			return firstDevs[:cfg.GPUs:cfg.GPUs], nil
+		}
+		devs := make([]topology.NodeID, cfg.GPUs)
+		for i := range devs {
+			devs[i] = topology.NodeID(i)
+		}
+		return devs, nil
+	}
+	if len(cfg.Devices) != cfg.GPUs {
+		return nil, fmt.Errorf("train: %d devices pinned for %d GPUs", len(cfg.Devices), cfg.GPUs)
+	}
+	seen := map[topology.NodeID]bool{}
+	for _, d := range cfg.Devices {
+		if seen[d] {
+			return nil, fmt.Errorf("train: duplicate device %d", d)
+		}
+		seen[d] = true
+	}
+	return append([]topology.NodeID(nil), cfg.Devices...), nil
 }
 
 // runCut is where one backward run ends: end is one past its last kernel
@@ -489,39 +489,21 @@ func cutRuns(n int, step func(i int) (kernels int, layer *dnn.WeightedLayer)) []
 	return cuts
 }
 
-// lowerRuns lowers plans (in launch order) for one spec into one flat
-// table and cuts it into runs at cuts.
-func (t *Trainer) lowerRuns(spec gpu.Spec, cuts []runCut, n int, plan func(i int) []gpu.KernelCost) ([]cuda.Kernel, []cuda.Run) {
-	total := 0
+// lowerRuns lowers plans (in launch order) for one spec into one run
+// table cut at cuts.
+func (t *Trainer) lowerRuns(spec gpu.Spec, cuts []runCut, n int, plan func(i int) []gpu.KernelCost) runTable {
+	var costs []gpu.KernelCost
 	for i := 0; i < n; i++ {
-		total += len(plan(i))
+		costs = append(costs, plan(i)...)
 	}
-	flat := make([]cuda.Kernel, 0, total)
-	for i := 0; i < n; i++ {
-		flat = t.rt.Lower(flat, spec, plan(i))
-	}
-	runs := make([]cuda.Run, len(cuts))
+	flat := t.rt.LowerRun(spec, costs)
+	r := runTable{slots: flat.Slots, durs: flat.Durs, sums: make([]cuda.RunSum, len(cuts)), cuts: cuts}
 	lo := 0
 	for i, c := range cuts {
-		runs[i] = t.rt.NewRun(flat[lo:c.end:c.end])
+		r.sums[i] = cuda.Summarize(flat.Durs[lo:c.end], t.rt.Costs().LaunchKernel)
 		lo = c.end
 	}
-	return flat, runs
-}
-
-// lower builds the kernel table of the trainer's plan for one spec.
-func (t *Trainer) lower(spec gpu.Spec) *kernelTable {
-	fwd := t.rt.Lower(nil, spec, t.fwd)
-	tab := &kernelTable{fwd: t.rt.NewRun(fwd)}
-	if t.cfg.Checkpointing {
-		recompute := make([]cuda.Kernel, len(fwd))
-		for i, k := range fwd {
-			recompute[i] = t.rt.NewKernel("recompute_"+k.Name, k.Dur)
-		}
-		tab.recompute = t.rt.NewRun(recompute)
-	}
-	tab.bwd, tab.bwdRuns = t.lowerRuns(spec, t.cuts, len(t.bwd), func(i int) []gpu.KernelCost { return t.bwd[i].Kernels })
-	return tab
+	return r
 }
 
 // perSpec calls lower once per distinct device spec and returns each
@@ -546,11 +528,17 @@ func perSpec[T any](t *Trainer, lower func(gpu.Spec) T) []T {
 	return out
 }
 
+// update returns the root's weight-update kernel for the j-th layer with
+// parameters, in backward order.
+func (t *Trainer) update(j int) cuda.Kernel {
+	return cuda.Kernel{Name: sgdUpdate, Dur: t.tables[0].updates[j], Slot: slotSGDUpdate}
+}
+
 // updateKernel lowers the root's weight-update kernel for one parameter
 // array of size bytes.
 func (t *Trainer) updateKernel(size units.Bytes) cuda.Kernel {
 	spec := t.rt.Device(t.backend.Root()).Spec
-	return t.rt.NewKernel("sgd_update", spec.KernelDuration(sgdUpdateCost(size)))
+	return t.rt.NewKernel(sgdUpdate, spec.KernelDuration(sgdUpdateCost(size)))
 }
 
 // Memory returns the per-GPU memory estimate.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/data"
 	"repro/internal/dnn"
-	"repro/internal/gpu"
 	"repro/internal/memmodel"
 	"repro/internal/memo"
 	"repro/internal/profiler"
@@ -116,9 +115,10 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 	for _, d := range t.devs {
 		busy[d] = t.rt.Device(d).ComputeBusy()
 	}
-	// A cached window outlives its trainer; a clone keeps just the
-	// aggregates, without the trainer's intern index.
-	prof := t.prof.Clone()
+	// A cached window outlives its trainer; it keeps just the names that
+	// recorded and their aggregates, not the trainer's seeded slots, so
+	// every extrapolation clones only those.
+	prof := t.prof.Compact()
 	return &Window{
 		cfg:         t.cfg,
 		memory:      t.memory,
@@ -127,7 +127,7 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		simTotal:    it.barrier - setupEnd,
 		nsim:        nsim,
 		prof:        prof,
-		utilWeight:  t.planUtilWeight(),
+		utilWeight:  t.tables[0].util,
 		setupApprox: t.SetupTimeApprox(),
 		devs:        t.devs,
 		busy:        busy,
@@ -178,26 +178,6 @@ func (t *Trainer) broadcast(stage bool) (time.Duration, []time.Duration, error) 
 		}
 	}
 	return end, ready, nil
-}
-
-// planUtilWeight sums the occupancy-weighted duration of one iteration's
-// kernels — the per-iteration numerator of ComputeUtilization.
-func (t *Trainer) planUtilWeight() float64 {
-	spec := t.rt.Device(t.devs[0]).Spec
-	tab := t.tables[0]
-	var weighted float64
-	add := func(ks []gpu.KernelCost, lowered []cuda.Kernel) {
-		for i, k := range ks {
-			weighted += lowered[i].Dur.Seconds() * spec.Occupancy(k.Parallelism)
-		}
-	}
-	add(t.fwd, tab.fwd.Kernels)
-	lowered := tab.bwd
-	for _, step := range t.bwd {
-		add(step.Kernels, lowered)
-		lowered = lowered[len(step.Kernels):]
-	}
-	return weighted
 }
 
 // scheduleKey identifies one memoized epoch plan. Every field

@@ -118,6 +118,15 @@ echo "smoke: error envelope"
 ENVELOPE="$(curl -s "$BASE/v1/bogus")"
 grep -q '"code":"not_found"' <<<"$ENVELOPE" || fail "unknown /v1 path did not answer with the error envelope"
 
+echo "smoke: out-of-memory workload (422)"
+OOM_BODY="$(mktemp)"
+OOM_STATUS="$(curl -s -o "$OOM_BODY" -w '%{http_code}' -X POST "$BASE/v1/simulate" \
+    -d '{"Model":"googlenet","GPUs":1,"Batch":512}')"
+OOM_CODE="$(grep -o '"code":"[a-z_]*"' "$OOM_BODY" || true)"
+rm -f "$OOM_BODY"
+[[ "$OOM_STATUS" == 422 ]] || fail "out-of-memory workload answered $OOM_STATUS, want 422"
+[[ "$OOM_CODE" == '"code":"out_of_memory"' ]] || fail "out-of-memory workload envelope code is $OOM_CODE"
+
 echo "smoke: fleet simulation request"
 CLUSTER_BODY='{
   "nodes": [{"count": 2}],
