@@ -66,6 +66,10 @@ func goldenCases() []goldenCase {
 		goldenCase{"resnet/nccl-tree-bucket", core.Workload{Model: "resnet", GPUs: 8, Batch: 16, Method: core.NCCL, NCCLTree: true, BucketKB: 4096}},
 		goldenCase{"googlenet/straggler/p2p", core.Workload{Model: "googlenet", GPUs: 8, Batch: 16, Method: core.P2P, Faults: straggler}},
 		goldenCase{"googlenet/straggler/nccl", core.Workload{Model: "googlenet", GPUs: 8, Batch: 16, Method: core.NCCL, Faults: straggler}},
+		goldenCase{"resnet/model-parallel/straggler", core.Workload{Model: "resnet", GPUs: 8, Batch: 32, Method: core.NCCL, ModelParallel: true, Faults: straggler}},
+		goldenCase{"inception-v3/model-parallel/micro3", core.Workload{Model: "inception-v3", GPUs: 4, Batch: 32, Method: core.NCCL, ModelParallel: true, MicroBatches: 3}},
+		goldenCase{"googlenet/hybrid-owt/straggler", core.Workload{Model: "googlenet", GPUs: 8, Batch: 16, Method: core.NCCL, HybridOWT: true, Faults: straggler}},
+		goldenCase{"lenet/hybrid-owt/dgx2", core.Workload{Model: "lenet", GPUs: 16, Batch: 16, Method: core.NCCL, HybridOWT: true, Hardware: "dgx2"}},
 	)
 }
 
