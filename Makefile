@@ -6,11 +6,12 @@ GO ?= go
 
 # The tracked benchmark set: the compile-once/simulate-many split (cold
 # vs warm core.Run, the 8-way RunMany sweep), the never-seen compile a
-# server pays (CoreRunMiss) and its trainer-construction layer
-# (TrainNew), plus the service's warm hit path (preserialized byte
-# cache). The committed BENCH_<date>.json floor these; `make bench-gate`
-# enforces it (a benchmark the baseline lacks is reported, not gated).
-BENCH_SET    := BenchmarkCoreRun(Cold|Warm|Many8|Miss)$$|BenchmarkServiceCacheHit$$|BenchmarkTrainNew$$
+# server pays (CoreRunMiss, and CoreRunMissVariants for the model-parallel
+# and hybrid schedules) and its trainer-construction layer (TrainNew),
+# plus the service's warm hit path (preserialized byte cache). The
+# committed BENCH_<date>.json floor these; `make bench-gate` enforces it
+# (a benchmark the baseline lacks is reported, not gated).
+BENCH_SET    := BenchmarkCoreRun(Cold|Warm|Many8|Miss|MissVariants)$$|BenchmarkServiceCacheHit$$|BenchmarkTrainNew$$
 BENCH_BASE   ?= BENCH_2026-10-16.json
 MAX_REGRESS  ?= 35%
 

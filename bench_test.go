@@ -537,23 +537,59 @@ var missNext int
 // machine topologies stay warm from the first pass through the cycle,
 // which runs untimed. BenchmarkCoreRunCold, by contrast, measures the
 // process-start cost, rebuilding all of those on every op.
-func BenchmarkCoreRunMiss(b *testing.B) {
+func BenchmarkCoreRunMiss(b *testing.B) { runMissCycle(b, missWorkloads, &missNext) }
+
+// missVariantWorkloads is BenchmarkCoreRunMissVariants's input cycle: the
+// model-parallel and hybrid schedules over four models × 2–8 GPUs × five
+// batches × three machines, 840 distinct compile fingerprints, more than
+// the 512-entry compiled-window memo holds.
+var missVariantWorkloads = func() []core.Workload {
+	var ws []core.Workload
+	for _, model := range []string{"alexnet", "resnet", "googlenet", "inception-v3"} {
+		for gpus := 2; gpus <= 8; gpus++ {
+			for batch := 24; batch <= 56; batch += 8 {
+				for _, hw := range []string{"dgx1", "dgx2", "dgx-a100"} {
+					mp := core.Workload{Model: model, GPUs: gpus, Batch: batch, Method: core.NCCL, Hardware: hw}
+					hy := mp
+					mp.ModelParallel, hy.HybridOWT = true, true
+					ws = append(ws, mp, hy)
+				}
+			}
+		}
+	}
+	return ws
+}()
+
+// missVariantNext is the next position in missVariantWorkloads.
+var missVariantNext int
+
+// BenchmarkCoreRunMissVariants is BenchmarkCoreRunMiss for the schedules
+// that are not data parallelism: every op compiles a never-seen
+// model-parallel or hybrid window.
+func BenchmarkCoreRunMissVariants(b *testing.B) {
+	runMissCycle(b, missVariantWorkloads, &missVariantNext)
+}
+
+// runMissCycle runs one workload of the cycle ws per op, from position
+// *next on. The first call runs the whole cycle once, untimed, so every
+// cache but the compiled-window memo is warm.
+func runMissCycle(b *testing.B, ws []core.Workload, next *int) {
 	run := func(i int) {
-		w := missWorkloads[i%len(missWorkloads)]
+		w := ws[i%len(ws)]
 		if _, err := core.Run(w); err != nil {
 			b.Fatalf("%+v: %v", w, err)
 		}
 	}
-	if missNext == 0 {
-		for ; missNext < len(missWorkloads); missNext++ {
-			run(missNext)
+	if *next == 0 {
+		for ; *next < len(ws); *next++ {
+			run(*next)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(missNext)
-		missNext++
+		run(*next)
+		*next++
 	}
 }
 

@@ -37,7 +37,7 @@ func main() {
 		noTC       = flag.Bool("no-tensor-cores", false, "disable tensor-core lowering")
 		async      = flag.Bool("async", false, "asynchronous SGD (p2p only)")
 		mp         = flag.Bool("model-parallel", false, "partition layers across GPUs instead of replicating")
-		micro      = flag.Int("micro-batches", 0, "model-parallel pipeline depth (0 = 2x stages)")
+		micro      = flag.Int("micro-batches", 0, "model-parallel pipeline depth (0 = 2x stages, capped at batch/4, at least 1)")
 		faultsJSON = flag.String("faults", "", `fault plan as JSON, e.g. '{"failedLinks":[{"a":0,"b":1}],"stragglers":[{"gpu":3,"slowdown":1.5}]}'`)
 		profile    = flag.Bool("profile", false, "print the nvprof-style profile summary")
 		layers     = flag.Int("layers", 0, "print the N most expensive layers (0 = off)")

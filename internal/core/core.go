@@ -59,8 +59,8 @@ type Workload struct {
 	// HybridOWT data-parallelizes the conv body and tensor-parallelizes
 	// the FC head ("one weird trick"); requires NCCL and >= 2 GPUs.
 	HybridOWT bool
-	// MicroBatches tunes the model-parallel pipeline depth (default 4x
-	// the stage count).
+	// MicroBatches tunes the model-parallel pipeline depth (default 2x
+	// the stage count, capped at Batch/4 and at least 1).
 	MicroBatches int
 	// NCCLTree uses NCCL's double-binary-tree algorithm instead of rings.
 	NCCLTree bool

@@ -67,6 +67,16 @@ func (w Workload) Validate() error {
 	if w.BucketKB < 0 {
 		return fmt.Errorf("core: bucket size %d KiB must not be negative", w.BucketKB)
 	}
+	// Only the data-parallel schedule launches the recompute pass and
+	// fuses gradient exchanges.
+	if p := w.parallelism(); p != train.DataParallel {
+		if w.Checkpointing {
+			return fmt.Errorf("core: checkpointing applies only to data-parallel runs, not %s", p)
+		}
+		if w.BucketKB > 0 {
+			return fmt.Errorf("core: gradient buckets apply only to data-parallel runs, not %s", p)
+		}
+	}
 	if w.TraceIntervals < 0 {
 		return fmt.Errorf("core: trace interval count %d must not be negative", w.TraceIntervals)
 	}

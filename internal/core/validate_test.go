@@ -42,6 +42,12 @@ func TestValidate(t *testing.T) {
 		{"micro-batches without mp", func(w *Workload) { w.MicroBatches = 4 }, "micro-batches apply only to model-parallel"},
 		{"micro-batches with mp ok", func(w *Workload) { w.ModelParallel = true; w.MicroBatches = 4 }, ""},
 		{"negative bucket", func(w *Workload) { w.BucketKB = -1 }, "bucket size -1"},
+		{"checkpointing ok", func(w *Workload) { w.Checkpointing = true }, ""},
+		{"bucket ok", func(w *Workload) { w.BucketKB = 4096 }, ""},
+		{"mp checkpointing", func(w *Workload) { w.ModelParallel = true; w.Checkpointing = true }, "checkpointing applies only to data-parallel runs, not model-parallel"},
+		{"hybrid checkpointing", func(w *Workload) { w.HybridOWT = true; w.Checkpointing = true }, "checkpointing applies only to data-parallel runs, not hybrid-owt"},
+		{"mp bucket", func(w *Workload) { w.ModelParallel = true; w.BucketKB = 4096 }, "gradient buckets apply only to data-parallel runs, not model-parallel"},
+		{"hybrid bucket", func(w *Workload) { w.HybridOWT = true; w.BucketKB = 4096 }, "gradient buckets apply only to data-parallel runs, not hybrid-owt"},
 		{"negative trace intervals", func(w *Workload) { w.TraceIntervals = -1 }, "trace interval count -1"},
 	}
 	for _, tc := range cases {

@@ -44,27 +44,24 @@ func benchRuntime(b *testing.B) *Runtime {
 	return rt
 }
 
-// runSink keeps the lowered runs from being optimized away.
-var runSink Run
-
-// BenchmarkLowerResNet measures lowering one ResNet-50 iteration's plan
-// into a run: a kernel duration and a profile slot per kernel.
-func BenchmarkLowerResNet(b *testing.B) {
-	plan := resnetPlan(b)
-	rt := benchRuntime(b)
+// v100Run returns plan's kernels on the V100 as one run, their names
+// interned in rt's profile.
+func v100Run(rt *Runtime, plan []gpu.KernelCost) Run {
 	spec := gpu.V100()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runSink = rt.LowerRun(spec, plan)
+	run := Run{Slots: make([]profiler.Slot, len(plan)), Durs: make([]time.Duration, len(plan))}
+	for i, c := range plan {
+		k := rt.NewKernel(c.Name, spec.KernelDuration(c))
+		run.Slots[i], run.Durs[i] = k.Slot, k.Dur
 	}
+	run.RunSum = Summarize(run.Durs, rt.Costs().LaunchKernel)
+	return run
 }
 
 // BenchmarkStreamLaunch measures one kernel launch from a lowered table:
 // the host API call, the device booking and both profile records.
 func BenchmarkStreamLaunch(b *testing.B) {
 	rt := benchRuntime(b)
-	run := rt.LowerRun(gpu.V100(), resnetPlan(b))
+	run := v100Run(rt, resnetPlan(b))
 	tab := make([]Kernel, len(run.Durs))
 	for i := range tab {
 		tab[i] = Kernel{Dur: run.Durs[i], Slot: run.Slots[i]}
@@ -83,7 +80,7 @@ func BenchmarkStreamLaunch(b *testing.B) {
 // launch API's aggregate and one slot update per kernel.
 func BenchmarkStreamLaunchRun(b *testing.B) {
 	rt := benchRuntime(b)
-	run := rt.LowerRun(gpu.V100(), resnetNet(b).ForwardPlan(32, dnn.PlanOptions{TensorCores: true}))
+	run := v100Run(rt, resnetNet(b).ForwardPlan(32, dnn.PlanOptions{TensorCores: true}))
 	s := rt.Stream(0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -88,6 +88,9 @@ type RunSum struct {
 	sum, crit time.Duration
 }
 
+// Sum is the run's total kernel time.
+func (r RunSum) Sum() time.Duration { return r.sum }
+
 // Summarize returns the closed form of kernels executing for durs, in
 // order, when each launch costs launch.
 func Summarize(durs []time.Duration, launch time.Duration) RunSum {
@@ -384,17 +387,6 @@ func (rt *Runtime) label(k profiler.Kind, name string) label {
 func (rt *Runtime) NewKernel(name string, dur time.Duration) Kernel {
 	l := rt.label(profiler.KindKernel, name)
 	return Kernel{Name: name, Dur: dur, Slot: l.slot}
-}
-
-// LowerRun lowers a kernel plan for devices of one spec as one run.
-func (rt *Runtime) LowerRun(spec gpu.Spec, plan []gpu.KernelCost) Run {
-	r := Run{Slots: make([]profiler.Slot, len(plan)), Durs: make([]time.Duration, len(plan))}
-	for i, c := range plan {
-		r.Slots[i] = rt.label(profiler.KindKernel, c.Name).slot
-		r.Durs[i] = spec.KernelDuration(c)
-	}
-	r.RunSum = Summarize(r.Durs, rt.costs.LaunchKernel)
-	return r
 }
 
 // state returns the runtime's state for a GPU, or nil if it does not

@@ -35,24 +35,24 @@ func (s LayerStat) Total() time.Duration { return s.FPTime + s.BPTime }
 // ProfileLayers computes per-layer execution estimates for one mini-batch
 // on the given device. Layers that lower to no kernel are omitted.
 func ProfileLayers(n *Network, batch int, spec gpu.Spec, opt PlanOptions) []LayerStat {
-	var out []LayerStat
-	for _, p := range n.NodePlans(batch, opt) {
-		if len(p.Fwd) == 0 && len(p.Bwd) == 0 {
-			continue
-		}
+	// Both plans cover the lowered nodes, one forward kernel each and the
+	// backward steps in reverse: the j-th lowered node's step is the j-th
+	// from the end.
+	fwd, bwd := n.ForwardPlan(batch, opt), n.BackwardPlan(batch, opt)
+	out := make([]LayerStat, 0, len(fwd))
+	for j, k := range fwd {
+		step := bwd[len(bwd)-1-j]
 		st := LayerStat{
-			Name:   p.Node.Name,
-			Kind:   p.Node.Op.Kind(),
-			Output: p.Node.Out,
-			Params: p.Node.ParamsN,
+			Name:    step.Node.Name,
+			Kind:    step.Node.Op.Kind(),
+			Output:  step.Node.Out,
+			Params:  step.Node.ParamsN,
+			FPTime:  spec.KernelDuration(k),
+			FLOPs:   k.FLOPs,
+			Bytes:   k.MemBytes,
+			BoundBy: boundBy(spec, k),
 		}
-		for _, k := range p.Fwd {
-			st.FPTime += spec.KernelDuration(k)
-			st.FLOPs += k.FLOPs
-			st.Bytes += k.MemBytes
-			st.BoundBy = boundBy(spec, k)
-		}
-		for _, k := range p.Bwd {
+		for _, k := range step.Kernels {
 			st.BPTime += spec.KernelDuration(k)
 			st.FLOPs += k.FLOPs
 			st.Bytes += k.MemBytes

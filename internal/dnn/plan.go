@@ -289,44 +289,6 @@ func (n *Network) lowerBackward(batch int, opt PlanOptions) []BackwardStep {
 	return steps
 }
 
-// NodePlan is one node's lowered kernels, used by schedulers that place
-// layers individually (model parallelism) rather than replicating the
-// whole network.
-type NodePlan struct {
-	Node *Node
-	// Fwd is empty for nodes that lower to no kernel (input, flatten).
-	Fwd []gpu.KernelCost
-	Bwd []gpu.KernelCost
-	// Layer is non-nil when the node carries weights.
-	Layer *WeightedLayer
-}
-
-// NodePlans lowers every node individually, in topological order.
-func (n *Network) NodePlans(batch int, opt PlanOptions) []NodePlan {
-	if batch <= 0 {
-		panic(fmt.Sprintf("dnn: bad batch size %d", batch))
-	}
-	bwdByNode := make(map[*Node]BackwardStep, len(n.nodes))
-	for _, step := range n.BackwardPlan(batch, opt) {
-		bwdByNode[step.Node] = step
-	}
-	plans := make([]NodePlan, 0, len(n.nodes))
-	for _, nd := range n.nodes {
-		p := NodePlan{Node: nd}
-		switch nd.Op.Kind() {
-		case OpInput, OpFlatten:
-		default:
-			p.Fwd = []gpu.KernelCost{forwardKernel(nd, batch, opt)}
-		}
-		if step, ok := bwdByNode[nd]; ok {
-			p.Bwd = step.Kernels
-			p.Layer = step.Layer
-		}
-		plans = append(plans, p)
-	}
-	return plans
-}
-
 // CutPoints returns the indices i (into Nodes()) after which the network
 // can be cleanly split into a prefix and a suffix: exactly one produced
 // tensor is still live (node i's own output), so a pipeline stage boundary

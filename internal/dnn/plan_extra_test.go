@@ -1,55 +1,6 @@
 package dnn
 
-import (
-	"testing"
-
-	"repro/internal/units"
-)
-
-// NodePlans must agree with the whole-network plans: same total FLOPs,
-// same kernel counts, same weighted layers.
-func TestNodePlansConsistentWithNetworkPlans(t *testing.T) {
-	n := buildTiny()
-	opt := PlanOptions{TensorCores: true}
-	batch := 8
-
-	var nodeFwdFLOPs, nodeBwdFLOPs units.FLOPs
-	var nodeFwdKernels, nodeBwdKernels int
-	var layers []string
-	for _, p := range n.NodePlans(batch, opt) {
-		for _, k := range p.Fwd {
-			nodeFwdFLOPs += k.FLOPs
-			nodeFwdKernels++
-		}
-		for _, k := range p.Bwd {
-			nodeBwdFLOPs += k.FLOPs
-			nodeBwdKernels++
-		}
-		if p.Layer != nil {
-			layers = append(layers, p.Layer.Name)
-		}
-	}
-
-	fwd := n.ForwardPlan(batch, opt)
-	if PlanFLOPs(fwd) != nodeFwdFLOPs || len(fwd) != nodeFwdKernels {
-		t.Errorf("forward mismatch: %v/%d vs %v/%d",
-			PlanFLOPs(fwd), len(fwd), nodeFwdFLOPs, nodeFwdKernels)
-	}
-	var bwdFLOPs units.FLOPs
-	bwdKernels := 0
-	for _, step := range n.BackwardPlan(batch, opt) {
-		bwdFLOPs += PlanFLOPs(step.Kernels)
-		bwdKernels += len(step.Kernels)
-	}
-	if bwdFLOPs != nodeBwdFLOPs || bwdKernels != nodeBwdKernels {
-		t.Errorf("backward mismatch: %v/%d vs %v/%d",
-			bwdFLOPs, bwdKernels, nodeBwdFLOPs, nodeBwdKernels)
-	}
-	wl := n.WeightedLayers()
-	if len(layers) != len(wl) {
-		t.Errorf("weighted layers: %v vs %v", layers, wl)
-	}
-}
+import "testing"
 
 // Every cut point must be a valid single-tensor boundary: for each node
 // after the cut, any input from at-or-before the cut must be the cut node
@@ -114,14 +65,4 @@ func TestCutPointsExcludeBranchInterior(t *testing.T) {
 		// tensor at that point, so the cut is clean.
 		t.Error("cut after pre missing")
 	}
-}
-
-func TestNodePlansBadBatchPanics(t *testing.T) {
-	n := buildTiny()
-	defer func() {
-		if recover() == nil {
-			t.Error("batch 0 should panic")
-		}
-	}()
-	n.NodePlans(0, PlanOptions{})
 }

@@ -173,6 +173,32 @@ func TestSimulateRejectsLikeValidate(t *testing.T) {
 	}
 }
 
+// Model-parallel and hybrid runs neither recompute activations nor fuse
+// gradient exchanges, so a workload asking for either is the client's
+// error, not a silently ignored option.
+func TestSimulateRejectsOptionsTheScheduleIgnores(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, w := range []core.Workload{
+		{Model: "alexnet", GPUs: 4, Batch: 32, ModelParallel: true, Checkpointing: true},
+		{Model: "alexnet", GPUs: 4, Batch: 32, HybridOWT: true, Checkpointing: true},
+		{Model: "alexnet", GPUs: 4, Batch: 32, ModelParallel: true, BucketKB: 4096},
+		{Model: "alexnet", GPUs: 4, Batch: 32, HybridOWT: true, BucketKB: 4096},
+	} {
+		resp, body := post(t, ts.URL+"/v1/simulate", w)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%+v: status = %d, want 400 (%s)", w, resp.StatusCode, body)
+		}
+		d := decodeEnvelope(t, body)
+		if d.Code != CodeBadRequest || d.Retryable {
+			t.Errorf("%+v: envelope = %+v, want bad_request, not retryable", w, d)
+		}
+		if want := w.Validate(); want == nil || d.Message != want.Error() ||
+			!strings.Contains(d.Message, "only to data-parallel runs") {
+			t.Errorf("%+v: message %q, want core.Validate's rejection (%v)", w, d.Message, want)
+		}
+	}
+}
+
 func TestSweepRejectsBadConfigBeforeRunning(t *testing.T) {
 	svc, ts := newTestServer(t, Config{})
 	req := SweepRequest{

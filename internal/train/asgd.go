@@ -57,12 +57,11 @@ func (t *Trainer) asyncWorkerIteration(w int, root topology.NodeID, start time.D
 	d, s, tab := t.devs[w], &t.compute[w], t.tables[w]
 	host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwdRun(), start)
 	lastPull := kEnd
-	gi, lo := 0, 0
+	gi := 0
 	runs := tab.bwdRuns()
 	for ri, cut := range runs.cuts {
 		var runEnd time.Duration
-		host, runEnd = s.LaunchRun(profiler.StageBP, runs.run(ri, lo), host)
-		lo = cut.end
+		host, runEnd = s.LaunchRun(profiler.StageBP, runs.run(ri), host)
 		if cut.layer == nil {
 			continue
 		}

@@ -83,3 +83,45 @@ func TestWinogradAblation(t *testing.T) {
 		t.Errorf("AlexNet (%.2f) should gain less than ResNet (%.2f)", alex, res)
 	}
 }
+
+// Only data parallelism launches the recompute pass and fuses gradient
+// exchanges; the other schedules reject both options rather than report a
+// memory model or a configuration their kernels ignore.
+func TestOnlyDataParallelCheckpointsOrBuckets(t *testing.T) {
+	for _, p := range []Parallelism{ModelParallel, HybridOWT} {
+		for _, tc := range []struct {
+			set  func(*Config)
+			want string
+		}{
+			{func(c *Config) { c.Checkpointing = true }, "train: checkpointing applies only to data parallelism, not " + p.String()},
+			{func(c *Config) { c.BucketBytes = 4 << 20 }, "train: gradient buckets apply only to data parallelism, not " + p.String()},
+		} {
+			cfg := quickCfg(t, "alexnet", 4, 32, kvstore.MethodNCCL)
+			cfg.Parallelism = p
+			tc.set(&cfg)
+			if _, err := New(cfg); err == nil || err.Error() != tc.want {
+				t.Errorf("%s: New = %v, want %q", p, err, tc.want)
+			}
+		}
+	}
+}
+
+// The model-parallel and hybrid schedules read the same kernel tables as
+// data parallelism, so they launch Winograd kernels when it is on.
+func TestWinogradReachesEverySchedule(t *testing.T) {
+	for _, p := range []Parallelism{ModelParallel, HybridOWT} {
+		cfg := quickCfg(t, "alexnet", 4, 32, kvstore.MethodNCCL)
+		cfg.Parallelism, cfg.Winograd = p, true
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tr.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Profile.Kernel("conv_winograd_fprop").Calls == 0 {
+			t.Errorf("%s: no conv_winograd_fprop kernels recorded", p)
+		}
+	}
+}

@@ -72,7 +72,6 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 	}
 	g := t.cfg.GPUs
 	globalBatch := t.cfg.Batch * g
-	opts := dnn.PlanOptions{TensorCores: t.cfg.TensorCores}
 	nodes := net.Nodes()
 
 	// The activation collectives run on their own communicator, over the
@@ -82,8 +81,21 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		return 0, nil, err
 	}
 
-	// Body plans at the local batch.
-	bodyPlans := net.NodePlans(t.cfg.Batch, opts)[:headStart]
+	// The body is the trainer's own tables at the local batch: the
+	// forward prefix ahead of the head, and the backward runs after the
+	// head's. The head's first FC layer is weighted, so a run ends exactly
+	// where the body's backward steps begin; its runs' layers lead the
+	// root's update durations.
+	cuts, bodyAt := t.tables[0].plan.cuts, t.tables[0].plan.bwdAt[headStart]
+	headRun, headLayers := 0, 1
+	for ; headRun < len(cuts) && cuts[headRun].end < bodyAt; headRun++ {
+		if cuts[headRun].layer != nil {
+			headLayers++
+		}
+	}
+	if headRun == len(cuts) || cuts[headRun].end != bodyAt || cuts[headRun].layer == nil {
+		return 0, nil, fmt.Errorf("train: %s: no backward run ends at the head's first FC layer", net.Name)
+	}
 	// Boundary activation: the body's last node output over the global
 	// batch.
 	boundary := nodes[headStart-1]
@@ -112,7 +124,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 			mem := units.BytesOf(in*int64(globalBatch)+sliceOut*int64(globalBatch), units.Float32Size) +
 				units.BytesOf(params, units.Float32Size)
 			class, eff := gpu.ClassFMA, 0.25
-			if opts.TensorCores {
+			if t.cfg.TensorCores {
 				class, eff = gpu.ClassTensor, 0.125
 			}
 			hl := headLayer{
@@ -141,52 +153,32 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		}
 	}
 
-	// Lower once per distinct device spec: the body's kernels, the head's
-	// slice kernels, and the head's local slice updates (in the backward
-	// order they are booked).
-	type headKernels struct{ fwd, dgrad, wgrad cuda.Kernel }
-	// The body's backward plans in launch order (last body node first),
-	// cut into runs at each layer with parameters.
-	bodyStep := func(i int) dnn.NodePlan { return bodyPlans[headStart-1-i] }
-	bodyCuts := cutRuns(headStart, func(i int) (int, *dnn.WeightedLayer) {
-		p := bodyStep(i)
-		return len(p.Bwd), p.Layer
-	})
-	type hybridTable struct {
-		bodyFwd cuda.Run // every body plan's forward kernels, in order
-		bodyBwd runTable // the body's backward runs, cut at bodyCuts
-		head    []headKernels
-		updates []time.Duration
+	// Lower the head's slice kernels and local slice updates for each
+	// device's spec (devices sharing a table share a spec), and slice
+	// each device's body forward pass.
+	type headKernels struct {
+		fwd, dgrad, wgrad cuda.Kernel
+		update            time.Duration // the slice's local update; zero if memory-bound
 	}
-	tables := perSpec(t, func(spec gpu.Spec) *hybridTable {
-		tab := &hybridTable{head: make([]headKernels, len(head))}
-		var fwd []gpu.KernelCost
-		for _, p := range bodyPlans {
-			fwd = append(fwd, p.Fwd...)
+	heads := make([][]headKernels, len(t.devs))
+	bodyFwd := make([]cuda.Run, len(t.devs))
+	for i, d := range t.devs {
+		if i > 0 && t.tables[i] == t.tables[i-1] {
+			heads[i], bodyFwd[i] = heads[i-1], bodyFwd[i-1]
+			continue
 		}
-		tab.bodyFwd = t.rt.LowerRun(spec, fwd)
-		tab.bodyBwd = t.lowerRuns(spec, bodyCuts, headStart, func(i int) []gpu.KernelCost { return bodyStep(i).Bwd })
+		spec := t.rt.Device(d).Spec
 		lower := func(c gpu.KernelCost) cuda.Kernel { return t.rt.NewKernel(c.Name, spec.KernelDuration(c)) }
-		for i, hl := range head {
-			tab.head[i].fwd = lower(hl.fwd)
+		heads[i] = make([]headKernels, len(head))
+		for li, hl := range head {
+			hk := &heads[i][li]
+			hk.fwd = lower(hl.fwd)
 			if !hl.memBound {
-				tab.head[i].dgrad, tab.head[i].wgrad = lower(hl.dgrad), lower(hl.wgrad)
+				hk.dgrad, hk.wgrad = lower(hl.dgrad), lower(hl.wgrad)
+				hk.update = spec.KernelDuration(sgdUpdateCost(hl.sliceParams))
 			}
 		}
-		for li := len(head) - 1; li >= 0; li-- {
-			if !head[li].memBound {
-				tab.updates = append(tab.updates, spec.KernelDuration(sgdUpdateCost(head[li].sliceParams)))
-			}
-		}
-		return tab
-	})
-	// The root's update kernel for each body layer with parameters, in
-	// backward order.
-	var bodyUpdates []cuda.Kernel
-	for bi := headStart - 1; bi >= 0; bi-- {
-		if l := bodyPlans[bi].Layer; l != nil {
-			bodyUpdates = append(bodyUpdates, t.updateKernel(units.BytesOf(l.Params, units.Float32Size)))
-		}
+		bodyFwd[i] = t.tables[i].fwdSlice(0, headStart)
 	}
 
 	iterate := func(start time.Duration) (iterTimes, error) {
@@ -195,7 +187,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		var bodyFPEnd time.Duration
 		for i := range t.devs {
 			s := &t.compute[i]
-			h, kEnd := s.LaunchRun(profiler.StageFP, tables[i].bodyFwd, start)
+			h, kEnd := s.LaunchRun(profiler.StageFP, bodyFwd[i], start)
 			host[i] = h
 			if kEnd > bodyFPEnd {
 				bodyFPEnd = kEnd
@@ -210,7 +202,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 				s := &t.compute[i]
 				s.WaitEvent(now)
 				var e time.Duration
-				host[i], e = s.Launch(profiler.StageFP, tables[i].head[li].fwd, host[i])
+				host[i], e = s.Launch(profiler.StageFP, heads[i][li].fwd, host[i])
 				if e > kEnd {
 					kEnd = e
 				}
@@ -227,7 +219,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 			hl := head[li]
 			var kEnd time.Duration
 			for i := range t.devs {
-				s, hk := &t.compute[i], tables[i].head[li]
+				s, hk := &t.compute[i], heads[i][li]
 				s.WaitEvent(now)
 				var e time.Duration
 				if hl.memBound {
@@ -253,12 +245,12 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		for i := range t.devs {
 			s := &t.compute[i]
 			s.WaitEvent(now)
-			host[i], grads, bpEnd = launchBackward(s, tables[i].bodyBwd, host[i], i == 0, grads, bpEnd)
+			host[i], grads, bpEnd = launchBackward(s, t.tables[i].bwdRuns().after(headRun), host[i], i == 0, grads, bpEnd)
 		}
 		// 6. Weight updates: conv via kvstore, FC slices locally.
 		lastPull := bpEnd
 		for j, gr := range grads {
-			pullEnd, err := t.exchange(gr, bodyUpdates[j])
+			pullEnd, err := t.exchange(gr, t.update(headLayers+j))
 			if err != nil {
 				return iterTimes{}, err
 			}
@@ -270,8 +262,10 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		for i, d := range t.devs {
 			dev := t.rt.Device(d)
 			end := bpEnd
-			for _, dur := range tables[i].updates {
-				_, end = dev.BookCommKernel(end, dur)
+			for li := len(head) - 1; li >= 0; li-- {
+				if !head[li].memBound {
+					_, end = dev.BookCommKernel(end, heads[i][li].update)
+				}
 			}
 			if end > barrier {
 				barrier = end

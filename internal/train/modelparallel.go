@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/dnn"
-	"repro/internal/gpu"
 	"repro/internal/profiler"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -27,20 +26,10 @@ type stagePartition struct {
 	bounds []int
 }
 
-// stageOf returns the stage owning node index i.
-func (p stagePartition) stageOf(i int) int {
-	for s, b := range p.bounds {
-		if i <= b {
-			return s
-		}
-	}
-	return len(p.bounds) - 1
-}
-
 // partitionStages splits the network into `stages` contiguous segments at
 // valid cut points, minimizing the maximum per-stage cost (balanced
 // pipeline) via dynamic programming over the cut list. cost[i] is node i's
-// estimated execution time; nil falls back to forward FLOPs.
+// estimated execution time.
 func partitionStages(net *dnn.Network, stages int, cost []float64) (stagePartition, error) {
 	nodes := net.Nodes()
 	if stages <= 1 {
@@ -51,12 +40,6 @@ func partitionStages(net *dnn.Network, stages int, cost []float64) (stagePartiti
 		return stagePartition{}, fmt.Errorf(
 			"train: %s has only %d clean cut points, cannot form %d stages",
 			net.Name, len(cuts), stages)
-	}
-	if cost == nil {
-		cost = make([]float64, len(nodes))
-		for i, nd := range nodes {
-			cost[i] = float64(nd.FwdFLOPs)
-		}
 	}
 	// Prefix sums for O(1) segment cost.
 	prefix := make([]float64, len(nodes)+1)
@@ -139,30 +122,22 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 		microBatch = 1
 		micro = t.cfg.Batch
 	}
-	opts := dnn.PlanOptions{TensorCores: t.cfg.TensorCores}
-	plans := t.cfg.Model.Net.NodePlans(microBatch, opts)
+	// Every device's kernels at the micro-batch. Stages are balanced by
+	// the root's estimate of each node's time (FLOPs alone would overload
+	// whichever stage holds the memory-bound FC layers).
+	tables := tablesFor(t.cfg, microBatch, t.tables[0].plan, t.rt, t.devs, t.stragglers)
 	nodes := t.cfg.Model.Net.Nodes()
-
-	// Balance stages by estimated execution time of the micro-batch
-	// kernels (FLOPs alone would overload whichever stage holds the
-	// memory-bound FC layers).
-	spec := t.rt.Device(t.devs[0]).Spec
-	cost := make([]float64, len(plans))
-	for i, p := range plans {
-		for _, k := range p.Fwd {
-			cost[i] += spec.KernelDuration(k).Seconds()
-		}
-		for _, k := range p.Bwd {
-			cost[i] += spec.KernelDuration(k).Seconds()
-		}
+	cost := make([]float64, len(nodes))
+	for i := range cost {
+		cost[i] = tables[0].nodeCost(i)
 	}
 	part, err := partitionStages(t.cfg.Model.Net, stages, cost)
 	if err != nil {
 		return 0, nil, err
 	}
 
-	// Per-stage lowering: stage s runs on devs[s], so its kernels are
-	// lowered for that device's spec.
+	// Stage s runs its node range on devs[s]: one slice of each pass of
+	// that device's table.
 	type stageWork struct {
 		dev      topology.NodeID
 		fwd      cuda.Run
@@ -172,32 +147,18 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 		update   time.Duration // the stage's local weight-update kernel
 	}
 	work := make([]stageWork, stages)
-	fwd := make([][]gpu.KernelCost, stages)
-	bwd := make([][]gpu.KernelCost, stages)
-	for i, p := range plans {
-		s := part.stageOf(i)
-		fwd[s] = append(fwd[s], p.Fwd...)
-		if p.Layer != nil {
-			work[s].weights += units.BytesOf(p.Layer.Params, units.Float32Size)
-		}
-	}
-	// Backward kernels belong to the same stage, reverse order.
-	for i := len(plans) - 1; i >= 0; i-- {
-		s := part.stageOf(i)
-		bwd[s] = append(bwd[s], plans[i].Bwd...)
-	}
+	from := 0
 	for s := range work {
-		work[s].dev = t.devs[s]
-		spec := t.rt.Device(t.devs[s]).Spec
-		work[s].fwd = t.rt.LowerRun(spec, fwd[s])
-		work[s].bwd = t.rt.LowerRun(spec, bwd[s])
-		if work[s].weights > 0 {
-			work[s].update = spec.KernelDuration(sgdUpdateCost(work[s].weights))
+		w, tab, to := &work[s], tables[s], part.bounds[s]+1
+		w.dev = t.devs[s]
+		w.fwd, w.bwd = tab.fwdSlice(from, to), tab.bwdSlice(from, to)
+		if w.weights = tab.plan.weights(from, to); w.weights > 0 {
+			w.update = t.rt.Device(w.dev).Spec.KernelDuration(sgdUpdateCost(w.weights))
 		}
 		if s < stages-1 {
-			out := nodes[part.bounds[s]].Out
-			work[s].boundary = units.BytesOf(out.Elems()*int64(microBatch), units.Float32Size)
+			w.boundary = units.BytesOf(nodes[part.bounds[s]].Out.Elems()*int64(microBatch), units.Float32Size)
 		}
+		from = to
 	}
 
 	// One mini-batch (= one iteration): GPipe fill/steady/drain of micro

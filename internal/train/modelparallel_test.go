@@ -72,8 +72,12 @@ func TestCutPointsRespectBranches(t *testing.T) {
 
 func TestPartitionBalanced(t *testing.T) {
 	d, _ := models.ByName("resnet")
+	flops := make([]float64, len(d.Net.Nodes()))
+	for i, nd := range d.Net.Nodes() {
+		flops[i] = float64(nd.FwdFLOPs)
+	}
 	for _, stages := range []int{2, 4, 8} {
-		part, err := partitionStages(d.Net, stages, nil)
+		part, err := partitionStages(d.Net, stages, flops)
 		if err != nil {
 			t.Fatalf("stages=%d: %v", stages, err)
 		}

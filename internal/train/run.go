@@ -203,11 +203,10 @@ type layerGrad struct {
 // exchange when the slowest GPU has its gradient. It returns the host
 // clock, grads, and bpEnd raised to the runs' latest end.
 func launchBackward(s *cuda.Stream, runs runTable, host time.Duration, first bool, grads []layerGrad, bpEnd time.Duration) (time.Duration, []layerGrad, time.Duration) {
-	gi, lo := 0, 0
+	gi := 0
 	for ri, cut := range runs.cuts {
 		var runEnd time.Duration
-		host, runEnd = s.LaunchRun(profiler.StageBP, runs.run(ri, lo), host)
-		lo = cut.end
+		host, runEnd = s.LaunchRun(profiler.StageBP, runs.run(ri), host)
 		if cut.layer != nil {
 			if first {
 				size := units.BytesOf(cut.layer.Params, units.Float32Size)

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cuda"
@@ -116,21 +117,32 @@ var runtimeKernels = [...]string{
 // of runtimeKernels.
 const slotSGDUpdate = profiler.Slot(len(runtimeKernels) - 1)
 
-// planTable is a data-parallel kernel plan's spec-independent half: the
-// kernel names a trainer's profile is seeded with (runtimeKernels, then
-// the plan's distinct names, then their "recompute_" twins for gradient
-// checkpointing), each kernel's slot among them, and where the backward
-// kernels are cut into runs. None of it depends on the batch, which
-// changes only the kernels' costs, so every batch of a network under one
-// set of lowering options shares one table. It is a pure function of the
-// network and the options, so a table rebuilt after an eviction numbers
-// every name as the one it replaces, and a kernel table built against
-// either reads the same slots.
+// planTable is a kernel plan's spec-independent half: the kernel names a
+// trainer's profile is seeded with (runtimeKernels, then the plan's
+// distinct names, then their "recompute_" twins for gradient
+// checkpointing), each kernel's slot among them, where the backward
+// kernels are cut into runs, and where each network node's kernels sit.
+// None of it depends on the batch, which changes only the kernels' costs,
+// so every batch of a network under one set of lowering options shares
+// one table. It is a pure function of the network and the options, so a
+// table rebuilt after an eviction numbers every name as the one it
+// replaces, and a kernel table built against either reads the same slots.
+//
+// Every schedule reads its kernels from these tables: data parallelism
+// launches whole passes, model parallelism a contiguous node range per
+// stage, and the hybrid scheme the body ahead of the FC head.
 type planTable struct {
 	names          *profiler.Names
 	fwd, recompute []profiler.Slot
 	bwd            []profiler.Slot
 	cuts           []runCut
+	// fwdAt and bwdAt locate each network node's kernels by its index in
+	// Nodes(): node i's forward kernels are fwd[fwdAt[i]:fwdAt[i+1]], and
+	// its backward step's are bwd[bwdAt[i+1]:bwdAt[i]], because the
+	// backward pass runs from the last node to the first. A node that
+	// lowers to no kernel has empty ranges. Each has len(Nodes())+1
+	// entries, so nodes [from, to) are one slice of either pass.
+	fwdAt, bwdAt []int
 }
 
 // planTableKey identifies one shared plan table.
@@ -150,14 +162,16 @@ func planTableFor(net *dnn.Network, batch int, opts dnn.PlanOptions) *planTable 
 	if p, ok := planTables.Lookup(key); ok {
 		return p
 	}
-	p := buildPlanTable(net.ForwardPlan(batch, opts), net.BackwardPlan(batch, opts))
+	p := buildPlanTable(net.Nodes(), net.ForwardPlan(batch, opts), net.BackwardPlan(batch, opts))
 	planTables.Add(key, p)
 	return p
 }
 
-// buildPlanTable builds the plan table of a forward plan and its backward
-// steps.
-func buildPlanTable(fwd []gpu.KernelCost, bwd []dnn.BackwardStep) *planTable {
+// buildPlanTable builds the plan table of a network's nodes, its forward
+// plan and its backward steps. Both plans cover exactly the nodes that
+// lower to kernels, one forward kernel each and the backward steps in
+// reverse: the j-th such node's step is bwd[len(bwd)-1-j].
+func buildPlanTable(nodes []*dnn.Node, fwd []gpu.KernelCost, bwd []dnn.BackwardStep) *planTable {
 	nb := 0
 	for _, st := range bwd {
 		nb += len(st.Kernels)
@@ -177,11 +191,28 @@ func buildPlanTable(fwd []gpu.KernelCost, bwd []dnn.BackwardStep) *planTable {
 		return s
 	}
 	slots := make([]profiler.Slot, 2*len(fwd)+nb)
+	at := make([]int, 2*(len(nodes)+1))
 	p := &planTable{
 		fwd:       slots[:len(fwd):len(fwd)],
 		recompute: slots[len(fwd) : 2*len(fwd) : 2*len(fwd)],
 		bwd:       slots[2*len(fwd):],
 		cuts:      cutRuns(len(bwd), func(i int) (int, *dnn.WeightedLayer) { return len(bwd[i].Kernels), bwd[i].Layer }),
+		fwdAt:     at[: len(nodes)+1 : len(nodes)+1],
+		bwdAt:     at[len(nodes)+1:],
+	}
+	// j counts the lowered nodes before node i, and k their backward
+	// kernels, which the backward pass launches last.
+	j, k := 0, 0
+	for i, nd := range nodes {
+		p.fwdAt[i], p.bwdAt[i] = j, nb-k
+		if j < len(bwd) && bwd[len(bwd)-1-j].Node == nd {
+			k += len(bwd[len(bwd)-1-j].Kernels)
+			j++
+		}
+	}
+	p.fwdAt[len(nodes)] = j
+	if j != len(fwd) || j != len(bwd) {
+		panic(fmt.Sprintf("train: %d forward kernels and %d backward steps do not pair with the network's nodes", len(fwd), len(bwd)))
 	}
 	for i, c := range fwd {
 		p.fwd[i] = slotOf(c.Name)
@@ -211,7 +242,9 @@ func buildPlanTable(fwd []gpu.KernelCost, bwd []dnn.BackwardStep) *planTable {
 // about 8 bytes a kernel — so every (plan, spec) pair a long-lived server
 // compiles fits beside the plans.
 type kernelTable struct {
-	plan   *planTable
+	plan *planTable
+	// launch is the launch cost the run sums assume.
+	launch time.Duration
 	fwdDur []time.Duration
 	bwdDur []time.Duration
 	fwd    cuda.RunSum
@@ -237,6 +270,7 @@ func lowerTable(plan *planTable, fwd []gpu.KernelCost, bwd []dnn.BackwardStep, s
 	durs := make([]time.Duration, len(fwd)+len(plan.bwd))
 	tab := &kernelTable{
 		plan:    plan,
+		launch:  launch,
 		fwdDur:  durs[:len(fwd):len(fwd)],
 		bwdDur:  durs[len(fwd):],
 		bwd:     make([]cuda.RunSum, len(plan.cuts)),
@@ -283,50 +317,104 @@ func (tab *kernelTable) bwdRuns() runTable {
 	return runTable{slots: tab.plan.bwd, durs: tab.bwdDur, sums: tab.bwd, cuts: tab.plan.cuts}
 }
 
-// runTable is a kernel sequence cut into runs: run i ends at cuts[i], and
-// sums[i] is its closed form.
+// fwdSlice returns the forward kernels of nodes [from, to) (indices into
+// Nodes()) as one run.
+func (tab *kernelTable) fwdSlice(from, to int) cuda.Run {
+	lo, hi := tab.plan.fwdAt[from], tab.plan.fwdAt[to]
+	return tab.slice(tab.plan.fwd, tab.fwdDur, lo, hi)
+}
+
+// bwdSlice returns the backward kernels of nodes [from, to) as one run,
+// in launch order (node to-1's step first).
+func (tab *kernelTable) bwdSlice(from, to int) cuda.Run {
+	lo, hi := tab.plan.bwdAt[to], tab.plan.bwdAt[from]
+	return tab.slice(tab.plan.bwd, tab.bwdDur, lo, hi)
+}
+
+// slice returns kernels [lo, hi) of one pass as a run, summarizing it.
+func (tab *kernelTable) slice(slots []profiler.Slot, durs []time.Duration, lo, hi int) cuda.Run {
+	return cuda.Run{Slots: slots[lo:hi:hi], Durs: durs[lo:hi:hi], RunSum: cuda.Summarize(durs[lo:hi], tab.launch)}
+}
+
+// nodeCost is node i's kernel seconds on the table's spec: its forward
+// kernels, then its backward step's, in launch order.
+func (tab *kernelTable) nodeCost(i int) float64 {
+	p, c := tab.plan, 0.0
+	for _, d := range tab.fwdDur[p.fwdAt[i]:p.fwdAt[i+1]] {
+		c += d.Seconds()
+	}
+	for _, d := range tab.bwdDur[p.bwdAt[i+1]:p.bwdAt[i]] {
+		c += d.Seconds()
+	}
+	return c
+}
+
+// weights is the parameter bytes of nodes [from, to) (indices into
+// Nodes()): the weighted layers whose backward runs end inside the
+// nodes' backward slice.
+func (p *planTable) weights(from, to int) units.Bytes {
+	lo, hi := p.bwdAt[to], p.bwdAt[from]
+	var w units.Bytes
+	for _, c := range p.cuts {
+		if c.layer != nil && c.end > lo && c.end <= hi {
+			w += units.BytesOf(c.layer.Params, units.Float32Size)
+		}
+	}
+	return w
+}
+
+// runTable is a kernel sequence cut into runs: run i spans from the
+// previous run's end (start, for the first) to cuts[i], and sums[i] is
+// its closed form.
 type runTable struct {
 	slots []profiler.Slot
 	durs  []time.Duration
 	sums  []cuda.RunSum
 	cuts  []runCut
+	start int
 }
 
-// run returns run i, which starts at kernel lo (the previous run's end).
-func (r *runTable) run(i, lo int) cuda.Run {
-	hi := r.cuts[i].end
+// run returns run i.
+func (r *runTable) run(i int) cuda.Run {
+	lo, hi := r.start, r.cuts[i].end
+	if i > 0 {
+		lo = r.cuts[i-1].end
+	}
 	return cuda.Run{Slots: r.slots[lo:hi:hi], Durs: r.durs[lo:hi:hi], RunSum: r.sums[i]}
 }
 
-// tablesFor returns each device's kernel table for the trainer's plan,
-// indexed like devs (devices sharing a spec share one table). The base
-// spec's table is memoized beside the dnn plan; a straggler's slowed spec
-// is lowered for this trainer alone, the same way.
-func tablesFor(cfg Config, plan *planTable, devs []topology.NodeID, base gpu.Spec, specs map[topology.NodeID]gpu.Spec, launch time.Duration) []*kernelTable {
+// after returns the runs that follow run i.
+func (r runTable) after(i int) runTable {
+	r.start, r.sums, r.cuts = r.cuts[i].end, r.sums[i+1:], r.cuts[i+1:]
+	return r
+}
+
+// tablesFor returns each device's kernel table for the trainer's plan at
+// batch, indexed like devs (devices sharing a spec share one table). A
+// healthy spec's table is memoized beside the dnn plan; a straggler's
+// slowed spec (in stragglers) is lowered for this trainer alone, the same
+// way.
+func tablesFor(cfg Config, batch int, plan *planTable, rt *cuda.Runtime, devs []topology.NodeID, stragglers map[topology.NodeID]gpu.Spec) []*kernelTable {
 	opts := dnn.PlanOptions{TensorCores: cfg.TensorCores, Winograd: cfg.Winograd}
-	specOf := func(d topology.NodeID) gpu.Spec {
-		if s, ok := specs[d]; ok {
-			return s
-		}
-		return base
-	}
+	launch := rt.Costs().LaunchKernel
 	out := make([]*kernelTable, len(devs))
 	for i, d := range devs {
-		spec := specOf(d)
+		spec := rt.Device(d).Spec
 		j := 0
-		for j < i && specOf(devs[j]) != spec {
+		for j < i && rt.Device(devs[j]).Spec != spec {
 			j++
 		}
+		_, slowed := stragglers[d]
 		switch {
 		case j < i:
 			out[i] = out[j]
-		case spec == base:
-			out[i] = dnn.Derived(cfg.Model.Net, cfg.Batch, opts, kernelTableKey{spec: spec, launch: launch},
+		case !slowed:
+			out[i] = dnn.Derived(cfg.Model.Net, batch, opts, kernelTableKey{spec: spec, launch: launch},
 				func(fwd []gpu.KernelCost, bwd []dnn.BackwardStep) *kernelTable {
 					return lowerTable(plan, fwd, bwd, spec, launch)
 				})
 		default:
-			out[i] = lowerTable(plan, cfg.Model.Net.ForwardPlan(cfg.Batch, opts), cfg.Model.Net.BackwardPlan(cfg.Batch, opts), spec, launch)
+			out[i] = lowerTable(plan, cfg.Model.Net.ForwardPlan(batch, opts), cfg.Model.Net.BackwardPlan(batch, opts), spec, launch)
 		}
 	}
 	return out

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cuda"
 	"repro/internal/dnn"
+	"repro/internal/gpu"
 	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/profiler"
@@ -37,11 +39,12 @@ func TestPlanTableBatchIndependent(t *testing.T) {
 	}
 	for _, m := range models.All() {
 		for _, opts := range []dnn.PlanOptions{{}, {TensorCores: true}, {TensorCores: true, Winograd: true}} {
-			a := buildPlanTable(m.Net.ForwardPlan(16, opts), m.Net.BackwardPlan(16, opts))
-			b := buildPlanTable(m.Net.ForwardPlan(61, opts), m.Net.BackwardPlan(61, opts))
+			a := buildPlanTable(m.Net.Nodes(), m.Net.ForwardPlan(16, opts), m.Net.BackwardPlan(16, opts))
+			b := buildPlanTable(m.Net.Nodes(), m.Net.ForwardPlan(61, opts), m.Net.BackwardPlan(61, opts))
 			if !reflect.DeepEqual(names(a), names(b)) ||
 				!reflect.DeepEqual(a.fwd, b.fwd) || !reflect.DeepEqual(a.recompute, b.recompute) ||
-				!reflect.DeepEqual(a.bwd, b.bwd) || !reflect.DeepEqual(shape(a), shape(b)) {
+				!reflect.DeepEqual(a.bwd, b.bwd) || !reflect.DeepEqual(shape(a), shape(b)) ||
+				!reflect.DeepEqual(a.fwdAt, b.fwdAt) || !reflect.DeepEqual(a.bwdAt, b.bwdAt) {
 				t.Errorf("%s %+v: the plan table differs between batches 16 and 61", m.Name, opts)
 			}
 		}
@@ -89,5 +92,28 @@ func TestResetCacheRebuildsTemplates(t *testing.T) {
 	}
 	if c.tables[0].plan == a.tables[0].plan {
 		t.Error("ResetCache kept the plan table")
+	}
+}
+
+// tableSink keeps the lowered tables from being optimized away.
+var tableSink *kernelTable
+
+// BenchmarkLowerResNet measures lowering ResNet-50's plan at batch 32 for
+// the V100 (lowerTable, the one lowering every schedule reads): each
+// kernel's duration, the run sums, the update durations and the
+// utilization weight.
+func BenchmarkLowerResNet(b *testing.B) {
+	d, err := models.ByName("resnet")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := dnn.PlanOptions{TensorCores: true}
+	fwd, bwd := d.Net.ForwardPlan(32, opts), d.Net.BackwardPlan(32, opts)
+	plan := buildPlanTable(d.Net.Nodes(), fwd, bwd)
+	spec, launch := gpu.V100(), cuda.DefaultCosts().LaunchKernel
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tableSink = lowerTable(plan, fwd, bwd, spec, launch)
 	}
 }

@@ -74,7 +74,7 @@ type Config struct {
 	// parallelism, the paper's measured configuration).
 	Parallelism Parallelism
 	// MicroBatches splits each mini-batch for the model-parallel pipeline
-	// (default: 4x the stage count).
+	// (default: 2x the stage count, capped at Batch/4 and at least 1).
 	MicroBatches int
 	// BucketBytes fuses consecutive gradient arrays into buckets of at
 	// least this size before exchanging them (0 = per-array exchange, the
@@ -183,6 +183,16 @@ func (c *Config) normalize() error {
 	if c.Async && c.Method != kvstore.MethodP2P {
 		return fmt.Errorf("train: async SGD requires the p2p method, got %q", c.Method)
 	}
+	// Only the data-parallel schedule launches the recompute pass and
+	// fuses gradient exchanges.
+	if c.Parallelism != DataParallel {
+		if c.Checkpointing {
+			return fmt.Errorf("train: checkpointing applies only to data parallelism, not %s", c.Parallelism)
+		}
+		if c.BucketBytes > 0 {
+			return fmt.Errorf("train: gradient buckets apply only to data parallelism, not %s", c.Parallelism)
+		}
+	}
 	if c.Parallelism == HybridOWT && c.GPUs == 1 {
 		return fmt.Errorf("train: hybrid parallelism needs multiple GPUs")
 	}
@@ -266,9 +276,11 @@ type Trainer struct {
 
 	// tables[i] is the plan lowered for devs[i]'s spec; devices sharing a
 	// spec share one table, and tables[0] is the root's.
-	tables   []*kernelTable
-	schedule data.Schedule
-	memory   memmodel.Estimate
+	tables []*kernelTable
+	// stragglers holds the slowed devices' specs (tablesFor).
+	stragglers map[topology.NodeID]gpu.Spec
+	schedule   data.Schedule
+	memory     memmodel.Estimate
 
 	// grads is runIteration's per-layer scratch, reused across iterations.
 	grads []layerGrad
@@ -359,11 +371,10 @@ func New(cfg Config) (*Trainer, error) {
 	prof.Seed(profiler.Seeds{Kernels: plan.names, APIs: cuda.APINames, Transfers: tmpl.layout.Transfers()})
 
 	fab := interconnect.New(tmpl.top)
-	costs := cuda.DefaultCosts()
 	// Straggler GPUs run a uniformly slowed spec; healthy devices keep the
 	// base spec.
 	specs := cfg.Faults.Specs(spec)
-	rt := tmpl.layout.NewRuntime(fab, spec, specs, costs, prof)
+	rt := tmpl.layout.NewRuntime(fab, spec, specs, cuda.DefaultCosts(), prof)
 	rt.SetRoutePolicy(cfg.RoutePolicy)
 	ncfg := nccl.DefaultConfig()
 	ncfg.Algorithm, ncfg.Protocol = cfg.NCCL.Algorithm, cfg.NCCL.Protocol
@@ -373,15 +384,16 @@ func New(cfg Config) (*Trainer, error) {
 	}
 
 	t := &Trainer{
-		cfg:     cfg,
-		fab:     fab,
-		rt:      rt,
-		prof:    prof,
-		backend: backend,
-		devs:    tmpl.devs,
-		rings:   tmpl.rings,
-		compute: rt.Streams(tmpl.devs, false),
-		tables:  tablesFor(cfg, plan, tmpl.devs, spec, specs, costs.LaunchKernel),
+		cfg:        cfg,
+		fab:        fab,
+		rt:         rt,
+		prof:       prof,
+		backend:    backend,
+		devs:       tmpl.devs,
+		rings:      tmpl.rings,
+		compute:    rt.Streams(tmpl.devs, false),
+		tables:     tablesFor(cfg, cfg.Batch, plan, rt, tmpl.devs, specs),
+		stragglers: specs,
 	}
 	t.grads = make([]layerGrad, 0, len(t.tables[0].updates))
 
@@ -487,45 +499,6 @@ func cutRuns(n int, step func(i int) (kernels int, layer *dnn.WeightedLayer)) []
 		cuts = append(cuts, runCut{end: end})
 	}
 	return cuts
-}
-
-// lowerRuns lowers plans (in launch order) for one spec into one run
-// table cut at cuts.
-func (t *Trainer) lowerRuns(spec gpu.Spec, cuts []runCut, n int, plan func(i int) []gpu.KernelCost) runTable {
-	var costs []gpu.KernelCost
-	for i := 0; i < n; i++ {
-		costs = append(costs, plan(i)...)
-	}
-	flat := t.rt.LowerRun(spec, costs)
-	r := runTable{slots: flat.Slots, durs: flat.Durs, sums: make([]cuda.RunSum, len(cuts)), cuts: cuts}
-	lo := 0
-	for i, c := range cuts {
-		r.sums[i] = cuda.Summarize(flat.Durs[lo:c.end], t.rt.Costs().LaunchKernel)
-		lo = c.end
-	}
-	return r
-}
-
-// perSpec calls lower once per distinct device spec and returns each
-// device's result, indexed like t.devs: healthy devices share one, and
-// each straggler spec gets its own.
-func perSpec[T any](t *Trainer, lower func(gpu.Spec) T) []T {
-	out := make([]T, len(t.devs))
-	var specs []gpu.Spec
-	var lowered []T
-	for i, d := range t.devs {
-		spec := t.rt.Device(d).Spec
-		j := 0
-		for j < len(specs) && specs[j] != spec {
-			j++
-		}
-		if j == len(specs) {
-			specs = append(specs, spec)
-			lowered = append(lowered, lower(spec))
-		}
-		out[i] = lowered[j]
-	}
-	return out
 }
 
 // update returns the root's weight-update kernel for the j-th layer with
