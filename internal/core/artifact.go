@@ -37,6 +37,16 @@ var compiles atomic.Uint64
 // workload batch to count the compiles the batch actually caused.
 func CompileCount() uint64 { return compiles.Load() }
 
+// simulated sums the iterations the compiled windows simulated
+// (train.Window.Simulated).
+var simulated atomic.Uint64
+
+// SimulatedIterations reports how many training iterations the compile
+// phases this process has run simulated, across every window. Diffed
+// with CompileCount around a batch, it is the iterations a compile
+// simulates: a window's cap, or fewer once its state turns periodic.
+func SimulatedIterations() uint64 { return simulated.Load() }
+
 // buildWindow runs the compile phase: lower the config, build the
 // trainer, and simulate the window with the cancellation probe installed.
 func buildWindow(w Workload, check func() error) (*train.Window, error) {
@@ -50,7 +60,11 @@ func buildWindow(w Workload, check func() error) (*train.Window, error) {
 		return nil, err
 	}
 	tr.SetCheck(check)
-	return tr.SimulateWindow()
+	win, err := tr.SimulateWindow()
+	if err == nil {
+		simulated.Add(uint64(win.Simulated()))
+	}
+	return win, err
 }
 
 // compiled is one compiled-window cache value: the window, or the

@@ -77,6 +77,16 @@ func (w Workload) Validate() error {
 			return fmt.Errorf("core: gradient buckets apply only to data-parallel runs, not %s", p)
 		}
 	}
+	// Nor does async SGD: its workers run plain passes and exchange each
+	// array on its own.
+	if w.Async {
+		if w.Checkpointing {
+			return fmt.Errorf("core: checkpointing applies only to synchronous data-parallel runs, not async SGD")
+		}
+		if w.BucketKB > 0 {
+			return fmt.Errorf("core: gradient buckets apply only to synchronous data-parallel runs, not async SGD")
+		}
+	}
 	if w.TraceIntervals < 0 {
 		return fmt.Errorf("core: trace interval count %d must not be negative", w.TraceIntervals)
 	}

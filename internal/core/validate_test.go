@@ -48,6 +48,8 @@ func TestValidate(t *testing.T) {
 		{"hybrid checkpointing", func(w *Workload) { w.HybridOWT = true; w.Checkpointing = true }, "checkpointing applies only to data-parallel runs, not hybrid-owt"},
 		{"mp bucket", func(w *Workload) { w.ModelParallel = true; w.BucketKB = 4096 }, "gradient buckets apply only to data-parallel runs, not model-parallel"},
 		{"hybrid bucket", func(w *Workload) { w.HybridOWT = true; w.BucketKB = 4096 }, "gradient buckets apply only to data-parallel runs, not hybrid-owt"},
+		{"async checkpointing", func(w *Workload) { w.Method = P2P; w.Async = true; w.Checkpointing = true }, "checkpointing applies only to synchronous data-parallel runs, not async SGD"},
+		{"async bucket", func(w *Workload) { w.Method = P2P; w.Async = true; w.BucketKB = 4096 }, "gradient buckets apply only to synchronous data-parallel runs, not async SGD"},
 		{"negative trace intervals", func(w *Workload) { w.TraceIntervals = -1 }, "trace interval count -1"},
 	}
 	for _, tc := range cases {

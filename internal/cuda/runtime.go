@@ -316,7 +316,14 @@ type Runtime struct {
 	prof   *profiler.Profile
 	costs  Costs
 	policy topology.RoutePolicy
-	cpuRes map[string]*sim.Resource
+	// cpu holds the CPU-side resources CPUWork books, in order of first
+	// use.
+	cpu []cpuResource
+	// streams holds every stream slice the runtime made (Streams), whose
+	// tails join the runtime's state; streamBuf is its first backing
+	// array, enough for a trainer's compute streams and two gangs.
+	streams   [][]Stream
+	streamBuf [3][]Stream
 
 	launch, memcpy, sync label // the API entry points' profile labels
 	// seeded reports that the profile's transfer table was seeded with
@@ -358,6 +365,7 @@ func (lay *Layout) NewRuntime(fabric *interconnect.Fabric, def gpu.Spec, specs m
 		policy: topology.RouteStagedNVLink,
 		seeded: prof != nil && prof.Seeded(profiler.KindTransfer) == lay.transfers,
 	}
+	rt.streams = rt.streamBuf[:0]
 	rt.launch = rt.label(profiler.KindAPI, APILaunchKernel)
 	rt.memcpy = rt.label(profiler.KindAPI, APIMemcpyAsync)
 	rt.sync = rt.label(profiler.KindAPI, APIStreamSync)
@@ -506,7 +514,7 @@ type Stream struct {
 
 // Stream creates a compute stream on the device.
 func (rt *Runtime) Stream(dev topology.NodeID) *Stream {
-	return &Stream{rt: rt, d: rt.state(dev)}
+	return &rt.Streams([]topology.NodeID{dev}, false)[0]
 }
 
 // CommStream creates a stream whose kernels run on the device's
@@ -518,13 +526,50 @@ func (rt *Runtime) CommStream(dev topology.NodeID) *Stream {
 }
 
 // Streams creates one stream per device, in order, in one slice: compute
-// streams, or communication streams when comm is set.
+// streams, or communication streams when comm is set. The runtime keeps
+// the slice, so the streams' tails join its state (AppendState).
 func (rt *Runtime) Streams(devs []topology.NodeID, comm bool) []Stream {
 	out := make([]Stream, len(devs))
 	for i, d := range devs {
 		out[i] = Stream{rt: rt, d: rt.state(d), comm: comm}
 	}
+	rt.streams = append(rt.streams, out)
 	return out
+}
+
+// StateLen returns how many times AppendState appends.
+func (rt *Runtime) StateLen() int {
+	n := 6*len(rt.devs) + rt.fabric.Directions() + len(rt.cpu)
+	for _, ss := range rt.streams {
+		n += len(ss)
+	}
+	return n
+}
+
+// AppendState appends every time a later booking can read, each measured
+// from floor and clamped at it: each device's host and engine threads and
+// its queues (gpu.Device.AppendState), every fabric link direction, the
+// CPU-side resources, and the tail of every stream the runtime made. When
+// no later booking is ready before floor, every one of those reads sits
+// under a max with a readiness at or after floor (Book, LaunchRun,
+// Gang.Launch, Extend), so two runtimes whose states agree book any such
+// sequence alike, shifted by the difference of their floors.
+func (rt *Runtime) AppendState(buf []time.Duration, floor time.Duration) []time.Duration {
+	for i := range rt.devs {
+		d := &rt.devs[i]
+		buf = append(buf, d.host.FreeSince(floor), d.engine.FreeSince(floor))
+		buf = d.dev.AppendState(buf, floor)
+	}
+	buf = rt.fabric.AppendState(buf, floor)
+	for i := range rt.cpu {
+		buf = append(buf, rt.cpu[i].res.FreeSince(floor))
+	}
+	for _, ss := range rt.streams {
+		for i := range ss {
+			buf = append(buf, max(ss[i].tail-floor, 0))
+		}
+	}
+	return buf
 }
 
 // Device returns the stream's device.
@@ -847,20 +892,25 @@ func (rt *Runtime) MemcpyDeviceToHost(src topology.NodeID, size units.Bytes, sta
 // parameter-server update loop of MXNet's "local" kvstore), creating the
 // resource on first use.
 func (rt *Runtime) CPUWork(name string, stage profiler.Stage, ready time.Duration, dur time.Duration) (start, end time.Duration) {
-	res := rt.cpuRes[name]
-	if res == nil {
-		if rt.cpuRes == nil {
-			rt.cpuRes = map[string]*sim.Resource{}
-		}
-		res = new(sim.Resource)
-		rt.cpuRes[name] = res
+	i := 0
+	for i < len(rt.cpu) && rt.cpu[i].name != name {
+		i++
 	}
-	start, end = res.Book(ready, dur)
+	if i == len(rt.cpu) {
+		rt.cpu = append(rt.cpu, cpuResource{name: name})
+	}
+	start, end = rt.cpu[i].res.Book(ready, dur)
 	rt.record(profiler.NoSlot, profiler.Interval{
 		Kind: profiler.KindMarker, Name: name, Stage: stage,
 		Track: name, Start: start, End: end,
 	})
 	return start, end
+}
+
+// cpuResource is one named CPU-side resource (CPUWork).
+type cpuResource struct {
+	name string
+	res  sim.Resource
 }
 
 // Route exposes the runtime's routed path between two GPUs under its

@@ -76,6 +76,16 @@ func (d *Device) BookDMA(ready time.Duration, dur time.Duration) (start, end tim
 	return best.Book(ready, dur)
 }
 
+// AppendState appends the device's queue free times, measured from floor
+// and clamped at it (sim.Resource.FreeSince): compute, communication, and
+// the copy engines as a sorted pair. BookDMA picks the engine that frees
+// first, so its bookings depend only on the engines' free times as a
+// multiset, not on which engine holds which.
+func (d *Device) AppendState(buf []time.Duration, floor time.Duration) []time.Duration {
+	a, b := d.dma[0].FreeSince(floor), d.dma[1].FreeSince(floor)
+	return append(buf, d.compute.FreeSince(floor), d.comm.FreeSince(floor), min(a, b), max(a, b))
+}
+
 // ComputeBusy returns accumulated compute-queue busy time.
 func (d *Device) ComputeBusy() time.Duration { return d.compute.BusyTime() }
 

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -173,5 +174,33 @@ func TestDeviceBusyAccounting(t *testing.T) {
 	}
 	if d.CommFreeAt() != 0 {
 		t.Errorf("comm free at = %v, want 0", d.CommFreeAt())
+	}
+}
+
+// AppendState measures every queue from the floor, clamped at it, and
+// lists the copy engines as a sorted pair: devices whose engines hold the
+// same free times in either order have one state, and they book every
+// later copy alike.
+func TestAppendStateSortsEngines(t *testing.T) {
+	a, b := NewDevice(0, V100()), NewDevice(1, V100())
+	a.BookDMA(0, 10*time.Microsecond)
+	a.BookDMA(0, 5*time.Microsecond)
+	b.BookDMA(0, 5*time.Microsecond)
+	b.BookDMA(0, 10*time.Microsecond)
+	a.BookKernel(0, 3*time.Microsecond)
+	b.BookKernel(0, 2*time.Microsecond)
+	floor := 7 * time.Microsecond
+	sa, sb := a.AppendState(nil, floor), b.AppendState(nil, floor)
+	want := []time.Duration{0, 0, 0, 3 * time.Microsecond}
+	if !reflect.DeepEqual(sa, want) || !reflect.DeepEqual(sb, want) {
+		t.Fatalf("states %v and %v, want %v", sa, sb, want)
+	}
+	for i := 0; i < 4; i++ {
+		ready := floor + time.Duration(i)*time.Microsecond
+		_, ea := a.BookDMA(ready, 4*time.Microsecond)
+		_, eb := b.BookDMA(ready, 4*time.Microsecond)
+		if ea != eb {
+			t.Fatalf("copy %d ends at %v and %v", i, ea, eb)
+		}
 	}
 }

@@ -94,6 +94,18 @@ func (f *Fabric) Book(path topology.Path, size units.Bytes, ready time.Duration)
 	return start, end
 }
 
+// AppendState appends every link direction's free time, measured from
+// floor and clamped at it (sim.Resource.FreeSince), in direction order.
+func (f *Fabric) AppendState(buf []time.Duration, floor time.Duration) []time.Duration {
+	for i := range f.dirs {
+		buf = append(buf, f.dirs[i].FreeSince(floor))
+	}
+	return buf
+}
+
+// Directions returns how many link directions AppendState appends.
+func (f *Fabric) Directions() int { return len(f.dirs) }
+
 // Occupy books one link direction for an explicit duration starting no
 // earlier than ready, returning the occupation window. Collective models
 // whose wire time is computed analytically use this to make the links they

@@ -11,6 +11,7 @@ package profiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -382,6 +383,76 @@ func (p *Profile) retain(iv Interval) {
 		p.intervals = append(p.intervals, iv)
 	} else {
 		p.dropped++
+	}
+}
+
+// Mark is a point in a profile's recording: every aggregate and how many
+// intervals were retained and dropped. Repeat replays what was recorded
+// since it. A Mark's buffer is reused by every Profile.Mark into it.
+type Mark struct {
+	stats     []Stat
+	lens      [numTables]int
+	intervals int
+	dropped   int64
+}
+
+// Mark records the profile's current point into m.
+func (p *Profile) Mark(m *Mark) {
+	n := 0
+	for k := range p.tables {
+		n += len(p.tables[k].stats)
+	}
+	m.stats = slices.Grow(m.stats[:0], n)
+	for k := range p.tables {
+		m.lens[k] = len(p.tables[k].stats)
+		m.stats = append(m.stats, p.tables[k].stats...)
+	}
+	m.intervals, m.dropped = len(p.intervals), p.dropped
+}
+
+// Repeat records n more copies of what the profile recorded since m, as
+// if the activities since m happened n more times, the j-th time shifted
+// by j·shift: every aggregate grows by n times its growth since m (Calls
+// and Total are integers, so this is exact), and a Detailed profile
+// retains the intervals since m again, shifted, up to its cap, counting
+// the rest as dropped.
+func (p *Profile) Repeat(m *Mark, n int64, shift time.Duration) {
+	if n <= 0 {
+		return
+	}
+	base := m.stats
+	for k := range p.tables {
+		stats := p.tables[k].stats
+		for i := range stats {
+			var was Stat
+			if i < m.lens[k] {
+				was = base[i]
+			}
+			stats[i].Calls += n * (stats[i].Calls - was.Calls)
+			stats[i].Total += time.Duration(n) * (stats[i].Total - was.Total)
+		}
+		base = base[m.lens[k]:]
+	}
+	if !p.detail {
+		return
+	}
+	since := p.intervals[m.intervals:]
+	per := int64(len(since)) + p.dropped - m.dropped
+	if p.dropped > m.dropped {
+		// The cap was reached before the last copy ended.
+		p.dropped += n * per
+		return
+	}
+	for j := int64(1); j <= n; j++ {
+		if len(p.intervals) >= p.maxDetail {
+			p.dropped += (n - j + 1) * per
+			return
+		}
+		for _, iv := range since {
+			iv.Start += time.Duration(j) * shift
+			iv.End += time.Duration(j) * shift
+			p.retain(iv)
+		}
 	}
 }
 

@@ -122,6 +122,10 @@ func TestEnvelopeOnEveryStatusPath(t *testing.T) {
 		{"malformed json", "POST", "/v1/simulate", "{", http.StatusBadRequest, CodeBadRequest},
 		{"unknown field", "POST", "/v1/simulate", `{"Bogus":1}`, http.StatusBadRequest, CodeBadRequest},
 		{"invalid workload", "POST", "/v1/simulate", `{"Model":"vgg","GPUs":1,"Batch":16}`, http.StatusBadRequest, CodeBadRequest},
+		// Async SGD simulates neither checkpointing nor buckets, so it
+		// rejects both rather than report a run it did not simulate.
+		{"async checkpointing", "POST", "/v1/simulate", `{"Model":"resnet","GPUs":4,"Batch":32,"Method":"p2p","Async":true,"Checkpointing":true}`, http.StatusBadRequest, CodeBadRequest},
+		{"async bucket", "POST", "/v1/simulate", `{"Model":"resnet","GPUs":4,"Batch":32,"Method":"p2p","Async":true,"BucketKB":4096}`, http.StatusBadRequest, CodeBadRequest},
 		{"foreign schema version", "POST", "/v1/simulate", `{"schemaVersion":99,"Model":"lenet","GPUs":1,"Batch":16}`, http.StatusBadRequest, CodeSchemaVersion},
 		{"sweep schema version", "POST", "/v1/sweep", `{"schemaVersion":99,"Base":{"Model":"lenet","GPUs":1,"Batch":16}}`, http.StatusBadRequest, CodeSchemaVersion},
 		{"optimize bad objective", "POST", "/v1/optimize", `{"base":{"Model":"lenet","GPUs":1,"Batch":16},"objective":"fastest"}`, http.StatusBadRequest, CodeBadRequest},

@@ -61,6 +61,15 @@ func (r *Resource) BookRun(n int64, busy, end time.Duration) {
 // FreeAt returns the time at which all currently queued service completes.
 func (r *Resource) FreeAt() time.Duration { return r.busyUntil }
 
+// FreeSince returns FreeAt measured from floor, clamped at zero. When no
+// later booking is ready before floor, a free time at or before floor
+// delays nothing (Book starts at the readiness), so two resources whose
+// FreeSince agree serve every such booking alike, shifted by the
+// difference of their floors.
+func (r *Resource) FreeSince(floor time.Duration) time.Duration {
+	return max(r.busyUntil-floor, 0)
+}
+
 // BusyTime returns the total service time accumulated so far.
 func (r *Resource) BusyTime() time.Duration { return r.busy }
 

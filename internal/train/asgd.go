@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/profiler"
@@ -20,33 +21,30 @@ import (
 // worker's clock starts when its copy lands. One iteration advances every
 // worker by one mini-batch from its own clock, ignoring start. With no
 // barrier there is no FP/BP/WU split: the landmarks all sit at the latest
-// worker clock, and the steady iteration is the slowest worker's mean.
+// worker clock, and the steady iteration is the slowest worker's mean
+// since setup. Clocks only advance, so the latest clock is the slowest
+// worker's, and truncating division keeps it the largest mean. No later
+// booking is ready before the earliest clock, the iteration's floor.
 func (t *Trainer) beginAsync() (time.Duration, iteration, error) {
 	setupEnd, clock, err := t.broadcast(false)
 	if err != nil {
 		return 0, nil, err
 	}
+	t.carried = clock
 	root := t.backend.Root()
 	var n, last time.Duration
 	return setupEnd, func(time.Duration) (iterTimes, error) {
 		n++
+		floor := time.Duration(math.MaxInt64)
 		for w := range t.devs {
 			end, err := t.asyncWorkerIteration(w, root, clock[w])
 			if err != nil {
 				return iterTimes{}, err
 			}
 			clock[w] = end
-			if end > last {
-				last = end
-			}
+			last, floor = max(last, end), min(floor, end)
 		}
-		it := iterTimes{start: last, fpEnd: last, bpEnd: last, barrier: last}
-		for _, c := range clock {
-			if per := (c - setupEnd) / n; per > it.steady {
-				it.steady = per
-			}
-		}
-		return it, nil
+		return iterTimes{start: last, fpEnd: last, bpEnd: last, barrier: last, steady: (last - setupEnd) / n, floor: floor}, nil
 	}, nil
 }
 

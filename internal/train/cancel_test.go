@@ -42,12 +42,13 @@ func TestSimulateWindowHonoursCheckMidWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Allow a couple of iterations, then signal cancellation: the
+			// Allow one iteration, then signal cancellation at the second
+			// probe, before the stop rule can end the window: the
 			// window must surface the error instead of a result.
 			calls := 0
 			tr.SetCheck(func() error {
 				calls++
-				if calls > 2 {
+				if calls > 1 {
 					return stop
 				}
 				return nil
@@ -61,7 +62,7 @@ func TestSimulateWindowHonoursCheckMidWindow(t *testing.T) {
 			if !errors.Is(simErr, stop) {
 				t.Fatalf("simulation = %v, want the check's error", simErr)
 			}
-			if calls <= 2 {
+			if calls <= 1 {
 				t.Fatalf("check consulted %d times; cancellation never reached the iteration loop", calls)
 			}
 		})

@@ -106,6 +106,26 @@ func TestOnlyDataParallelCheckpointsOrBuckets(t *testing.T) {
 	}
 }
 
+// Async SGD launches neither the recompute pass nor fused exchanges, so
+// it rejects both options instead of reporting the checkpointed memory
+// estimate for a run that keeps every feature map.
+func TestAsyncRejectsCheckpointsAndBuckets(t *testing.T) {
+	for _, tc := range []struct {
+		set  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.Checkpointing = true }, "train: checkpointing applies only to synchronous data parallelism, not async SGD"},
+		{func(c *Config) { c.BucketBytes = 4 << 20 }, "train: gradient buckets apply only to synchronous data parallelism, not async SGD"},
+	} {
+		cfg := quickCfg(t, "resnet", 4, 32, kvstore.MethodP2P)
+		cfg.Async = true
+		tc.set(&cfg)
+		if _, err := New(cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("New = %v, want %q", err, tc.want)
+		}
+	}
+}
+
 // The model-parallel and hybrid schedules read the same kernel tables as
 // data parallelism, so they launch Winograd kernels when it is on.
 func TestWinogradReachesEverySchedule(t *testing.T) {

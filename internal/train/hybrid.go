@@ -277,7 +277,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 				barrier = w
 			}
 		}
-		return iterTimes{start: start, fpEnd: fpEnd, bpEnd: bpEnd, barrier: barrier, steady: barrier - start}, nil
+		return iterTimes{start: start, fpEnd: fpEnd, bpEnd: bpEnd, barrier: barrier, steady: barrier - start, floor: barrier}, nil
 	}
 	return t.SetupTimeApprox(), iterate, nil
 }

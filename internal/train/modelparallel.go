@@ -27,15 +27,14 @@ type stagePartition struct {
 }
 
 // partitionStages splits the network into `stages` contiguous segments at
-// valid cut points, minimizing the maximum per-stage cost (balanced
-// pipeline) via dynamic programming over the cut list. cost[i] is node i's
-// estimated execution time.
-func partitionStages(net *dnn.Network, stages int, cost []float64) (stagePartition, error) {
+// its cut points (cuts, from dnn.Network.CutPoints), minimizing the
+// maximum per-stage cost (balanced pipeline) via dynamic programming over
+// the cut list. cost[i] is node i's estimated execution time.
+func partitionStages(net *dnn.Network, cuts []int, stages int, cost []float64) (stagePartition, error) {
 	nodes := net.Nodes()
 	if stages <= 1 {
 		return stagePartition{bounds: []int{len(nodes) - 1}}, nil
 	}
-	cuts := net.CutPoints()
 	if len(cuts) < stages-1 {
 		return stagePartition{}, fmt.Errorf(
 			"train: %s has only %d clean cut points, cannot form %d stages",
@@ -131,7 +130,7 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 	for i := range cost {
 		cost[i] = tables[0].nodeCost(i)
 	}
-	part, err := partitionStages(t.cfg.Model.Net, stages, cost)
+	part, err := partitionStages(t.cfg.Model.Net, t.tables[0].plan.cutPoints, stages, cost)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -244,7 +243,7 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 				barrier = w
 			}
 		}
-		return iterTimes{start: start, fpEnd: fpEnd, bpEnd: bpEnd, barrier: barrier, steady: barrier - start}, nil
+		return iterTimes{start: start, fpEnd: fpEnd, bpEnd: bpEnd, barrier: barrier, steady: barrier - start, floor: barrier}, nil
 	}
 	return t.sessionStartup(), iterate, nil
 }

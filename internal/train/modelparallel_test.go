@@ -77,7 +77,7 @@ func TestPartitionBalanced(t *testing.T) {
 		flops[i] = float64(nd.FwdFLOPs)
 	}
 	for _, stages := range []int{2, 4, 8} {
-		part, err := partitionStages(d.Net, stages, flops)
+		part, err := partitionStages(d.Net, d.Net.CutPoints(), stages, flops)
 		if err != nil {
 			t.Fatalf("stages=%d: %v", stages, err)
 		}

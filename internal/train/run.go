@@ -21,6 +21,10 @@ type iterTimes struct {
 	// iteration's span when a barrier ends it, or, under ASGD, the
 	// slowest worker's mean over the iterations so far.
 	steady time.Duration
+	// floor is the earliest time any later booking can be ready: the
+	// barrier, or under ASGD the earliest worker clock. The window's stop
+	// rule measures the timing state from it.
+	floor time.Duration
 }
 
 // sgdUpdateCost is the root GPU's weight-update kernel for one parameter
@@ -93,6 +97,7 @@ func (t *Trainer) beginSync() (time.Duration, iteration, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	t.carried = staged
 	return end, func(start time.Duration) (iterTimes, error) { return t.runIteration(start, staged) }, nil
 }
 
@@ -180,7 +185,7 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 			barrier = w
 		}
 	}
-	it.barrier = barrier
+	it.barrier, it.floor = barrier, barrier
 	it.steady = barrier - iterStart
 	t.grads = grads
 	if it.fpEnd < iterStart || it.bpEnd < it.fpEnd || it.barrier < it.bpEnd {

@@ -41,7 +41,7 @@ func TestStageSlicesCoverTheTable(t *testing.T) {
 				bwdTotal += rs.Sum()
 			}
 			for stages := 2; stages <= 8; stages++ {
-				part, err := partitionStages(m.Net, stages, cost)
+				part, err := partitionStages(m.Net, m.Net.CutPoints(), stages, cost)
 				if err != nil {
 					t.Fatalf("%s %d stages: %v", m.Name, stages, err)
 				}

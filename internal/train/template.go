@@ -143,6 +143,9 @@ type planTable struct {
 	// lowers to no kernel has empty ranges. Each has len(Nodes())+1
 	// entries, so nodes [from, to) are one slice of either pass.
 	fwdAt, bwdAt []int
+	// cutPoints is the network's clean pipeline cuts
+	// (dnn.Network.CutPoints), where model parallelism may end a stage.
+	cutPoints []int
 }
 
 // planTableKey identifies one shared plan table.
@@ -163,6 +166,7 @@ func planTableFor(net *dnn.Network, batch int, opts dnn.PlanOptions) *planTable 
 		return p
 	}
 	p := buildPlanTable(net.Nodes(), net.ForwardPlan(batch, opts), net.BackwardPlan(batch, opts))
+	p.cutPoints = net.CutPoints()
 	planTables.Add(key, p)
 	return p
 }

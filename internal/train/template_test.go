@@ -117,3 +117,14 @@ func BenchmarkLowerResNet(b *testing.B) {
 		tableSink = lowerTable(plan, fwd, bwd, spec, launch)
 	}
 }
+
+// The shared plan table holds the network's pipeline cuts, so a
+// model-parallel compile partitions without recomputing them.
+func TestPlanTableKeepsCutPoints(t *testing.T) {
+	for _, m := range models.All() {
+		p := planTableFor(m.Net, 32, dnn.PlanOptions{TensorCores: true})
+		if want := m.Net.CutPoints(); !reflect.DeepEqual(p.cutPoints, want) {
+			t.Errorf("%s: plan table cuts %v, want %v", m.Name, p.cutPoints, want)
+		}
+	}
+}

@@ -45,8 +45,10 @@ type Config struct {
 	Images int64
 	// TensorCores lowers conv/GEMM kernels to the tensor-core pipeline.
 	TensorCores bool
-	// SimIters is how many iterations to simulate exactly before
-	// extrapolating (>= 2; default 4).
+	// SimIters caps how many iterations a window simulates before
+	// extrapolating (>= 2; default DefaultSimIters). A window whose
+	// timing state turns periodic simulates fewer and completes the rest
+	// in closed form, with the same result.
 	SimIters int
 	// DetailIntervals retains that many profiler intervals for timeline
 	// export (0 = aggregates only).
@@ -193,6 +195,16 @@ func (c *Config) normalize() error {
 			return fmt.Errorf("train: gradient buckets apply only to data parallelism, not %s", c.Parallelism)
 		}
 	}
+	// Nor does async SGD: its workers run plain passes and exchange each
+	// array on its own.
+	if c.Async {
+		if c.Checkpointing {
+			return fmt.Errorf("train: checkpointing applies only to synchronous data parallelism, not async SGD")
+		}
+		if c.BucketBytes > 0 {
+			return fmt.Errorf("train: gradient buckets apply only to synchronous data parallelism, not async SGD")
+		}
+	}
 	if c.Parallelism == HybridOWT && c.GPUs == 1 {
 		return fmt.Errorf("train: hybrid parallelism needs multiple GPUs")
 	}
@@ -284,6 +296,13 @@ type Trainer struct {
 
 	// grads is runIteration's per-layer scratch, reused across iterations.
 	grads []layerGrad
+	// carried holds the times a schedule carries from one iteration to
+	// the next (sync's staged batches, ASGD's worker clocks), which join
+	// the timing state the window's stop rule compares; begin sets it.
+	carried []time.Duration
+	// toCap disables the stop rule, so the window simulates every
+	// iteration up to its cap. Only tests set it, to compare the two.
+	toCap bool
 	// ran guards the single-shot simulation (its resources stay booked).
 	ran bool
 	// check, when set, is consulted between simulated iterations; a

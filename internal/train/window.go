@@ -2,6 +2,8 @@ package train
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/cuda"
@@ -13,14 +15,18 @@ import (
 	"repro/internal/topology"
 )
 
-// DefaultSimIters is how many iterations the trainer simulates exactly
-// before extrapolating the steady state (Config.SimIters defaults to it).
+// DefaultSimIters caps how many iterations a window simulates exactly
+// (Config.SimIters defaults to it). A window whose timing state turns
+// periodic stops sooner and completes the rest up to the cap in closed
+// form (SimulateWindow), byte for byte as if it had simulated them.
 const DefaultSimIters = 4
 
 // Window is the compiled simulation artifact of one training
 // configuration, under any schedule: everything the steady-state
-// extrapolation needs, captured once after the exactly-simulated
-// iterations. Iterations are identical in the steady state, so an epoch
+// extrapolation needs, captured once after the window's iterations, up
+// to its cap (DefaultSimIters, or Config.SimIters) — simulated, or once
+// the state is periodic completed in closed form, with the same result.
+// Iterations are identical in the steady state, so an epoch
 // of any dataset size that simulates the same number of window iterations
 // is a pure function of the window — Extrapolate reconstructs it without
 // re-running the discrete-event simulation, byte-identical to a cold run
@@ -39,11 +45,13 @@ type Window struct {
 	cfg      Config
 	memory   memmodel.Estimate
 	setupEnd time.Duration
-	// last is the last simulated iteration; the rest of the epoch repeats
+	// last is the window's last iteration; the rest of the epoch repeats
 	// its landmarks and its steady iteration time.
 	last     iterTimes
 	simTotal time.Duration
-	nsim     int
+	// nsim is the window's iteration count, its cap; simulated is how
+	// many of them were simulated before the state turned periodic.
+	nsim, simulated int
 	// prof is the unscaled profile of the simulated window.
 	prof *profiler.Profile
 	// utilWeight is the occupancy-weighted kernel seconds of one
@@ -57,9 +65,15 @@ type Window struct {
 // Config returns the configuration the window was compiled from.
 func (w *Window) Config() Config { return w.cfg }
 
+// Simulated returns how many of the window's iterations were simulated:
+// at most its cap, fewer when the timing state turned periodic first.
+func (w *Window) Simulated() int { return w.simulated }
+
 // Iterations returns how many iterations an epoch of images takes under
-// parallelism p, and how many of them a window simulates exactly: simIters
-// (a normalized Config.SimIters) capped by the epoch. An iteration
+// parallelism p, and how many of them a window covers exactly: simIters
+// (a normalized Config.SimIters) capped by the epoch. That count is the
+// window's cap; a window whose state turns periodic simulates fewer and
+// completes the rest in closed form (SimulateWindow). An iteration
 // consumes one mini-batch of batch images per GPU, except under model
 // parallelism, whose pipeline stages share one. The window count is the
 // only epoch-size dependence a Window retains, so it joins core's
@@ -82,12 +96,24 @@ func Iterations(p Parallelism, images int64, batch, gpus, simIters int) (epoch i
 type iteration func(start time.Duration) (iterTimes, error)
 
 // SimulateWindow runs the simulated portion of an epoch — the schedule's
-// session setup and the exactly-simulated iterations, with the
-// cancellation probe consulted before each — and captures the result as
-// a reusable Window. Every schedule runs through this one loop; each
-// supplies only its setup and its one-iteration body (begin). A trainer
-// is single-shot: the engine and resource state are consumed, so
-// SimulateWindow (or Run) may be called once.
+// session setup and the window's iterations, with the cancellation probe
+// consulted before each — and captures the result as a reusable Window.
+// Every schedule runs through this one loop; each supplies only its setup
+// and its one-iteration body (begin). A trainer is single-shot: the
+// engine and resource state are consumed, so SimulateWindow (or Run) may
+// be called once.
+//
+// The loop stops early once the timing state is periodic. Every booking
+// is a max/plus of integer-nanosecond times and nothing in an iteration
+// draws jitter, so an iteration is a shift-equivariant function of the
+// state it starts from. If the state after iteration i equals the state
+// after iteration i−1, shifted by λ (the difference of their floors),
+// every later iteration repeats iteration i shifted by λ. The window then
+// completes the m iterations left to its cap in closed form: the
+// landmarks shift by m·λ, the profile and each device's compute busy
+// time grow by m times iteration i's growth, and a Detailed profile
+// retains iteration i's intervals again, the j-th copy shifted by j·λ.
+// Everything the window captures is what simulating to the cap leaves.
 func (t *Trainer) SimulateWindow() (*Window, error) {
 	if t.ran {
 		return nil, fmt.Errorf("train: trainer already ran; build a new one")
@@ -101,19 +127,53 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 	_, nsim := Iterations(t.cfg.Parallelism, t.cfg.Images, t.cfg.Batch, t.cfg.GPUs, t.cfg.SimIters)
 	start := setupEnd
 	var it iterTimes
+	simulated, left := nsim, int64(0)
+	var p *period
+	if !t.toCap && nsim > 2 {
+		p = periods.Get().(*period)
+		defer periods.Put(p)
+	}
 	for i := 0; i < nsim; i++ {
 		if err := t.cancelled(); err != nil {
 			return nil, err
+		}
+		// Only an iteration with another after it, before the cap, can
+		// end the window early.
+		watch := p != nil && i < nsim-1
+		if watch && i > 0 {
+			p.mark(t)
 		}
 		if it, err = iterate(start); err != nil {
 			return nil, err
 		}
 		start = it.barrier
+		if !watch || !p.repeats(t, i, it.floor) {
+			continue
+		}
+		simulated, left = i+1, int64(nsim-1-i)
+		lambda := it.floor - p.floor
+		shift := time.Duration(left) * lambda
+		it.start += shift
+		it.fpEnd += shift
+		it.bpEnd += shift
+		it.barrier += shift
+		it.floor += shift
+		if t.cfg.Async {
+			// The slowest worker's mean since setup, as the cap's last
+			// iteration computes it.
+			it.steady = (it.barrier - setupEnd) / time.Duration(nsim)
+		}
+		t.prof.Repeat(&p.prof, left, lambda)
+		break
 	}
 
 	busy := make(map[topology.NodeID]time.Duration, len(t.devs))
-	for _, d := range t.devs {
-		busy[d] = t.rt.Device(d).ComputeBusy()
+	for i, d := range t.devs {
+		b := t.rt.Device(d).ComputeBusy()
+		if left > 0 {
+			b += time.Duration(left) * (b - p.busy[i])
+		}
+		busy[d] = b
 	}
 	// A cached window outlives its trainer; it keeps just the names that
 	// recorded and their aggregates, not the trainer's seeded slots, so
@@ -126,12 +186,75 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		last:        it,
 		simTotal:    it.barrier - setupEnd,
 		nsim:        nsim,
+		simulated:   simulated,
 		prof:        prof,
 		utilWeight:  t.tables[0].util,
 		setupApprox: t.SetupTimeApprox(),
 		devs:        t.devs,
 		busy:        busy,
 	}, nil
+}
+
+// period is SimulateWindow's stop rule: the timing state after the
+// previous iteration, and the profile and busy times before the current
+// one.
+type period struct {
+	// prev is the state after the previous iteration, measured from
+	// floor; cur is scratch for the current one.
+	prev, cur []time.Duration
+	floor     time.Duration
+	// busy[i] is devs[i]'s compute busy time before the current
+	// iteration, and prof the profile's point then.
+	busy []time.Duration
+	prof profiler.Mark
+	// slab backs prev, cur and busy.
+	slab []time.Duration
+}
+
+// periods recycles the stop rule's buffers: a compile needs them only
+// until its window is captured, and reusing them keeps a compile's
+// garbage what it was before the rule.
+var periods = sync.Pool{New: func() any { return new(period) }}
+
+// reset sizes the buffers for t's state after its first iteration,
+// which creates every resource the later ones book.
+func (p *period) reset(t *Trainer) {
+	n := t.rt.StateLen() + len(t.carried)
+	if need := 2*n + len(t.devs); cap(p.slab) < need {
+		p.slab = make([]time.Duration, need)
+	}
+	p.prev, p.cur, p.busy = p.slab[:0:n], p.slab[n:n:2*n], p.slab[2*n:2*n+len(t.devs)]
+}
+
+// mark records the profile and the compute busy times before an
+// iteration whose growth the window may repeat.
+func (p *period) mark(t *Trainer) {
+	t.prof.Mark(&p.prof)
+	for i, d := range t.devs {
+		p.busy[i] = t.rt.Device(d).ComputeBusy()
+	}
+}
+
+// repeats captures the state after iteration i, measured from floor
+// (iterTimes.floor), and reports whether it equals the state after
+// iteration i−1. The state is the runtime's (cuda.Runtime.AppendState)
+// and the times the schedule carries (Trainer.carried), each clamped at
+// floor: no later booking is ready before floor, and every read of a
+// free time or a tail sits under a max with such a readiness, so how far
+// below floor a time lies changes nothing.
+func (p *period) repeats(t *Trainer, i int, floor time.Duration) bool {
+	if i == 0 {
+		p.reset(t)
+	}
+	p.cur = t.rt.AppendState(p.cur[:0], floor)
+	for _, c := range t.carried {
+		p.cur = append(p.cur, max(c-floor, 0))
+	}
+	if i > 0 && slices.Equal(p.cur, p.prev) {
+		return true
+	}
+	p.prev, p.cur, p.floor = p.cur, p.prev, floor
+	return false
 }
 
 // begin builds the configured schedule: it books the schedule's session
