@@ -573,8 +573,8 @@ func BenchmarkCoreRunMissVariants(b *testing.B) {
 // runMissCycle runs one workload of the cycle ws per op, from position
 // *next on. The first call runs the whole cycle once, untimed, so every
 // cache but the compiled-window memo is warm. It reports simiters/op, the
-// training iterations a compile simulated on average: a count no host
-// moves.
+// training iterations a compile simulated on average, and passes/op, the
+// device passes a compile launched on average: counts no host moves.
 func runMissCycle(b *testing.B, ws []core.Workload, next *int) {
 	run := func(i int) {
 		w := ws[i%len(ws)]
@@ -588,7 +588,7 @@ func runMissCycle(b *testing.B, ws []core.Workload, next *int) {
 		}
 	}
 	b.ReportAllocs()
-	compiles, iters := core.CompileCount(), core.SimulatedIterations()
+	compiles, iters, passes := core.CompileCount(), core.SimulatedIterations(), core.LaunchedPasses()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(*next)
@@ -597,6 +597,7 @@ func runMissCycle(b *testing.B, ws []core.Workload, next *int) {
 	b.StopTimer()
 	if n := core.CompileCount() - compiles; n > 0 {
 		b.ReportMetric(float64(core.SimulatedIterations()-iters)/float64(n), "simiters/op")
+		b.ReportMetric(float64(core.LaunchedPasses()-passes)/float64(n), "passes/op")
 	}
 }
 

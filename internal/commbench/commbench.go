@@ -109,6 +109,7 @@ func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, coun
 		if err != nil {
 			return Point{}, err
 		}
+		adds := eng2.AddDurations(size, nil)
 		for i := 0; i < count; i++ {
 			var e time.Duration
 			switch op {
@@ -116,7 +117,7 @@ func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, coun
 				// The P2P equivalent of all-reduce: tree reduce to the
 				// root then broadcast back (what the device kvstore does
 				// per key).
-				mid, err := eng2.ReduceToRoot(profiler.StageWU, size, 0)
+				mid, err := eng2.ReduceToRoot(profiler.StageWU, size, 0, adds)
 				if err != nil {
 					return Point{}, err
 				}

@@ -47,6 +47,17 @@ var simulated atomic.Uint64
 // simulates: a window's cap, or fewer once its state turns periodic.
 func SimulatedIterations() uint64 { return simulated.Load() }
 
+// passes sums the device passes the compiled windows launched
+// (train.Window.Passes).
+var passes atomic.Uint64
+
+// LaunchedPasses reports how many device passes the compile phases this
+// process has run launched, across every window. Diffed with
+// CompileCount around a batch, it is the passes a compile launches: a
+// pass per GPU and simulated iteration, less the data-parallel replicas
+// whose pass was replayed.
+func LaunchedPasses() uint64 { return passes.Load() }
+
 // buildWindow runs the compile phase: lower the config, build the
 // trainer, and simulate the window with the cancellation probe installed.
 func buildWindow(w Workload, check func() error) (*train.Window, error) {
@@ -63,6 +74,7 @@ func buildWindow(w Workload, check func() error) (*train.Window, error) {
 	win, err := tr.SimulateWindow()
 	if err == nil {
 		simulated.Add(uint64(win.Simulated()))
+		passes.Add(uint64(win.Passes()))
 	}
 	return win, err
 }

@@ -108,12 +108,17 @@ type label struct {
 	slot profiler.Slot
 }
 
+// copyLabels are one copy direction's transfer labels.
+type copyLabels struct {
+	memcpy label  // e.g. "memcpyP2P S->D"; its slot is in the layout's transfer names
+	xfer   string // the transfer's track, e.g. "xfer S->D"
+}
+
 // copyPath is one copy direction: its routed path (or the routing error,
 // which is just as deterministic) and its transfer labels.
 type copyPath struct {
 	route
-	memcpy label  // e.g. "memcpyP2P S->D"; its slot is in the layout's transfer names
-	xfer   string // the transfer's track, e.g. "xfer S->D"
+	copyLabels
 }
 
 // route is a routed copy path or the routing error.
@@ -127,8 +132,7 @@ type route struct {
 // function of the topology, so whichever concurrent first use stores its
 // route, every runtime reads the same one.
 type peerPath struct {
-	memcpy label
-	xfer   string
+	copyLabels
 	routes [2]atomic.Pointer[route] // [0] staged NVLink, [1] PCIe fallback
 }
 
@@ -407,15 +411,14 @@ func (rt *Runtime) state(id topology.NodeID) *device {
 }
 
 // peer returns the route and labels of one src->dst copy under the
-// current policy. A copy between managed GPUs takes the layout's labels
-// and its route, routed once per layout; any other is routed and named
-// afresh every time.
-func (rt *Runtime) peer(src, dst topology.NodeID) copyPath {
+// current policy, read in place. A copy between managed GPUs takes the
+// layout's labels and its route, routed once per layout; any other is
+// routed and named afresh every time.
+func (rt *Runtime) peer(src, dst topology.NodeID) (*route, *copyLabels) {
 	s, d := rt.state(src), rt.state(dst)
 	if s == nil || d == nil {
 		path, err := rt.lay.top.Route(src, dst, rt.policy)
-		return copyPath{
-			route:  route{path: path, err: err},
+		return &route{path: path, err: err}, &copyLabels{
 			memcpy: label{name: fmt.Sprintf("memcpyP2P %d->%d", src, dst), slot: profiler.NoSlot},
 			xfer:   fmt.Sprintf("xfer %d->%d", src, dst),
 		}
@@ -432,7 +435,7 @@ func (rt *Runtime) peer(src, dst topology.NodeID) copyPath {
 		p.routes[pol].CompareAndSwap(nil, &route{path: path, err: err})
 		r = p.routes[pol].Load()
 	}
-	return copyPath{route: *r, memcpy: p.memcpy, xfer: p.xfer}
+	return r, &p.copyLabels
 }
 
 // SetRoutePolicy selects how peer copies without a direct NVLink are routed
@@ -458,12 +461,22 @@ func (rt *Runtime) Fabric() *interconnect.Fabric { return rt.fabric }
 // Profile returns the profile (may be nil).
 func (rt *Runtime) Profile() *profiler.Profile { return rt.prof }
 
-// record adds an interval under its interned slot when profiling is
-// enabled.
-func (rt *Runtime) record(slot profiler.Slot, iv profiler.Interval) {
-	if rt.prof != nil {
-		rt.prof.RecordSlot(slot, iv)
+// count adds one activity of kind k from start to end under its interned
+// slot to an aggregate-only profile's aggregates, and reports whether the
+// caller must record it as an interval instead (profiler.RecordSlot),
+// which a Detailed profile retains. Without a profile it records nothing.
+func (rt *Runtime) count(k profiler.Kind, slot profiler.Slot, start, end time.Duration) (detailed bool) {
+	p := rt.prof
+	if p == nil {
+		return false
 	}
+	if p.Detailed() {
+		return true
+	}
+	if slot >= 0 {
+		p.AddSlot(k, slot, 1, end-start)
+	}
+	return false
 }
 
 // hostCall books a host-API call on one of the device's worker threads.
@@ -477,10 +490,12 @@ func (rt *Runtime) hostCall(d *device, api label, stage profiler.Stage, ready ti
 		res, track = &d.engine, d.lay.engineTrack
 	}
 	start, end = res.Book(ready, dur)
-	rt.record(api.slot, profiler.Interval{
-		Kind: profiler.KindAPI, Name: api.name, Stage: stage,
-		Track: track, Start: start, End: end,
-	})
+	if rt.count(profiler.KindAPI, api.slot, start, end) {
+		rt.prof.RecordSlot(api.slot, profiler.Interval{
+			Kind: profiler.KindAPI, Name: api.name, Stage: stage,
+			Track: track, Start: start, End: end,
+		})
+	}
 	return start, end
 }
 
@@ -497,10 +512,12 @@ func (rt *Runtime) BookKernel(dev topology.NodeID, comm bool, stage profiler.Sta
 	} else {
 		start, end = d.dev.BookKernel(ready, k.Dur)
 	}
-	rt.record(k.Slot, profiler.Interval{
-		Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
-		Track: track, Start: start, End: end,
-	})
+	if rt.count(profiler.KindKernel, k.Slot, start, end) {
+		rt.prof.RecordSlot(k.Slot, profiler.Interval{
+			Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
+			Track: track, Start: start, End: end,
+		})
+	}
 	return start, end
 }
 
@@ -605,10 +622,12 @@ func (s *Stream) Launch(stage profiler.Stage, k Kernel, hostReady time.Duration)
 	} else {
 		start, end = s.d.dev.BookKernel(ready, k.Dur)
 	}
-	s.rt.record(k.Slot, profiler.Interval{
-		Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
-		Track: track, Start: start, End: end,
-	})
+	if s.rt.count(profiler.KindKernel, k.Slot, start, end) {
+		s.rt.prof.RecordSlot(k.Slot, profiler.Interval{
+			Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
+			Track: track, Start: start, End: end,
+		})
+	}
 	s.tail = end
 	return hostDone, end
 }
@@ -640,11 +659,7 @@ func (s *Stream) LaunchRun(stage profiler.Stage, r Run, hostReady time.Duration)
 		}
 		return hostReady, kernelEnd
 	}
-	thread := &s.d.host
-	if s.comm {
-		thread = &s.d.engine
-	}
-	queue := s.d.dev.Queue(s.comm)
+	thread, queue := s.thread(), s.d.dev.Queue(s.comm)
 	h0 := max(hostReady, thread.FreeAt())
 	e0 := max(s.tail, queue.FreeAt())
 	launch := time.Duration(n) * s.rt.costs.LaunchKernel
@@ -660,6 +675,66 @@ func (s *Stream) LaunchRun(stage profiler.Stage, r Run, hostReady time.Duration)
 		}
 	}
 	return hostDone, kernelEnd
+}
+
+// thread returns the host thread that launches the stream's work: the
+// device's launch thread, or its engine thread for a comm stream.
+func (s *Stream) thread() *sim.Resource {
+	if s.comm {
+		return &s.d.engine
+	}
+	return &s.d.host
+}
+
+// Entry is what a pass reads of a stream's state when it starts: see
+// Stream.Entry. Two streams with equal entries book the same pass alike.
+type Entry struct {
+	host, device time.Duration
+}
+
+// Entry returns the stream's entry for a pass from hostReady whose input
+// is ready at dataReady (the pass's first act is WaitEvent(dataReady)).
+// A pass is a LaunchRun of at least one kernel from hostReady, then any
+// LaunchRuns threading the host clock through, then Synchronize; on an
+// aggregate-only profile every booking it makes is a function of two
+// values only (see LaunchRun):
+//
+//	H0 = max(hostReady, the host thread's free time)
+//	E0 = max(tail, dataReady, the device queue's free time)
+//
+// and the first run ends at max(E0 + sum, H0 + crit). crit ≥ L + sum, so
+// every E0 ≤ H0 gives the same end: the entry is (H0, max(E0, H0)).
+func (s *Stream) Entry(hostReady, dataReady time.Duration) Entry {
+	h0 := max(hostReady, s.thread().FreeAt())
+	return Entry{host: h0, device: max(s.tail, dataReady, s.d.dev.Queue(s.comm).FreeAt(), h0)}
+}
+
+// StreamMark is a stream's booking state at one point: its host thread
+// and its device queue. Replay books on another stream what a stream
+// booked since its mark.
+type StreamMark struct {
+	thread, queue sim.Resource
+}
+
+// Mark records the stream's current state into m.
+func (s *Stream) Mark(m *StreamMark) {
+	m.thread, m.queue = *s.thread(), *s.d.dev.Queue(s.comm)
+}
+
+// Replay books on s the pass src launched since m, in closed form: its
+// host thread and device queue take src's request count and busy time
+// since m and src's free times, and its tail becomes src's. It is exact
+// when s's Entry for the pass equals src's at m, the two run the same
+// kernels (a pass books only its own stream's host thread and device
+// queue, back to back), and nothing else booked on src since m. The
+// profile is not touched: the caller repeats the pass's aggregates
+// (profiler.Profile.Repeat), so Replay is for aggregate-only profiles,
+// whose timelines keep no per-track intervals.
+func (s *Stream) Replay(src *Stream, m *StreamMark) {
+	th, q := src.thread(), src.d.dev.Queue(src.comm)
+	s.thread().BookRun(th.Requests()-m.thread.Requests(), th.BusyTime()-m.thread.BusyTime(), th.FreeAt())
+	s.d.dev.Queue(s.comm).BookRun(q.Requests()-m.queue.Requests(), q.BusyTime()-m.queue.BusyTime(), q.FreeAt())
+	s.tail = src.tail
 }
 
 // HostLaunch books only the host-side cudaLaunchKernel cost (used by
@@ -689,10 +764,12 @@ func (s *Stream) Extend(stage profiler.Stage, k Kernel, ready, until time.Durati
 	} else {
 		bs, be = s.d.dev.BookDMA(start, dur)
 	}
-	s.rt.record(k.Slot, profiler.Interval{
-		Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
-		Track: s.d.lay.commTrack, Start: bs, End: be,
-	})
+	if s.rt.count(profiler.KindKernel, k.Slot, bs, be) {
+		s.rt.prof.RecordSlot(k.Slot, profiler.Interval{
+			Kind: profiler.KindKernel, Name: k.Name, Stage: stage,
+			Track: s.d.lay.commTrack, Start: bs, End: be,
+		})
+	}
 	s.tail = be
 	return be
 }
@@ -818,9 +895,9 @@ func (rt *Runtime) block(d *device, engine bool, stage profiler.Stage, hostReady
 // broadcasts updated weights. It returns the host-call end and the copy's
 // arrival time.
 func (rt *Runtime) MemcpyPeer(dst, src topology.NodeID, size units.Bytes, stage profiler.Stage, hostReady, dataReady time.Duration) (hostDone, end time.Duration, err error) {
-	pc := rt.peer(src, dst)
-	if pc.err != nil {
-		return 0, 0, pc.err
+	r, labels := rt.peer(src, dst)
+	if r.err != nil {
+		return 0, 0, r.err
 	}
 	issuer := rt.state(dst)
 	if issuer == nil {
@@ -831,29 +908,31 @@ func (rt *Runtime) MemcpyPeer(dst, src topology.NodeID, size units.Bytes, stage 
 	if dataReady > ready {
 		ready = dataReady
 	}
-	start, end := rt.fabric.Book(pc.path, size, ready)
+	start, end := rt.fabric.Book(r.path, size, ready)
 	if d := rt.state(src); d != nil {
 		if _, dmaEnd := d.dev.BookDMA(start, end-start); dmaEnd > end {
 			end = dmaEnd
 		}
 	}
-	rt.recordCopy(&pc, stage, start, end)
+	rt.recordCopy(labels, stage, start, end)
 	return hostDone, end, nil
 }
 
 // recordCopy records one transfer on its labels. The layout's slot is the
 // profile's when the profile was seeded with the layout's transfer names;
 // otherwise the name is interned.
-func (rt *Runtime) recordCopy(c *copyPath, stage profiler.Stage, start, end time.Duration) {
+func (rt *Runtime) recordCopy(c *copyLabels, stage profiler.Stage, start, end time.Duration) {
 	slot := c.memcpy.slot
 	if rt.prof != nil && (slot < 0 || !rt.seeded) {
 		slot = rt.prof.Intern(profiler.KindTransfer, c.memcpy.name)
 	}
-	rt.record(slot, profiler.Interval{
-		Kind: profiler.KindTransfer, Name: c.memcpy.name,
-		Stage: stage, Track: c.xfer,
-		Start: start, End: end,
-	})
+	if rt.count(profiler.KindTransfer, slot, start, end) {
+		rt.prof.RecordSlot(slot, profiler.Interval{
+			Kind: profiler.KindTransfer, Name: c.memcpy.name,
+			Stage: stage, Track: c.xfer,
+			Start: start, End: end,
+		})
+	}
 }
 
 // MemcpyHostToDevice enqueues a host-to-device copy over the GPU's PCIe
@@ -866,7 +945,7 @@ func (rt *Runtime) MemcpyHostToDevice(dst topology.NodeID, size units.Bytes, sta
 	}
 	_, hostDone = rt.hostCall(d, rt.memcpy, stage, hostReady, rt.costs.MemcpyAsync, true)
 	start, end := rt.fabric.Book(c.path, size, hostDone)
-	rt.recordCopy(c, stage, start, end)
+	rt.recordCopy(&c.copyLabels, stage, start, end)
 	return hostDone, end, nil
 }
 
@@ -884,7 +963,7 @@ func (rt *Runtime) MemcpyDeviceToHost(src topology.NodeID, size units.Bytes, sta
 		ready = dataReady
 	}
 	start, end := rt.fabric.Book(c.path, size, ready)
-	rt.recordCopy(c, stage, start, end)
+	rt.recordCopy(&c.copyLabels, stage, start, end)
 	return hostDone, end, nil
 }
 
@@ -900,10 +979,12 @@ func (rt *Runtime) CPUWork(name string, stage profiler.Stage, ready time.Duratio
 		rt.cpu = append(rt.cpu, cpuResource{name: name})
 	}
 	start, end = rt.cpu[i].res.Book(ready, dur)
-	rt.record(profiler.NoSlot, profiler.Interval{
-		Kind: profiler.KindMarker, Name: name, Stage: stage,
-		Track: name, Start: start, End: end,
-	})
+	if rt.count(profiler.KindMarker, profiler.NoSlot, start, end) {
+		rt.prof.RecordSlot(profiler.NoSlot, profiler.Interval{
+			Kind: profiler.KindMarker, Name: name, Stage: stage,
+			Track: name, Start: start, End: end,
+		})
+	}
 	return start, end
 }
 
@@ -916,8 +997,8 @@ type cpuResource struct {
 // Route exposes the runtime's routed path between two GPUs under its
 // current policy (used by the communication backends for cost planning).
 func (rt *Runtime) Route(src, dst topology.NodeID) (topology.Path, error) {
-	pc := rt.peer(src, dst)
-	return pc.path, pc.err
+	r, _ := rt.peer(src, dst)
+	return r.path, r.err
 }
 
 // Costs returns the runtime's host API costs.

@@ -27,6 +27,20 @@ const (
 	MethodNCCL Method = "nccl"
 )
 
+// Array is one parameter array's exchange: its size per device, and the
+// costs of moving it that depend on nothing booked. A trainer exchanges
+// the same arrays every iteration, so it prices each once; an array of
+// any other size (a fused bucket) is priced on the fly (Backend.Price).
+// Each backend reads the costs of its own method.
+type Array struct {
+	Size units.Bytes
+	// Adds[i] is rank i's gradient-accumulate kernel duration for the
+	// array (p2p.AddCost on rank i's spec), for the P2P reduction.
+	Adds []time.Duration
+	// Wire is the array's NCCL collective wire times.
+	Wire nccl.Wire
+}
+
 // Backend moves gradients and weights for one training session.
 type Backend interface {
 	// Name returns the method name.
@@ -34,13 +48,16 @@ type Backend interface {
 	// Root returns the GPU that aggregates gradients and holds the
 	// authoritative weights (GPU 0 in the paper's MXNet).
 	Root() topology.NodeID
-	// PushGradient aggregates one gradient array (size bytes per device)
-	// across all devices, returning when the aggregate is available on the
-	// root (and, for all-reduce backends, everywhere).
-	PushGradient(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error)
+	// Price fills the costs of a, of a.Size bytes per device, that the
+	// backend reads (reusing a.Adds' storage).
+	Price(a *Array)
+	// PushGradient aggregates one gradient array across all devices,
+	// returning when the aggregate is available on the root (and, for
+	// all-reduce backends, everywhere).
+	PushGradient(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error)
 	// PullWeights distributes one updated weight array from the root to
 	// every device, returning when the last device has them.
-	PullWeights(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error)
+	PullWeights(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error)
 	// SetupCost is the one-time initialization charge (NCCL communicator
 	// construction; effectively zero for P2P).
 	SetupCost() time.Duration
@@ -100,12 +117,14 @@ func (b *deviceBackend) Name() Method             { return MethodP2P }
 func (b *deviceBackend) Root() topology.NodeID    { return b.eng.Root() }
 func (b *deviceBackend) SetupCost() time.Duration { return 0 }
 
-func (b *deviceBackend) PushGradient(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
-	return b.eng.ReduceToRoot(stage, size, ready)
+func (b *deviceBackend) Price(a *Array) { a.Adds = b.eng.AddDurations(a.Size, a.Adds) }
+
+func (b *deviceBackend) PushGradient(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error) {
+	return b.eng.ReduceToRoot(stage, a.Size, ready, a.Adds)
 }
 
-func (b *deviceBackend) PullWeights(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
-	return b.eng.BroadcastFromRoot(stage, size, ready)
+func (b *deviceBackend) PullWeights(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error) {
+	return b.eng.BroadcastFromRoot(stage, a.Size, ready)
 }
 
 // ncclBackend uses AllReduce for gradients and Broadcast for weights, as
@@ -119,12 +138,14 @@ func (b *ncclBackend) Name() Method             { return MethodNCCL }
 func (b *ncclBackend) Root() topology.NodeID    { return b.root }
 func (b *ncclBackend) SetupCost() time.Duration { return b.comm.SetupCost() }
 
-func (b *ncclBackend) PushGradient(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
-	return b.comm.AllReduce(stage, size, ready), nil
+func (b *ncclBackend) Price(a *Array) { a.Wire = b.comm.Price(a.Size) }
+
+func (b *ncclBackend) PushGradient(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error) {
+	return b.comm.AllReducePriced(stage, a.Wire, ready), nil
 }
 
-func (b *ncclBackend) PullWeights(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
-	return b.comm.Broadcast(stage, size, b.root, ready), nil
+func (b *ncclBackend) PullWeights(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error) {
+	return b.comm.BroadcastPriced(stage, a.Wire, ready), nil
 }
 
 // Rings exposes the NCCL backend's ring structure for diagnostics; it

@@ -31,12 +31,16 @@ func (b *localBackend) Name() Method             { return MethodLocal }
 func (b *localBackend) Root() topology.NodeID    { return b.devs[0] }
 func (b *localBackend) SetupCost() time.Duration { return 0 }
 
+// Price prices nothing: the server's costs are booked from the size.
+func (b *localBackend) Price(*Array) {}
+
 // PushGradient uploads every device's gradient over PCIe and sums on the
 // CPU; the aggregate is "on the root" in the sense that the server holds
 // it (the subsequent update also runs on the CPU, so the trainer's
 // GPU-side update kernel is effectively the copy-in; its cost is small
 // next to the PCIe crossings either way).
-func (b *localBackend) PushGradient(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
+func (b *localBackend) PushGradient(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error) {
+	size := a.Size
 	var uploaded time.Duration
 	for _, d := range b.devs {
 		_, end, err := b.rt.MemcpyDeviceToHost(d, size, stage, ready, ready)
@@ -54,10 +58,10 @@ func (b *localBackend) PushGradient(stage profiler.Stage, size units.Bytes, read
 }
 
 // PullWeights downloads the updated weights to every device over PCIe.
-func (b *localBackend) PullWeights(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
+func (b *localBackend) PullWeights(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error) {
 	var end time.Duration
 	for _, d := range b.devs {
-		_, e, err := b.rt.MemcpyHostToDevice(d, size, stage, ready)
+		_, e, err := b.rt.MemcpyHostToDevice(d, a.Size, stage, ready)
 		if err != nil {
 			return 0, err
 		}

@@ -384,27 +384,61 @@ func (c *Communicator) occupyRings(ready, wire time.Duration) {
 	}
 }
 
-// AllReduce reduces size bytes across all ranks, leaving the result on
-// every rank (ring reduce-scatter + ring all-gather: each rank moves
-// 2(N-1)/N of the buffer). ready is when every rank's input is available.
-func (c *Communicator) AllReduce(stage profiler.Stage, size units.Bytes, ready time.Duration) time.Duration {
-	n := len(c.devs)
-	if n == 1 {
-		return c.run(stage, collAllReduce, ready, c.localPass(size))
-	}
-	wire := c.wireTime(size, 2*float64(n-1)/float64(n), 2*(n-1))
-	return c.run(stage, collAllReduce, ready, wire)
+// Wire is one array's collective wire times: how long its AllReduce and
+// its Broadcast run beyond the kernel overhead (the local pass on a
+// single rank).
+type Wire struct {
+	AllReduce, Broadcast time.Duration
 }
 
-// Broadcast sends size bytes from the root to all ranks (pipelined ring
-// copy: each rank forwards chunks as they arrive).
-func (c *Communicator) Broadcast(stage profiler.Stage, size units.Bytes, root topology.NodeID, ready time.Duration) time.Duration {
+// Price returns the wire times of an AllReduce and a Broadcast of size
+// bytes per rank. They depend on the layout, the size and the cost and
+// selection config, never on what is booked, so a caller that exchanges
+// the same arrays every iteration prices each once and books them with
+// AllReducePriced and BroadcastPriced.
+func (c *Communicator) Price(size units.Bytes) Wire {
+	return Wire{AllReduce: c.allReduceWire(size), Broadcast: c.broadcastWire(size)}
+}
+
+// allReduceWire is an AllReduce's wire time: ring reduce-scatter + ring
+// all-gather, each rank moving 2(N-1)/N of the buffer.
+func (c *Communicator) allReduceWire(size units.Bytes) time.Duration {
 	n := len(c.devs)
 	if n == 1 {
-		return c.run(stage, collBroadcast, ready, c.localPass(size)/2)
+		return c.localPass(size)
 	}
-	wire := c.wireTime(size, 1, n-1)
-	return c.run(stage, collBroadcast, ready, wire)
+	return c.wireTime(size, 2*float64(n-1)/float64(n), 2*(n-1))
+}
+
+// broadcastWire is a Broadcast's wire time: a pipelined ring copy, each
+// rank forwarding chunks as they arrive.
+func (c *Communicator) broadcastWire(size units.Bytes) time.Duration {
+	n := len(c.devs)
+	if n == 1 {
+		return c.localPass(size) / 2
+	}
+	return c.wireTime(size, 1, n-1)
+}
+
+// AllReduce reduces size bytes across all ranks, leaving the result on
+// every rank. ready is when every rank's input is available.
+func (c *Communicator) AllReduce(stage profiler.Stage, size units.Bytes, ready time.Duration) time.Duration {
+	return c.run(stage, collAllReduce, ready, c.allReduceWire(size))
+}
+
+// AllReducePriced is AllReduce of an array priced ahead of time (Price).
+func (c *Communicator) AllReducePriced(stage profiler.Stage, w Wire, ready time.Duration) time.Duration {
+	return c.run(stage, collAllReduce, ready, w.AllReduce)
+}
+
+// Broadcast sends size bytes from the root to all ranks.
+func (c *Communicator) Broadcast(stage profiler.Stage, size units.Bytes, root topology.NodeID, ready time.Duration) time.Duration {
+	return c.run(stage, collBroadcast, ready, c.broadcastWire(size))
+}
+
+// BroadcastPriced is Broadcast of an array priced ahead of time (Price).
+func (c *Communicator) BroadcastPriced(stage profiler.Stage, w Wire, ready time.Duration) time.Duration {
+	return c.run(stage, collBroadcast, ready, w.Broadcast)
 }
 
 // ReduceScatter reduces and scatters 1/N of the buffer to each rank.

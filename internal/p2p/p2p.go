@@ -26,7 +26,7 @@ type Engine struct {
 	rt   *cuda.Runtime
 	devs []topology.NodeID
 	// add is the accumulate kernel's interned label; its duration is set
-	// per reduction from the array size.
+	// per transfer from the destination rank's add duration.
 	add cuda.Kernel
 	// avail is ReduceToRoot's per-call scratch (engines are single-threaded
 	// within their run).
@@ -57,9 +57,11 @@ func (e *Engine) Root() topology.NodeID { return e.devs[0] }
 // Size returns the number of devices.
 func (e *Engine) Size() int { return len(e.devs) }
 
-// addKernel is the elementwise gradient-accumulate kernel run on the
-// destination of each reduction transfer.
-func addKernel(size units.Bytes) gpu.KernelCost {
+// AddCost is the elementwise gradient-accumulate kernel run on the
+// destination of each reduction transfer of size bytes. Its duration on a
+// rank's spec is that rank's add duration (ReduceToRoot): a per-array
+// constant, lowered once per spec, or priced on the fly (AddDurations).
+func AddCost(size units.Bytes) gpu.KernelCost {
 	elems := int64(size / units.Float32Size)
 	return gpu.KernelCost{
 		Name:        KernelAdd,
@@ -70,11 +72,24 @@ func addKernel(size units.Bytes) gpu.KernelCost {
 	}
 }
 
+// AddDurations prices the accumulate kernel for size bytes on every
+// rank's spec into adds (indexed by rank, grown to the rank count) and
+// returns it.
+func (e *Engine) AddDurations(size units.Bytes, adds []time.Duration) []time.Duration {
+	adds = adds[:0]
+	for _, d := range e.devs {
+		adds = append(adds, e.rt.Device(d).Spec.KernelDuration(AddCost(size)))
+	}
+	return adds
+}
+
 // ReduceToRoot aggregates size bytes from every device onto the root via a
 // binary halving tree (the paper's example: GPU1->GPU0 and GPU3->GPU2 in
 // parallel, then GPU2->GPU0). ready is when each device's gradient is
-// available; the returned time is when the root holds the full sum.
-func (e *Engine) ReduceToRoot(stage profiler.Stage, size units.Bytes, ready time.Duration) (time.Duration, error) {
+// available; adds[i] is rank i's accumulate-kernel duration for the array
+// (AddCost on its spec, which differs on a straggler); the returned time
+// is when the root holds the full sum.
+func (e *Engine) ReduceToRoot(stage profiler.Stage, size units.Bytes, ready time.Duration, adds []time.Duration) (time.Duration, error) {
 	n := len(e.devs)
 	if n == 1 {
 		return ready, nil
@@ -102,7 +117,7 @@ func (e *Engine) ReduceToRoot(stage profiler.Stage, size units.Bytes, ready time
 			// already enqueued there — MXNet's CommDevice behaviour, and
 			// the reason P2P aggregation steals compute from GPU 0.
 			k := e.add
-			k.Dur = e.rt.Device(dst).Spec.KernelDuration(addKernel(size))
+			k.Dur = adds[i]
 			_, end := e.rt.BookKernel(dst, false, stage, k, dataReady)
 			avail[i] = end
 		}

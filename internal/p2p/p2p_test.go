@@ -33,7 +33,7 @@ func newEngine(t *testing.T, n int) (*Engine, *profiler.Profile) {
 
 func TestSingleDeviceIsFree(t *testing.T) {
 	e, _ := newEngine(t, 1)
-	end, err := e.ReduceToRoot(profiler.StageWU, 100*units.MB, time.Millisecond)
+	end, err := e.ReduceToRoot(profiler.StageWU, 100*units.MB, time.Millisecond, e.AddDurations(100*units.MB, nil))
 	if err != nil || end != time.Millisecond {
 		t.Errorf("1-GPU reduce = %v, %v; want ready passthrough", end, err)
 	}
@@ -45,7 +45,7 @@ func TestSingleDeviceIsFree(t *testing.T) {
 
 func TestReduceUsesHalvingTree(t *testing.T) {
 	e, prof := newEngine(t, 4)
-	end, err := e.ReduceToRoot(profiler.StageWU, 50*units.MB, 0)
+	end, err := e.ReduceToRoot(profiler.StageWU, 50*units.MB, 0, e.AddDurations(50*units.MB, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestReduceScalesWithGPUCount(t *testing.T) {
 	var prev time.Duration
 	for _, n := range []int{2, 4, 8} {
 		e, _ := newEngine(t, n)
-		end, err := e.ReduceToRoot(profiler.StageWU, sizes, 0)
+		end, err := e.ReduceToRoot(profiler.StageWU, sizes, 0, e.AddDurations(sizes, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestEightGPUBroadcastPaysStaging(t *testing.T) {
 func TestReduceRespectsReadyTime(t *testing.T) {
 	e, _ := newEngine(t, 2)
 	ready := 10 * time.Millisecond
-	end, err := e.ReduceToRoot(profiler.StageWU, units.MB, ready)
+	end, err := e.ReduceToRoot(profiler.StageWU, units.MB, ready, e.AddDurations(units.MB, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

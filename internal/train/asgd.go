@@ -52,6 +52,7 @@ func (t *Trainer) beginAsync() (time.Duration, iteration, error) {
 // independent exchange with the server, returning when the worker may
 // start its next mini-batch.
 func (t *Trainer) asyncWorkerIteration(w int, root topology.NodeID, start time.Duration) (time.Duration, error) {
+	t.passes++
 	d, s, tab := t.devs[w], &t.compute[w], t.tables[w]
 	host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwdRun(), start)
 	lastPull := kEnd

@@ -143,14 +143,15 @@ func MachineTopology(name string) (*topology.Topology, error) {
 	return top, err
 }
 
-// ResetCache drops the memoized machine topologies, machine templates and
-// plan tables so the next compile rebuilds them. Only benchmarks and
+// ResetCache drops the memoized machine topologies, machine templates,
+// plan tables and NCCL wire times so the next compile rebuilds them. Only benchmarks and
 // tests measuring the cold path need it. (Kernel tables live beside the
 // dnn plans, so models.ResetCache drops those.)
 func ResetCache() {
 	topologies.Reset()
 	templates.Reset()
 	planTables.Reset()
+	wires.Reset()
 }
 
 // isDefaultHardware reports whether the name (possibly empty) spells the

@@ -182,6 +182,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 	}
 
 	iterate := func(start time.Duration) (iterTimes, error) {
+		t.passes += int64(len(t.devs))
 		// 1. Body FP (data parallel).
 		host := make([]time.Duration, len(t.devs))
 		var bodyFPEnd time.Duration
@@ -250,7 +251,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		// 6. Weight updates: conv via kvstore, FC slices locally.
 		lastPull := bpEnd
 		for j, gr := range grads {
-			pullEnd, err := t.exchange(gr, t.update(headLayers+j))
+			pullEnd, err := t.exchange(t.array(headLayers+j), gr.ready, t.update(headLayers+j))
 			if err != nil {
 				return iterTimes{}, err
 			}

@@ -163,6 +163,7 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 	// One mini-batch (= one iteration): GPipe fill/steady/drain of micro
 	// forward passes, then the reverse for backward, then local updates.
 	iterate := func(start time.Duration) (iterTimes, error) {
+		t.passes += int64(stages)
 		host := make([]time.Duration, stages)
 		actReady := make([][]time.Duration, stages) // [stage][micro] input ready
 		for s := range actReady {

@@ -14,14 +14,17 @@ import (
 	"repro/internal/units"
 )
 
-// compileWindow compiles cfg's window, with the stop rule or, when toCap
-// is set, simulating every iteration up to the cap.
-func compileWindow(cfg Config, toCap bool) (*Window, error) {
+// hooks are the test-only switches a window compiles under: toCap
+// disables the stop rule and perDevice the replica replay.
+type hooks struct{ toCap, perDevice bool }
+
+// compileWindow compiles cfg's window under the hooks.
+func compileWindow(cfg Config, h hooks) (*Window, error) {
 	tr, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	tr.toCap = toCap
+	tr.toCap, tr.perDevice = h.toCap, h.perDevice
 	return tr.SimulateWindow()
 }
 
@@ -47,18 +50,56 @@ func windowListing(w *Window, images int64) (string, error) {
 	return b.String(), nil
 }
 
-// checkStopRule compiles cfg with the stop rule and to its cap, and
-// fails unless both windows, and their extrapolations to the configured
-// epoch and to a second size that simulates as many iterations, are
-// identical. It returns how many iterations the stop rule simulated.
-func checkStopRule(t testing.TB, cfg Config) int {
+// compileBoth compiles cfg under two sets of hooks and fails unless both
+// compile or both fail alike. It returns the windows, nil on failure.
+func compileBoth(t testing.TB, cfg Config, a, b hooks) (*Window, *Window) {
 	t.Helper()
-	stop, err1 := compileWindow(cfg, false)
-	full, err2 := compileWindow(cfg, true)
+	x, err1 := compileWindow(cfg, a)
+	y, err2 := compileWindow(cfg, b)
 	if fmt.Sprint(err1) != fmt.Sprint(err2) {
-		t.Fatalf("stop rule error %v, to the cap %v", err1, err2)
+		t.Fatalf("%+v: error %v, %+v: error %v", a, err1, b, err2)
 	}
 	if err1 != nil {
+		return nil, nil
+	}
+	return x, y
+}
+
+// checkSameWindows fails unless two windows of cfg, apart from how many
+// iterations and passes they simulated, and their extrapolations to the
+// configured epoch and to a second size that simulates as many
+// iterations, are identical.
+func checkSameWindows(t testing.TB, cfg Config, got, want *Window, what string) {
+	t.Helper()
+	a, b := *got, *want
+	a.simulated, b.simulated, a.passes, b.passes = 0, 0, 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: window after %d of %d iterations differs:\ngot  %+v\nwant %+v",
+			what, got.simulated, got.nsim, a.last, b.last)
+	}
+	images := cfg.Images
+	if images <= 0 {
+		images = data.PaperDatasetImages
+	}
+	for _, n := range []int64{images, 3*images + 7} {
+		x, err1 := windowListing(got, n)
+		y, err2 := windowListing(want, n)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("extrapolate %d images: %v, %v", n, err1, err2)
+		}
+		if x != y {
+			t.Fatalf("%s: %d images: got\n%s\nwant\n%s", what, n, x, y)
+		}
+	}
+}
+
+// checkStopRule compiles cfg with the stop rule and to its cap, and
+// fails unless both windows are identical (checkSameWindows). It returns
+// how many iterations the stop rule simulated.
+func checkStopRule(t testing.TB, cfg Config) int {
+	t.Helper()
+	stop, full := compileBoth(t, cfg, hooks{}, hooks{toCap: true})
+	if stop == nil {
 		return 0
 	}
 	if full.simulated != full.nsim {
@@ -67,27 +108,30 @@ func checkStopRule(t testing.TB, cfg Config) int {
 	if stop.simulated < 1 || stop.simulated > stop.nsim {
 		t.Fatalf("stop rule simulated %d of %d iterations", stop.simulated, stop.nsim)
 	}
-	a, b := *stop, *full
-	a.simulated, b.simulated = 0, 0
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("window after %d of %d iterations differs from the cap's:\nstop %+v\ncap  %+v",
-			stop.simulated, stop.nsim, a.last, b.last)
-	}
-	images := cfg.Images
-	if images <= 0 {
-		images = data.PaperDatasetImages
-	}
-	for _, n := range []int64{images, 3*images + 7} {
-		x, err1 := windowListing(stop, n)
-		y, err2 := windowListing(full, n)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("extrapolate %d images: %v, %v", n, err1, err2)
-		}
-		if x != y {
-			t.Fatalf("%d images: stop rule after %d iterations reports\n%s\nto the cap\n%s", n, stop.simulated, x, y)
-		}
-	}
+	checkSameWindows(t, cfg, stop, full, "stop rule against the cap")
 	return stop.simulated
+}
+
+// checkReplay compiles cfg with the replica replay and booking every
+// device's pass, and fails unless both windows are identical
+// (checkSameWindows). Booked device by device, a window launches a pass
+// per GPU and simulated iteration; with the replay it launches at most
+// that many. It returns how many passes the replay launched, and how
+// many booking device by device did.
+func checkReplay(t testing.TB, cfg Config) (int64, int64) {
+	t.Helper()
+	rep, each := compileBoth(t, cfg, hooks{}, hooks{perDevice: true})
+	if rep == nil {
+		return 0, 0
+	}
+	if want := int64(cfg.GPUs) * int64(each.simulated); each.passes != want {
+		t.Fatalf("device by device launched %d passes in %d iterations of %d GPUs", each.passes, each.simulated, cfg.GPUs)
+	}
+	if rep.passes < int64(rep.simulated) || rep.passes > each.passes {
+		t.Fatalf("replay launched %d passes, device by device %d", rep.passes, each.passes)
+	}
+	checkSameWindows(t, cfg, rep, each, "replay against device by device")
+	return rep.passes, each.passes
 }
 
 // stopRuleConfig is the paper default configuration of a model with the
@@ -223,7 +267,7 @@ func TestWindowStopP2PAlternatingEngines(t *testing.T) {
 // simulated, and a window too short to repeat anything simulates all.
 func TestWindowSimulated(t *testing.T) {
 	cfg := stopRuleConfig(t, "resnet", 4, 16, kvstore.MethodNCCL, nccl.ProtoSimple, "")
-	w, err := compileWindow(cfg, false)
+	w, err := compileWindow(cfg, hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +275,7 @@ func TestWindowSimulated(t *testing.T) {
 		t.Fatalf("simulated %d of %d, want 2 of %d", w.Simulated(), w.nsim, DefaultSimIters)
 	}
 	cfg.SimIters = 2
-	if w, err = compileWindow(cfg, false); err != nil {
+	if w, err = compileWindow(cfg, hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if w.Simulated() != 2 {
@@ -279,11 +323,14 @@ func fuzzConfig(t *testing.T, model, machine, gpus, batch, comm, schedule uint8,
 }
 
 // FuzzWindowStop checks the stop rule against the window simulated to its
-// cap over drawn configurations: every window and extrapolation must be
+// cap, and the replica replay against booking every device's pass, over
+// drawn configurations: every window and extrapolation must be
 // identical. A configuration New rejects must be rejected alike. The seed
 // corpus is in testdata/fuzz/FuzzWindowStop.
 func FuzzWindowStop(f *testing.F) {
 	f.Fuzz(func(t *testing.T, model, machine, gpus, batch, comm, schedule uint8, bucketKB uint16, checkpoint, straggler bool, trace uint16, simIters uint8) {
-		checkStopRule(t, fuzzConfig(t, model, machine, gpus, batch, comm, schedule, bucketKB, checkpoint, straggler, trace, simIters))
+		cfg := fuzzConfig(t, model, machine, gpus, batch, comm, schedule, bucketKB, checkpoint, straggler, trace, simIters)
+		checkStopRule(t, cfg)
+		checkReplay(t, cfg)
 	})
 }

@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cuda"
@@ -105,14 +106,40 @@ func (t *Trainer) beginSync() (time.Duration, iteration, error) {
 // with each GPU's input batch staged at staged[i] (indexed like t.devs).
 // It returns the iteration landmarks and overwrites staged with the next
 // iteration's staging times.
+//
+// Every GPU runs the same pass, so the devices whose kernel table and
+// pass entry (cuda.Stream.Entry) are equal book it alike: the first of
+// each such group launches it, and the others replay its bookings in
+// closed form (cuda.Stream.Replay), the profile repeating its aggregates
+// once per replica. A replica's gradient-ready times and landmarks equal
+// its source's, so grads and the landmarks need nothing from it. A
+// straggler has its own table, so it forms its own group; a Detailed
+// profile books device by device, because its intervals carry each
+// device's tracks.
 func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) (iterTimes, error) {
 	it := iterTimes{start: iterStart}
 
 	// Per-layer gradient scratch, reused across iterations.
 	grads := t.grads[:0]
 
+	rep := t.replicas()
+	if rep != nil {
+		defer replicaPool.Put(rep)
+	}
 	for i := range t.devs {
 		s, tab := &t.compute[i], t.tables[i]
+		var reps int64
+		if rep != nil {
+			if src := rep.src[i]; src >= 0 {
+				s.Replay(&t.compute[src], &rep.marks[src])
+				continue
+			}
+			if reps = rep.group(t, i, iterStart, staged); reps > 0 {
+				s.Mark(&rep.marks[i])
+				t.prof.Mark(&rep.prof)
+			}
+		}
+		t.passes++
 		s.WaitEvent(staged[i])
 		host, kEnd := s.LaunchRun(profiler.StageFP, tab.fwdRun(), iterStart)
 		if kEnd > it.fpEnd {
@@ -127,6 +154,9 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 		host, grads, it.bpEnd = launchBackward(s, tab.bwdRuns(), host, i == 0, grads, it.bpEnd)
 		// Iteration-end sync on the compute stream.
 		s.Synchronize(profiler.StageBP, host)
+		if reps > 0 {
+			t.prof.Repeat(&rep.prof, reps, 0)
+		}
 	}
 
 	// Weight update: push -> root update -> pull, pipelined in
@@ -135,8 +165,8 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 	// amortizing per-operation overheads at the cost of waiting for the
 	// bucket's slowest member.
 	lastPull := it.bpEnd
-	exchange := func(g layerGrad, upd cuda.Kernel) error {
-		pullEnd, err := t.exchange(g, upd)
+	exchange := func(a *kvstore.Array, ready time.Duration, upd cuda.Kernel) error {
+		pullEnd, err := t.exchange(a, ready, upd)
 		if pullEnd > lastPull {
 			lastPull = pullEnd
 		}
@@ -145,7 +175,7 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 	var bucket layerGrad
 	for j, g := range grads {
 		if t.cfg.BucketBytes <= 0 {
-			if err := exchange(g, t.update(j)); err != nil {
+			if err := exchange(t.array(j), g.ready, t.update(j)); err != nil {
 				return it, err
 			}
 			continue
@@ -155,14 +185,14 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 			bucket.ready = g.ready
 		}
 		if bucket.bytes >= t.cfg.BucketBytes {
-			if err := exchange(bucket, t.updateKernel(bucket.bytes)); err != nil {
+			if err := exchange(t.bucket(bucket.bytes), bucket.ready, t.updateKernel(bucket.bytes)); err != nil {
 				return it, err
 			}
 			bucket = layerGrad{}
 		}
 	}
 	if bucket.bytes > 0 {
-		if err := exchange(bucket, t.updateKernel(bucket.bytes)); err != nil {
+		if err := exchange(t.bucket(bucket.bytes), bucket.ready, t.updateKernel(bucket.bytes)); err != nil {
 			return it, err
 		}
 	}
@@ -192,6 +222,56 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 		return it, fmt.Errorf("train: non-causal iteration landmarks %+v", it)
 	}
 	return it, nil
+}
+
+// replicas is runIteration's grouping scratch for one iteration: src[i]
+// is the device whose pass device i replays (-1 when it launches its
+// own), marks[i] a source's stream state before its pass, and prof the
+// profile's point before the current source's pass.
+type replicas struct {
+	src   []int
+	marks []cuda.StreamMark
+	prof  profiler.Mark
+}
+
+// replicaPool recycles the grouping scratch, as periods does the stop
+// rule's: a compile needs it only while an iteration runs.
+var replicaPool = sync.Pool{New: func() any { return new(replicas) }}
+
+// replicas returns the iteration's grouping scratch, with no replica yet,
+// or nil when every device launches its own pass: with one device, with
+// a Detailed profile, under the perDevice hook, or when the pass launches
+// no forward kernel (the entry keys a pass that does).
+func (t *Trainer) replicas() *replicas {
+	n := len(t.devs)
+	if n < 2 || t.perDevice || t.prof.Detailed() || len(t.tables[0].fwdDur) == 0 {
+		return nil
+	}
+	r := replicaPool.Get().(*replicas)
+	if cap(r.src) < n {
+		r.src, r.marks = make([]int, n), make([]cuda.StreamMark, n)
+	}
+	r.src, r.marks = r.src[:n], r.marks[:n]
+	for i := range r.src {
+		r.src[i] = -1
+	}
+	return r
+}
+
+// group makes every later device that runs device i's kernel table with
+// device i's pass entry a replica of device i, and returns how many it
+// made. A device's entry is fixed until its own pass: no other device's
+// pass books its host thread, its queue or its stream.
+func (r *replicas) group(t *Trainer, i int, iterStart time.Duration, staged []time.Duration) int64 {
+	entry := t.compute[i].Entry(iterStart, staged[i])
+	var n int64
+	for j := i + 1; j < len(t.devs); j++ {
+		if r.src[j] < 0 && t.tables[j] == t.tables[i] && t.compute[j].Entry(iterStart, staged[j]) == entry {
+			r.src[j] = i
+			n++
+		}
+	}
+	return n
 }
 
 // layerGrad is one parameter array's gradient availability during an
@@ -228,12 +308,13 @@ func launchBackward(s *cuda.Stream, runs runTable, host time.Duration, first boo
 	return host, grads, bpEnd
 }
 
-// exchange pushes gradient g to the root, applies the update kernel upd
-// there, and pulls the fresh weights back, returning when the pull ends.
-func (t *Trainer) exchange(g layerGrad, upd cuda.Kernel) (time.Duration, error) {
-	pushEnd, err := t.backend.PushGradient(profiler.StageWU, g.bytes, g.ready)
+// exchange pushes array a's gradient, ready at ready, to the root,
+// applies the update kernel upd there, and pulls the fresh weights back,
+// returning when the pull ends.
+func (t *Trainer) exchange(a *kvstore.Array, ready time.Duration, upd cuda.Kernel) (time.Duration, error) {
+	pushEnd, err := t.backend.PushGradient(profiler.StageWU, a, ready)
 	if err != nil {
 		return 0, err
 	}
-	return t.backend.PullWeights(profiler.StageWU, g.bytes, t.bookUpdate(pushEnd, upd))
+	return t.backend.PullWeights(profiler.StageWU, a, t.bookUpdate(pushEnd, upd))
 }

@@ -41,6 +41,9 @@ type machineTemplate struct {
 	// rings is the NCCL communicator's layout, nil unless the method is
 	// nccl.
 	rings *nccl.Layout
+	// shared marks a registered machine's memoized template, which
+	// process-wide memos may key by (wiresFor).
+	shared bool
 }
 
 // buildTemplate builds the machine template of devs on top under method.
@@ -97,9 +100,49 @@ func machineTemplateFor(m Machine, devs []topology.NodeID, method kvstore.Method
 	// built stays.
 	tmpl, err := buildTemplate(top, devs, method)
 	if err == nil {
+		tmpl.shared = true
 		templates.Add(key, tmpl)
 	}
 	return tmpl, err
+}
+
+// wiresKey identifies one memoized set of NCCL wire times.
+type wiresKey struct {
+	rings *nccl.Layout
+	plan  *planTable
+	cfg   nccl.Config
+}
+
+// wires holds the wire times of the shared templates' rings: every
+// default device set of every machine, zoo network and collective
+// selection the miss traffic draws is 5 × 8 × 5 × 4 = 800 keys.
+var wires = memo.New[wiresKey, []nccl.Wire](1024)
+
+// wiresFor returns the NCCL wire times of the plan's distinct gradient
+// sizes (planTable.grads), as backend (an nccl backend over tmpl.rings
+// under cfg) prices them. They depend on the gradient sizes,
+// the rings and the config, not on the batch, so a shared template's are
+// memoized. A faulted or overridden topology's template lives for one
+// trainer, and a memo keyed by its rings would pin the topology, so its
+// wire times are priced for the trainer alone.
+func wiresFor(tmpl *machineTemplate, plan *planTable, cfg nccl.Config, backend kvstore.Backend) []nccl.Wire {
+	key := wiresKey{rings: tmpl.rings, plan: plan, cfg: cfg}
+	if tmpl.shared {
+		if w, ok := wires.Lookup(key); ok {
+			return w
+		}
+	}
+	out := make([]nccl.Wire, len(plan.grads))
+	var a kvstore.Array
+	for k, size := range plan.grads {
+		a.Size = size
+		backend.Price(&a)
+		out[k] = a.Wire
+	}
+	if tmpl.shared {
+		wires.Add(key, out)
+	}
+	return out
 }
 
 // sgdUpdate names the root's weight-update kernel.
@@ -146,6 +189,11 @@ type planTable struct {
 	// cutPoints is the network's clean pipeline cuts
 	// (dnn.Network.CutPoints), where model parallelism may end a stage.
 	cutPoints []int
+	// grads lists the distinct gradient sizes of the layers with
+	// parameters, and gradAt[j] is the j-th such layer's (in backward
+	// order) index in it: the exchange is priced once per distinct size.
+	grads  []units.Bytes
+	gradAt []int
 }
 
 // planTableKey identifies one shared plan table.
@@ -237,6 +285,20 @@ func buildPlanTable(nodes []*dnn.Node, fwd []gpu.KernelCost, bwd []dnn.BackwardS
 		p.recompute[i] = twin[s]
 	}
 	p.names = profiler.NewNames(names)
+	distinct := make(map[units.Bytes]int)
+	for _, c := range p.cuts {
+		if c.layer == nil {
+			continue
+		}
+		size := units.BytesOf(c.layer.Params, units.Float32Size)
+		k, ok := distinct[size]
+		if !ok {
+			k = len(p.grads)
+			distinct[size] = k
+			p.grads = append(p.grads, size)
+		}
+		p.gradAt = append(p.gradAt, k)
+	}
 	return p
 }
 
@@ -256,8 +318,10 @@ type kernelTable struct {
 	bwd []cuda.RunSum
 	// updates[j] is the weight-update kernel's duration for the j-th
 	// layer with parameters, in backward order, on this spec (the root's
-	// when this is the root's table).
-	updates []time.Duration
+	// when this is the root's table), and adds[k] the P2P reduction's
+	// gradient-accumulate kernel's (p2p.AddCost) for the plan's k-th
+	// distinct gradient size (planTable.grads).
+	updates, adds []time.Duration
 	// util is the occupancy-weighted kernel seconds of one iteration
 	// (the per-iteration numerator of ComputeUtilization).
 	util float64
@@ -279,6 +343,7 @@ func lowerTable(plan *planTable, fwd []gpu.KernelCost, bwd []dnn.BackwardStep, s
 		bwdDur:  durs[len(fwd):],
 		bwd:     make([]cuda.RunSum, len(plan.cuts)),
 		updates: make([]time.Duration, 0, len(plan.cuts)),
+		adds:    make([]time.Duration, len(plan.grads)),
 	}
 	// The utilization sum runs in launch order, as the kernels do.
 	for i, c := range fwd {
@@ -301,6 +366,9 @@ func lowerTable(plan *planTable, fwd []gpu.KernelCost, bwd []dnn.BackwardStep, s
 		if c.layer != nil {
 			tab.updates = append(tab.updates, spec.KernelDuration(sgdUpdateCost(units.BytesOf(c.layer.Params, units.Float32Size))))
 		}
+	}
+	for k, size := range plan.grads {
+		tab.adds[k] = spec.KernelDuration(p2p.AddCost(size))
 	}
 	return tab
 }

@@ -296,13 +296,23 @@ type Trainer struct {
 
 	// grads is runIteration's per-layer scratch, reused across iterations.
 	grads []layerGrad
+	// wires[k] is the NCCL wire times of the plan's k-th distinct
+	// gradient size (nil unless the method is nccl), and xchg the array
+	// the exchange prices into (array, bucket); its Adds has a slot per
+	// rank when the method is p2p.
+	wires []nccl.Wire
+	xchg  kvstore.Array
+	// passes counts the device passes the schedule launched: a replayed
+	// replica (runIteration) launches none.
+	passes int64
 	// carried holds the times a schedule carries from one iteration to
 	// the next (sync's staged batches, ASGD's worker clocks), which join
 	// the timing state the window's stop rule compares; begin sets it.
 	carried []time.Duration
 	// toCap disables the stop rule, so the window simulates every
-	// iteration up to its cap. Only tests set it, to compare the two.
-	toCap bool
+	// iteration up to its cap, and perDevice the replica replay, so every
+	// device launches its own pass. Only tests set them, to compare.
+	toCap, perDevice bool
 	// ran guards the single-shot simulation (its resources stay booked).
 	ran bool
 	// check, when set, is consulted between simulated iterations; a
@@ -415,6 +425,12 @@ func New(cfg Config) (*Trainer, error) {
 		stragglers: specs,
 	}
 	t.grads = make([]layerGrad, 0, len(t.tables[0].updates))
+	switch cfg.Method {
+	case kvstore.MethodNCCL:
+		t.wires = wiresFor(tmpl, plan, ncfg, backend)
+	case kvstore.MethodP2P:
+		t.xchg.Adds = make([]time.Duration, len(t.devs))
+	}
 
 	t.schedule, err = memoSchedule(cfg.Images, cfg.Model.InputShape, cfg.Batch, cfg.GPUs)
 	if err != nil {
@@ -531,6 +547,32 @@ func (t *Trainer) update(j int) cuda.Kernel {
 func (t *Trainer) updateKernel(size units.Bytes) cuda.Kernel {
 	spec := t.rt.Device(t.backend.Root()).Spec
 	return t.rt.NewKernel(sgdUpdate, spec.KernelDuration(sgdUpdateCost(size)))
+}
+
+// array returns the exchange of the j-th layer with parameters, in
+// backward order, priced from what was lowered once: each rank's add
+// duration from its kernel table and the wire times from t.wires.
+func (t *Trainer) array(j int) *kvstore.Array {
+	plan := t.tables[0].plan
+	k := plan.gradAt[j]
+	a := &t.xchg
+	a.Size = plan.grads[k]
+	if t.wires != nil {
+		a.Wire = t.wires[k]
+	}
+	for i := range a.Adds {
+		a.Adds[i] = t.tables[i].adds[k]
+	}
+	return a
+}
+
+// bucket returns the exchange of a fused bucket of size bytes, priced on
+// the fly: a bucket's size is arbitrary, so nothing lowered covers it.
+func (t *Trainer) bucket(size units.Bytes) *kvstore.Array {
+	a := &t.xchg
+	a.Size = size
+	t.backend.Price(a)
+	return a
 }
 
 // Memory returns the per-GPU memory estimate.

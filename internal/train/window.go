@@ -52,6 +52,8 @@ type Window struct {
 	// nsim is the window's iteration count, its cap; simulated is how
 	// many of them were simulated before the state turned periodic.
 	nsim, simulated int
+	// passes is how many device passes the simulated iterations launched.
+	passes int64
 	// prof is the unscaled profile of the simulated window.
 	prof *profiler.Profile
 	// utilWeight is the occupancy-weighted kernel seconds of one
@@ -68,6 +70,13 @@ func (w *Window) Config() Config { return w.cfg }
 // Simulated returns how many of the window's iterations were simulated:
 // at most its cap, fewer when the timing state turned periodic first.
 func (w *Window) Simulated() int { return w.simulated }
+
+// Passes returns how many device passes the window's simulated
+// iterations launched: a GPU's forward and backward pass counts once per
+// iteration, and a data-parallel replica whose pass was replayed
+// (runIteration) does not count. Booked device by device it would be the
+// GPU count times Simulated.
+func (w *Window) Passes() int64 { return w.passes }
 
 // Iterations returns how many iterations an epoch of images takes under
 // parallelism p, and how many of them a window covers exactly: simIters
@@ -187,6 +196,7 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		simTotal:    it.barrier - setupEnd,
 		nsim:        nsim,
 		simulated:   simulated,
+		passes:      t.passes,
 		prof:        prof,
 		utilWeight:  t.tables[0].util,
 		setupApprox: t.SetupTimeApprox(),
