@@ -28,7 +28,7 @@ func main() {
 		model      = flag.String("model", "googlenet", "model name: "+strings.Join(core.Models(), ", "))
 		gpus       = flag.Int("gpus", 4, "GPU count (1..the machine's capacity)")
 		batch      = flag.Int("batch", 16, "per-GPU batch size")
-		method     = flag.String("method", "nccl", "communication method: p2p or nccl")
+		method     = flag.String("method", "nccl", "communication method: p2p, nccl or local")
 		hardware   = flag.String("hardware", "", "machine generation: "+strings.Join(core.HardwareNames(), ", ")+" (default dgx1)")
 		protocol   = flag.String("protocol", "", "NCCL transfer protocol: "+strings.Join(core.Protocols(), ", ")+" (default simple)")
 		images     = flag.Int64("images", 0, "images per epoch (0 = paper's 256K)")

@@ -145,9 +145,9 @@ func (w Workload) CompileFingerprint() string {
 // artifactKey identifies the compiled window a normalized workload maps
 // to: the compile-phase fingerprint plus the number of iterations the
 // window simulates exactly (the one epoch-size dependence the window
-// retains — see train.Iterations; core always runs the default
-// SimIters). Two workloads with the same key share one simulated window
-// and differ only in finalization arithmetic.
+// retains — see train.Iterations; core always runs the default cap,
+// train.DefaultSimIters). Two workloads with the same key share one
+// simulated window and differ only in finalization arithmetic.
 func artifactKey(w Workload) string {
 	_, n := train.Iterations(w.parallelism(), epochImages(w), w.Batch, w.GPUs, train.DefaultSimIters)
 	return fmt.Sprintf("%s/n%d", w.CompileFingerprint(), n)
@@ -192,27 +192,41 @@ func compiledWindow(ctx context.Context, w Workload) (*train.Window, error) {
 
 // trainConfig lowers a normalized workload to the train layer's Config.
 func trainConfig(w Workload) (train.Config, error) {
-	cfg, err := train.NewConfig(w.Model, w.GPUs, w.Batch, w.Method)
-	if err != nil {
+	cfg := w.config()
+	var err error
+	if cfg.Model, err = models.ByName(w.Model); err != nil {
 		return train.Config{}, err
 	}
-	cfg.Images = epochImages(w)
-	cfg.TensorCores = !w.DisableTensorCores
-	cfg.Async = w.Async
-	cfg.Parallelism = w.parallelism()
-	cfg.MicroBatches = w.MicroBatches
-	if w.BucketKB > 0 {
-		cfg.BucketBytes = units.Bytes(w.BucketKB) * units.KB
-	}
-	cfg.Checkpointing = w.Checkpointing
-	cfg.Winograd = w.Winograd
-	cfg.DetailIntervals = w.TraceIntervals
-	cfg.Faults = w.Faults
-	cfg.Hardware = w.Hardware
 	if cfg.NCCL, err = w.nccl(); err != nil {
 		return train.Config{}, err
 	}
 	return cfg, nil
+}
+
+// config lowers the workload's fields to a train.Config, all but the
+// model and the NCCL selection, which trainConfig resolves. Validate
+// checks the schedule rules on it.
+func (w Workload) config() train.Config {
+	var bucket units.Bytes
+	if w.BucketKB > 0 {
+		bucket = units.Bytes(w.BucketKB) * units.KB
+	}
+	return train.Config{
+		GPUs:            w.GPUs,
+		Batch:           w.Batch,
+		Method:          w.Method,
+		Images:          epochImages(w),
+		TensorCores:     !w.DisableTensorCores,
+		Async:           w.Async,
+		Parallelism:     w.parallelism(),
+		MicroBatches:    w.MicroBatches,
+		BucketBytes:     bucket,
+		Checkpointing:   w.Checkpointing,
+		Winograd:        w.Winograd,
+		DetailIntervals: w.TraceIntervals,
+		Faults:          w.Faults,
+		Hardware:        w.Hardware,
+	}
 }
 
 // Simulate runs the workload through the artifact layer and returns the

@@ -43,7 +43,8 @@ type Workload struct {
 	GPUs int
 	// Batch is the per-GPU mini-batch size.
 	Batch int
-	// Method is the communication method (default NCCL).
+	// Method is the communication method: p2p, nccl (the default) or
+	// local.
 	Method Method
 	// Images per epoch (default: the paper's 256K).
 	Images int64
@@ -51,13 +52,16 @@ type Workload struct {
 	WeakScaling bool
 	// TensorCores toggles the tensor-core lowering (default on via Run).
 	DisableTensorCores bool
-	// Async switches to asynchronous SGD (P2P only).
+	// Async switches to asynchronous SGD. Async, ModelParallel and
+	// HybridOWT select a schedule other than synchronous data
+	// parallelism; the capability table (internal/train/schedule.go)
+	// lists the methods, GPU counts and options each schedule accepts.
 	Async bool
 	// ModelParallel partitions layers across GPUs (pipelined with
 	// micro-batches) instead of replicating the model.
 	ModelParallel bool
 	// HybridOWT data-parallelizes the conv body and tensor-parallelizes
-	// the FC head ("one weird trick"); requires NCCL and >= 2 GPUs.
+	// the FC head ("one weird trick").
 	HybridOWT bool
 	// MicroBatches tunes the model-parallel pipeline depth (default 2x
 	// the stage count, capped at Batch/4 and at least 1).
@@ -91,7 +95,7 @@ type Workload struct {
 	// Protocol selects the NCCL transfer protocol: "simple" (default, the
 	// paper-era behavior), "ll", "ll128", or "auto" (NCCL's tuner: picks
 	// protocol and ring-vs-tree algorithm per collective by message size
-	// and fabric). Ignored by the p2p method. "auto" conflicts with
+	// and fabric). Only the nccl method reads it. "auto" conflicts with
 	// NCCLTree, which pins the algorithm.
 	Protocol string
 }

@@ -43,49 +43,17 @@ func (w Workload) Validate() error {
 	if w.Images < 0 {
 		return fmt.Errorf("core: images per epoch %d must not be negative", w.Images)
 	}
-	if w.Async && w.Method != P2P {
-		return fmt.Errorf("core: async SGD requires the p2p method, got %q", w.methodOrDefault())
-	}
-	if w.Async && (w.ModelParallel || w.HybridOWT) {
-		return fmt.Errorf("core: async SGD supports only data parallelism")
-	}
-	if w.ModelParallel && w.HybridOWT {
+	// The flags spell one schedule, whose rules are the capability
+	// table's; async SGD with either parallelism is the table's error.
+	if w.ModelParallel && w.HybridOWT && !w.Async {
 		return fmt.Errorf("core: model-parallel and hybrid-owt are mutually exclusive")
 	}
-	if w.HybridOWT && w.methodOrDefault() != NCCL {
-		return fmt.Errorf("core: hybrid parallelism requires the nccl method, got %q", w.Method)
-	}
-	if w.HybridOWT && w.GPUs < 2 {
-		return fmt.Errorf("core: hybrid parallelism needs at least 2 GPUs")
-	}
-	if w.MicroBatches < 0 {
-		return fmt.Errorf("core: micro-batch count %d must not be negative", w.MicroBatches)
-	}
-	if w.MicroBatches > 0 && !w.ModelParallel {
-		return fmt.Errorf("core: micro-batches apply only to model-parallel runs")
+	cfg := w.config()
+	if err := cfg.CheckSchedule(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if w.BucketKB < 0 {
 		return fmt.Errorf("core: bucket size %d KiB must not be negative", w.BucketKB)
-	}
-	// Only the data-parallel schedule launches the recompute pass and
-	// fuses gradient exchanges.
-	if p := w.parallelism(); p != train.DataParallel {
-		if w.Checkpointing {
-			return fmt.Errorf("core: checkpointing applies only to data-parallel runs, not %s", p)
-		}
-		if w.BucketKB > 0 {
-			return fmt.Errorf("core: gradient buckets apply only to data-parallel runs, not %s", p)
-		}
-	}
-	// Nor does async SGD: its workers run plain passes and exchange each
-	// array on its own.
-	if w.Async {
-		if w.Checkpointing {
-			return fmt.Errorf("core: checkpointing applies only to synchronous data-parallel runs, not async SGD")
-		}
-		if w.BucketKB > 0 {
-			return fmt.Errorf("core: gradient buckets apply only to synchronous data-parallel runs, not async SGD")
-		}
 	}
 	if w.TraceIntervals < 0 {
 		return fmt.Errorf("core: trace interval count %d must not be negative", w.TraceIntervals)
@@ -118,12 +86,4 @@ func (w Workload) nccl() (nccl.Selection, error) {
 		sel.Algorithm = nccl.AlgoTree
 	}
 	return sel, nil
-}
-
-// methodOrDefault resolves the zero Method the way Run does.
-func (w Workload) methodOrDefault() Method {
-	if w.Method == "" {
-		return NCCL
-	}
-	return w.Method
 }

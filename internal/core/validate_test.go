@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/models"
+	"repro/internal/train"
 )
 
 func TestValidate(t *testing.T) {
@@ -39,15 +40,15 @@ func TestValidate(t *testing.T) {
 		{"hybrid default method ok", func(w *Workload) { w.Model = "alexnet"; w.HybridOWT = true }, ""},
 		{"hybrid one gpu", func(w *Workload) { w.GPUs = 1; w.HybridOWT = true }, "at least 2 GPUs"},
 		{"negative micro-batches", func(w *Workload) { w.ModelParallel = true; w.MicroBatches = -1 }, "micro-batch count -1"},
-		{"micro-batches without mp", func(w *Workload) { w.MicroBatches = 4 }, "micro-batches apply only to model-parallel"},
+		{"micro-batches without mp", func(w *Workload) { w.MicroBatches = 4 }, "micro-batches apply only to model-parallel runs, not synchronous data-parallel"},
 		{"micro-batches with mp ok", func(w *Workload) { w.ModelParallel = true; w.MicroBatches = 4 }, ""},
 		{"negative bucket", func(w *Workload) { w.BucketKB = -1 }, "bucket size -1"},
 		{"checkpointing ok", func(w *Workload) { w.Checkpointing = true }, ""},
 		{"bucket ok", func(w *Workload) { w.BucketKB = 4096 }, ""},
-		{"mp checkpointing", func(w *Workload) { w.ModelParallel = true; w.Checkpointing = true }, "checkpointing applies only to data-parallel runs, not model-parallel"},
-		{"hybrid checkpointing", func(w *Workload) { w.HybridOWT = true; w.Checkpointing = true }, "checkpointing applies only to data-parallel runs, not hybrid-owt"},
-		{"mp bucket", func(w *Workload) { w.ModelParallel = true; w.BucketKB = 4096 }, "gradient buckets apply only to data-parallel runs, not model-parallel"},
-		{"hybrid bucket", func(w *Workload) { w.HybridOWT = true; w.BucketKB = 4096 }, "gradient buckets apply only to data-parallel runs, not hybrid-owt"},
+		{"mp checkpointing", func(w *Workload) { w.ModelParallel = true; w.Checkpointing = true }, "checkpointing applies only to synchronous data-parallel runs, not model-parallel"},
+		{"hybrid checkpointing", func(w *Workload) { w.HybridOWT = true; w.Checkpointing = true }, "checkpointing applies only to synchronous data-parallel runs, not hybrid-owt"},
+		{"mp bucket", func(w *Workload) { w.ModelParallel = true; w.BucketKB = 4096 }, "gradient buckets apply only to synchronous data-parallel runs, not model-parallel"},
+		{"hybrid bucket", func(w *Workload) { w.HybridOWT = true; w.BucketKB = 4096 }, "gradient buckets apply only to synchronous data-parallel runs, not hybrid-owt"},
 		{"async checkpointing", func(w *Workload) { w.Method = P2P; w.Async = true; w.Checkpointing = true }, "checkpointing applies only to synchronous data-parallel runs, not async SGD"},
 		{"async bucket", func(w *Workload) { w.Method = P2P; w.Async = true; w.BucketKB = 4096 }, "gradient buckets apply only to synchronous data-parallel runs, not async SGD"},
 		{"negative trace intervals", func(w *Workload) { w.TraceIntervals = -1 }, "trace interval count -1"},
@@ -118,5 +119,46 @@ func TestValidateModelNames(t *testing.T) {
 	})
 	if allocs > 50 {
 		t.Errorf("Validate allocates %.0f times per call; it should not build the model", allocs)
+	}
+}
+
+// Validate and train.New reject the same configurations with the same
+// rule text, over the schedule flags, methods, GPU counts, micro-batch
+// counts, checkpointing and buckets. Both read the schedule rules from
+// train's capability table. Model-parallel with hybrid-owt is left out:
+// a train.Config spells one parallelism.
+func TestValidateAgreesWithTrainNew(t *testing.T) {
+	rule := func(err error, prefix string) string {
+		if err == nil {
+			return "accepted"
+		}
+		return strings.TrimPrefix(err.Error(), prefix)
+	}
+	for flags := 0; flags < 8; flags++ {
+		async, mp, hybrid := flags&1 != 0, flags&2 != 0, flags&4 != 0
+		if mp && hybrid {
+			continue
+		}
+		for _, m := range []Method{"", P2P, NCCL, "local"} {
+			for _, gpus := range []int{1, 2} {
+				for _, micro := range []int{-1, 0, 3} {
+					for _, ckpt := range []bool{false, true} {
+						for _, bucket := range []int{0, 4096} {
+							w := Workload{Model: "lenet", GPUs: gpus, Batch: 16, Method: m,
+								Async: async, ModelParallel: mp, HybridOWT: hybrid,
+								MicroBatches: micro, Checkpointing: ckpt, BucketKB: bucket}
+							cfg, err := trainConfig(w.Normalize())
+							if err != nil {
+								t.Fatal(err)
+							}
+							_, trainErr := train.New(cfg)
+							if got, want := rule(w.Validate(), "core: "), rule(trainErr, "train: "); got != want {
+								t.Errorf("%+v: Validate: %s; train.New: %s", w, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

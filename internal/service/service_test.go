@@ -193,7 +193,7 @@ func TestSimulateRejectsOptionsTheScheduleIgnores(t *testing.T) {
 			t.Errorf("%+v: envelope = %+v, want bad_request, not retryable", w, d)
 		}
 		if want := w.Validate(); want == nil || d.Message != want.Error() ||
-			!strings.Contains(d.Message, "only to data-parallel runs") {
+			!strings.Contains(d.Message, "only to synchronous data-parallel runs") {
 			t.Errorf("%+v: message %q, want core.Validate's rejection (%v)", w, d.Message, want)
 		}
 	}

@@ -88,19 +88,19 @@ func TestWinogradAblation(t *testing.T) {
 // exchanges; the other schedules reject both options rather than report a
 // memory model or a configuration their kernels ignore.
 func TestOnlyDataParallelCheckpointsOrBuckets(t *testing.T) {
-	for _, p := range []Parallelism{ModelParallel, HybridOWT} {
+	for p, name := range map[Parallelism]string{ModelParallel: "model-parallel", HybridOWT: "hybrid-owt"} {
 		for _, tc := range []struct {
 			set  func(*Config)
 			want string
 		}{
-			{func(c *Config) { c.Checkpointing = true }, "train: checkpointing applies only to data parallelism, not " + p.String()},
-			{func(c *Config) { c.BucketBytes = 4 << 20 }, "train: gradient buckets apply only to data parallelism, not " + p.String()},
+			{func(c *Config) { c.Checkpointing = true }, "train: checkpointing applies only to synchronous data-parallel runs, not " + name},
+			{func(c *Config) { c.BucketBytes = 4 << 20 }, "train: gradient buckets apply only to synchronous data-parallel runs, not " + name},
 		} {
 			cfg := quickCfg(t, "alexnet", 4, 32, kvstore.MethodNCCL)
 			cfg.Parallelism = p
 			tc.set(&cfg)
 			if _, err := New(cfg); err == nil || err.Error() != tc.want {
-				t.Errorf("%s: New = %v, want %q", p, err, tc.want)
+				t.Errorf("%s: New = %v, want %q", name, err, tc.want)
 			}
 		}
 	}
@@ -114,8 +114,8 @@ func TestAsyncRejectsCheckpointsAndBuckets(t *testing.T) {
 		set  func(*Config)
 		want string
 	}{
-		{func(c *Config) { c.Checkpointing = true }, "train: checkpointing applies only to synchronous data parallelism, not async SGD"},
-		{func(c *Config) { c.BucketBytes = 4 << 20 }, "train: gradient buckets apply only to synchronous data parallelism, not async SGD"},
+		{func(c *Config) { c.Checkpointing = true }, "train: checkpointing applies only to synchronous data-parallel runs, not async SGD"},
+		{func(c *Config) { c.BucketBytes = 4 << 20 }, "train: gradient buckets apply only to synchronous data-parallel runs, not async SGD"},
 	} {
 		cfg := quickCfg(t, "resnet", 4, 32, kvstore.MethodP2P)
 		cfg.Async = true
@@ -141,7 +141,7 @@ func TestWinogradReachesEverySchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Profile.Kernel("conv_winograd_fprop").Calls == 0 {
-			t.Errorf("%s: no conv_winograd_fprop kernels recorded", p)
+			t.Errorf("parallelism %d: no conv_winograd_fprop kernels recorded", p)
 		}
 	}
 }

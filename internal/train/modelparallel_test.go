@@ -184,12 +184,6 @@ func TestModelParallelMemoryPerStage(t *testing.T) {
 	}
 }
 
-func TestParallelismString(t *testing.T) {
-	if DataParallel.String() != "data-parallel" || ModelParallel.String() != "model-parallel" {
-		t.Error("parallelism names wrong")
-	}
-}
-
 func TestModelParallelSingleGPUDegenerate(t *testing.T) {
 	mp := runMP(t, "lenet", 1, 16, 0)
 	if mp.EpochTime <= 0 {

@@ -14,15 +14,22 @@ import (
 	"repro/internal/units"
 )
 
-// hooks are the test-only switches a window compiles under: toCap
-// disables the stop rule and perDevice the replica replay.
-type hooks struct{ toCap, perDevice bool }
+// hooks are the test-only switches a window compiles under: simIters
+// caps it (DefaultSimIters when zero), toCap disables the stop rule and
+// perDevice the replica replay.
+type hooks struct {
+	simIters         int
+	toCap, perDevice bool
+}
 
 // compileWindow compiles cfg's window under the hooks.
 func compileWindow(cfg Config, h hooks) (*Window, error) {
 	tr, err := New(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if h.simIters > 0 {
+		tr.simIters = h.simIters
 	}
 	tr.toCap, tr.perDevice = h.toCap, h.perDevice
 	return tr.SimulateWindow()
@@ -93,12 +100,13 @@ func checkSameWindows(t testing.TB, cfg Config, got, want *Window, what string) 
 	}
 }
 
-// checkStopRule compiles cfg with the stop rule and to its cap, and
-// fails unless both windows are identical (checkSameWindows). It returns
-// how many iterations the stop rule simulated.
-func checkStopRule(t testing.TB, cfg Config) int {
+// checkStopRule compiles cfg with the stop rule and to its cap of
+// simIters, and fails unless both windows are identical
+// (checkSameWindows). It returns how many iterations the stop rule
+// simulated.
+func checkStopRule(t testing.TB, cfg Config, simIters int) int {
 	t.Helper()
-	stop, full := compileBoth(t, cfg, hooks{}, hooks{toCap: true})
+	stop, full := compileBoth(t, cfg, hooks{simIters: simIters}, hooks{simIters: simIters, toCap: true})
 	if stop == nil {
 		return 0
 	}
@@ -112,15 +120,15 @@ func checkStopRule(t testing.TB, cfg Config) int {
 	return stop.simulated
 }
 
-// checkReplay compiles cfg with the replica replay and booking every
-// device's pass, and fails unless both windows are identical
-// (checkSameWindows). Booked device by device, a window launches a pass
-// per GPU and simulated iteration; with the replay it launches at most
-// that many. It returns how many passes the replay launched, and how
-// many booking device by device did.
-func checkReplay(t testing.TB, cfg Config) (int64, int64) {
+// checkReplay compiles cfg, capped at simIters, with the replica replay
+// and booking every device's pass, and fails unless both windows are
+// identical (checkSameWindows). Booked device by device, a window
+// launches a pass per GPU and simulated iteration; with the replay it
+// launches at most that many. It returns how many passes the replay
+// launched, and how many booking device by device did.
+func checkReplay(t testing.TB, cfg Config, simIters int) (int64, int64) {
 	t.Helper()
-	rep, each := compileBoth(t, cfg, hooks{}, hooks{perDevice: true})
+	rep, each := compileBoth(t, cfg, hooks{simIters: simIters}, hooks{simIters: simIters, perDevice: true})
 	if rep == nil {
 		return 0, 0
 	}
@@ -235,9 +243,8 @@ func TestWindowStopMatchesCap(t *testing.T) {
 	total := 0
 	for name, cfg := range stopRuleCases(t) {
 		for _, c := range caps {
-			cfg.SimIters = c
 			n := 0
-			t.Run(fmt.Sprintf("%s/cap%d", name, c), func(t *testing.T) { n = checkStopRule(t, cfg) })
+			t.Run(fmt.Sprintf("%s/cap%d", name, c), func(t *testing.T) { n = checkStopRule(t, cfg, c) })
 			total++
 			if n > 0 && n < c {
 				early++
@@ -258,7 +265,7 @@ func TestWindowStopMatchesCap(t *testing.T) {
 func TestWindowStopP2PAlternatingEngines(t *testing.T) {
 	cfg := stopRuleConfig(t, "resnet", 2, 24, kvstore.MethodP2P, nccl.ProtoSimple, "dgx2")
 	cfg.Async = true
-	if n := checkStopRule(t, cfg); n != 2 {
+	if n := checkStopRule(t, cfg, DefaultSimIters); n != 2 {
 		t.Fatalf("stopped after %d iterations, want 2", n)
 	}
 }
@@ -274,8 +281,7 @@ func TestWindowSimulated(t *testing.T) {
 	if w.Simulated() != 2 || w.nsim != DefaultSimIters {
 		t.Fatalf("simulated %d of %d, want 2 of %d", w.Simulated(), w.nsim, DefaultSimIters)
 	}
-	cfg.SimIters = 2
-	if w, err = compileWindow(cfg, hooks{}); err != nil {
+	if w, err = compileWindow(cfg, hooks{simIters: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if w.Simulated() != 2 {
@@ -284,14 +290,16 @@ func TestWindowSimulated(t *testing.T) {
 }
 
 // fuzzConfig draws one trainer configuration from the fuzzer's inputs:
-// the model, machine, GPU count, batch, collective, schedule, and the
-// options each schedule accepts (gradient buckets and checkpointing under
-// sync, a straggler on the DGX-1), with an optional trace cap and a
-// window cap of 2–16.
-func fuzzConfig(t *testing.T, model, machine, gpus, batch, comm, schedule uint8, bucketKB uint16, checkpoint, straggler bool, trace uint16, simIters uint8) Config {
+// the model, machine, schedule, a GPU count at or above the schedule's
+// floor, batch and a collective the schedule accepts, the options its row
+// of the capability table takes (micro-batches, drawn from bucketKB,
+// checkpointing and gradient buckets), a straggler on the DGX-1 and an
+// optional trace cap.
+func fuzzConfig(t *testing.T, model, machine, gpus, batch, comm, schedule uint8, bucketKB uint16, checkpoint, straggler bool, trace uint16) Config {
 	names := models.Names()
 	m := machines[int(machine)%len(machines)]
-	g := 1 + int(gpus)%m.GPUs
+	s := &schedules[int(schedule)%len(schedules)]
+	g := max(1+int(gpus)%m.GPUs, s.minGPUs)
 	method, sel := kvstore.MethodP2P, nccl.Selection{}
 	switch comm % 7 {
 	case 1, 2, 3, 4:
@@ -301,36 +309,38 @@ func fuzzConfig(t *testing.T, model, machine, gpus, batch, comm, schedule uint8,
 	case 6:
 		method = kvstore.MethodLocal
 	}
+	if s.method != "" {
+		method = s.method
+	}
 	cfg := stopRuleConfig(t, names[int(model)%len(names)], g, 8*(1+int(batch)%8), method, sel.Protocol, m.Name)
 	cfg.NCCL = sel
-	switch schedule % 4 {
-	case 0:
+	cfg.Parallelism, cfg.Async = s.parallelism, s.async
+	if s.accepts(optMicroBatches) {
+		cfg.MicroBatches = int(bucketKB % 9)
+	}
+	if s.accepts(optCheckpointing) {
 		cfg.Checkpointing = checkpoint
+	}
+	if s.accepts(optBuckets) {
 		cfg.BucketBytes = units.Bytes(bucketKB%8192) * units.KB
-	case 1:
-		cfg.Async, cfg.Method, cfg.NCCL = true, kvstore.MethodP2P, nccl.Selection{}
-	case 2:
-		cfg.Parallelism = ModelParallel
-	case 3:
-		cfg.Parallelism, cfg.Method = HybridOWT, kvstore.MethodNCCL
 	}
 	if straggler && m.Name == DefaultHardware {
 		cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{GPU: g - 1, Slowdown: 1.5}}}
 	}
 	cfg.DetailIntervals = int(trace % 4096)
-	cfg.SimIters = 2 + int(simIters)%15
 	return cfg
 }
 
 // FuzzWindowStop checks the stop rule against the window simulated to its
-// cap, and the replica replay against booking every device's pass, over
-// drawn configurations: every window and extrapolation must be
+// cap of 2–16, and the replica replay against booking every device's
+// pass, over drawn configurations: every window and extrapolation must be
 // identical. A configuration New rejects must be rejected alike. The seed
 // corpus is in testdata/fuzz/FuzzWindowStop.
 func FuzzWindowStop(f *testing.F) {
 	f.Fuzz(func(t *testing.T, model, machine, gpus, batch, comm, schedule uint8, bucketKB uint16, checkpoint, straggler bool, trace uint16, simIters uint8) {
-		cfg := fuzzConfig(t, model, machine, gpus, batch, comm, schedule, bucketKB, checkpoint, straggler, trace, simIters)
-		checkStopRule(t, cfg)
-		checkReplay(t, cfg)
+		cfg := fuzzConfig(t, model, machine, gpus, batch, comm, schedule, bucketKB, checkpoint, straggler, trace)
+		n := 2 + int(simIters)%15
+		checkStopRule(t, cfg, n)
+		checkReplay(t, cfg, n)
 	})
 }

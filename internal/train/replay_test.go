@@ -56,9 +56,8 @@ func TestReplicaReplayMatchesPerDevice(t *testing.T) {
 	fewer, multi := 0, 0
 	for name, cfg := range replayCases(t) {
 		for _, c := range caps {
-			cfg.SimIters = c
 			var rep, each int64
-			t.Run(fmt.Sprintf("%s/cap%d", name, c), func(t *testing.T) { rep, each = checkReplay(t, cfg) })
+			t.Run(fmt.Sprintf("%s/cap%d", name, c), func(t *testing.T) { rep, each = checkReplay(t, cfg, c) })
 			if cfg.GPUs > 1 && cfg.Parallelism == DataParallel && !cfg.Async && cfg.DetailIntervals == 0 {
 				multi++
 				if rep < each {

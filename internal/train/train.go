@@ -38,18 +38,14 @@ type Config struct {
 	GPUs int
 	// Batch is the per-GPU mini-batch size.
 	Batch int
-	// Method selects the communication backend (p2p or nccl).
+	// Method selects the communication backend (p2p, nccl or local; see
+	// the capability table in schedule.go for what each schedule takes).
 	Method kvstore.Method
 	// Images is the epoch's dataset size (already scaled for weak
 	// scaling). Zero means the paper's 256K.
 	Images int64
 	// TensorCores lowers conv/GEMM kernels to the tensor-core pipeline.
 	TensorCores bool
-	// SimIters caps how many iterations a window simulates before
-	// extrapolating (>= 2; default DefaultSimIters). A window whose
-	// timing state turns periodic simulates fewer and completes the rest
-	// in closed form, with the same result.
-	SimIters int
 	// DetailIntervals retains that many profiler intervals for timeline
 	// export (0 = aggregates only).
 	DetailIntervals int
@@ -116,17 +112,6 @@ const (
 	HybridOWT
 )
 
-// String names the strategy.
-func (p Parallelism) String() string {
-	switch p {
-	case ModelParallel:
-		return "model-parallel"
-	case HybridOWT:
-		return "hybrid-owt"
-	}
-	return "data-parallel"
-}
-
 // NewConfig returns the paper's default configuration for a model name.
 func NewConfig(model string, gpus, batch int, method kvstore.Method) (Config, error) {
 	d, err := models.ByName(model)
@@ -178,44 +163,11 @@ func (c *Config) normalize() error {
 	}
 	// Each schedule's legality, checked before New lowers plans or
 	// reserves device memory.
-	if c.Async && c.Parallelism != DataParallel {
-		return fmt.Errorf("train: async %s is not supported", c.Parallelism)
-	}
-	// ASGD exchanges are point-to-point by construction.
-	if c.Async && c.Method != kvstore.MethodP2P {
-		return fmt.Errorf("train: async SGD requires the p2p method, got %q", c.Method)
-	}
-	// Only the data-parallel schedule launches the recompute pass and
-	// fuses gradient exchanges.
-	if c.Parallelism != DataParallel {
-		if c.Checkpointing {
-			return fmt.Errorf("train: checkpointing applies only to data parallelism, not %s", c.Parallelism)
-		}
-		if c.BucketBytes > 0 {
-			return fmt.Errorf("train: gradient buckets apply only to data parallelism, not %s", c.Parallelism)
-		}
-	}
-	// Nor does async SGD: its workers run plain passes and exchange each
-	// array on its own.
-	if c.Async {
-		if c.Checkpointing {
-			return fmt.Errorf("train: checkpointing applies only to synchronous data parallelism, not async SGD")
-		}
-		if c.BucketBytes > 0 {
-			return fmt.Errorf("train: gradient buckets apply only to synchronous data parallelism, not async SGD")
-		}
-	}
-	if c.Parallelism == HybridOWT && c.GPUs == 1 {
-		return fmt.Errorf("train: hybrid parallelism needs multiple GPUs")
-	}
-	if c.Parallelism == HybridOWT && c.Method != kvstore.MethodNCCL {
-		return fmt.Errorf("train: hybrid parallelism needs the nccl method for its activation collectives")
+	if err := c.CheckSchedule(); err != nil {
+		return fmt.Errorf("train: %w", err)
 	}
 	if c.Images <= 0 {
 		c.Images = data.PaperDatasetImages
-	}
-	if c.SimIters < 2 {
-		c.SimIters = DefaultSimIters
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -309,9 +261,11 @@ type Trainer struct {
 	// the next (sync's staged batches, ASGD's worker clocks), which join
 	// the timing state the window's stop rule compares; begin sets it.
 	carried []time.Duration
-	// toCap disables the stop rule, so the window simulates every
-	// iteration up to its cap, and perDevice the replica replay, so every
-	// device launches its own pass. Only tests set them, to compare.
+	// simIters caps the window's iterations (DefaultSimIters). toCap
+	// disables the stop rule, so the window simulates every iteration up
+	// to its cap, and perDevice the replica replay, so every device
+	// launches its own pass. Only tests change them, to compare.
+	simIters         int
 	toCap, perDevice bool
 	// ran guards the single-shot simulation (its resources stay booked).
 	ran bool
@@ -423,6 +377,7 @@ func New(cfg Config) (*Trainer, error) {
 		compute:    rt.Streams(tmpl.devs, false),
 		tables:     tablesFor(cfg, cfg.Batch, plan, rt, tmpl.devs, specs),
 		stragglers: specs,
+		simIters:   DefaultSimIters,
 	}
 	t.grads = make([]layerGrad, 0, len(t.tables[0].updates))
 	switch cfg.Method {

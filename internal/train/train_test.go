@@ -371,12 +371,12 @@ func TestNewRejectsIllegalSchedules(t *testing.T) {
 		apply  func(*Config)
 		want   string
 	}{
-		{"async model-parallel", 2, kvstore.MethodP2P, func(c *Config) { c.Async, c.Parallelism = true, ModelParallel }, "async model-parallel"},
-		{"async hybrid", 2, kvstore.MethodNCCL, func(c *Config) { c.Async, c.Parallelism = true, HybridOWT }, "async hybrid-owt"},
-		{"hybrid on one GPU", 1, kvstore.MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }, "needs multiple GPUs"},
+		{"async model-parallel", 2, kvstore.MethodP2P, func(c *Config) { c.Async, c.Parallelism = true, ModelParallel }, "async SGD supports only data parallelism"},
+		{"async hybrid", 2, kvstore.MethodP2P, func(c *Config) { c.Async, c.Parallelism = true, HybridOWT }, "async SGD supports only data parallelism"},
+		{"hybrid on one GPU", 1, kvstore.MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }, "hybrid parallelism needs at least 2 GPUs"},
 		{"async without p2p", 2, kvstore.MethodNCCL, func(c *Config) { c.Async = true }, "async SGD requires the p2p method"},
 		{"async default method", 2, "", func(c *Config) { c.Async = true }, "async SGD requires the p2p method"},
-		{"hybrid without nccl", 4, kvstore.MethodP2P, func(c *Config) { c.Parallelism = HybridOWT }, "needs the nccl method"},
+		{"hybrid without nccl", 4, kvstore.MethodP2P, func(c *Config) { c.Parallelism = HybridOWT }, `hybrid parallelism requires the nccl method, got "p2p"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickCfg(t, "alexnet", tc.gpus, 16, tc.method)
@@ -427,26 +427,20 @@ func TestTensorCoreAblation(t *testing.T) {
 func TestSimItersConvergence(t *testing.T) {
 	// More simulated iterations should barely change the extrapolated
 	// epoch (steady state reached quickly).
-	a := quickCfg(t, "googlenet", 4, 16, kvstore.MethodNCCL)
-	a.SimIters = 3
-	b := quickCfg(t, "googlenet", 4, 16, kvstore.MethodNCCL)
-	b.SimIters = 8
-	ta, err := New(a)
-	if err != nil {
-		t.Fatal(err)
+	cfg := quickCfg(t, "googlenet", 4, 16, kvstore.MethodNCCL)
+	run := func(simIters int) *Result {
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.simIters = simIters
+		res, err := tr.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	ra, err := ta.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := New(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := tb.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra, rb := run(3), run(8)
 	diff := ra.EpochTime.Seconds() - rb.EpochTime.Seconds()
 	if diff < 0 {
 		diff = -diff

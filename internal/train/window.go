@@ -15,17 +15,17 @@ import (
 	"repro/internal/topology"
 )
 
-// DefaultSimIters caps how many iterations a window simulates exactly
-// (Config.SimIters defaults to it). A window whose timing state turns
-// periodic stops sooner and completes the rest up to the cap in closed
-// form (SimulateWindow), byte for byte as if it had simulated them.
+// DefaultSimIters caps how many iterations a window simulates exactly.
+// A window whose timing state turns periodic stops sooner and completes
+// the rest up to the cap in closed form (SimulateWindow), byte for byte
+// as if it had simulated them.
 const DefaultSimIters = 4
 
 // Window is the compiled simulation artifact of one training
 // configuration, under any schedule: everything the steady-state
 // extrapolation needs, captured once after the window's iterations, up
-// to its cap (DefaultSimIters, or Config.SimIters) — simulated, or once
-// the state is periodic completed in closed form, with the same result.
+// to its cap (DefaultSimIters) — simulated, or once the state is
+// periodic completed in closed form, with the same result.
 // Iterations are identical in the steady state, so an epoch
 // of any dataset size that simulates the same number of window iterations
 // is a pure function of the window — Extrapolate reconstructs it without
@@ -49,9 +49,10 @@ type Window struct {
 	// its landmarks and its steady iteration time.
 	last     iterTimes
 	simTotal time.Duration
-	// nsim is the window's iteration count, its cap; simulated is how
-	// many of them were simulated before the state turned periodic.
-	nsim, simulated int
+	// simIters is the cap the window ran with; nsim is its iteration
+	// count, the cap bounded by the epoch; simulated is how many of them
+	// were simulated before the state turned periodic.
+	simIters, nsim, simulated int
 	// passes is how many device passes the simulated iterations launched.
 	passes int64
 	// prof is the unscaled profile of the simulated window.
@@ -80,8 +81,8 @@ func (w *Window) Passes() int64 { return w.passes }
 
 // Iterations returns how many iterations an epoch of images takes under
 // parallelism p, and how many of them a window covers exactly: simIters
-// (a normalized Config.SimIters) capped by the epoch. That count is the
-// window's cap; a window whose state turns periodic simulates fewer and
+// (DefaultSimIters) capped by the epoch. That count is the window's
+// cap; a window whose state turns periodic simulates fewer and
 // completes the rest in closed form (SimulateWindow). An iteration
 // consumes one mini-batch of batch images per GPU, except under model
 // parallelism, whose pipeline stages share one. The window count is the
@@ -133,7 +134,7 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, nsim := Iterations(t.cfg.Parallelism, t.cfg.Images, t.cfg.Batch, t.cfg.GPUs, t.cfg.SimIters)
+	_, nsim := Iterations(t.cfg.Parallelism, t.cfg.Images, t.cfg.Batch, t.cfg.GPUs, t.simIters)
 	start := setupEnd
 	var it iterTimes
 	simulated, left := nsim, int64(0)
@@ -194,6 +195,7 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		setupEnd:    setupEnd,
 		last:        it,
 		simTotal:    it.barrier - setupEnd,
+		simIters:    t.simIters,
 		nsim:        nsim,
 		simulated:   simulated,
 		passes:      t.passes,
@@ -361,7 +363,7 @@ func (w *Window) Extrapolate(images int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	iters, nsim := Iterations(w.cfg.Parallelism, images, w.cfg.Batch, w.cfg.GPUs, w.cfg.SimIters)
+	iters, nsim := Iterations(w.cfg.Parallelism, images, w.cfg.Batch, w.cfg.GPUs, w.simIters)
 	if nsim != w.nsim {
 		return nil, fmt.Errorf("train: window simulated %d iterations, an epoch of %d images simulates %d",
 			w.nsim, images, nsim)

@@ -20,9 +20,8 @@ func TestExtrapolateZeroEpochNoNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// cfg.SimIters is zero here (NewConfig leaves the default to New), so
-	// the window holds zero exactly-simulated iterations and every
-	// duration term of the epoch is zero.
+	// The window's cap is zero, so it holds zero exactly-simulated
+	// iterations and every duration term of the epoch is zero.
 	w := &Window{cfg: cfg, nsim: 0, prof: profiler.New()}
 	res, err := w.Extrapolate(16)
 	if err != nil {
