@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/dnn"
 	"repro/internal/memo"
 	"repro/internal/models"
 	"repro/internal/train"
@@ -95,25 +94,14 @@ type compiled struct {
 // over while bounding a long-lived daemon's footprint.
 var windows = memo.New[string, compiled](512)
 
-// layerStatKey identifies one memoized LayerProfile characterization.
-type layerStatKey struct {
-	model string
-	batch int
-}
-
-// layerStats memoizes LayerProfile. The batch is client-chosen, so the
-// memo is bounded like every other.
-var layerStats = memo.New[layerStatKey, []dnn.LayerStat](256)
-
-// ResetCaches drops every memoized artifact: compiled windows, layer
-// profiles, the built model zoo (and with its networks their dnn plans
+// ResetCaches drops every memoized artifact: compiled windows, the
+// built model zoo (and with its networks their dnn plans
 // and the trainers' kernel tables kept beside them), the machine
 // topologies, the trainers' machine templates and their plan tables.
 // Only benchmarks and tests that measure or exercise the cold path need
 // it; servers never call it.
 func ResetCaches() {
 	windows.Reset()
-	layerStats.Reset()
 	models.ResetCache()
 	train.ResetCache()
 }

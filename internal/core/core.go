@@ -256,21 +256,14 @@ func Describe(model string) (models.Description, error) {
 
 // LayerProfile returns the analytical per-layer FP/BP characterization of
 // a model at a batch size on the default V100 (the layer-by-layer view of
-// the profiling work the paper cites). Characterizations are memoized per
-// (model, batch); the returned slice is a fresh copy the caller may sort
-// or modify.
+// the profiling work the paper cites). The returned slice is the
+// caller's to sort or modify.
 func LayerProfile(model string, batch int) ([]dnn.LayerStat, error) {
-	key := layerStatKey{model: model, batch: batch}
-	cached, ok := layerStats.Get(key)
-	if !ok {
-		d, err := models.ByName(model)
-		if err != nil {
-			return nil, err
-		}
-		cached = dnn.ProfileLayers(d.Net, batch, gpu.V100(), dnn.PlanOptions{TensorCores: true})
-		layerStats.Add(key, cached)
+	d, err := models.ByName(model)
+	if err != nil {
+		return nil, err
 	}
-	return append([]dnn.LayerStat(nil), cached...), nil
+	return dnn.ProfileLayers(d.Net, batch, gpu.V100(), dnn.PlanOptions{TensorCores: true}), nil
 }
 
 // EstimateMemory returns the per-GPU memory estimate without running a

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/data"
 	"repro/internal/train"
 )
 
@@ -28,7 +27,7 @@ func (w Workload) Normalize() Workload {
 		w.Method = NCCL
 	}
 	if w.Images == 0 {
-		w.Images = data.PaperDatasetImages
+		w.Images = train.PaperDatasetImages
 	}
 	if w.Hardware == "" {
 		w.Hardware = train.DefaultHardware

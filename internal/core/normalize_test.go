@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"repro/internal/data"
+	"repro/internal/train"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -11,8 +11,8 @@ func TestNormalizeDefaults(t *testing.T) {
 	if n.Method != NCCL {
 		t.Errorf("Method = %q, want nccl", n.Method)
 	}
-	if n.Images != data.PaperDatasetImages {
-		t.Errorf("Images = %d, want the paper's %d", n.Images, data.PaperDatasetImages)
+	if n.Images != train.PaperDatasetImages {
+		t.Errorf("Images = %d, want the paper's %d", n.Images, train.PaperDatasetImages)
 	}
 }
 

@@ -339,19 +339,11 @@ type Runtime struct {
 // NewRuntime creates devices and host threads for the listed GPUs. prof may
 // be nil to disable accounting.
 func NewRuntime(fabric *interconnect.Fabric, spec gpu.Spec, gpus []topology.NodeID, costs Costs, prof *profiler.Profile) (*Runtime, error) {
-	return NewRuntimeWithSpecs(fabric, spec, nil, gpus, costs, prof)
-}
-
-// NewRuntimeWithSpecs is NewRuntime with per-device spec overrides:
-// devices listed in specs use their entry, the rest use def. Fault plans
-// use it to model straggler GPUs — a heterogeneous node where one device
-// runs every kernel slower than its peers.
-func NewRuntimeWithSpecs(fabric *interconnect.Fabric, def gpu.Spec, specs map[topology.NodeID]gpu.Spec, gpus []topology.NodeID, costs Costs, prof *profiler.Profile) (*Runtime, error) {
 	lay, err := NewLayout(fabric.Topology(), gpus)
 	if err != nil {
 		return nil, err
 	}
-	return lay.NewRuntime(fabric, def, specs, costs, prof), nil
+	return lay.NewRuntime(fabric, spec, nil, costs, prof), nil
 }
 
 // NewRuntime creates a runtime over the layout's GPUs, booking on fabric

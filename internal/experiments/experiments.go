@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/kvstore"
 	"repro/internal/report"
 	"repro/internal/service"
@@ -51,7 +50,7 @@ func (o *Options) normalize() {
 		o.JitterRel = 0.015
 	}
 	if o.Images <= 0 {
-		o.Images = data.PaperDatasetImages
+		o.Images = train.PaperDatasetImages
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/data"
 	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/profiler"
@@ -271,8 +270,8 @@ func Fig5(opt Options) ([]*report.Table, error) {
 	}
 	results, err := parMap(opt, len(cfgs), func(i int) (pair, error) {
 		c := cfgs[i]
-		weakImages := data.EffectiveImages(opt.Images, c.gpus, data.WeakScaling)
-		weak, err := runOne(c.model, c.gpus, c.batch, c.method, weakImages)
+		// Weak scaling grows the dataset with the GPU count.
+		weak, err := runOne(c.model, c.gpus, c.batch, c.method, opt.Images*int64(c.gpus))
 		if err != nil {
 			return pair{}, err
 		}

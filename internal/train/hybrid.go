@@ -280,5 +280,5 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 		}
 		return iterTimes{start: start, fpEnd: fpEnd, bpEnd: bpEnd, barrier: barrier, steady: barrier - start, floor: barrier}, nil
 	}
-	return t.SetupTimeApprox(), iterate, nil
+	return t.setupTime(), iterate, nil
 }

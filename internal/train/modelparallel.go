@@ -246,5 +246,5 @@ func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 		}
 		return iterTimes{start: start, fpEnd: fpEnd, bpEnd: bpEnd, barrier: barrier, steady: barrier - start, floor: barrier}, nil
 	}
-	return t.sessionStartup(), iterate, nil
+	return t.setupTime(), iterate, nil
 }

@@ -1,11 +1,13 @@
 package train
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/dnn"
 	"repro/internal/kvstore"
 	"repro/internal/models"
+	"repro/internal/topology"
 )
 
 func runMP(t *testing.T, model string, gpus, batch, micro int) *Result {
@@ -22,6 +24,32 @@ func runMP(t *testing.T, model string, gpus, batch, micro int) *Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestModelParallelBusyAnyMethod: model parallelism books the same
+// setup under every method, since its stages construct no communicator,
+// so each GPU's compute busy fraction is the same under all three.
+func TestModelParallelBusyAnyMethod(t *testing.T) {
+	var want map[topology.NodeID]float64
+	for _, m := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL, kvstore.MethodLocal} {
+		cfg := quickCfg(t, "alexnet", 4, 32, m)
+		cfg.Parallelism = ModelParallel
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tr.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = res.GPUComputeBusy
+			continue
+		}
+		if !maps.Equal(res.GPUComputeBusy, want) {
+			t.Errorf("%s: busy fractions %v, want p2p's %v", m, res.GPUComputeBusy, want)
+		}
+	}
 }
 
 func TestCutPointsChainNetwork(t *testing.T) {

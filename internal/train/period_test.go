@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/data"
 	"repro/internal/faults"
 	"repro/internal/kvstore"
 	"repro/internal/models"
@@ -86,7 +85,7 @@ func checkSameWindows(t testing.TB, cfg Config, got, want *Window, what string) 
 	}
 	images := cfg.Images
 	if images <= 0 {
-		images = data.PaperDatasetImages
+		images = PaperDatasetImages
 	}
 	for _, n := range []int64{images, 3*images + 7} {
 		x, err1 := windowListing(got, n)

@@ -85,8 +85,15 @@ func (t *Trainer) Run() (*Result, error) {
 	return win.Extrapolate(t.cfg.Images)
 }
 
-// SetupTimeApprox exposes the setup window used by busy-fraction scaling.
-func (t *Trainer) SetupTimeApprox() time.Duration {
+// setupTime is the session setup the schedule books before its first
+// copy: framework startup and, for the schedules that exchange through
+// the backend, its communicator construction. Model parallelism's stages
+// exchange activations by peer copies and construct no communicator.
+// Busy fractions leave this setup out of the epoch.
+func (t *Trainer) setupTime() time.Duration {
+	if t.cfg.Parallelism == ModelParallel {
+		return t.sessionStartup()
+	}
 	return t.sessionStartup() + t.backend.SetupCost()
 }
 
@@ -199,7 +206,7 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 
 	// Prefetch next iteration's batches (overlapped with compute).
 	for i, d := range t.devs {
-		_, end, err := t.rt.MemcpyHostToDevice(d, t.schedule.BatchBytes(), profiler.StageDataLoad, iterStart)
+		_, end, err := t.rt.MemcpyHostToDevice(d, t.batchBytes, profiler.StageDataLoad, iterStart)
 		if err != nil {
 			return it, err
 		}

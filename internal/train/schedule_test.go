@@ -63,8 +63,7 @@ func flips(s *capability, o option, m kvstore.Method) []func(*Config) {
 }
 
 // runBytes renders what a run reports: the result's fields but its
-// configuration and per-GPU busy shares, which core's report leaves out,
-// and its profile's API, kernel and transfer listings.
+// configuration, and its profile's API, kernel and transfer listings.
 func runBytes(t *testing.T, cfg Config) string {
 	t.Helper()
 	tr, err := New(cfg)
@@ -76,7 +75,7 @@ func runBytes(t *testing.T, cfg Config) string {
 		t.Fatal(err)
 	}
 	r := *res
-	r.Config, r.Profile, r.GPUComputeBusy = Config{}, nil, nil
+	r.Config, r.Profile = Config{}, nil
 	var b strings.Builder
 	fmt.Fprintf(&b, "%+v\n%s", r, res.Profile.Summary())
 	for _, name := range res.Profile.TransferNames() {

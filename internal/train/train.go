@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cuda"
-	"repro/internal/data"
 	"repro/internal/dnn"
 	"repro/internal/faults"
 	"repro/internal/gpu"
@@ -112,6 +111,11 @@ const (
 	HybridOWT
 )
 
+// PaperDatasetImages is the paper's strong-scaling dataset: its
+// 256K-image ImageNet subset. Weak scaling multiplies it by the GPU count
+// (512K to 2M images on 2 to 8 GPUs).
+const PaperDatasetImages int64 = 256 * 1024
+
 // NewConfig returns the paper's default configuration for a model name.
 func NewConfig(model string, gpus, batch int, method kvstore.Method) (Config, error) {
 	d, err := models.ByName(model)
@@ -123,7 +127,7 @@ func NewConfig(model string, gpus, batch int, method kvstore.Method) (Config, er
 		GPUs:        gpus,
 		Batch:       batch,
 		Method:      method,
-		Images:      data.PaperDatasetImages,
+		Images:      PaperDatasetImages,
 		TensorCores: true,
 	}, nil
 }
@@ -167,7 +171,7 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("train: %w", err)
 	}
 	if c.Images <= 0 {
-		c.Images = data.PaperDatasetImages
+		c.Images = PaperDatasetImages
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -243,7 +247,8 @@ type Trainer struct {
 	tables []*kernelTable
 	// stragglers holds the slowed devices' specs (tablesFor).
 	stragglers map[topology.NodeID]gpu.Spec
-	schedule   data.Schedule
+	// batchBytes is one GPU's staged mini-batch of input images.
+	batchBytes units.Bytes
 	memory     memmodel.Estimate
 
 	// grads is runIteration's per-layer scratch, reused across iterations.
@@ -377,6 +382,7 @@ func New(cfg Config) (*Trainer, error) {
 		compute:    rt.Streams(tmpl.devs, false),
 		tables:     tablesFor(cfg, cfg.Batch, plan, rt, tmpl.devs, specs),
 		stragglers: specs,
+		batchBytes: units.BytesOf(cfg.Model.InputShape.Elems(), units.Float32Size) * units.Bytes(cfg.Batch),
 		simIters:   DefaultSimIters,
 	}
 	t.grads = make([]layerGrad, 0, len(t.tables[0].updates))
@@ -385,11 +391,6 @@ func New(cfg Config) (*Trainer, error) {
 		t.wires = wiresFor(tmpl, plan, ncfg, backend)
 	case kvstore.MethodP2P:
 		t.xchg.Adds = make([]time.Duration, len(t.devs))
-	}
-
-	t.schedule, err = memoSchedule(cfg.Images, cfg.Model.InputShape, cfg.Batch, cfg.GPUs)
-	if err != nil {
-		return nil, err
 	}
 
 	t.memory = memmodel.Compute(cfg.Model.Net, cfg.Batch, cfg.GPUs > 1)
@@ -532,6 +533,3 @@ func (t *Trainer) bucket(size units.Bytes) *kvstore.Array {
 
 // Memory returns the per-GPU memory estimate.
 func (t *Trainer) Memory() memmodel.Estimate { return t.memory }
-
-// Schedule returns the epoch's mini-batch plan.
-func (t *Trainer) Schedule() data.Schedule { return t.schedule }

@@ -450,7 +450,7 @@ func TestSimItersConvergence(t *testing.T) {
 	}
 }
 
-func TestMemoryAndScheduleAccessors(t *testing.T) {
+func TestMemoryAccessor(t *testing.T) {
 	cfg := quickCfg(t, "alexnet", 4, 32, kvstore.MethodNCCL)
 	tr, err := New(cfg)
 	if err != nil {
@@ -458,9 +458,6 @@ func TestMemoryAndScheduleAccessors(t *testing.T) {
 	}
 	if tr.Memory().Worker() <= 0 {
 		t.Error("memory estimate missing")
-	}
-	if tr.Schedule().Iterations != 256*1024/(32*4) {
-		t.Errorf("schedule iterations = %d", tr.Schedule().Iterations)
 	}
 }
 

@@ -7,10 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cuda"
-	"repro/internal/data"
-	"repro/internal/dnn"
 	"repro/internal/memmodel"
-	"repro/internal/memo"
 	"repro/internal/profiler"
 	"repro/internal/topology"
 )
@@ -59,10 +56,12 @@ type Window struct {
 	prof *profiler.Profile
 	// utilWeight is the occupancy-weighted kernel seconds of one
 	// iteration's plans (the ComputeUtilization numerator per iteration).
-	utilWeight  float64
-	setupApprox time.Duration
-	devs        []topology.NodeID
-	busy        map[topology.NodeID]time.Duration
+	utilWeight float64
+	// setup is the session setup the schedule booked (setupTime), which
+	// the busy fractions leave out of the epoch.
+	setup time.Duration
+	devs  []topology.NodeID
+	busy  map[topology.NodeID]time.Duration
 }
 
 // Config returns the configuration the window was compiled from.
@@ -190,20 +189,20 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 	// every extrapolation clones only those.
 	prof := t.prof.Compact()
 	return &Window{
-		cfg:         t.cfg,
-		memory:      t.memory,
-		setupEnd:    setupEnd,
-		last:        it,
-		simTotal:    it.barrier - setupEnd,
-		simIters:    t.simIters,
-		nsim:        nsim,
-		simulated:   simulated,
-		passes:      t.passes,
-		prof:        prof,
-		utilWeight:  t.tables[0].util,
-		setupApprox: t.SetupTimeApprox(),
-		devs:        t.devs,
-		busy:        busy,
+		cfg:        t.cfg,
+		memory:     t.memory,
+		setupEnd:   setupEnd,
+		last:       it,
+		simTotal:   it.barrier - setupEnd,
+		simIters:   t.simIters,
+		nsim:       nsim,
+		simulated:  simulated,
+		passes:     t.passes,
+		prof:       prof,
+		utilWeight: t.tables[0].util,
+		setup:      t.setupTime(),
+		devs:       t.devs,
+		busy:       busy,
 	}, nil
 }
 
@@ -292,7 +291,7 @@ func (t *Trainer) begin() (time.Duration, iteration, error) {
 // indexed like t.devs, when each GPU's first mini-batch arrived, or its
 // model when mini-batches are not staged.
 func (t *Trainer) broadcast(stage bool) (time.Duration, []time.Duration, error) {
-	now := t.SetupTimeApprox()
+	now := t.setupTime()
 	end := now
 	ready := make([]time.Duration, len(t.devs))
 	modelBytes := t.cfg.Model.Net.ModelBytes()
@@ -308,60 +307,28 @@ func (t *Trainer) broadcast(stage bool) (time.Duration, []time.Duration, error) 
 		if !stage {
 			continue
 		}
-		if _, ready[i], err = t.rt.MemcpyHostToDevice(d, t.schedule.BatchBytes(), profiler.StageDataLoad, now); err != nil {
+		if _, ready[i], err = t.rt.MemcpyHostToDevice(d, t.batchBytes, profiler.StageDataLoad, now); err != nil {
 			return 0, nil, err
 		}
 	}
 	return end, ready, nil
 }
 
-// scheduleKey identifies one memoized epoch plan. Every field
-// data.NewSchedule consumes joins the key, so a memo hit is exactly the
-// schedule a fresh call would return.
-type scheduleKey struct {
-	images      int64
-	shape       dnn.Shape
-	batch, gpus int
-}
-
-// scheduleMemo caches epoch plans across extrapolations. The warm path
-// re-plans the same (images, shape, batch, gpus) tuple on every request
-// of a cache-hit-dominated workload; the plan is a pure function of the
-// key, so memoizing it is exact. Values are data.Schedule by value —
-// nothing shared, nothing to invalidate. Images comes from the client, so
-// the memo is bounded.
-var scheduleMemo = memo.New[scheduleKey, data.Schedule](1024)
-
-// memoSchedule returns the epoch plan for the tuple, planning it on a
-// memo miss.
-func memoSchedule(images int64, shape dnn.Shape, batch, gpus int) (data.Schedule, error) {
-	key := scheduleKey{images: images, shape: shape, batch: batch, gpus: gpus}
-	if sched, ok := scheduleMemo.Get(key); ok {
-		return sched, nil
-	}
-	sched, err := data.NewSchedule(data.ImageNetSubset(images), shape, batch, gpus)
-	if err != nil {
-		return data.Schedule{}, err
-	}
-	scheduleMemo.Add(key, sched)
-	return sched, nil
-}
-
 // Extrapolate projects the window onto an epoch of the given dataset size
 // and returns the full Result, reproducing the cold path's arithmetic
 // exactly (cold runs call it too — there is one finalization code path).
-// It fails if the epoch would simulate a different number of window
-// iterations than the window holds (an epoch smaller than the simulated
-// window); the caller then needs a freshly compiled window.
+// It fails on an epoch of no images, and if the epoch would simulate a
+// different number of window iterations than the window holds (an epoch
+// smaller than the simulated window); the caller then needs a freshly
+// compiled window.
 //
 // When no profile scaling is needed (the epoch is exactly the simulated
 // window), the Result shares the window's own Profile instead of cloning
 // it; Results are read-only views in that case, as they always were by
 // convention — nothing in the repo mutates a Result's profile.
 func (w *Window) Extrapolate(images int64) (*Result, error) {
-	sched, err := memoSchedule(images, w.cfg.Model.InputShape, w.cfg.Batch, w.cfg.GPUs)
-	if err != nil {
-		return nil, err
+	if images <= 0 {
+		return nil, fmt.Errorf("train: an epoch needs images, got %d", images)
 	}
 	iters, nsim := Iterations(w.cfg.Parallelism, images, w.cfg.Batch, w.cfg.GPUs, w.simIters)
 	if nsim != w.nsim {
@@ -396,10 +363,11 @@ func (w *Window) Extrapolate(images int64) (*Result, error) {
 		prof.Scale(float64(iters) / float64(nsim))
 	}
 	if epoch > 0 {
-		res.Throughput = float64(sched.Images) / epoch.Seconds()
+		res.Throughput = float64(images) / epoch.Seconds()
 		// The numerator counts data-parallel iterations (one mini-batch
 		// per GPU) under every schedule.
-		res.ComputeUtilization = w.utilWeight * float64(sched.Iterations) / epoch.Seconds()
+		dpIters, _ := Iterations(DataParallel, images, w.cfg.Batch, w.cfg.GPUs, w.simIters)
+		res.ComputeUtilization = w.utilWeight * float64(dpIters) / epoch.Seconds()
 		if w.cfg.Parallelism == ModelParallel {
 			// A known defect, kept so outputs stay put: that numerator is
 			// already per GPU, and this divides by the GPU count again.
@@ -430,7 +398,7 @@ func (w *Window) busyFractions(epoch time.Duration) map[topology.NodeID]float64 
 		if frac > 1 {
 			frac = 1
 		}
-		out[d] = frac * (float64(epoch-w.setupApprox) / float64(epoch))
+		out[d] = frac * (float64(epoch-w.setup) / float64(epoch))
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/data"
 	"repro/internal/kvstore"
 	"repro/internal/profiler"
 )
@@ -86,36 +85,43 @@ func TestExtrapolateRepeatable(t *testing.T) {
 	}
 }
 
-// TestMemoSchedule pins the schedule memo against the function it
-// replaces: a memoized plan is the plan a fresh call returns.
-func TestMemoSchedule(t *testing.T) {
-	cfg := quickCfg(t, "alexnet", 4, 32, kvstore.MethodNCCL)
-	shape := cfg.Model.InputShape
-	for _, images := range []int64{64, 4096, 64 * 1024} {
-		fresh, err := data.NewSchedule(data.ImageNetSubset(images), shape, cfg.Batch, cfg.GPUs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ { // second pass exercises the memo hit
-			memo, err := memoSchedule(images, shape, cfg.Batch, cfg.GPUs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if memo != fresh {
-				t.Fatalf("images=%d pass=%d: memo %+v != fresh %+v", images, i, memo, fresh)
-			}
+// TestIterations pins the epoch arithmetic: an epoch takes
+// ⌈images / (batch · GPUs)⌉ iterations, a final partial global batch
+// costing a whole one, except under model parallelism, whose stages
+// share one mini-batch per iteration; the window covers the epoch's
+// first iterations up to its cap.
+func TestIterations(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		p           Parallelism
+		images      int64
+		batch, gpus int
+		epoch       int64
+		window      int
+	}{
+		{"paper subset", DataParallel, PaperDatasetImages, 16, 4, 4096, DefaultSimIters},
+		{"partial batch", DataParallel, 100, 16, 4, 2, 2},
+		{"one image", HybridOWT, 1, 16, 8, 1, 1},
+		{"model parallel", ModelParallel, PaperDatasetImages, 16, 4, 16384, DefaultSimIters},
+	} {
+		epoch, window := Iterations(c.p, c.images, c.batch, c.gpus, DefaultSimIters)
+		if epoch != c.epoch || window != c.window {
+			t.Errorf("%s: Iterations = %d, %d; want %d, %d", c.name, epoch, window, c.epoch, c.window)
 		}
 	}
-	// Error paths must not be memoized as successes.
-	if _, err := memoSchedule(0, shape, cfg.Batch, cfg.GPUs); err == nil {
-		t.Error("empty dataset should fail to plan")
+	// Weak scaling grows the dataset with the GPU count, so every GPU
+	// count takes the one-GPU epoch's iterations.
+	one, _ := Iterations(DataParallel, PaperDatasetImages, 16, 1, DefaultSimIters)
+	for _, gpus := range []int{2, 4, 8} {
+		if weak, _ := Iterations(DataParallel, PaperDatasetImages*int64(gpus), 16, gpus, DefaultSimIters); weak != one {
+			t.Errorf("weak scaling on %d GPUs: %d iterations, want the one-GPU %d", gpus, weak, one)
+		}
 	}
 }
 
-// TestScheduleMemoBounded: Images arrives from clients, and every
-// distinct value is its own epoch plan, so the memo must stay within
-// its capacity however many distinct values one window extrapolates to.
-func TestScheduleMemoBounded(t *testing.T) {
+// TestExtrapolateRejectsEmptyEpoch: an epoch of no images, or of a
+// negative count, is an error, not a panic or a zero-iteration result.
+func TestExtrapolateRejectsEmptyEpoch(t *testing.T) {
 	tr, err := New(quickCfg(t, "lenet", 1, 16, kvstore.MethodNCCL))
 	if err != nil {
 		t.Fatal(err)
@@ -124,13 +130,9 @@ func TestScheduleMemoBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max := scheduleMemo.Stats().Max
-	for i := 0; i < 10_000; i++ {
-		if _, err := win.Extrapolate(4096 + int64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if n := scheduleMemo.Stats().Size; n > max {
-			t.Fatalf("after %d distinct epochs the schedule memo holds %d plans, cap %d", i+1, n, max)
+	for _, images := range []int64{0, -1, -PaperDatasetImages} {
+		if res, err := win.Extrapolate(images); err == nil {
+			t.Errorf("Extrapolate(%d) = %+v, want an error", images, res)
 		}
 	}
 }
