@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build test test-race vet fmt-check smoke bench bench-json bench-gate serve experiments examples clean
 
 # The tracked benchmark set: the compile-once/simulate-many split (cold
-# vs warm core.Run, the 8-way RunMany sweep), the never-seen compile a
+# vs warm core.Run, an 8-way Images sweep), the never-seen compile a
 # server pays (CoreRunMiss, and CoreRunMissVariants for the model-parallel
 # and hybrid schedules) and its trainer-construction layer (TrainNew),
 # plus the service's warm hit path (preserialized byte cache). The

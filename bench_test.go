@@ -482,9 +482,9 @@ func BenchmarkContractKey(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreRunMany8 measures the batch entry point on an 8-way
-// dataset-size sweep sharing one compiled window (the compile-once,
-// simulate-many shape sweeps hit).
+// BenchmarkCoreRunMany8 measures an 8-way dataset-size sweep through
+// core.RunContext, in order, sharing one compiled window (the
+// compile-once, simulate-many shape sweeps hit).
 func BenchmarkCoreRunMany8(b *testing.B) {
 	ws := make([]core.Workload, 8)
 	for i := range ws {
@@ -495,8 +495,10 @@ func BenchmarkCoreRunMany8(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		core.ResetCaches()
-		if _, err := core.RunMany(ctx, ws); err != nil {
-			b.Fatal(err)
+		for _, w := range ws {
+			if _, err := core.RunContext(ctx, w); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

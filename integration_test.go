@@ -9,8 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/kvstore"
-	"repro/internal/topology"
-	"repro/internal/train"
 )
 
 // Cross-layer consistency: the Figure 3 experiment's rendered cells must
@@ -35,33 +33,6 @@ func TestExperimentMatchesDirectRun(t *testing.T) {
 	diff := math.Abs(parsed.Seconds() - direct.EpochTime.Seconds())
 	if diff/direct.EpochTime.Seconds() > 0.01 {
 		t.Errorf("experiment cell %v vs direct run %v", parsed, direct.EpochTime)
-	}
-}
-
-// The route-policy knob: forcing PCIe fallback for peer copies (no staged
-// NVLink relays) must slow 8-GPU P2P training, where staging is exactly
-// what MXNet uses to dodge the missing direct links.
-func TestRoutePolicyMatters(t *testing.T) {
-	run := func(policy topology.RoutePolicy) time.Duration {
-		cfg, err := train.NewConfig("alexnet", 8, 16, kvstore.MethodP2P)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.RoutePolicy = policy
-		tr, err := train.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tr.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.EpochTime
-	}
-	staged := run(topology.RouteStagedNVLink)
-	pcie := run(topology.RoutePCIeFallback)
-	if pcie <= staged {
-		t.Errorf("PCIe-fallback routing (%v) should be slower than staged NVLink (%v)", pcie, staged)
 	}
 }
 

@@ -86,7 +86,7 @@ func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, coun
 	var end time.Duration
 	switch method {
 	case kvstore.MethodNCCL:
-		comm, err := nccl.New(rt, devs, nccl.DefaultConfig())
+		comm, err := nccl.New(rt, devs, nccl.Selection{})
 		if err != nil {
 			return Point{}, err
 		}

@@ -6,8 +6,8 @@
 // extrapolation phase (pure arithmetic projecting the window onto the
 // epoch). The compile phase is memoized here, keyed off the Fingerprint
 // machinery restricted to plan-relevant fields, and shared by Run,
-// RunContext, Compare, RunMany, the experiments sweeps, and the dgxsimd
-// pool workers. The simulator is deterministic, so a cached window
+// RunContext, Compare, the experiments sweeps, and the dgxsimd pool
+// workers. The simulator is deterministic, so a cached window
 // reproduces a cold run byte for byte — both paths finalize through
 // train.Window.Extrapolate.
 package core

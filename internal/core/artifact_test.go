@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -218,47 +217,6 @@ func TestCacheConcurrency(t *testing.T) {
 	}
 }
 
-// TestRunMany pins the batch entry point: reports align with the input
-// slice and match individual Run calls byte for byte.
-func TestRunMany(t *testing.T) {
-	ws := []Workload{
-		{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192},
-		{Model: "alexnet", GPUs: 2, Batch: 16, Images: 8192},
-		{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192}, // repeat: warm hit
-	}
-	reps, err := RunMany(context.Background(), ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(ws) {
-		t.Fatalf("got %d reports for %d workloads", len(reps), len(ws))
-	}
-	for i, w := range ws {
-		single, err := Run(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := string(reportJSON(t, reps[i])), string(reportJSON(t, single)); got != want {
-			t.Errorf("workload %d: RunMany report differs from Run", i)
-		}
-	}
-}
-
-func TestRunManyErrors(t *testing.T) {
-	_, err := RunMany(context.Background(), []Workload{
-		{Model: "lenet", GPUs: 2, Batch: 16},
-		{Model: "bogus", GPUs: 2, Batch: 16},
-	})
-	if err == nil {
-		t.Fatal("expected an error for the bogus model")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunMany(ctx, []Workload{{Model: "lenet", GPUs: 1, Batch: 16}}); err != context.Canceled {
-		t.Fatalf("cancelled RunMany = %v, want context.Canceled", err)
-	}
-}
-
 // TestCompileCountEqualsDistinctPlans is the mega-sweep acceptance
 // invariant: a grid whose cells differ only in extrapolation-phase
 // parameters (dataset size, hence iteration count) compiles exactly one
@@ -294,8 +252,10 @@ func TestCompileCountEqualsDistinctPlans(t *testing.T) {
 
 	ResetCaches()
 	before := CompileCount()
-	if _, err := RunMany(context.Background(), grid); err != nil {
-		t.Fatal(err)
+	for _, w := range grid {
+		if _, err := RunContext(context.Background(), w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := CompileCount() - before; got != uint64(len(distinct)) {
 		t.Errorf("grid of %d cells compiled %d windows, want %d (one per distinct plan)",
@@ -330,27 +290,6 @@ func TestCompileFingerprintSplit(t *testing.T) {
 		if w.CompileFingerprint() == key {
 			t.Errorf("%s did not perturb the compile fingerprint; it shapes the compiled window", name)
 		}
-	}
-}
-
-// TestRunManyNamesFailingWorkload: a failure stops RunMany at the
-// failing workload, and its error names that workload's index while
-// keeping the cause in the chain.
-func TestRunManyNamesFailingWorkload(t *testing.T) {
-	_, err := RunMany(context.Background(), []Workload{
-		{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192},
-		{Model: "lenet", GPUs: 9, Batch: 16, Images: 8192},
-		{Model: "bogus", GPUs: 2, Batch: 16, Images: 8192},
-	})
-	if err == nil {
-		t.Fatal("expected an error for the 9-GPU workload")
-	}
-	if !strings.HasPrefix(err.Error(), "core: workload 1: ") {
-		t.Fatalf("RunMany error = %q, want it to name workload 1", err)
-	}
-	want := (Workload{Model: "lenet", GPUs: 9, Batch: 16, Images: 8192}).Validate()
-	if want == nil || !strings.HasSuffix(err.Error(), want.Error()) {
-		t.Fatalf("RunMany error = %q, want the cause %v", err, want)
 	}
 }
 

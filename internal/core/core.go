@@ -170,27 +170,6 @@ func newReport(w Workload, res *train.Result) *Report {
 	}
 }
 
-// RunMany simulates the workloads in order, sharing compiled artifacts
-// across them — a sweep over Images, or repeated configurations, compiles
-// each distinct window once. It stops at the first error (annotated with
-// the workload's index) or when the context is done. Reports align with
-// ws. Callers wanting bounded parallel fan-out use service.Each; the
-// artifact cache is concurrency-safe either way.
-func RunMany(ctx context.Context, ws []Workload) ([]*Report, error) {
-	out := make([]*Report, len(ws))
-	for i, w := range ws {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r, err := RunContext(ctx, w)
-		if err != nil {
-			return nil, fmt.Errorf("core: workload %d: %w", i, err)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
 // RunContext simulates one epoch of the workload, honouring cancellation
 // and deadlines. Cancellation is cooperative but real: the context is
 // checked between pipeline stages and between simulated iterations, so

@@ -10,36 +10,29 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/nccl"
-	"repro/internal/topology"
 	"repro/internal/train"
 )
 
-// templateCase is one compile: a workload, and optionally the GPUs it is
-// pinned to (train.Config.Devices, which workloads do not spell).
-type templateCase struct {
-	w    Workload
-	devs []topology.NodeID
-}
-
-func (c templateCase) String() string {
-	return fmt.Sprintf("%s/%s/%dgpu/%s/%s/faults=%v/devs=%v", c.w.Hardware, c.w.Model, c.w.GPUs, c.w.Method, c.w.Protocol, c.w.Faults != nil, c.devs)
+// caseName names one compile of templateCases.
+func caseName(w Workload) string {
+	return fmt.Sprintf("%s/%s/%dgpu/%s/%s/faults=%v", w.Hardware, w.Model, w.GPUs, w.Method, w.Protocol, w.Faults != nil)
 }
 
 // templateCases spans every registered machine × 1/2/4/8 GPUs × p2p and
 // nccl under every protocol, plus the compiles that build their templates
 // or tables unshared or lean on rarely used parts of them: a straggler at
-// the root and off it, a failed brick, checkpointing, Winograd, pinned
-// devices, a traced timeline and the other schedules.
-func templateCases() []templateCase {
-	var cases []templateCase
+// the root and off it, a failed brick, checkpointing, Winograd, a traced
+// timeline and the other schedules.
+func templateCases() []Workload {
+	var cases []Workload
 	for _, hw := range HardwareNames() {
 		for _, gpus := range []int{1, 2, 4, 8} {
 			w := Workload{Model: "lenet", GPUs: gpus, Batch: 24, Images: 8192, Hardware: hw}
 			w.Method = P2P
-			cases = append(cases, templateCase{w: w})
+			cases = append(cases, w)
 			for _, proto := range nccl.ProtocolNames() {
 				w.Method, w.Protocol = NCCL, proto
-				cases = append(cases, templateCase{w: w})
+				cases = append(cases, w)
 			}
 		}
 	}
@@ -54,35 +47,32 @@ func templateCases() []templateCase {
 	}
 	brick := &faults.Plan{FailedLinks: []faults.Link{{A: 0, B: 1}}}
 	return append(cases,
-		templateCase{w: with(func(w *Workload) { w.Faults = straggler(0) })},
-		templateCase{w: with(func(w *Workload) { w.Faults = straggler(2); w.Method = P2P })},
-		templateCase{w: with(func(w *Workload) { w.Faults = brick })},
-		templateCase{w: with(func(w *Workload) { w.Faults = brick; w.Method = P2P })},
-		templateCase{w: with(func(w *Workload) { w.Checkpointing = true })},
-		templateCase{w: with(func(w *Workload) { w.Winograd = true; w.Method = P2P })},
-		templateCase{w: with(func(w *Workload) { w.TraceIntervals = 1 << 12 })},
-		templateCase{w: with(func(w *Workload) { w.TraceIntervals = 1 << 12; w.Method = P2P; w.GPUs = 2 })},
-		templateCase{w: base, devs: []topology.NodeID{3, 1, 6, 4}},
-		templateCase{w: with(func(w *Workload) { w.Method = P2P }), devs: []topology.NodeID{7, 5, 2, 0}},
-		templateCase{w: with(func(w *Workload) { w.Method = P2P; w.Async = true })},
-		templateCase{w: with(func(w *Workload) { w.ModelParallel = true })},
-		templateCase{w: with(func(w *Workload) { w.HybridOWT = true })},
+		with(func(w *Workload) { w.Faults = straggler(0) }),
+		with(func(w *Workload) { w.Faults = straggler(2); w.Method = P2P }),
+		with(func(w *Workload) { w.Faults = brick }),
+		with(func(w *Workload) { w.Faults = brick; w.Method = P2P }),
+		with(func(w *Workload) { w.Checkpointing = true }),
+		with(func(w *Workload) { w.Winograd = true; w.Method = P2P }),
+		with(func(w *Workload) { w.TraceIntervals = 1 << 12 }),
+		with(func(w *Workload) { w.TraceIntervals = 1 << 12; w.Method = P2P; w.GPUs = 2 }),
+		with(func(w *Workload) { w.Method = P2P; w.Async = true }),
+		with(func(w *Workload) { w.ModelParallel = true }),
+		with(func(w *Workload) { w.HybridOWT = true }),
 	)
 }
 
 // compileCase compiles one case outside the compiled-window memo, so every
 // call is a compile of its own, and renders everything it produced: the
 // report, the profile's every listing, and its Chrome trace.
-func compileCase(c templateCase) (string, error) {
-	if err := c.w.Validate(); err != nil {
+func compileCase(w Workload) (string, error) {
+	if err := w.Validate(); err != nil {
 		return "", err
 	}
-	w := c.w.Normalize()
+	w = w.Normalize()
 	cfg, err := trainConfig(w)
 	if err != nil {
 		return "", err
 	}
-	cfg.Devices = c.devs
 	tr, err := train.New(cfg)
 	if err != nil {
 		return "", err
@@ -123,7 +113,7 @@ func TestSharedTemplatesMatchFreshBuilds(t *testing.T) {
 		ResetCaches()
 		ref, err := compileCase(c)
 		if err != nil {
-			t.Fatalf("%v: %v", c, err)
+			t.Fatalf("%v: %v", caseName(c), err)
 		}
 		refs[i] = ref
 	}
@@ -144,11 +134,11 @@ func TestSharedTemplatesMatchFreshBuilds(t *testing.T) {
 					i := (g*7 + round + off) % len(cases)
 					got, err := compileCase(cases[i])
 					if err != nil {
-						errs <- fmt.Sprintf("%v: %v", cases[i], err)
+						errs <- fmt.Sprintf("%v: %v", caseName(cases[i]), err)
 						return
 					}
 					if got != refs[i] {
-						errs <- fmt.Sprintf("%v: a compile over shared templates diverged from a fresh build", cases[i])
+						errs <- fmt.Sprintf("%v: a compile over shared templates diverged from a fresh build", caseName(cases[i]))
 						return
 					}
 				}

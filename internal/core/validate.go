@@ -43,6 +43,14 @@ func (w Workload) Validate() error {
 	if w.Images < 0 {
 		return fmt.Errorf("core: images per epoch %d must not be negative", w.Images)
 	}
+	if w.Images > train.MaxImages {
+		return fmt.Errorf("core: %w: %d images per epoch, at most %d", train.ErrEpochTooLarge, w.Images, train.MaxImages)
+	}
+	// Weak scaling trains on Images per GPU; the product is the epoch.
+	if w.WeakScaling && w.Images > train.MaxImages/int64(w.GPUs) {
+		return fmt.Errorf("core: %w: %d images per GPU on %d GPUs, at most %d in all",
+			train.ErrEpochTooLarge, w.Images, w.GPUs, train.MaxImages)
+	}
 	// The flags spell one schedule, whose rules are the capability
 	// table's; async SGD with either parallelism is the table's error.
 	if w.ModelParallel && w.HybridOWT && !w.Async {

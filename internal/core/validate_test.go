@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -52,6 +53,12 @@ func TestValidate(t *testing.T) {
 		{"async checkpointing", func(w *Workload) { w.Method = P2P; w.Async = true; w.Checkpointing = true }, "checkpointing applies only to synchronous data-parallel runs, not async SGD"},
 		{"async bucket", func(w *Workload) { w.Method = P2P; w.Async = true; w.BucketKB = 4096 }, "gradient buckets apply only to synchronous data-parallel runs, not async SGD"},
 		{"negative trace intervals", func(w *Workload) { w.TraceIntervals = -1 }, "trace interval count -1"},
+		{"images at the bound", func(w *Workload) { w.Images = train.MaxImages }, ""},
+		{"images past the bound", func(w *Workload) { w.Images = train.MaxImages + 1 }, "epoch too large: 1099511627777 images per epoch"},
+		{"images max int64", func(w *Workload) { w.Images = math.MaxInt64 }, "epoch too large"},
+		{"weak images at the bound", func(w *Workload) { w.WeakScaling = true; w.Images = train.MaxImages / 2 }, ""},
+		{"weak images past the bound", func(w *Workload) { w.WeakScaling = true; w.Images = train.MaxImages/2 + 1 }, "epoch too large: 549755813889 images per GPU on 2 GPUs"},
+		{"weak images product wraps", func(w *Workload) { w.WeakScaling = true; w.GPUs = 8; w.Images = 1 << 61 }, "epoch too large: 2305843009213693952 images per epoch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -81,7 +81,7 @@ func checkGangMatchesLoop(t *testing.T, sc gangScenario) {
 		t.Errorf("Launch = (%v, %v), loop = (%v, %v)", global, end, wantGlobal, wantEnd)
 	}
 	for i := range sc.ranks {
-		if a, b := gGang.Stream(i).Tail(), gLoop.Stream(i).Tail(); a != b {
+		if a, b := gGang.Stream(i).tail, gLoop.Stream(i).tail; a != b {
 			t.Errorf("rank %d tail %v, loop %v", i, a, b)
 		}
 	}

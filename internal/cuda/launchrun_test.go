@@ -95,8 +95,8 @@ func checkRunMatchesLoop(t *testing.T, sc runScenario) {
 	if hostRun != hostLoop || endRun != endLoop {
 		t.Errorf("LaunchRun = (%v, %v), Launch loop = (%v, %v)", hostRun, endRun, hostLoop, endLoop)
 	}
-	if sRun.Tail() != sLoop.Tail() {
-		t.Errorf("tail %v, loop %v", sRun.Tail(), sLoop.Tail())
+	if sRun.tail != sLoop.tail {
+		t.Errorf("tail %v, loop %v", sRun.tail, sLoop.tail)
 	}
 	checkSameState(t, rtRun, rtLoop, append([]string{"pre"}, runKernelNames...))
 }
@@ -107,7 +107,8 @@ func checkRunMatchesLoop(t *testing.T, sc runScenario) {
 // ranked name orders and the retained intervals.
 func checkSameState(t *testing.T, got, want *Runtime, kernels []string) {
 	t.Helper()
-	for _, id := range want.lay.ids {
+	for _, d := range want.lay.devs {
+		id := d.id
 		g, w := got.state(id), want.state(id)
 		for _, r := range []struct {
 			name string
@@ -124,7 +125,7 @@ func checkSameState(t *testing.T, got, want *Runtime, kernels []string) {
 		}
 	}
 
-	pg, pw := got.Profile(), want.Profile()
+	pg, pw := got.prof, want.prof
 	for _, name := range kernels {
 		if a, b := pg.Kernel(name), pw.Kernel(name); a != b {
 			t.Errorf("kernel %s: %+v, want %+v", name, a, b)

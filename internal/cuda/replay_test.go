@@ -88,15 +88,15 @@ func checkReplayMatchesLaunch(t *testing.T, sc passScenario) {
 	var m StreamMark
 	var pm profiler.Mark
 	sb[0].Mark(&m)
-	rtB.Profile().Mark(&pm)
+	rtB.prof.Mark(&pm)
 	launchPass(sb[0], runsB, sc.hostReady, sc.sides[0].dataReady)
-	rtB.Profile().Repeat(&pm, 1, 0)
+	rtB.prof.Repeat(&pm, 1, 0)
 	sb[1].WaitEvent(sc.sides[1].dataReady)
 	sb[1].Replay(sb[0], &m)
 
 	for i := range sa {
-		if sa[i].Tail() != sb[i].Tail() {
-			t.Errorf("stream %d tail %v after replay, %v launched", i, sb[i].Tail(), sa[i].Tail())
+		if sa[i].tail != sb[i].tail {
+			t.Errorf("stream %d tail %v after replay, %v launched", i, sb[i].tail, sa[i].tail)
 		}
 	}
 	checkSameState(t, rtB, rtA, runKernelNames)

@@ -9,7 +9,6 @@ package cuda
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -128,12 +127,12 @@ type route struct {
 }
 
 // peerPath is one peer copy direction between managed GPUs: its labels,
-// and its route under each policy, routed on first use. Routing is a pure
+// and its staged-NVLink route, routed on first use. Routing is a pure
 // function of the topology, so whichever concurrent first use stores its
 // route, every runtime reads the same one.
 type peerPath struct {
 	copyLabels
-	routes [2]atomic.Pointer[route] // [0] staged NVLink, [1] PCIe fallback
+	route atomic.Pointer[route]
 }
 
 // deviceLayout names one managed GPU's tracks and holds its PCIe copy
@@ -161,7 +160,6 @@ type Layout struct {
 	// layout does not manage, and spans the topology's node IDs.
 	devs  []deviceLayout
 	index []int
-	ids   []topology.NodeID // managed GPUs, ascending
 	// peers[i*len(devs)+j] is the copy from devs[i] to devs[j].
 	peers     []peerPath
 	transfers *profiler.Names
@@ -195,9 +193,6 @@ func NewLayout(top *topology.Topology, gpus []topology.NodeID) (*Layout, error) 
 			managed = append(managed, id)
 		}
 	}
-	lay.ids = slices.Clone(managed)
-	slices.Sort(lay.ids)
-
 	// Every name, cut from one buffer.
 	var nb nameBuf
 	n := len(managed)
@@ -316,10 +311,9 @@ type Runtime struct {
 	lay    *Layout
 	fabric *interconnect.Fabric
 	// devs is the runtime's slab, indexed like lay.devs.
-	devs   []device
-	prof   *profiler.Profile
-	costs  Costs
-	policy topology.RoutePolicy
+	devs  []device
+	prof  *profiler.Profile
+	costs Costs
 	// cpu holds the CPU-side resources CPUWork books, in order of first
 	// use.
 	cpu []cpuResource
@@ -358,7 +352,6 @@ func (lay *Layout) NewRuntime(fabric *interconnect.Fabric, def gpu.Spec, specs m
 		devs:   make([]device, len(lay.devs)),
 		prof:   prof,
 		costs:  costs,
-		policy: topology.RouteStagedNVLink,
 		seeded: prof != nil && prof.Seeded(profiler.KindTransfer) == lay.transfers,
 	}
 	rt.streams = rt.streamBuf[:0]
@@ -402,37 +395,29 @@ func (rt *Runtime) state(id topology.NodeID) *device {
 	return &rt.devs[rt.lay.index[id]]
 }
 
-// peer returns the route and labels of one src->dst copy under the
-// current policy, read in place. A copy between managed GPUs takes the
+// peer returns the route and labels of one src->dst copy, routed over
+// staged NVLink, read in place. A copy between managed GPUs takes the
 // layout's labels and its route, routed once per layout; any other is
 // routed and named afresh every time.
 func (rt *Runtime) peer(src, dst topology.NodeID) (*route, *copyLabels) {
 	s, d := rt.state(src), rt.state(dst)
 	if s == nil || d == nil {
-		path, err := rt.lay.top.Route(src, dst, rt.policy)
+		path, err := rt.lay.top.Route(src, dst, topology.RouteStagedNVLink)
 		return &route{path: path, err: err}, &copyLabels{
 			memcpy: label{name: fmt.Sprintf("memcpyP2P %d->%d", src, dst), slot: profiler.NoSlot},
 			xfer:   fmt.Sprintf("xfer %d->%d", src, dst),
 		}
 	}
 	p := &rt.lay.peers[rt.lay.index[src]*len(rt.devs)+rt.lay.index[dst]]
-	pol := 0
-	if rt.policy != topology.RouteStagedNVLink {
-		pol = 1
-	}
-	r := p.routes[pol].Load()
+	r := p.route.Load()
 	if r == nil {
-		path, err := rt.lay.top.Route(src, dst, rt.policy)
+		path, err := rt.lay.top.Route(src, dst, topology.RouteStagedNVLink)
 		// A runtime that routed it first stored the same route.
-		p.routes[pol].CompareAndSwap(nil, &route{path: path, err: err})
-		r = p.routes[pol].Load()
+		p.route.CompareAndSwap(nil, &route{path: path, err: err})
+		r = p.route.Load()
 	}
 	return r, &p.copyLabels
 }
-
-// SetRoutePolicy selects how peer copies without a direct NVLink are routed
-// (staged NVLink by default; PCIe fallback reproduces naive behaviour).
-func (rt *Runtime) SetRoutePolicy(p topology.RoutePolicy) { rt.policy = p }
 
 // Device returns the device model for a GPU (nil if not managed).
 func (rt *Runtime) Device(id topology.NodeID) *gpu.Device {
@@ -442,16 +427,8 @@ func (rt *Runtime) Device(id topology.NodeID) *gpu.Device {
 	return nil
 }
 
-// Devices returns the IDs of all GPUs managed by the runtime, ascending.
-func (rt *Runtime) Devices() []topology.NodeID {
-	return append([]topology.NodeID(nil), rt.lay.ids...)
-}
-
 // Fabric returns the interconnect.
 func (rt *Runtime) Fabric() *interconnect.Fabric { return rt.fabric }
-
-// Profile returns the profile (may be nil).
-func (rt *Runtime) Profile() *profiler.Profile { return rt.prof }
 
 // count adds one activity of kind k from start to end under its interned
 // slot to an aggregate-only profile's aggregates, and reports whether the
@@ -580,12 +557,6 @@ func (rt *Runtime) AppendState(buf []time.Duration, floor time.Duration) []time.
 	}
 	return buf
 }
-
-// Device returns the stream's device.
-func (s *Stream) Device() *gpu.Device { return &s.d.dev }
-
-// Tail returns the completion time of the last operation issued.
-func (s *Stream) Tail() time.Duration { return s.tail }
 
 // WaitEvent raises the stream's tail to at least tm without occupying any
 // resource — cudaStreamWaitEvent semantics, used to gate a stream on a
@@ -984,13 +955,6 @@ func (rt *Runtime) CPUWork(name string, stage profiler.Stage, ready time.Duratio
 type cpuResource struct {
 	name string
 	res  sim.Resource
-}
-
-// Route exposes the runtime's routed path between two GPUs under its
-// current policy (used by the communication backends for cost planning).
-func (rt *Runtime) Route(src, dst topology.NodeID) (topology.Path, error) {
-	r, _ := rt.peer(src, dst)
-	return r.path, r.err
 }
 
 // Costs returns the runtime's host API costs.

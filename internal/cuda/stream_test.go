@@ -15,13 +15,13 @@ func TestWaitEventRaisesTail(t *testing.T) {
 	rt, _ := newRuntime(t, []topology.NodeID{0})
 	s := rt.Stream(0)
 	s.WaitEvent(5 * time.Millisecond)
-	if s.Tail() != 5*time.Millisecond {
-		t.Errorf("tail = %v", s.Tail())
+	if s.tail != 5*time.Millisecond {
+		t.Errorf("tail = %v", s.tail)
 	}
 	// A later, smaller wait must not lower the tail.
 	s.WaitEvent(time.Millisecond)
-	if s.Tail() != 5*time.Millisecond {
-		t.Errorf("tail lowered to %v", s.Tail())
+	if s.tail != 5*time.Millisecond {
+		t.Errorf("tail lowered to %v", s.tail)
 	}
 	// The next kernel starts no earlier than the event.
 	c := kernel(rt, gpu.KernelCost{Name: "k", FLOPs: units.GFLOPs, Parallelism: 1 << 20, Class: gpu.ClassFMA})
@@ -38,8 +38,8 @@ func TestExtendOccupiesUntil(t *testing.T) {
 	if end != 3*time.Millisecond {
 		t.Errorf("end = %v", end)
 	}
-	if s.Tail() != 3*time.Millisecond {
-		t.Errorf("tail = %v", s.Tail())
+	if s.tail != 3*time.Millisecond {
+		t.Errorf("tail = %v", s.tail)
 	}
 	if prof.Kernel("collective").Calls != 1 {
 		t.Error("extend not recorded")
@@ -126,18 +126,8 @@ func TestRuntimeAccessors(t *testing.T) {
 	if rt.Fabric() != fab {
 		t.Error("fabric accessor wrong")
 	}
-	if rt.Profile() != nil {
-		t.Error("nil profile expected")
-	}
 	if rt.Costs() != DefaultCosts() {
 		t.Error("costs accessor wrong")
-	}
-	if _, err := rt.Route(0, 1); err != nil {
-		t.Error("route failed")
-	}
-	s := rt.Stream(0)
-	if s.Device().ID != 0 {
-		t.Error("stream device wrong")
 	}
 }
 

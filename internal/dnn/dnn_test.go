@@ -1,7 +1,6 @@
 package dnn
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -217,9 +216,6 @@ func TestNetworkAggregates(t *testing.T) {
 	if n.CountKind(OpConv) != 1 || n.CountKind(OpFC) != 1 {
 		t.Error("CountKind wrong")
 	}
-	if !strings.Contains(n.Summary(), "conv") {
-		t.Error("summary missing layer")
-	}
 }
 
 func TestForwardPlanSkipsInputAndFlatten(t *testing.T) {
@@ -292,8 +288,13 @@ func TestPlanFLOPsLinearInBatch(t *testing.T) {
 	n := buildTiny()
 	f := func(b uint8) bool {
 		batch := int(b%32) + 1
-		f1 := PlanFLOPs(n.ForwardPlan(batch, PlanOptions{}))
-		f2 := PlanFLOPs(n.ForwardPlan(2*batch, PlanOptions{}))
+		var f1, f2 units.FLOPs
+		for _, k := range n.ForwardPlan(batch, PlanOptions{}) {
+			f1 += k.FLOPs
+		}
+		for _, k := range n.ForwardPlan(2*batch, PlanOptions{}) {
+			f2 += k.FLOPs
+		}
 		return f2 == 2*f1
 	}
 	if err := quick.Check(f, nil); err != nil {

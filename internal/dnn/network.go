@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/memo"
@@ -244,17 +243,4 @@ func (n *Network) Depth() int {
 		}
 	}
 	return best
-}
-
-// Summary renders a per-layer table of shapes, params, and FLOPs.
-func (n *Network) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%-24s %-10s %-14s %-12s %s\n", n.Name, "layer", "op", "output", "params", "fwd FLOPs/img")
-	for _, nd := range n.nodes {
-		fmt.Fprintf(&b, "%-24s %-10s %-14s %-12d %v\n",
-			nd.Name, nd.Op.Kind(), nd.Out, nd.ParamsN, nd.FwdFLOPs)
-	}
-	fmt.Fprintf(&b, "total params: %d (%v), fwd FLOPs/img: %v\n",
-		n.ParamCount(), n.ModelBytes(), n.FwdFLOPsPerImage())
-	return b.String()
 }

@@ -335,15 +335,6 @@ func maxI64(a, b int64) int64 {
 	return b
 }
 
-// PlanFLOPs sums the arithmetic of a kernel sequence.
-func PlanFLOPs(ks []gpu.KernelCost) units.FLOPs {
-	var f units.FLOPs
-	for _, k := range ks {
-		f += k.FLOPs
-	}
-	return f
-}
-
 // PlanDuration sums kernel durations back-to-back on one device spec (an
 // unpipelined lower-level baseline used by tests and analytic checks).
 func PlanDuration(spec gpu.Spec, ks []gpu.KernelCost) (d int64) {

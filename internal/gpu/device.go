@@ -36,11 +36,6 @@ type Device struct {
 // (the V100 exposes several; two captures the paper-era concurrency).
 const dmaEngines = 2
 
-// NewDevice creates an idle device.
-func NewDevice(id topology.NodeID, spec Spec) *Device {
-	return &Device{ID: id, Spec: spec}
-}
-
 // BookKernel reserves the compute queue for a kernel of duration dur
 // (Spec.KernelDuration, computed once when the plan is lowered), becoming
 // eligible at ready; it returns the kernel's execution window.
@@ -88,9 +83,3 @@ func (d *Device) AppendState(buf []time.Duration, floor time.Duration) []time.Du
 
 // ComputeBusy returns accumulated compute-queue busy time.
 func (d *Device) ComputeBusy() time.Duration { return d.compute.BusyTime() }
-
-// ComputeFreeAt returns when the compute queue drains.
-func (d *Device) ComputeFreeAt() time.Duration { return d.compute.FreeAt() }
-
-// CommFreeAt returns when the communication-kernel queue drains.
-func (d *Device) CommFreeAt() time.Duration { return d.comm.FreeAt() }

@@ -109,16 +109,8 @@ func TestEffDiscountsRoof(t *testing.T) {
 	}
 }
 
-func TestAchievedRateBelowPeak(t *testing.T) {
-	s := V100()
-	c := KernelCost{FLOPs: 10 * units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA}
-	if r := s.AchievedRate(c); r <= 0 || r >= s.PeakFP32 {
-		t.Errorf("achieved rate %v out of (0, peak)", r)
-	}
-}
-
 func TestDeviceQueuesIndependent(t *testing.T) {
-	d := NewDevice(0, V100())
+	d := &Device{ID: 0, Spec: V100()}
 	c := d.Spec.KernelDuration(KernelCost{FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA})
 	_, endCompute := d.BookKernel(0, c)
 	_, endComm := d.BookCommKernel(0, 10*time.Microsecond)
@@ -133,20 +125,20 @@ func TestDeviceQueuesIndependent(t *testing.T) {
 	}
 }
 
-func TestNewDeviceStartsIdle(t *testing.T) {
-	d := NewDevice(5, V100())
+func TestZeroDeviceStartsIdle(t *testing.T) {
+	d := &Device{ID: 5, Spec: V100()}
 	if d.Queue(false) == d.Queue(true) {
 		t.Error("Queue(false) and Queue(true) are the same queue")
 	}
-	if d.ComputeBusy() != 0 || d.ComputeFreeAt() != 0 || d.CommFreeAt() != 0 {
-		t.Errorf("fresh device: busy %v, compute free %v, comm free %v", d.ComputeBusy(), d.ComputeFreeAt(), d.CommFreeAt())
+	if d.ComputeBusy() != 0 || d.Queue(false).FreeAt() != 0 || d.Queue(true).FreeAt() != 0 {
+		t.Errorf("fresh device: busy %v, compute free %v, comm free %v", d.ComputeBusy(), d.Queue(false).FreeAt(), d.Queue(true).FreeAt())
 	}
 }
 
 // Copies fan out over the copy engines: the first two run side by side,
 // and the third takes whichever engine drains first.
 func TestBookDMAUsesLeastLoadedEngine(t *testing.T) {
-	d := NewDevice(0, V100())
+	d := &Device{ID: 0, Spec: V100()}
 	ms := time.Millisecond
 	s1, e1 := d.BookDMA(0, 10*ms)
 	s2, e2 := d.BookDMA(0, 4*ms)
@@ -157,23 +149,23 @@ func TestBookDMAUsesLeastLoadedEngine(t *testing.T) {
 		t.Errorf("third copy [%v,%v], want [4ms,7ms] (behind the shorter copy)", s3, e3)
 	}
 	// Copies never occupy the kernel queues.
-	if d.ComputeFreeAt() != 0 || d.CommFreeAt() != 0 {
-		t.Errorf("DMA booked a kernel queue: compute free %v, comm free %v", d.ComputeFreeAt(), d.CommFreeAt())
+	if d.Queue(false).FreeAt() != 0 || d.Queue(true).FreeAt() != 0 {
+		t.Errorf("DMA booked a kernel queue: compute free %v, comm free %v", d.Queue(false).FreeAt(), d.Queue(true).FreeAt())
 	}
 }
 
 func TestDeviceBusyAccounting(t *testing.T) {
-	d := NewDevice(3, V100())
+	d := &Device{ID: 3, Spec: V100()}
 	c := d.Spec.KernelDuration(KernelCost{FLOPs: units.GFLOPs, Parallelism: 1 << 30, Class: ClassFMA})
 	_, end := d.BookKernel(0, c)
 	if d.ComputeBusy() != end {
 		t.Errorf("busy = %v, want %v", d.ComputeBusy(), end)
 	}
-	if d.ComputeFreeAt() != end {
-		t.Errorf("free at = %v, want %v", d.ComputeFreeAt(), end)
+	if d.Queue(false).FreeAt() != end {
+		t.Errorf("free at = %v, want %v", d.Queue(false).FreeAt(), end)
 	}
-	if d.CommFreeAt() != 0 {
-		t.Errorf("comm free at = %v, want 0", d.CommFreeAt())
+	if d.Queue(true).FreeAt() != 0 {
+		t.Errorf("comm free at = %v, want 0", d.Queue(true).FreeAt())
 	}
 }
 
@@ -182,7 +174,7 @@ func TestDeviceBusyAccounting(t *testing.T) {
 // same free times in either order have one state, and they book every
 // later copy alike.
 func TestAppendStateSortsEngines(t *testing.T) {
-	a, b := NewDevice(0, V100()), NewDevice(1, V100())
+	a, b := &Device{ID: 0, Spec: V100()}, &Device{ID: 1, Spec: V100()}
 	a.BookDMA(0, 10*time.Microsecond)
 	a.BookDMA(0, 5*time.Microsecond)
 	b.BookDMA(0, 5*time.Microsecond)

@@ -210,13 +210,3 @@ func (s Spec) KernelDuration(c KernelCost) time.Duration {
 	}
 	return s.KernelGap + d
 }
-
-// AchievedRate returns the effective FLOP rate the kernel attains
-// (FLOPs / duration), used for utilization reporting.
-func (s Spec) AchievedRate(c KernelCost) units.FLOPRate {
-	d := s.KernelDuration(c)
-	if d <= 0 || c.FLOPs <= 0 {
-		return 0
-	}
-	return units.FLOPRate(float64(c.FLOPs) / d.Seconds())
-}

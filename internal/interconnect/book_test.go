@@ -124,7 +124,7 @@ func TestOccupy(t *testing.T) {
 	top := topology.DGX1()
 	fab := New(top)
 	l := top.DirectLink(0, 1, topology.NVLink)
-	s1, e1 := fab.Occupy(l, 0, 0, 5*time.Millisecond)
+	s1, e1 := fab.Direction(l, 0).Book(0, 5*time.Millisecond)
 	if s1 != 0 || e1 != 5*time.Millisecond {
 		t.Errorf("first occupy [%v,%v]", s1, e1)
 	}

@@ -34,9 +34,11 @@ func New(top *topology.Topology) *Fabric {
 func (f *Fabric) Topology() *topology.Topology { return f.top }
 
 // Direction returns the resource for one link direction. Links are full
-// duplex: the two directions never contend with each other. Booking it
-// directly is Occupy without the lookup, for callers that book the same
-// directions many times.
+// duplex: the two directions never contend with each other. Collective
+// models whose wire time is computed analytically book it for an explicit
+// duration, to make the links they stream over visible to contention
+// accounting; callers that book the same directions many times resolve it
+// once.
 func (f *Fabric) Direction(l *topology.Link, from topology.NodeID) *sim.Resource {
 	i := 2 * l.Index()
 	if from != l.A {
@@ -105,14 +107,6 @@ func (f *Fabric) AppendState(buf []time.Duration, floor time.Duration) []time.Du
 
 // Directions returns how many link directions AppendState appends.
 func (f *Fabric) Directions() int { return len(f.dirs) }
-
-// Occupy books one link direction for an explicit duration starting no
-// earlier than ready, returning the occupation window. Collective models
-// whose wire time is computed analytically use this to make the links they
-// stream over visible to contention accounting.
-func (f *Fabric) Occupy(l *topology.Link, from topology.NodeID, ready, dur time.Duration) (start, end time.Duration) {
-	return f.Direction(l, from).Book(ready, dur)
-}
 
 // OneWayTime returns the unloaded (contention-free) duration of moving size
 // bytes along the path, store-and-forward. Useful for analytic baselines

@@ -63,23 +63,17 @@ type Backend interface {
 	SetupCost() time.Duration
 }
 
-// New creates a backend of the given method over the devices with default
-// NCCL settings (ring algorithm, as the paper measured).
-func New(method Method, rt *cuda.Runtime, devs []topology.NodeID) (Backend, error) {
-	return NewWithNCCL(method, rt, devs, nccl.DefaultConfig(), nil)
-}
-
 // ErrNoDevices is returned when a backend is requested over an empty
 // device slice. Every method needs at least one device (the nccl root is
 // devs[0]), so the check lives here — once, ahead of any indexing —
 // rather than scattered across the backends' engines.
 var ErrNoDevices = errors.New("kvstore: at least one device is required")
 
-// NewWithNCCL is New with an explicit NCCL configuration (algorithm
-// selection, overheads) for the nccl method, and optionally the
-// communicator's prebuilt rings over devs (nil builds them); the other
-// methods ignore both.
-func NewWithNCCL(method Method, rt *cuda.Runtime, devs []topology.NodeID, ncfg nccl.Config, rings *nccl.Layout) (Backend, error) {
+// New creates a backend of the given method over the devices. The nccl
+// method runs its collectives as sel selects (the zero Selection is the
+// paper's rings over Simple) on the communicator's prebuilt rings over
+// devs (nil builds them); the other methods ignore both.
+func New(method Method, rt *cuda.Runtime, devs []topology.NodeID, sel nccl.Selection, rings *nccl.Layout) (Backend, error) {
 	if len(devs) == 0 {
 		return nil, ErrNoDevices
 	}
@@ -93,11 +87,11 @@ func NewWithNCCL(method Method, rt *cuda.Runtime, devs []topology.NodeID, ncfg n
 	case MethodNCCL:
 		if rings == nil {
 			var err error
-			if rings, err = nccl.NewLayout(rt.Fabric().Topology(), devs, ncfg.MaxRings); err != nil {
+			if rings, err = nccl.NewLayout(rt.Fabric().Topology(), devs); err != nil {
 				return nil, err
 			}
 		}
-		comm, err := nccl.NewOn(rt, rings, ncfg)
+		comm, err := nccl.NewOn(rt, rings, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -146,13 +140,4 @@ func (b *ncclBackend) PushGradient(stage profiler.Stage, a *Array, ready time.Du
 
 func (b *ncclBackend) PullWeights(stage profiler.Stage, a *Array, ready time.Duration) (time.Duration, error) {
 	return b.comm.BroadcastPriced(stage, a.Wire, ready), nil
-}
-
-// Rings exposes the NCCL backend's ring structure for diagnostics; it
-// returns nil for other backends.
-func Rings(b Backend) []nccl.Ring {
-	if nb, ok := b.(*ncclBackend); ok {
-		return nb.comm.Rings()
-	}
-	return nil
 }

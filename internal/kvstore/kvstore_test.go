@@ -8,6 +8,7 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
+	"repro/internal/nccl"
 	"repro/internal/profiler"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -24,7 +25,7 @@ func newBackend(t *testing.T, method Method, n int) Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(method, rt, devs)
+	b, err := New(method, rt, devs, nccl.Selection{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestUnknownMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New("mpi", rt, []topology.NodeID{0}); err == nil {
+	if _, err := New("mpi", rt, []topology.NodeID{0}, nccl.Selection{}, nil); err == nil {
 		t.Error("unknown method should error")
 	}
 }
@@ -95,17 +96,6 @@ func TestSingleGPUNCCLOverheadExists(t *testing.T) {
 	}
 	if endN <= time.Millisecond {
 		t.Error("1-GPU NCCL push should still cost time")
-	}
-}
-
-func TestRingsAccessor(t *testing.T) {
-	n := newBackend(t, MethodNCCL, 4)
-	if len(Rings(n)) == 0 {
-		t.Error("NCCL backend should expose rings")
-	}
-	p := newBackend(t, MethodP2P, 4)
-	if Rings(p) != nil {
-		t.Error("P2P backend has no rings")
 	}
 }
 
@@ -202,7 +192,7 @@ func TestEmptyDevicesRejected(t *testing.T) {
 	}
 	for _, m := range []Method{MethodP2P, MethodNCCL, MethodLocal, Method("bogus")} {
 		for _, devs := range [][]topology.NodeID{nil, {}} {
-			b, err := New(m, rt, devs)
+			b, err := New(m, rt, devs, nccl.Selection{}, nil)
 			if b != nil || !errors.Is(err, ErrNoDevices) {
 				t.Errorf("New(%v, %v) = %v, %v; want nil, ErrNoDevices", m, devs, b, err)
 			}

@@ -25,7 +25,7 @@ func BenchmarkAllReduce8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := New(rt, devs, DefaultConfig())
+	c, err := New(rt, devs, Selection{})
 	if err != nil {
 		b.Fatal(err)
 	}

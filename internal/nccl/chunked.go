@@ -105,7 +105,7 @@ func (c *Communicator) SimulateChunkedAllReduce(size units.Bytes, ready time.Dur
 				l := c.hopLinks[ri][hi]
 				if l == nil {
 					for _, hop := range c.hopPaths[ri][hi].Hops {
-						_, e := fab.Occupy(hop.Link, hop.From, st.stepReady, units.TransferTime(chunk, hop.Link.BW))
+						_, e := fab.Direction(hop.Link, hop.From).Book(st.stepReady, units.TransferTime(chunk, hop.Link.BW))
 						if e > stepEnd {
 							stepEnd = e
 						}
@@ -117,12 +117,12 @@ func (c *Communicator) SimulateChunkedAllReduce(size units.Bytes, ready time.Dur
 				// serialized full-bandwidth slices on one resource are the
 				// fluid equivalent of parallel per-lane channels.
 				from := r.Order[i]
-				_, e := fab.Occupy(l, from, st.stepReady, units.TransferTime(chunk, l.BW))
+				_, e := fab.Direction(l, from).Book(st.stepReady, units.TransferTime(chunk, l.BW))
 				if e > stepEnd {
 					stepEnd = e
 				}
 			}
-			st.stepReady = stepEnd + c.cfg.StepLatency
+			st.stepReady = stepEnd + stepLatency
 		}
 	}
 	var end time.Duration

@@ -28,7 +28,7 @@ func TestClosedFormMatchesChunkedSimulation(t *testing.T) {
 			if rel > 0.05 && diff > 5e-6 {
 				t.Errorf("n=%d size=%v: closed %v vs chunked %v (%.1f%% apart)",
 					n, size, closed, simulated, 100*rel)
-				t.Logf("rings: %v", c.Rings())
+				t.Logf("rings: %v", c.rings)
 			}
 		}
 	}
@@ -73,7 +73,7 @@ func TestChunkedSeesContention(t *testing.T) {
 	// Saturate one ring link with foreign traffic first.
 	top := c2.rt.Fabric().Topology()
 	l := top.DirectLink(0, 1, topology.NVLink)
-	c2.rt.Fabric().Occupy(l, 0, 0, 50*time.Millisecond)
+	c2.rt.Fabric().Direction(l, 0).Book(0, 50*time.Millisecond)
 	busy := c2.SimulateChunkedAllReduce(64*units.MB, 0)
 	if busy <= idle {
 		t.Errorf("contended chunked run (%v) should exceed idle (%v)", busy, idle)

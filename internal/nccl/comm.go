@@ -69,69 +69,28 @@ func (a Algorithm) String() string {
 	return "ring"
 }
 
-// Config tunes the communicator's cost model.
-type Config struct {
-	// MaxRings bounds the edge-disjoint NVLink rings the communicator
+// The communicator's cost model: values representative of NCCL 2.0 on the
+// DGX-1, the one NCCL the paper calibrates.
+const (
+	// maxRings bounds the edge-disjoint NVLink rings the communicator
 	// builds (NCCL 2 on the DGX-1 typically finds a small number).
-	MaxRings int
-	// Algorithm selects the collective schedule (default ring). Ignored
-	// when Protocol is ProtoAuto, which picks ring vs tree per collective.
-	Algorithm Algorithm
-	// Protocol selects the transfer protocol (default ProtoSimple, the
-	// paper-era behavior). ProtoAuto resolves per collective by message
-	// size and fabric.
-	Protocol Protocol
-	// KernelOverhead is the fixed device-side cost of one collective call
+	maxRings = 2
+	// kernelOverhead is the fixed device-side cost of one collective call
 	// per rank (kernel start, block synchronization).
-	KernelOverhead time.Duration
-	// StepLatency is the per-ring-step latency (fine-grained chunk
+	kernelOverhead = 4 * time.Microsecond
+	// stepLatency is the per-ring-step latency (fine-grained chunk
 	// synchronization between neighbors).
-	StepLatency time.Duration
-	// SetupCost is the one-time communicator initialization (topology
+	stepLatency = 2 * time.Microsecond
+	// setupCost is the one-time communicator initialization (topology
 	// detection, ring search, buffer registration). The trainer charges it
 	// once per training session.
-	SetupCost time.Duration
-	// LocalPassBW is the effective memory bandwidth of the degenerate
+	setupCost = 220 * time.Millisecond
+	// localPassBW is the effective memory bandwidth of the degenerate
 	// single-rank collective, which still runs the Reduce/Broadcast
 	// kernels over device memory (the source of the paper's single-GPU
 	// NCCL overhead, its Table II).
-	LocalPassBW units.Bandwidth
-}
-
-// DefaultConfig returns values representative of NCCL 2.0 on the DGX-1.
-func DefaultConfig() Config {
-	return Config{
-		MaxRings:       2,
-		KernelOverhead: 4 * time.Microsecond,
-		StepLatency:    2 * time.Microsecond,
-		SetupCost:      220 * time.Millisecond,
-		LocalPassBW:    450 * units.GBPerSec,
-	}
-}
-
-// withDefaults fills every zero field from DefaultConfig, so the zero
-// Config behaves exactly like the default one. (An earlier version
-// rewrote a zero MaxRings to 1 while DefaultConfig used 2, silently
-// halving ring bandwidth for zero-value callers.)
-func (cfg Config) withDefaults() Config {
-	def := DefaultConfig()
-	if cfg.MaxRings <= 0 {
-		cfg.MaxRings = def.MaxRings
-	}
-	if cfg.KernelOverhead <= 0 {
-		cfg.KernelOverhead = def.KernelOverhead
-	}
-	if cfg.StepLatency <= 0 {
-		cfg.StepLatency = def.StepLatency
-	}
-	if cfg.SetupCost <= 0 {
-		cfg.SetupCost = def.SetupCost
-	}
-	if cfg.LocalPassBW <= 0 {
-		cfg.LocalPassBW = def.LocalPassBW
-	}
-	return cfg
-}
+	localPassBW = 450 * units.GBPerSec
+)
 
 // Layout is a communicator's immutable half over one device set of one
 // topology: its rings, the link (or routed path) of every ring hop, every
@@ -160,14 +119,11 @@ type Layout struct {
 }
 
 // NewLayout builds the rings of a communicator over the devices of top:
-// up to maxRings NVLink rings (DefaultConfig's when maxRings <= 0), or
-// else a switch ring, or else a PCIe fallback ring.
-func NewLayout(top *topology.Topology, devs []topology.NodeID, maxRings int) (*Layout, error) {
+// up to maxRings NVLink rings, or else a switch ring, or else a PCIe
+// fallback ring.
+func NewLayout(top *topology.Topology, devs []topology.NodeID) (*Layout, error) {
 	if len(devs) == 0 {
 		return nil, fmt.Errorf("nccl: communicator needs at least one device")
-	}
-	if maxRings <= 0 {
-		maxRings = DefaultConfig().MaxRings
 	}
 	lay := &Layout{devs: append([]topology.NodeID(nil), devs...)}
 	// len(devs) > 0, so the tree always builds.
@@ -175,7 +131,7 @@ func NewLayout(top *topology.Topology, devs []topology.NodeID, maxRings int) (*L
 		lay.treeSteps = 2 * (t.Depth + 1)
 	}
 	if len(lay.devs) > 1 {
-		lay.rings = BuildRings(top, lay.devs, maxRings)
+		lay.rings = BuildRings(top, lay.devs)
 		if len(lay.rings) == 0 {
 			if r, ok := SwitchRing(top, lay.devs); ok {
 				lay.rings = []Ring{r}
@@ -204,32 +160,31 @@ type Communicator struct {
 	gang *cuda.Gang
 	// kernels holds each collective's kernel label, interned once.
 	kernels [numCollectives]cuda.Kernel
-	cfg     Config
+	sel     Selection
 	// hopRes is the runtime's resource for each of the layout's hops.
 	hopRes []*sim.Resource
 }
 
 // New builds a communicator over the devices, constructing NVLink rings
-// (or a PCIe fallback ring) from the runtime's topology.
-func New(rt *cuda.Runtime, devs []topology.NodeID, cfg Config) (*Communicator, error) {
-	cfg = cfg.withDefaults()
-	lay, err := NewLayout(rt.Fabric().Topology(), devs, cfg.MaxRings)
+// (or a PCIe fallback ring) from the runtime's topology, whose collectives
+// run as sel selects.
+func New(rt *cuda.Runtime, devs []topology.NodeID, sel Selection) (*Communicator, error) {
+	lay, err := NewLayout(rt.Fabric().Topology(), devs)
 	if err != nil {
 		return nil, err
 	}
-	return NewOn(rt, lay, cfg)
+	return NewOn(rt, lay, sel)
 }
 
-// NewOn builds a communicator on a layout over the runtime's topology
-// (built with cfg's MaxRings; NewOn reads only cfg's cost model and
-// collective selection).
-func NewOn(rt *cuda.Runtime, lay *Layout, cfg Config) (*Communicator, error) {
+// NewOn builds a communicator on a layout over the runtime's topology,
+// whose collectives run as sel selects.
+func NewOn(rt *cuda.Runtime, lay *Layout, sel Selection) (*Communicator, error) {
 	for _, d := range lay.devs {
 		if rt.Device(d) == nil {
 			return nil, fmt.Errorf("nccl: device %d not managed by runtime", d)
 		}
 	}
-	c := &Communicator{Layout: lay, rt: rt, cfg: cfg.withDefaults(), gang: rt.CommGang(lay.devs)}
+	c := &Communicator{Layout: lay, rt: rt, sel: sel, gang: rt.CommGang(lay.devs)}
 	for k, name := range collectiveKernels {
 		c.kernels[k] = rt.NewKernel(name, 0)
 	}
@@ -289,13 +244,6 @@ func (lay *Layout) resolveHops(top *topology.Topology) error {
 	return nil
 }
 
-// Rings returns the communicator's rings.
-func (c *Communicator) Rings() []Ring {
-	out := make([]Ring, len(c.rings))
-	copy(out, c.rings)
-	return out
-}
-
 // BusBW returns the aggregate ring bandwidth (the "bus bandwidth" NCCL's
 // own benchmarks report).
 func (c *Communicator) BusBW() units.Bandwidth {
@@ -310,7 +258,7 @@ func (c *Communicator) BusBW() units.Bandwidth {
 func (c *Communicator) Size() int { return len(c.devs) }
 
 // SetupCost returns the one-time initialization cost the trainer charges.
-func (c *Communicator) SetupCost() time.Duration { return c.cfg.SetupCost }
+func (c *Communicator) SetupCost() time.Duration { return setupCost }
 
 // wireTime returns the pipelined transfer time of a collective moving
 // dataFactor*size bytes per rank around the rings (dataFactor is the ring
@@ -331,7 +279,7 @@ func (c *Communicator) wireTime(size units.Bytes, dataFactor float64, steps int)
 	bytes := units.Bytes(float64(size) * dataFactor)
 	bw := units.Bandwidth(float64(c.BusBW()) * proto.bwFraction())
 	tt := units.TransferTime(bytes, bw)
-	return tt + time.Duration(steps)*proto.stepLatency(c.cfg.StepLatency)
+	return tt + time.Duration(steps)*proto.stepLatency(stepLatency)
 }
 
 // resolve picks the (algorithm, protocol) pair for one collective of the
@@ -339,20 +287,20 @@ func (c *Communicator) wireTime(size units.Bytes, dataFactor float64, steps int)
 // degrades to Simple (its 128-byte write-visibility guarantee only holds
 // on NVLink fabrics), and everything else is taken as configured.
 func (c *Communicator) resolve(size units.Bytes) (Algorithm, Protocol) {
-	if c.cfg.Protocol == ProtoAuto {
+	if c.sel.Protocol == ProtoAuto {
 		return AutoSelect(size, len(c.devs), c.nvlink)
 	}
-	proto := c.cfg.Protocol
+	proto := c.sel.Protocol
 	if proto == ProtoLL128 && !c.nvlink {
 		proto = ProtoSimple
 	}
-	return c.cfg.Algorithm, proto
+	return c.sel.Algorithm, proto
 }
 
 // localPass is the degenerate single-rank collective: the Reduce/Broadcast
 // kernels still stream the buffer through device memory.
 func (c *Communicator) localPass(size units.Bytes) time.Duration {
-	return units.TransferTime(2*size, c.cfg.LocalPassBW)
+	return units.TransferTime(2*size, localPassBW)
 }
 
 // run executes one collective: per-rank host launches, a globally
@@ -367,10 +315,10 @@ func (c *Communicator) run(stage profiler.Stage, coll collective, ready time.Dur
 		if ready > start {
 			start = ready
 		}
-		return s.Extend(stage, kernel, start, start+c.cfg.KernelOverhead+wire)
+		return s.Extend(stage, kernel, start, start+kernelOverhead+wire)
 	}
-	global, end := c.gang.Launch(stage, kernel, ready, c.cfg.KernelOverhead+wire)
-	c.occupyRings(global+c.cfg.KernelOverhead, wire)
+	global, end := c.gang.Launch(stage, kernel, ready, kernelOverhead+wire)
+	c.occupyRings(global+kernelOverhead, wire)
 	return end
 }
 
@@ -392,8 +340,8 @@ type Wire struct {
 }
 
 // Price returns the wire times of an AllReduce and a Broadcast of size
-// bytes per rank. They depend on the layout, the size and the cost and
-// selection config, never on what is booked, so a caller that exchanges
+// bytes per rank. They depend on the layout, the size and the
+// selection, never on what is booked, so a caller that exchanges
 // the same arrays every iteration prices each once and books them with
 // AllReducePriced and BroadcastPriced.
 func (c *Communicator) Price(size units.Bytes) Wire {

@@ -21,7 +21,7 @@ func newComm(t *testing.T, devs []topology.NodeID) (*Communicator, *profiler.Pro
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(rt, devs, DefaultConfig())
+	c, err := New(rt, devs, Selection{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +48,8 @@ func TestRingConstructionCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		comm, _ := newComm(t, gpus(c.n))
-		if got := len(comm.Rings()); got != c.wantRings {
-			t.Errorf("%d GPUs: rings = %d, want %d (%v)", c.n, got, c.wantRings, comm.Rings())
+		if got := len(comm.rings); got != c.wantRings {
+			t.Errorf("%d GPUs: rings = %d, want %d (%v)", c.n, got, c.wantRings, comm.rings)
 		}
 		if got := comm.BusBW(); got != c.wantBus {
 			t.Errorf("%d GPUs: bus BW = %v, want %v", c.n, got, c.wantBus)
@@ -60,7 +60,7 @@ func TestRingConstructionCounts(t *testing.T) {
 func TestRingsCoverAllDevicesNVLinkOnly(t *testing.T) {
 	comm, _ := newComm(t, gpus(8))
 	top := topology.DGX1()
-	for _, r := range comm.Rings() {
+	for _, r := range comm.rings {
 		if r.PCIe {
 			t.Fatal("8-GPU communicator should not need a PCIe ring")
 		}
@@ -83,7 +83,7 @@ func TestRingsCoverAllDevicesNVLinkOnly(t *testing.T) {
 
 func TestRingsAreEdgeDisjoint(t *testing.T) {
 	comm, _ := newComm(t, gpus(8))
-	rings := comm.Rings()
+	rings := comm.rings
 	if len(rings) != 2 {
 		t.Fatalf("rings = %d, want 2", len(rings))
 	}
@@ -129,12 +129,11 @@ func TestAllReduceWireMatchesRingFormula(t *testing.T) {
 	c, _ := newComm(t, gpus(4))
 	size := 100 * units.MB
 	got := c.AllReduce(profiler.StageWU, size, 0)
-	cfg := DefaultConfig()
 	n := 4
 	wire := units.TransferTime(units.Bytes(float64(size)*2*float64(n-1)/float64(n)), c.BusBW()) +
-		time.Duration(2*(n-1))*cfg.StepLatency
+		time.Duration(2*(n-1))*stepLatency
 	// End = host launch + kernel overhead + wire.
-	want := cuda.DefaultCosts().LaunchKernel + cfg.KernelOverhead + wire
+	want := cuda.DefaultCosts().LaunchKernel + kernelOverhead + wire
 	if got != want {
 		t.Errorf("allreduce end = %v, want %v", got, want)
 	}
@@ -215,17 +214,17 @@ func TestNewRejectsEmptyAndUnmanaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(rt, nil, DefaultConfig()); err == nil {
+	if _, err := New(rt, nil, Selection{}); err == nil {
 		t.Error("empty device list should error")
 	}
-	if _, err := New(rt, []topology.NodeID{5}, DefaultConfig()); err == nil {
+	if _, err := New(rt, []topology.NodeID{5}, Selection{}); err == nil {
 		t.Error("unmanaged device should error")
 	}
 }
 
 func TestSetupCostExposed(t *testing.T) {
 	c, _ := newComm(t, gpus(2))
-	if c.SetupCost() != DefaultConfig().SetupCost {
+	if c.SetupCost() != setupCost {
 		t.Error("setup cost mismatch")
 	}
 	if c.Size() != 2 {
@@ -237,11 +236,11 @@ func TestSetupCostExposed(t *testing.T) {
 // ring and an 8-GPU Hamiltonian cycle exist in that wiring).
 func TestPascalRings(t *testing.T) {
 	top := topology.DGX1Pascal()
-	r4 := BuildRings(top, gpus(4), 2)
+	r4 := BuildRings(top, gpus(4))
 	if len(r4) == 0 {
 		t.Fatal("no 4-GPU ring on Pascal")
 	}
-	r8 := BuildRings(top, gpus(8), 2)
+	r8 := BuildRings(top, gpus(8))
 	if len(r8) == 0 {
 		t.Fatal("no 8-GPU ring on Pascal")
 	}

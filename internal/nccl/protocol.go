@@ -16,18 +16,18 @@ import (
 // pair applied to the ring/tree closed form:
 //
 //   - Simple moves payload-only cachelines at full link bandwidth but
-//     synchronizes neighbors with memory fences (the full StepLatency).
+//     synchronizes neighbors with memory fences (the full stepLatency).
 //   - LL (low latency) packs 4 bytes of data with a 4-byte flag in each
 //     8-byte word: half the effective bandwidth, but the inline flags
-//     replace fences (StepLatency/4).
+//     replace fences (stepLatency/4).
 //   - LL128 packs 120 data bytes per 128-byte line (93.75% bandwidth) at
-//     near-LL latency (StepLatency/2), but relies on 128-byte atomic
+//     near-LL latency (stepLatency/2), but relies on 128-byte atomic
 //     write visibility, which only NVLink fabrics guarantee; on PCIe
 //     rings the communicator falls back to Simple.
 type Protocol int
 
 // Protocols. The zero value is Simple — the paper-era behavior — so a
-// zero Config reproduces the original model exactly.
+// zero Selection reproduces the original model exactly.
 const (
 	ProtoSimple Protocol = iota
 	ProtoLL

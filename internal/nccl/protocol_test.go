@@ -11,15 +11,15 @@ import (
 	"repro/internal/units"
 )
 
-// newCommOn builds a communicator on an explicit topology and config.
-func newCommOn(t *testing.T, top *topology.Topology, devs []topology.NodeID, cfg Config) *Communicator {
+// newCommOn builds a communicator on an explicit topology and selection.
+func newCommOn(t *testing.T, top *topology.Topology, devs []topology.NodeID, sel Selection) *Communicator {
 	t.Helper()
 	fab := interconnect.New(top)
 	rt, err := cuda.NewRuntime(fab, gpu.V100(), devs, cuda.DefaultCosts(), profiler.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(rt, devs, cfg)
+	c, err := New(rt, devs, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,40 +72,19 @@ func TestParseProtocolRoundTrip(t *testing.T) {
 	}
 }
 
-// Regression for the zero-value Config bug: New used to rewrite
-// MaxRings <= 0 to 1 while DefaultConfig uses 2, silently halving ring
-// bandwidth for zero-value callers. The zero Config must now behave
-// exactly like the default one.
-func TestZeroConfigMatchesDefault(t *testing.T) {
-	zero := newCommOn(t, topology.DGX1(), gpus(8), Config{})
-	def := newCommOn(t, topology.DGX1(), gpus(8), DefaultConfig())
-	if got, want := len(zero.Rings()), len(def.Rings()); got != want {
-		t.Fatalf("zero Config builds %d rings, DefaultConfig builds %d", got, want)
-	}
-	if got, want := zero.BusBW(), def.BusBW(); got != want {
-		t.Fatalf("zero Config bus BW %v, DefaultConfig %v", got, want)
-	}
-	for _, size := range []units.Bytes{64 * units.KB, 16 * units.MB, 128 * units.MB} {
-		if got, want := zero.WireTimeAllReduce(size), def.WireTimeAllReduce(size); got != want {
-			t.Errorf("size %v: zero Config wire time %v, DefaultConfig %v", size, got, want)
-		}
-	}
-}
-
 // LL128's 128-byte write-visibility guarantee only holds on NVLink: on a
 // PCIe-only machine it must degrade to Simple, and on NVLink it must not.
 func TestLL128RequiresNVLink(t *testing.T) {
-	cfgLL128 := DefaultConfig()
-	cfgLL128.Protocol = ProtoLL128
+	ll128 := Selection{Protocol: ProtoLL128}
 
-	pcieLL128 := newCommOn(t, topology.DGX1PCIeOnly(), gpus(8), cfgLL128)
-	pcieSimple := newCommOn(t, topology.DGX1PCIeOnly(), gpus(8), DefaultConfig())
+	pcieLL128 := newCommOn(t, topology.DGX1PCIeOnly(), gpus(8), ll128)
+	pcieSimple := newCommOn(t, topology.DGX1PCIeOnly(), gpus(8), Selection{})
 	if got, want := pcieLL128.WireTimeAllReduce(16*units.MB), pcieSimple.WireTimeAllReduce(16*units.MB); got != want {
 		t.Errorf("LL128 on PCIe = %v, want Simple's %v (must degrade)", got, want)
 	}
 
-	nvLL128 := newCommOn(t, topology.DGX1(), gpus(8), cfgLL128)
-	nvSimple := newCommOn(t, topology.DGX1(), gpus(8), DefaultConfig())
+	nvLL128 := newCommOn(t, topology.DGX1(), gpus(8), ll128)
+	nvSimple := newCommOn(t, topology.DGX1(), gpus(8), Selection{})
 	if got, want := nvLL128.WireTimeAllReduce(16*units.MB), nvSimple.WireTimeAllReduce(16*units.MB); got == want {
 		t.Errorf("LL128 on NVLink = Simple's %v; the line-format tax should show", got)
 	}
@@ -114,10 +93,8 @@ func TestLL128RequiresNVLink(t *testing.T) {
 // The protocol tradeoff itself: LL's quartered step latency wins on tiny
 // messages; Simple's full bandwidth wins on bulk transfers.
 func TestProtocolTradeoffBySize(t *testing.T) {
-	cfgLL := DefaultConfig()
-	cfgLL.Protocol = ProtoLL
-	ll := newCommOn(t, topology.DGX1(), gpus(8), cfgLL)
-	simple := newCommOn(t, topology.DGX1(), gpus(8), DefaultConfig())
+	ll := newCommOn(t, topology.DGX1(), gpus(8), Selection{Protocol: ProtoLL})
+	simple := newCommOn(t, topology.DGX1(), gpus(8), Selection{})
 
 	if llT, sT := ll.WireTimeAllReduce(units.KB), simple.WireTimeAllReduce(units.KB); llT >= sT {
 		t.Errorf("1 KiB: LL %v should beat Simple %v", llT, sT)

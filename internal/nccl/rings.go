@@ -47,8 +47,8 @@ func (r Ring) String() string {
 // searches the NVLink graph for ring circuits. When no NVLink ring exists
 // (or for remaining bandwidth), it returns what it found; callers fall back
 // to a PCIe ring when the result is empty.
-func BuildRings(top *topology.Topology, devs []topology.NodeID, maxRings int) []Ring {
-	if len(devs) < 2 || maxRings <= 0 {
+func BuildRings(top *topology.Topology, devs []topology.NodeID) []Ring {
+	if len(devs) < 2 {
 		return nil
 	}
 	// Remaining lane capacity per unordered GPU pair.

@@ -10,7 +10,7 @@ import "fmt"
 //
 // This file provides the tree construction and a functional all-reduce
 // over real float32 buffers; the timed model in comm.go prices the
-// algorithm via Config.Algorithm.
+// algorithm via Selection.Algorithm.
 
 // Tree is one rooted binary tree over ranks 0..N-1.
 type Tree struct {

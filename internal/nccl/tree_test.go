@@ -122,9 +122,7 @@ func TestTreeAlgorithmLatencyAdvantage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
-		cfg.Algorithm = algo
-		comm, err := New(rt, devs, cfg)
+		comm, err := New(rt, devs, Selection{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +162,8 @@ func TestTreeStepsBuiltOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []Config{{Algorithm: AlgoTree}, {Protocol: ProtoAuto}} {
-			c := newCommOn(t, topology.DGX1(), devs, cfg)
+		for _, sel := range []Selection{{Algorithm: AlgoTree}, {Protocol: ProtoAuto}} {
+			c := newCommOn(t, topology.DGX1(), devs, sel)
 			for _, size := range sizes {
 				factor, steps := 2*float64(n-1)/float64(n), 2*(n-1)
 				algo, proto := c.resolve(size)
@@ -174,9 +172,9 @@ func TestTreeStepsBuiltOnce(t *testing.T) {
 				}
 				bw := units.Bandwidth(float64(c.BusBW()) * proto.bwFraction())
 				want := units.TransferTime(units.Bytes(float64(size)*factor), bw) +
-					time.Duration(steps)*proto.stepLatency(c.cfg.StepLatency)
+					time.Duration(steps)*proto.stepLatency(stepLatency)
 				if got := c.wireTime(size, factor, 2*(n-1)); got != want {
-					t.Errorf("n=%d algo=%v proto=%v size=%v: wireTime %v, want %v", n, cfg.Algorithm, cfg.Protocol, size, got, want)
+					t.Errorf("n=%d algo=%v proto=%v size=%v: wireTime %v, want %v", n, sel.Algorithm, sel.Protocol, size, got, want)
 				}
 			}
 		}

@@ -88,8 +88,8 @@ type Space struct {
 	Faults    []*faults.Plan `json:"faults,omitempty"`
 }
 
-// withDefaults fills empty axes.
-func (sp Space) withDefaults(base core.Workload) Space {
+// filled fills empty axes from the base workload.
+func (sp Space) filled(base core.Workload) Space {
 	if len(sp.GPUs) == 0 {
 		sp.GPUs = []int{1, 2, 3, 4, 5, 6, 7, 8}
 	}
@@ -118,7 +118,7 @@ func (sp Space) withDefaults(base core.Workload) Space {
 // request that leaves them empty searches the exact candidate sequence
 // earlier releases did.
 func Candidates(base core.Workload, sp Space) []core.Workload {
-	sp = sp.withDefaults(base)
+	sp = sp.filled(base)
 	out := make([]core.Workload, 0,
 		len(sp.GPUs)*len(sp.Batches)*len(sp.Methods)*len(sp.Hardware)*len(sp.Protocols)*len(sp.Faults))
 	for _, g := range sp.GPUs {

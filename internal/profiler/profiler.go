@@ -142,9 +142,6 @@ func NewNames(names []string) *Names {
 // Len returns the number of names.
 func (n *Names) Len() int { return len(n.names) }
 
-// Name returns the name at slot s.
-func (n *Names) Name(s Slot) string { return n.names[s] }
-
 // Seeds names the slots a profile's kernel, API and transfer tables start
 // with (see Names). A nil entry seeds nothing.
 type Seeds struct {
@@ -484,6 +481,20 @@ func (p *Profile) Intervals() []Interval {
 
 // Dropped reports how many intervals exceeded the detail cap.
 func (p *Profile) Dropped() int64 { return p.dropped }
+
+// Largest returns the largest call count and the largest total time of
+// any aggregate of any kind (not necessarily the same aggregate's): what
+// Scale multiplies furthest.
+func (p *Profile) Largest() Stat {
+	var s Stat
+	for k := range p.tables {
+		for _, st := range p.tables[k].stats {
+			s.Calls = max(s.Calls, st.Calls)
+			s.Total = max(s.Total, st.Total)
+		}
+	}
+	return s
+}
 
 // Scale multiplies every aggregate by f. The trainer uses this to
 // extrapolate a steady-state iteration window to a full epoch: counters are

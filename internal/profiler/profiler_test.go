@@ -280,8 +280,8 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 // many goroutines seed, record and clone at once (run under -race).
 func TestSeededProfilesShareTheirSeed(t *testing.T) {
 	seed := NewNames([]string{"conv", "relu", "conv", "fc"})
-	if seed.Len() != 3 || seed.Name(2) != "fc" {
-		t.Fatalf("NewNames kept %d names, slot 2 = %q; want 3 distinct, fc at 2", seed.Len(), seed.Name(2))
+	if seed.Len() != 3 || seed.names[2] != "fc" {
+		t.Fatalf("NewNames kept %d names, slot 2 = %q; want 3 distinct, fc at 2", seed.Len(), seed.names[2])
 	}
 	record := func(p *Profile) {
 		p.Record(iv(KindKernel, "fc", StageFP, 0, 3*time.Microsecond))

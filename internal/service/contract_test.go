@@ -168,6 +168,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"Model":"resnet","GPUs":8,"Batch":16,"NCCLTree":true,"Protocol":"auto"}`,
 		`{"Base":{"Model":"alexnet","GPUs":2,"Batch":32,"Method":"p2p"},"Protocols":["ll"]}`,
 		`{"trace":true,"TraceIntervals":7,"Model":"alexnet","GPUs":2,"Batch":8,"Method":"p2p"}`,
+		`{"Model":"lenet","GPUs":8,"Batch":16,"Images":9223372036854775807}`,
+		`{"Model":"lenet","GPUs":8,"Batch":16,"Images":1099511627776}`,
+		`{"Model":"lenet","GPUs":8,"Batch":16,"Images":2305843009213693952,"WeakScaling":true}`,
+		`{"Model":"lenet","GPUs":8,"Batch":16,"Images":137438953472,"WeakScaling":true}`,
 	} {
 		f.Add(uint8(1), []byte(body))
 		f.Add(uint8(3), []byte(body))

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/train"
 )
 
 // Stable error codes. These are API surface: a client that switches on
@@ -42,10 +43,11 @@ const (
 	// CodeBadRequest: malformed body or invalid workload (400).
 	CodeBadRequest = "bad_request"
 	// CodeInvalidArgument: a structurally valid request whose fields
-	// contradict each other — currently a DGX-1 fault plan combined with
-	// non-DGX-1 hardware (400). Distinct from bad_request so clients
-	// building hardware sweeps over faulted fleets can recognize and drop
-	// the contradictory cells rather than treating them as client bugs.
+	// contradict each other or the simulator's range — a DGX-1 fault
+	// plan combined with non-DGX-1 hardware, or an epoch too large to
+	// represent (400). Distinct from bad_request so clients building
+	// hardware sweeps over faulted fleets can recognize and drop the
+	// contradictory cells rather than treating them as client bugs.
 	CodeInvalidArgument = "invalid_argument"
 	// CodeBodyTooLarge: the request body exceeded the endpoint's cap (413).
 	CodeBodyTooLarge = "body_too_large"
@@ -117,10 +119,11 @@ func classify(err error) (int, ErrorDetail) {
 	case errors.As(err, new(schemaVersionError)):
 		return http.StatusBadRequest,
 			ErrorDetail{Code: CodeSchemaVersion, Message: err.Error()}
-	case errors.Is(err, faults.ErrHardwareMismatch):
-		// Checked before the generic bad-request case: the mismatch is
-		// wrapped in badRequestError on the decode path, and the more
-		// specific code must win.
+	case errors.Is(err, faults.ErrHardwareMismatch), errors.Is(err, train.ErrEpochTooLarge):
+		// Checked before the generic bad-request case: both are wrapped
+		// in badRequestError on the decode path, and the more specific
+		// code must win. An epoch too large to extrapolate is just as
+		// much the request's property when the simulation finds it.
 		return http.StatusBadRequest,
 			ErrorDetail{Code: CodeInvalidArgument, Message: err.Error()}
 	case errors.As(err, new(badRequestError)):

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/train"
 )
 
 // decodeEnvelope parses a response body as the shared error envelope.
@@ -50,6 +51,8 @@ func TestClassifyTaxonomy(t *testing.T) {
 		{"schema version", schemaVersionError{errors.New("speaks 2")}, http.StatusBadRequest, CodeSchemaVersion, false},
 		{"body too large", &http.MaxBytesError{Limit: maxBodyBytes}, http.StatusRequestEntityTooLarge, CodeBodyTooLarge, false},
 		{"out of memory", fmt.Errorf("train: googlenet batch 512 on 1 GPUs: %w", gpu.ErrOutOfMemory), http.StatusUnprocessableEntity, CodeOutOfMemory, false},
+		{"epoch too large", fmt.Errorf("train: %w: 10 iterations", train.ErrEpochTooLarge), http.StatusBadRequest, CodeInvalidArgument, false},
+		{"epoch too large on decode", badRequestError{fmt.Errorf("core: %w: 10 images", train.ErrEpochTooLarge)}, http.StatusBadRequest, CodeInvalidArgument, false},
 		{"internal", errors.New("boom"), http.StatusInternalServerError, CodeInternal, false},
 	}
 	for _, tc := range cases {
@@ -202,6 +205,41 @@ func TestOutOfMemoryIs422(t *testing.T) {
 			t.Errorf("in-band record = %+v, want out_of_memory, not retryable", d)
 		}
 	})
+}
+
+// An epoch too large to represent is the request's property, whether
+// Validate bounds its images or the extrapolation finds its time past
+// int64 nanoseconds: 400 invalid_argument, not retryable, never a 500 and
+// never a cached answer, on every endpoint that runs it.
+func TestEpochTooLargeIs400(t *testing.T) {
+	svc, ts := newTestServer(t, Config{})
+	const tooLong = `{"Model":"resnet","GPUs":8,"Batch":1,"Method":"p2p","Images":1000000000000}`
+	for _, tc := range []struct{ name, path, body string }{
+		{"images past the bound", "/v1/simulate", `{"Model":"lenet","GPUs":8,"Batch":16,"Images":9223372036854775807}`},
+		{"weak images past the bound", "/v1/simulate", `{"Model":"lenet","GPUs":8,"Batch":16,"Images":1099511627776,"WeakScaling":true}`},
+		{"epoch time past int64", "/v1/simulate", tooLong},
+		{"epoch time past int64 again", "/v1/simulate", tooLong},
+		{"compare", "/v1/compare", tooLong},
+		{"sweep", "/v1/sweep", `{"Base":` + tooLong + `,"Batches":[1]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (%s)", resp.StatusCode, body)
+			}
+			if d := decodeEnvelope(t, body); d.Code != CodeInvalidArgument || d.Retryable || !strings.Contains(d.Message, "epoch too large") {
+				t.Errorf("envelope = %+v, want invalid_argument naming the epoch, not retryable", d)
+			}
+		})
+	}
+	if st := svc.CacheStats(); st.Size != 0 || st.Hits != 0 {
+		t.Errorf("cache %+v after only failed requests; want nothing stored or served", st)
+	}
 }
 
 // A shed response must carry the envelope (code queue_full, retryable)

@@ -80,13 +80,6 @@ type DGX1FaultSpec struct {
 	PCIeScale float64
 }
 
-// DGX1Degraded builds the DGX-1 with the listed NVLink connections removed
-// (failed bricks) — the failure-injection variant used to check that ring
-// construction and routing degrade gracefully rather than break.
-func DGX1Degraded(failed ...[2]NodeID) *Topology {
-	return DGX1Faulted(DGX1FaultSpec{FailedNVLinks: failed})
-}
-
 // DGX1Faulted builds the DGX-1 with the fault spec applied: failed bricks
 // are absent from the link set (so ring construction and routing see the
 // degraded graph, not a zero-bandwidth edge), degraded links keep their
@@ -95,8 +88,8 @@ func DGX1Faulted(f DGX1FaultSpec) *Topology {
 	return dgx1Build(1, f)
 }
 
-// dgx1Build is the one DGX-1 chassis builder behind DGX1, DGX1Scaled,
-// DGX1Degraded, and DGX1Faulted.
+// dgx1Build is the one DGX-1 chassis builder behind DGX1, DGX1Scaled and
+// DGX1Faulted.
 func dgx1Build(nvlinkScale float64, f DGX1FaultSpec) *Topology {
 	bad := make(map[pairKey]bool, len(f.FailedNVLinks))
 	for _, p := range f.FailedNVLinks {

@@ -27,9 +27,6 @@ type Path struct {
 // Src returns the path's source node.
 func (p Path) Src() NodeID { return p.Hops[0].From }
 
-// Dst returns the path's destination node.
-func (p Path) Dst() NodeID { return p.Hops[len(p.Hops)-1].To }
-
 // MinBW returns the lowest per-direction bandwidth along the path.
 func (p Path) MinBW() (bw float64) {
 	for i, h := range p.Hops {
@@ -179,16 +176,4 @@ func (t *Topology) pciePath(src, dst NodeID) (Path, error) {
 	}
 	hops = append(hops, Hop{Link: down, From: dstCPU, To: dst})
 	return Path{Hops: hops}, nil
-}
-
-// HopCount returns the number of hops between two GPUs under the policy.
-func (t *Topology) HopCount(src, dst NodeID, policy RoutePolicy) (int, error) {
-	if src == dst {
-		return 0, nil
-	}
-	p, err := t.Route(src, dst, policy)
-	if err != nil {
-		return 0, err
-	}
-	return len(p.Hops), nil
 }

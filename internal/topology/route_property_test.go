@@ -11,7 +11,7 @@ func TestRouteInvariantsAcrossVariants(t *testing.T) {
 		"dgx1":      DGX1(),
 		"scaled2x":  DGX1Scaled(2),
 		"pcie-only": DGX1PCIeOnly(),
-		"degraded":  DGX1Degraded([2]NodeID{0, 1}, [2]NodeID{3, 5}),
+		"degraded":  DGX1Faulted(DGX1FaultSpec{FailedNVLinks: [][2]NodeID{{0, 1}, {3, 5}}}),
 	}
 	for name, top := range variants {
 		if err := top.Validate(); err != nil {
@@ -28,8 +28,8 @@ func TestRouteInvariantsAcrossVariants(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s policy %d: route %d->%d: %v", name, policy, a, b, err)
 					}
-					if p.Src() != a || p.Dst() != b {
-						t.Fatalf("%s: path endpoints %d->%d for request %d->%d", name, p.Src(), p.Dst(), a, b)
+					if dst := p.Hops[len(p.Hops)-1].To; p.Src() != a || dst != b {
+						t.Fatalf("%s: path endpoints %d->%d for request %d->%d", name, p.Src(), dst, a, b)
 					}
 					seen := map[NodeID]bool{a: true}
 					at := a
@@ -62,7 +62,7 @@ func TestRouteInvariantsAcrossVariants(t *testing.T) {
 // else.
 func TestDegradedRemovesOnlyRequested(t *testing.T) {
 	full := DGX1()
-	deg := DGX1Degraded([2]NodeID{0, 1})
+	deg := DGX1Faulted(DGX1FaultSpec{FailedNVLinks: [][2]NodeID{{0, 1}}})
 	if deg.DirectLink(0, 1, NVLink) != nil {
 		t.Error("failed link still present")
 	}

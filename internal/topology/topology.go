@@ -195,18 +195,6 @@ func (t *Topology) GPUs() []NodeID {
 	return ids
 }
 
-// CPUs returns the IDs of all CPU nodes in ascending order.
-func (t *Topology) CPUs() []NodeID {
-	var ids []NodeID
-	for _, n := range t.nodes {
-		if n.Kind == CPU {
-			ids = append(ids, n.ID)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // Links returns all links.
 func (t *Topology) Links() []*Link {
 	out := make([]*Link, len(t.links))
@@ -225,13 +213,6 @@ func (t *Topology) NumNodes() int { return len(t.nodes) }
 // [0, NumLinks()).
 func (t *Topology) NumLinks() int { return len(t.links) }
 
-// LinksAt returns the links incident to the node.
-func (t *Topology) LinksAt(id NodeID) []*Link {
-	out := make([]*Link, len(t.adj[id]))
-	copy(out, t.adj[id])
-	return out
-}
-
 // DirectLink returns the highest-bandwidth link of the given type directly
 // connecting a and b, or nil if none exists.
 func (t *Topology) DirectLink(a, b NodeID, typ LinkType) *Link {
@@ -248,23 +229,6 @@ func (t *Topology) DirectLink(a, b NodeID, typ LinkType) *Link {
 		}
 	}
 	return best
-}
-
-// NVLinkNeighbors returns the GPU IDs directly reachable from id over
-// NVLink, in ascending order.
-func (t *Topology) NVLinkNeighbors(id NodeID) []NodeID {
-	seen := map[NodeID]bool{}
-	for _, l := range t.adj[id] {
-		if l.Type == NVLink {
-			seen[l.Other(id)] = true
-		}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HostCPU returns the CPU whose PCIe root complex hosts the given GPU.

@@ -18,8 +18,14 @@ func TestDGX1NodeCounts(t *testing.T) {
 	if got := len(top.GPUs()); got != 8 {
 		t.Errorf("GPUs = %d, want 8", got)
 	}
-	if got := len(top.CPUs()); got != 2 {
-		t.Errorf("CPUs = %d, want 2", got)
+	cpus := 0
+	for _, n := range top.Nodes() {
+		if n.Kind == CPU {
+			cpus++
+		}
+	}
+	if cpus != 2 {
+		t.Errorf("CPUs = %d, want 2", cpus)
 	}
 }
 
@@ -28,7 +34,7 @@ func TestDGX1AllNVLinkPortsUsed(t *testing.T) {
 	top := DGX1()
 	for _, g := range top.GPUs() {
 		ports := 0
-		for _, l := range top.LinksAt(g) {
+		for _, l := range top.adj[g] {
 			if l.Type == NVLink {
 				ports += l.Lanes
 			}
@@ -45,7 +51,12 @@ func TestDGX1PaperConstraints(t *testing.T) {
 
 	// "GPU0 has direct NVLink connections with GPU1, GPU2, GPU3, and GPU6."
 	want := []NodeID{1, 2, 3, 6}
-	got := top.NVLinkNeighbors(0)
+	var got []NodeID
+	for _, g := range top.GPUs() {
+		if top.DirectLink(0, g, NVLink) != nil {
+			got = append(got, g)
+		}
+	}
 	if len(got) != len(want) {
 		t.Fatalf("GPU0 neighbors = %v, want %v", got, want)
 	}
@@ -100,11 +111,11 @@ func TestDGX1TwoHopDiameter(t *testing.T) {
 			if a == b {
 				continue
 			}
-			hops, err := top.HopCount(a, b, RouteStagedNVLink)
+			p, err := top.Route(a, b, RouteStagedNVLink)
 			if err != nil {
 				t.Fatalf("route %d->%d: %v", a, b, err)
 			}
-			if hops > 2 {
+			if hops := len(p.Hops); hops > 2 {
 				t.Errorf("route %d->%d takes %d hops, want <= 2", a, b, hops)
 			}
 		}

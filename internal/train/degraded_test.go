@@ -17,11 +17,11 @@ func TestDegradedRingEdgeLosesOneRing(t *testing.T) {
 	// conditional that never held, so it passed vacuously. The real
 	// invariants: removing the 0-1 brick can only shrink the ring set,
 	// and whatever rings survive must never route over the failed edge.
-	full := nccl.BuildRings(topology.DGX1(), gpus8(), 2)
+	full := nccl.BuildRings(topology.DGX1(), gpus8())
 	if len(full) == 0 {
 		t.Fatal("healthy DGX-1 must yield at least one 8-GPU NVLink ring")
 	}
-	degraded := nccl.BuildRings(topology.DGX1Degraded([2]topology.NodeID{0, 1}), gpus8(), 2)
+	degraded := nccl.BuildRings(topology.DGX1Faulted(topology.DGX1FaultSpec{FailedNVLinks: [][2]topology.NodeID{{0, 1}}}), gpus8())
 	if len(degraded) > len(full) {
 		t.Errorf("removing a link grew the ring set: %d rings vs %d healthy",
 			len(degraded), len(full))
@@ -120,7 +120,7 @@ func gpus8() []topology.NodeID {
 
 func TestTrainingSurvivesSingleLinkFailure(t *testing.T) {
 	healthy := runOnTopology(t, topology.DGX1(), "googlenet", 8, 16, kvstore.MethodNCCL)
-	degraded := runOnTopology(t, topology.DGX1Degraded([2]topology.NodeID{0, 1}),
+	degraded := runOnTopology(t, topology.DGX1Faulted(topology.DGX1FaultSpec{FailedNVLinks: [][2]topology.NodeID{{0, 1}}}),
 		"googlenet", 8, 16, kvstore.MethodNCCL)
 	if degraded.EpochTime < healthy.EpochTime {
 		t.Errorf("losing a link should not speed training: %v vs %v",
@@ -136,10 +136,9 @@ func TestTrainingSurvivesSingleLinkFailure(t *testing.T) {
 func TestTrainingSurvivesSevereDegradation(t *testing.T) {
 	// Remove every link incident to GPU0's quad neighbors except PCIe:
 	// training must still complete via staged/PCIe routes.
-	top := topology.DGX1Degraded(
-		[2]topology.NodeID{0, 1}, [2]topology.NodeID{0, 2},
-		[2]topology.NodeID{0, 3}, [2]topology.NodeID{0, 6},
-	)
+	top := topology.DGX1Faulted(topology.DGX1FaultSpec{FailedNVLinks: [][2]topology.NodeID{
+		{0, 1}, {0, 2}, {0, 3}, {0, 6},
+	}})
 	if err := top.Validate(); err != nil {
 		t.Fatalf("degraded topology invalid: %v", err)
 	}
@@ -152,11 +151,10 @@ func TestTrainingSurvivesSevereDegradation(t *testing.T) {
 func TestDegradedIsolatedGPUFallsToPCIeRing(t *testing.T) {
 	// GPU0 loses all NVLink: NCCL cannot build an 8-GPU NVLink ring and
 	// must fall back to the PCIe ring.
-	top := topology.DGX1Degraded(
-		[2]topology.NodeID{0, 1}, [2]topology.NodeID{0, 2},
-		[2]topology.NodeID{0, 3}, [2]topology.NodeID{0, 6},
-	)
-	rings := nccl.BuildRings(top, gpus8(), 2)
+	top := topology.DGX1Faulted(topology.DGX1FaultSpec{FailedNVLinks: [][2]topology.NodeID{
+		{0, 1}, {0, 2}, {0, 3}, {0, 6},
+	}})
+	rings := nccl.BuildRings(top, gpus8())
 	if len(rings) != 0 {
 		t.Fatalf("no NVLink ring should exist through isolated GPU0, got %v", rings)
 	}

@@ -76,7 +76,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 
 	// The activation collectives run on their own communicator, over the
 	// machine template's rings (hybrid training requires the nccl method).
-	comm, err := nccl.NewOn(t.rt, t.rings, nccl.DefaultConfig())
+	comm, err := nccl.NewOn(t.rt, t.rings, nccl.Selection{})
 	if err != nil {
 		return 0, nil, err
 	}

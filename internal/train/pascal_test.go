@@ -36,8 +36,8 @@ func TestPascalTopologyValid(t *testing.T) {
 	// 4 NVLink ports per P100.
 	for _, g := range top.GPUs() {
 		ports := 0
-		for _, l := range top.LinksAt(g) {
-			if l.Type == topology.NVLink {
+		for _, l := range top.Links() {
+			if l.Type == topology.NVLink && (l.A == g || l.B == g) {
 				ports += l.Lanes
 			}
 		}

@@ -16,8 +16,8 @@ import (
 
 // replayCases are the stop rule's cases (the profile golden set's
 // workloads plus P2P, ASGD, straggler and Detailed ones) and sync P2P
-// and NCCL at 1–8 GPUs, a straggler, checkpointing and the PCIe route
-// policy.
+// and NCCL at 1–8 GPUs, a straggler, checkpointing and PCIe-routed peer
+// copies.
 func replayCases(t testing.TB) map[string]Config {
 	cs := stopRuleCases(t)
 	for gpus := 1; gpus <= 8; gpus++ {
@@ -36,7 +36,7 @@ func replayCases(t testing.TB) map[string]Config {
 	cfg.Checkpointing = true
 	cs["googlenet/p2p/checkpointing"] = cfg
 	cfg = stopRuleConfig(t, "alexnet", 8, 32, kvstore.MethodP2P, nccl.ProtoSimple, "")
-	cfg.RoutePolicy = topology.RoutePCIeFallback
+	cfg.Topology = topology.DGX1PCIeOnly()
 	cs["alexnet/p2p/pcie-route"] = cfg
 	cfg = stopRuleConfig(t, "resnet", 6, 16, kvstore.MethodNCCL, nccl.ProtoLL, "dgx-a100")
 	cfg.BucketBytes = 2048 * units.KB

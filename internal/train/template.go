@@ -57,28 +57,24 @@ func buildTemplate(top *topology.Topology, devs []topology.NodeID, method kvstor
 	}
 	tmpl := &machineTemplate{top: top, devs: devs, layout: lay}
 	if method == kvstore.MethodNCCL {
-		if tmpl.rings, err = nccl.NewLayout(top, devs, nccl.DefaultConfig().MaxRings); err != nil {
+		if tmpl.rings, err = nccl.NewLayout(top, devs); err != nil {
 			return nil, err
 		}
 	}
 	return tmpl, nil
 }
 
-// maxTemplateDevs bounds the device sets a template key holds: the
-// largest registered machine's GPU count.
-const maxTemplateDevs = 16
-
-// templateKey identifies one shared machine template.
+// templateKey identifies one shared machine template: a registered
+// machine, a kvstore method and the device set 0..n-1 (deviceSet).
 type templateKey struct {
 	machine string
 	method  kvstore.Method
 	n       int
-	devs    [maxTemplateDevs]topology.NodeID
 }
 
-// templates holds the registered machines' healthy templates. Every
-// default device set of every machine and method is 5 machines × 1–16
-// GPUs × 3 methods, well under the bound; pinned device sets share it.
+// templates holds the registered machines' healthy templates: every
+// device set of every machine and method is 5 machines × 1–16 GPUs × 3
+// methods, well under the bound.
 var templates = memo.New[templateKey, *machineTemplate](256)
 
 // machineTemplateFor returns the shared template of a registered
@@ -88,11 +84,7 @@ func machineTemplateFor(m Machine, devs []topology.NodeID, method kvstore.Method
 	if err != nil {
 		return nil, err
 	}
-	if len(devs) > maxTemplateDevs {
-		return buildTemplate(top, devs, method)
-	}
 	key := templateKey{machine: m.Name, method: method, n: len(devs)}
-	copy(key.devs[:], devs)
 	if tmpl, ok := templates.Lookup(key); ok {
 		return tmpl, nil
 	}
@@ -110,7 +102,7 @@ func machineTemplateFor(m Machine, devs []topology.NodeID, method kvstore.Method
 type wiresKey struct {
 	rings *nccl.Layout
 	plan  *planTable
-	cfg   nccl.Config
+	sel   nccl.Selection
 }
 
 // wires holds the wire times of the shared templates' rings: every
@@ -120,13 +112,13 @@ var wires = memo.New[wiresKey, []nccl.Wire](1024)
 
 // wiresFor returns the NCCL wire times of the plan's distinct gradient
 // sizes (planTable.grads), as backend (an nccl backend over tmpl.rings
-// under cfg) prices them. They depend on the gradient sizes,
-// the rings and the config, not on the batch, so a shared template's are
+// under sel) prices them. They depend on the gradient sizes,
+// the rings and the selection, not on the batch, so a shared template's are
 // memoized. A faulted or overridden topology's template lives for one
 // trainer, and a memo keyed by its rings would pin the topology, so its
 // wire times are priced for the trainer alone.
-func wiresFor(tmpl *machineTemplate, plan *planTable, cfg nccl.Config, backend kvstore.Backend) []nccl.Wire {
-	key := wiresKey{rings: tmpl.rings, plan: plan, cfg: cfg}
+func wiresFor(tmpl *machineTemplate, plan *planTable, sel nccl.Selection, backend kvstore.Backend) []nccl.Wire {
+	key := wiresKey{rings: tmpl.rings, plan: plan, sel: sel}
 	if tmpl.shared {
 		if w, ok := wires.Lookup(key); ok {
 			return w

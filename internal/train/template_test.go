@@ -21,9 +21,10 @@ func TestPlanTableBatchIndependent(t *testing.T) {
 		params int64
 	}
 	names := func(p *planTable) []string {
+		prof := profiler.New().Seed(profiler.Seeds{Kernels: p.names})
 		out := make([]string, p.names.Len())
 		for i := range out {
-			out[i] = p.names.Name(profiler.Slot(i))
+			out[i] = prof.Name(profiler.KindKernel, profiler.Slot(i))
 		}
 		return out
 	}

@@ -48,8 +48,6 @@ type Config struct {
 	// DetailIntervals retains that many profiler intervals for timeline
 	// export (0 = aggregates only).
 	DetailIntervals int
-	// RoutePolicy overrides peer-copy routing (default staged NVLink).
-	RoutePolicy topology.RoutePolicy
 	// Async enables the asynchronous-SGD extension: no inter-GPU barrier;
 	// each GPU exchanges with the server independently.
 	Async bool
@@ -78,10 +76,6 @@ type Config struct {
 	// paper-era MXNet behaviour). Bucketing amortizes the per-operation
 	// overheads the paper identifies as the small networks' bottleneck.
 	BucketBytes units.Bytes
-	// Devices pins training to specific GPUs (default: 0..GPUs-1, MXNet's
-	// assignment). On the DGX-1's asymmetric topology, placement changes
-	// communication cost; Devices must have exactly GPUs entries.
-	Devices []topology.NodeID
 	// NCCL selects the collective algorithm and transfer protocol. The
 	// zero value is the rings over Simple the paper measured; the tree
 	// algorithm is the later NCCL release's answer to the small-message
@@ -172,6 +166,9 @@ func (c *Config) normalize() error {
 	}
 	if c.Images <= 0 {
 		c.Images = PaperDatasetImages
+	}
+	if c.Images > MaxImages {
+		return fmt.Errorf("train: %w: %d images, at most %d", ErrEpochTooLarge, c.Images, MaxImages)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -307,10 +304,7 @@ func New(cfg Config) (*Trainer, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	devs, err := deviceSet(cfg)
-	if err != nil {
-		return nil, err
-	}
+	devs := deviceSet(cfg.GPUs)
 	var tmpl *machineTemplate
 	spec := gpu.V100()
 	if cfg.Topology == nil && cfg.Faults.IsZero() {
@@ -340,6 +334,7 @@ func New(cfg Config) (*Trainer, error) {
 		if n := len(top.GPUs()); cfg.GPUs > n {
 			return nil, fmt.Errorf("train: topology has %d GPUs, requested %d", n, cfg.GPUs)
 		}
+		var err error
 		if tmpl, err = buildTemplate(top, devs, cfg.Method); err != nil {
 			return nil, err
 		}
@@ -363,10 +358,7 @@ func New(cfg Config) (*Trainer, error) {
 	// base spec.
 	specs := cfg.Faults.Specs(spec)
 	rt := tmpl.layout.NewRuntime(fab, spec, specs, cuda.DefaultCosts(), prof)
-	rt.SetRoutePolicy(cfg.RoutePolicy)
-	ncfg := nccl.DefaultConfig()
-	ncfg.Algorithm, ncfg.Protocol = cfg.NCCL.Algorithm, cfg.NCCL.Protocol
-	backend, err := kvstore.NewWithNCCL(cfg.Method, rt, tmpl.devs, ncfg, tmpl.rings)
+	backend, err := kvstore.New(cfg.Method, rt, tmpl.devs, cfg.NCCL, tmpl.rings)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +380,7 @@ func New(cfg Config) (*Trainer, error) {
 	t.grads = make([]layerGrad, 0, len(t.tables[0].updates))
 	switch cfg.Method {
 	case kvstore.MethodNCCL:
-		t.wires = wiresFor(tmpl, plan, ncfg, backend)
+		t.wires = wiresFor(tmpl, plan, cfg.NCCL, backend)
 	case kvstore.MethodP2P:
 		t.xchg.Adds = make([]time.Duration, len(t.devs))
 	}
@@ -412,40 +404,27 @@ func New(cfg Config) (*Trainer, error) {
 	return t, nil
 }
 
-// firstDevs is 0..maxTemplateDevs-1: every default device set is a
-// prefix of it, shared read-only.
-var firstDevs = func() []topology.NodeID {
-	devs := make([]topology.NodeID, maxTemplateDevs)
+// deviceSet returns the GPUs a run on n GPUs trains on, 0..n-1 (MXNet's
+// default assignment): a prefix of firstDevs, shared read-only.
+func deviceSet(n int) []topology.NodeID {
+	if n > len(firstDevs) {
+		// Only an override topology has more GPUs than the registry's
+		// largest machine.
+		return ascending(n)
+	}
+	return firstDevs[:n:n]
+}
+
+// firstDevs is 0..15, the GPUs of the registry's largest machine.
+var firstDevs = ascending(16)
+
+// ascending returns 0..n-1.
+func ascending(n int) []topology.NodeID {
+	devs := make([]topology.NodeID, n)
 	for i := range devs {
 		devs[i] = topology.NodeID(i)
 	}
 	return devs
-}()
-
-// deviceSet returns the GPUs a configuration trains on: Config.Devices
-// when pinned, else 0..GPUs-1. The result is read-only.
-func deviceSet(cfg Config) ([]topology.NodeID, error) {
-	if cfg.Devices == nil {
-		if cfg.GPUs <= len(firstDevs) {
-			return firstDevs[:cfg.GPUs:cfg.GPUs], nil
-		}
-		devs := make([]topology.NodeID, cfg.GPUs)
-		for i := range devs {
-			devs[i] = topology.NodeID(i)
-		}
-		return devs, nil
-	}
-	if len(cfg.Devices) != cfg.GPUs {
-		return nil, fmt.Errorf("train: %d devices pinned for %d GPUs", len(cfg.Devices), cfg.GPUs)
-	}
-	seen := map[topology.NodeID]bool{}
-	for _, d := range cfg.Devices {
-		if seen[d] {
-			return nil, fmt.Errorf("train: duplicate device %d", d)
-		}
-		seen[d] = true
-	}
-	return append([]topology.NodeID(nil), cfg.Devices...), nil
 }
 
 // runCut is where one backward run ends: end is one past its last kernel

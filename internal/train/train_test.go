@@ -402,7 +402,7 @@ func TestDetailProfileForTimeline(t *testing.T) {
 	if _, err := tr.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.rt.Profile().Intervals()) == 0 {
+	if len(tr.prof.Intervals()) == 0 {
 		t.Error("detail mode retained no intervals")
 	}
 }
@@ -489,5 +489,21 @@ func TestAllModelsRunAllMethods(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The paper: "some of the GPUs become idle during DNN training" under
+// P2P because of the GPU0 role and asymmetric links. GPU0 runs the
+// aggregation kernels, so it is strictly busier than every worker: the
+// spread between the busiest and least busy GPU is positive.
+func TestGPU0BusiestUnderP2P(t *testing.T) {
+	four := runQuick(t, "resnet", 4, 16, kvstore.MethodP2P)
+	for d, f := range four.GPUComputeBusy {
+		if d != 0 && f >= four.GPUComputeBusy[0] {
+			t.Errorf("GPU0 should be the busiest: %v", four.GPUComputeBusy)
+		}
+	}
+	if len(four.GPUComputeBusy) != 4 {
+		t.Errorf("busy map size = %d", len(four.GPUComputeBusy))
 	}
 }

@@ -1,7 +1,9 @@
 package train
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -17,6 +19,16 @@ import (
 // the rest up to the cap in closed form (SimulateWindow), byte for byte
 // as if it had simulated them.
 const DefaultSimIters = 4
+
+// MaxImages bounds an epoch's dataset size: 2^40, about 10^12 images,
+// millions of ImageNets, so an epoch's iteration count never overflows.
+const MaxImages int64 = 1 << 40
+
+// ErrEpochTooLarge reports an epoch too large to represent: more than
+// MaxImages images, or an epoch whose time, wall-time decomposition or
+// profile totals pass half of math.MaxInt64 (about 146 years in
+// nanoseconds).
+var ErrEpochTooLarge = errors.New("epoch too large")
 
 // Window is the compiled simulation artifact of one training
 // configuration, under any schedule: everything the steady-state
@@ -52,8 +64,10 @@ type Window struct {
 	simIters, nsim, simulated int
 	// passes is how many device passes the simulated iterations launched.
 	passes int64
-	// prof is the unscaled profile of the simulated window.
-	prof *profiler.Profile
+	// prof is the unscaled profile of the simulated window, and profMax
+	// its largest aggregates (Profile.Largest).
+	prof    *profiler.Profile
+	profMax profiler.Stat
 	// utilWeight is the occupancy-weighted kernel seconds of one
 	// iteration's plans (the ComputeUtilization numerator per iteration).
 	utilWeight float64
@@ -63,9 +77,6 @@ type Window struct {
 	devs  []topology.NodeID
 	busy  map[topology.NodeID]time.Duration
 }
-
-// Config returns the configuration the window was compiled from.
-func (w *Window) Config() Config { return w.cfg }
 
 // Simulated returns how many of the window's iterations were simulated:
 // at most its cap, fewer when the timing state turned periodic first.
@@ -199,6 +210,7 @@ func (t *Trainer) SimulateWindow() (*Window, error) {
 		simulated:  simulated,
 		passes:     t.passes,
 		prof:       prof,
+		profMax:    prof.Largest(),
 		utilWeight: t.tables[0].util,
 		setup:      t.setupTime(),
 		devs:       t.devs,
@@ -330,12 +342,18 @@ func (w *Window) Extrapolate(images int64) (*Result, error) {
 	if images <= 0 {
 		return nil, fmt.Errorf("train: an epoch needs images, got %d", images)
 	}
+	if images > MaxImages {
+		return nil, fmt.Errorf("train: %w: %d images, at most %d", ErrEpochTooLarge, images, MaxImages)
+	}
 	iters, nsim := Iterations(w.cfg.Parallelism, images, w.cfg.Batch, w.cfg.GPUs, w.simIters)
 	if nsim != w.nsim {
 		return nil, fmt.Errorf("train: window simulated %d iterations, an epoch of %d images simulates %d",
 			w.nsim, images, nsim)
 	}
 	remaining := iters - int64(nsim)
+	if w.overflows(iters, remaining) {
+		return nil, fmt.Errorf("train: %w: %d iterations of %v", ErrEpochTooLarge, iters, w.last.steady)
+	}
 	epoch := w.setupEnd + w.simTotal + time.Duration(remaining)*w.last.steady
 
 	cfg := w.cfg
@@ -381,6 +399,21 @@ func (w *Window) Extrapolate(images int64) (*Result, error) {
 	}
 	res.GPUComputeBusy = w.busyFractions(epoch)
 	return res, nil
+}
+
+// overflows reports whether extrapolating the window to iters
+// iterations, remaining of them past the window, takes the epoch, its
+// wall-time decomposition or a scaled profile aggregate past half of
+// math.MaxInt64. The margin covers float64 rounding and the sums reports
+// form of these values. It computes in float64, which cannot overflow.
+func (w *Window) overflows(iters, remaining int64) bool {
+	const limit = float64(math.MaxInt64 / 2)
+	it := w.last
+	walls := math.Abs(float64(it.fpEnd-it.start)) + math.Abs(float64(it.bpEnd-it.fpEnd)) + math.Abs(float64(it.barrier-it.bpEnd))
+	scale := float64(iters) / float64(max(w.nsim, 1))
+	return float64(w.setupEnd+w.simTotal)+float64(remaining)*float64(it.steady) > limit ||
+		float64(iters)*walls > limit ||
+		scale*float64(w.profMax.Total) > limit || scale*float64(w.profMax.Calls) > limit
 }
 
 // busyFractions extrapolates each device's compute-queue busy time from

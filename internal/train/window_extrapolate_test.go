@@ -2,6 +2,7 @@ package train
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
@@ -134,5 +135,54 @@ func TestExtrapolateRejectsEmptyEpoch(t *testing.T) {
 		if res, err := win.Extrapolate(images); err == nil {
 			t.Errorf("Extrapolate(%d) = %+v, want an error", images, res)
 		}
+	}
+}
+
+// An epoch past what int64 nanoseconds hold is ErrEpochTooLarge, never a
+// wrapped report: ResNet-50 at batch 1 on 8 GPUs over P2P takes about
+// 25 ms an iteration, so 10^12 images (1.25·10^11 iterations) is about
+// 100 years, and more than MaxImages images is rejected outright. The
+// failed calls leave the window as it was.
+func TestExtrapolateRejectsOverflow(t *testing.T) {
+	tr, err := New(quickCfg(t, "resnet", 8, 1, kvstore.MethodP2P))
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := tr.SimulateWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := win.Extrapolate(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, images := range []int64{1_000_000_000_000, MaxImages + 1, math.MaxInt64} {
+		if res, err := win.Extrapolate(images); !errors.Is(err, ErrEpochTooLarge) {
+			t.Errorf("Extrapolate(%d) = %+v, %v; want ErrEpochTooLarge", images, res, err)
+		}
+	}
+	got, err := win.Extrapolate(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.EpochTime != want.EpochTime || got.Profile.Summary() != want.Profile.Summary() {
+		t.Errorf("after the rejected epochs: epoch %v, want %v", got.EpochTime, want.EpochTime)
+	}
+	// A decade-long epoch still fits, with sane fractions.
+	res, err := win.Extrapolate(10_000_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EpochTime <= 0 || res.SyncPercent < 0 || res.SyncPercent > 100 || res.ComputeUtilization > 1 {
+		t.Errorf("10^10 images: epoch %v, sync %.1f%%, utilization %.3f", res.EpochTime, res.SyncPercent, res.ComputeUtilization)
+	}
+}
+
+// A configuration past MaxImages is rejected before anything is built.
+func TestNewRejectsImagesPastBound(t *testing.T) {
+	cfg := quickCfg(t, "lenet", 8, 16, kvstore.MethodNCCL)
+	cfg.Images = math.MaxInt64
+	if _, err := New(cfg); !errors.Is(err, ErrEpochTooLarge) {
+		t.Errorf("New(Images = MaxInt64) = %v, want ErrEpochTooLarge", err)
 	}
 }

@@ -38,9 +38,6 @@ func (b Bytes) String() string {
 // GiB returns the size as a float count of gibibytes.
 func (b Bytes) GiB() float64 { return float64(b) / float64(GB) }
 
-// MiB returns the size as a float count of mebibytes.
-func (b Bytes) MiB() float64 { return float64(b) / float64(MB) }
-
 // FLOPs counts floating-point operations (multiply and add count separately,
 // so one MAC is 2 FLOPs, matching how GPU vendor peak numbers are quoted).
 type FLOPs int64

@@ -86,12 +86,9 @@ func TestBytesOf(t *testing.T) {
 	}
 }
 
-func TestGiBMiB(t *testing.T) {
+func TestGiB(t *testing.T) {
 	if got := (16 * GB).GiB(); got != 16 {
 		t.Errorf("16GB.GiB() = %v, want 16", got)
-	}
-	if got := (GB).MiB(); got != 1024 {
-		t.Errorf("1GB.MiB() = %v, want 1024", got)
 	}
 }
 
