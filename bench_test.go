@@ -22,7 +22,6 @@ import (
 	"repro/internal/commbench"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/kvstore"
 	"repro/internal/nccl"
 	"repro/internal/service"
 	"repro/internal/topology"
@@ -56,7 +55,7 @@ func runExperiment(b *testing.B, id string) {
 }
 
 // epoch simulates one configuration and returns epoch seconds.
-func epoch(b *testing.B, model string, gpus, batch int, method kvstore.Method) float64 {
+func epoch(b *testing.B, model string, gpus, batch int, method train.Method) float64 {
 	b.Helper()
 	cfg, err := train.NewConfig(model, gpus, batch, method)
 	if err != nil {
@@ -93,10 +92,10 @@ func BenchmarkFig2Topology(b *testing.B) {
 // paper's headline speedup shapes as custom metrics.
 func BenchmarkFig3TrainingTime(b *testing.B) {
 	runExperiment(b, "fig3")
-	base := epoch(b, "lenet", 1, 16, kvstore.MethodP2P)
-	b.ReportMetric(base/epoch(b, "lenet", 8, 16, kvstore.MethodP2P), "lenet-p2p-8gpu-speedup")
-	p4 := epoch(b, "resnet", 4, 16, kvstore.MethodP2P)
-	n4 := epoch(b, "resnet", 4, 16, kvstore.MethodNCCL)
+	base := epoch(b, "lenet", 1, 16, train.MethodP2P)
+	b.ReportMetric(base/epoch(b, "lenet", 8, 16, train.MethodP2P), "lenet-p2p-8gpu-speedup")
+	p4 := epoch(b, "resnet", 4, 16, train.MethodP2P)
+	n4 := epoch(b, "resnet", 4, 16, train.MethodNCCL)
 	b.ReportMetric(p4/n4, "resnet-4gpu-nccl-advantage")
 }
 
@@ -104,8 +103,8 @@ func BenchmarkFig3TrainingTime(b *testing.B) {
 // overhead) and reports the paper's 21.8% LeNet anchor.
 func BenchmarkTable2NCCLOverhead(b *testing.B) {
 	runExperiment(b, "table2")
-	p := epoch(b, "lenet", 1, 16, kvstore.MethodP2P)
-	n := epoch(b, "lenet", 1, 16, kvstore.MethodNCCL)
+	p := epoch(b, "lenet", 1, 16, train.MethodP2P)
+	n := epoch(b, "lenet", 1, 16, train.MethodNCCL)
 	b.ReportMetric(100*(n-p)/p, "lenet-b16-overhead-%")
 }
 
@@ -137,7 +136,7 @@ func BenchmarkFig5WeakScaling(b *testing.B) {
 // ResNet-50 single-GPU epoch with and without it.
 func BenchmarkAblationTensorCores(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg, err := train.NewConfig("resnet", 1, 16, kvstore.MethodP2P)
+		cfg, err := train.NewConfig("resnet", 1, 16, train.MethodP2P)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +149,7 @@ func BenchmarkAblationTensorCores(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		on := epoch(b, "resnet", 1, 16, kvstore.MethodP2P)
+		on := epoch(b, "resnet", 1, 16, train.MethodP2P)
 		b.ReportMetric(off.EpochTime.Seconds()/on, "tensor-core-speedup")
 	}
 }
@@ -160,7 +159,7 @@ func BenchmarkAblationTensorCores(b *testing.B) {
 // schedule would expose (approximated by the sync-SGD barrier tail).
 func BenchmarkAblationBPWUOverlap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg, err := train.NewConfig("resnet", 8, 16, kvstore.MethodNCCL)
+		cfg, err := train.NewConfig("resnet", 8, 16, train.MethodNCCL)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,8 +179,8 @@ func BenchmarkAblationBPWUOverlap(b *testing.B) {
 // synchronous SGD for the communication-bound AlexNet at 4 GPUs.
 func BenchmarkAblationAsyncSGD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		syncT := epoch(b, "alexnet", 4, 16, kvstore.MethodP2P)
-		cfg, err := train.NewConfig("alexnet", 4, 16, kvstore.MethodP2P)
+		syncT := epoch(b, "alexnet", 4, 16, train.MethodP2P)
+		cfg, err := train.NewConfig("alexnet", 4, 16, train.MethodP2P)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +203,7 @@ func BenchmarkAblationAsyncSGD(b *testing.B) {
 func BenchmarkAblationInterconnect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(top *topology.Topology) float64 {
-			cfg, err := train.NewConfig("alexnet", 8, 16, kvstore.MethodNCCL)
+			cfg, err := train.NewConfig("alexnet", 8, 16, train.MethodNCCL)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -229,8 +228,8 @@ func BenchmarkAblationInterconnect(b *testing.B) {
 // data parallelism for the FC-heavy AlexNet (paper §I's contrast).
 func BenchmarkAblationModelParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		dp := epoch(b, "alexnet", 4, 64, kvstore.MethodP2P)
-		cfg, err := train.NewConfig("alexnet", 4, 64, kvstore.MethodP2P)
+		dp := epoch(b, "alexnet", 4, 64, train.MethodP2P)
+		cfg, err := train.NewConfig("alexnet", 4, 64, train.MethodP2P)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,8 +250,8 @@ func BenchmarkAblationModelParallel(b *testing.B) {
 // memory saved and the time paid for ResNet-50 at batch 32.
 func BenchmarkAblationCheckpointing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		plain := epoch(b, "resnet", 4, 32, kvstore.MethodNCCL)
-		cfg, err := train.NewConfig("resnet", 4, 32, kvstore.MethodNCCL)
+		plain := epoch(b, "resnet", 4, 32, train.MethodNCCL)
+		cfg, err := train.NewConfig("resnet", 4, 32, train.MethodNCCL)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,8 +273,8 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 // 3x3-dominated ResNet-50.
 func BenchmarkAblationWinograd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		plain := epoch(b, "resnet", 1, 32, kvstore.MethodP2P)
-		cfg, err := train.NewConfig("resnet", 1, 32, kvstore.MethodP2P)
+		plain := epoch(b, "resnet", 1, 32, train.MethodP2P)
+		cfg, err := train.NewConfig("resnet", 1, 32, train.MethodP2P)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,11 +295,11 @@ func BenchmarkAblationWinograd(b *testing.B) {
 // all-reduce bus bandwidth under both methods.
 func BenchmarkCommMicro(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		n, err := commbench.Measure(commbench.AllReduce, kvstore.MethodNCCL, 8, 256*units.MB)
+		n, err := commbench.Measure(commbench.AllReduce, train.MethodNCCL, 8, 256*units.MB)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := commbench.Measure(commbench.AllReduce, kvstore.MethodP2P, 8, 256*units.MB)
+		p, err := commbench.Measure(commbench.AllReduce, train.MethodP2P, 8, 256*units.MB)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +313,7 @@ func BenchmarkCommMicro(b *testing.B) {
 // that keeps the full sweeps tractable.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		epoch(b, "inception-v3", 8, 16, kvstore.MethodNCCL)
+		epoch(b, "inception-v3", 8, 16, train.MethodNCCL)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"repro/internal/dnn"
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/train"
 )
@@ -55,7 +54,7 @@ func main() {
 
 	fmt.Printf("%-6s %-8s %-14s %-12s %s\n", "gpus", "method", "epoch", "speedup", "exposed WU")
 	var base float64
-	for _, method := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL} {
+	for _, method := range []train.Method{train.MethodP2P, train.MethodNCCL} {
 		for _, gpus := range []int{1, 2, 4, 8} {
 			cfg := train.Config{
 				Model:       d,
@@ -72,7 +71,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if gpus == 1 && method == kvstore.MethodP2P {
+			if gpus == 1 && method == train.MethodP2P {
 				base = res.EpochTime.Seconds()
 			}
 			fmt.Printf("%-6d %-8s %-14v %-12.2f %v\n",

@@ -9,13 +9,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/kvstore"
 	"repro/internal/topology"
 	"repro/internal/train"
 )
 
 func epochOn(top *topology.Topology, model string) (*train.Result, error) {
-	cfg, err := train.NewConfig(model, 8, 16, kvstore.MethodNCCL)
+	cfg, err := train.NewConfig(model, 8, 16, train.MethodNCCL)
 	if err != nil {
 		return nil, err
 	}

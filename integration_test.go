@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/kvstore"
+	"repro/internal/train"
 )
 
 // Cross-layer consistency: the Figure 3 experiment's rendered cells must
@@ -40,7 +40,7 @@ func TestExperimentMatchesDirectRun(t *testing.T) {
 // each — the smoke test a release would gate on.
 func TestEndToEndSmoke(t *testing.T) {
 	for _, model := range core.Models() {
-		for _, method := range []core.Method{core.P2P, core.NCCL, kvstore.MethodLocal} {
+		for _, method := range []core.Method{core.P2P, core.NCCL, train.MethodLocal} {
 			r, err := core.Run(core.Workload{Model: model, GPUs: 2, Batch: 16, Method: method})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", model, method, err)

@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/train"
 )
 
@@ -87,7 +86,7 @@ type Job struct {
 	// Batch is the per-GPU mini-batch size.
 	Batch int `json:"batch"`
 	// Method is the communication method (default nccl).
-	Method kvstore.Method `json:"method,omitempty"`
+	Method train.Method `json:"method,omitempty"`
 	// Images per epoch (default: the paper's 256K).
 	Images int64 `json:"images,omitempty"`
 	// Arrival is the job's virtual arrival offset from trace start.

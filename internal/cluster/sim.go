@@ -17,9 +17,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/train"
 )
 
 // pendingJob is one queued arrival.
@@ -104,7 +104,7 @@ type priceKey struct {
 	model    string
 	gpus     int
 	batch    int
-	method   kvstore.Method
+	method   train.Method
 	images   int64
 	plan     *faults.Plan
 	hardware string

@@ -12,11 +12,11 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
-	"repro/internal/kvstore"
 	"repro/internal/nccl"
 	"repro/internal/p2p"
 	"repro/internal/profiler"
 	"repro/internal/topology"
+	"repro/internal/train"
 	"repro/internal/units"
 )
 
@@ -33,7 +33,7 @@ const (
 // Point is one measured configuration.
 type Point struct {
 	Op     Op
-	Method kvstore.Method
+	Method train.Method
 	GPUs   int
 	Size   units.Bytes
 	// Time is the end-to-end completion of one operation issued at t=0 on
@@ -56,7 +56,7 @@ func DefaultSizes() []units.Bytes {
 }
 
 // Measure times one operation on a fresh, idle DGX-1.
-func Measure(op Op, method kvstore.Method, gpus int, size units.Bytes) (Point, error) {
+func Measure(op Op, method train.Method, gpus int, size units.Bytes) (Point, error) {
 	return MeasureBurst(op, method, gpus, size, 1)
 }
 
@@ -66,7 +66,7 @@ func Measure(op Op, method kvstore.Method, gpus int, size units.Bytes) (Point, e
 // pipelining structure training exercises: the P2P chains of different
 // arrays overlap freely across links and copy engines, while NCCL
 // collectives serialize on the communicator's stream.
-func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, count int) (Point, error) {
+func MeasureBurst(op Op, method train.Method, gpus int, size units.Bytes, count int) (Point, error) {
 	if gpus < 1 || gpus > 8 {
 		return Point{}, fmt.Errorf("commbench: gpu count %d out of range", gpus)
 	}
@@ -85,7 +85,7 @@ func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, coun
 
 	var end time.Duration
 	switch method {
-	case kvstore.MethodNCCL:
+	case train.MethodNCCL:
 		comm, err := nccl.New(rt, devs, nccl.Selection{})
 		if err != nil {
 			return Point{}, err
@@ -96,7 +96,7 @@ func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, coun
 			case AllReduce:
 				e = comm.AllReduce(profiler.StageWU, size, 0)
 			case Broadcast:
-				e = comm.Broadcast(profiler.StageWU, size, devs[0], 0)
+				e = comm.Broadcast(profiler.StageWU, size, 0)
 			default:
 				return Point{}, fmt.Errorf("commbench: unknown op %q", op)
 			}
@@ -104,7 +104,7 @@ func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, coun
 				end = e
 			}
 		}
-	case kvstore.MethodP2P:
+	case train.MethodP2P:
 		eng2, err := p2p.New(rt, devs)
 		if err != nil {
 			return Point{}, err
@@ -154,11 +154,11 @@ func MeasureBurst(op Op, method kvstore.Method, gpus int, size units.Bytes, coun
 }
 
 // Sweep measures every (size x method) combination for one op and GPU
-// count, sizes ascending, methods in kvstore order.
+// count, sizes ascending, P2P before NCCL.
 func Sweep(op Op, gpus int, sizes []units.Bytes) ([]Point, error) {
 	var out []Point
 	for _, size := range sizes {
-		for _, m := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL} {
+		for _, m := range []train.Method{train.MethodP2P, train.MethodNCCL} {
 			p, err := Measure(op, m, gpus, size)
 			if err != nil {
 				return nil, err
@@ -181,11 +181,11 @@ const CrossoverBurst = 16
 // collectives serialize on their stream.
 func Crossover(gpus int, sizes []units.Bytes) (units.Bytes, error) {
 	for _, size := range sizes {
-		pp, err := MeasureBurst(AllReduce, kvstore.MethodP2P, gpus, size, CrossoverBurst)
+		pp, err := MeasureBurst(AllReduce, train.MethodP2P, gpus, size, CrossoverBurst)
 		if err != nil {
 			return 0, err
 		}
-		nc, err := MeasureBurst(AllReduce, kvstore.MethodNCCL, gpus, size, CrossoverBurst)
+		nc, err := MeasureBurst(AllReduce, train.MethodNCCL, gpus, size, CrossoverBurst)
 		if err != nil {
 			return 0, err
 		}

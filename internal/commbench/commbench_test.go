@@ -3,12 +3,12 @@ package commbench
 import (
 	"testing"
 
-	"repro/internal/kvstore"
+	"repro/internal/train"
 	"repro/internal/units"
 )
 
 func TestMeasureBasics(t *testing.T) {
-	p, err := Measure(AllReduce, kvstore.MethodNCCL, 4, 16*units.MB)
+	p, err := Measure(AllReduce, train.MethodNCCL, 4, 16*units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +23,11 @@ func TestMeasureBasics(t *testing.T) {
 }
 
 func TestBandwidthGrowsWithSize(t *testing.T) {
-	small, err := Measure(AllReduce, kvstore.MethodNCCL, 8, 64*units.KB)
+	small, err := Measure(AllReduce, train.MethodNCCL, 8, 64*units.KB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Measure(AllReduce, kvstore.MethodNCCL, 8, 64*units.MB)
+	big, err := Measure(AllReduce, train.MethodNCCL, 8, 64*units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestBandwidthGrowsWithSize(t *testing.T) {
 }
 
 func TestEightGPUBusBWApproachesRings(t *testing.T) {
-	p, err := Measure(AllReduce, kvstore.MethodNCCL, 8, 256*units.MB)
+	p, err := Measure(AllReduce, train.MethodNCCL, 8, 256*units.MB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestCrossoverStructure(t *testing.T) {
 		t.Errorf("NCCL should overtake earlier with more GPUs: 2-GPU %v vs 8-GPU %v", cross2, cross8)
 	}
 	// Below the 2-GPU crossover the ordering actually flips.
-	pSmall, err := MeasureBurst(AllReduce, kvstore.MethodP2P, 2, sizes[0], CrossoverBurst)
+	pSmall, err := MeasureBurst(AllReduce, train.MethodP2P, 2, sizes[0], CrossoverBurst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nSmall, err := MeasureBurst(AllReduce, kvstore.MethodNCCL, 2, sizes[0], CrossoverBurst)
+	nSmall, err := MeasureBurst(AllReduce, train.MethodNCCL, 2, sizes[0], CrossoverBurst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCrossoverStructure(t *testing.T) {
 }
 
 func TestBurstValidation(t *testing.T) {
-	if _, err := MeasureBurst(AllReduce, kvstore.MethodNCCL, 2, units.MB, 0); err == nil {
+	if _, err := MeasureBurst(AllReduce, train.MethodNCCL, 2, units.MB, 0); err == nil {
 		t.Error("zero burst should error")
 	}
 }
@@ -110,10 +110,10 @@ func TestSweepShape(t *testing.T) {
 }
 
 func TestMeasureValidation(t *testing.T) {
-	if _, err := Measure(AllReduce, kvstore.MethodNCCL, 0, units.MB); err == nil {
+	if _, err := Measure(AllReduce, train.MethodNCCL, 0, units.MB); err == nil {
 		t.Error("0 GPUs should error")
 	}
-	if _, err := Measure("scatter", kvstore.MethodNCCL, 2, units.MB); err == nil {
+	if _, err := Measure("scatter", train.MethodNCCL, 2, units.MB); err == nil {
 		t.Error("unknown op should error")
 	}
 	if _, err := Measure(AllReduce, "mpi", 2, units.MB); err == nil {
@@ -136,7 +136,7 @@ func TestDefaultSizesAscending(t *testing.T) {
 // Each measurement books on a fabric of its own, so repeating one gives
 // the same point: no traffic carries over between calls.
 func TestMeasureBurstRepeatable(t *testing.T) {
-	for _, m := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL} {
+	for _, m := range []train.Method{train.MethodP2P, train.MethodNCCL} {
 		first, err := MeasureBurst(AllReduce, m, 4, 16*units.MB, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestMeasureBurstRepeatable(t *testing.T) {
 // links and copy engines, so three of them take far less than three
 // times one.
 func TestBurstPipelining(t *testing.T) {
-	ratio := func(m kvstore.Method) float64 {
+	ratio := func(m train.Method) float64 {
 		one, err := MeasureBurst(AllReduce, m, 4, 16*units.MB, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -170,10 +170,10 @@ func TestBurstPipelining(t *testing.T) {
 		}
 		return three.Time.Seconds() / one.Time.Seconds()
 	}
-	if r := ratio(kvstore.MethodNCCL); r < 2.9 || r > 3 {
+	if r := ratio(train.MethodNCCL); r < 2.9 || r > 3 {
 		t.Errorf("NCCL burst of 3 = %.3f x one collective, want serialized (2.9-3)", r)
 	}
-	if r := ratio(kvstore.MethodP2P); r > 2.5 {
+	if r := ratio(train.MethodP2P); r > 2.5 {
 		t.Errorf("P2P burst of 3 = %.3f x one chain, want overlapped (< 2.5)", r)
 	}
 }

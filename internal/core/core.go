@@ -3,9 +3,9 @@
 // measurements the paper reports — epoch time, FP+BP/WU breakdown, memory
 // usage, CUDA-API overheads, and method comparisons.
 //
-// It is a thin, stable facade over the simulation stack (train, kvstore,
-// nccl, p2p, cuda, gpu, interconnect, topology, sim); programs needing
-// finer control use those packages directly.
+// It is a thin, stable facade over the simulation stack (train, nccl,
+// p2p, cuda, gpu, interconnect, topology, sim); programs needing finer
+// control use those packages directly.
 package core
 
 import (
@@ -18,7 +18,6 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/faults"
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/memmodel"
 	"repro/internal/models"
 	"repro/internal/obs"
@@ -27,12 +26,12 @@ import (
 )
 
 // Method names a communication method.
-type Method = kvstore.Method
+type Method = train.Method
 
 // Communication methods.
 const (
-	P2P  = kvstore.MethodP2P
-	NCCL = kvstore.MethodNCCL
+	P2P  = train.MethodP2P
+	NCCL = train.MethodNCCL
 )
 
 // Workload describes one training configuration.

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/nccl"
 	"repro/internal/train"
@@ -36,7 +35,7 @@ func (w Workload) Validate() error {
 		return fmt.Errorf("core: batch size %d must be positive", w.Batch)
 	}
 	switch w.Method {
-	case "", P2P, NCCL, kvstore.MethodLocal:
+	case "", P2P, NCCL, train.MethodLocal:
 	default:
 		return fmt.Errorf("core: unknown method %q (p2p, nccl, or local)", w.Method)
 	}

@@ -208,8 +208,8 @@ type WeightedLayer struct {
 }
 
 // WeightedLayers returns the network's parameter arrays in forward order.
-// Backpropagation produces their gradients in reverse order; the kvstore
-// keys gradient pushes by these entries, as MXNet keys by NDArray.
+// Backpropagation produces their gradients in reverse order; the trainer
+// exchanges one array per entry, as MXNet's kvstore keys by NDArray.
 func (n *Network) WeightedLayers() []WeightedLayer {
 	var out []WeightedLayer
 	for _, nd := range n.nodes {

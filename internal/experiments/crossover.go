@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kvstore"
 	"repro/internal/report"
+	"repro/internal/train"
 )
 
 // crossoverModels are the networks whose P2P-vs-NCCL gap the paper's
@@ -29,7 +29,7 @@ var crossoverHardware = []string{"dgx1", "dgx2"}
 func Crossover(opt Options) ([]*report.Table, error) {
 	opt.normalize()
 
-	run := func(model, hardware string, method kvstore.Method, protocol string) (time.Duration, error) {
+	run := func(model, hardware string, method train.Method, protocol string) (time.Duration, error) {
 		res, err := core.Simulate(core.Workload{
 			Model: model, GPUs: 8, Batch: 16, Method: method,
 			Images: opt.Images, Hardware: hardware, Protocol: protocol,
@@ -44,11 +44,11 @@ func Crossover(opt Options) ([]*report.Table, error) {
 		"Model", "Hardware", "P2P", "NCCL", "NCCL/P2P")
 	for _, model := range crossoverModels {
 		for _, hw := range crossoverHardware {
-			p2p, err := run(model, hw, kvstore.MethodP2P, "")
+			p2p, err := run(model, hw, train.MethodP2P, "")
 			if err != nil {
 				return nil, err
 			}
-			nccl, err := run(model, hw, kvstore.MethodNCCL, "")
+			nccl, err := run(model, hw, train.MethodNCCL, "")
 			if err != nil {
 				return nil, err
 			}
@@ -62,7 +62,7 @@ func Crossover(opt Options) ([]*report.Table, error) {
 		"Protocol", "Epoch", "vs simple")
 	var simple time.Duration
 	for _, proto := range []string{"simple", "ll", "ll128", "auto"} {
-		d, err := run("alexnet", "dgx2", kvstore.MethodNCCL, proto)
+		d, err := run("alexnet", "dgx2", train.MethodNCCL, proto)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/kvstore"
+	"repro/internal/train"
 )
 
 // The experiment's headline claim, pinned: for every model it sweeps,
@@ -14,7 +14,7 @@ import (
 // crossbar than on the DGX-1's asymmetric cube-mesh. Measured on the
 // exact workloads the experiment renders (8 GPUs, batch 16).
 func TestCrossoverGapNarrowsOnDGX2(t *testing.T) {
-	epoch := func(model, hw string, method kvstore.Method) float64 {
+	epoch := func(model, hw string, method train.Method) float64 {
 		t.Helper()
 		res, err := core.Simulate(core.Workload{
 			Model: model, GPUs: 8, Batch: 16, Method: method, Images: 16384, Hardware: hw,
@@ -26,7 +26,7 @@ func TestCrossoverGapNarrowsOnDGX2(t *testing.T) {
 	}
 	for _, model := range crossoverModels {
 		gap := func(hw string) float64 {
-			return math.Abs(math.Log(epoch(model, hw, kvstore.MethodNCCL) / epoch(model, hw, kvstore.MethodP2P)))
+			return math.Abs(math.Log(epoch(model, hw, train.MethodNCCL) / epoch(model, hw, train.MethodP2P)))
 		}
 		dgx1, dgx2 := gap("dgx1"), gap("dgx2")
 		if dgx2 >= dgx1 {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kvstore"
 	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -143,7 +142,7 @@ var (
 	// GPUCounts the paper sweeps.
 	GPUCounts = []int{1, 2, 4, 8}
 	// Methods the paper compares.
-	Methods = []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL}
+	Methods = []train.Method{train.MethodP2P, train.MethodNCCL}
 )
 
 // parMap fans an n-configuration sweep out on opt.Workers goroutines
@@ -176,7 +175,7 @@ func parMap[T any](opt Options, n int, fn func(i int) (T, error)) ([]T, error) {
 // runOne simulates a single configuration through the core artifact
 // layer, so a sweep revisiting a configuration (or only varying the
 // dataset size) reuses its compiled window instead of re-simulating it.
-func runOne(model string, gpus, batch int, method kvstore.Method, images int64) (*train.Result, error) {
+func runOne(model string, gpus, batch int, method train.Method, images int64) (*train.Result, error) {
 	return core.Simulate(core.Workload{Model: model, GPUs: gpus, Batch: batch, Method: method, Images: images})
 }
 
@@ -188,7 +187,7 @@ type measured struct {
 
 // measure runs a configuration and expands it to the repeated-run summary
 // the paper's error bars come from.
-func measure(opt Options, model string, gpus, batch int, method kvstore.Method, images int64) (measured, error) {
+func measure(opt Options, model string, gpus, batch int, method train.Method, images int64) (measured, error) {
 	res, err := runOne(model, gpus, batch, method, images)
 	if err != nil {
 		return measured{}, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/profiler"
 	"repro/internal/report"
@@ -77,7 +76,7 @@ type trackStage struct {
 // inspection.
 func Fig1(opt Options) ([]*report.Table, error) {
 	opt.normalize()
-	cfg, err := train.NewConfig("googlenet", 4, 16, kvstore.MethodNCCL)
+	cfg, err := train.NewConfig("googlenet", 4, 16, train.MethodNCCL)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +140,7 @@ func Fig3(opt Options) ([]*report.Table, error) {
 	opt.normalize()
 	type cfg struct {
 		model  string
-		method kvstore.Method
+		method train.Method
 		batch  int
 		gpus   int
 	}
@@ -210,7 +209,7 @@ func Fig4(opt Options) ([]*report.Table, error) {
 	}
 	results, err := parMap(opt, len(cfgs), func(i int) (*train.Result, error) {
 		c := cfgs[i]
-		return runOne(c.model, c.gpus, c.batch, kvstore.MethodNCCL, opt.Images)
+		return runOne(c.model, c.gpus, c.batch, train.MethodNCCL, opt.Images)
 	})
 	if err != nil {
 		return nil, err
@@ -252,7 +251,7 @@ func Fig5(opt Options) ([]*report.Table, error) {
 	opt.normalize()
 	type cfg struct {
 		model       string
-		method      kvstore.Method
+		method      train.Method
 		batch, gpus int
 	}
 	type pair struct {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/report"
 	"repro/internal/topology"
 	"repro/internal/train"
@@ -19,7 +18,7 @@ import (
 func Hardware(opt Options) ([]*report.Table, error) {
 	opt.normalize()
 
-	run := func(top *topology.Topology, spec *gpu.Spec, tensor bool, method kvstore.Method, model string, gpus int) (time.Duration, error) {
+	run := func(top *topology.Topology, spec *gpu.Spec, tensor bool, method train.Method, model string, gpus int) (time.Duration, error) {
 		cfg, err := train.NewConfig(model, gpus, 16, method)
 		if err != nil {
 			return 0, err
@@ -58,7 +57,7 @@ func Hardware(opt Options) ([]*report.Table, error) {
 	for _, m := range machines {
 		row := []string{m.name}
 		for _, model := range []string{"lenet", "alexnet", "resnet"} {
-			d, err := run(m.top, m.spec, m.tensor, kvstore.MethodNCCL, model, 8)
+			d, err := run(m.top, m.spec, m.tensor, train.MethodNCCL, model, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -71,12 +70,12 @@ func Hardware(opt Options) ([]*report.Table, error) {
 	m2 := report.NewTable("Transport baselines: AlexNet epoch at 4 GPUs, batch 16 (Volta DGX-1)",
 		"kvstore", "Epoch", "vs local")
 	var local time.Duration
-	for _, method := range []kvstore.Method{kvstore.MethodLocal, kvstore.MethodP2P, kvstore.MethodNCCL} {
+	for _, method := range []train.Method{train.MethodLocal, train.MethodP2P, train.MethodNCCL} {
 		d, err := run(topology.DGX1(), nil, true, method, "alexnet", 4)
 		if err != nil {
 			return nil, err
 		}
-		if method == kvstore.MethodLocal {
+		if method == train.MethodLocal {
 			local = d
 		}
 		m2.AddRow(string(method), fmtDur(d), fmt.Sprintf("%.2fx", local.Seconds()/d.Seconds()))

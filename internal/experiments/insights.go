@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/kvstore"
 	"repro/internal/memmodel"
 	"repro/internal/models"
 	"repro/internal/report"
@@ -27,7 +26,7 @@ func Insights(opt Options) ([]*report.Table, error) {
 		run   func() (string, bool, error)
 	}
 
-	epoch := func(model string, gpus, batch int, m kvstore.Method) (time.Duration, error) {
+	epoch := func(model string, gpus, batch int, m train.Method) (time.Duration, error) {
 		r, err := runOne(model, gpus, batch, m, opt.Images)
 		if err != nil {
 			return 0, err
@@ -39,19 +38,19 @@ func Insights(opt Options) ([]*report.Table, error) {
 		{
 			claim: "Increasing batch size reduces epoch time; ~linearly for LeNet (V-A)",
 			run: func() (string, bool, error) {
-				l16, err := epoch("lenet", 4, 16, kvstore.MethodP2P)
+				l16, err := epoch("lenet", 4, 16, train.MethodP2P)
 				if err != nil {
 					return "", false, err
 				}
-				l64, err := epoch("lenet", 4, 64, kvstore.MethodP2P)
+				l64, err := epoch("lenet", 4, 64, train.MethodP2P)
 				if err != nil {
 					return "", false, err
 				}
-				g16, err := epoch("googlenet", 4, 16, kvstore.MethodNCCL)
+				g16, err := epoch("googlenet", 4, 16, train.MethodNCCL)
 				if err != nil {
 					return "", false, err
 				}
-				g64, err := epoch("googlenet", 4, 64, kvstore.MethodNCCL)
+				g64, err := epoch("googlenet", 4, 64, train.MethodNCCL)
 				if err != nil {
 					return "", false, err
 				}
@@ -70,11 +69,11 @@ func Insights(opt Options) ([]*report.Table, error) {
 				ok := true
 				worst := 0.0
 				for _, g := range []int{1, 2, 4, 8} {
-					p, err := epoch("lenet", g, 16, kvstore.MethodP2P)
+					p, err := epoch("lenet", g, 16, train.MethodP2P)
 					if err != nil {
 						return "", false, err
 					}
-					n, err := epoch("lenet", g, 16, kvstore.MethodNCCL)
+					n, err := epoch("lenet", g, 16, train.MethodNCCL)
 					if err != nil {
 						return "", false, err
 					}
@@ -92,19 +91,19 @@ func Insights(opt Options) ([]*report.Table, error) {
 		{
 			claim: "NCCL beats P2P for compute-intensive nets at 4 and 8 GPUs (V-A)",
 			run: func() (string, bool, error) {
-				p4, err := epoch("inception-v3", 4, 16, kvstore.MethodP2P)
+				p4, err := epoch("inception-v3", 4, 16, train.MethodP2P)
 				if err != nil {
 					return "", false, err
 				}
-				n4, err := epoch("inception-v3", 4, 16, kvstore.MethodNCCL)
+				n4, err := epoch("inception-v3", 4, 16, train.MethodNCCL)
 				if err != nil {
 					return "", false, err
 				}
-				p8, err := epoch("inception-v3", 8, 16, kvstore.MethodP2P)
+				p8, err := epoch("inception-v3", 8, 16, train.MethodP2P)
 				if err != nil {
 					return "", false, err
 				}
-				n8, err := epoch("inception-v3", 8, 16, kvstore.MethodNCCL)
+				n8, err := epoch("inception-v3", 8, 16, train.MethodNCCL)
 				if err != nil {
 					return "", false, err
 				}
@@ -116,11 +115,11 @@ func Insights(opt Options) ([]*report.Table, error) {
 		{
 			claim: "NCCL overhead cannot be amortized for small nets on one GPU (V-B)",
 			run: func() (string, bool, error) {
-				p, err := epoch("lenet", 1, 16, kvstore.MethodP2P)
+				p, err := epoch("lenet", 1, 16, train.MethodP2P)
 				if err != nil {
 					return "", false, err
 				}
-				n, err := epoch("lenet", 1, 16, kvstore.MethodNCCL)
+				n, err := epoch("lenet", 1, 16, train.MethodNCCL)
 				if err != nil {
 					return "", false, err
 				}
@@ -131,7 +130,7 @@ func Insights(opt Options) ([]*report.Table, error) {
 		{
 			claim: "Computation (FP+BP) dominates training as GPUs increase (V-C)",
 			run: func() (string, bool, error) {
-				r, err := runOne("resnet", 8, 16, kvstore.MethodNCCL, opt.Images)
+				r, err := runOne("resnet", 8, 16, train.MethodNCCL, opt.Images)
 				if err != nil {
 					return "", false, err
 				}
@@ -142,7 +141,7 @@ func Insights(opt Options) ([]*report.Table, error) {
 		{
 			claim: "cudaStreamSynchronize dominates LeNet's API time (V-C)",
 			run: func() (string, bool, error) {
-				r, err := runOne("lenet", 4, 16, kvstore.MethodNCCL, opt.Images)
+				r, err := runOne("lenet", 4, 16, train.MethodNCCL, opt.Images)
 				if err != nil {
 					return "", false, err
 				}
@@ -180,11 +179,11 @@ func Insights(opt Options) ([]*report.Table, error) {
 		{
 			claim: "Weak scaling beats strong scaling, most for LeNet (V-E)",
 			run: func() (string, bool, error) {
-				strong, err := runOne("lenet", 8, 32, kvstore.MethodP2P, opt.Images)
+				strong, err := runOne("lenet", 8, 32, train.MethodP2P, opt.Images)
 				if err != nil {
 					return "", false, err
 				}
-				weak, err := runOne("lenet", 8, 32, kvstore.MethodP2P, opt.Images*8)
+				weak, err := runOne("lenet", 8, 32, train.MethodP2P, opt.Images*8)
 				if err != nil {
 					return "", false, err
 				}
@@ -196,7 +195,7 @@ func Insights(opt Options) ([]*report.Table, error) {
 			claim: "Raising interconnect bandwidth alone cannot remove the bottleneck (VI)",
 			run: func() (string, bool, error) {
 				run := func(top *topology.Topology) (*train.Result, error) {
-					cfg, err := train.NewConfig("lenet", 8, 16, kvstore.MethodNCCL)
+					cfg, err := train.NewConfig("lenet", 8, 16, train.MethodNCCL)
 					if err != nil {
 						return nil, err
 					}
@@ -231,7 +230,7 @@ func Insights(opt Options) ([]*report.Table, error) {
 				// average) should shrink by a larger factor than LeNet
 				// (12K/layer).
 				wu := func(model string, g int) (float64, error) {
-					r, err := runOne(model, g, 16, kvstore.MethodNCCL, opt.Images)
+					r, err := runOne(model, g, 16, train.MethodNCCL, opt.Images)
 					if err != nil {
 						return 0, err
 					}
@@ -261,7 +260,7 @@ func Insights(opt Options) ([]*report.Table, error) {
 		check{
 			claim: "GPU0 is the multi-GPU bottleneck under P2P (V-A, IV-D)",
 			run: func() (string, bool, error) {
-				r, err := runOne("resnet", 4, 16, kvstore.MethodP2P, opt.Images)
+				r, err := runOne("resnet", 4, 16, train.MethodP2P, opt.Images)
 				if err != nil {
 					return "", false, err
 				}
@@ -282,11 +281,11 @@ func Insights(opt Options) ([]*report.Table, error) {
 				// Inception-v3 (189 arrays) keeps its 1-GPU overhead far
 				// below LeNet's (10 arrays) in relative terms.
 				ov := func(model string) (float64, error) {
-					p, err := epoch(model, 1, 16, kvstore.MethodP2P)
+					p, err := epoch(model, 1, 16, train.MethodP2P)
 					if err != nil {
 						return 0, err
 					}
-					n, err := epoch(model, 1, 16, kvstore.MethodNCCL)
+					n, err := epoch(model, 1, 16, train.MethodNCCL)
 					if err != nil {
 						return 0, err
 					}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/nccl"
 	"repro/internal/report"
@@ -23,7 +22,7 @@ func Optimizations(opt Options) ([]*report.Table, error) {
 		"Network", "Baseline (rings, per-array)", "+bucketing (1MB)", "+tree", "+both", "Best speedup")
 
 	variant := func(model string, bucket units.Bytes, tree bool) (time.Duration, error) {
-		cfg, err := train.NewConfig(model, 8, 16, kvstore.MethodNCCL)
+		cfg, err := train.NewConfig(model, 8, 16, train.MethodNCCL)
 		if err != nil {
 			return 0, err
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/report"
 	"repro/internal/train"
 )
@@ -68,7 +67,7 @@ func Resilience(opt Options) ([]*report.Table, error) {
 			Model:  model,
 			GPUs:   gpus,
 			Batch:  batch,
-			Method: kvstore.MethodNCCL,
+			Method: train.MethodNCCL,
 			Images: opt.Images,
 			Faults: scenarios[i].plan,
 		})

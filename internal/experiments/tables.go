@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/kvstore"
 	"repro/internal/memmodel"
 	"repro/internal/models"
 	"repro/internal/report"
@@ -52,11 +51,11 @@ func Table2(opt Options) ([]*report.Table, error) {
 	}
 	results, err := parMap(opt, len(cfgs), func(i int) (pair, error) {
 		c := cfgs[i]
-		p, err := runOne(c.model, 1, c.batch, kvstore.MethodP2P, opt.Images)
+		p, err := runOne(c.model, 1, c.batch, train.MethodP2P, opt.Images)
 		if err != nil {
 			return pair{}, err
 		}
-		n, err := runOne(c.model, 1, c.batch, kvstore.MethodNCCL, opt.Images)
+		n, err := runOne(c.model, 1, c.batch, train.MethodNCCL, opt.Images)
 		if err != nil {
 			return pair{}, err
 		}
@@ -92,7 +91,7 @@ func Table3(opt Options) ([]*report.Table, error) {
 		}
 	}
 	results, err := parMap(opt, len(cfgs), func(i int) (*train.Result, error) {
-		return runOne("lenet", cfgs[i].gpus, cfgs[i].batch, kvstore.MethodNCCL, opt.Images)
+		return runOne("lenet", cfgs[i].gpus, cfgs[i].batch, train.MethodNCCL, opt.Images)
 	})
 	if err != nil {
 		return nil, err

@@ -379,8 +379,9 @@ func (c *Communicator) AllReducePriced(stage profiler.Stage, w Wire, ready time.
 	return c.run(stage, collAllReduce, ready, w.AllReduce)
 }
 
-// Broadcast sends size bytes from the root to all ranks.
-func (c *Communicator) Broadcast(stage profiler.Stage, size units.Bytes, root topology.NodeID, ready time.Duration) time.Duration {
+// Broadcast sends size bytes from the first rank to all ranks: the ring
+// broadcast starts at devs[0].
+func (c *Communicator) Broadcast(stage profiler.Stage, size units.Bytes, ready time.Duration) time.Duration {
 	return c.run(stage, collBroadcast, ready, c.broadcastWire(size))
 }
 

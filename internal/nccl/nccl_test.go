@@ -157,7 +157,7 @@ func TestBroadcastCheaperThanAllReduce(t *testing.T) {
 	a, _ := newComm(t, gpus(8))
 	ar := a.AllReduce(profiler.StageWU, 100*units.MB, 0)
 	b, _ := newComm(t, gpus(8))
-	bc := b.Broadcast(profiler.StageWU, 100*units.MB, 0, 0)
+	bc := b.Broadcast(profiler.StageWU, 100*units.MB, 0)
 	if bc >= ar {
 		t.Errorf("broadcast (%v) should be cheaper than allreduce (%v)", bc, ar)
 	}
@@ -184,7 +184,7 @@ func TestCollectiveWaitsForReady(t *testing.T) {
 func TestKernelsRecorded(t *testing.T) {
 	c, prof := newComm(t, gpus(4))
 	c.AllReduce(profiler.StageWU, units.MB, 0)
-	c.Broadcast(profiler.StageWU, units.MB, 0, 0)
+	c.Broadcast(profiler.StageWU, units.MB, 0)
 	if prof.Kernel(KernelAllReduce).Calls != 4 {
 		t.Errorf("allreduce kernels = %d, want 4 (one per rank)", prof.Kernel(KernelAllReduce).Calls)
 	}

@@ -51,9 +51,6 @@ func New(rt *cuda.Runtime, devs []topology.NodeID) (*Engine, error) {
 	}, nil
 }
 
-// Root returns the aggregation root.
-func (e *Engine) Root() topology.NodeID { return e.devs[0] }
-
 // Size returns the number of devices.
 func (e *Engine) Size() int { return len(e.devs) }
 

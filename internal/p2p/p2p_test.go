@@ -163,7 +163,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Root() != 0 || e.Size() != 1 {
-		t.Error("root/size wrong")
+	if e.Size() != 1 {
+		t.Error("size wrong")
 	}
 }

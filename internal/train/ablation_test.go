@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/topology"
 )
 
-func runOnTopology(t *testing.T, top *topology.Topology, model string, gpus, batch int, method kvstore.Method) *Result {
+func runOnTopology(t *testing.T, top *topology.Topology, model string, gpus, batch int, method Method) *Result {
 	t.Helper()
 	cfg := quickCfg(t, model, gpus, batch, method)
 	cfg.Topology = top
@@ -26,8 +25,8 @@ func runOnTopology(t *testing.T, top *topology.Topology, model string, gpus, bat
 // The PCIe-only machine must train large networks visibly slower at high
 // GPU counts (the NVLink-vs-PCIe comparisons the paper cites).
 func TestPCIeOnlyTopologySlower(t *testing.T) {
-	nv := runOnTopology(t, topology.DGX1(), "alexnet", 8, 16, kvstore.MethodNCCL)
-	pcie := runOnTopology(t, topology.DGX1PCIeOnly(), "alexnet", 8, 16, kvstore.MethodNCCL)
+	nv := runOnTopology(t, topology.DGX1(), "alexnet", 8, 16, MethodNCCL)
+	pcie := runOnTopology(t, topology.DGX1PCIeOnly(), "alexnet", 8, 16, MethodNCCL)
 	if float64(pcie.EpochTime) < 1.2*float64(nv.EpochTime) {
 		t.Errorf("PCIe-only (%v) should be much slower than NVLink (%v)", pcie.EpochTime, nv.EpochTime)
 	}
@@ -38,8 +37,8 @@ func TestPCIeOnlyTopologySlower(t *testing.T) {
 // remain). For LeNet, 4x NVLink bandwidth must leave the WU wall nearly
 // unchanged.
 func TestBandwidthAloneDoesNotFixLeNet(t *testing.T) {
-	base := runOnTopology(t, topology.DGX1(), "lenet", 8, 16, kvstore.MethodNCCL)
-	fat := runOnTopology(t, topology.DGX1Scaled(4), "lenet", 8, 16, kvstore.MethodNCCL)
+	base := runOnTopology(t, topology.DGX1(), "lenet", 8, 16, MethodNCCL)
+	fat := runOnTopology(t, topology.DGX1Scaled(4), "lenet", 8, 16, MethodNCCL)
 	if base.WUWall <= 0 {
 		t.Fatal("expected exposed WU for LeNet")
 	}
@@ -52,8 +51,8 @@ func TestBandwidthAloneDoesNotFixLeNet(t *testing.T) {
 // For the bandwidth-bound AlexNet, more bandwidth genuinely helps — the
 // contrast that makes the LeNet result meaningful.
 func TestBandwidthHelpsAlexNet(t *testing.T) {
-	base := runOnTopology(t, topology.DGX1(), "alexnet", 8, 16, kvstore.MethodNCCL)
-	fat := runOnTopology(t, topology.DGX1Scaled(4), "alexnet", 8, 16, kvstore.MethodNCCL)
+	base := runOnTopology(t, topology.DGX1(), "alexnet", 8, 16, MethodNCCL)
+	fat := runOnTopology(t, topology.DGX1Scaled(4), "alexnet", 8, 16, MethodNCCL)
 	if float64(fat.EpochTime) > 0.85*float64(base.EpochTime) {
 		t.Errorf("4x bandwidth should speed AlexNet up substantially: %v vs %v", fat.EpochTime, base.EpochTime)
 	}
@@ -77,7 +76,7 @@ func TestScaledTopologyValidates(t *testing.T) {
 }
 
 func TestGPUSpecOverride(t *testing.T) {
-	cfg := quickCfg(t, "resnet", 1, 16, kvstore.MethodP2P)
+	cfg := quickCfg(t, "resnet", 1, 16, MethodP2P)
 	spec := *mustSpec()
 	spec.PeakFP32 /= 2
 	spec.PeakTensor /= 2
@@ -90,7 +89,7 @@ func TestGPUSpecOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := runQuick(t, "resnet", 1, 16, kvstore.MethodP2P)
+	fast := runQuick(t, "resnet", 1, 16, MethodP2P)
 	if slow.EpochTime <= fast.EpochTime {
 		t.Errorf("half-rate GPU (%v) should be slower (%v)", slow.EpochTime, fast.EpochTime)
 	}

@@ -31,7 +31,7 @@ func (t *Trainer) beginAsync() (time.Duration, iteration, error) {
 		return 0, nil, err
 	}
 	t.carried = clock
-	root := t.backend.Root()
+	root := t.devs[0]
 	var n, last time.Duration
 	return setupEnd, func(time.Duration) (iterTimes, error) {
 		n++

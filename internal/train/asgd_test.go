@@ -2,13 +2,11 @@ package train
 
 import (
 	"testing"
-
-	"repro/internal/kvstore"
 )
 
 func runAsync(t *testing.T, model string, gpus, batch int) *Result {
 	t.Helper()
-	cfg := quickCfg(t, model, gpus, batch, kvstore.MethodP2P)
+	cfg := quickCfg(t, model, gpus, batch, MethodP2P)
 	cfg.Async = true
 	tr, err := New(cfg)
 	if err != nil {
@@ -24,7 +22,7 @@ func runAsync(t *testing.T, model string, gpus, batch int) *Result {
 // With one GPU there is nothing to desynchronize: async and sync schedules
 // must land within a whisker of each other.
 func TestAsyncSingleGPUMatchesSync(t *testing.T) {
-	syncR := runQuick(t, "googlenet", 1, 16, kvstore.MethodP2P)
+	syncR := runQuick(t, "googlenet", 1, 16, MethodP2P)
 	asyncR := runAsync(t, "googlenet", 1, 16)
 	ratio := asyncR.EpochTime.Seconds() / syncR.EpochTime.Seconds()
 	if ratio < 0.9 || ratio > 1.1 {
@@ -35,7 +33,7 @@ func TestAsyncSingleGPUMatchesSync(t *testing.T) {
 // The barrier is what ASGD removes: for the communication-bound AlexNet
 // the async schedule must be clearly faster at high GPU counts.
 func TestAsyncRemovesBarrierCost(t *testing.T) {
-	syncR := runQuick(t, "alexnet", 4, 16, kvstore.MethodP2P)
+	syncR := runQuick(t, "alexnet", 4, 16, MethodP2P)
 	asyncR := runAsync(t, "alexnet", 4, 16)
 	speedup := syncR.EpochTime.Seconds() / asyncR.EpochTime.Seconds()
 	if speedup < 1.1 {
@@ -46,7 +44,7 @@ func TestAsyncRemovesBarrierCost(t *testing.T) {
 // Async iterations still do all the work: same kernel counts per epoch as
 // the synchronous schedule (only the waiting differs).
 func TestAsyncSameWorkDifferentWaiting(t *testing.T) {
-	syncR := runQuick(t, "lenet", 4, 16, kvstore.MethodP2P)
+	syncR := runQuick(t, "lenet", 4, 16, MethodP2P)
 	asyncR := runAsync(t, "lenet", 4, 16)
 	if syncR.Iterations != asyncR.Iterations {
 		t.Fatalf("iteration counts differ: %d vs %d", syncR.Iterations, asyncR.Iterations)

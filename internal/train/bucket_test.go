@@ -3,12 +3,11 @@ package train
 import (
 	"testing"
 
-	"repro/internal/kvstore"
 	"repro/internal/nccl"
 	"repro/internal/units"
 )
 
-func runBucketed(t *testing.T, model string, gpus, batch int, method kvstore.Method, bucket units.Bytes) *Result {
+func runBucketed(t *testing.T, model string, gpus, batch int, method Method, bucket units.Bytes) *Result {
 	t.Helper()
 	cfg := quickCfg(t, model, gpus, batch, method)
 	cfg.BucketBytes = bucket
@@ -27,8 +26,8 @@ func runBucketed(t *testing.T, model string, gpus, batch int, method kvstore.Met
 // fusing LeNet's tiny per-layer exchanges amortizes the per-operation
 // costs that dominate its WU stage.
 func TestBucketingHelpsLeNetNCCL(t *testing.T) {
-	plain := runQuick(t, "lenet", 8, 16, kvstore.MethodNCCL)
-	bucketed := runBucketed(t, "lenet", 8, 16, kvstore.MethodNCCL, units.MB)
+	plain := runQuick(t, "lenet", 8, 16, MethodNCCL)
+	bucketed := runBucketed(t, "lenet", 8, 16, MethodNCCL, units.MB)
 	if bucketed.WUWall >= plain.WUWall {
 		t.Errorf("bucketed WU (%v) should be below per-array WU (%v)", bucketed.WUWall, plain.WUWall)
 	}
@@ -40,8 +39,8 @@ func TestBucketingHelpsLeNetNCCL(t *testing.T) {
 // For a bandwidth-bound model the same bucket size changes little: the
 // wire time dominates either way.
 func TestBucketingMarginalForAlexNet(t *testing.T) {
-	plain := runQuick(t, "alexnet", 8, 16, kvstore.MethodNCCL)
-	bucketed := runBucketed(t, "alexnet", 8, 16, kvstore.MethodNCCL, units.MB)
+	plain := runQuick(t, "alexnet", 8, 16, MethodNCCL)
+	bucketed := runBucketed(t, "alexnet", 8, 16, MethodNCCL, units.MB)
 	ratio := plain.EpochTime.Seconds() / bucketed.EpochTime.Seconds()
 	if ratio < 0.95 || ratio > 1.3 {
 		t.Errorf("AlexNet bucketing effect %.2fx out of the marginal band", ratio)
@@ -51,7 +50,7 @@ func TestBucketingMarginalForAlexNet(t *testing.T) {
 // A bucket threshold larger than the whole model degenerates to one fused
 // exchange per iteration and must still be correct (all layers exchanged).
 func TestBucketingWholeModel(t *testing.T) {
-	res := runBucketed(t, "lenet", 4, 16, kvstore.MethodNCCL, units.GB)
+	res := runBucketed(t, "lenet", 4, 16, MethodNCCL, units.GB)
 	if res.EpochTime <= 0 {
 		t.Fatal("no result")
 	}
@@ -63,8 +62,8 @@ func TestBucketingWholeModel(t *testing.T) {
 }
 
 func TestBucketingWorksWithP2P(t *testing.T) {
-	plain := runQuick(t, "lenet", 4, 16, kvstore.MethodP2P)
-	bucketed := runBucketed(t, "lenet", 4, 16, kvstore.MethodP2P, units.MB)
+	plain := runQuick(t, "lenet", 4, 16, MethodP2P)
+	bucketed := runBucketed(t, "lenet", 4, 16, MethodP2P, units.MB)
 	if bucketed.EpochTime > plain.EpochTime {
 		t.Errorf("P2P bucketing should not hurt: %v vs %v", bucketed.EpochTime, plain.EpochTime)
 	}
@@ -74,8 +73,8 @@ func TestBucketingWorksWithP2P(t *testing.T) {
 // LeNet ring-latency penalty at 8 GPUs, while changing nothing at 1 GPU
 // (no ring to replace).
 func TestNCCLTreeHelpsLatencyBoundTraining(t *testing.T) {
-	ring := runQuick(t, "lenet", 8, 16, kvstore.MethodNCCL)
-	cfg := quickCfg(t, "lenet", 8, 16, kvstore.MethodNCCL)
+	ring := runQuick(t, "lenet", 8, 16, MethodNCCL)
+	cfg := quickCfg(t, "lenet", 8, 16, MethodNCCL)
 	cfg.NCCL.Algorithm = nccl.AlgoTree
 	tr, err := New(cfg)
 	if err != nil {
@@ -89,8 +88,8 @@ func TestNCCLTreeHelpsLatencyBoundTraining(t *testing.T) {
 		t.Errorf("tree (%v) should beat ring (%v) for LeNet at 8 GPUs", tree.EpochTime, ring.EpochTime)
 	}
 	// Bandwidth-bound AlexNet should be nearly indifferent.
-	ringA := runQuick(t, "alexnet", 8, 64, kvstore.MethodNCCL)
-	cfgA := quickCfg(t, "alexnet", 8, 64, kvstore.MethodNCCL)
+	ringA := runQuick(t, "alexnet", 8, 64, MethodNCCL)
+	cfgA := quickCfg(t, "alexnet", 8, 64, MethodNCCL)
 	cfgA.NCCL.Algorithm = nccl.AlgoTree
 	trA, err := New(cfgA)
 	if err != nil {
@@ -110,9 +109,9 @@ func TestNCCLTreeHelpsLatencyBoundTraining(t *testing.T) {
 // ("local") must lose to both GPU-side methods for a weight-heavy model —
 // the starting point that motivated the paper's comparison.
 func TestLocalMethodIsSlowestEndToEnd(t *testing.T) {
-	local := runQuick(t, "alexnet", 4, 16, kvstore.MethodLocal)
-	p2p := runQuick(t, "alexnet", 4, 16, kvstore.MethodP2P)
-	nc := runQuick(t, "alexnet", 4, 16, kvstore.MethodNCCL)
+	local := runQuick(t, "alexnet", 4, 16, MethodLocal)
+	p2p := runQuick(t, "alexnet", 4, 16, MethodP2P)
+	nc := runQuick(t, "alexnet", 4, 16, MethodNCCL)
 	if local.EpochTime <= p2p.EpochTime || local.EpochTime <= nc.EpochTime {
 		t.Errorf("local (%v) should be slower than p2p (%v) and nccl (%v)",
 			local.EpochTime, p2p.EpochTime, nc.EpochTime)

@@ -3,8 +3,6 @@ package train
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/kvstore"
 )
 
 // The Trainer's cancellation probe must be consulted between simulated
@@ -20,19 +18,19 @@ func TestSimulateWindowHonoursCheckMidWindow(t *testing.T) {
 		// other parallelism modes only run through Run.
 		window bool
 	}{
-		{"sync", quickCfg(t, "alexnet", 2, 16, kvstore.MethodNCCL), true},
+		{"sync", quickCfg(t, "alexnet", 2, 16, MethodNCCL), true},
 		{"asgd", func() Config {
-			c := quickCfg(t, "alexnet", 2, 16, kvstore.MethodP2P)
+			c := quickCfg(t, "alexnet", 2, 16, MethodP2P)
 			c.Async = true
 			return c
 		}(), false},
 		{"modelparallel", func() Config {
-			c := quickCfg(t, "alexnet", 2, 16, kvstore.MethodP2P)
+			c := quickCfg(t, "alexnet", 2, 16, MethodP2P)
 			c.Parallelism = ModelParallel
 			return c
 		}(), false},
 		{"hybrid", func() Config {
-			c := quickCfg(t, "alexnet", 2, 16, kvstore.MethodNCCL)
+			c := quickCfg(t, "alexnet", 2, 16, MethodNCCL)
 			c.Parallelism = HybridOWT
 			return c
 		}(), false},
@@ -71,7 +69,7 @@ func TestSimulateWindowHonoursCheckMidWindow(t *testing.T) {
 
 // A Trainer with no check behaves exactly as before.
 func TestSimulateWindowWithoutCheck(t *testing.T) {
-	tr, err := New(quickCfg(t, "lenet", 1, 16, kvstore.MethodP2P))
+	tr, err := New(quickCfg(t, "lenet", 1, 16, MethodP2P))
 	if err != nil {
 		t.Fatal(err)
 	}

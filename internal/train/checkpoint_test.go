@@ -2,8 +2,6 @@ package train
 
 import (
 	"testing"
-
-	"repro/internal/kvstore"
 )
 
 // Gradient checkpointing is the paper's requested "algorithm-level change"
@@ -11,12 +9,12 @@ import (
 // could not train, at a bounded time cost.
 func TestCheckpointingUnlocksLargerBatches(t *testing.T) {
 	// Inception-v3 at batch 128 OOMs without checkpointing...
-	plain := quickCfg(t, "inception-v3", 4, 128, kvstore.MethodNCCL)
+	plain := quickCfg(t, "inception-v3", 4, 128, MethodNCCL)
 	if _, err := New(plain); err == nil {
 		t.Fatal("batch 128 should OOM without checkpointing")
 	}
 	// ...and trains with it.
-	ck := quickCfg(t, "inception-v3", 4, 128, kvstore.MethodNCCL)
+	ck := quickCfg(t, "inception-v3", 4, 128, MethodNCCL)
 	ck.Checkpointing = true
 	tr, err := New(ck)
 	if err != nil {
@@ -30,8 +28,8 @@ func TestCheckpointingUnlocksLargerBatches(t *testing.T) {
 // The cost: roughly one extra forward pass during BP, so the epoch slows
 // by a bounded factor (~1.2-1.45x for conv nets) at equal batch size.
 func TestCheckpointingTimeCostBounded(t *testing.T) {
-	plain := runQuick(t, "resnet", 4, 32, kvstore.MethodNCCL)
-	cfg := quickCfg(t, "resnet", 4, 32, kvstore.MethodNCCL)
+	plain := runQuick(t, "resnet", 4, 32, MethodNCCL)
+	cfg := quickCfg(t, "resnet", 4, 32, MethodNCCL)
 	cfg.Checkpointing = true
 	tr, err := New(cfg)
 	if err != nil {
@@ -58,8 +56,8 @@ func TestCheckpointingTimeCostBounded(t *testing.T) {
 // networks and leave AlexNet (11x11/5x5 convs and FC weight) nearly alone.
 func TestWinogradAblation(t *testing.T) {
 	speedup := func(model string) float64 {
-		plain := runQuick(t, model, 1, 32, kvstore.MethodP2P)
-		cfg := quickCfg(t, model, 1, 32, kvstore.MethodP2P)
+		plain := runQuick(t, model, 1, 32, MethodP2P)
+		cfg := quickCfg(t, model, 1, 32, MethodP2P)
 		cfg.Winograd = true
 		tr, err := New(cfg)
 		if err != nil {
@@ -96,7 +94,7 @@ func TestOnlyDataParallelCheckpointsOrBuckets(t *testing.T) {
 			{func(c *Config) { c.Checkpointing = true }, "train: checkpointing applies only to synchronous data-parallel runs, not " + name},
 			{func(c *Config) { c.BucketBytes = 4 << 20 }, "train: gradient buckets apply only to synchronous data-parallel runs, not " + name},
 		} {
-			cfg := quickCfg(t, "alexnet", 4, 32, kvstore.MethodNCCL)
+			cfg := quickCfg(t, "alexnet", 4, 32, MethodNCCL)
 			cfg.Parallelism = p
 			tc.set(&cfg)
 			if _, err := New(cfg); err == nil || err.Error() != tc.want {
@@ -117,7 +115,7 @@ func TestAsyncRejectsCheckpointsAndBuckets(t *testing.T) {
 		{func(c *Config) { c.Checkpointing = true }, "train: checkpointing applies only to synchronous data-parallel runs, not async SGD"},
 		{func(c *Config) { c.BucketBytes = 4 << 20 }, "train: gradient buckets apply only to synchronous data-parallel runs, not async SGD"},
 	} {
-		cfg := quickCfg(t, "resnet", 4, 32, kvstore.MethodP2P)
+		cfg := quickCfg(t, "resnet", 4, 32, MethodP2P)
 		cfg.Async = true
 		tc.set(&cfg)
 		if _, err := New(cfg); err == nil || err.Error() != tc.want {
@@ -130,7 +128,7 @@ func TestAsyncRejectsCheckpointsAndBuckets(t *testing.T) {
 // data parallelism, so they launch Winograd kernels when it is on.
 func TestWinogradReachesEverySchedule(t *testing.T) {
 	for _, p := range []Parallelism{ModelParallel, HybridOWT} {
-		cfg := quickCfg(t, "alexnet", 4, 32, kvstore.MethodNCCL)
+		cfg := quickCfg(t, "alexnet", 4, 32, MethodNCCL)
 		cfg.Parallelism, cfg.Winograd = p, true
 		tr, err := New(cfg)
 		if err != nil {

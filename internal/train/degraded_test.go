@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/nccl"
 	"repro/internal/topology"
 )
@@ -43,7 +42,7 @@ func TestFaultPlanWUStrictlyIncreases(t *testing.T) {
 	// fewer/narrower rings, slower all-reduce.
 	run := func(plan *faults.Plan) *Result {
 		t.Helper()
-		cfg, err := NewConfig("alexnet", 8, 16, kvstore.MethodNCCL)
+		cfg, err := NewConfig("alexnet", 8, 16, MethodNCCL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +73,7 @@ func TestFaultPlanWUStrictlyIncreases(t *testing.T) {
 func TestFaultPlanStragglerSlowsEpoch(t *testing.T) {
 	run := func(plan *faults.Plan) *Result {
 		t.Helper()
-		cfg, err := NewConfig("lenet", 4, 16, kvstore.MethodNCCL)
+		cfg, err := NewConfig("lenet", 4, 16, MethodNCCL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func TestFaultPlanStragglerSlowsEpoch(t *testing.T) {
 }
 
 func TestFaultPlanRejectsExplicitTopology(t *testing.T) {
-	cfg, err := NewConfig("lenet", 2, 16, kvstore.MethodNCCL)
+	cfg, err := NewConfig("lenet", 2, 16, MethodNCCL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +118,9 @@ func gpus8() []topology.NodeID {
 }
 
 func TestTrainingSurvivesSingleLinkFailure(t *testing.T) {
-	healthy := runOnTopology(t, topology.DGX1(), "googlenet", 8, 16, kvstore.MethodNCCL)
+	healthy := runOnTopology(t, topology.DGX1(), "googlenet", 8, 16, MethodNCCL)
 	degraded := runOnTopology(t, topology.DGX1Faulted(topology.DGX1FaultSpec{FailedNVLinks: [][2]topology.NodeID{{0, 1}}}),
-		"googlenet", 8, 16, kvstore.MethodNCCL)
+		"googlenet", 8, 16, MethodNCCL)
 	if degraded.EpochTime < healthy.EpochTime {
 		t.Errorf("losing a link should not speed training: %v vs %v",
 			degraded.EpochTime, healthy.EpochTime)
@@ -142,7 +141,7 @@ func TestTrainingSurvivesSevereDegradation(t *testing.T) {
 	if err := top.Validate(); err != nil {
 		t.Fatalf("degraded topology invalid: %v", err)
 	}
-	res := runOnTopology(t, top, "lenet", 8, 16, kvstore.MethodP2P)
+	res := runOnTopology(t, top, "lenet", 8, 16, MethodP2P)
 	if res.EpochTime <= 0 {
 		t.Fatal("training failed on degraded machine")
 	}
@@ -166,7 +165,7 @@ func TestDegradedIsolatedGPUFallsToPCIeRing(t *testing.T) {
 		t.Errorf("bad PCIe fallback ring: %v", pcie)
 	}
 	// And training with NCCL still works on it.
-	res := runOnTopology(t, top, "lenet", 8, 16, kvstore.MethodNCCL)
+	res := runOnTopology(t, top, "lenet", 8, 16, MethodNCCL)
 	if res.EpochTime <= 0 {
 		t.Fatal("NCCL training failed on PCIe fallback")
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dnn"
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/profiler"
 )
@@ -30,15 +29,15 @@ import (
 func TestProfileDetailDoesNotChangeSimulation(t *testing.T) {
 	schedules := []struct {
 		name        string
-		method      kvstore.Method
+		method      Method
 		apply       func(*Config)
 		collectives bool
 	}{
-		{"sync", kvstore.MethodNCCL, func(*Config) {}, true},
-		{"sync-p2p", kvstore.MethodP2P, func(*Config) {}, false},
-		{"async", kvstore.MethodP2P, func(c *Config) { c.Async = true }, false},
-		{"model-parallel", kvstore.MethodNCCL, func(c *Config) { c.Parallelism = ModelParallel }, false},
-		{"hybrid", kvstore.MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }, true},
+		{"sync", MethodNCCL, func(*Config) {}, true},
+		{"sync-p2p", MethodP2P, func(*Config) {}, false},
+		{"async", MethodP2P, func(c *Config) { c.Async = true }, false},
+		{"model-parallel", MethodNCCL, func(c *Config) { c.Parallelism = ModelParallel }, false},
+		{"hybrid", MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }, true},
 	}
 	plans := []struct {
 		name string

@@ -3,13 +3,12 @@ package train
 import (
 	"testing"
 
-	"repro/internal/kvstore"
 	"repro/internal/nccl"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
 
-func runDGX2(t *testing.T, model string, gpus, batch int, method kvstore.Method) *Result {
+func runDGX2(t *testing.T, model string, gpus, batch int, method Method) *Result {
 	t.Helper()
 	cfg := quickCfg(t, model, gpus, batch, method)
 	cfg.Topology = topology.DGX2()
@@ -60,8 +59,8 @@ func TestDGX2TopologyUniform(t *testing.T) {
 // AlexNet's P2P training at 8 GPUs must improve dramatically over the
 // DGX-1, and P2P pulls within a modest factor of NCCL.
 func TestDGX2FixesP2PStaging(t *testing.T) {
-	dgx1 := runQuick(t, "alexnet", 8, 16, kvstore.MethodP2P)
-	dgx2 := runDGX2(t, "alexnet", 8, 16, kvstore.MethodP2P)
+	dgx1 := runQuick(t, "alexnet", 8, 16, MethodP2P)
+	dgx2 := runDGX2(t, "alexnet", 8, 16, MethodP2P)
 	if float64(dgx2.EpochTime) > 0.5*float64(dgx1.EpochTime) {
 		t.Errorf("DGX-2 P2P (%v) should be far faster than DGX-1 P2P (%v)", dgx2.EpochTime, dgx1.EpochTime)
 	}
@@ -69,13 +68,13 @@ func TestDGX2FixesP2PStaging(t *testing.T) {
 
 // 16-GPU training works and continues to scale for compute-bound nets.
 func TestDGX2SixteenGPUs(t *testing.T) {
-	eight := runDGX2(t, "resnet", 8, 16, kvstore.MethodNCCL)
-	sixteen := runDGX2(t, "resnet", 16, 16, kvstore.MethodNCCL)
+	eight := runDGX2(t, "resnet", 8, 16, MethodNCCL)
+	sixteen := runDGX2(t, "resnet", 16, 16, MethodNCCL)
 	if float64(sixteen.EpochTime) > 0.65*float64(eight.EpochTime) {
 		t.Errorf("16 GPUs (%v) should be well under 8 GPUs (%v)", sixteen.EpochTime, eight.EpochTime)
 	}
 	// Requesting more GPUs than the machine has must error.
-	cfg := quickCfg(t, "resnet", 8, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "resnet", 8, 16, MethodNCCL)
 	cfg.Topology = topology.DGX2()
 	cfg.GPUs = 17
 	if _, err := New(cfg); err == nil {
@@ -85,7 +84,7 @@ func TestDGX2SixteenGPUs(t *testing.T) {
 
 // 16-rank NCCL training on the switch fabric works end to end.
 func TestDGX2NCCLWorks(t *testing.T) {
-	res := runDGX2(t, "googlenet", 16, 16, kvstore.MethodNCCL)
+	res := runDGX2(t, "googlenet", 16, 16, MethodNCCL)
 	if res.EpochTime <= 0 {
 		t.Fatal("no result")
 	}
@@ -106,8 +105,8 @@ func TestDGX2NCCLSwitchRing(t *testing.T) {
 		t.Errorf("switch ring bandwidth %v, want 150GB/s", r.LaneBW)
 	}
 	// End-to-end: DGX-2 NCCL beats DGX-1 NCCL for the comm-heavy AlexNet.
-	dgx1 := runQuick(t, "alexnet", 8, 16, kvstore.MethodNCCL)
-	dgx2 := runDGX2(t, "alexnet", 8, 16, kvstore.MethodNCCL)
+	dgx1 := runQuick(t, "alexnet", 8, 16, MethodNCCL)
+	dgx2 := runDGX2(t, "alexnet", 8, 16, MethodNCCL)
 	if dgx2.EpochTime >= dgx1.EpochTime {
 		t.Errorf("DGX-2 NCCL (%v) should beat DGX-1 NCCL (%v)", dgx2.EpochTime, dgx1.EpochTime)
 	}

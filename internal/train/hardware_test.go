@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/nccl"
 	"repro/internal/topology"
 )
@@ -44,7 +43,7 @@ func TestMachineRegistry(t *testing.T) {
 func TestMachineTopologyShared(t *testing.T) {
 	trainer := func(hw string, plan *faults.Plan, top *topology.Topology) *Trainer {
 		t.Helper()
-		cfg := quickCfg(t, "lenet", 2, 16, kvstore.MethodNCCL)
+		cfg := quickCfg(t, "lenet", 2, 16, MethodNCCL)
 		cfg.Hardware, cfg.Faults, cfg.Topology = hw, plan, top
 		tr, err := New(cfg)
 		if err != nil {
@@ -94,7 +93,7 @@ func TestMachineTopologyShared(t *testing.T) {
 // error naming the machine — the capacity check must consult the
 // resolved machine, not the DGX-1 constant.
 func TestHardwareCapacityBounds(t *testing.T) {
-	cfg := quickCfg(t, "resnet", 16, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "resnet", 16, 16, MethodNCCL)
 	cfg.Hardware = "dgx2"
 	tr, err := New(cfg)
 	if err != nil {
@@ -104,7 +103,7 @@ func TestHardwareCapacityBounds(t *testing.T) {
 		t.Fatalf("16-GPU DGX-2 run: %v", err)
 	}
 
-	cfg = quickCfg(t, "resnet", 8, 16, kvstore.MethodNCCL)
+	cfg = quickCfg(t, "resnet", 8, 16, MethodNCCL)
 	cfg.Hardware = "dgx2"
 	cfg.GPUs = 17
 	_, err = New(cfg)
@@ -119,7 +118,7 @@ func TestHardwareCapacityBounds(t *testing.T) {
 // An explicit Topology override is validated against its own GPU node
 // count (the check used to be skipped entirely when Topology was set).
 func TestTopologyOverrideCapacityBounds(t *testing.T) {
-	cfg := quickCfg(t, "resnet", 8, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "resnet", 8, 16, MethodNCCL)
 	cfg.Topology = topology.DGX2()
 	cfg.GPUs = 17
 	_, err := New(cfg)
@@ -134,7 +133,7 @@ func TestTopologyOverrideCapacityBounds(t *testing.T) {
 // Hardware and an explicit Topology are two spellings of the same
 // override and must not be combined.
 func TestHardwareTopologyMutuallyExclusive(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 4, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "lenet", 4, 16, MethodNCCL)
 	cfg.Hardware = "dgx2"
 	cfg.Topology = topology.DGX1()
 	if _, err := New(cfg); err == nil {
@@ -146,7 +145,7 @@ func TestHardwareTopologyMutuallyExclusive(t *testing.T) {
 // machine must fail with the typed sentinel the API's invalid_argument
 // envelope keys on.
 func TestFaultsRequireDGX1Hardware(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 4, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "lenet", 4, 16, MethodNCCL)
 	cfg.Hardware = "dgx2"
 	cfg.Faults = &faults.Plan{FailedLinks: []faults.Link{{A: 0, B: 1}}}
 	_, err := New(cfg)
@@ -169,7 +168,7 @@ func TestFaultsRequireDGX1Hardware(t *testing.T) {
 func TestProtocolChangesEpochTime(t *testing.T) {
 	run := func(protocol nccl.Protocol) *Result {
 		t.Helper()
-		cfg := quickCfg(t, "alexnet", 8, 16, kvstore.MethodNCCL)
+		cfg := quickCfg(t, "alexnet", 8, 16, MethodNCCL)
 		cfg.NCCL.Protocol = protocol
 		tr, err := New(cfg)
 		if err != nil {

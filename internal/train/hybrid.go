@@ -22,16 +22,16 @@ import (
 // connected layers": the FC weights — AlexNet's 224 MB of its 232 MB —
 // are never exchanged at all (each slice updates locally); what moves
 // instead are activations, which for FC layers are tiny. Convolution
-// gradients (a few MB) still use the ordinary kvstore path.
+// gradients (a few MB) still take the ordinary exchange (Trainer.exchange).
 //
 // Schedule per iteration:
 //  1. body FP on the local batch (data parallel),
 //  2. all-gather of body outputs (every GPU assembles the global batch),
 //  3. head FP: slice GEMM + all-gather of activations per FC layer,
 //  4. head BP: slice GEMMs + reduce-scatter of input gradients,
-//  5. body BP on the local batch, with conv gradients pushed through the
-//     kvstore as they appear (as in data parallelism),
-//  6. local update of FC slices; kvstore update of conv weights.
+//  5. body BP on the local batch, with conv gradients exchanged as they
+//     appear (as in data parallelism),
+//  6. local update of FC slices; exchanged update of conv weights.
 
 // splitHead returns the node index at which the FC head begins (the first
 // OpFC node), and validates the head is a single-tensor chain the tensor-
@@ -61,8 +61,8 @@ func splitHead(net *dnn.Network) (int, error) {
 	return first, nil
 }
 
-// beginHybridOWT builds the hybrid schedule. Its setup adds the backend's
-// communicator construction to framework startup; the model is not
+// beginHybridOWT builds the hybrid schedule. Its setup adds the NCCL
+// communicator's construction to framework startup; the model is not
 // broadcast.
 func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 	net := t.cfg.Model.Net
@@ -75,8 +75,8 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 	nodes := net.Nodes()
 
 	// The activation collectives run on their own communicator, over the
-	// machine template's rings (hybrid training requires the nccl method).
-	comm, err := nccl.NewOn(t.rt, t.rings, nccl.Selection{})
+	// trainer's rings (hybrid training requires the nccl method).
+	comm, err := nccl.NewOn(t.rt, t.comm.Layout, nccl.Selection{})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -240,7 +240,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 				}
 			}
 		}
-		// 5. Body BP with conv gradients through the kvstore.
+		// 5. Body BP with conv gradients exchanged as they appear.
 		var grads []layerGrad
 		var bpEnd time.Duration
 		for i := range t.devs {
@@ -248,7 +248,7 @@ func (t *Trainer) beginHybridOWT() (time.Duration, iteration, error) {
 			s.WaitEvent(now)
 			host[i], grads, bpEnd = launchBackward(s, t.tables[i].bwdRuns().after(headRun), host[i], i == 0, grads, bpEnd)
 		}
-		// 6. Weight updates: conv via kvstore, FC slices locally.
+		// 6. Weight updates: conv via the exchange, FC slices locally.
 		lastPull := bpEnd
 		for j, gr := range grads {
 			pullEnd, err := t.exchange(t.array(headLayers+j), gr.ready, t.update(headLayers+j))

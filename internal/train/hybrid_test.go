@@ -2,13 +2,11 @@ package train
 
 import (
 	"testing"
-
-	"repro/internal/kvstore"
 )
 
 func runHybrid(t *testing.T, model string, gpus, batch int) *Result {
 	t.Helper()
-	cfg := quickCfg(t, model, gpus, batch, kvstore.MethodNCCL)
+	cfg := quickCfg(t, model, gpus, batch, MethodNCCL)
 	cfg.Parallelism = HybridOWT
 	tr, err := New(cfg)
 	if err != nil {
@@ -43,7 +41,7 @@ func TestHybridRuns(t *testing.T) {
 // 4 and 8 GPUs) — the quantitative form of the paper's §I claim.
 func TestHybridBeatsDataParallelForAlexNet(t *testing.T) {
 	for _, g := range []int{4, 8} {
-		dp := runQuick(t, "alexnet", g, 16, kvstore.MethodNCCL)
+		dp := runQuick(t, "alexnet", g, 16, MethodNCCL)
 		hy := runHybrid(t, "alexnet", g, 16)
 		if hy.EpochTime >= dp.EpochTime {
 			t.Errorf("%d GPUs: hybrid (%v) should beat data parallel (%v)", g, hy.EpochTime, dp.EpochTime)
@@ -54,7 +52,7 @@ func TestHybridBeatsDataParallelForAlexNet(t *testing.T) {
 // For a conv-dominated network with a tiny head the two schemes should be
 // close (the head barely matters either way).
 func TestHybridNeutralForConvNets(t *testing.T) {
-	dp := runQuick(t, "resnet", 4, 16, kvstore.MethodNCCL)
+	dp := runQuick(t, "resnet", 4, 16, MethodNCCL)
 	hy := runHybrid(t, "resnet", 4, 16)
 	ratio := hy.EpochTime.Seconds() / dp.EpochTime.Seconds()
 	if ratio < 0.9 || ratio > 1.2 {
@@ -71,7 +69,7 @@ func TestSplitHeadValidation(t *testing.T) {
 
 func runHybridOrErr(t *testing.T, model string) *Result {
 	t.Helper()
-	cfg := quickCfg(t, model, 2, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, model, 2, 16, MethodNCCL)
 	cfg.Parallelism = HybridOWT
 	tr, err := New(cfg)
 	if err != nil {

@@ -95,7 +95,7 @@ func partitionStages(net *dnn.Network, cuts []int, stages int, cost []float64) (
 }
 
 // beginModelParallel builds the pipelined model-parallel schedule. Its
-// setup is framework startup alone (no backend communicator, no model
+// setup is framework startup alone (no communicator, no model
 // broadcast), and an iteration consumes one mini-batch, not one per GPU.
 func (t *Trainer) beginModelParallel() (time.Duration, iteration, error) {
 	stages := t.cfg.GPUs

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/dnn"
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/topology"
 )
 
 func runMP(t *testing.T, model string, gpus, batch, micro int) *Result {
 	t.Helper()
-	cfg := quickCfg(t, model, gpus, batch, kvstore.MethodP2P)
+	cfg := quickCfg(t, model, gpus, batch, MethodP2P)
 	cfg.Parallelism = ModelParallel
 	cfg.MicroBatches = micro
 	tr, err := New(cfg)
@@ -31,7 +30,7 @@ func runMP(t *testing.T, model string, gpus, batch, micro int) *Result {
 // so each GPU's compute busy fraction is the same under all three.
 func TestModelParallelBusyAnyMethod(t *testing.T) {
 	var want map[topology.NodeID]float64
-	for _, m := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL, kvstore.MethodLocal} {
+	for _, m := range []Method{MethodP2P, MethodNCCL, MethodLocal} {
 		cfg := quickCfg(t, "alexnet", 4, 32, m)
 		cfg.Parallelism = ModelParallel
 		tr, err := New(cfg)
@@ -153,7 +152,7 @@ func TestModelParallelRuns(t *testing.T) {
 func TestModelParallelPipelineBeatsSingleStage(t *testing.T) {
 	// With micro-batching, 4 stages should process an epoch faster than
 	// one GPU (pipeline parallelism), though far below linear speedup.
-	one := runQuick(t, "alexnet", 1, 64, kvstore.MethodP2P)
+	one := runQuick(t, "alexnet", 1, 64, MethodP2P)
 	mp := runMP(t, "alexnet", 4, 64, 8)
 	if mp.EpochTime >= one.EpochTime {
 		t.Errorf("4-stage pipeline (%v) should beat 1 GPU (%v)", mp.EpochTime, one.EpochTime)
@@ -172,7 +171,7 @@ func TestModelParallelPipelineBeatsSingleStage(t *testing.T) {
 // ranking must follow the paper: AlexNet loses least from switching to MP.
 func TestMPvsDPFollowsPaperClaim(t *testing.T) {
 	relMP := func(model string) float64 {
-		dp := runQuick(t, model, 4, 64, kvstore.MethodP2P)
+		dp := runQuick(t, model, 4, 64, MethodP2P)
 		mp := runMP(t, model, 4, 64, 0)
 		return dp.EpochTime.Seconds() / mp.EpochTime.Seconds() // >1: MP wins
 	}
@@ -186,13 +185,13 @@ func TestMPvsDPFollowsPaperClaim(t *testing.T) {
 }
 
 func TestModelParallelMemoryPerStage(t *testing.T) {
-	cfg := quickCfg(t, "inception-v3", 4, 64, kvstore.MethodP2P)
+	cfg := quickCfg(t, "inception-v3", 4, 64, MethodP2P)
 	cfg.Parallelism = ModelParallel
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp := quickCfg(t, "inception-v3", 4, 64, kvstore.MethodP2P)
+	dp := quickCfg(t, "inception-v3", 4, 64, MethodP2P)
 	trDP, err := New(dp)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +204,7 @@ func TestModelParallelMemoryPerStage(t *testing.T) {
 	}
 	// Model parallelism should therefore admit batch sizes data
 	// parallelism cannot (paper §V-D calls for exactly such changes).
-	big := quickCfg(t, "inception-v3", 4, 128, kvstore.MethodP2P)
+	big := quickCfg(t, "inception-v3", 4, 128, MethodP2P)
 	big.Parallelism = ModelParallel
 	if _, err := New(big); err != nil {
 		t.Errorf("MP Inception-v3 b128 should fit: %v", err)

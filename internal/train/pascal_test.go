@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/topology"
 )
 
 // The Pascal DGX-1 (the paper's related-work comparison system): P100 GPUs
 // on 20 GB/s NVLink 1.0 with 4 ports each.
-func runPascal(t *testing.T, model string, gpus int, batch int, method kvstore.Method) *Result {
+func runPascal(t *testing.T, model string, gpus int, batch int, method Method) *Result {
 	t.Helper()
 	cfg := quickCfg(t, model, gpus, batch, method)
 	cfg.Topology = topology.DGX1Pascal()
@@ -53,14 +52,14 @@ func TestPascalTopologyValid(t *testing.T) {
 // paper's related work (Gawande et al.) frames.
 func TestVoltaBeatsPascal(t *testing.T) {
 	for _, model := range []string{"lenet", "resnet"} {
-		volta := runQuick(t, model, 8, 16, kvstore.MethodNCCL)
-		pascal := runPascal(t, model, 8, 16, kvstore.MethodNCCL)
+		volta := runQuick(t, model, 8, 16, MethodNCCL)
+		pascal := runPascal(t, model, 8, 16, MethodNCCL)
 		if pascal.EpochTime <= volta.EpochTime {
 			t.Errorf("%s: Pascal (%v) should be slower than Volta (%v)", model, pascal.EpochTime, volta.EpochTime)
 		}
 	}
-	voltaR := runQuick(t, "resnet", 1, 16, kvstore.MethodP2P)
-	pascalR := runPascal(t, "resnet", 1, 16, kvstore.MethodP2P)
+	voltaR := runQuick(t, "resnet", 1, 16, MethodP2P)
+	pascalR := runPascal(t, "resnet", 1, 16, MethodP2P)
 	gain := pascalR.EpochTime.Seconds() / voltaR.EpochTime.Seconds()
 	// The V100 brings ~1.5x FP32 arithmetic, 1.25x memory bandwidth, and
 	// tensor cores on top; period reports put the end-to-end training gain
@@ -73,7 +72,7 @@ func TestVoltaBeatsPascal(t *testing.T) {
 // Pascal still trains everything the paper's Volta system trains at the
 // measured batch sizes (same 16 GB capacity).
 func TestPascalTrainsPaperConfigs(t *testing.T) {
-	r := runPascal(t, "inception-v3", 4, 64, kvstore.MethodNCCL)
+	r := runPascal(t, "inception-v3", 4, 64, MethodNCCL)
 	if r.EpochTime <= 0 {
 		t.Fatal("no result")
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/nccl"
 	"repro/internal/units"
@@ -143,7 +142,7 @@ func checkReplay(t testing.TB, cfg Config, simIters int) (int64, int64) {
 
 // stopRuleConfig is the paper default configuration of a model with the
 // given collective flavour and machine.
-func stopRuleConfig(t testing.TB, model string, gpus, batch int, method kvstore.Method, proto nccl.Protocol, hw string) Config {
+func stopRuleConfig(t testing.TB, model string, gpus, batch int, method Method, proto nccl.Protocol, hw string) Config {
 	t.Helper()
 	cfg, err := NewConfig(model, gpus, batch, method)
 	if err != nil {
@@ -162,12 +161,12 @@ func stopRuleCases(t testing.TB) map[string]Config {
 	cs := map[string]Config{}
 	flavours := []struct {
 		name   string
-		method kvstore.Method
+		method Method
 		proto  nccl.Protocol
 	}{
-		{"p2p", kvstore.MethodP2P, nccl.ProtoSimple},
-		{"nccl-simple", kvstore.MethodNCCL, nccl.ProtoSimple},
-		{"nccl-auto", kvstore.MethodNCCL, nccl.ProtoAuto},
+		{"p2p", MethodP2P, nccl.ProtoSimple},
+		{"nccl-simple", MethodNCCL, nccl.ProtoSimple},
+		{"nccl-auto", MethodNCCL, nccl.ProtoAuto},
 	}
 	for _, m := range models.Names() {
 		for _, f := range flavours {
@@ -182,10 +181,10 @@ func stopRuleCases(t testing.TB) map[string]Config {
 		return cfg
 	}
 	nc := func(model string, gpus, batch int) Config {
-		return stopRuleConfig(t, model, gpus, batch, kvstore.MethodNCCL, nccl.ProtoSimple, "")
+		return stopRuleConfig(t, model, gpus, batch, MethodNCCL, nccl.ProtoSimple, "")
 	}
 	p2p := func(model string, gpus, batch int) Config {
-		return stopRuleConfig(t, model, gpus, batch, kvstore.MethodP2P, nccl.ProtoSimple, "")
+		return stopRuleConfig(t, model, gpus, batch, MethodP2P, nccl.ProtoSimple, "")
 	}
 	cs["lenet/single-gpu"] = nc("lenet", 1, 64)
 	cs["alexnet/async"] = with(p2p("alexnet", 4, 32), func(c *Config) { c.Async = true })
@@ -216,7 +215,7 @@ func stopRuleCases(t testing.TB) map[string]Config {
 	cs["resnet/p2p/straggler"] = with(p2p("resnet", 4, 16), func(c *Config) { c.Faults = straggler })
 	cs["lenet/async/8"] = with(p2p("lenet", 8, 16), func(c *Config) { c.Async = true })
 	cs["resnet/async/straggler"] = with(p2p("resnet", 4, 16), func(c *Config) { c.Async, c.Faults = true, straggler })
-	cs["lenet/local/4"] = stopRuleConfig(t, "lenet", 4, 16, kvstore.MethodLocal, nccl.ProtoSimple, "")
+	cs["lenet/local/4"] = stopRuleConfig(t, "lenet", 4, 16, MethodLocal, nccl.ProtoSimple, "")
 	// Detailed profiles: timelines that fit their cap, one whose cap is
 	// reached in the simulated iterations, and one whose cap is reached
 	// in the repeated ones.
@@ -262,7 +261,7 @@ func TestWindowStopMatchesCap(t *testing.T) {
 // engines are compared as a sorted pair: it stops after two iterations.
 // Compared engine by engine, its state never repeats before the cap.
 func TestWindowStopP2PAlternatingEngines(t *testing.T) {
-	cfg := stopRuleConfig(t, "resnet", 2, 24, kvstore.MethodP2P, nccl.ProtoSimple, "dgx2")
+	cfg := stopRuleConfig(t, "resnet", 2, 24, MethodP2P, nccl.ProtoSimple, "dgx2")
 	cfg.Async = true
 	if n := checkStopRule(t, cfg, DefaultSimIters); n != 2 {
 		t.Fatalf("stopped after %d iterations, want 2", n)
@@ -272,7 +271,7 @@ func TestWindowStopP2PAlternatingEngines(t *testing.T) {
 // A window run under the default cap reports how many iterations it
 // simulated, and a window too short to repeat anything simulates all.
 func TestWindowSimulated(t *testing.T) {
-	cfg := stopRuleConfig(t, "resnet", 4, 16, kvstore.MethodNCCL, nccl.ProtoSimple, "")
+	cfg := stopRuleConfig(t, "resnet", 4, 16, MethodNCCL, nccl.ProtoSimple, "")
 	w, err := compileWindow(cfg, hooks{})
 	if err != nil {
 		t.Fatal(err)
@@ -299,14 +298,14 @@ func fuzzConfig(t *testing.T, model, machine, gpus, batch, comm, schedule uint8,
 	m := machines[int(machine)%len(machines)]
 	s := &schedules[int(schedule)%len(schedules)]
 	g := max(1+int(gpus)%m.GPUs, s.minGPUs)
-	method, sel := kvstore.MethodP2P, nccl.Selection{}
+	method, sel := MethodP2P, nccl.Selection{}
 	switch comm % 7 {
 	case 1, 2, 3, 4:
-		method, sel.Protocol = kvstore.MethodNCCL, nccl.Protocol(comm%7-1)
+		method, sel.Protocol = MethodNCCL, nccl.Protocol(comm%7-1)
 	case 5:
-		method, sel.Algorithm = kvstore.MethodNCCL, nccl.AlgoTree
+		method, sel.Algorithm = MethodNCCL, nccl.AlgoTree
 	case 6:
-		method = kvstore.MethodLocal
+		method = MethodLocal
 	}
 	if s.method != "" {
 		method = s.method

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/nccl"
 	"repro/internal/topology"
@@ -21,24 +20,24 @@ import (
 func replayCases(t testing.TB) map[string]Config {
 	cs := stopRuleCases(t)
 	for gpus := 1; gpus <= 8; gpus++ {
-		cs[fmt.Sprintf("resnet/p2p/%d", gpus)] = stopRuleConfig(t, "resnet", gpus, 24, kvstore.MethodP2P, nccl.ProtoSimple, "")
-		cs[fmt.Sprintf("alexnet/nccl/%d", gpus)] = stopRuleConfig(t, "alexnet", gpus, 24, kvstore.MethodNCCL, nccl.ProtoSimple, "")
-		cs[fmt.Sprintf("googlenet/nccl-auto/dgx2/%d", gpus)] = stopRuleConfig(t, "googlenet", 2*gpus, 40, kvstore.MethodNCCL, nccl.ProtoAuto, "dgx2")
+		cs[fmt.Sprintf("resnet/p2p/%d", gpus)] = stopRuleConfig(t, "resnet", gpus, 24, MethodP2P, nccl.ProtoSimple, "")
+		cs[fmt.Sprintf("alexnet/nccl/%d", gpus)] = stopRuleConfig(t, "alexnet", gpus, 24, MethodNCCL, nccl.ProtoSimple, "")
+		cs[fmt.Sprintf("googlenet/nccl-auto/dgx2/%d", gpus)] = stopRuleConfig(t, "googlenet", 2*gpus, 40, MethodNCCL, nccl.ProtoAuto, "dgx2")
 	}
 	straggler := &faults.Plan{Stragglers: []faults.Straggler{{GPU: 5, Slowdown: 1.3}}}
-	cfg := stopRuleConfig(t, "inception-v3", 8, 16, kvstore.MethodNCCL, nccl.ProtoSimple, "")
+	cfg := stopRuleConfig(t, "inception-v3", 8, 16, MethodNCCL, nccl.ProtoSimple, "")
 	cfg.Faults = straggler
 	cs["inception-v3/nccl/straggler5"] = cfg
-	cfg = stopRuleConfig(t, "lenet", 8, 16, kvstore.MethodP2P, nccl.ProtoSimple, "")
+	cfg = stopRuleConfig(t, "lenet", 8, 16, MethodP2P, nccl.ProtoSimple, "")
 	cfg.Faults = &faults.Plan{Stragglers: []faults.Straggler{{GPU: 0, Slowdown: 1.3}}}
 	cs["lenet/p2p/straggler0"] = cfg
-	cfg = stopRuleConfig(t, "googlenet", 4, 32, kvstore.MethodP2P, nccl.ProtoSimple, "")
+	cfg = stopRuleConfig(t, "googlenet", 4, 32, MethodP2P, nccl.ProtoSimple, "")
 	cfg.Checkpointing = true
 	cs["googlenet/p2p/checkpointing"] = cfg
-	cfg = stopRuleConfig(t, "alexnet", 8, 32, kvstore.MethodP2P, nccl.ProtoSimple, "")
+	cfg = stopRuleConfig(t, "alexnet", 8, 32, MethodP2P, nccl.ProtoSimple, "")
 	cfg.Topology = topology.DGX1PCIeOnly()
 	cs["alexnet/p2p/pcie-route"] = cfg
-	cfg = stopRuleConfig(t, "resnet", 6, 16, kvstore.MethodNCCL, nccl.ProtoLL, "dgx-a100")
+	cfg = stopRuleConfig(t, "resnet", 6, 16, MethodNCCL, nccl.ProtoLL, "dgx-a100")
 	cfg.BucketBytes = 2048 * units.KB
 	cs["resnet/nccl-ll/bucket/a100"] = cfg
 	return cs
@@ -77,7 +76,7 @@ func TestReplicaReplayMatchesPerDevice(t *testing.T) {
 // The exchange's lowered costs equal the on-the-fly ones: for every zoo
 // model on every registered machine, each rank's add duration from its
 // kernel table and the NCCL wire times from the memo (or, for a faulted
-// machine, priced per trainer) equal what the backend prices for the
+// machine, priced per trainer) equal what the engine prices for the
 // layer's size.
 func TestLoweredExchangeMatchesPriced(t *testing.T) {
 	straggler := &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Slowdown: 1.7}}}
@@ -85,16 +84,16 @@ func TestLoweredExchangeMatchesPriced(t *testing.T) {
 		for _, model := range models.Names() {
 			for _, c := range []struct {
 				name   string
-				method kvstore.Method
+				method Method
 				sel    nccl.Selection
 				faults *faults.Plan
 			}{
-				{"p2p", kvstore.MethodP2P, nccl.Selection{}, nil},
-				{"nccl-simple", kvstore.MethodNCCL, nccl.Selection{}, nil},
-				{"nccl-auto", kvstore.MethodNCCL, nccl.Selection{Protocol: nccl.ProtoAuto}, nil},
-				{"nccl-tree-ll128", kvstore.MethodNCCL, nccl.Selection{Algorithm: nccl.AlgoTree, Protocol: nccl.ProtoLL128}, nil},
-				{"p2p/straggler", kvstore.MethodP2P, nccl.Selection{}, straggler},
-				{"nccl/straggler", kvstore.MethodNCCL, nccl.Selection{}, straggler},
+				{"p2p", MethodP2P, nccl.Selection{}, nil},
+				{"nccl-simple", MethodNCCL, nccl.Selection{}, nil},
+				{"nccl-auto", MethodNCCL, nccl.Selection{Protocol: nccl.ProtoAuto}, nil},
+				{"nccl-tree-ll128", MethodNCCL, nccl.Selection{Algorithm: nccl.AlgoTree, Protocol: nccl.ProtoLL128}, nil},
+				{"p2p/straggler", MethodP2P, nccl.Selection{}, straggler},
+				{"nccl/straggler", MethodNCCL, nccl.Selection{}, straggler},
 			} {
 				if c.faults != nil && m.Name != DefaultHardware {
 					continue
@@ -112,7 +111,7 @@ func TestLoweredExchangeMatchesPriced(t *testing.T) {
 }
 
 // checkLoweredExchange builds cfg's trainer and compares every layer's
-// lowered exchange with the backend's on-the-fly price. A registered
+// lowered exchange with the engine's on-the-fly price (Trainer.bucket). A registered
 // machine's healthy trainers share their wire times; a faulted one's are
 // its own.
 func checkLoweredExchange(t *testing.T, cfg Config) {
@@ -127,9 +126,8 @@ func checkLoweredExchange(t *testing.T, cfg Config) {
 		}
 		size := units.BytesOf(c.layer.Params, units.Float32Size)
 		lowered := *tr.array(j)
-		lowered.Adds = slices.Clone(lowered.Adds)
-		priced := kvstore.Array{Size: size}
-		if tr.backend.Price(&priced); !reflect.DeepEqual(lowered, priced) {
+		lowered.adds = slices.Clone(lowered.adds)
+		if priced := *tr.bucket(size); !reflect.DeepEqual(lowered, priced) {
 			t.Fatalf("layer %d (%v): lowered %+v, priced %+v", j, size, lowered, priced)
 		}
 		j++
@@ -137,7 +135,7 @@ func checkLoweredExchange(t *testing.T, cfg Config) {
 	if j != len(tr.tables[0].updates) {
 		t.Fatalf("%d layers with parameters, %d updates", j, len(tr.tables[0].updates))
 	}
-	if cfg.Method != kvstore.MethodNCCL || j == 0 {
+	if cfg.Method != MethodNCCL || j == 0 {
 		return
 	}
 	again, err := New(cfg)

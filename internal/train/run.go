@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/profiler"
 	"repro/internal/units"
 )
@@ -46,16 +45,16 @@ func sgdUpdateCost(size units.Bytes) gpu.KernelCost {
 // for one parameter array on the root GPU. With the multi-GPU P2P (device)
 // kvstore the update is an ordinary kernel on the root's compute queue —
 // it lands behind whatever backpropagation work is already enqueued
-// there, which is part of why GPU 0 bottlenecks that method. The NCCL
-// kvstore runs its updater on the kvstore's dedicated stream, so there it
+// there, which is part of why GPU 0 bottlenecks that method. MXNet's NCCL
+// kvstore runs its updater on a dedicated stream, so there it
 // goes to the communication queue and pipelines with the collectives. On
 // a single GPU there is no aggregation role and both methods place the
 // update identically (the updater stream), leaving NCCL's collective
 // kernels as the only difference — the overhead the paper's Table II
 // isolates.
 func (t *Trainer) bookUpdate(ready time.Duration, k cuda.Kernel) time.Duration {
-	comm := t.backend.Name() == kvstore.MethodNCCL || t.cfg.GPUs == 1
-	_, end := t.rt.BookKernel(t.backend.Root(), comm, profiler.StageWU, k, ready)
+	comm := t.cfg.Method == MethodNCCL || t.cfg.GPUs == 1
+	_, end := t.rt.BookKernel(t.devs[0], comm, profiler.StageWU, k, ready)
 	return end
 }
 
@@ -86,15 +85,15 @@ func (t *Trainer) Run() (*Result, error) {
 }
 
 // setupTime is the session setup the schedule books before its first
-// copy: framework startup and, for the schedules that exchange through
-// the backend, its communicator construction. Model parallelism's stages
+// copy: framework startup and, when the schedule exchanges through an
+// NCCL communicator, its construction. Model parallelism's stages
 // exchange activations by peer copies and construct no communicator.
 // Busy fractions leave this setup out of the epoch.
 func (t *Trainer) setupTime() time.Duration {
-	if t.cfg.Parallelism == ModelParallel {
+	if t.comm == nil || t.cfg.Parallelism == ModelParallel {
 		return t.sessionStartup()
 	}
-	return t.sessionStartup() + t.backend.SetupCost()
+	return t.sessionStartup() + t.comm.SetupCost()
 }
 
 // beginSync builds the synchronous data-parallel schedule: its setup
@@ -172,7 +171,7 @@ func (t *Trainer) runIteration(iterStart time.Duration, staged []time.Duration) 
 	// amortizing per-operation overheads at the cost of waiting for the
 	// bucket's slowest member.
 	lastPull := it.bpEnd
-	exchange := func(a *kvstore.Array, ready time.Duration, upd cuda.Kernel) error {
+	exchange := func(a *array, ready time.Duration, upd cuda.Kernel) error {
 		pullEnd, err := t.exchange(a, ready, upd)
 		if pullEnd > lastPull {
 			lastPull = pullEnd
@@ -313,15 +312,4 @@ func launchBackward(s *cuda.Stream, runs runTable, host time.Duration, first boo
 		}
 	}
 	return host, grads, bpEnd
-}
-
-// exchange pushes array a's gradient, ready at ready, to the root,
-// applies the update kernel upd there, and pulls the fresh weights back,
-// returning when the pull ends.
-func (t *Trainer) exchange(a *kvstore.Array, ready time.Duration, upd cuda.Kernel) (time.Duration, error) {
-	pushEnd, err := t.backend.PushGradient(profiler.StageWU, a, ready)
-	if err != nil {
-		return 0, err
-	}
-	return t.backend.PullWeights(profiler.StageWU, a, t.bookUpdate(pushEnd, upd))
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-
-	"repro/internal/kvstore"
 )
 
 // option is a Config option whose meaning depends on the schedule.
@@ -43,7 +41,7 @@ type capability struct {
 	parallelism Parallelism
 	runs, title string
 	// method is the one method the schedule accepts, or "" for any.
-	method  kvstore.Method
+	method  Method
 	minGPUs int
 	// rejects lists the options the schedule does not simulate, in the
 	// order they are checked; they must stay unset.
@@ -62,7 +60,7 @@ var schedules = [...]capability{{
 	neutral: [numOptions]string{optProtocol: whyNotNCCL, optTree: whyNotNCCL, optTrace: whyTimeline},
 }, {
 	// Workers run plain passes and push each array on its own.
-	async: true, runs: "async SGD", title: "async SGD", method: kvstore.MethodP2P, minGPUs: 1,
+	async: true, runs: "async SGD", title: "async SGD", method: MethodP2P, minGPUs: 1,
 	rejects: []option{optMicroBatches, optCheckpointing, optBuckets},
 	neutral: [numOptions]string{optProtocol: whyNotNCCL, optTree: whyNotNCCL, optTrace: whyTimeline},
 }, {
@@ -72,7 +70,7 @@ var schedules = [...]capability{{
 	neutral: [numOptions]string{optMethod: whyPeerCopies, optProtocol: whyPeerCopies, optTree: whyPeerCopies, optTrace: whyTimeline},
 }, {
 	// The head's activation collectives run on NCCL.
-	parallelism: HybridOWT, runs: "hybrid-owt", title: "hybrid parallelism", method: kvstore.MethodNCCL, minGPUs: 2,
+	parallelism: HybridOWT, runs: "hybrid-owt", title: "hybrid parallelism", method: MethodNCCL, minGPUs: 2,
 	rejects: []option{optMicroBatches, optCheckpointing, optBuckets},
 	neutral: [numOptions]string{optTrace: whyTimeline},
 }}
@@ -95,7 +93,7 @@ func (c *Config) CheckSchedule() error {
 	}
 	m := c.Method
 	if m == "" {
-		m = kvstore.MethodNCCL
+		m = MethodNCCL
 	}
 	if s.method != "" && m != s.method {
 		return fmt.Errorf("%s requires the %s method, got %q", s.title, s.method, m)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/kvstore"
 	"repro/internal/nccl"
 	"repro/internal/units"
 )
@@ -16,16 +15,16 @@ var optionNames = [numOptions]string{"Method", "MicroBatches", "Checkpointing", 
 	"Winograd", "TensorCores", "NCCL.Protocol", "NCCL.Algorithm", "Faults", "DetailIntervals"}
 
 // methodsOf lists the methods a schedule accepts.
-func methodsOf(s *capability) []kvstore.Method {
+func methodsOf(s *capability) []Method {
 	if s.method != "" {
-		return []kvstore.Method{s.method}
+		return []Method{s.method}
 	}
-	return []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL, kvstore.MethodLocal}
+	return []Method{MethodP2P, MethodNCCL, MethodLocal}
 }
 
 // flips lists the ways to set option o away from a base configuration
 // whose method is m: the other methods, or the option's other values.
-func flips(s *capability, o option, m kvstore.Method) []func(*Config) {
+func flips(s *capability, o option, m Method) []func(*Config) {
 	switch o {
 	case optMethod:
 		var fs []func(*Config)
@@ -132,8 +131,8 @@ func TestScheduleTable(t *testing.T) {
 
 // whyNeutral says why accepted option o moves no output byte under the
 // schedule and method m, or is empty when it moves some.
-func (s *capability) whyNeutral(o option, m kvstore.Method) string {
-	if why := s.neutral[o]; why != whyNotNCCL || m != kvstore.MethodNCCL {
+func (s *capability) whyNeutral(o option, m Method) string {
+	if why := s.neutral[o]; why != whyNotNCCL || m != MethodNCCL {
 		return why
 	}
 	return ""

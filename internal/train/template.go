@@ -7,7 +7,6 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/memo"
 	"repro/internal/nccl"
 	"repro/internal/p2p"
@@ -19,7 +18,7 @@ import (
 // A trainer is built from shared, immutable templates plus a little
 // per-compile state:
 //
-//   - a machine template per (machine, device set, kvstore method): the
+//   - a machine template per (machine, device set, method): the
 //     runtime's layout (every track and transfer name, the host and peer
 //     copy paths) and the NCCL rings;
 //   - a plan table per (network, lowering options): the kernels' profile
@@ -33,7 +32,7 @@ import (
 // names so that no name is formatted or interned.
 
 // machineTemplate is everything building a trainer derives from the
-// machine, the device set and the kvstore method alone.
+// machine, the device set and the method alone.
 type machineTemplate struct {
 	top    *topology.Topology
 	devs   []topology.NodeID
@@ -50,13 +49,13 @@ type machineTemplate struct {
 // A registered machine's healthy template is built once per key
 // (machineTemplateFor); a faulted or overridden topology builds its own
 // the same way, per trainer.
-func buildTemplate(top *topology.Topology, devs []topology.NodeID, method kvstore.Method) (*machineTemplate, error) {
+func buildTemplate(top *topology.Topology, devs []topology.NodeID, method Method) (*machineTemplate, error) {
 	lay, err := cuda.NewLayout(top, devs)
 	if err != nil {
 		return nil, err
 	}
 	tmpl := &machineTemplate{top: top, devs: devs, layout: lay}
-	if method == kvstore.MethodNCCL {
+	if method == MethodNCCL {
 		if tmpl.rings, err = nccl.NewLayout(top, devs); err != nil {
 			return nil, err
 		}
@@ -65,10 +64,10 @@ func buildTemplate(top *topology.Topology, devs []topology.NodeID, method kvstor
 }
 
 // templateKey identifies one shared machine template: a registered
-// machine, a kvstore method and the device set 0..n-1 (deviceSet).
+// machine, a method and the device set 0..n-1 (deviceSet).
 type templateKey struct {
 	machine string
-	method  kvstore.Method
+	method  Method
 	n       int
 }
 
@@ -79,7 +78,7 @@ var templates = memo.New[templateKey, *machineTemplate](256)
 
 // machineTemplateFor returns the shared template of a registered
 // machine's healthy topology, building it on first use.
-func machineTemplateFor(m Machine, devs []topology.NodeID, method kvstore.Method) (*machineTemplate, error) {
+func machineTemplateFor(m Machine, devs []topology.NodeID, method Method) (*machineTemplate, error) {
 	top, err := MachineTopology(m.Name)
 	if err != nil {
 		return nil, err
@@ -111,13 +110,13 @@ type wiresKey struct {
 var wires = memo.New[wiresKey, []nccl.Wire](1024)
 
 // wiresFor returns the NCCL wire times of the plan's distinct gradient
-// sizes (planTable.grads), as backend (an nccl backend over tmpl.rings
-// under sel) prices them. They depend on the gradient sizes,
-// the rings and the selection, not on the batch, so a shared template's are
-// memoized. A faulted or overridden topology's template lives for one
-// trainer, and a memo keyed by its rings would pin the topology, so its
-// wire times are priced for the trainer alone.
-func wiresFor(tmpl *machineTemplate, plan *planTable, sel nccl.Selection, backend kvstore.Backend) []nccl.Wire {
+// sizes (planTable.grads), as comm (a communicator over tmpl.rings under
+// sel) prices them. They depend on the gradient sizes, the rings and the
+// selection, not on the batch, so a shared template's are memoized. A
+// faulted or overridden topology's template lives for one trainer, and a
+// memo keyed by its rings would pin the topology, so its wire times are
+// priced for the trainer alone.
+func wiresFor(tmpl *machineTemplate, plan *planTable, sel nccl.Selection, comm *nccl.Communicator) []nccl.Wire {
 	key := wiresKey{rings: tmpl.rings, plan: plan, sel: sel}
 	if tmpl.shared {
 		if w, ok := wires.Lookup(key); ok {
@@ -125,11 +124,8 @@ func wiresFor(tmpl *machineTemplate, plan *planTable, sel nccl.Selection, backen
 		}
 	}
 	out := make([]nccl.Wire, len(plan.grads))
-	var a kvstore.Array
 	for k, size := range plan.grads {
-		a.Size = size
-		backend.Price(&a)
-		out[k] = a.Wire
+		out[k] = comm.Price(size)
 	}
 	if tmpl.shared {
 		wires.Add(key, out)
@@ -140,7 +136,7 @@ func wiresFor(tmpl *machineTemplate, plan *planTable, sel nccl.Selection, backen
 // sgdUpdate names the root's weight-update kernel.
 const sgdUpdate = "sgd_update"
 
-// runtimeKernels are the kernels the kvstore backends and the trainer
+// runtimeKernels are the kernels the exchange engines and the trainer
 // launch besides the plan's. They lead every plan table's names, so their
 // slots are the same constants in every trainer's profile.
 var runtimeKernels = [...]string{

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/models"
 	"repro/internal/profiler"
 )
@@ -60,7 +59,7 @@ func TestPlanTableBatchIndependent(t *testing.T) {
 func TestResetCacheRebuildsTemplates(t *testing.T) {
 	build := func() *Trainer {
 		t.Helper()
-		cfg, err := NewConfig("alexnet", 4, 32, kvstore.MethodNCCL)
+		cfg, err := NewConfig("alexnet", 4, 32, MethodNCCL)
 		if err != nil {
 			t.Fatal(err)
 		}

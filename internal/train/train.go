@@ -1,8 +1,8 @@
 // Package train simulates data-parallel synchronous-SGD training on the
 // modeled DGX-1, reproducing the paper's measurement methodology: per-GPU
 // executors enqueue the FP and BP kernel plans, per-layer gradients are
-// pushed through the kvstore as backpropagation produces them (overlapping
-// BP with WU as MXNet does), the root GPU updates weights and the kvstore
+// exchanged as backpropagation produces them (overlapping BP with WU as
+// MXNet's kvstore does), the root GPU updates weights and the exchange
 // distributes them, and a synchronous barrier separates iterations.
 //
 // A handful of iterations are simulated exactly and the steady-state
@@ -19,10 +19,10 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/interconnect"
-	"repro/internal/kvstore"
 	"repro/internal/memmodel"
 	"repro/internal/models"
 	"repro/internal/nccl"
+	"repro/internal/p2p"
 	"repro/internal/profiler"
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -37,9 +37,9 @@ type Config struct {
 	GPUs int
 	// Batch is the per-GPU mini-batch size.
 	Batch int
-	// Method selects the communication backend (p2p, nccl or local; see
+	// Method selects the communication method (p2p, nccl or local; see
 	// the capability table in schedule.go for what each schedule takes).
-	Method kvstore.Method
+	Method Method
 	// Images is the epoch's dataset size (already scaled for weak
 	// scaling). Zero means the paper's 256K.
 	Images int64
@@ -111,7 +111,7 @@ const (
 const PaperDatasetImages int64 = 256 * 1024
 
 // NewConfig returns the paper's default configuration for a model name.
-func NewConfig(model string, gpus, batch int, method kvstore.Method) (Config, error) {
+func NewConfig(model string, gpus, batch int, method Method) (Config, error) {
 	d, err := models.ByName(model)
 	if err != nil {
 		return Config{}, err
@@ -156,8 +156,12 @@ func (c *Config) normalize() error {
 	if c.Batch <= 0 {
 		return fmt.Errorf("train: bad batch size %d", c.Batch)
 	}
-	if c.Method == "" {
-		c.Method = kvstore.MethodNCCL
+	switch c.Method {
+	case "":
+		c.Method = MethodNCCL
+	case MethodP2P, MethodNCCL, MethodLocal:
+	default:
+		return fmt.Errorf("train: unknown method %q", c.Method)
 	}
 	// Each schedule's legality, checked before New lowers plans or
 	// reserves device memory.
@@ -190,7 +194,7 @@ type Result struct {
 
 	// EpochTime is the wall time of the epoch (setup + all iterations).
 	EpochTime time.Duration
-	// SetupTime covers backend initialization and the initial model
+	// SetupTime covers communicator initialization and the initial model
 	// broadcast.
 	SetupTime time.Duration
 	// SteadyIter is the converged per-iteration time.
@@ -226,15 +230,19 @@ func (r *Result) FPBPWall() time.Duration { return r.FPWall + r.BPWall }
 
 // Trainer holds one run's simulation state.
 type Trainer struct {
-	cfg     Config
-	fab     *interconnect.Fabric
-	rt      *cuda.Runtime
-	prof    *profiler.Profile
-	backend kvstore.Backend
-	// devs and rings are the machine template's, shared read-only (rings
-	// is nil unless the method is nccl).
-	devs  []topology.NodeID
-	rings *nccl.Layout
+	cfg  Config
+	fab  *interconnect.Fabric
+	rt   *cuda.Runtime
+	prof *profiler.Profile
+	// p2p is the peer-copy engine when the method is p2p, and comm the
+	// NCCL communicator, over the machine template's rings, when it is
+	// nccl; the local method's host server needs neither.
+	p2p  *p2p.Engine
+	comm *nccl.Communicator
+	// devs is the machine template's, shared read-only; devs[0] is the
+	// root, which aggregates gradients and holds the authoritative
+	// weights (GPU 0 in the paper's MXNet).
+	devs []topology.NodeID
 
 	// compute[i] is devs[i]'s training stream.
 	compute []cuda.Stream
@@ -252,10 +260,10 @@ type Trainer struct {
 	grads []layerGrad
 	// wires[k] is the NCCL wire times of the plan's k-th distinct
 	// gradient size (nil unless the method is nccl), and xchg the array
-	// the exchange prices into (array, bucket); its Adds has a slot per
+	// the exchange prices into (array, bucket); its adds has a slot per
 	// rank when the method is p2p.
 	wires []nccl.Wire
-	xchg  kvstore.Array
+	xchg  array
 	// passes counts the device passes the schedule launched: a replayed
 	// replica (runIteration) launches none.
 	passes int64
@@ -358,32 +366,35 @@ func New(cfg Config) (*Trainer, error) {
 	// base spec.
 	specs := cfg.Faults.Specs(spec)
 	rt := tmpl.layout.NewRuntime(fab, spec, specs, cuda.DefaultCosts(), prof)
-	backend, err := kvstore.New(cfg.Method, rt, tmpl.devs, cfg.NCCL, tmpl.rings)
-	if err != nil {
-		return nil, err
-	}
-
 	t := &Trainer{
 		cfg:        cfg,
 		fab:        fab,
 		rt:         rt,
 		prof:       prof,
-		backend:    backend,
 		devs:       tmpl.devs,
-		rings:      tmpl.rings,
-		compute:    rt.Streams(tmpl.devs, false),
-		tables:     tablesFor(cfg, cfg.Batch, plan, rt, tmpl.devs, specs),
 		stragglers: specs,
 		batchBytes: units.BytesOf(cfg.Model.InputShape.Elems(), units.Float32Size) * units.Bytes(cfg.Batch),
 		simIters:   DefaultSimIters,
 	}
-	t.grads = make([]layerGrad, 0, len(t.tables[0].updates))
+	// The engine comes first: the communicator's gang makes its streams
+	// ahead of the compute streams, the order the runtime's state
+	// (AppendState) lists them in.
+	var err error
 	switch cfg.Method {
-	case kvstore.MethodNCCL:
-		t.wires = wiresFor(tmpl, plan, cfg.NCCL, backend)
-	case kvstore.MethodP2P:
-		t.xchg.Adds = make([]time.Duration, len(t.devs))
+	case MethodNCCL:
+		if t.comm, err = nccl.NewOn(rt, tmpl.rings, cfg.NCCL); err != nil {
+			return nil, err
+		}
+		t.wires = wiresFor(tmpl, plan, cfg.NCCL, t.comm)
+	case MethodP2P:
+		if t.p2p, err = p2p.New(rt, tmpl.devs); err != nil {
+			return nil, err
+		}
+		t.xchg.adds = make([]time.Duration, len(t.devs))
 	}
+	t.compute = rt.Streams(tmpl.devs, false)
+	t.tables = tablesFor(cfg, cfg.Batch, plan, rt, tmpl.devs, specs)
+	t.grads = make([]layerGrad, 0, len(t.tables[0].updates))
 
 	t.memory = memmodel.Compute(cfg.Model.Net, cfg.Batch, cfg.GPUs > 1)
 	if cfg.Checkpointing {
@@ -397,7 +408,7 @@ func New(cfg Config) (*Trainer, error) {
 	// The root holds the high-water mark and every device has its
 	// capacity (Spec.Slowed keeps MemCapacity), so one check decides every
 	// device. The message keeps its established wording.
-	if capacity := rt.Device(backend.Root()).Spec.MemCapacity; !t.memory.Fits(capacity) {
+	if capacity := rt.Device(t.devs[0]).Spec.MemCapacity; !t.memory.Fits(capacity) {
 		return nil, fmt.Errorf("train: %s batch %d on %d GPUs: gpu: alloc %v under \"training\": used 0B of %v: %w",
 			cfg.Model.Name, cfg.Batch, cfg.GPUs, t.memory.Root()+memmodel.DriverReserve, capacity, gpu.ErrOutOfMemory)
 	}
@@ -480,33 +491,38 @@ func (t *Trainer) update(j int) cuda.Kernel {
 // updateKernel lowers the root's weight-update kernel for one parameter
 // array of size bytes.
 func (t *Trainer) updateKernel(size units.Bytes) cuda.Kernel {
-	spec := t.rt.Device(t.backend.Root()).Spec
+	spec := t.rt.Device(t.devs[0]).Spec
 	return t.rt.NewKernel(sgdUpdate, spec.KernelDuration(sgdUpdateCost(size)))
 }
 
 // array returns the exchange of the j-th layer with parameters, in
 // backward order, priced from what was lowered once: each rank's add
 // duration from its kernel table and the wire times from t.wires.
-func (t *Trainer) array(j int) *kvstore.Array {
+func (t *Trainer) array(j int) *array {
 	plan := t.tables[0].plan
 	k := plan.gradAt[j]
 	a := &t.xchg
-	a.Size = plan.grads[k]
+	a.size = plan.grads[k]
 	if t.wires != nil {
-		a.Wire = t.wires[k]
+		a.wire = t.wires[k]
 	}
-	for i := range a.Adds {
-		a.Adds[i] = t.tables[i].adds[k]
+	for i := range a.adds {
+		a.adds[i] = t.tables[i].adds[k]
 	}
 	return a
 }
 
 // bucket returns the exchange of a fused bucket of size bytes, priced on
 // the fly: a bucket's size is arbitrary, so nothing lowered covers it.
-func (t *Trainer) bucket(size units.Bytes) *kvstore.Array {
+func (t *Trainer) bucket(size units.Bytes) *array {
 	a := &t.xchg
-	a.Size = size
-	t.backend.Price(a)
+	a.size = size
+	if t.comm != nil {
+		a.wire = t.comm.Price(size)
+	}
+	if t.p2p != nil {
+		a.adds = t.p2p.AddDurations(size, a.adds)
+	}
 	return a
 }
 

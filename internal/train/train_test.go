@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/gpu"
-	"repro/internal/kvstore"
 	"repro/internal/memmodel"
 	"repro/internal/models"
 	"repro/internal/units"
@@ -16,7 +15,7 @@ import (
 
 // quickCfg returns a config with a small dataset so tests run fast; the
 // steady-state extrapolation makes epoch shape independent of dataset size.
-func quickCfg(t *testing.T, model string, gpus, batch int, method kvstore.Method) Config {
+func quickCfg(t *testing.T, model string, gpus, batch int, method Method) Config {
 	t.Helper()
 	cfg, err := NewConfig(model, gpus, batch, method)
 	if err != nil {
@@ -25,7 +24,7 @@ func quickCfg(t *testing.T, model string, gpus, batch int, method kvstore.Method
 	return cfg
 }
 
-func runQuick(t *testing.T, model string, gpus, batch int, method kvstore.Method) *Result {
+func runQuick(t *testing.T, model string, gpus, batch int, method Method) *Result {
 	t.Helper()
 	cfg := quickCfg(t, model, gpus, batch, method)
 	tr, err := New(cfg)
@@ -40,10 +39,10 @@ func runQuick(t *testing.T, model string, gpus, batch int, method kvstore.Method
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewConfig("nope", 1, 16, kvstore.MethodP2P); err == nil {
+	if _, err := NewConfig("nope", 1, 16, MethodP2P); err == nil {
 		t.Error("unknown model should error")
 	}
-	cfg := quickCfg(t, "lenet", 1, 16, kvstore.MethodP2P)
+	cfg := quickCfg(t, "lenet", 1, 16, MethodP2P)
 	cfg.GPUs = 9
 	if _, err := New(cfg); err == nil {
 		t.Error("9 GPUs should error")
@@ -52,19 +51,25 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("0 GPUs should error")
 	}
-	cfg = quickCfg(t, "lenet", 1, 16, kvstore.MethodP2P)
+	cfg = quickCfg(t, "lenet", 1, 16, MethodP2P)
 	cfg.Batch = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("0 batch should error")
 	}
+	// An unknown method is rejected before New memoizes a machine
+	// template under it.
+	before := templates.Stats().Size
 	cfg = quickCfg(t, "lenet", 1, 16, "bogus")
-	if _, err := New(cfg); err == nil {
-		t.Error("bogus method should error")
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `unknown method "bogus"`) {
+		t.Errorf("bogus method: New = %v, want an unknown-method error", err)
+	}
+	if after := templates.Stats().Size; after != before {
+		t.Errorf("the rejected method left %d templates, want %d", after, before)
 	}
 }
 
 func TestResultBasics(t *testing.T) {
-	res := runQuick(t, "lenet", 2, 16, kvstore.MethodP2P)
+	res := runQuick(t, "lenet", 2, 16, MethodP2P)
 	if res.EpochTime <= 0 || res.SteadyIter <= 0 {
 		t.Fatal("non-positive times")
 	}
@@ -104,7 +109,7 @@ func TestOOMConfigurationsRejected(t *testing.T) {
 	for _, name := range models.Names() {
 		for _, gpus := range []int{1, 2, 4, 8} {
 			for _, batch := range []int{16, 32, 64, 128, 256, 512} {
-				for _, method := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL} {
+				for _, method := range []Method{MethodP2P, MethodNCCL} {
 					cfg := quickCfg(t, name, gpus, batch, method)
 					fits := memmodel.FitsDevice(cfg.Model.Net, batch, gpus > 1, capacity)
 					if !fits {
@@ -128,7 +133,7 @@ func TestOOMConfigurationsRejected(t *testing.T) {
 	}
 
 	t.Run("error_text", func(t *testing.T) {
-		_, err := New(quickCfg(t, "googlenet", 1, 512, kvstore.MethodP2P))
+		_, err := New(quickCfg(t, "googlenet", 1, 512, MethodP2P))
 		const want = `train: GoogLeNet batch 512 on 1 GPUs: gpu: alloc 25.71GB under "training": used 0B of 16.00GB: gpu: out of memory`
 		if err == nil || err.Error() != want {
 			t.Errorf("OOM error = %v, want %s", err, want)
@@ -138,7 +143,7 @@ func TestOOMConfigurationsRejected(t *testing.T) {
 	// At the boundary the root's footprint plus the driver reserve must
 	// fit; the workers' smaller footprint does not decide it.
 	t.Run("root_boundary", func(t *testing.T) {
-		edge := quickCfg(t, "alexnet", 4, 64, kvstore.MethodP2P)
+		edge := quickCfg(t, "alexnet", 4, 64, MethodP2P)
 		need := memmodel.Compute(edge.Model.Net, 64, true).Root() + memmodel.DriverReserve
 		for _, capacity := range []units.Bytes{need, need - 1} {
 			spec := gpu.V100()
@@ -150,9 +155,9 @@ func TestOOMConfigurationsRejected(t *testing.T) {
 		}
 	})
 
-	mp := quickCfg(t, "resnet", 2, 256, kvstore.MethodP2P)
+	mp := quickCfg(t, "resnet", 2, 256, MethodP2P)
 	mp.Parallelism = ModelParallel
-	ckpt := quickCfg(t, "resnet", 2, 512, kvstore.MethodNCCL)
+	ckpt := quickCfg(t, "resnet", 2, 512, MethodNCCL)
 	ckpt.Checkpointing = true
 	for _, c := range []struct {
 		name string
@@ -172,8 +177,8 @@ func TestOOMConfigurationsRejected(t *testing.T) {
 // small for the large ones.
 func TestTableIIAnchors(t *testing.T) {
 	overhead := func(model string, batch int) float64 {
-		p := runQuick(t, model, 1, batch, kvstore.MethodP2P)
-		n := runQuick(t, model, 1, batch, kvstore.MethodNCCL)
+		p := runQuick(t, model, 1, batch, MethodP2P)
+		n := runQuick(t, model, 1, batch, MethodNCCL)
 		return 100 * (n.EpochTime.Seconds() - p.EpochTime.Seconds()) / p.EpochTime.Seconds()
 	}
 	le16 := overhead("lenet", 16)
@@ -193,7 +198,7 @@ func TestTableIIAnchors(t *testing.T) {
 // Paper anchor (§V-A): LeNet b16 speedups at 2/4/8 GPUs — P2P ≈
 // 1.62/2.37/3.36, NCCL ≈ 1.56/2.27/2.77 — and P2P beats NCCL for LeNet.
 func TestLeNetScalingShape(t *testing.T) {
-	for _, m := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL} {
+	for _, m := range []Method{MethodP2P, MethodNCCL} {
 		base := runQuick(t, "lenet", 1, 16, m)
 		prev := base.EpochTime
 		speedups := map[int]float64{}
@@ -213,8 +218,8 @@ func TestLeNetScalingShape(t *testing.T) {
 			t.Errorf("lenet %s 8-GPU speedup %.2f too low", m, speedups[8])
 		}
 	}
-	p := runQuick(t, "lenet", 4, 16, kvstore.MethodP2P)
-	n := runQuick(t, "lenet", 4, 16, kvstore.MethodNCCL)
+	p := runQuick(t, "lenet", 4, 16, MethodP2P)
+	n := runQuick(t, "lenet", 4, 16, MethodNCCL)
 	if p.EpochTime >= n.EpochTime {
 		t.Errorf("P2P (%v) should beat NCCL (%v) for LeNet at 4 GPUs", p.EpochTime, n.EpochTime)
 	}
@@ -224,14 +229,14 @@ func TestLeNetScalingShape(t *testing.T) {
 // 8 GPUs (~1.1x and ~1.2-1.25x).
 func TestNCCLBeatsP2PForLargeNets(t *testing.T) {
 	for _, model := range []string{"resnet", "inception-v3"} {
-		r4p := runQuick(t, model, 4, 16, kvstore.MethodP2P)
-		r4n := runQuick(t, model, 4, 16, kvstore.MethodNCCL)
+		r4p := runQuick(t, model, 4, 16, MethodP2P)
+		r4n := runQuick(t, model, 4, 16, MethodNCCL)
 		s4 := r4p.EpochTime.Seconds() / r4n.EpochTime.Seconds()
 		if s4 < 1.05 || s4 > 1.45 {
 			t.Errorf("%s 4-GPU NCCL advantage = %.2fx, want ~1.1-1.3x", model, s4)
 		}
-		r8p := runQuick(t, model, 8, 16, kvstore.MethodP2P)
-		r8n := runQuick(t, model, 8, 16, kvstore.MethodNCCL)
+		r8p := runQuick(t, model, 8, 16, MethodP2P)
+		r8n := runQuick(t, model, 8, 16, MethodNCCL)
 		s8 := r8p.EpochTime.Seconds() / r8n.EpochTime.Seconds()
 		if s8 <= s4 {
 			t.Errorf("%s NCCL advantage should grow with GPUs: 4=%.2f 8=%.2f", model, s4, s8)
@@ -243,9 +248,9 @@ func TestNCCLBeatsP2PForLargeNets(t *testing.T) {
 // linearly; for LeNet on 4 GPUs with P2P the paper reports 1.92x and 3.67x
 // going 16 -> 32 -> 64.
 func TestBatchScalingNearLinear(t *testing.T) {
-	b16 := runQuick(t, "lenet", 4, 16, kvstore.MethodP2P)
-	b32 := runQuick(t, "lenet", 4, 32, kvstore.MethodP2P)
-	b64 := runQuick(t, "lenet", 4, 64, kvstore.MethodP2P)
+	b16 := runQuick(t, "lenet", 4, 16, MethodP2P)
+	b32 := runQuick(t, "lenet", 4, 32, MethodP2P)
+	b64 := runQuick(t, "lenet", 4, 64, MethodP2P)
 	r32 := b16.EpochTime.Seconds() / b32.EpochTime.Seconds()
 	r64 := b16.EpochTime.Seconds() / b64.EpochTime.Seconds()
 	if r32 < 1.6 || r32 > 2.3 {
@@ -260,12 +265,12 @@ func TestBatchScalingNearLinear(t *testing.T) {
 // every GPU count, and single-GPU WU is negligible.
 func TestStageBreakdownShapes(t *testing.T) {
 	for _, g := range []int{1, 4} {
-		r := runQuick(t, "inception-v3", g, 16, kvstore.MethodNCCL)
+		r := runQuick(t, "inception-v3", g, 16, MethodNCCL)
 		if r.FPBPWall() < r.WUWall {
 			t.Errorf("inception %d GPUs: FP+BP (%v) should dominate WU (%v)", g, r.FPBPWall(), r.WUWall)
 		}
 	}
-	r1 := runQuick(t, "googlenet", 1, 16, kvstore.MethodNCCL)
+	r1 := runQuick(t, "googlenet", 1, 16, MethodNCCL)
 	if float64(r1.WUWall) > 0.05*float64(r1.EpochTime) {
 		t.Errorf("single-GPU WU (%v) should be tiny vs epoch (%v)", r1.WUWall, r1.EpochTime)
 	}
@@ -274,13 +279,13 @@ func TestStageBreakdownShapes(t *testing.T) {
 // Paper Table III trends: cudaStreamSynchronize share grows with GPU count
 // and shrinks with batch size.
 func TestSyncOverheadTrends(t *testing.T) {
-	g1 := runQuick(t, "lenet", 1, 16, kvstore.MethodNCCL)
-	g8 := runQuick(t, "lenet", 8, 16, kvstore.MethodNCCL)
+	g1 := runQuick(t, "lenet", 1, 16, MethodNCCL)
+	g8 := runQuick(t, "lenet", 8, 16, MethodNCCL)
 	if g8.SyncPercent <= g1.SyncPercent {
 		t.Errorf("sync%% should grow with GPUs: 1=%.1f 8=%.1f", g1.SyncPercent, g8.SyncPercent)
 	}
-	b16 := runQuick(t, "lenet", 8, 16, kvstore.MethodNCCL)
-	b64 := runQuick(t, "lenet", 8, 64, kvstore.MethodNCCL)
+	b16 := runQuick(t, "lenet", 8, 16, MethodNCCL)
+	b64 := runQuick(t, "lenet", 8, 64, MethodNCCL)
 	if b64.SyncPercent >= b16.SyncPercent {
 		t.Errorf("sync%% should shrink with batch: b16=%.1f b64=%.1f", b16.SyncPercent, b64.SyncPercent)
 	}
@@ -291,8 +296,8 @@ func TestSyncOverheadTrends(t *testing.T) {
 // slightly better for the API-bound small networks.
 func TestWeakScalingAtLeastStrong(t *testing.T) {
 	for _, model := range []string{"lenet", "googlenet"} {
-		strong := runQuick(t, model, 4, 16, kvstore.MethodNCCL)
-		cfg := quickCfg(t, model, 4, 16, kvstore.MethodNCCL)
+		strong := runQuick(t, model, 4, 16, MethodNCCL)
+		cfg := quickCfg(t, model, 4, 16, MethodNCCL)
 		cfg.Images = cfg.Images * 4
 		tr, err := New(cfg)
 		if err != nil {
@@ -311,19 +316,19 @@ func TestWeakScalingAtLeastStrong(t *testing.T) {
 }
 
 func TestLowUtilizationForLeNet(t *testing.T) {
-	r := runQuick(t, "lenet", 1, 16, kvstore.MethodP2P)
+	r := runQuick(t, "lenet", 1, 16, MethodP2P)
 	// Paper: 18.3% compute utilization for LeNet.
 	if r.ComputeUtilization > 0.35 {
 		t.Errorf("LeNet utilization = %.2f, should be low (paper: 0.183)", r.ComputeUtilization)
 	}
-	big := runQuick(t, "inception-v3", 1, 16, kvstore.MethodP2P)
+	big := runQuick(t, "inception-v3", 1, 16, MethodP2P)
 	if big.ComputeUtilization <= 2*r.ComputeUtilization {
 		t.Error("Inception-v3 should utilize the GPU far better than LeNet")
 	}
 }
 
 func TestProfileAccounting(t *testing.T) {
-	r := runQuick(t, "lenet", 2, 16, kvstore.MethodNCCL)
+	r := runQuick(t, "lenet", 2, 16, MethodNCCL)
 	p := r.Profile
 	if p.API("cudaLaunchKernel").Calls == 0 {
 		t.Error("no launches recorded")
@@ -340,7 +345,7 @@ func TestProfileAccounting(t *testing.T) {
 }
 
 func TestAsyncSGD(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 4, 16, kvstore.MethodP2P)
+	cfg := quickCfg(t, "lenet", 4, 16, MethodP2P)
 	cfg.Async = true
 	tr, err := New(cfg)
 	if err != nil {
@@ -354,7 +359,7 @@ func TestAsyncSGD(t *testing.T) {
 		t.Fatal("async epoch not positive")
 	}
 	// Without the barrier, async should not be slower than sync.
-	sync := runQuick(t, "lenet", 4, 16, kvstore.MethodP2P)
+	sync := runQuick(t, "lenet", 4, 16, MethodP2P)
 	if float64(res.EpochTime) > 1.1*float64(sync.EpochTime) {
 		t.Errorf("async (%v) should not be much slower than sync (%v)", res.EpochTime, sync.EpochTime)
 	}
@@ -367,16 +372,16 @@ func TestNewRejectsIllegalSchedules(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		gpus   int
-		method kvstore.Method
+		method Method
 		apply  func(*Config)
 		want   string
 	}{
-		{"async model-parallel", 2, kvstore.MethodP2P, func(c *Config) { c.Async, c.Parallelism = true, ModelParallel }, "async SGD supports only data parallelism"},
-		{"async hybrid", 2, kvstore.MethodP2P, func(c *Config) { c.Async, c.Parallelism = true, HybridOWT }, "async SGD supports only data parallelism"},
-		{"hybrid on one GPU", 1, kvstore.MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }, "hybrid parallelism needs at least 2 GPUs"},
-		{"async without p2p", 2, kvstore.MethodNCCL, func(c *Config) { c.Async = true }, "async SGD requires the p2p method"},
+		{"async model-parallel", 2, MethodP2P, func(c *Config) { c.Async, c.Parallelism = true, ModelParallel }, "async SGD supports only data parallelism"},
+		{"async hybrid", 2, MethodP2P, func(c *Config) { c.Async, c.Parallelism = true, HybridOWT }, "async SGD supports only data parallelism"},
+		{"hybrid on one GPU", 1, MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }, "hybrid parallelism needs at least 2 GPUs"},
+		{"async without p2p", 2, MethodNCCL, func(c *Config) { c.Async = true }, "async SGD requires the p2p method"},
 		{"async default method", 2, "", func(c *Config) { c.Async = true }, "async SGD requires the p2p method"},
-		{"hybrid without nccl", 4, kvstore.MethodP2P, func(c *Config) { c.Parallelism = HybridOWT }, `hybrid parallelism requires the nccl method, got "p2p"`},
+		{"hybrid without nccl", 4, MethodP2P, func(c *Config) { c.Parallelism = HybridOWT }, `hybrid parallelism requires the nccl method, got "p2p"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickCfg(t, "alexnet", tc.gpus, 16, tc.method)
@@ -393,7 +398,7 @@ func TestNewRejectsIllegalSchedules(t *testing.T) {
 }
 
 func TestDetailProfileForTimeline(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 2, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "lenet", 2, 16, MethodNCCL)
 	cfg.DetailIntervals = 500
 	tr, err := New(cfg)
 	if err != nil {
@@ -408,8 +413,8 @@ func TestDetailProfileForTimeline(t *testing.T) {
 }
 
 func TestTensorCoreAblation(t *testing.T) {
-	on := runQuick(t, "resnet", 1, 16, kvstore.MethodP2P)
-	cfg := quickCfg(t, "resnet", 1, 16, kvstore.MethodP2P)
+	on := runQuick(t, "resnet", 1, 16, MethodP2P)
+	cfg := quickCfg(t, "resnet", 1, 16, MethodP2P)
 	cfg.TensorCores = false
 	tr, err := New(cfg)
 	if err != nil {
@@ -427,7 +432,7 @@ func TestTensorCoreAblation(t *testing.T) {
 func TestSimItersConvergence(t *testing.T) {
 	// More simulated iterations should barely change the extrapolated
 	// epoch (steady state reached quickly).
-	cfg := quickCfg(t, "googlenet", 4, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "googlenet", 4, 16, MethodNCCL)
 	run := func(simIters int) *Result {
 		tr, err := New(cfg)
 		if err != nil {
@@ -451,7 +456,7 @@ func TestSimItersConvergence(t *testing.T) {
 }
 
 func TestMemoryAccessor(t *testing.T) {
-	cfg := quickCfg(t, "alexnet", 4, 32, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "alexnet", 4, 32, MethodNCCL)
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +471,7 @@ func TestAllModelsRunAllMethods(t *testing.T) {
 		t.Skip("full grid in long mode only")
 	}
 	for _, d := range models.All() {
-		for _, m := range []kvstore.Method{kvstore.MethodP2P, kvstore.MethodNCCL} {
+		for _, m := range []Method{MethodP2P, MethodNCCL} {
 			for _, g := range []int{1, 2, 4, 8} {
 				name, method, gpus := d.Name, m, g
 				cfg, err := NewConfig(map[string]string{
@@ -497,7 +502,7 @@ func TestAllModelsRunAllMethods(t *testing.T) {
 // aggregation kernels, so it is strictly busier than every worker: the
 // spread between the busiest and least busy GPU is positive.
 func TestGPU0BusiestUnderP2P(t *testing.T) {
-	four := runQuick(t, "resnet", 4, 16, kvstore.MethodP2P)
+	four := runQuick(t, "resnet", 4, 16, MethodP2P)
 	for d, f := range four.GPUComputeBusy {
 		if d != 0 && f >= four.GPUComputeBusy[0] {
 			t.Errorf("GPU0 should be the busiest: %v", four.GPUComputeBusy)

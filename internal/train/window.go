@@ -296,7 +296,7 @@ func (t *Trainer) begin() (time.Duration, iteration, error) {
 }
 
 // broadcast books the session setup of the schedules that replicate the
-// model: framework startup and the backend's communicator construction,
+// model: framework startup and, under nccl, the communicator's build,
 // then the model's copy from the CPU to every GPU over PCIe (Figure 1's
 // leftmost phase), with each GPU's first mini-batch staged alongside it
 // when stage is set. It returns when the last model copy lands and,

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/kvstore"
 	"repro/internal/profiler"
 )
 
@@ -16,7 +15,7 @@ import (
 // field kills the whole report body). A zero-duration window cannot come
 // out of the simulator, so the test builds the degenerate Window by hand.
 func TestExtrapolateZeroEpochNoNaN(t *testing.T) {
-	cfg, err := NewConfig("lenet", 1, 16, kvstore.MethodP2P)
+	cfg, err := NewConfig("lenet", 1, 16, MethodP2P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestExtrapolateZeroEpochNoNaN(t *testing.T) {
 // reuse must keep: repeated extrapolations of one window are identical,
 // i.e. no call mutates the window's own profile or schedule state.
 func TestExtrapolateRepeatable(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 2, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "lenet", 2, 16, MethodNCCL)
 	tr, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +122,7 @@ func TestIterations(t *testing.T) {
 // TestExtrapolateRejectsEmptyEpoch: an epoch of no images, or of a
 // negative count, is an error, not a panic or a zero-iteration result.
 func TestExtrapolateRejectsEmptyEpoch(t *testing.T) {
-	tr, err := New(quickCfg(t, "lenet", 1, 16, kvstore.MethodNCCL))
+	tr, err := New(quickCfg(t, "lenet", 1, 16, MethodNCCL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestExtrapolateRejectsEmptyEpoch(t *testing.T) {
 // 100 years, and more than MaxImages images is rejected outright. The
 // failed calls leave the window as it was.
 func TestExtrapolateRejectsOverflow(t *testing.T) {
-	tr, err := New(quickCfg(t, "resnet", 8, 1, kvstore.MethodP2P))
+	tr, err := New(quickCfg(t, "resnet", 8, 1, MethodP2P))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +179,7 @@ func TestExtrapolateRejectsOverflow(t *testing.T) {
 
 // A configuration past MaxImages is rejected before anything is built.
 func TestNewRejectsImagesPastBound(t *testing.T) {
-	cfg := quickCfg(t, "lenet", 8, 16, kvstore.MethodNCCL)
+	cfg := quickCfg(t, "lenet", 8, 16, MethodNCCL)
 	cfg.Images = math.MaxInt64
 	if _, err := New(cfg); !errors.Is(err, ErrEpochTooLarge) {
 		t.Errorf("New(Images = MaxInt64) = %v, want ErrEpochTooLarge", err)
