@@ -44,7 +44,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%d intervals, %d dropped beyond cap)\n",
-		*out, len(r.Profile.Intervals()), r.Profile.Dropped())
+		*out, r.Profile.Retained(), r.Profile.Dropped())
 	fmt.Println(r.Summary())
 	if *ascii {
 		// Render the window that covers roughly the first two iterations

@@ -22,7 +22,7 @@
 //     faulted) machine. Fabric faults therefore price into every job on
 //     the node through the node's fault plan.
 //   - Service times come from the core compile/extrapolate path and are
-//     memoized by workload fingerprint (job template x node plan), so a
+//     memoized by normalized workload (job template x node plan), so a
 //     10k-job trace prices each distinct configuration exactly once.
 //   - Placement policies are pluggable behind the Policy interface
 //     (first-fit, best-fit bin-packing, fragmentation-aware), and the

@@ -81,21 +81,22 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// pricer memoizes job service times by normalized workload fingerprint
-// (job template x node hardware x node fault plan). The underlying core artifact cache
-// already memoizes the expensive compile; this layer also skips the
-// per-call extrapolation and validation, so a 10k-job trace costs one
-// simulation per distinct configuration and map lookups for the rest.
+// pricer memoizes job service times by normalized workload (job template
+// x node hardware x node fault plan), keyed by value (core.Key). The
+// underlying core artifact cache already memoizes the expensive compile;
+// this layer also skips the per-call extrapolation and validation, so a
+// 10k-job trace costs one simulation per distinct configuration and map
+// lookups for the rest.
 //
-// hits sits in front of the fingerprint memo, keyed by the raw inputs a
-// price depends on, so a repeat call skips the JSON encoding and SHA-256
-// of Fingerprint. Plans are compared by pointer: every node of a group
+// hits sits in front of the memo, keyed by the raw inputs a price
+// depends on, so a repeat call skips normalizing the workload and
+// encoding its plan. Plans are compared by pointer: every node of a group
 // shares one plan, and two pointers to equal plans only cost one extra
-// fingerprint, after which the memo still dedupes them. memo alone counts
-// the distinct services.
+// Key, after which the memo still dedupes them. memo alone counts the
+// distinct services.
 type pricer struct {
 	hits map[priceKey]time.Duration
-	memo map[string]time.Duration
+	memo map[core.Key]time.Duration
 }
 
 // priceKey is every input of one price: the job's workload fields, the
@@ -111,12 +112,12 @@ type priceKey struct {
 }
 
 func newPricer() *pricer {
-	return &pricer{hits: make(map[priceKey]time.Duration), memo: make(map[string]time.Duration)}
+	return &pricer{hits: make(map[priceKey]time.Duration), memo: make(map[core.Key]time.Duration)}
 }
 
 // price returns the epoch time of one repetition of j on a node of the
 // given hardware carrying plan. Normalize folds "" and "dgx1" to the
-// same fingerprint, so an all-default fleet prices exactly as before the
+// same key, so an all-default fleet prices exactly as before the
 // hardware axis existed.
 func (p *pricer) price(ctx context.Context, j Job, plan *faults.Plan, hardware string) (time.Duration, error) {
 	hk := priceKey{j.Model, j.GPUs, j.Batch, j.Method, j.Images, plan, hardware}
@@ -124,7 +125,7 @@ func (p *pricer) price(ctx context.Context, j Job, plan *faults.Plan, hardware s
 		return d, nil
 	}
 	w := j.workload(plan, hardware).Normalize()
-	key := w.Fingerprint()
+	key := w.Key()
 	d, ok := p.memo[key]
 	if !ok {
 		res, err := core.SimulateContext(ctx, w)

@@ -4,8 +4,8 @@
 // list-scheduled simulation of the setup window and the handful of
 // exactly-simulated iterations — all captured as a train.Window) and an
 // extrapolation phase (pure arithmetic projecting the window onto the
-// epoch). The compile phase is memoized here, keyed off the Fingerprint
-// machinery restricted to plan-relevant fields, and shared by Run,
+// epoch). The compile phase is memoized here, keyed by value on the
+// workload's plan-relevant fields (compileKey), and shared by Run,
 // RunContext, Compare, the experiments sweeps, and the dgxsimd pool
 // workers. The simulator is deterministic, so a cached window
 // reproduces a cold run byte for byte — both paths finalize through
@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/memo"
@@ -92,7 +91,7 @@ type compiled struct {
 // windows is the process-wide compiled-window cache. 512 distinct
 // configurations comfortably covers the full paper sweep grid many times
 // over while bounding a long-lived daemon's footprint.
-var windows = memo.New[string, compiled](512)
+var windows = memo.New[compileKey, compiled](512)
 
 // ResetCaches drops every memoized artifact: compiled windows, the
 // built model zoo (and with its networks their dnn plans
@@ -115,30 +114,26 @@ func epochImages(w Workload) int64 {
 	return images
 }
 
-// CompileFingerprint is the compile-phase half of the artifact key: the
-// Fingerprint restricted to fields that shape the compiled train.Window.
-// Extrapolation-only fields — Images and WeakScaling, which only scale
-// the epoch arithmetic after the window exists — are canonicalized away,
-// so every cell of a sweep that varies nothing but dataset size shares
-// one compile fingerprint. It is exported so sweep planners (the service
-// optimizer, mega-sweep tests) can predict how many compiles a grid
-// costs without running it.
-func (w Workload) CompileFingerprint() string {
-	c := w
-	c.Images = 0
-	c.WeakScaling = false
-	return c.Fingerprint()
+// compileKey identifies the compiled window a normalized workload maps
+// to: the workload's Key with the extrapolation-only fields cleared —
+// Images and WeakScaling only scale the epoch arithmetic after the window
+// exists — plus the number of iterations the window simulates exactly
+// (the one epoch-size dependence the window retains — see
+// train.Iterations; core always runs the default cap,
+// train.DefaultSimIters). Two workloads with the same key share one
+// simulated window and differ only in finalization arithmetic, so every
+// cell of a sweep that varies nothing but dataset size shares a compile.
+type compileKey struct {
+	Key
+	n int
 }
 
-// artifactKey identifies the compiled window a normalized workload maps
-// to: the compile-phase fingerprint plus the number of iterations the
-// window simulates exactly (the one epoch-size dependence the window
-// retains — see train.Iterations; core always runs the default cap,
-// train.DefaultSimIters). Two workloads with the same key share one
-// simulated window and differ only in finalization arithmetic.
-func artifactKey(w Workload) string {
+// artifactKey returns a normalized workload's compileKey.
+func artifactKey(w Workload) compileKey {
 	_, n := train.Iterations(w.parallelism(), epochImages(w), w.Batch, w.GPUs, train.DefaultSimIters)
-	return fmt.Sprintf("%s/n%d", w.CompileFingerprint(), n)
+	k := w.Key()
+	k.w.Images, k.w.WeakScaling = 0, false
+	return compileKey{k, n}
 }
 
 // parallelism is the train-layer strategy the workload selects.

@@ -105,7 +105,7 @@ func TestWindowSharedAcrossImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	if kS, kL := artifactKey(small.Normalize()), artifactKey(large.Normalize()); kS != kL {
-		t.Fatalf("images-only variants should share an artifact key: %q vs %q", kS, kL)
+		t.Fatalf("images-only variants should share an artifact key: %+v vs %+v", kS, kL)
 	}
 	warmLarge, err := Run(large)
 	if err != nil {
@@ -124,7 +124,7 @@ func TestTinyEpochGetsOwnWindow(t *testing.T) {
 	full := Workload{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192}
 	tiny := Workload{Model: "lenet", GPUs: 2, Batch: 16, Images: 32} // 1 iteration
 	if kF, kT := artifactKey(full.Normalize()), artifactKey(tiny.Normalize()); kF == kT {
-		t.Fatalf("full and tiny epochs must not share artifact key %q", kF)
+		t.Fatalf("full and tiny epochs must not share artifact key %+v", kF)
 	}
 	ResetCaches()
 	coldTiny, err := Run(tiny)
@@ -242,12 +242,12 @@ func TestCompileCountEqualsDistinctPlans(t *testing.T) {
 			grid = append(grid, w)
 		}
 	}
-	distinct := make(map[string]bool)
+	distinct := make(map[compileKey]bool)
 	for _, w := range grid {
-		distinct[w.Normalize().CompileFingerprint()] = true
+		distinct[artifactKey(w.Normalize())] = true
 	}
 	if len(distinct) != len(plans) {
-		t.Fatalf("grid has %d distinct compile fingerprints, want %d", len(distinct), len(plans))
+		t.Fatalf("grid has %d distinct compile keys, want %d", len(distinct), len(plans))
 	}
 
 	ResetCaches()
@@ -263,22 +263,22 @@ func TestCompileCountEqualsDistinctPlans(t *testing.T) {
 	}
 }
 
-// TestCompileFingerprintSplit pins which fields are extrapolation-only:
-// Images and WeakScaling must not perturb the compile fingerprint, while
-// compile-phase fields (batch, GPUs, method, faults...) must.
-func TestCompileFingerprintSplit(t *testing.T) {
+// TestCompileKeySplit pins which fields are extrapolation-only: Images
+// and WeakScaling must not perturb the compile key, while compile-phase
+// fields (batch, GPUs, method, faults...) must.
+func TestCompileKeySplit(t *testing.T) {
 	base := Workload{Model: "lenet", GPUs: 2, Batch: 16, Images: 8192}
-	key := base.CompileFingerprint()
+	key := artifactKey(base.Normalize())
 
 	images := base
 	images.Images = 256 * 1024
-	if images.CompileFingerprint() != key {
-		t.Error("Images perturbed the compile fingerprint; it only scales extrapolation")
+	if artifactKey(images.Normalize()) != key {
+		t.Error("Images perturbed the compile key; it only scales extrapolation")
 	}
 	weak := base
 	weak.WeakScaling = true
-	if weak.CompileFingerprint() != key {
-		t.Error("WeakScaling perturbed the compile fingerprint; it only scales extrapolation")
+	if artifactKey(weak.Normalize()) != key {
+		t.Error("WeakScaling perturbed the compile key; it only scales extrapolation")
 	}
 	for name, mutate := range map[string]func(*Workload){
 		"Batch":  func(w *Workload) { w.Batch = 32 },
@@ -287,8 +287,8 @@ func TestCompileFingerprintSplit(t *testing.T) {
 	} {
 		w := base
 		mutate(&w)
-		if w.CompileFingerprint() == key {
-			t.Errorf("%s did not perturb the compile fingerprint; it shapes the compiled window", name)
+		if artifactKey(w.Normalize()) == key {
+			t.Errorf("%s did not perturb the compile key; it shapes the compiled window", name)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -32,6 +33,82 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestKeyCoversEveryField is the Key's counterpart of the fingerprint
+// guard: perturbing any exported Workload field changes the Key, and
+// every field but the extrapolation-only Images and WeakScaling changes
+// the compile key too.
+func TestKeyCoversEveryField(t *testing.T) {
+	base := Workload{Model: "lenet", GPUs: 2, Batch: 16, Method: NCCL, Images: 1000}
+	baseKey, baseCompile := base.Key(), artifactKey(base.Normalize())
+	rt := reflect.TypeOf(base)
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		t.Run(f.Name, func(t *testing.T) {
+			w := base
+			perturb(t, f.Name, reflect.ValueOf(&w).Elem().Field(i))
+			if w.Key() == baseKey {
+				t.Errorf("perturbing %s did not change the Key", f.Name)
+			}
+			extrapolationOnly := f.Name == "Images" || f.Name == "WeakScaling"
+			if same := artifactKey(w.Normalize()) == baseCompile; same != extrapolationOnly {
+				t.Errorf("perturbing %s: compile key unchanged = %v, want %v", f.Name, same, extrapolationOnly)
+			}
+		})
+	}
+}
+
+// FuzzWorkloadKey decodes two workloads from JSON, as the service does,
+// and normalizes both. A Key must not depend on the spelling Normalize
+// erases, equal Keys must mean equal Fingerprints, and for
+// workloads that validate, equal Fingerprints must mean equal Keys: the
+// in-process memos and the wire identity never disagree about which
+// workloads are the same. The seeds spell equal plans differently
+// (reversed link pairs, unsorted lists, no-op entries, explicit
+// defaults). A failure's minimized input lands in
+// testdata/fuzz/FuzzWorkloadKey.
+func FuzzWorkloadKey(f *testing.F) {
+	for _, seed := range [][2]string{
+		{`{"Model":"alexnet","GPUs":8,"Batch":16}`,
+			`{"Model":"alexnet","GPUs":8,"Batch":16,"Method":"nccl","Images":262144,"Hardware":"dgx1","Protocol":"simple"}`},
+		{`{"Model":"alexnet","GPUs":8,"Batch":16,"faults":{"failedLinks":[{"a":1,"b":0},{"a":3,"b":2}]}}`,
+			`{"Model":"alexnet","GPUs":8,"Batch":16,"faults":{"failedLinks":[{"a":2,"b":3},{"a":0,"b":1}]}}`},
+		{`{"Model":"resnet","GPUs":4,"Batch":32,"faults":{"stragglers":[{"gpu":3,"slowdown":1.5},{"gpu":1,"slowdown":2}]}}`,
+			`{"Model":"resnet","GPUs":4,"Batch":32,"faults":{"stragglers":[{"gpu":1,"slowdown":2},{"gpu":3,"slowdown":1.5},{"gpu":0,"slowdown":1}]}}`},
+		{`{"Model":"lenet","GPUs":2,"Batch":16,"faults":{"degradedLinks":[{"a":2,"b":0,"fraction":0.5}],"pcieContention":0.25}}`,
+			`{"Model":"lenet","GPUs":2,"Batch":16,"faults":{"degradedLinks":[{"a":1,"b":3,"fraction":1},{"a":0,"b":2,"fraction":0.5}],"pcieContention":0.25}}`},
+		{`{"Model":"lenet","GPUs":2,"Batch":16}`,
+			`{"Model":"lenet","GPUs":2,"Batch":16,"faults":{"stragglers":[{"gpu":3,"slowdown":1}]}}`},
+		{`{"Model":"lenet","GPUs":2,"Batch":16,"faults":{"failedLinks":[{"a":0,"b":1}]}}`,
+			`{"Model":"lenet","GPUs":2,"Batch":16,"faults":{"pcieContention":0.5}}`},
+		{`{"Model":"googlenet","GPUs":4,"Batch":16,"Images":8192}`,
+			`{"Model":"googlenet","GPUs":4,"Batch":16,"Images":8192,"WeakScaling":true}`},
+	} {
+		f.Add([]byte(seed[0]), []byte(seed[1]))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var wa, wb Workload
+		if json.Unmarshal(a, &wa) != nil || json.Unmarshal(b, &wb) != nil {
+			return
+		}
+		for _, w := range []Workload{wa, wb} {
+			if w.Key() != w.Normalize().Key() {
+				t.Fatalf("Key depends on the spelling Normalize erases: %+v", w)
+			}
+		}
+		wa, wb = wa.Normalize(), wb.Normalize()
+		sameKey, sameFP := wa.Key() == wb.Key(), wa.Fingerprint() == wb.Fingerprint()
+		if sameKey && !sameFP {
+			t.Fatalf("equal Keys, different Fingerprints:\n%+v\n%+v", wa, wb)
+		}
+		if sameFP && !sameKey && wa.Validate() == nil && wb.Validate() == nil {
+			t.Fatalf("equal Fingerprints, different Keys:\n%+v\n%+v", wa, wb)
+		}
+	})
 }
 
 // perturb sets a field to a value distinct from the base workload's and

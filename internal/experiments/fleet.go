@@ -92,11 +92,14 @@ func Fleet(opt Options) ([]*report.Table, error) {
 		cells = append(cells, cell{fleet: 2, sev: 1, policy: cluster.PolicyFirstFit, queue: q})
 	}
 
+	// Every cell schedules the same trace, so generate it once.
+	gen := cluster.Spec{Mix: fleetMix(), Seed: opt.Seed}.Normalize()
+	jobs := cluster.GenerateTrace(*gen.Mix, gen.Seed)
 	results, err := parMap(opt, len(cells), func(i int) (*cluster.Result, error) {
 		c := cells[i]
 		return cluster.Simulate(context.Background(), cluster.Spec{
 			Nodes:  severities[c.sev].nodes(c.fleet),
-			Mix:    fleetMix(),
+			Jobs:   jobs,
 			Policy: c.policy,
 			Queue:  c.queue,
 			Seed:   opt.Seed,

@@ -266,6 +266,12 @@ func (t *table) rankedNames() []string {
 }
 
 // Profile accumulates statistics for one run.
+//
+// Retained intervals are never rewritten once recorded, only appended
+// to, so Clone and Compact share the source's intervals, capped at their
+// current length the way tables share name lists: an append past the cap
+// reallocates, so recording into either side never writes memory the
+// other reads.
 type Profile struct {
 	tables [numTables]table
 
@@ -440,6 +446,13 @@ func (p *Profile) Repeat(m *Mark, n int64, shift time.Duration) {
 		p.dropped += n * per
 		return
 	}
+	// Grow once, to what the copies retain before the cap.
+	if room := p.maxDetail - len(p.intervals); room > 0 && len(since) > 0 {
+		if int64(room)/int64(len(since)) >= n {
+			room = int(n) * len(since)
+		}
+		p.intervals = slices.Grow(p.intervals, room)
+	}
 	for j := int64(1); j <= n; j++ {
 		if len(p.intervals) >= p.maxDetail {
 			p.dropped += (n - j + 1) * per
@@ -479,6 +492,10 @@ func (p *Profile) Intervals() []Interval {
 	return out
 }
 
+// Retained reports how many intervals the profile retains: the length of
+// Intervals, without the copy.
+func (p *Profile) Retained() int { return len(p.intervals) }
+
 // Dropped reports how many intervals exceeded the detail cap.
 func (p *Profile) Dropped() int64 { return p.dropped }
 
@@ -511,14 +528,15 @@ func (p *Profile) Scale(f float64) {
 	}
 }
 
-// Clone returns a deep copy of the profile. The compiled-window cache in
-// the training layer keeps one immutable window profile per artifact and
-// clones it for every extrapolated result, so callers can Scale their
-// copy without touching the shared original. Clone only reads p, so many
-// goroutines may clone one profile at once. The copy's aggregates live in
-// one arena; its name lists share p's, capped at their current length
-// (see table), so recording new names into either side never writes
-// memory the other reads.
+// Clone returns a copy of the profile that shares nothing mutable with
+// it. The compiled-window cache in the training layer keeps one immutable
+// window profile per artifact and clones it for every extrapolated
+// result, so callers can Scale their copy without touching the shared
+// original. Clone only reads p, so many goroutines may clone one profile
+// at once. The copy's aggregates live in one arena; its name lists and
+// intervals share p's, capped at their current length (see table and
+// Profile), so recording into either side never writes memory the other
+// reads.
 func (p *Profile) Clone() *Profile {
 	n := 0
 	for k := range p.tables {
@@ -538,9 +556,7 @@ func (p *Profile) Clone() *Profile {
 		copy(stats, src.stats)
 		q.tables[k] = table{seed: src.seed, names: src.names[:m:m], stats: stats}
 	}
-	if p.intervals != nil {
-		q.intervals = append([]Interval(nil), p.intervals...)
-	}
+	q.intervals = slices.Clip(p.intervals)
 	return q
 }
 
@@ -549,7 +565,8 @@ func (p *Profile) Clone() *Profile {
 // without the slots its seeds reserved for activities that never
 // happened. The names are renumbered, so the copy is read by name (and
 // cloned, scaled and merged), never recorded into by one of p's slots.
-// Its names and aggregates live in one arena each.
+// Its names and aggregates live in one arena each; its intervals are
+// p's, shared as Clone shares them.
 func (p *Profile) Compact() *Profile {
 	n := 0
 	for k := range p.tables {
@@ -574,9 +591,7 @@ func (p *Profile) Compact() *Profile {
 		}
 		q.tables[k] = table{names: names[lo:i:i], stats: stats[lo:i:i]}
 	}
-	if p.intervals != nil {
-		q.intervals = append([]Interval(nil), p.intervals...)
-	}
+	q.intervals = slices.Clip(p.intervals)
 	return q
 }
 

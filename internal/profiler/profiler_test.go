@@ -62,6 +62,9 @@ func TestDetailCap(t *testing.T) {
 	if len(p.Intervals()) != 2 {
 		t.Errorf("retained %d intervals, want 2", len(p.Intervals()))
 	}
+	if p.Retained() != 2 {
+		t.Errorf("Retained() = %d, want 2", p.Retained())
+	}
 	if p.Dropped() != 3 {
 		t.Errorf("dropped = %d, want 3", p.Dropped())
 	}
@@ -225,18 +228,19 @@ func TestInternedButUnrecordedIsInvisible(t *testing.T) {
 }
 
 // TestCloneSharesNoMutableState races the window-cache pattern: several
-// goroutines clone one shared window profile while another records new
-// names into a clone of its own (run under -race). Every clone must still
-// see the window's aggregates unchanged.
+// goroutines clone and compact one shared window profile while another
+// records new names into a clone of its own (run under -race). Every copy
+// must still see the window's aggregates and intervals unchanged, and
+// its own records only.
 func TestCloneSharesNoMutableState(t *testing.T) {
-	window := NewDetailed(64)
+	window := NewDetailed(4096)
 	for i := 0; i < 20; i++ {
 		name := fmt.Sprintf("k%d", i)
 		window.Record(iv(KindKernel, name, StageFP, 0, time.Duration(i+1)*time.Microsecond))
 		window.Record(iv(KindTransfer, "x"+name, StageWU, 0, time.Microsecond))
 	}
 	window.Record(iv(KindAPI, "cudaLaunchKernel", StageFP, 0, time.Microsecond))
-	want := window.Summary()
+	want, wantIvs := window.Summary(), window.Intervals()
 
 	writer := window.Clone()
 	var wg sync.WaitGroup
@@ -255,10 +259,19 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				c := window.Clone()
-				c.Record(iv(KindKernel, fmt.Sprintf("mine%d", i), StageBP, 0, time.Microsecond))
+				if i%2 == 1 {
+					c = window.Compact()
+				}
+				mine := iv(KindKernel, fmt.Sprintf("mine%d", i), StageBP, 0, time.Microsecond)
+				mine.Track = fmt.Sprintf("g%d", g)
+				c.Record(mine)
 				c.Scale(2)
 				if c.Kernel("k3").Calls != 2 || c.API("cudaLaunchKernel").Calls != 2 {
 					t.Errorf("clone aggregates wrong: k3=%+v", c.Kernel("k3"))
+					return
+				}
+				if got := c.Intervals(); !reflect.DeepEqual(got, append(wantIvs[:len(wantIvs):len(wantIvs)], mine)) {
+					t.Errorf("a copy's intervals end %+v, want the window's then %+v", got[len(got)-1], mine)
 					return
 				}
 			}
@@ -268,8 +281,48 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 	if got := window.Summary(); got != want {
 		t.Errorf("window changed under its clones:\n%s\nwant:\n%s", got, want)
 	}
+	if !reflect.DeepEqual(window.Intervals(), wantIvs) {
+		t.Error("the window's intervals changed under its copies")
+	}
+	if n := writer.Retained(); n != len(wantIvs)+1000 {
+		t.Errorf("writer clone retains %d intervals, want %d", n, len(wantIvs)+1000)
+	}
 	if n := len(writer.KernelNames()); n != 520 {
 		t.Errorf("writer clone has %d kernel names, want 520", n)
+	}
+}
+
+// Clone and Compact share the source's intervals instead of copying
+// them, and a record into any of the source, a copy or a copy of a copy
+// shows in that profile alone, even when the source's backing array has
+// room to grow in place.
+func TestCopiesShareIntervals(t *testing.T) {
+	src := NewDetailed(100)
+	for i := 0; i < 3; i++ {
+		src.Record(iv(KindKernel, "k", StageFP, 0, time.Duration(i+1)*time.Microsecond))
+	}
+	if cap(src.intervals) == len(src.intervals) {
+		t.Fatal("the source has no spare capacity; the test would not show an in-place append")
+	}
+	base := src.Intervals()
+	clone, compact := src.Clone(), src.Compact()
+	nested := compact.Clone()
+	for _, c := range []*Profile{clone, compact, nested} {
+		if &c.intervals[0] != &src.intervals[0] {
+			t.Fatal("a copy copied the source's intervals")
+		}
+	}
+	profiles := []*Profile{src, clone, compact, nested}
+	for i, p := range profiles {
+		own := iv(KindKernel, "k", StageBP, 0, time.Microsecond)
+		own.Track = fmt.Sprintf("p%d", i)
+		p.Record(own)
+	}
+	for i, p := range profiles {
+		got := p.Intervals()
+		if len(got) != len(base)+1 || !reflect.DeepEqual(got[:len(base)], base) || got[len(base)].Track != fmt.Sprintf("p%d", i) {
+			t.Errorf("profile %d retains %+v, want the source's %d intervals then its own", i, got, len(base))
+		}
 	}
 }
 

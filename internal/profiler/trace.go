@@ -25,7 +25,7 @@ type chromeEvent struct {
 // process_name metadata event so multi-trace comparisons in Perfetto
 // stay labeled. An empty profile exports an empty (but valid) document.
 func (p *Profile) ExportChromeTrace(w io.Writer) error {
-	ivs := p.Intervals()
+	ivs := p.intervals
 	// Stable track numbering: sorted track names.
 	trackSet := map[string]bool{}
 	for _, iv := range ivs {

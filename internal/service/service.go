@@ -453,7 +453,7 @@ func newCached(r *core.Report) (*cached, error) {
 		return nil, err
 	}
 	c := &cached{body: b}
-	if r.Profile != nil && len(r.Profile.Intervals()) > 0 {
+	if r.Profile != nil && r.Profile.Retained() > 0 {
 		c.profile = r.Profile
 	}
 	return c, nil

@@ -48,7 +48,7 @@ func traceProfile(tr *obs.Trace) *profiler.Profile {
 	capacity := len(spans)
 	for _, a := range tr.Attachments() {
 		if p, ok := a.Value.(*profiler.Profile); ok {
-			capacity += len(p.Intervals())
+			capacity += p.Retained()
 			profs = append(profs, p)
 		}
 	}
