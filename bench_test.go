@@ -130,6 +130,31 @@ func BenchmarkFig5WeakScaling(b *testing.B) {
 	runExperiment(b, "fig5")
 }
 
+// BenchmarkFleet runs the fleet scheduling sweep (policy x fleet size x
+// fault severity, then FIFO vs SJF), the paper pass's costliest
+// experiment after the compiles: after the first op its pricing reuses
+// the compiled windows, so an op is mostly the event loop.
+func BenchmarkFleet(b *testing.B) {
+	b.ReportAllocs()
+	runExperiment(b, "fleet")
+}
+
+// BenchmarkPaperPass regenerates every artifact from cold caches, with
+// the options of the end-to-end paper workload (bench/run.sh --workload
+// paper): its go test twin, reporting allocations.
+func BenchmarkPaperPass(b *testing.B) {
+	opt := experiments.Options{Seed: 1, Workers: runtime.NumCPU()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		core.ResetCaches()
+		for _, e := range experiments.All() {
+			if _, err := e.Run(opt); err != nil {
+				b.Fatalf("%s: %v", e.ID, err)
+			}
+		}
+	}
+}
+
 // --- ablation benches for the design choices DESIGN.md calls out ---
 
 // BenchmarkAblationTensorCores quantifies the tensor-core lowering:

@@ -21,7 +21,8 @@
 //     node runs as if on devices 0..n-1 of that node's (possibly
 //     faulted) machine. Fabric faults therefore price into every job on
 //     the node through the node's fault plan.
-//   - Service times come from the core compile/extrapolate path and are
+//   - Service times are epoch times from core.EpochTime (the core
+//     compile path, then the window's closed-form epoch) and are
 //     memoized by normalized workload (job template x node plan), so a
 //     10k-job trace prices each distinct configuration exactly once.
 //   - Placement policies are pluggable behind the Policy interface

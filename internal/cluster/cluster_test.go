@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 )
 
@@ -227,14 +228,15 @@ func TestFragAwareBeatsFirstFitOnDegradedFleet(t *testing.T) {
 }
 
 // The pricer's raw-input key only skips work: equal plans behind distinct
-// pointers and the "" / "dgx1" spellings still land on one fingerprint,
-// one simulation and one price.
-func TestPricerCountsFingerprints(t *testing.T) {
+// pointers and the "" / "dgx1" spellings still land on one core.Key, one
+// epoch and one price.
+func TestPricerCountsKeys(t *testing.T) {
 	p := newPricer()
 	job := Job{Model: "lenet", GPUs: 2, Batch: 16, Images: 4096}
 	a := &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Slowdown: 1.5}}}
 	b := &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Slowdown: 1.5}}}
 	var prices []time.Duration
+	keys := map[core.Key]bool{}
 	for _, call := range []struct {
 		plan     *faults.Plan
 		hardware string
@@ -244,9 +246,10 @@ func TestPricerCountsFingerprints(t *testing.T) {
 			t.Fatal(err)
 		}
 		prices = append(prices, d)
+		keys[job.workload(call.plan, call.hardware).Key()] = true
 	}
-	if len(p.memo) != 2 {
-		t.Errorf("%d distinct services, want 2 (straggler, healthy)", len(p.memo))
+	if len(p.memo) != 2 || len(keys) != 2 {
+		t.Errorf("%d distinct services over %d core.Keys, want 2 (straggler, healthy)", len(p.memo), len(keys))
 	}
 	if len(p.hits) != 4 {
 		t.Errorf("%d raw keys, want 4", len(p.hits))

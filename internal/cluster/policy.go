@@ -7,8 +7,8 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/faults"
@@ -46,7 +46,8 @@ type Policy interface {
 	// Name is the spec spelling of the policy.
 	Name() string
 	// Place returns the fleet index of the chosen node, or -1 when no
-	// node can hold gpus free slots. nodes come in fleet-index order.
+	// node can hold gpus free slots. nodes come in fleet-index order;
+	// they are the event loop's live view, which Place only reads.
 	Place(gpus int, nodes []NodeView) int
 }
 
@@ -138,37 +139,29 @@ func Policies() []string {
 // Queues lists the queue disciplines in presentation order.
 func Queues() []string { return []string{QueueFIFO, QueueSJF} }
 
-// queueOrderFn sorts the pending queue into scan order. The loop scans
-// in this order and backfills: a job that does not fit is skipped, not
-// head-of-line blocking (the common cluster-scheduler compromise; strict
-// blocking would let one 8-GPU job idle the whole fleet).
-type queueOrderFn func(pending []*pendingJob)
+// queueOrder compares two pending jobs in scan order, as cmp.Compare
+// does; seq, unique per job, breaks every tie. The loop keeps the queue
+// in this order, scans it in this order and backfills: a job that does
+// not fit is skipped, not head-of-line blocking (the common
+// cluster-scheduler compromise; strict blocking would let one 8-GPU job
+// idle the whole fleet).
+type queueOrder func(a, b *pendingJob) int
 
 // queueByName resolves a spec's queue spelling.
-func queueByName(name string) (queueOrderFn, error) {
+func queueByName(name string) (queueOrder, error) {
 	switch name {
 	case QueueFIFO:
 		// Arrival order; seq breaks same-instant ties deterministically.
-		return func(pending []*pendingJob) {
-			sort.SliceStable(pending, func(i, j int) bool {
-				if pending[i].job.Arrival != pending[j].job.Arrival {
-					return pending[i].job.Arrival < pending[j].job.Arrival
-				}
-				return pending[i].seq < pending[j].seq
-			})
+		return func(a, b *pendingJob) int {
+			return cmp.Or(cmp.Compare(a.job.Arrival, b.job.Arrival), cmp.Compare(a.seq, b.seq))
 		}, nil
 	case QueueSJF:
 		// Shortest (healthy-machine estimate) first. The estimate is the
 		// healthy epoch time x repeats — the scheduler cannot know which
 		// node the job will land on, so it ranks by the job's intrinsic
 		// size, exactly like an SJF queue fed by user-declared runtimes.
-		return func(pending []*pendingJob) {
-			sort.SliceStable(pending, func(i, j int) bool {
-				if pending[i].estimate != pending[j].estimate {
-					return pending[i].estimate < pending[j].estimate
-				}
-				return pending[i].seq < pending[j].seq
-			})
+		return func(a, b *pendingJob) int {
+			return cmp.Or(cmp.Compare(a.estimate, b.estimate), cmp.Compare(a.seq, b.seq))
 		}, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown queue %q (available: %s)", name, strings.Join(Queues(), ", "))

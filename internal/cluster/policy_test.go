@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestQueueOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo(pending)
+	slices.SortFunc(pending, fifo)
 	if pending[0].seq != 1 || pending[1].seq != 2 || pending[2].seq != 0 {
 		t.Errorf("fifo order wrong: %d %d %d", pending[0].seq, pending[1].seq, pending[2].seq)
 	}
@@ -87,7 +88,7 @@ func TestQueueOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sjf(pending)
+	slices.SortFunc(pending, sjf)
 	if pending[0].seq != 0 || pending[1].seq != 2 || pending[2].seq != 1 {
 		t.Errorf("sjf order wrong: %d %d %d", pending[0].seq, pending[1].seq, pending[2].seq)
 	}

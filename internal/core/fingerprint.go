@@ -45,8 +45,10 @@ type Key struct {
 }
 
 // Key returns the workload's Key.
-func (w Workload) Key() Key {
-	w = w.Normalize()
+func (w Workload) Key() Key { return w.Normalize().key() }
+
+// key returns a normalized workload's Key.
+func (w Workload) key() Key {
 	var plan string
 	if w.Faults != nil {
 		b, err := json.Marshal(w.Faults)

@@ -186,15 +186,39 @@ type measured struct {
 }
 
 // measure runs a configuration and expands it to the repeated-run summary
-// the paper's error bars come from.
-func measure(opt Options, model string, gpus, batch int, method train.Method, images int64) (measured, error) {
+// the paper's error bars come from, scaling the exact epoch by the
+// configuration's jitter factors (jitterFactors).
+func measure(model string, gpus, batch int, method train.Method, images int64, factors []float64) (measured, error) {
 	res, err := runOne(model, gpus, batch, method, images)
 	if err != nil {
 		return measured{}, err
 	}
-	j := sim.NewJitter(opt.Seed^int64(gpus*1000+batch), opt.JitterRel)
-	reps := stats.Repetitions(res.EpochTime, j, opt.Repetitions)
+	reps := stats.Repetitions(res.EpochTime, factors)
 	return measured{res: res, sample: stats.Summarize(reps)}, nil
+}
+
+// jitterKey is the part of a configuration its jitter seed depends on.
+type jitterKey struct{ gpus, batch int }
+
+// jitterFactors draws, per GPU count and batch, the Repetitions-1
+// factors a configuration's jittered repetitions apply, from the stream
+// seeded opt.Seed^(gpus*1000+batch). Every model and method measured at
+// one GPU count and batch shares that stream, so a run seeds each once
+// (Figure 3: 12 streams for 120 configurations) instead of building a
+// math/rand state per configuration.
+func jitterFactors(opt Options, gpus, batches []int) map[jitterKey][]float64 {
+	out := make(map[jitterKey][]float64, len(gpus)*len(batches))
+	for _, g := range gpus {
+		for _, b := range batches {
+			j := sim.NewJitter(opt.Seed^int64(g*1000+b), opt.JitterRel)
+			f := make([]float64, opt.Repetitions-1)
+			for i := range f {
+				f[i] = j.Factor()
+			}
+			out[jitterKey{g, b}] = f
+		}
+	}
+	return out
 }
 
 // fmtDur renders a duration rounded for table cells.

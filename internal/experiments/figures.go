@@ -154,9 +154,10 @@ func Fig3(opt Options) ([]*report.Table, error) {
 			}
 		}
 	}
+	factors := jitterFactors(opt, GPUCounts, Batches)
 	cells, err := parMap(opt, len(cfgs), func(i int) (string, error) {
 		c := cfgs[i]
-		ms, err := measure(opt, c.model, c.gpus, c.batch, c.method, opt.Images)
+		ms, err := measure(c.model, c.gpus, c.batch, c.method, opt.Images, factors[jitterKey{c.gpus, c.batch}])
 		if err != nil {
 			return "", err
 		}

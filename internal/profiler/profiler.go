@@ -485,15 +485,15 @@ func (p *Profile) KernelNames() []string { return p.tables[KindKernel].rankedNam
 // time.
 func (p *Profile) TransferNames() []string { return p.tables[KindTransfer].rankedNames() }
 
-// Intervals returns the retained detailed intervals (detail mode only).
-func (p *Profile) Intervals() []Interval {
-	out := make([]Interval, len(p.intervals))
-	copy(out, p.intervals)
-	return out
-}
+// Intervals returns the retained detailed intervals (detail mode only),
+// in recording order, without copying them: the slice is the profile's
+// own and may be shared with its clones and cached windows, so callers
+// read it and never write it. It is clipped to its length, so appending
+// to it copies instead of writing into the profile's memory.
+func (p *Profile) Intervals() []Interval { return slices.Clip(p.intervals) }
 
 // Retained reports how many intervals the profile retains: the length of
-// Intervals, without the copy.
+// Intervals.
 func (p *Profile) Retained() int { return len(p.intervals) }
 
 // Dropped reports how many intervals exceeded the detail cap.

@@ -47,7 +47,18 @@ func (j *Jitter) Scale(d time.Duration) time.Duration {
 	if j == nil || j.rel <= 0 || d <= 0 {
 		return d
 	}
-	return time.Duration(float64(d) * clampFactor(1+j.rng.NormFloat64()*j.rel))
+	return ScaleBy(d, j.Factor())
+}
+
+// ScaleBy applies a factor Factor drew to d as Scale does: Scale(d)
+// equals ScaleBy(d, Factor()) for the same draw, and a non-positive d or
+// a factor of 1 (noise disabled) leaves d exact. So factors drawn once
+// can scale any number of durations later.
+func ScaleBy(d time.Duration, f float64) time.Duration {
+	if d <= 0 || f == 1 {
+		return d
+	}
+	return time.Duration(float64(d) * f)
 }
 
 // Factor returns one perturbation factor (1 + N(0, rel)), clamped below

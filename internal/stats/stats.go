@@ -46,17 +46,16 @@ func Summarize(runs []time.Duration) Sample {
 	}
 }
 
-// Repetitions expands one deterministic measurement into n jittered
-// repetitions, reproducing run-to-run variance from an explicit seed. The
-// first repetition is the exact value so the mean stays anchored.
-func Repetitions(exact time.Duration, j *sim.Jitter, n int) []time.Duration {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]time.Duration, n)
+// Repetitions expands one deterministic measurement into jittered
+// repetitions, reproducing run-to-run variance from drawn factors
+// (sim.Jitter.Factor): the exact value first, so the mean stays
+// anchored, then the value scaled by each factor as sim.Jitter.Scale
+// scales it.
+func Repetitions(exact time.Duration, factors []float64) []time.Duration {
+	out := make([]time.Duration, len(factors)+1)
 	out[0] = exact
-	for i := 1; i < n; i++ {
-		out[i] = j.Scale(exact)
+	for i, f := range factors {
+		out[i+1] = sim.ScaleBy(exact, f)
 	}
 	return out
 }

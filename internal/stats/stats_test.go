@@ -34,23 +34,30 @@ func TestSummarizeConstant(t *testing.T) {
 }
 
 func TestRepetitionsAnchoredAndDeterministic(t *testing.T) {
-	j1 := sim.NewJitter(3, 0.05)
-	j2 := sim.NewJitter(3, 0.05)
-	a := Repetitions(time.Second, j1, 5)
-	b := Repetitions(time.Second, j2, 5)
+	draw := func() []float64 {
+		j := sim.NewJitter(3, 0.05)
+		return []float64{j.Factor(), j.Factor(), j.Factor(), j.Factor()}
+	}
+	a := Repetitions(time.Second, draw())
+	b := Repetitions(time.Second, draw())
 	if len(a) != 5 {
 		t.Fatalf("len = %d", len(a))
 	}
 	if a[0] != time.Second {
 		t.Error("first repetition should be the exact value")
 	}
+	// The factors scale as a jitter stream's Scale calls would.
+	j := sim.NewJitter(3, 0.05)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Error("same seed must reproduce repetitions")
 		}
+		if i > 0 && a[i] != j.Scale(time.Second) {
+			t.Errorf("repetition %d = %v, not the stream's Scale", i, a[i])
+		}
 	}
-	if Repetitions(time.Second, j1, 0) != nil {
-		t.Error("n<=0 should return nil")
+	if got := Repetitions(time.Second, nil); len(got) != 1 || got[0] != time.Second {
+		t.Errorf("no factors: %v, want the exact value alone", got)
 	}
 }
 

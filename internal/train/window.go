@@ -329,33 +329,21 @@ func (t *Trainer) broadcast(stage bool) (time.Duration, []time.Duration, error) 
 // Extrapolate projects the window onto an epoch of the given dataset size
 // and returns the full Result, reproducing the cold path's arithmetic
 // exactly (cold runs call it too — there is one finalization code path).
-// It fails on an epoch of no images, and if the epoch would simulate a
-// different number of window iterations than the window holds (an epoch
-// smaller than the simulated window); the caller then needs a freshly
-// compiled window.
+// It fails as EpochTime does: on an epoch of no images or too many, if the
+// epoch would simulate a different number of window iterations than the
+// window holds (an epoch smaller than the simulated window; the caller
+// then needs a freshly compiled window), and if the epoch overflows.
 //
 // When no profile scaling is needed (the epoch is exactly the simulated
 // window), the Result shares the window's own Profile instead of cloning
 // it; Results are read-only views in that case, as they always were by
 // convention — nothing in the repo mutates a Result's profile.
 func (w *Window) Extrapolate(images int64) (*Result, error) {
-	if images <= 0 {
-		return nil, fmt.Errorf("train: an epoch needs images, got %d", images)
+	iters, epoch, err := w.epoch(images)
+	if err != nil {
+		return nil, err
 	}
-	if images > MaxImages {
-		return nil, fmt.Errorf("train: %w: %d images, at most %d", ErrEpochTooLarge, images, MaxImages)
-	}
-	iters, nsim := Iterations(w.cfg.Parallelism, images, w.cfg.Batch, w.cfg.GPUs, w.simIters)
-	if nsim != w.nsim {
-		return nil, fmt.Errorf("train: window simulated %d iterations, an epoch of %d images simulates %d",
-			w.nsim, images, nsim)
-	}
-	remaining := iters - int64(nsim)
-	if w.overflows(iters, remaining) {
-		return nil, fmt.Errorf("train: %w: %d iterations of %v", ErrEpochTooLarge, iters, w.last.steady)
-	}
-	epoch := w.setupEnd + w.simTotal + time.Duration(remaining)*w.last.steady
-
+	nsim := w.nsim
 	cfg := w.cfg
 	cfg.Images = images
 	// Clone only when the epoch actually scales the window's aggregates;
@@ -399,6 +387,37 @@ func (w *Window) Extrapolate(images int64) (*Result, error) {
 	}
 	res.GPUComputeBusy = w.busyFractions(epoch)
 	return res, nil
+}
+
+// EpochTime returns the epoch time Extrapolate(images) reports, or its
+// error, without building the Result: no profile clone or scaling and no
+// busy fractions. Callers that need only the epoch — the fleet
+// simulator pricing a job — read it here.
+func (w *Window) EpochTime(images int64) (time.Duration, error) {
+	_, epoch, err := w.epoch(images)
+	return epoch, err
+}
+
+// epoch checks an epoch of images against the window and returns its
+// iteration count and its time: the one place EpochTime and Extrapolate
+// compute them, so the two cannot drift.
+func (w *Window) epoch(images int64) (iters int64, epoch time.Duration, err error) {
+	if images <= 0 {
+		return 0, 0, fmt.Errorf("train: an epoch needs images, got %d", images)
+	}
+	if images > MaxImages {
+		return 0, 0, fmt.Errorf("train: %w: %d images, at most %d", ErrEpochTooLarge, images, MaxImages)
+	}
+	iters, nsim := Iterations(w.cfg.Parallelism, images, w.cfg.Batch, w.cfg.GPUs, w.simIters)
+	if nsim != w.nsim {
+		return 0, 0, fmt.Errorf("train: window simulated %d iterations, an epoch of %d images simulates %d",
+			w.nsim, images, nsim)
+	}
+	remaining := iters - int64(nsim)
+	if w.overflows(iters, remaining) {
+		return 0, 0, fmt.Errorf("train: %w: %d iterations of %v", ErrEpochTooLarge, iters, w.last.steady)
+	}
+	return iters, w.setupEnd + w.simTotal + time.Duration(remaining)*w.last.steady, nil
 }
 
 // overflows reports whether extrapolating the window to iters

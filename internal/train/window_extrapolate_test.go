@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/profiler"
 )
 
@@ -183,5 +184,81 @@ func TestNewRejectsImagesPastBound(t *testing.T) {
 	cfg.Images = math.MaxInt64
 	if _, err := New(cfg); !errors.Is(err, ErrEpochTooLarge) {
 		t.Errorf("New(Images = MaxInt64) = %v, want ErrEpochTooLarge", err)
+	}
+}
+
+// TestEpochTimeMatchesExtrapolate pins EpochTime to Extrapolate under
+// every schedule and on a faulted fabric: for each epoch size, the
+// boundaries of the window's iteration count and the image limits, the
+// two return the same epoch or the same error — no images, too many, a
+// window of another iteration count, and an epoch that overflows.
+func TestEpochTimeMatchesExtrapolate(t *testing.T) {
+	straggler := &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Slowdown: 1.5}}}
+	cases := []struct {
+		name   string
+		model  string
+		gpus   int
+		batch  int
+		method Method
+		edit   func(*Config)
+	}{
+		{"sync", "lenet", 2, 16, MethodNCCL, func(*Config) {}},
+		{"async", "alexnet", 4, 32, MethodP2P, func(c *Config) { c.Async = true }},
+		{"model-parallel", "alexnet", 4, 32, MethodNCCL, func(c *Config) { c.Parallelism = ModelParallel }},
+		{"hybrid", "alexnet", 4, 32, MethodNCCL, func(c *Config) { c.Parallelism = HybridOWT }},
+		{"faulted", "googlenet", 4, 16, MethodNCCL, func(c *Config) { c.Faults = straggler }},
+	}
+	for _, tc := range cases {
+		cfg := quickCfg(t, tc.model, tc.gpus, tc.batch, tc.method)
+		tc.edit(&cfg)
+		tr, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win, err := tr.SimulateWindow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := int64(cfg.Batch)
+		if cfg.Parallelism != ModelParallel {
+			per *= int64(cfg.GPUs)
+		}
+		n := int64(DefaultSimIters)
+		// A steady iteration of a quarter of math.MaxInt64 overflows the
+		// epoch once it repeats twice past the window.
+		huge := *win
+		huge.last.steady = math.MaxInt64 / 4
+		type probe struct {
+			win    *Window
+			images int64
+		}
+		probes := []probe{{&huge, (n + 1) * per}, {&huge, (n + 2) * per}}
+		for _, images := range []int64{1, (n-1)*per - 1, (n - 1) * per, (n-1)*per + 1, n * per, n*per + 1,
+			cfg.Images, MaxImages, 0, -1, MaxImages + 1} {
+			probes = append(probes, probe{win, images})
+		}
+		for _, p := range probes {
+			epoch, err := p.win.EpochTime(p.images)
+			res, xerr := p.win.Extrapolate(p.images)
+			switch {
+			case err == nil && xerr == nil:
+				if epoch != res.EpochTime {
+					t.Errorf("%s, %d images: EpochTime %v, Extrapolate %v", tc.name, p.images, epoch, res.EpochTime)
+				}
+			case err == nil || xerr == nil || err.Error() != xerr.Error() ||
+				errors.Is(err, ErrEpochTooLarge) != errors.Is(xerr, ErrEpochTooLarge):
+				t.Errorf("%s, %d images: EpochTime error %v, Extrapolate error %v", tc.name, p.images, err, xerr)
+			}
+		}
+		for _, p := range []probe{probes[1], {win, MaxImages + 1}} {
+			if _, err := p.win.EpochTime(p.images); !errors.Is(err, ErrEpochTooLarge) {
+				t.Errorf("%s, %d images: error %v, want ErrEpochTooLarge", tc.name, p.images, err)
+			}
+		}
+		for _, images := range []int64{0, -1, (n - 1) * per} {
+			if _, err := win.EpochTime(images); err == nil {
+				t.Errorf("%s, %d images: no error", tc.name, images)
+			}
+		}
 	}
 }
