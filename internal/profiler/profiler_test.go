@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -240,7 +241,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 		window.Record(iv(KindTransfer, "x"+name, StageWU, 0, time.Microsecond))
 	}
 	window.Record(iv(KindAPI, "cudaLaunchKernel", StageFP, 0, time.Microsecond))
-	want, wantIvs := window.Summary(), window.Intervals()
+	want, wantIvs := window.Summary(), slices.Clone(window.Intervals())
 
 	writer := window.Clone()
 	var wg sync.WaitGroup
@@ -304,7 +305,7 @@ func TestCopiesShareIntervals(t *testing.T) {
 	if cap(src.intervals) == len(src.intervals) {
 		t.Fatal("the source has no spare capacity; the test would not show an in-place append")
 	}
-	base := src.Intervals()
+	base := slices.Clone(src.Intervals())
 	clone, compact := src.Clone(), src.Compact()
 	nested := compact.Clone()
 	for _, c := range []*Profile{clone, compact, nested} {

@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -44,7 +45,7 @@ func TestRepeatMatchesRecording(t *testing.T) {
 			got.Mark(&m)
 			recordIteration(got, period, true)
 			sibling := got.Clone()
-			before := sibling.Intervals()
+			before := slices.Clone(sibling.Intervals())
 			got.Repeat(&m, n, period)
 			sibling.Record(iv(KindKernel, "sibling", StageBP, 0, time.Microsecond))
 			for j := int64(1); j <= 1+n; j++ {
